@@ -120,16 +120,14 @@ class BatfishVerifier:
             node.begin_shard(prefixes)
         for round_token in range(engine.max_rounds):
             changed = False
-            updates = 0
             for node in engine.nodes.values():
                 changed |= node.pull_round(engine._bgp_resolver, round_token)
-                updates += node.route_count()
             candidates = sum(
                 node.route_count() for node in engine.nodes.values()
             )
             self.resources.update_memory(candidates, bdd_nodes=0)
             self.stats.cp_modeled_time += self.resources.charge_route_round(
-                updates
+                candidates
             )
             self.stats.bgp_rounds += 1
             if not changed:

@@ -63,6 +63,10 @@ class ControlPlaneStats:
     batches_duplicated: int = 0     # injected at the sidecars
     duplicates_discarded: int = 0   # receiver-side sequence dedup hits
     pipelined_deliveries: int = 0   # coalesced in-flight sends per round
+    # -- change-driven rounds ------------------------------------------
+    exports_reused: int = 0         # export tuples carried over unchanged
+    imports_skipped: int = 0        # sessions whose advertisement was the
+                                    # object already merged
     workers_lost: int = 0           # respawn budget spent; left the fleet
     shards_reassigned: int = 0      # shard files migrated to survivors
 
@@ -328,6 +332,8 @@ class ControlPlaneOrchestrator:
                 worker.update_memory()
                 worker.resources.charge_route_round(outcome.updates_processed)
                 candidate_total += outcome.candidate_routes
+                self.stats.exports_reused += outcome.exports_reused
+                self.stats.imports_skipped += outcome.imports_skipped
             self.stats.peak_candidate_routes = max(
                 self.stats.peak_candidate_routes, candidate_total
             )
@@ -355,7 +361,9 @@ class ControlPlaneOrchestrator:
                     break
                 # A batch was dropped this round: a "no change" verdict
                 # may rest on a stale mailbox.  Exports are re-sent in
-                # full every round, so one extra round heals the state.
+                # full every round, so one extra round heals the state
+                # (the resent tuple is not the stale one the puller
+                # merged, so its identity skip cannot hide the heal).
                 self.stats.forced_rounds += 1
             if heartbeat_every and (round_token + 1) % heartbeat_every == 0:
                 self._heartbeat()

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..bdd.serialize import SerializedBdd
 from ..net.ip import Prefix
 from ..routing.route import BgpRoute
 
 # (exporting node, importer-side session local address) -> exported routes
-BoundaryExports = Dict[Tuple[str, int], List[BgpRoute]]
+BoundaryExports = Dict[Tuple[str, int], Tuple[BgpRoute, ...]]
 
 # (exporting node, importer-side local address) -> OSPF distance vector
 OspfExports = Dict[Tuple[str, int], Dict[Prefix, Tuple[int, frozenset]]]

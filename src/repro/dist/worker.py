@@ -39,10 +39,10 @@ from ..dataplane.forwarding import (
 from ..dataplane.predicates import compile_predicates
 from ..net.ip import Prefix
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..routing.node import RouterNode
+from ..routing.node import Advertisement, RouterNode
 from .faults import FaultPlan, InjectedWorkerCrash, StaleEpochError
 from ..routing.ospf import OspfProcess
-from ..routing.route import BgpRoute, Route
+from ..routing.route import Route
 from .message import (
     BoundaryExports,
     OspfExports,
@@ -53,6 +53,11 @@ from .message import (
 from .resources import CostModel, WorkerResources
 from .sharding import PrefixShard
 from .storage import RouteStore, ShardRoutes
+
+
+# What a shadow answers for a peer whose batch carried nothing: one shared
+# object, so the puller's identity skip fires round after round.
+_NO_ROUTES: Advertisement = ()
 
 
 class ShadowNode:
@@ -67,8 +72,8 @@ class ShadowNode:
         self.name = name
         self._worker = worker
 
-    def advertise(self, to_peer_addr: int, round_token: int = -1) -> List[BgpRoute]:
-        return self._worker.mailbox.get((self.name, to_peer_addr), [])
+    def advertise(self, to_peer_addr: int, round_token: int = -1) -> Advertisement:
+        return self._worker.mailbox.get((self.name, to_peer_addr), _NO_ROUTES)
 
     def advertise_ospf(
         self, to_peer_addr: int = None
@@ -84,6 +89,10 @@ class PullOutcome:
     # Hostnames whose RIB changed this round; what makes a
     # non-convergence diagnosable (the enriched ConvergenceError).
     changed_nodes: Tuple[str, ...] = ()
+    # Change-driven rounds: exports returned unchanged from the previous
+    # round (this round's phase A) and sessions whose import was skipped.
+    exports_reused: int = 0
+    imports_skipped: int = 0
 
 
 class Worker:
@@ -107,7 +116,7 @@ class Worker:
         self.nodes: Dict[str, RouterNode] = {}
         self.ospf: Dict[str, OspfProcess] = {}
         self._shadows: Dict[str, ShadowNode] = {}
-        self.mailbox: Dict[Tuple[str, int], List[BgpRoute]] = {}
+        self.mailbox: Dict[Tuple[str, int], Advertisement] = {}
         self.ospf_mailbox: Dict[
             Tuple[str, int], Dict[Prefix, Tuple[int, frozenset]]
         ] = {}
@@ -129,6 +138,7 @@ class Worker:
         self.telemetry = None
         self.telemetry_sink = None
         self.last_round: int = -1
+        self._exports_reused = 0  # phase A's count, reported by phase B
         self._build_nodes()
         # -- data-plane state (populated by the DPO phase) --
         self.engine: Optional[BddEngine] = None
@@ -357,6 +367,8 @@ class Worker:
         self._inject("compute_exports", round_token)
         self.last_round = round_token
         boundary: Dict[int, BoundaryExports] = {}
+        computed = self._node_total("exports_computed")
+        reused = self._node_total("exports_reused")
         with self.tracer.span(
             "worker.exports", category="cpo", round=round_token
         ) as span:
@@ -369,7 +381,12 @@ class Worker:
                     boundary.setdefault(owner, {})[
                         (hostname, session.peer_ip)
                     ] = exports
-            span.set(boundary_targets=len(boundary))
+            self._exports_reused = self._node_total("exports_reused") - reused
+            span.set(
+                boundary_targets=len(boundary),
+                computed=self._node_total("exports_computed") - computed,
+                reused=self._exports_reused,
+            )
         self._emit_telemetry("compute_exports")
         return {
             target: RouteBatch(
@@ -418,7 +435,7 @@ class Worker:
         self._inject("pull_round", round_token)
         self.last_round = round_token
         changed_nodes: List[str] = []
-        updates = 0
+        skipped = self._node_total("imports_skipped")
         with self.tracer.span(
             "worker.pull", category="cpo", round=round_token
         ) as span:
@@ -426,18 +443,31 @@ class Worker:
                 node = self.nodes[hostname]
                 if node.pull_round(self._resolve, round_token):
                     changed_nodes.append(hostname)
-                updates += node.route_count()
+            # A node's count cannot change after its own pull, so the
+            # per-round update work equals the end-of-round total.
             candidates = sum(
                 node.route_count() for node in self.nodes.values()
             )
-            span.set(updates=updates, changed=len(changed_nodes))
+            skipped = self._node_total("imports_skipped") - skipped
+            span.set(
+                updates=candidates,
+                changed=len(changed_nodes),
+                imports_skipped=skipped,
+            )
         self._emit_telemetry("pull_round")
+        reused, self._exports_reused = self._exports_reused, 0
         return PullOutcome(
             changed=bool(changed_nodes),
-            updates_processed=updates,
+            updates_processed=candidates,
             candidate_routes=candidates,
             changed_nodes=tuple(changed_nodes),
+            exports_reused=reused,
+            imports_skipped=skipped,
         )
+
+    def _node_total(self, counter: str) -> int:
+        """Sum one of the nodes' change-driven round counters."""
+        return sum(getattr(node, counter) for node in self.nodes.values())
 
     # -- control plane: OSPF rounds ----------------------------------------------
 

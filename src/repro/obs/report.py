@@ -130,6 +130,29 @@ def rpc_supervision(spans: List[Dict[str, Any]]) -> List[List[Any]]:
 RPC_HEADERS = ["worker", "rpc-calls", "retries", "timeouts", "conn-lost"]
 
 
+def round_reuse(spans: List[Dict[str, Any]]) -> Optional[str]:
+    """One line on change-driven BGP rounds, from the worker spans.
+
+    ``worker.exports`` carries how many session exports were recomputed
+    and how many were carried over unchanged; ``worker.pull`` how many
+    session imports were skipped because the advertisement was the
+    object already merged.  None when the trace has no export spans.
+    """
+    totals = {"computed": 0, "reused": 0, "imports_skipped": 0}
+    for span in spans:
+        if span["name"] in ("worker.exports", "worker.pull"):
+            attrs = span.get("attrs") or {}
+            for key in totals:
+                totals[key] += int(attrs.get(key, 0) or 0)
+    exports = totals["computed"] + totals["reused"]
+    if not exports:
+        return None
+    return (
+        f"change-driven rounds: {totals['reused']} of {exports} session "
+        f"exports reused, {totals['imports_skipped']} imports skipped"
+    )
+
+
 def render_report(
     path: str,
     by_process: bool = False,
@@ -156,6 +179,9 @@ def render_report(
         f"{len(processes)} participants ({', '.join(processes)})"
     )
     report = format_table(REPORT_HEADERS, rows, title=title)
+    reuse = round_reuse(spans)
+    if reuse:
+        report += "\n" + reuse
     rpc_rows = rpc_supervision(spans)
     if rpc_rows:
         report += "\n\n" + format_table(

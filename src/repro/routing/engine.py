@@ -135,11 +135,13 @@ class SimulationEngine:
             for hostname, node in self.nodes.items():
                 if node.pull_round(self._bgp_resolver, round_number):
                     changed_nodes.append(hostname)
-                self.stats.work_units += node.route_count()
             changed = bool(changed_nodes)
+            # A node's count cannot change after its own pull, so the
+            # round's update work is the end-of-round candidate total.
             candidate_total = sum(
                 node.route_count() for node in self.nodes.values()
             )
+            self.stats.work_units += candidate_total
             self.stats.peak_candidate_routes = max(
                 self.stats.peak_candidate_routes, candidate_total
             )

@@ -35,6 +35,8 @@ from .route import BgpRoute, Origin, Protocol, Route
 
 ShardFilter = Optional[FrozenSet[Prefix]]
 Resolver = Callable[[str], object]
+# One session's exported routes; immutable, so identity can stand for content.
+Advertisement = Tuple[BgpRoute, ...]
 
 
 @dataclass
@@ -79,8 +81,17 @@ class RouterNode:
         self._sessions_by_peer: Dict[int, BgpSession] = {}
         self.local_prefixes: FrozenSet[Prefix] = frozenset()
         self._shard: ShardFilter = None
-        self._export_cache: Dict[int, List[BgpRoute]] = {}
-        self._cache_token = -1
+        # Change-driven rounds: ``_version`` moves whenever the RIB or the
+        # shard does; exports are pure in (version, session) and imports
+        # in (session, received object), so unchanged inputs are skipped.
+        self._version = 0
+        # peer address -> (round token, version, exports)
+        self._export_cache: Dict[int, Tuple[int, int, Advertisement]] = {}
+        # adj-RIB-in key -> the advertisement object merged last
+        self._merged: Dict[str, Advertisement] = {}
+        self.exports_computed = 0
+        self.exports_reused = 0
+        self.imports_skipped = 0
         # Runtime-discovered prefix dependencies (§7): populated when a
         # conditional advertisement consults a watch prefix that is not
         # part of the current shard — the signal the CPO's shard
@@ -187,8 +198,9 @@ class RouterNode:
         """Start computing a new prefix shard: clear per-shard BGP state."""
         self.rib.clear()
         self._shard = shard
+        self._version += 1
         self._export_cache.clear()
-        self._cache_token = -1
+        self._merged.clear()
         self.observed_dependencies.clear()
 
     def finish_shard(self) -> Dict[Prefix, Tuple[BgpRoute, ...]]:
@@ -299,27 +311,34 @@ class RouterNode:
 
     # -- export ------------------------------------------------------------------
 
-    def advertise(self, to_peer_addr: int, round_token: int = -1) -> List[BgpRoute]:
+    def advertise(self, to_peer_addr: int, round_token: int = -1) -> Advertisement:
         """The routes this node currently exports on the session whose
         remote end is ``to_peer_addr``.  This is the method the shadow node
-        relays over RPC; its result must stay plain picklable data."""
+        relays over RPC; its result must stay plain picklable data.
+
+        Within one round the first answer is the round's snapshot; in a
+        new round the previous tuple is returned as-is while the node's
+        state version has not moved."""
         session = self._sessions_by_peer.get(to_peer_addr)
         if session is None:
-            return []
-        if round_token >= 0:
-            if round_token != self._cache_token:
-                # new round: drop the previous round's snapshot
-                self._export_cache.clear()
-                self._cache_token = round_token
-            cached = self._export_cache.get(to_peer_addr)
-            if cached is not None:
-                return cached
+            return ()
+        if round_token < 0:
+            return self._compute_exports(session)
+        cached = self._export_cache.get(to_peer_addr)
+        if cached is not None:
+            token, version, exports = cached
+            if token == round_token:
+                return exports
+            if version == self._version:
+                self.exports_reused += 1
+                self._export_cache[to_peer_addr] = (round_token, version, exports)
+                return exports
         exports = self._compute_exports(session)
-        if round_token >= 0:
-            self._export_cache[to_peer_addr] = exports
+        self.exports_computed += 1
+        self._export_cache[to_peer_addr] = (round_token, self._version, exports)
         return exports
 
-    def _compute_exports(self, session: BgpSession) -> List[BgpRoute]:
+    def _compute_exports(self, session: BgpSession) -> Advertisement:
         suppressed = self._suppressed_prefixes()
 
         def is_suppressed(prefix: Prefix) -> bool:
@@ -368,7 +387,7 @@ class RouterNode:
             )
             if transformed is not None:
                 exports.append(transformed)
-        return exports
+        return tuple(exports)
 
     # -- import -------------------------------------------------------------------
 
@@ -385,11 +404,15 @@ class RouterNode:
             if neighbor is None:
                 continue
             received = neighbor.advertise(session.local_addr, round_token)
+            key = session.rib_key
+            if received is self._merged.get(key):
+                self.imports_skipped += 1
+                continue
             accepted = self._process_imports(session, received)
-            changed |= self.rib.replace_neighbor_routes(
-                session.rib_key, accepted
-            )
+            changed |= self.rib.replace_neighbor_routes(key, accepted)
+            self._merged[key] = received
         if changed:
+            self._version += 1
             self.rib.refresh()
         return changed
 

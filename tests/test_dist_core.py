@@ -195,12 +195,12 @@ class TestWorker:
     def test_shadow_answers_from_mailbox(self, worker_pair):
         workers, _ = worker_pair
         shadow = ShadowNode("ghost", workers[0])
-        assert shadow.advertise(42) == []
+        assert shadow.advertise(42) == ()
         route = BgpRoute(
             prefix=Prefix.parse("10.0.0.0/24"), next_hop=1, from_node="ghost"
         )
-        workers[0].mailbox[("ghost", 42)] = [route]
-        assert shadow.advertise(42) == [route]
+        workers[0].mailbox[("ghost", 42)] = (route,)
+        assert shadow.advertise(42) == (route,)
 
     def test_boundary_exports_target_remote_sessions_only(self, worker_pair):
         workers, _ = worker_pair

@@ -409,4 +409,5 @@ class TestReport:
             report = capsys.readouterr().out
             assert "participants" in report
             assert "phase" in report
+            assert "exports reused" in report  # change-driven rounds
         assert main(["report", str(tmp_path / "nope.json")]) == 2
