@@ -15,12 +15,20 @@ Three measurements, matching the ISSUE acceptance criteria:
    the flat path must be >= 2x the dict path (CI floor; the acceptance
    target is 3x).
 
-3. **Peak worker node count across a sharded FatTree4 DPV**, run once
-   per kernel — the all-pair reachability workload split into query
-   shards (:func:`repro.dist.sharding.shard_queries`); the DPO
-   garbage-collects worker engines at every ``reset_dataplane_run``
-   boundary, so the peak ``node_count`` must stay flat (non-monotonic)
-   instead of growing with the query count, on both kernels.
+3. **Worker node counts across a sharded FatTree4 DPV**, run once per
+   kernel — the all-pair reachability workload split into query shards
+   (:func:`repro.dist.sharding.shard_queries`), repeated for
+   ``PASSES`` passes whose header spaces differ (pass 0 is the full
+   header space, later passes seeded random destination-prefix sets),
+   so each pass grows the worker engines with new nodes.  A worker
+   collects its engine at a ``reset_dataplane_run`` boundary only once
+   the node table exceeds ``_GC_GROWTH`` times the live count the
+   previous collection left.  The gate checks that rule end to end:
+   the live count after every collection is the predicate footprint,
+   a boundary collects exactly when the count it carries exceeds
+   ``_GC_GROWTH`` times that footprint (so no worker carries more into
+   a query), and the trigger fires at least once past the first
+   boundary.
 
 Usage:
 
@@ -29,10 +37,11 @@ Usage:
     python benchmarks/bench_bdd_engine.py --check-baseline \
         benchmarks/baselines/bdd_engine_fattree4.json
 
-``--check-baseline`` exits non-zero when either kernel's peak node
-count regresses more than ``--tolerance`` (default 20%) over the
-committed baseline, or when a compile speedup drops below its 2x
-floor — this is the CI memory-regression job.
+``--check-baseline`` exits non-zero when that rule is broken, when
+either kernel's live footprint or peak node count regresses more than
+``--tolerance`` (default 20%) over the committed baseline, or when a
+compile speedup drops below its 2x floor — this is the CI
+memory-regression job.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -51,12 +60,17 @@ from repro.bdd.engine import FALSE, TRUE, BddEngine
 from repro.bdd.headerspace import HeaderEncoding
 from repro.dist.controller import S2Controller, S2Options
 from repro.dist.sharding import shard_queries
+from repro.dist.worker import _GC_GROWTH
 from repro.net.fattree import build_fattree
 from repro.net.ip import Prefix
 
 SPEEDUP_FLOOR = 2.0
 KERNEL_SPEEDUP_FLOOR = 2.0
 KERNELS = ("flat", "dict")
+# DPV passes over the query shards; the committed baseline is for 4
+# passes of the default 8 shards, enough for the growth trigger to fire
+# past the first boundary.
+PASSES = 4
 
 
 def synthetic_prefixes(count: int, seed: int = 7) -> List[Prefix]:
@@ -163,38 +177,111 @@ def bench_kernel_compile(
     }
 
 
+def query_header(controller: S2Controller, seed: int) -> int:
+    """A seeded random set of destination /20s: a header space whose
+    packets build nodes no other query's do."""
+    rng = random.Random(seed)
+    prefixes = [
+        Prefix(rng.getrandbits(32) & 0xFFFFF000, 20) for _ in range(8)
+    ]
+    return controller.options.encoding.prefix_set_bdd(
+        controller.dpo.engine, prefixes
+    )
+
+
+def growth_rule_problems(
+    samples: List[List[Tuple[int, int, int]]]
+) -> Tuple[List[str], List[int], int]:
+    """Check the collect-on-growth rule on per-query worker samples.
+
+    ``samples[q][w]`` is worker ``w``'s ``(node_count, gc_floor,
+    gc_runs)`` after query ``q`` (a worker collects only at query
+    boundaries).  Returns the problems, each worker's live footprint
+    (what its first collection left) and the number of collections past
+    the first boundary.
+    """
+    problems: List[str] = []
+    footprints = [floor for _count, floor, _runs in samples[0]]
+    later = 0
+    for worker, (_count, _floor, collections) in enumerate(samples[0]):
+        if collections != 1:
+            problems.append(
+                f"worker{worker}: the first boundary after the build did "
+                "not collect"
+            )
+    for query in range(1, len(samples)):
+        for worker, footprint in enumerate(footprints):
+            carried, floor, before = samples[query - 1][worker]
+            _count, new_floor, after = samples[query][worker]
+            collected = after - before
+            limit = _GC_GROWTH * floor
+            where = f"worker{worker} query {query}"
+            if collected not in (0, 1):
+                problems.append(f"{where}: {collected} boundary collections")
+            elif collected and carried <= limit:
+                problems.append(
+                    f"{where}: collected carrying {carried} nodes, within "
+                    f"{_GC_GROWTH}x its live {floor}"
+                )
+            elif not collected and carried > limit:
+                problems.append(
+                    f"{where}: carried {carried} nodes into the query, "
+                    f"over {_GC_GROWTH}x its live {floor}"
+                )
+            if collected and new_floor != footprint:
+                problems.append(
+                    f"{where}: collection left {new_floor} live nodes, not "
+                    f"the predicate footprint {footprint}"
+                )
+            later += max(collected, 0)
+    return problems, footprints, later
+
+
 def bench_sharded_dpv(
     num_query_shards: int, kernel: str = "flat"
 ) -> Dict[str, object]:
-    """All-pair reachability on FatTree4, one forward pass per query
-    shard; records the peak worker node count after each shard."""
+    """All-pair reachability on FatTree4, one forward per query shard
+    and pass; samples every worker's engine after each query."""
     snapshot = build_fattree(4)
     options = S2Options(num_workers=4, num_shards=2, bdd_kernel=kernel)
     with S2Controller(snapshot, options) as controller:
         controller.build_data_plane()
         sources = controller.prefix_holders()
         shards = shard_queries(sources, num_query_shards)
-        per_shard_peaks: List[int] = []
+        samples: List[List[Tuple[int, int, int]]] = []
         start = time.perf_counter()
-        for shard in shards:
-            controller.dpo.forward(list(shard), TRUE)
-            peak = max(
-                int(counters.get("node_count", 0))
+        for query in range(PASSES * len(shards)):
+            # Pass 0 asks about every packet; each later query about
+            # its own header space.
+            header = TRUE
+            if query >= len(shards):
+                header = query_header(controller, query)
+            controller.dpo.forward(list(shards[query % len(shards)]), header)
+            samples.append([
+                (
+                    int(counters["node_count"]),
+                    int(counters["gc_floor"]),
+                    int(counters["gc_runs"]),
+                )
                 for counters in controller.dpo.worker_engine_counters()
-            )
-            per_shard_peaks.append(peak)
+            ])
         elapsed = time.perf_counter() - start
         gc_runs = sum(
             int(counters.get("gc_runs", 0))
             for counters in controller.dpo.worker_engine_counters()
         )
+    problems, footprints, later = growth_rule_problems(samples)
+    per_query_peaks = [max(sample[0] for sample in s) for s in samples]
     return {
         "network": "fattree4",
         "kernel": kernel,
-        "query_shards": len(shards),
-        "per_shard_peak_node_count": per_shard_peaks,
-        "peak_node_count": max(per_shard_peaks),
+        "query_shards": len(samples),
+        "per_shard_peak_node_count": per_query_peaks,
+        "peak_node_count": max(per_query_peaks),
+        "live_node_count": max(footprints),
         "gc_runs": gc_runs,
+        "collections_past_first": later,
+        "growth_rule_problems": problems,
         "forward_seconds": elapsed,
     }
 
@@ -231,24 +318,24 @@ def check(result: Dict[str, object], baseline: Dict[str, object],
     for kernel in KERNELS:
         dpv = result["dpv"][kernel]
         base = baseline["dpv"][kernel]
-        peak = dpv["peak_node_count"]
-        allowed = base["peak_node_count"] * (1.0 + tolerance)
-        if peak > allowed:
+        for key, what in (
+            ("live_node_count", "live worker node_count after a collection"),
+            ("peak_node_count", "peak worker node_count"),
+        ):
+            allowed = base[key] * (1.0 + tolerance)
+            if dpv[key] > allowed:
+                problems.append(
+                    f"[{kernel}] {what} {dpv[key]} exceeds baseline "
+                    f"{base[key]} by more than {tolerance:.0%} "
+                    f"(allowed {allowed:.0f})"
+                )
+        problems.extend(
+            f"[{kernel}] {problem}" for problem in dpv["growth_rule_problems"]
+        )
+        if dpv["collections_past_first"] == 0:
             problems.append(
-                f"[{kernel}] peak worker node_count {peak} exceeds "
-                f"baseline {base['peak_node_count']} by more than "
-                f"{tolerance:.0%} (allowed {allowed:.0f})"
-            )
-        peaks = dpv["per_shard_peak_node_count"]
-        if peaks and peaks[-1] > peaks[0] * (1.0 + tolerance):
-            problems.append(
-                f"[{kernel}] per-shard peaks grow monotonically: first "
-                f"{peaks[0]}, last {peaks[-1]} — between-shard GC is "
-                "not holding the footprint flat"
-            )
-        if dpv["gc_runs"] == 0:
-            problems.append(
-                f"[{kernel}] no worker GC ran across the sharded DPV"
+                f"[{kernel}] the growth trigger never fired past the first "
+                f"boundary in {dpv['query_shards']} queries"
             )
     # The two kernels GC the same roots from semantically identical
     # BDDs: their live-node peaks must agree, not just regress slowly.
@@ -291,9 +378,11 @@ def main(argv=None) -> int:
     for kernel in KERNELS:
         dpv = result["dpv"][kernel]
         print(f"fattree4 DPV [{kernel}] over {dpv['query_shards']} query "
-              f"shards: peak node_count {dpv['peak_node_count']}, "
+              f"shards: live node_count {dpv['live_node_count']}, "
+              f"peak {dpv['peak_node_count']}, "
               f"per-shard {dpv['per_shard_peak_node_count']}, "
-              f"gc_runs {dpv['gc_runs']}, "
+              f"gc_runs {dpv['gc_runs']} "
+              f"({dpv['collections_past_first']} past the first boundary), "
               f"{dpv['forward_seconds']:.2f} s")
 
     if args.write_baseline:

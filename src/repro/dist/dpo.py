@@ -47,6 +47,8 @@ class DataPlaneStats:
     # -- engine health ---------------------------------------------------
     peak_worker_nodes: int = 0     # max node_count any worker engine hit
     gc_reclaimed_nodes: int = 0    # nodes freed by between-query GCs
+    boundary_collections: int = 0  # query boundaries that collected
+    payloads_reused: int = 0       # received payloads the memo resolved
     dedup_bytes_saved: int = 0     # wire bytes saved by send-side dedup
     # -- fault tolerance -------------------------------------------------
     worker_failures: int = 0   # WorkerFailures seen during build/forward
@@ -211,10 +213,11 @@ class DataPlaneOrchestrator:
         the query from injection — queries are stateless between runs.
         """
         assert self._built, "call build() before forward()"
+        source_list = list(sources)  # a one-shot iterable survives replays
         attempts = 0
         while True:
             try:
-                return self._forward_once(sources, header_bdd, trace)
+                return self._forward_once(source_list, header_bdd, trace)
             except WorkerFailure as failure:
                 attempts += 1
                 if attempts > self.retry_policy.max_query_retries:
@@ -227,13 +230,12 @@ class DataPlaneOrchestrator:
                 self.stats.query_replays += 1
 
     def _forward_once(
-        self, sources: Sequence[str], header_bdd: int, trace: bool = False
+        self, source_list: List[str], header_bdd: int, trace: bool = False
     ) -> List[FinalPacket]:
         with stopwatch() as clock, self.tracer.span(
-            "dpo.forward", category="dpo", sources=len(list(sources))
+            "dpo.forward", category="dpo", sources=len(source_list)
         ) as span:
             payload = serialize(self.engine, header_bdd)
-            source_list = list(sources)
             for worker in self.workers:
                 worker.reset_dataplane_run()
                 worker.inject_header(source_list, payload, trace)
@@ -280,7 +282,20 @@ class DataPlaneOrchestrator:
             self.stats.finals += len(finals)
             span.set(supersteps=superstep, finals=len(finals))
         self.stats.forward_seconds += clock.seconds
-        self._publish_engine_metrics()
+        collections = self.stats.boundary_collections
+        reused = self.stats.payloads_reused
+        # Outside forward_seconds and the dpo.forward span: the fold makes
+        # one counters call per worker, which is not query work.
+        with self.tracer.span("dpo.engine_metrics", category="dpo") as span:
+            self._publish_engine_metrics()
+            # This query's share (0, not negative, after a respawned
+            # worker restarted its counts).
+            span.set(
+                boundary_collections=max(
+                    0, self.stats.boundary_collections - collections
+                ),
+                payloads_reused=max(0, self.stats.payloads_reused - reused),
+            )
         return finals
 
     def worker_engine_counters(self) -> List[Dict[str, float]]:
@@ -293,6 +308,8 @@ class DataPlaneOrchestrator:
         nodes = 0
         peak = 0
         reclaimed = 0
+        collections = 0
+        reused = 0
         hits = 0.0
         misses = 0.0
         for counters in self.worker_engine_counters():
@@ -301,6 +318,9 @@ class DataPlaneOrchestrator:
             nodes += int(counters.get("node_count", 0))
             peak = max(peak, int(counters.get("peak_node_count", 0)))
             reclaimed += int(counters.get("gc_reclaimed_nodes", 0))
+            # Workers collect only at query boundaries.
+            collections += int(counters.get("gc_runs", 0))
+            reused += int(counters.get("payloads_reused", 0))
             hits += counters.get("cache_hits", 0)
             misses += counters.get("cache_misses", 0)
         saved = sum(
@@ -309,6 +329,8 @@ class DataPlaneOrchestrator:
         )
         self.stats.peak_worker_nodes = max(self.stats.peak_worker_nodes, peak)
         self.stats.gc_reclaimed_nodes = reclaimed
+        self.stats.boundary_collections = collections
+        self.stats.payloads_reused = reused
         self.stats.dedup_bytes_saved = saved
         if self.metrics is None:
             return

@@ -184,10 +184,12 @@ def shard_queries(sources: Sequence[str], num_shards: int) -> List[Tuple[str, ..
 
     Reachability from different sources is embarrassingly parallel in
     time but not in *memory*: every query grows the worker engines with
-    intermediate BDD nodes.  Running the sources shard-by-shard lets the
-    DPO garbage-collect worker engines between shards (the
-    ``reset_dataplane_run`` boundary), keeping peak node counts flat
-    instead of monotonically growing with the query count.
+    intermediate BDD nodes.  Running the sources shard-by-shard puts a
+    ``reset_dataplane_run`` boundary between shards, where a worker
+    collects its engine once the node table has grown past
+    ``_GC_GROWTH`` times the live predicate footprint — so peak node
+    counts stay bounded by that multiple instead of growing with the
+    query count, while shards in between share a warm engine.
 
     Round-robin over a sorted copy: deterministic, and adjacent hostnames
     (which tend to be topologically close and share forwarding state)

@@ -59,6 +59,13 @@ from .storage import RouteStore, ShardRoutes
 # object, so the puller's identity skip fires round after round.
 _NO_ROUTES: Advertisement = ()
 
+# A query boundary collects the data-plane engine only once its node table
+# has grown past this multiple of the live count the previous collection
+# left.  On the dpv-ft8 query pool the working set sits at ~1.7x the
+# predicate footprint: 2x kept cycling collections (each one flushing the
+# op cache), 4x holds the whole pool to the first boundary's collection.
+_GC_GROWTH = 4
+
 
 class ShadowNode:
     """Stand-in for a switch hosted on another worker (§3.2).
@@ -147,8 +154,22 @@ class Worker:
         self._buffer: Optional[PacketBuffer] = None
         self._finals: List[FinalPacket] = []
         self._fib_entries = 0
-        # node id -> serialized payload, valid until the next GC/compaction
+        # Live node count the last collection left; 0 after a build, so
+        # the first query boundary always collects.
+        self._gc_floor = 0
+        self._drop_engine_memos()
+        # Received payloads resolved through the receive memo.
+        self.payloads_reused = 0
+
+    def _drop_engine_memos(self) -> None:
+        """Forget cached node ids: the engine is new or renamed them.
+
+        Both memos live from one build or collection to the next.
+        """
+        # node id -> serialized payload (what drain and finals ship)
         self._serialize_memo: Dict[int, SerializedBdd] = {}
+        # serialized payload -> node id (what deliver_packets received)
+        self._receive_memo: Dict[SerializedBdd, int] = {}
 
     def _build_nodes(self) -> None:
         for hostname, owner in sorted(self.assignment.items()):
@@ -215,7 +236,9 @@ class Worker:
         self._buffer = None
         self._finals = []
         self._fib_entries = 0
-        self._serialize_memo = {}
+        self._gc_floor = 0
+        self._drop_engine_memos()
+        self.payloads_reused = 0
 
     def _inject(self, site: str, round_token: Optional[int] = None) -> None:
         """Consult the fault plan at an in-process phase boundary."""
@@ -622,7 +645,8 @@ class Worker:
         for predicates in self.context.predicates.values():
             for root in predicates.roots():
                 self.engine.add_root(root)
-        self._serialize_memo = {}
+        self._gc_floor = 0
+        self._drop_engine_memos()
         self.update_memory()
         self._emit_telemetry("build_dataplane")
         return self.engine.ops - ops_before
@@ -654,9 +678,21 @@ class Worker:
             )
 
     def deliver_packets(self, batch: PacketBatch) -> None:
+        """Queue a peer's symbolic packets in this worker's engine.
+
+        Payloads are canonical tuples (equal after a pickle round trip),
+        so one already rebuilt since the last collection is looked up in
+        the receive memo instead of re-running its ``mk`` calls.
+        """
         assert self.engine is not None
+        memo = self._receive_memo
         for envelope in batch.envelopes:
-            bdd = deserialize(self.engine, envelope.payload)
+            bdd = memo.get(envelope.payload)
+            if bdd is None:
+                bdd = deserialize(self.engine, envelope.payload)
+                memo[envelope.payload] = bdd
+            else:
+                self.payloads_reused += 1
             self._buffer.push(
                 SymbolicPacket(
                     bdd=bdd,
@@ -759,21 +795,26 @@ class Worker:
         worker's engine can be safely garbage-collected: the previous
         query's finals have been serialized to the controller, so the
         compiled predicates (the registered roots) are the only node ids
-        that must survive.  Collecting here is what keeps per-worker
-        node counts flat across a multi-query (or multi-shard) DPV run
-        instead of growing monotonically.
+        that must survive.  It collects only on growth — once the node
+        table exceeds ``_GC_GROWTH`` times the live count the previous
+        collection left — so queries in between share a warm node table,
+        op cache and both payload memos, while the footprint stays
+        bounded by that multiple of the predicate footprint.  The floor
+        is 0 after a build, so the first boundary always collects.
         """
         assert self.engine is not None
         self._buffer = PacketBuffer(self.engine)
         self._finals.clear()
-        self.collect_engine_garbage()
+        if self.engine.node_count > _GC_GROWTH * self._gc_floor:
+            self.collect_engine_garbage()
 
     def collect_engine_garbage(self) -> int:
         """Mark-and-sweep the data-plane engine from the predicate roots.
 
         Only valid when no query is in flight (empty buffer and finals —
-        their node ids are not registered as roots).  Returns the number
-        of nodes reclaimed by this collection.
+        their node ids are not registered as roots).  Ids are renamed, so
+        both payload memos go and the live count becomes the new growth
+        floor.  Returns the number of nodes reclaimed by this collection.
         """
         if self.engine is None or self.context is None:
             return 0
@@ -781,15 +822,20 @@ class Worker:
         remap = self.engine.collect_garbage()
         for predicates in self.context.predicates.values():
             predicates.remap(remap)
-        self._serialize_memo = {}
+        self._drop_engine_memos()
+        self._gc_floor = self.engine.node_count
         self.update_memory(enforce=False)
         return before - self.engine.node_count
 
     def engine_counters(self) -> Dict[str, float]:
-        """The data-plane engine's health counters (empty pre-build)."""
+        """The data-plane engine's health counters plus the worker's
+        growth floor and receive-memo hits (empty pre-build)."""
         if self.engine is None:
             return {}
-        return self.engine.counters()
+        counters = self.engine.counters()
+        counters["gc_floor"] = self._gc_floor
+        counters["payloads_reused"] = self.payloads_reused
+        return counters
 
     @property
     def pending_packets(self) -> int:

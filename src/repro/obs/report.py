@@ -153,6 +153,30 @@ def round_reuse(spans: List[Dict[str, Any]]) -> Optional[str]:
     )
 
 
+def warm_dataplane(spans: List[Dict[str, Any]]) -> Optional[str]:
+    """One line on the warm data plane, from the ``dpo.engine_metrics``
+    spans.
+
+    Each completed query closes with one; it carries how many worker
+    query boundaries collected their engine and how many received
+    payloads the receive memo resolved.  None when the trace has no
+    completed query.
+    """
+    queries = collections = reused = 0
+    for span in spans:
+        if span["name"] == "dpo.engine_metrics":
+            attrs = span.get("attrs") or {}
+            queries += 1
+            collections += int(attrs.get("boundary_collections", 0) or 0)
+            reused += int(attrs.get("payloads_reused", 0) or 0)
+    if not queries:
+        return None
+    return (
+        f"warm data plane: {collections} boundary collections over "
+        f"{queries} queries, {reused} received payloads reused"
+    )
+
+
 def render_report(
     path: str,
     by_process: bool = False,
@@ -179,9 +203,9 @@ def render_report(
         f"{len(processes)} participants ({', '.join(processes)})"
     )
     report = format_table(REPORT_HEADERS, rows, title=title)
-    reuse = round_reuse(spans)
-    if reuse:
-        report += "\n" + reuse
+    for line in (round_reuse(spans), warm_dataplane(spans)):
+        if line:
+            report += "\n" + line
     rpc_rows = rpc_supervision(spans)
     if rpc_rows:
         report += "\n\n" + format_table(
