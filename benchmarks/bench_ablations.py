@@ -6,9 +6,9 @@ reproduction layered on top of the paper's design:
 * **wave merging**: OR-merging symbolic packets per (source, node,
   in-port, hops) collapses the ECMP path product.  Without it, BDD
   operation counts explode combinatorially with k.
-* **runtime backends**: sequential vs threaded vs process-backed workers
-  compute identical results; the process backend adds real parallelism at
-  the cost of pipe serialization.
+* **runtime backends**: sequential vs threaded in-process workers compute
+  identical results; threads add interleaving, not wall-clock speedup,
+  under the GIL.
 * **round scheme**: the two-phase (Jacobi) distributed rounds converge in
   more rounds than the monolithic engine's immediate-update sweeps, but
   each round is fully parallel — the classic chaotic-iteration trade.
@@ -62,7 +62,7 @@ def run_merging_ablation():
 
 def run_runtime_ablation():
     rows = []
-    for runtime in ("sequential", "threaded", "process"):
+    for runtime in ("sequential", "threaded"):
         started = time.perf_counter()
         with S2Controller(
             build_fattree(6),
@@ -121,8 +121,7 @@ def test_ablation_runtimes(benchmark):
     routes = {row[1] for row in rows}
     assert len(routes) == 1, "all backends must compute the same routes"
     # The modeled clock is backend-independent up to pickling jitter in
-    # the measured RPC payload sizes (shared-object memoization differs
-    # between in-process and piped batches): within 1%.
+    # the measured RPC payload sizes: within 1%.
     modeled = [row[2] for row in rows]
     assert max(modeled) <= min(modeled) * 1.01
 

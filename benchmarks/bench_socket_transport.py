@@ -10,8 +10,7 @@ Three layers, measured separately so a regression is attributable:
    ``RpcChannel``/``RpcServer`` pair, i.e. the floor every ``pull_round``
    barrier pays per worker.
 3. **End to end** — a FatTree4 control-plane run on the ``socket``
-   runtime next to the ``process`` runtime: the price of real TCP plus
-   idempotency bookkeeping over same-host pipes.
+   runtime: real TCP plus idempotency bookkeeping on the critical path.
 """
 
 from __future__ import annotations
@@ -158,26 +157,18 @@ def _bench_pipelining(rows):
 
 def _bench_control_plane(rows):
     snapshot = build_fattree(4)
-    walls = {}
-    for runtime in ["process", "socket"]:
-        best = float("inf")
-        for _ in range(2):
-            options = S2Options(num_workers=3, num_shards=2, runtime=runtime)
-            started = time.perf_counter()
-            with S2Controller(snapshot, options) as controller:
-                controller.run_control_plane()
-            best = min(best, time.perf_counter() - started)
-        walls[runtime] = best
-        rows.append(
-            ["end-to-end", f"fattree4 {runtime}", 1, f"{best:.3f}",
-             f"{best:.3f} s", "control plane, best of 2"]
-        )
-    overhead = 100.0 * (walls["socket"] / walls["process"] - 1.0)
+    best = float("inf")
+    for _ in range(2):
+        options = S2Options(num_workers=3, num_shards=2, runtime="socket")
+        started = time.perf_counter()
+        with S2Controller(snapshot, options) as controller:
+            controller.run_control_plane()
+        best = min(best, time.perf_counter() - started)
     rows.append(
-        ["end-to-end", "socket overhead", "-", "-",
-         f"{overhead:+.1f}%", "vs process runtime"]
+        ["end-to-end", "fattree4 socket", 1, f"{best:.3f}",
+         f"{best:.3f} s", "control plane, best of 2"]
     )
-    return walls
+    return best
 
 
 def _run_experiment():
@@ -185,12 +176,12 @@ def _run_experiment():
     framing = _bench_framing(rows)
     rpc = _bench_roundtrips(rows)
     pipe = _bench_pipelining(rows)
-    walls = _bench_control_plane(rows)
-    return rows, framing, rpc, pipe, walls
+    wall = _bench_control_plane(rows)
+    return rows, framing, rpc, pipe, wall
 
 
 def test_socket_transport(benchmark):
-    rows, framing, rpc, pipe, walls = benchmark.pedantic(
+    rows, framing, rpc, pipe, wall = benchmark.pedantic(
         _run_experiment, rounds=1, iterations=1
     )
     table = format_table(
@@ -203,7 +194,7 @@ def test_socket_transport(benchmark):
     # The fan-out must show real round overlap (ideal is 4x here); a
     # value near 1x means call_nowait degenerated to call-and-wait.
     assert pipe["overlap"] > 1.5, f"overlap {pipe['overlap']:.2f}x"
-    assert walls["socket"] < 60.0
+    assert wall < 60.0
 
 
 if __name__ == "__main__":

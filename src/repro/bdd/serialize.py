@@ -71,7 +71,7 @@ def packed_size(payload: SerializedBdd) -> int:
 
 
 def to_bytes(payload: SerializedBdd) -> bytes:
-    """Actually pack the payload (used by the process transport)."""
+    """Actually pack the payload (content digests hash these bytes)."""
     num_vars, root, triples = payload
     parts = [_HEADER.pack(num_vars, root)]
     for var, low, high in triples:
@@ -82,7 +82,7 @@ def to_bytes(payload: SerializedBdd) -> bytes:
 def from_bytes(data: bytes) -> SerializedBdd:
     """Inverse of :func:`to_bytes`, with full payload validation.
 
-    Corrupt checkpoints and torn process-transport frames land here, so
+    Corrupt checkpoints and torn transport frames land here, so
     malformed input must surface as a clear :class:`ValueError` rather
     than an uncaught ``struct.error`` or a bogus BDD: the header must be
     complete, the body a whole number of 12-byte triples, the root slot in

@@ -34,7 +34,7 @@ from typing import List, Optional
 from .config.loader import Snapshot, load_snapshot_dir, write_snapshot_dir
 from .core.s2 import S2Verifier
 from .dataplane.queries import Query
-from .dist.controller import S2Options
+from .dist.controller import RUNTIMES, S2Options
 from .dist.partition import SCHEMES, estimate_loads, partition
 from .dist.sharding import build_dpdg, make_shards
 from .harness.reporting import format_table
@@ -372,7 +372,6 @@ def cmd_fuzz(args) -> int:
         # fault injection sampled, finishes well inside a minute.
         iterations = args.iterations if args.iterations is not None else 60
         profile = GeneratorProfile.smoke()
-        process_every = _every(args.process_every, 20)
         faults_every = _every(args.faults_every, 10)
         host_loss_every = _every(args.host_loss_every, 12)
         dataplane_every = _every(args.dataplane_every, 15)
@@ -385,7 +384,6 @@ def cmd_fuzz(args) -> int:
             "smoke": GeneratorProfile.smoke(),
             "plain": GeneratorProfile.plain(),
         }[args.profile]
-        process_every = _every(args.process_every, 25)
         faults_every = _every(args.faults_every, 0)
         host_loss_every = _every(args.host_loss_every, 0)
         dataplane_every = _every(args.dataplane_every, 0)
@@ -403,7 +401,6 @@ def cmd_fuzz(args) -> int:
         total_features += spec.feature_count()
         plan = CheckPlan(
             include_threaded=not args.no_threaded,
-            include_process=bool(process_every) and i % process_every == 0,
             include_faults=bool(faults_every) and i % faults_every == 0,
             include_host_loss=bool(host_loss_every)
             and i % host_loss_every == 0,
@@ -617,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--runtime",
-        choices=["sequential", "threaded", "process", "socket"],
+        choices=RUNTIMES,
         default="sequential",
     )
     verify.add_argument(
@@ -789,11 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default="default",
                       help="generator profile (network size and feature "
                       "probabilities)")
-    fuzz.add_argument("--process-every", type=int, default=None,
-                      metavar="N",
-                      help="include the process-backed runtime every Nth "
-                      "iteration (0 = never; default 25, or 20 with "
-                      "--smoke)")
     fuzz.add_argument("--faults-every", type=int, default=None, metavar="N",
                       help="include a fault-injected run every Nth "
                       "iteration (0 = never; default 0, or 10 with "
@@ -872,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scheme", choices=SCHEMES, default="metis")
     serve.add_argument(
         "--runtime",
-        choices=["sequential", "threaded", "process", "socket"],
+        choices=RUNTIMES,
         default="sequential",
     )
     serve.add_argument(

@@ -9,7 +9,7 @@ the high-level :class:`~repro.core.s2.S2Verifier` API.
 The controller is also where fault tolerance comes together:
 
 * a :class:`WorkerSupervisor` recovers failed workers (respawn in the
-  process runtime, in-place reset in the in-process runtimes) and
+  socket runtime, in-place reset in the in-process runtimes) and
   replays the OSPF checkpoint into them, so the CPO can rerun the
   interrupted shard;
 * if recovery itself fails (:class:`~repro.dist.faults.RespawnError`) or
@@ -66,6 +66,11 @@ from .sidecar import Sidecar
 from .storage import RouteStore, RunManifest, ShardRoutes
 from .worker import Worker
 
+#: Execution backends: in-process workers run one by one (``sequential``)
+#: or on a thread pool (``threaded``); ``socket`` puts every worker behind
+#: a TCP server — forked on this machine, or dialed via ``worker_hosts``.
+RUNTIMES = ("sequential", "threaded", "socket")
+
 
 @dataclass
 class S2Options:
@@ -87,8 +92,7 @@ class S2Options:
     #                                  produce bit-identical results
     max_rounds: int = 200
     max_hops: int = 24
-    runtime: str = "sequential"      # "sequential" | "threaded" |
-    #                                  "process" | "socket"
+    runtime: str = "sequential"      # one of RUNTIMES
     worker_hosts: Optional[Sequence[str]] = None  # socket runtime: dial
     #                                  these host:port listeners instead
     #                                  of forking local workers
@@ -110,6 +114,13 @@ class S2Options:
     telemetry: bool = True               # stream worker telemetry frames
     telemetry_interval: float = 0.25     # min seconds between frames
 
+    def __post_init__(self) -> None:
+        if self.runtime not in RUNTIMES:
+            raise ValueError(
+                f"unknown runtime {self.runtime!r}; expected one of "
+                f"{RUNTIMES}"
+            )
+
 
 def options_fingerprint(options: S2Options, snapshot: Snapshot) -> str:
     """A digest of everything that shapes a run's *results*.
@@ -119,7 +130,7 @@ def options_fingerprint(options: S2Options, snapshot: Snapshot) -> str:
     sharding, partitioning, seed, or snapshot) is refused.  Supervision
     knobs (``fault_plan``, ``retry_policy``, ``runtime``) are excluded on
     purpose — they change *how* the run executes, never what it computes,
-    so a crashed process-runtime run may be resumed sequentially.
+    so a crashed socket-runtime run may be resumed sequentially.
     """
     payload = {
         "version": 1,
@@ -142,8 +153,8 @@ class WorkerSupervisor:
     """Recovers failed workers and replays checkpoints into them.
 
     One recovery has three steps: (1) give the worker a fresh execution
-    context — :meth:`~repro.dist.process_runtime.ProcessWorkerPool.
-    respawn` for process workers, :meth:`~repro.dist.worker.Worker.reset`
+    context — :meth:`~repro.dist.socket_runtime.SocketWorkerPool.respawn`
+    for socket workers, :meth:`~repro.dist.worker.Worker.reset`
     in-process — keeping the proxy/worker *identity* so orchestrator and
     sidecar references stay valid; (2) replay the OSPF checkpoint taken
     after the IGP fixed point; (3) the caller (CPO/DPO) replays the
@@ -285,7 +296,7 @@ class WorkerSupervisor:
                 recoveries=self.recoveries,
             )
         budget = max(1, self.policy.respawn_budget)
-        if self.pool is not None and not getattr(self.pool, "managed", True):
+        if self.pool is not None and not self.pool.managed:
             # Connect-mode socket host: respawn re-dials the same
             # address, so one refused attempt means the host is gone.
             budget = 1
@@ -381,7 +392,7 @@ class S2Controller:
         # -- observability -------------------------------------------------
         # Tracing is on iff an output was requested; shards always live in
         # a directory (derived from trace_out when none was given) so the
-        # process runtime and the merge step share one layout.
+        # socket runtime and the merge step share one layout.
         self.trace_dir: Optional[str] = opts.trace_dir or (
             opts.trace_out + ".shards" if opts.trace_out else None
         )
@@ -404,33 +415,12 @@ class S2Controller:
         if opts.fault_plan is not None:
             opts.fault_plan.observer = self._observe_fault
         self._pool = None
-        if opts.runtime == "process":
-            # Real OS processes, one per worker; phases run through a
-            # thread pool whose threads block on the worker pipes, so the
-            # worker processes execute concurrently.
-            from .process_runtime import ProcessWorkerPool
-
-            self._pool = ProcessWorkerPool(
-                snapshot=snapshot,
-                assignment=self.partition.assignment,
-                num_workers=opts.num_workers,
-                capacity=capacity,
-                cost_model=opts.cost_model,
-                max_hops=opts.max_hops,
-                retry_policy=opts.retry_policy,
-                fault_plan=opts.fault_plan,
-                trace_dir=self.trace_dir,
-                tracer=self.tracer,
-                telemetry_interval=telemetry_interval,
-                telemetry_sink=self.telemetry.ingest,
-            )
-            self.workers = self._pool.proxies
-            self.runtime: Runtime = make_runtime("threaded")
-        elif opts.runtime == "socket":
+        if opts.runtime == "socket":
             # Workers behind TCP servers speaking the framed RPC protocol
             # (repro.dist.transport): localhost processes by default, or
-            # remote listeners via worker_hosts.  Same threaded phase
-            # dispatch as the process runtime.
+            # remote listeners via worker_hosts.  Phases dispatch on a
+            # thread pool whose threads block on the worker channels, so
+            # the worker processes execute concurrently.
             from .socket_runtime import SocketWorkerPool
 
             self._pool = SocketWorkerPool(
@@ -450,7 +440,7 @@ class S2Controller:
                 telemetry_sink=self.telemetry.ingest,
             )
             self.workers = self._pool.proxies
-            self.runtime = make_runtime("threaded")
+            self.runtime: Runtime = make_runtime("threaded")
         else:
             if self.trace_dir:
                 # In-process workers write their own shards too, so the
@@ -486,7 +476,7 @@ class S2Controller:
                 for i in range(opts.num_workers)
             ]
             # In-process fault injection happens inside the worker phases
-            # (the process runtime injects at the proxy call layer).
+            # (the socket runtime injects at the proxy call layer).
             for worker in self.workers:
                 worker.fault_injector = opts.fault_plan
             if telemetry_interval > 0:
@@ -1226,9 +1216,7 @@ class S2Controller:
         snapshot["recoveries"] = self.supervisor.recoveries
         snapshot["capacity"] = self.capacity()
         snapshot["telemetry"] = self.telemetry.summary()
-        if self._pool is not None and hasattr(
-            self._pool, "transport_counters"
-        ):
+        if self._pool is not None:
             snapshot["transport"] = self._pool.transport_counters()
         return snapshot
 
@@ -1236,7 +1224,7 @@ class S2Controller:
         """Flush tracers, merge trace shards, write the metrics file.
 
         Runs as the innermost step of :meth:`close`, after the worker
-        pool is down — process-runtime shards are complete only once
+        pool is down — socket-runtime shards are complete only once
         their writers have exited.
         """
         opts = self.options

@@ -10,7 +10,7 @@ list of :class:`FaultSpec` rules and fires seeded, bounded faults:
 ========== ===================================================================
 kind        effect
 ========== ===================================================================
-``crash``   kill the worker process (process runtime) or raise
+``crash``   kill the worker process (socket runtime) or raise
             :class:`InjectedWorkerCrash` inside the worker (in-process
             runtimes); recovery respawns/resets the worker and replays
             the shard from its last checkpoint
@@ -86,7 +86,7 @@ class WorkerFailure(RuntimeError):
 
 
 class WorkerDiedError(WorkerFailure):
-    """The worker process died (EOF/broken pipe, or failed heartbeat)."""
+    """The worker is unreachable (connection lost, or failed heartbeat)."""
 
 
 class WorkerTimeoutError(WorkerFailure):
@@ -172,8 +172,7 @@ _CALL_KINDS = {"crash", "delay", "error", "host_loss"}
 CRASH_KINDS = {"crash", "host_loss"}
 _BATCH_KINDS = {"drop", "duplicate"}
 #: Kinds injected at the socket transport layer (repro.dist.transport);
-#: the in-process and pipe runtimes have no wire, so these never fire
-#: there.
+#: the in-process runtimes have no wire, so these never fire there.
 NETWORK_KINDS = {"partition", "reorder", "slow_link", "torn_frame"}
 
 
@@ -366,7 +365,7 @@ class FaultPlan:
     def on_call(
         self, worker_id: int, command: str
     ) -> Optional[FaultSpec]:
-        """Proxy call site (process runtime); caller interprets the spec."""
+        """Proxy call site (socket runtime); caller interprets the spec."""
         return self._first_match(_CALL_KINDS, worker_id, command)
 
     def on_phase(

@@ -223,7 +223,7 @@ class ClusterReport:
 
     @property
     def total_respawns(self) -> int:
-        """Workers respawned (process runtime) or reset (in-process)."""
+        """Workers respawned (socket runtime) or reset (in-process)."""
         return sum(w.respawns for w in self.workers)
 
     def by_name(self) -> Dict[str, WorkerResources]:

@@ -1,21 +1,17 @@
-"""The worker-side service: command dispatch shared by every runtime.
+"""The worker-side service: command dispatch behind a worker listener.
 
-Historically the pipe runtime's ``_worker_main`` owned this logic; the
-socket runtime needs the identical behavior behind a TCP server, so it
-lives here once.  A :class:`WorkerService` starts *unconfigured* — a
-socket worker can be launched as a bare listener (``repro worker``) and
-receive its identity over the wire via ``__configure__`` — and
-reconfiguration is a logical respawn: the old tracer shard is finished
-and a fresh :class:`~repro.dist.worker.Worker` is built at the next
-incarnation.
+A :class:`WorkerService` starts *unconfigured* — a socket worker can be
+launched as a bare listener (``repro worker``) and receive its identity
+over the wire via ``__configure__`` — and reconfiguration is a logical
+respawn: the old tracer shard is finished and a fresh
+:class:`~repro.dist.worker.Worker` is built at the next incarnation.
 
-``dispatch`` mirrors the original pipe protocol exactly: every response
-is ``("ok", (result, telemetry))`` or ``("exc", (name, message,
-traceback))``, with the telemetry tuple piggybacking the worker's
-resource counters so proxies track memory peaks without extra round
-trips.  When streaming telemetry is enabled the tuple grows a seventh
-element — an interval-gated :mod:`repro.obs.telemetry` frame (or
-``None``) — which proxies forward to the controller's collector.
+``dispatch`` never raises: every response is ``("ok", (result,
+telemetry))`` or ``("exc", (name, message, traceback))``.  The telemetry
+7-tuple piggybacks the worker's resource counters, so proxies track
+memory peaks without extra round trips, and ends in an interval-gated
+:mod:`repro.obs.telemetry` frame (``None`` when streaming is off or no
+frame is due) that proxies forward to the controller's collector.
 """
 
 from __future__ import annotations

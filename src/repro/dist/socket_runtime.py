@@ -1,19 +1,30 @@
 """Socket-backed workers: the paper's deployment shape over real TCP.
 
-The process runtime scales out on one machine over ``mp.Pipe``; this
-module puts every worker behind a TCP server speaking the hardened
-framed RPC protocol of :mod:`repro.dist.transport`, so the controller
-and workers can live on different machines — S2's actual deployment
-(§5: one controller plus workers on separate servers).  Localhost is the
-default; pointing ``worker_hosts`` at remote ``host:port`` listeners
-(each started with ``repro worker --listen``) is a config change, not a
-code change.
+Every remote worker runs behind a TCP server speaking the hardened framed
+RPC protocol of :mod:`repro.dist.transport`, so the controller and
+workers can live on different machines — S2's actual deployment (§5: one
+controller plus workers on separate servers).  Localhost is the default;
+pointing ``worker_hosts`` at remote ``host:port`` listeners (each started
+with ``repro worker --listen``) is a config change, not a code change.
+Phases execute with true parallelism: the controller issues a phase to
+every worker through a thread pool, and each thread blocks on its
+channel (releasing the GIL) while the worker processes compute.
 
-:class:`SocketWorkerProxy` subclasses the pipe proxy and overrides only
-the transact layer — the supervision stack above it (fault preamble,
-retry loop, relayed exceptions, :class:`WorkerSupervisor` recovery) is
-shared verbatim, which is the point: recovery semantics must not depend
-on the wire.
+Design notes:
+
+* :class:`SocketWorkerProxy` mirrors the :class:`~repro.dist.worker.
+  Worker` surface the orchestrators and sidecars use, so the CPO/DPO
+  code is the same for in-process and remote clusters.
+* Resource accounting stays controller-side: the remote worker enforces
+  its memory ceiling (raising :class:`SimulatedOOM` in situ, relayed back
+  and re-raised by the proxy) and piggybacks its counters on every
+  response; the proxy's local :class:`WorkerResources` mirror is charged
+  by the orchestrators exactly as for in-process workers.
+* **Supervision**: every proxy call runs under the channel's deadline
+  and an exponential-backoff retry loop for transient RPC faults; an
+  unreachable worker or an expired deadline surfaces as a
+  :class:`~repro.dist.faults.WorkerFailure` the orchestrators recover
+  from (respawn + shard replay).
 
 Two spawn modes:
 
@@ -29,32 +40,40 @@ In both modes workers receive their identity, snapshot, and assignment
 via the idempotent ``__configure__`` RPC, so the listener binary is
 fleet-generic.
 
-Note for true multi-host runs: shard flushes and data-plane builds go
-through the on-disk :class:`~repro.dist.storage.RouteStore`, so the
-store directory must be on storage shared by all hosts (matching the
-paper's write-to-persistent-storage step).
+Shard flushes and data-plane builds go through the on-disk
+:class:`~repro.dist.storage.RouteStore` *worker-side*, so converged RIBs
+never transit the wire (the paper's write-to-persistent-storage step);
+for true multi-host runs the store directory must be on storage shared
+by all hosts.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import time
+from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..bdd.engine import BddOverflowError
+from ..bdd.headerspace import HeaderEncoding
 from ..config.loader import Snapshot
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import Tracer
+from ..obs.tracer import NULL_TRACER, Tracer
 from .faults import (
     FaultPlan,
     RespawnError,
     RetryPolicy,
+    StaleEpochError,
+    TransientRpcError,
     WorkerDiedError,
     WorkerFailure,
     WorkerTimeoutError,
 )
-from .process_runtime import WorkerProcessProxy
-from .resources import WorkerResources
+from .resources import SimulatedOOM, WorkerResources
 from .service import WorkerService
+from .sharding import PrefixShard
+from .storage import RouteStore
 from .transport import (
     RpcChannel,
     RpcServer,
@@ -62,14 +81,27 @@ from .transport import (
     TransportError,
     parse_hostport,
 )
+from .worker import PullOutcome
 
 #: Seconds to wait for a freshly forked worker to report its port.
 _HANDSHAKE_TIMEOUT = 30.0
 
+_RELAYED_EXCEPTIONS = {
+    "SimulatedOOM": SimulatedOOM,
+    "BddOverflowError": BddOverflowError,
+    # Epoch-fence rejections must keep their type across the wire: the
+    # supervisor counts them and re-seeds the epoch on recovery.
+    "StaleEpochError": StaleEpochError,
+}
 
-def _socket_worker_main(handshake, host: str, port: int) -> None:
-    """Worker process entry: bind, report the port, serve until stopped."""
-    service = WorkerService()
+
+class RemoteWorkerError(WorkerFailure):
+    """An unexpected exception inside a worker process."""
+
+
+def service_handler(service: WorkerService):
+    """The RPC handler of a worker listener: ``__configure__`` (re)builds
+    the worker — a logical respawn — and every other command dispatches."""
 
     def handler(command: str, args: tuple, flow_id):
         if command == "__configure__":
@@ -77,7 +109,13 @@ def _socket_worker_main(handshake, host: str, port: int) -> None:
             return "ok", None
         return service.dispatch(command, args, flow_id)
 
-    server = RpcServer(handler, host=host, port=port)
+    return handler
+
+
+def _socket_worker_main(handshake, host: str, port: int) -> None:
+    """Worker process entry: bind, report the port, serve until stopped."""
+    service = WorkerService()
+    server = RpcServer(service_handler(service), host=host, port=port)
     try:
         handshake.send((server.host, server.port))
         handshake.close()
@@ -110,18 +148,11 @@ def serve_worker(
     """
     host, port = parse_hostport(listen)
     service = WorkerService()
-
-    def handler(command: str, args: tuple, flow_id):
-        if command == "__configure__":
-            service.configure(*args)
-            return "ok", None
-        return service.dispatch(command, args, flow_id)
-
-    server = RpcServer(handler, host=host, port=port)
+    server = RpcServer(service_handler(service), host=host, port=port)
     metrics_server = None
     if metrics_listen:
         from ..obs.openmetrics import MetricsHTTPServer
-        from ..obs.telemetry import TelemetryCollector
+        from ..obs.telemetry import TelemetryCollector, TelemetrySource
 
         scrape_metrics = MetricsRegistry()
         collector = TelemetryCollector(scrape_metrics)
@@ -209,29 +240,21 @@ class _SocketCallFuture:
         del timeout  # the channel enforces its own call deadline
         try:
             status, payload = self._future.result()
-        except RpcTimeoutError as exc:
-            raise WorkerTimeoutError(
-                str(exc),
-                worker_id=self._proxy.worker_id,
-                command=self._command,
-            ) from exc
         except TransportError as exc:
-            raise WorkerDiedError(
-                f"worker {self._proxy.worker_id} unreachable during "
-                f"{self._command}: {exc}",
-                worker_id=self._proxy.worker_id,
-                command=self._command,
-            ) from exc
+            raise self._proxy._worker_failure(self._command, exc) from exc
         return self._proxy._relay(self._command, status, payload)
 
 
-class SocketWorkerProxy(WorkerProcessProxy):
+class SocketWorkerProxy:
     """Controller-side handle for one socket worker.
 
-    Same surface and supervision semantics as the pipe proxy; only the
-    transact layer differs.  No poisoning is needed: the channel's
-    idempotent request ids make stale responses self-identifying, so a
-    timed-out proxy stays usable.
+    Exposes the Worker methods the orchestrators and sidecars call; each
+    call is one idempotent request on the worker's :class:`RpcChannel`.
+    The proxy keeps a local :class:`WorkerResources` mirror for the cost
+    model, and supervises the call: transient-fault retry with
+    exponential backoff, and fault injection from the attached
+    :class:`FaultPlan`.  A timed-out proxy stays usable: the channel's
+    idempotent request ids make stale responses self-identifying.
     """
 
     def __init__(
@@ -245,64 +268,174 @@ class SocketWorkerProxy(WorkerProcessProxy):
         tracer: Optional[Tracer] = None,
         telemetry_sink: Optional[Callable[[Dict[str, Any]], Any]] = None,
     ) -> None:
-        super().__init__(
-            worker_id,
-            connection=None,
-            process=process,
-            resources=resources,
-            policy=policy,
-            fault_plan=fault_plan,
-            tracer=tracer,
-            telemetry_sink=telemetry_sink,
-        )
+        self.worker_id = worker_id
+        self.resources = resources
         self._channel = channel
+        self._process = process
+        self._policy = policy or RetryPolicy()
+        self._fault_plan = fault_plan
+        self.tracer = tracer or NULL_TRACER
+        # Streaming telemetry frames piggybacked on responses are handed
+        # to this callable (the controller's collector) when set.
+        self.telemetry_sink = telemetry_sink
+        self._flow_seq = 0
 
-    # -- pipelined calls ---------------------------------------------------
+    # -- plumbing ---------------------------------------------------------
+
+    def _next_flow_id(self) -> Optional[int]:
+        """In-band RPC id when tracing: the worker's handler span echoes
+        it, and the merge layer draws the caller→callee arrow from the
+        pair."""
+        if not self.tracer.enabled:
+            return None
+        self._flow_seq += 1
+        return (self.worker_id + 1) * 1_000_000 + self._flow_seq
+
+    def _rpc_span(self, command: str, flow_id: Optional[int]):
+        return self.tracer.span(
+            f"rpc.{command}",
+            category="rpc",
+            flow_id=flow_id,
+            flow="out" if flow_id is not None else None,
+            worker=self.worker_id,
+        )
 
     def call_nowait(self, command: str, *args):
-        """True wire pipelining: issue on the channel, relay at result.
+        """Issue a call without waiting; returns a future with .result().
 
-        Unlike the pipe proxy (one request in flight per pipe, pipelined
-        by a dispatch thread), the socket channel multiplexes responses
-        by request id, so several requests genuinely share the wire up
-        to ``rpc_window``.  With a fault plan attached we fall back to
-        the thread-backed path so injected call faults keep their exact
-        blocking-call semantics (preamble, transient retries).
+        The channel multiplexes responses by request id, so several
+        requests genuinely share the wire up to ``rpc_window``.  With a
+        fault plan attached the call runs blocking instead — injected
+        call faults keep their exact semantics (preamble, transient
+        retries) — and the returned future is already settled, so a
+        failure still surfaces at ``result()``.
         """
         if self._fault_plan is not None:
-            return super().call_nowait(command, *args)
-        flow_id = None
-        if self.tracer.enabled:
-            self._flow_seq += 1
-            flow_id = (self.worker_id + 1) * 1_000_000 + self._flow_seq
-        wire_future = self._channel.call_nowait(command, args, flow_id=flow_id)
+            future: Future = Future()
+            try:
+                future.set_result(self._call(command, *args))
+            except Exception as exc:  # noqa: BLE001 — raised at result()
+                future.set_exception(exc)
+            return future
+        flow_id = self._next_flow_id()
+        with self._rpc_span(command, flow_id):
+            wire_future = self._channel.call_nowait(
+                command, args, flow_id=flow_id
+            )
         return _SocketCallFuture(self, command, wire_future)
 
-    # -- transact (the only wire-specific layer) --------------------------
+    def _call(self, command: str, *args) -> Any:
+        attempt = 0
+        while True:
+            try:
+                return self._call_once(command, args)
+            except TransientRpcError:
+                attempt += 1
+                self.resources.retries += 1
+                if attempt > self._policy.max_call_retries:
+                    raise
+                time.sleep(self._policy.backoff(attempt))
 
-    def _transact(
-        self, command: str, args: tuple, flow_id, kill_after_send: bool, span
-    ) -> Tuple[str, Any]:
-        post_send = self._fault_kill if kill_after_send else None
-        try:
-            return self._channel.call(
-                command,
-                args,
-                flow_id=flow_id,
-                post_send=post_send,
-                span=span,
-            )
-        except RpcTimeoutError as exc:
-            raise WorkerTimeoutError(
-                str(exc), worker_id=self.worker_id, command=command
-            ) from exc
-        except TransportError as exc:
-            raise WorkerDiedError(
-                f"worker {self.worker_id} unreachable during {command}: "
-                f"{exc}",
+    def _fault_kill(self) -> None:
+        """Kill the worker process to realize an injected crash."""
+        if self._process is None:
+            return  # connect mode: the listener is not ours to kill
+        self._process.kill()
+        self._process.join(self._policy.join_timeout)
+
+    def _fault_preamble(self, command: str) -> bool:
+        """Apply injected call faults; returns kill-after-send."""
+        if self._fault_plan is None:
+            return False
+        spec = self._fault_plan.on_call(self.worker_id, command)
+        if spec is None:
+            return False
+        if spec.kind == "delay":
+            time.sleep(spec.delay)
+        elif spec.kind == "error":
+            raise TransientRpcError(
+                f"injected transient RPC failure calling "
+                f"{command} on worker {self.worker_id}",
                 worker_id=self.worker_id,
                 command=command,
-            ) from exc
+            )
+        elif spec.kind in ("crash", "host_loss"):
+            if spec.where == "after_send":
+                return True
+            self._fault_kill()
+        return False
+
+    def _call_once(self, command: str, args: tuple) -> Any:
+        kill_after_send = self._fault_preamble(command)
+        flow_id = self._next_flow_id()
+        with self._rpc_span(command, flow_id) as span:
+            try:
+                status, payload = self._channel.call(
+                    command,
+                    args,
+                    flow_id=flow_id,
+                    post_send=self._fault_kill if kill_after_send else None,
+                    span=span,
+                )
+            except TransportError as exc:
+                raise self._worker_failure(command, exc) from exc
+        return self._relay(command, status, payload)
+
+    def _worker_failure(
+        self, command: str, exc: TransportError
+    ) -> WorkerFailure:
+        """The supervision-level failure for a transport failure."""
+        if isinstance(exc, RpcTimeoutError):
+            return WorkerTimeoutError(
+                str(exc), worker_id=self.worker_id, command=command
+            )
+        return WorkerDiedError(
+            f"worker {self.worker_id} unreachable during {command}: {exc}",
+            worker_id=self.worker_id,
+            command=command,
+        )
+
+    def _relay(self, command: str, status: str, payload) -> Any:
+        """Map a wire response to a result, relayed exception, or error."""
+        if status == "exc":
+            name, message, trace = payload
+            exc_type = _RELAYED_EXCEPTIONS.get(name)
+            if exc_type is SimulatedOOM:
+                self.resources.oom = True
+                raise SimulatedOOM(
+                    self.resources.name,
+                    self.resources.current_bytes,
+                    self.resources.capacity,
+                )
+            if exc_type is not None:
+                if issubclass(exc_type, WorkerFailure):
+                    raise exc_type(
+                        message, worker_id=self.worker_id, command=command
+                    )
+                raise exc_type(message)
+            raise RemoteWorkerError(
+                f"{name}: {message}\n{trace}",
+                worker_id=self.worker_id,
+                command=command,
+            )
+        result, telemetry = payload
+        (
+            self.resources.current_bytes,
+            peak,
+            self.resources.candidate_routes,
+            self.resources.bdd_nodes,
+            self.resources.fib_entries,
+            oom,
+            frame,
+        ) = telemetry
+        self.resources.peak_bytes = max(self.resources.peak_bytes, peak)
+        self.resources.oom = self.resources.oom or oom
+        if frame is not None and self.telemetry_sink is not None:
+            try:
+                self.telemetry_sink(frame)
+            except Exception:  # noqa: BLE001 — telemetry must never
+                pass  # poison the RPC result path
+        return result
 
     # -- supervision ------------------------------------------------------
 
@@ -311,7 +444,12 @@ class SocketWorkerProxy(WorkerProcessProxy):
             return False
         return self._channel.healthy()
 
+    def ping(self) -> bool:
+        """Heartbeat: one round trip through the worker's service loop."""
+        return self._call("ping") == "pong"
+
     def reap(self) -> None:
+        """Tear down the channel and the dead (or doomed) process."""
         self._channel.close()
         process = self._process
         if process is None:
@@ -323,15 +461,135 @@ class SocketWorkerProxy(WorkerProcessProxy):
             if process.is_alive():
                 process.kill()
                 process.join(self._policy.join_timeout)
-        except (OSError, AttributeError):
+        except OSError:
             pass
 
     def revive(self, channel: RpcChannel, process) -> None:
-        """Adopt a fresh channel (and process); the identity survives."""
+        """Adopt a fresh channel (and process), keeping the proxy identity.
+
+        Identity preservation matters: the orchestrators and sidecars
+        hold references to this proxy, so a respawn must swap the
+        channel and process *inside* it rather than replace it.
+        """
         old, self._channel = self._channel, channel
         old.close()
         self._process = process
         self.resources.respawns += 1
+
+    # -- serving ---------------------------------------------------------------
+
+    def begin_epoch(self, epoch: int) -> int:
+        return self._call("begin_epoch", epoch)
+
+    def rebind_snapshot(
+        self,
+        snapshot: Snapshot,
+        changed_hosts=(),
+        epoch: Optional[int] = None,
+    ) -> None:
+        self._call("rebind_snapshot", snapshot, tuple(changed_hosts), epoch)
+
+    @property
+    def epoch(self) -> int:
+        return self._call("epoch_value")
+
+    # -- control plane ---------------------------------------------------------
+
+    def begin_shard(
+        self, shard: Optional[PrefixShard], epoch: Optional[int] = None
+    ) -> None:
+        self._call("begin_shard", shard, epoch)
+
+    def compute_exports(self, round_token: int):
+        return self._call("compute_exports", round_token)
+
+    def deliver_routes(self, batch) -> None:
+        self._call("deliver_routes", batch)
+
+    def deliver_routes_many(self, batches) -> None:
+        self._call("deliver_routes_many", tuple(batches))
+
+    def pull_round(self, round_token: int) -> PullOutcome:
+        return self._call("pull_round", round_token)
+
+    def update_memory(self, enforce: bool = True) -> int:
+        return self._call("update_memory", enforce)
+
+    def observed_dependencies(self) -> set:
+        return self._call("observed_dependencies")
+
+    def fault_counters(self) -> Dict[str, int]:
+        return self._call("fault_counters")
+
+    def flush_shard(self, store: RouteStore, shard_index: int) -> Tuple[int, int]:
+        """Flush the converged shard to the shared store, worker-side."""
+        return self._call("flush_shard", store.directory, shard_index)
+
+    # -- OSPF -----------------------------------------------------------------------
+
+    def has_ospf(self) -> bool:
+        return self._call("has_ospf")
+
+    def compute_ospf_exports(self):
+        return self._call("compute_ospf_exports")
+
+    def pull_ospf_round(self) -> bool:
+        return self._call("pull_ospf_round")
+
+    def install_ospf_routes(self) -> None:
+        self._call("install_ospf_routes")
+
+    def export_ospf_state(self):
+        return self._call("export_ospf_state")
+
+    def restore_ospf_state(self, state) -> None:
+        self._call("restore_ospf_state", state)
+
+    # -- data plane ------------------------------------------------------------------
+
+    def build_dataplane(
+        self,
+        store: RouteStore,
+        resolver,
+        encoding: HeaderEncoding,
+        node_limit: int = 1 << 24,
+        bdd_kernel: str = "flat",
+    ) -> int:
+        del resolver  # rebuilt worker-side from the snapshot
+        return self._call(
+            "build_dataplane", store.directory, encoding, node_limit, bdd_kernel
+        )
+
+    def set_waypoint_bit(self, node: str, metadata_index: int) -> None:
+        self._call("set_waypoint_bit", node, metadata_index)
+
+    def clear_waypoints(self) -> None:
+        self._call("clear_waypoints")
+
+    def inject_header(self, sources, header_payload, trace: bool) -> None:
+        self._call("inject_header", sources, header_payload, trace)
+
+    def deliver_packets(self, batch) -> None:
+        self._call("deliver_packets", batch)
+
+    def drain(self):
+        return self._call("drain")
+
+    def collect_finals(self):
+        return self._call("collect_finals")
+
+    def reset_dataplane_run(self) -> None:
+        self._call("reset_dataplane_run")
+
+    def collect_engine_garbage(self) -> int:
+        return self._call("collect_engine_garbage")
+
+    def engine_counters(self) -> Dict[str, float]:
+        return self._call("engine_counters")
+
+    @property
+    def pending_packets(self) -> int:
+        return self._call("pending_packets")
 
     # -- lifecycle --------------------------------------------------------
 
@@ -349,6 +607,8 @@ class SocketWorkerProxy(WorkerProcessProxy):
             process.terminate()
             process.join(timeout)
         if process.is_alive():
+            # terminate() can be absorbed (e.g. a wedged interpreter):
+            # escalate to SIGKILL so close() can never leave a child.
             process.kill()
             process.join(timeout)
 
@@ -359,10 +619,9 @@ class SocketWorkerProxy(WorkerProcessProxy):
 class SocketWorkerPool:
     """Spawns (or dials) one TCP worker per id and hands out proxies.
 
-    Mirrors :class:`~repro.dist.process_runtime.ProcessWorkerPool`'s
-    supervision surface (``proxies``, ``dead_workers``, ``ping_all``,
-    ``respawn``, ``close``) so :class:`WorkerSupervisor` treats both
-    interchangeably.
+    Also the supervisor's muscle: it reports dead workers, heartbeats
+    the live ones, and respawns a worker in place (the proxy keeps its
+    identity; see :meth:`SocketWorkerProxy.revive`).
     """
 
     def __init__(
@@ -395,6 +654,9 @@ class SocketWorkerPool:
         self._metrics = metrics
         self._host = host
         self._telemetry_interval = telemetry_interval
+        # Spawn counts per worker id: a respawned worker's shard carries
+        # the next incarnation number, so its spans stay distinguishable
+        # after merging onto the same process track.
         self._incarnations: Dict[int, int] = {}
         # Workers declared permanently lost: worker_id -> their channel
         # counters frozen at loss time (the live channel is gone, but the
@@ -508,9 +770,14 @@ class SocketWorkerPool:
         self, snapshot: Snapshot, assignment: Optional[Dict[str, int]] = None
     ) -> None:
         """Point future respawn ``__configure__`` replays at the current
-        snapshot/assignment (see the process pool's docstring: a worker
-        respawned mid-epoch from boot-time args would carry a stale
-        config *and* a stale epoch)."""
+        snapshot/assignment.
+
+        The serving layer calls this on *every* delta, including the
+        incremental path that never reconfigures live workers: a worker
+        respawned mid-epoch must be rebuilt from the session's current
+        config, not the boot-time one (it would then fail the epoch
+        fence and recovery would loop).
+        """
         _old_snapshot, old_assignment, capacity, cost_model, max_hops = (
             self._configure_args
         )
@@ -665,5 +932,5 @@ class SocketWorkerPool:
                 if process is not None and process.is_alive():
                     process.kill()
                     process.join(self._policy.join_timeout)
-            except (OSError, AttributeError):
+            except OSError:
                 pass

@@ -28,10 +28,9 @@ three parts:
   idempotent request id, and tolerance for torn frames and vanished
   clients (the response stays cached for the retry).
 
-The module also owns the :class:`TransportError` taxonomy that unifies
-what used to be scattered ``(BrokenPipeError, EOFError, OSError)``
-tuples: supervisors and proxies match on these types, and
-:func:`mapped_transport_errors` converts OS-level failures at the edge.
+The module also owns the :class:`TransportError` taxonomy: OS-level
+socket failures are converted at the edge, and supervisors and proxies
+match on these types only.
 
 Network-level chaos faults (``partition``, ``reorder``, ``slow_link``,
 ``torn_frame`` — see :mod:`repro.dist.faults`) are injected in
@@ -50,7 +49,6 @@ import struct
 import threading
 import time
 import zlib
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 # -- failure taxonomy -------------------------------------------------------
@@ -75,29 +73,6 @@ class FrameError(TransportError):
 
 class RpcTimeoutError(TransportError):
     """A call's deadline expired (including the backpressure wait)."""
-
-
-#: OS-level exceptions the edges convert into the taxonomy.  EOFError is
-#: what a pipe raises on peer death; socket.timeout is an OSError alias
-#: since 3.10 but listed for clarity.
-_OS_FAILURES = (BrokenPipeError, ConnectionError, EOFError, OSError)
-
-
-@contextmanager
-def mapped_transport_errors(context: str = ""):
-    """Convert OS-level I/O failures into :class:`ConnectionLostError`.
-
-    Taxonomy errors pass through untouched, so nesting is harmless.
-    """
-    try:
-        yield
-    except TransportError:
-        raise
-    except _OS_FAILURES as exc:
-        suffix = f" during {context}" if context else ""
-        raise ConnectionLostError(
-            f"connection lost{suffix}: {exc!r}"
-        ) from exc
 
 
 # -- framing ----------------------------------------------------------------
@@ -469,7 +444,7 @@ class RpcChannel:
             ))
             try:
                 sock = socket.create_connection(self.address, timeout=budget)
-            except _OS_FAILURES as exc:
+            except OSError as exc:
                 raise ConnectionLostError(
                     f"cannot reach worker {self.worker_id} at "
                     f"{self.address[0]}:{self.address[1]}: {exc!r}"
@@ -965,6 +940,12 @@ class RpcServer:
         tick — this is what SIGTERM handlers want.
         """
         self._stopping = True
+        # shutdown() before close(): on Linux closing a listening socket
+        # from another thread does not wake a blocked accept().
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

@@ -358,9 +358,9 @@ class Worker:
     def flush_shard(self, store: RouteStore, shard_index: int) -> Tuple[int, int]:
         """Finish the shard and persist it (§3.1: write to disk).
 
-        Returns ``(bytes written, selected routes)``.  In the process
+        Returns ``(bytes written, selected routes)``.  In the socket
         runtime this happens inside the worker process, so converged RIBs
-        never travel over the control pipe.
+        never travel over the wire.
         """
         self._inject("flush_shard")
         with self.tracer.span(

@@ -9,7 +9,6 @@ that claim as an executable check: run one generated network through
 * the monolithic engine *with prefix sharding*,
 * the distributed pipeline on the in-process runtimes (sequential and
   threaded), sharded and unsharded,
-* optionally the process-backed runtime (real worker processes),
 * optionally a run under an injected, recoverable fault plan, and
 * optionally the socket runtime (workers behind TCP servers) under a
   sampled *network* fault plan — partitions, torn frames, reorders,
@@ -168,7 +167,6 @@ class CheckPlan:
     scheme: str = "random"
     seed: int = 7                    # partition/shard seed
     include_threaded: bool = True
-    include_process: bool = False    # real worker processes (slow)
     include_faults: bool = False     # recoverable injected faults
     include_host_loss: bool = False  # one permanent worker loss mid-run
     include_socket: bool = False     # TCP workers + network faults (slow)
@@ -254,12 +252,6 @@ class DifferentialOracle:
                  {"kind": "dist", "runtime": "sequential",
                   "num_shards": plan.shards,
                   "host_loss": True}),
-            )
-        if plan.include_process:
-            variants.append(
-                ("dist-process",
-                 {"kind": "dist", "runtime": "process",
-                  "num_shards": plan.shards}),
             )
         if plan.include_socket:
             # TCP workers under a sampled network-fault plan (partition /

@@ -9,9 +9,8 @@ and BDD node counts, GC/op-cache rates, supervision health, and the
 current span stack.  Frames travel over whatever channel the runtime
 already has:
 
-* remote runtimes (process pipe, socket RPC) piggyback the frame on the
-  existing per-dispatch resource telemetry tuple — no extra round trips,
-  no new connections;
+* the socket runtime piggybacks the frame on the existing per-dispatch
+  resource telemetry tuple — no extra round trips, no new connections;
 * in-process runtimes (sequential, threaded) hand the frame straight to
   a sink callable at phase boundaries.
 

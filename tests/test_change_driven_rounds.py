@@ -4,8 +4,8 @@
 has not moved, and skips the import of an advertisement object it already
 merged.  The reference below is the rule it replaced — every round
 recomputes every export and re-imports every session — installed by
-monkeypatch.  Workers are forked, so the patch reaches process and socket
-workers too (the reuse counters prove it: the reference never moves them).
+monkeypatch.  Workers are forked, so the patch reaches socket workers too
+(the reuse counters prove it: the reference never moves them).
 
 Both must agree round by round: the same per-node ``BgpRib.fingerprint()``
 after every pull, the same round counts, the same final RIBs, and — on the
@@ -28,7 +28,7 @@ from repro.routing.node import RouterNode
 
 from tests.conftest import normalize_ribs
 
-RUNTIMES = ["sequential", "process", "socket"]
+RUNTIMES = ["sequential", "socket"]
 CORPUS = load_corpus(DEFAULT_CORPUS_DIR)
 # The divergent gadgets whose synchronous rounds oscillate; the fourth,
 # gadget-local-pref-leak, settles on RIBs that differ from the monolith's.

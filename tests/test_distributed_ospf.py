@@ -118,10 +118,10 @@ class TestDistributedOrdering:
             routes = node.main_rib.routes_for(LOOPBACK)
             assert routes and routes[0].protocol is Protocol.OSPF
 
-    def test_process_runtime_handles_ospf(self, snapshot, oracle):
+    def test_socket_runtime_handles_ospf(self, snapshot, oracle):
         _, expected = oracle
         with S2Controller(
-            snapshot, S2Options(num_workers=2, runtime="process")
+            snapshot, S2Options(num_workers=2, runtime="socket")
         ) as controller:
             controller.run_control_plane()
             got = controller.collected_ribs()

@@ -31,7 +31,7 @@ from tests.conftest import normalize_ribs
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
-RUNTIMES = ["sequential", "threaded", "process", "socket"]
+RUNTIMES = ["sequential", "threaded", "socket"]
 # One crash per pipeline stage: BGP phase A, BGP phase B, the shard
 # flush, the data-plane build, and the forwarding superstep.
 CRASH_SITES = [
@@ -89,7 +89,7 @@ def test_crash_recovery_matrix(site, runtime, fattree4, baseline):
         assert dp.query_replays >= 1
 
 
-@pytest.mark.parametrize("runtime", ["sequential", "process", "socket"])
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
 def test_dropped_and_duplicated_batches(runtime, fattree4, baseline):
     """Lost sidecar batches heal (exports are re-sent every round) and
     duplicated ones are discarded by sequence-number dedup."""
@@ -140,7 +140,7 @@ def test_transient_rpc_errors_are_retried(fattree4, baseline):
     policy = RetryPolicy(backoff_base=0.001)
     with S2Controller(
         fattree4,
-        _options(runtime="process", fault_plan=plan, retry_policy=policy),
+        _options(runtime="socket", fault_plan=plan, retry_policy=policy),
     ) as c:
         stats = c.run_control_plane()
         ribs = normalize_ribs(c.collected_ribs())
@@ -152,7 +152,7 @@ def test_transient_rpc_errors_are_retried(fattree4, baseline):
 
 
 def test_crash_after_send_is_recovered(fattree4, baseline):
-    """A worker killed *after* the request was written to its pipe dies
+    """A worker killed *after* the request was written to its socket dies
     mid-command; the proxy reports it and recovery replays the shard."""
     _, base_ribs = baseline
     plan = FaultPlan(
@@ -166,7 +166,7 @@ def test_crash_after_send_is_recovered(fattree4, baseline):
         ]
     )
     with S2Controller(
-        fattree4, _options(runtime="process", fault_plan=plan)
+        fattree4, _options(runtime="socket", fault_plan=plan)
     ) as c:
         stats = c.run_control_plane()
         ribs = normalize_ribs(c.collected_ribs())
@@ -186,7 +186,7 @@ def test_transient_respawn_failure_heals_within_budget(fattree4, baseline):
         ]
     )
     with S2Controller(
-        fattree4, _options(runtime="process", fault_plan=plan)
+        fattree4, _options(runtime="socket", fault_plan=plan)
     ) as c:
         stats = c.run_control_plane()
         ribs = normalize_ribs(c.collected_ribs())
@@ -199,7 +199,7 @@ def test_transient_respawn_failure_heals_within_budget(fattree4, baseline):
     assert ribs == base_ribs
 
 
-@pytest.mark.parametrize("runtime", ["process", "socket"])
+@pytest.mark.parametrize("runtime", ["socket"])
 def test_respawn_failure_degrades_to_sequential(runtime, fattree4, baseline):
     """When *every* worker's host dies permanently there is nobody left
     to adopt the shards: the controller falls back to the monolithic
@@ -308,7 +308,7 @@ def test_lost_worker_rejoins_after_heal(fattree4, baseline):
         ]
     )
     with S2Controller(
-        fattree4, _options(runtime="process", fault_plan=plan)
+        fattree4, _options(runtime="socket", fault_plan=plan)
     ) as c:
         stats = c.run_control_plane()
         assert not stats.sequential_fallback
@@ -477,7 +477,7 @@ def test_options_fingerprint_ignores_supervision_knobs(fattree4):
     tweaked = S2Options(
         num_workers=3,
         num_shards=4,
-        runtime="process",
+        runtime="socket",
         fault_plan=FaultPlan([FaultSpec(kind="crash")]),
         retry_policy=RetryPolicy(call_timeout=1.0),
     )
@@ -648,11 +648,11 @@ def test_in_process_crash_raises_worker_failure(fattree4):
     assert excinfo.value.command == "compute_exports"
 
 
-# -- process pool supervision ----------------------------------------------
+# -- socket pool supervision -----------------------------------------------
 
 
 def test_pool_detects_and_respawns_dead_worker(fattree4):
-    with S2Controller(fattree4, _options(runtime="process")) as controller:
+    with S2Controller(fattree4, _options(runtime="socket")) as controller:
         pool = controller._pool
         assert pool.dead_workers() == []
         assert pool.ping_all() == []
@@ -666,26 +666,6 @@ def test_pool_detects_and_respawns_dead_worker(fattree4):
         assert pool.dead_workers() == []
         assert victim.ping()                      # same proxy object
         assert victim.resources.respawns == 1
-
-
-def test_pool_close_leaves_no_processes(fattree4):
-    controller = S2Controller(fattree4, _options(runtime="process"))
-    processes = [proxy._process for proxy in controller._pool.proxies]
-    assert all(process.is_alive() for process in processes)
-    controller.close()
-    assert not any(process.is_alive() for process in processes)
-    controller.close()  # idempotent
-
-
-def test_poisoned_proxy_refuses_calls_until_revived(fattree4):
-    with S2Controller(fattree4, _options(runtime="process")) as controller:
-        proxy = controller._pool.proxies[0]
-        proxy._poisoned = True                    # as a timeout would
-        assert not proxy.is_alive()
-        with pytest.raises(WorkerDiedError, match="poisoned"):
-            proxy.ping()
-        controller._pool.respawn(0)
-        assert proxy.ping()
 
 
 # -- enriched ConvergenceError ---------------------------------------------

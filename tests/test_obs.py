@@ -221,10 +221,10 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.counter("c").inc()
         path = str(tmp_path / "metrics.json")
-        registry.write_json(path, extra={"runtime": "process"})
+        registry.write_json(path, extra={"runtime": "socket"})
         payload = json.load(open(path, encoding="utf-8"))
         assert payload["counters"]["c"] == 1
-        assert payload["runtime"] == "process"
+        assert payload["runtime"] == "socket"
 
 
 class TestMerge:
@@ -310,13 +310,13 @@ class TestMerge:
 
 
 class TestTracedPipeline:
-    def test_process_runtime_trace_end_to_end(self, fattree4, tmp_path):
+    def test_socket_runtime_trace_end_to_end(self, fattree4, tmp_path):
         trace_out = str(tmp_path / "trace.json")
         metrics_out = str(tmp_path / "metrics.json")
         options = S2Options(
             num_workers=2,
             num_shards=2,
-            runtime="process",
+            runtime="socket",
             trace_out=trace_out,
             metrics_out=metrics_out,
         )
@@ -333,8 +333,10 @@ class TestTracedPipeline:
         names = {e["name"] for e in events if e["ph"] == "X"}
         assert {"cpo.run", "cpo.round", "rpc.pull_round",
                 "handle.pull_round", "worker.pull",
+                "rpc.deliver_routes_many", "handle.deliver_routes_many",
                 "dpo.build", "bdd.compile"} <= names
-        # every flow start has a matching finish (no faults injected)
+        # every flow start has a matching finish (no faults injected),
+        # pipelined deliver_routes_many calls included
         starts = {e["id"] for e in events if e["ph"] == "s"}
         finishes = {e["id"] for e in events if e["ph"] == "f"}
         assert starts and starts == finishes

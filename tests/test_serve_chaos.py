@@ -122,9 +122,11 @@ def test_socket_session_under_sampled_chaos(ft4, ft4_texts, seed):
     assert fired >= 1, "the sampled plan never injected anything"
 
 
-def test_process_session_survives_worker_kill(ft4, ft4_texts):
+def test_socket_session_survives_worker_kill(ft4, ft4_texts):
+    """No injected faults, one worker killed between epochs: the next
+    delta heals it and the final state equals the cold start."""
     options = S2Options(
-        num_workers=NUM_WORKERS, num_shards=NUM_SHARDS, runtime="process"
+        num_workers=NUM_WORKERS, num_shards=NUM_SHARDS, runtime="socket"
     )
     with VerifierSession(ft4, options) as session:
         _drive(session, ft4, ft4_texts, kill_worker=True)

@@ -383,7 +383,7 @@ def test_loss_during_reconfigure_commits_at_reduced_capacity(ft4):
     # loss is primed to fire inside the delta's recompute.
     plan = FaultPlan([])
     with VerifierSession(
-        ft4, _options(fault_plan=plan, runtime="process")
+        ft4, _options(fault_plan=plan, runtime="socket")
     ) as session:
         assert session.health()["capacity"]["lost_workers"] == 0
         plan.add(
@@ -428,7 +428,7 @@ def test_healed_host_is_rebalanced_back_at_an_epoch_boundary(ft4):
         ]
     )
     with VerifierSession(
-        ft4, _options(fault_plan=plan, runtime="process")
+        ft4, _options(fault_plan=plan, runtime="socket")
     ) as session:
         assert session.health()["capacity"]["lost_workers"] == 1
         deadline = _time.time() + 60

@@ -14,12 +14,21 @@ import os
 import subprocess
 import sys
 import threading
+import urllib.request
 
 import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, S2Options, S2Verifier
 from repro.dist.controller import S2Controller
+from repro.dist.partition import partition
+from repro.dist.resources import CostModel
 from repro.dist.service import WorkerService
+from repro.dist.socket_runtime import (
+    RemoteWorkerError,
+    SocketWorkerPool,
+    SocketWorkerProxy,
+    service_handler,
+)
 from repro.dist.transport import RpcChannel, RpcServer
 
 from tests.conftest import normalize_ribs
@@ -58,6 +67,29 @@ def test_socket_runtime_matches_sequential(fattree4, baseline):
     assert transport["total"]["calls"] > 0
     assert transport["total"]["frames_sent"] > 0
     assert set(transport) >= {"worker0", "worker1", "worker2", "total"}
+
+
+@pytest.fixture(scope="module")
+def converged_controller(fattree4):
+    """A socket controller whose control plane has run once."""
+    with S2Controller(fattree4, _options()) as controller:
+        controller.run_control_plane()
+        yield controller
+
+
+def test_workers_are_socket_proxies(converged_controller):
+    assert all(
+        isinstance(w, SocketWorkerProxy) for w in converged_controller.workers
+    )
+
+
+def test_resource_mirror_tracks_peaks(converged_controller):
+    for proxy in converged_controller.workers:
+        assert proxy.resources.peak_bytes > 0
+
+
+def test_rpc_accounting_still_charged(converged_controller):
+    assert converged_controller.report().total_rpc_bytes > 0
 
 
 def test_socket_chaos_acceptance(fattree4, baseline):
@@ -115,6 +147,58 @@ def test_socket_pool_detects_and_respawns_dead_worker(fattree4):
         assert victim.resources.respawns == 1
 
 
+def test_oom_relayed_from_worker(fattree4):
+    from repro.core.s2 import verify_snapshot
+
+    result = verify_snapshot(
+        fattree4, _options(num_workers=2, num_shards=0, worker_capacity=1)
+    )
+    assert result.status == "oom"
+
+
+def test_remote_error_surfaces(fattree4):
+    with S2Controller(fattree4, _options(num_workers=1)) as controller:
+        with pytest.raises(RemoteWorkerError):
+            controller.workers[0]._call("no_such_method")
+
+
+def test_shard_flush_happens_in_worker_process(fattree4):
+    with S2Controller(fattree4, _options()) as controller:
+        controller.run_control_plane()
+        store_dir = controller.store.directory
+        files = [f for f in os.listdir(store_dir) if f.endswith(".rib")]
+    # 3 workers x 2 shards, each written by its worker process
+    assert len(files) == 6
+
+
+def _direct_pool(snapshot, num_workers: int) -> SocketWorkerPool:
+    return SocketWorkerPool(
+        snapshot=snapshot,
+        assignment=partition(snapshot, num_workers).assignment,
+        num_workers=num_workers,
+        capacity=1 << 62,
+        cost_model=CostModel(),
+    )
+
+
+def test_pool_lifecycle(fattree4):
+    pool = _direct_pool(fattree4, 2)
+    try:
+        for proxy in pool.proxies:
+            proxy.begin_shard(None)
+            assert proxy.pending_packets == 0
+    finally:
+        pool.close()
+    assert not any(proxy._process.is_alive() for proxy in pool.proxies)
+
+
+def test_stop_is_idempotent(fattree4):
+    pool = _direct_pool(fattree4, 1)
+    pool.close()
+    pool.close()  # second close must not raise
+    assert not any(proxy._process.is_alive() for proxy in pool.proxies)
+
+
 def test_socket_pool_close_leaves_no_processes(fattree4):
     controller = S2Controller(fattree4, _options())
     processes = [proxy._process for proxy in controller._pool.proxies]
@@ -132,14 +216,7 @@ class _Listener:
 
     def __init__(self):
         self.service = WorkerService()
-
-        def handler(command, args, flow_id):
-            if command == "__configure__":
-                self.service.configure(*args)
-                return "ok", None
-            return self.service.dispatch(command, args, flow_id)
-
-        self.server = RpcServer(handler)
+        self.server = RpcServer(service_handler(self.service))
         self.thread = threading.Thread(
             target=self.server.serve_forever, daemon=True
         )
@@ -229,6 +306,45 @@ def test_repro_worker_subprocess_serves_and_stops():
             proc.wait(5.0)
 
 
+def test_repro_worker_metrics_scrape_after_configure(fattree4):
+    """A configured standalone worker's /metrics reports its gauges."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0",
+         "--metrics-listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+        text=True,
+    ) as proc:
+        try:
+            metrics_banner = proc.stdout.readline().strip()
+            assert metrics_banner.startswith("worker metrics on http://")
+            url = metrics_banner.rpartition(" ")[2]
+            banner = proc.stdout.readline().strip()
+            host, _, port = banner.rpartition(" ")[2].rpartition(":")
+            channel = RpcChannel((host, int(port)))
+            try:
+                assignment = {name: 0 for name in fattree4.configs}
+                status, _ = channel.call(
+                    "__configure__",
+                    (0, fattree4, assignment, 1 << 62, CostModel(), 24),
+                    internal=True,
+                )
+                assert status == "ok"
+                with urllib.request.urlopen(url, timeout=10.0) as response:
+                    assert response.status == 200
+                    text = response.read().decode("utf-8")
+                assert 's2_worker_bdd_nodes{worker="0"}' in text
+                channel.call("__stop__", internal=True)
+            finally:
+                channel.close()
+            assert proc.wait(timeout=10.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+
+
 # -- CLI --------------------------------------------------------------------
 
 
@@ -278,10 +394,15 @@ def test_cli_worker_hosts_requires_socket_runtime(capsys):
             "--k",
             "4",
             "--runtime",
-            "process",
+            "sequential",
             "--worker-hosts",
             "127.0.0.1:9001",
         ]
     )
     assert code == 2
     assert "socket" in capsys.readouterr().err
+
+
+def test_unknown_runtime_is_rejected():
+    with pytest.raises(ValueError, match="unknown runtime 'process'"):
+        S2Options(runtime="process")

@@ -415,7 +415,7 @@ def test_telemetry_survives_socket_chaos(fattree4):
 
 @pytest.fixture(scope="module")
 def observed_session(fattree4):
-    """A process-runtime serving session with fast telemetry, plus its
+    """A socket-runtime serving session with fast telemetry, plus its
     line-JSON server — the fixture behind the end-to-end assertions."""
     from repro.serve.api import SessionServer
     from repro.serve.session import VerifierSession
@@ -425,7 +425,7 @@ def observed_session(fattree4):
         S2Options(
             num_workers=2,
             num_shards=4,
-            runtime="process",
+            runtime="socket",
             telemetry_interval=1e-9,
         ),
         warm_boot=False,
@@ -449,7 +449,7 @@ def test_serve_session_streams_frames_and_journals(observed_session):
     session.apply_delta(
         LinkDelta(a=link.a.node, b=link.b.node, up=False), timeout=300
     )
-    # statusz carries live per-worker frames from the process runtime
+    # statusz carries live per-worker frames from the socket runtime
     status = server.handle({"op": "statusz"})
     assert status["ok"]
     assert status["frames"], "no telemetry frames reached the controller"
@@ -564,7 +564,7 @@ def test_render_top_is_pure():
         "snapshot": "ft4",
         "epoch": 3,
         "queue_depth": 0,
-        "runtime": "process",
+        "runtime": "socket",
         "workers": 2,
         "journal": {"last_seq": 7, "dropped": 0},
         "last_commit_age_seconds": 1.5,

@@ -1,7 +1,7 @@
 """Unit tests for the hardened RPC transport.
 
 Framing (including a random byte-split fuzz over the incremental
-decoder), the failure taxonomy, and the channel/server pair under
+decoder), host:port parsing, and the channel/server pair under
 injected network chaos: torn frames, directional partitions, reorders,
 slow links, timeouts, backpressure, and heartbeat failure detection.
 """
@@ -26,9 +26,7 @@ from repro.dist.transport import (
     RpcChannel,
     RpcServer,
     RpcTimeoutError,
-    TransportError,
     encode_frame,
-    mapped_transport_errors,
     parse_hostport,
 )
 
@@ -107,28 +105,7 @@ def test_torn_frame_leaves_pending_bytes():
     assert decoder.pending_bytes == 0
 
 
-# -- taxonomy ---------------------------------------------------------------
-
-
-def test_mapped_transport_errors_wraps_os_failures():
-    for raised in (BrokenPipeError(), EOFError(), OSError("boom"),
-                   ConnectionResetError()):
-        with pytest.raises(ConnectionLostError, match="during sending"):
-            with mapped_transport_errors("sending"):
-                raise raised
-
-
-def test_mapped_transport_errors_passes_taxonomy_through():
-    """Nested mapping must not double-wrap (or re-label) taxonomy errors."""
-    original = RpcTimeoutError("deadline")
-    with pytest.raises(RpcTimeoutError) as excinfo:
-        with mapped_transport_errors("outer"):
-            with mapped_transport_errors("inner"):
-                raise original
-    assert excinfo.value is original
-    assert issubclass(ConnectionLostError, TransportError)
-    assert issubclass(FrameError, TransportError)
-    assert issubclass(RpcTimeoutError, TransportError)
+# -- addressing -------------------------------------------------------------
 
 
 def test_parse_hostport():
@@ -395,6 +372,7 @@ def test_heartbeat_marks_unresponsive_peer_suspect():
         )
     finally:
         channel.close()
+        blackhole.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
         blackhole.close()
         for conn in sinks:
             conn.close()
@@ -407,6 +385,31 @@ def test_server_stop_command(harness):
     assert status == "ok"
     h.thread.join(5.0)
     assert not h.thread.is_alive()
+
+
+@pytest.mark.parametrize("client", ["none", "disconnected"])
+def test_stop_wakes_an_idle_accept_loop(client):
+    """``stop()`` must end ``serve_forever`` promptly even while it is
+    blocked in ``accept()`` — with no client yet, or after one left."""
+    server = RpcServer(_Service().handle)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    if client == "disconnected":
+        channel = RpcChannel(
+            (server.host, server.port), policy=_fast_policy()
+        )
+        assert channel.call("hello")[0] == "ok"
+        channel.close()
+        deadline = time.monotonic() + 5.0
+        while server._active is not None:
+            assert time.monotonic() < deadline, "server kept the connection"
+            time.sleep(0.01)
+    time.sleep(0.1)  # let the loop block in accept()
+    started = time.monotonic()
+    server.stop()
+    thread.join(5.0)
+    assert not thread.is_alive()
+    assert time.monotonic() - started < 1.0
 
 
 def test_server_response_cache_is_bounded(harness):

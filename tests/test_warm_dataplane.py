@@ -5,8 +5,8 @@ node table has grown past ``_GC_GROWTH`` times the live count the previous
 collection left, and resolves received payloads through a memo that lives
 exactly as long as its serialization memo.  The reference below is the
 rule it replaced — collect at every boundary — installed by monkeypatching
-``_GC_GROWTH`` to 0.  Workers are forked, so the patch reaches process and
-socket workers too (the boundary counters prove it).
+``_GC_GROWTH`` to 0.  Workers are forked, so the patch reaches socket
+workers too (the boundary counters prove it).
 
 Verdicts are compared engine-independently: reachable pairs, and the
 content digests of each query's finals united per (state, source, node)
@@ -31,7 +31,7 @@ from repro.dist.message import PacketBatch, PacketEnvelope
 from repro.net.ip import Prefix
 from repro.obs.report import load_spans, render_report, warm_dataplane
 
-RUNTIMES = ["sequential", "process", "socket"]
+RUNTIMES = ["sequential", "socket"]
 KINDS = ("single_pair", "loop_free", "blackhole_free", "waypoint", "multipath")
 ENCODING = HeaderEncoding(metadata_bits=1)  # one waypoint bit
 WORKERS = 3
@@ -195,7 +195,7 @@ def _assert_same(outcome, reference):
     assert outcome["verdicts"] == reference["verdicts"]
 
 
-@pytest.mark.parametrize("runtime", ["process", "socket"])
+@pytest.mark.parametrize("runtime", ["socket"])
 def test_reference_patch_reaches_workers(runtime, fattree4, reference,
                                           monkeypatch):
     monkeypatch.setattr(worker_module, "_GC_GROWTH", 0)
