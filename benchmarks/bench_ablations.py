@@ -6,9 +6,8 @@ reproduction layered on top of the paper's design:
 * **wave merging**: OR-merging symbolic packets per (source, node,
   in-port, hops) collapses the ECMP path product.  Without it, BDD
   operation counts explode combinatorially with k.
-* **runtime backends**: sequential vs threaded in-process workers compute
-  identical results; threads add interleaving, not wall-clock speedup,
-  under the GIL.
+* **runtime backends**: sequential in-process workers and socket workers
+  (one process each, behind TCP) compute identical results.
 * **round scheme**: the two-phase (Jacobi) distributed rounds converge in
   more rounds than the monolithic engine's immediate-update sweeps, but
   each round is fully parallel — the classic chaotic-iteration trade.
@@ -62,7 +61,7 @@ def run_merging_ablation():
 
 def run_runtime_ablation():
     rows = []
-    for runtime in ("sequential", "threaded"):
+    for runtime in ("sequential", "socket"):
         started = time.perf_counter()
         with S2Controller(
             build_fattree(6),

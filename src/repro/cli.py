@@ -400,7 +400,6 @@ def cmd_fuzz(args) -> int:
         total_nodes += spec.size
         total_features += spec.feature_count()
         plan = CheckPlan(
-            include_threaded=not args.no_threaded,
             include_faults=bool(faults_every) and i % faults_every == 0,
             include_host_loss=bool(host_loss_every)
             and i % host_loss_every == 0,
@@ -424,7 +423,7 @@ def cmd_fuzz(args) -> int:
             continue  # nothing to minimize against a broken baseline
         final_spec = spec
         if args.shrink:
-            oracle = DifferentialOracle(CheckPlan.quick())
+            oracle = DifferentialOracle(CheckPlan())
 
             def still_diverges(candidate) -> bool:
                 inner = oracle.check(candidate)
@@ -811,8 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="adjudicate verdicts with concrete packet "
                       "walks over the computed FIBs every Nth iteration "
                       "(0 = never; default 0, or 5 with --smoke)")
-    fuzz.add_argument("--no-threaded", action="store_true",
-                      help="skip the threaded-runtime variant")
     fuzz.add_argument("--fail-fast", action="store_true",
                       help="stop at the first divergence")
     fuzz.add_argument("-v", "--verbose", action="store_true")

@@ -28,7 +28,7 @@ from .resources import (  # noqa: F401
     SimulatedOOM,
     WorkerResources,
 )
-from .runtime import Runtime, SequentialRuntime, ThreadedRuntime, make_runtime  # noqa: F401
+from .runtime import Runtime, SequentialRuntime, ThreadedRuntime  # noqa: F401
 from .sharding import (  # noqa: F401
     Dpdg,
     PrefixShard,

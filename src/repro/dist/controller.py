@@ -60,16 +60,17 @@ from .resources import (
     CostModel,
     WorkerResources,
 )
-from .runtime import Runtime, make_runtime
+from .runtime import Runtime, SequentialRuntime, ThreadedRuntime
 from .sharding import PrefixShard, make_shards, validate_shards
 from .sidecar import Sidecar
 from .storage import RouteStore, RunManifest, ShardRoutes
 from .worker import Worker
 
-#: Execution backends: in-process workers run one by one (``sequential``)
-#: or on a thread pool (``threaded``); ``socket`` puts every worker behind
-#: a TCP server — forked on this machine, or dialed via ``worker_hosts``.
-RUNTIMES = ("sequential", "threaded", "socket")
+#: Execution backends: in-process workers run one by one (``sequential``);
+#: ``socket`` puts every worker behind a TCP server — forked on this
+#: machine, or dialed via ``worker_hosts`` — and fans phases out on a
+#: thread pool.
+RUNTIMES = ("sequential", "socket")
 
 
 @dataclass
@@ -245,7 +246,7 @@ class WorkerSupervisor:
 
         In-process runtimes have no pool, but a host-down injection must
         still be honoured there — otherwise ``host_loss`` plans would be
-        untestable under the sequential/threaded runtimes.
+        untestable under the sequential runtime.
         """
         if self.pool is not None:
             self.pool.respawn(worker_id)
@@ -440,7 +441,7 @@ class S2Controller:
                 telemetry_sink=self.telemetry.ingest,
             )
             self.workers = self._pool.proxies
-            self.runtime: Runtime = make_runtime("threaded")
+            self.runtime: Runtime = ThreadedRuntime()
         else:
             if self.trace_dir:
                 # In-process workers write their own shards too, so the
@@ -455,7 +456,7 @@ class S2Controller:
                     )
                     for i in range(opts.num_workers)
                 ]
-            self.runtime = make_runtime(opts.runtime)
+            self.runtime = SequentialRuntime()
             self.workers: List[Worker] = [
                 Worker(
                     worker_id=i,
@@ -559,7 +560,6 @@ class S2Controller:
         self.dpo = DataPlaneOrchestrator(
             self.workers,
             self.sidecars,
-            snapshot,
             encoding=opts.encoding,
             runtime=self.runtime,
             node_limit=opts.node_limit,
@@ -691,7 +691,7 @@ class S2Controller:
         if epoch is not None:
             self.supervisor.epoch = epoch
             self.cpo.epoch = epoch
-        self.dpo.invalidate(snapshot)
+        self.dpo.invalidate()
         self._cp_done = False
 
     def reconfigure(
@@ -764,7 +764,7 @@ class S2Controller:
                 raise ValueError(f"invalid shards: {problems[:3]}")
         if epoch is not None:
             self.begin_epoch(epoch)
-        self.dpo.invalidate(snapshot)
+        self.dpo.invalidate()
         self._cp_done = False
 
     def rebuild_data_plane(self) -> DataPlaneStats:

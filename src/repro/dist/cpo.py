@@ -143,7 +143,7 @@ class ControlPlaneOrchestrator:
         self.stats.heartbeat_probes += 1
         for worker in self.workers:
             answer = worker.ping()
-            if answer not in ("pong", True):
+            if answer != "pong":
                 raise WorkerFailure(
                     f"worker {worker.worker_id} failed its heartbeat "
                     f"(answered {answer!r})",
@@ -385,9 +385,10 @@ class ControlPlaneOrchestrator:
         with self.tracer.span(
             "cpo.flush", category="cpo", shard=flush_index
         ) as span:
+            directory = self.store.directory
             results = self.runtime.map(
                 [
-                    (lambda w=w: w.flush_shard(self.store, flush_index))
+                    (lambda w=w: w.flush_shard(directory, flush_index))
                     for w in self.workers
                 ]
             )

@@ -16,15 +16,13 @@ argument, and the source of Figure 10's speedups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
 from ..bdd.serialize import deserialize, serialize
-from ..config.loader import Snapshot
-from ..dataplane.fib import NextHopResolver
-from ..dataplane.forwarding import FinalPacket, FinalState
+from ..dataplane.forwarding import FinalPacket
 from ..dataplane.queries import PropertyChecker
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
@@ -64,7 +62,6 @@ class DataPlaneOrchestrator:
         self,
         workers: Sequence[Worker],
         sidecars: Sequence[Sidecar],
-        snapshot: Snapshot,
         encoding: Optional[HeaderEncoding] = None,
         runtime: Optional[Runtime] = None,
         node_limit: int = 1 << 24,
@@ -77,7 +74,6 @@ class DataPlaneOrchestrator:
     ) -> None:
         self.workers = list(workers)
         self.sidecars = list(sidecars)
-        self.snapshot = snapshot
         self.encoding = encoding or HeaderEncoding()
         self.runtime = runtime or SequentialRuntime()
         self.node_limit = node_limit
@@ -150,12 +146,10 @@ class DataPlaneOrchestrator:
                     raise
                 self._recover(failure)
 
-    def invalidate(self, snapshot=None) -> None:
-        """Force the next :meth:`build` to run (and optionally rebind the
-        snapshot) — the serving path calls this after every committed
-        delta so FIBs and predicates reflect the new routes."""
-        if snapshot is not None:
-            self.snapshot = snapshot
+    def invalidate(self) -> None:
+        """Force the next :meth:`build` to run — the serving path calls
+        this after every committed delta so FIBs and predicates reflect
+        the new routes."""
         self._built = False
 
     def _build_once(self, store: RouteStore) -> None:
@@ -164,13 +158,11 @@ class DataPlaneOrchestrator:
         with stopwatch() as clock, self.tracer.span(
             "dpo.build", category="dpo"
         ) as span:
-            resolver = NextHopResolver.from_snapshot(self.snapshot)
             ops_list = self.runtime.map(
                 [
                     (
                         lambda w=w: w.build_dataplane(
-                            store,
-                            resolver,
+                            store.directory,
                             self.encoding,
                             self.node_limit,
                             self.bdd_kernel,
@@ -273,9 +265,9 @@ class DataPlaneOrchestrator:
                 if self.metrics is not None:
                     self.metrics.counter("dpo.supersteps").inc()
                     self.metrics.counter("dpo.packets_crossed").inc(crossed)
-                if batch_count == 0 and not any(
-                    w.pending_packets for w in self.workers
-                ):
+                # Every worker drained to exhaustion and nothing was
+                # delivered, so every queue is empty.
+                if batch_count == 0:
                     break
             with self.tracer.span("dpo.collect_finals", category="dpo"):
                 finals = self._collect_finals()

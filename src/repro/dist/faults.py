@@ -245,8 +245,8 @@ class FaultPlan:
 
     The orchestrators keep the plan's shard/round context up to date;
     the proxies, workers, and sidecars ask it whether to fire at their
-    site.  All bookkeeping is lock-protected (the threaded runtime calls
-    in from phase threads).
+    site.  All bookkeeping is lock-protected (the socket runtime's proxies
+    call in from phase threads).
     """
 
     def __init__(

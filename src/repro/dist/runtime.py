@@ -1,17 +1,11 @@
 """Execution backends for worker phases.
 
 The orchestrators express each phase as "run this thunk on every worker";
-the runtime decides how.  ``sequential`` executes workers one by one in a
-deterministic order — the modeled clock still accounts for parallelism, so
-this is the default for reproducible experiments.  ``threaded`` runs the
-phase on a thread pool: the numbers are identical (phases are data-race
-free by the two-phase round design), but the real concurrency machinery —
-mailboxes, shadow proxies, batched sidecar traffic — is exercised under
-interleaving, which the concurrency tests rely on.
-
-(A note on fidelity: CPython's GIL means threads add little wall-clock
-speedup for this pure-Python workload; the paper's wall-clock scaling
-claims are reproduced through the modeled clock, as DESIGN.md documents.)
+the runtime decides how.  In-process workers execute one by one in a
+deterministic order (:class:`SequentialRuntime`).  Socket workers are
+driven through a thread pool (:class:`ThreadedRuntime`): each thread
+blocks on its worker's channel, so the worker processes compute
+concurrently.
 """
 
 from __future__ import annotations
@@ -71,11 +65,3 @@ class ThreadedRuntime(Runtime):
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
-
-
-def make_runtime(kind: str, max_threads: Optional[int] = None) -> Runtime:
-    if kind == "sequential":
-        return SequentialRuntime()
-    if kind == "threaded":
-        return ThreadedRuntime(max_threads)
-    raise ValueError(f"unknown runtime {kind!r}")

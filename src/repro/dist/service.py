@@ -23,7 +23,6 @@ from typing import Any, Dict, Optional, Tuple
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..obs.telemetry import TelemetrySource
 from .resources import WorkerResources
-from .storage import RouteStore
 from .worker import Worker
 
 
@@ -40,8 +39,6 @@ class WorkerService:
         self.tracer = NULL_TRACER
         self.incarnation = -1
         self.telemetry: Optional[TelemetrySource] = None
-        self._snapshot = None
-        self._stores: Dict[str, RouteStore] = {}
 
     @property
     def configured(self) -> bool:
@@ -84,7 +81,6 @@ class WorkerService:
             max_hops=max_hops,
             tracer=self.tracer,
         )
-        self._snapshot = snapshot
         self.incarnation = incarnation
         # Streaming telemetry: interval-gated, sequence numbers scoped
         # per incarnation so the collector sees a respawn as a fresh
@@ -98,68 +94,31 @@ class WorkerService:
             if telemetry_interval > 0
             else None
         )
-        self._stores.clear()
-
-    def _store_for(self, directory: str) -> RouteStore:
-        if directory not in self._stores:
-            self._stores[directory] = RouteStore(directory)
-        return self._stores[directory]
 
     def dispatch(
         self, command: str, args: tuple, flow_id: Optional[int] = None
     ) -> Tuple[str, Any]:
-        """Execute one command; never raises — failures are relayed."""
+        """Execute one command; never raises — failures are relayed.
+
+        Only names in :attr:`Worker.COMMANDS` run: a peer must not reach
+        local-only methods (``reset``, ``attach_telemetry``) or private
+        ones through the wire.
+        """
         try:
+            if command not in Worker.COMMANDS:
+                raise LookupError(f"{command!r} is not a worker command")
             if self.worker is None:
                 raise RuntimeError(
                     f"worker service is not configured (got {command!r} "
                     "before __configure__)"
                 )
-            worker = self.worker
             with self.tracer.span(
                 f"handle.{command}",
                 category="rpc",
                 flow_id=flow_id,
                 flow="in" if flow_id is not None else None,
             ):
-                if command == "flush_shard":
-                    directory, shard_index = args
-                    shard_routes = worker.finish_shard()
-                    written = self._store_for(directory).write_shard(
-                        worker.worker_id, shard_index, shard_routes
-                    )
-                    selected = sum(
-                        len(routes)
-                        for node_routes in shard_routes.values()
-                        for routes in node_routes.values()
-                    )
-                    result = (written, selected)
-                elif command == "build_dataplane":
-                    directory, encoding, node_limit, bdd_kernel = args
-                    from ..dataplane.fib import NextHopResolver
-
-                    resolver = NextHopResolver.from_snapshot(self._snapshot)
-                    result = worker.build_dataplane(
-                        self._store_for(directory),
-                        resolver,
-                        encoding,
-                        node_limit,
-                        bdd_kernel,
-                    )
-                elif command == "merged_routes":
-                    (directory,) = args
-                    result = self._store_for(directory).merged_routes(
-                        worker.worker_id
-                    )
-                elif command == "pending_packets":
-                    result = worker.pending_packets
-                elif command == "rebind_snapshot":
-                    # The service keeps its own snapshot reference for
-                    # the data-plane resolver; a rebind must move both.
-                    result = worker.rebind_snapshot(*args)
-                    self._snapshot = args[0]
-                else:
-                    result = getattr(worker, command)(*args)
+                result = getattr(self.worker, command)(*args)
             resources = self.resources
             # PullOutcome travels fine; attach fresh memory telemetry so
             # the proxy mirror can track the peak without extra round

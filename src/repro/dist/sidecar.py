@@ -15,14 +15,13 @@ detects drops and forces an extra round, which heals the mailboxes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..bdd.serialize import SendDedupCache
 from ..obs.metrics import MetricsRegistry
 from .faults import FaultPlan
 from .message import PacketBatch, RouteBatch, measured_size
-from .resources import WorkerResources
 from .worker import Worker
 
 
@@ -69,46 +68,13 @@ class Sidecar:
         self.metrics.counter("rpc.bytes_sent").inc(size)
         self.metrics.histogram("rpc.batch_bytes").observe(size)
 
-    def send_routes(self, batch: RouteBatch) -> int:
-        self._sequence += 1
-        batch = replace(batch, sequence=self._sequence)
-        size = measured_size(batch)
-        self.worker.resources.charge_rpc(size, messages=1)
-        self._record("rpc.route_batches", size)
-        with self.worker.tracer.span(
-            "sidecar.send_routes",
-            category="rpc",
-            target=batch.target_worker,
-            bytes=size,
-        ) as span:
-            action = "deliver"
-            if self.fault_plan is not None:
-                action = self.fault_plan.on_batch(
-                    batch.source_worker, batch.round_token
-                )
-            if action == "drop":
-                self.batches_dropped += 1
-                span.set(outcome="dropped")
-                return size
-            target = self.peers[batch.target_worker].worker
-            target.deliver_routes(batch)
-            if action == "duplicate":
-                # Redeliver the same sequence number: the receiver dedupes,
-                # but the duplicate bytes are still charged to the sender.
-                self.batches_duplicated += 1
-                self.worker.resources.charge_rpc(size, messages=1)
-                self._record("rpc.route_batches", size)
-                span.set(outcome="duplicated")
-                target.deliver_routes(batch)
-        return size
-
     def queue_routes(self, batch: RouteBatch) -> int:
         """Queue one batch for the round's pipelined flush.
 
-        Identical accounting to :meth:`send_routes` — sequence stamp,
-        measured-size charge, metrics, and fault-plan drop/duplicate —
-        but delivery is deferred to :meth:`flush_routes`, which ships
-        every target's batches in one coalesced call per peer.
+        The batch is stamped with this sender's next sequence number and
+        its measured size is charged now, and the fault plan may drop or
+        duplicate it here; delivery is deferred to :meth:`flush_routes`,
+        which ships every target's batches in one coalesced call per peer.
         """
         self._sequence += 1
         batch = replace(batch, sequence=self._sequence)

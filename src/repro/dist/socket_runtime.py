@@ -14,7 +14,9 @@ Design notes:
 
 * :class:`SocketWorkerProxy` mirrors the :class:`~repro.dist.worker.
   Worker` surface the orchestrators and sidecars use, so the CPO/DPO
-  code is the same for in-process and remote clusters.
+  code is the same for in-process and remote clusters.  Its command
+  methods are generated from ``Worker.COMMANDS``, with the worker's own
+  signatures; the worker service executes exactly that table.
 * Resource accounting stays controller-side: the remote worker enforces
   its memory ceiling (raising :class:`SimulatedOOM` in situ, relayed back
   and re-raised by the proxy) and piggybacks its counters on every
@@ -49,6 +51,7 @@ by all hosts.
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing as mp
 import os
 import time
@@ -56,7 +59,6 @@ from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.engine import BddOverflowError
-from ..bdd.headerspace import HeaderEncoding
 from ..config.loader import Snapshot
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -72,8 +74,6 @@ from .faults import (
 )
 from .resources import SimulatedOOM, WorkerResources
 from .service import WorkerService
-from .sharding import PrefixShard
-from .storage import RouteStore
 from .transport import (
     RpcChannel,
     RpcServer,
@@ -81,7 +81,7 @@ from .transport import (
     TransportError,
     parse_hostport,
 )
-from .worker import PullOutcome
+from .worker import Worker
 
 #: Seconds to wait for a freshly forked worker to report its port.
 _HANDSHAKE_TIMEOUT = 30.0
@@ -444,10 +444,6 @@ class SocketWorkerProxy:
             return False
         return self._channel.healthy()
 
-    def ping(self) -> bool:
-        """Heartbeat: one round trip through the worker's service loop."""
-        return self._call("ping") == "pong"
-
     def reap(self) -> None:
         """Tear down the channel and the dead (or doomed) process."""
         self._channel.close()
@@ -476,121 +472,6 @@ class SocketWorkerProxy:
         self._process = process
         self.resources.respawns += 1
 
-    # -- serving ---------------------------------------------------------------
-
-    def begin_epoch(self, epoch: int) -> int:
-        return self._call("begin_epoch", epoch)
-
-    def rebind_snapshot(
-        self,
-        snapshot: Snapshot,
-        changed_hosts=(),
-        epoch: Optional[int] = None,
-    ) -> None:
-        self._call("rebind_snapshot", snapshot, tuple(changed_hosts), epoch)
-
-    @property
-    def epoch(self) -> int:
-        return self._call("epoch_value")
-
-    # -- control plane ---------------------------------------------------------
-
-    def begin_shard(
-        self, shard: Optional[PrefixShard], epoch: Optional[int] = None
-    ) -> None:
-        self._call("begin_shard", shard, epoch)
-
-    def compute_exports(self, round_token: int):
-        return self._call("compute_exports", round_token)
-
-    def deliver_routes(self, batch) -> None:
-        self._call("deliver_routes", batch)
-
-    def deliver_routes_many(self, batches) -> None:
-        self._call("deliver_routes_many", tuple(batches))
-
-    def pull_round(self, round_token: int) -> PullOutcome:
-        return self._call("pull_round", round_token)
-
-    def update_memory(self, enforce: bool = True) -> int:
-        return self._call("update_memory", enforce)
-
-    def observed_dependencies(self) -> set:
-        return self._call("observed_dependencies")
-
-    def fault_counters(self) -> Dict[str, int]:
-        return self._call("fault_counters")
-
-    def flush_shard(self, store: RouteStore, shard_index: int) -> Tuple[int, int]:
-        """Flush the converged shard to the shared store, worker-side."""
-        return self._call("flush_shard", store.directory, shard_index)
-
-    # -- OSPF -----------------------------------------------------------------------
-
-    def has_ospf(self) -> bool:
-        return self._call("has_ospf")
-
-    def compute_ospf_exports(self):
-        return self._call("compute_ospf_exports")
-
-    def pull_ospf_round(self) -> bool:
-        return self._call("pull_ospf_round")
-
-    def install_ospf_routes(self) -> None:
-        self._call("install_ospf_routes")
-
-    def export_ospf_state(self):
-        return self._call("export_ospf_state")
-
-    def restore_ospf_state(self, state) -> None:
-        self._call("restore_ospf_state", state)
-
-    # -- data plane ------------------------------------------------------------------
-
-    def build_dataplane(
-        self,
-        store: RouteStore,
-        resolver,
-        encoding: HeaderEncoding,
-        node_limit: int = 1 << 24,
-        bdd_kernel: str = "flat",
-    ) -> int:
-        del resolver  # rebuilt worker-side from the snapshot
-        return self._call(
-            "build_dataplane", store.directory, encoding, node_limit, bdd_kernel
-        )
-
-    def set_waypoint_bit(self, node: str, metadata_index: int) -> None:
-        self._call("set_waypoint_bit", node, metadata_index)
-
-    def clear_waypoints(self) -> None:
-        self._call("clear_waypoints")
-
-    def inject_header(self, sources, header_payload, trace: bool) -> None:
-        self._call("inject_header", sources, header_payload, trace)
-
-    def deliver_packets(self, batch) -> None:
-        self._call("deliver_packets", batch)
-
-    def drain(self):
-        return self._call("drain")
-
-    def collect_finals(self):
-        return self._call("collect_finals")
-
-    def reset_dataplane_run(self) -> None:
-        self._call("reset_dataplane_run")
-
-    def collect_engine_garbage(self) -> int:
-        return self._call("collect_engine_garbage")
-
-    def engine_counters(self) -> Dict[str, float]:
-        return self._call("engine_counters")
-
-    @property
-    def pending_packets(self) -> int:
-        return self._call("pending_packets")
-
     # -- lifecycle --------------------------------------------------------
 
     def stop(self, timeout: float = 5.0) -> None:
@@ -614,6 +495,33 @@ class SocketWorkerProxy:
 
     def transport_counters(self) -> Dict[str, int]:
         return dict(self._channel.counters)
+
+
+def _forwarder(command: str):
+    """A proxy method sending ``command`` with the worker's signature.
+
+    Arguments are bound against :class:`Worker`'s own signature, defaults
+    filled in, so a bad call fails here and the wire always carries the
+    full positional tuple the worker method receives.
+    """
+    method = getattr(Worker, command)
+    signature = inspect.signature(method)
+    signature = signature.replace(
+        parameters=list(signature.parameters.values())[1:]  # drop self
+    )
+
+    def forward(self, *args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return self._call(command, *bound.args)
+
+    forward.__name__ = command
+    forward.__doc__ = method.__doc__
+    return forward
+
+
+for _command in Worker.COMMANDS:
+    setattr(SocketWorkerProxy, _command, _forwarder(_command))
 
 
 class SocketWorkerPool:

@@ -152,7 +152,6 @@ class RouteStore:
             os.makedirs(directory, exist_ok=True)
             self._owned = False
         self.directory = directory
-        self._files: List[str] = []
         self.bytes_written = 0
 
     def _path(self, worker_id: int, shard_index: int) -> str:
@@ -201,7 +200,6 @@ class RouteStore:
         path = self._path(worker_id, shard_index)
         payload = pickle.dumps(routes, protocol=pickle.HIGHEST_PROTOCOL)
         self._atomic_write(path, payload)
-        self._files.append(path)
         self.bytes_written += len(payload)
         return len(payload)
 
@@ -234,7 +232,6 @@ class RouteStore:
         """
         path = self._path(worker_id, shard_index)
         self._atomic_write(path, payload)
-        self._files.append(path)
         self.bytes_written += len(payload)
 
     def clear_shard_files(self) -> None:
@@ -399,7 +396,6 @@ class RouteStore:
                     os.unlink(os.path.join(self.directory, name))
                 except OSError:
                     pass
-        self._files.clear()
         self.bytes_written = 0
 
     def close(self) -> None:

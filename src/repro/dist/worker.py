@@ -22,12 +22,12 @@ into :class:`~repro.dist.message.PacketEnvelope` batches.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
-from ..bdd.serialize import SerializedBdd, deserialize, packed_size, serialize
+from ..bdd.serialize import SerializedBdd, deserialize, serialize
 from ..config.loader import Snapshot
 from ..dataplane.fib import NextHopResolver, build_fib
 from ..dataplane.forwarding import (
@@ -50,7 +50,7 @@ from .message import (
     PacketEnvelope,
     RouteBatch,
 )
-from .resources import CostModel, WorkerResources
+from .resources import WorkerResources
 from .sharding import PrefixShard
 from .storage import RouteStore, ShardRoutes
 
@@ -104,6 +104,27 @@ class PullOutcome:
 
 class Worker:
     """One S2 worker: a segment's switch models plus the DPV context."""
+
+    #: The remote surface: every method a controller may invoke over the
+    #: wire, with exactly these signatures.  The worker service refuses
+    #: any other name, and the socket proxy's forwarders are generated
+    #: from this table, so a new command is one method plus one entry.
+    COMMANDS = (
+        "ping",
+        # serving
+        "begin_epoch", "rebind_snapshot",
+        # control plane
+        "begin_shard", "compute_exports", "deliver_routes_many",
+        "pull_round", "update_memory", "observed_dependencies",
+        "fault_counters", "flush_shard",
+        # OSPF
+        "has_ospf", "compute_ospf_exports", "pull_ospf_round",
+        "install_ospf_routes", "export_ospf_state", "restore_ospf_state",
+        # data plane
+        "build_dataplane", "set_waypoint_bit", "clear_waypoints",
+        "inject_header", "deliver_packets", "drain", "collect_finals",
+        "reset_dataplane_run", "engine_counters",
+    )
 
     def __init__(
         self,
@@ -282,10 +303,6 @@ class Worker:
         self.epoch = epoch
         return self.epoch
 
-    def epoch_value(self) -> int:
-        """RPC-friendly epoch getter (proxies expose it as ``.epoch``)."""
-        return self.epoch
-
     def _fence_epoch(self, expected: Optional[int]) -> None:
         if expected is not None and self.epoch != expected:
             raise StaleEpochError(
@@ -355,7 +372,7 @@ class Worker:
             found |= node.observed_dependencies
         return found
 
-    def flush_shard(self, store: RouteStore, shard_index: int) -> Tuple[int, int]:
+    def flush_shard(self, store_dir: str, shard_index: int) -> Tuple[int, int]:
         """Finish the shard and persist it (§3.1: write to disk).
 
         Returns ``(bytes written, selected routes)``.  In the socket
@@ -367,7 +384,7 @@ class Worker:
             "worker.flush", category="cpo", shard=shard_index
         ) as span:
             shard_routes = self.finish_shard()
-            written = store.write_shard(
+            written = RouteStore(store_dir).write_shard(
                 self.worker_id, shard_index, shard_routes
             )
             selected = sum(
@@ -587,8 +604,7 @@ class Worker:
 
     def build_dataplane(
         self,
-        store: RouteStore,
-        resolver: NextHopResolver,
+        store_dir: str,
         encoding: HeaderEncoding,
         node_limit: int = 1 << 24,
         bdd_kernel: str = "flat",
@@ -598,6 +614,7 @@ class Worker:
         Figure 10).  Idempotent: a rebuild (after worker recovery) starts
         from a fresh engine and FIB count."""
         self._inject("build_dataplane")
+        resolver = NextHopResolver.from_snapshot(self.snapshot)
         self.encoding = encoding
         self._fib_entries = 0
         self.engine = encoding.make_engine(
@@ -612,7 +629,7 @@ class Worker:
         )
         self._buffer = PacketBuffer(self.engine)
         with self.tracer.span("worker.build_dataplane", category="dpo") as span:
-            merged = store.merged_routes(self.worker_id)
+            merged = RouteStore(store_dir).merged_routes(self.worker_id)
             ops_before = self.engine.ops
             for hostname, node in sorted(self.nodes.items()):
                 with self.engine.batch("bdd.compile", node=hostname):

@@ -7,8 +7,8 @@ that claim as an executable check: run one generated network through
 * the monolithic :class:`~repro.routing.engine.SimulationEngine`
   (the baseline truth),
 * the monolithic engine *with prefix sharding*,
-* the distributed pipeline on the in-process runtimes (sequential and
-  threaded), sharded and unsharded,
+* the distributed pipeline on the in-process runtime, sharded and
+  unsharded,
 * optionally a run under an injected, recoverable fault plan, and
 * optionally the socket runtime (workers behind TCP servers) under a
   sampled *network* fault plan — partitions, torn frames, reorders,
@@ -166,7 +166,6 @@ class CheckPlan:
     shards: int = 3
     scheme: str = "random"
     seed: int = 7                    # partition/shard seed
-    include_threaded: bool = True
     include_faults: bool = False     # recoverable injected faults
     include_host_loss: bool = False  # one permanent worker loss mid-run
     include_socket: bool = False     # TCP workers + network faults (slow)
@@ -176,11 +175,6 @@ class CheckPlan:
     groundtruth_witnesses: int = 2   # packets sampled per verdict
     projection: RouteProjection = field(default_factory=RouteProjection)
     max_divergences: int = 25
-
-    @classmethod
-    def quick(cls) -> "CheckPlan":
-        """The cheap plan the property tests use (in-process only)."""
-        return cls(include_threaded=False)
 
 
 class DifferentialOracle:
@@ -230,12 +224,6 @@ class DifferentialOracle:
             ("dist-seq-sharded", {"kind": "dist", "runtime": "sequential",
                                   "num_shards": plan.shards}),
         ]
-        if plan.include_threaded:
-            variants.append(
-                ("dist-threaded-sharded",
-                 {"kind": "dist", "runtime": "threaded",
-                  "num_shards": plan.shards}),
-            )
         if plan.include_faults:
             variants.append(
                 ("dist-faulty",
@@ -507,7 +495,7 @@ def adjudicate_groundtruth(
     from ..dataplane.verifier import verifier_from_ribs
     from ..groundtruth import audit_verifier
 
-    plan = plan or CheckPlan.quick()
+    plan = plan or CheckPlan()
     oracle = DifferentialOracle(plan)
     projection = plan.projection
     baseline_ribs = oracle._run_monolithic(spec, sharded=False)

@@ -11,8 +11,8 @@ already has:
 
 * the socket runtime piggybacks the frame on the existing per-dispatch
   resource telemetry tuple — no extra round trips, no new connections;
-* in-process runtimes (sequential, threaded) hand the frame straight to
-  a sink callable at phase boundaries.
+* in-process workers (the sequential runtime) hand the frame straight
+  to a sink callable at phase boundaries.
 
 The controller folds frames into its shared ``MetricsRegistry`` as
 ``worker<N>.*`` gauges (rendered as labelled series by the OpenMetrics
@@ -192,8 +192,8 @@ class TelemetrySource:
 class TelemetryCollector:
     """Controller-side fold-in point for frames from every runtime.
 
-    ``ingest()`` is thread-safe (proxy relays run on caller threads; the
-    threaded runtime emits from phase threads) and returns a disposition
+    ``ingest()`` is thread-safe (proxy relays run on the socket
+    runtime's phase threads) and returns a disposition
     string — ``"ok"``, ``"stale"``, ``"gap"`` (accepted, but sequence
     numbers were skipped), or ``"invalid"`` — mostly for tests; callers
     may ignore it.

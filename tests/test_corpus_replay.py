@@ -41,7 +41,7 @@ def test_replay(case):
     # include_groundtruth: the concrete packet-walk adjudicator runs as
     # a third check on every equivalent case (it only fires when the
     # RIB diff is clean, so divergent gadgets skip it naturally).
-    plan = CheckPlan.quick()
+    plan = CheckPlan()
     plan.include_groundtruth = True
     report = DifferentialOracle(plan).check(spec)
     assert report.baseline_error is None, report.describe()
@@ -84,7 +84,7 @@ def test_gadget_adjudication_is_reproducible(case):
     """Recompute the concrete-walk adjudication and check it still
     matches the verdict pinned in the corpus metadata."""
     recorded = case.metadata["groundtruth"]
-    fresh = adjudicate_groundtruth(case.resolve_spec(), CheckPlan.quick())
+    fresh = adjudicate_groundtruth(case.resolve_spec(), CheckPlan())
     assert fresh["sides_with"] == recorded["sides_with"], (
         f"{case.name}: the concrete walk now sides with "
         f"{fresh['sides_with']!r} but the corpus records "

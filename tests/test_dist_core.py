@@ -222,7 +222,9 @@ class TestWorker:
         for round_token in range(50):
             for worker, sidecar in zip(workers, sidecars):
                 for batch in worker.compute_exports(round_token).values():
-                    sidecar.send_routes(batch)
+                    sidecar.queue_routes(batch)
+            for sidecar in sidecars:
+                sidecar.flush_routes()
             changed = False
             for worker in workers:
                 changed |= worker.pull_round(round_token).changed
@@ -241,7 +243,9 @@ class TestWorker:
         for round_token in range(50):
             for worker, sidecar in zip(workers, sidecars):
                 for batch in worker.compute_exports(round_token).values():
-                    sidecar.send_routes(batch)
+                    sidecar.queue_routes(batch)
+            for sidecar in sidecars:
+                sidecar.flush_routes()
             if not any(w.pull_round(round_token).changed for w in workers):
                 break
         before = workers[0].update_memory(enforce=False)
@@ -254,7 +258,8 @@ class TestWorker:
         batch = RouteBatch(
             source_worker=0, target_worker=1, round_token=0, exports={}
         )
-        size = sidecars[0].send_routes(batch)
+        size = sidecars[0].queue_routes(batch)
+        sidecars[0].flush_routes()
         assert size == measured_size(batch)
         assert workers[0].resources.rpc_bytes_sent == size
         assert workers[1].resources.rpc_bytes_sent == 0
@@ -269,7 +274,9 @@ class TestWorker:
         for round_token in range(50):
             for worker, sidecar in zip(workers, sidecars):
                 for batch in worker.compute_exports(round_token).values():
-                    sidecar.send_routes(batch)
+                    sidecar.queue_routes(batch)
+            for sidecar in sidecars:
+                sidecar.flush_routes()
             if not any(w.pull_round(round_token).changed for w in workers):
                 break
         merged = {}

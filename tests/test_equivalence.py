@@ -44,7 +44,7 @@ class TestControlPlaneEquivalence:
         )
         assert got == normalize_ribs(expected)
 
-    @pytest.mark.parametrize("runtime", ["sequential", "threaded"])
+    @pytest.mark.parametrize("runtime", ["sequential", "socket"])
     def test_dcn_runtimes(self, dcn1, dcn1_sim, runtime):
         _, expected = dcn1_sim
         got = s2_ribs(dcn1, num_workers=4, num_shards=6, runtime=runtime)

@@ -31,7 +31,7 @@ from tests.conftest import normalize_ribs
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
-RUNTIMES = ["sequential", "threaded", "socket"]
+RUNTIMES = ["sequential", "socket"]
 # One crash per pipeline stage: BGP phase A, BGP phase B, the shard
 # flush, the data-plane build, and the forwarding superstep.
 CRASH_SITES = [

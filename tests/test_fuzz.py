@@ -176,7 +176,7 @@ class TestGeneratorSafetyInvariants:
 
 class TestOracleSensitivity:
     def test_flags_known_oscillation_gadget(self):
-        report = DifferentialOracle(CheckPlan.quick()).check(
+        report = DifferentialOracle(CheckPlan()).check(
             med_oscillation_spec()
         )
         assert not report.ok
@@ -187,7 +187,7 @@ class TestOracleSensitivity:
         )
 
     def test_clean_seed_passes(self):
-        report = DifferentialOracle(CheckPlan.quick()).check(
+        report = DifferentialOracle(CheckPlan()).check(
             generate_spec(0)
         )
         assert report.ok
@@ -222,7 +222,7 @@ class TestOracleSensitivity:
         base = BgpRoute(
             prefix=prefix, next_hop=1, from_node="r1", as_path=(3001,)
         )
-        oracle = DifferentialOracle(CheckPlan.quick())
+        oracle = DifferentialOracle(CheckPlan())
         projection = oracle.plan.projection
         divs = oracle._diff(
             "variant-x",
@@ -338,7 +338,6 @@ class TestFuzzCli:
                 "3",
                 "--seed",
                 "0",
-                "--no-threaded",
                 "--profile",
                 "smoke",
             ]
@@ -363,7 +362,6 @@ class TestFuzzCli:
                 "fuzz",
                 "--iterations",
                 "1",
-                "--no-threaded",
                 "--shrink",
                 "--corpus-dir",
                 str(tmp_path),

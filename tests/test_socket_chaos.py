@@ -29,11 +29,7 @@ EQUIVALENT_CASES = [
 
 
 def _chaos_plan(fault_seed: int) -> CheckPlan:
-    return CheckPlan(
-        include_threaded=False,
-        include_socket=True,
-        fault_seed=fault_seed,
-    )
+    return CheckPlan(include_socket=True, fault_seed=fault_seed)
 
 
 def test_sampled_network_plans_cover_the_kinds():

@@ -19,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, S2Options, S2Verifier
+from repro.bdd.engine import TRUE
 from repro.dist.controller import S2Controller
 from repro.dist.partition import partition
 from repro.dist.resources import CostModel
@@ -30,6 +31,8 @@ from repro.dist.socket_runtime import (
     service_handler,
 )
 from repro.dist.transport import RpcChannel, RpcServer
+from repro.dist.worker import Worker
+from repro.obs.report import load_spans
 
 from tests.conftest import normalize_ribs
 
@@ -186,7 +189,7 @@ def test_pool_lifecycle(fattree4):
     try:
         for proxy in pool.proxies:
             proxy.begin_shard(None)
-            assert proxy.pending_packets == 0
+            assert proxy.engine_counters() == {}  # no data plane yet
     finally:
         pool.close()
     assert not any(proxy._process.is_alive() for proxy in pool.proxies)
@@ -269,12 +272,98 @@ def test_connect_mode_respawn_is_a_reconfigure(fattree4):
         listener.close()
 
 
+@pytest.mark.parametrize(
+    "command, args",
+    [("_inject", ("drain",)), ("reset", ()), ("no_such_command", ())],
+    ids=["private", "local-only", "unknown"],
+)
+def test_service_refuses_names_outside_the_command_table(
+    fattree4, command, args
+):
+    """Only ``Worker.COMMANDS`` cross the wire: any other name comes back
+    as a relayed error naming it, and the worker is left untouched."""
+    assert command not in Worker.COMMANDS
+    listener = _Listener()
+    channel = RpcChannel((listener.server.host, listener.server.port))
+    try:
+        assignment = {name: 0 for name in fattree4.configs}
+        channel.call(
+            "__configure__",
+            (0, fattree4, assignment, 1 << 62, CostModel(), 24),
+            internal=True,
+        )
+        assert channel.call("begin_epoch", (5,))[0] == "ok"
+        worker = listener.service.worker
+        status, (_name, message, _trace) = channel.call(command, args)
+        assert status == "exc"
+        assert repr(command) in message
+        assert listener.service.worker is worker
+        assert worker.epoch == 5  # a reset would have put it back to -1
+    finally:
+        channel.close()
+        listener.close()
+
+
 def test_connect_mode_requires_enough_hosts(fattree4):
     with pytest.raises(ValueError, match="worker hosts"):
         S2Controller(
             fattree4,
             _options(num_workers=3, worker_hosts=["127.0.0.1:1"]),
         )
+
+
+# -- traced query pool ---------------------------------------------------------
+
+QUERY_SOURCES = ("edge-0-0", "edge-1-1", "edge-3-0")
+
+
+def _query_pool(snapshot, runtime, trace_dir=None):
+    """Control plane, data plane, then one forward per source; returns
+    the DPO's superstep/crossing/final counts and the shard count."""
+    options = _options(runtime=runtime, trace_dir=trace_dir)
+    with S2Controller(snapshot, options) as controller:
+        controller.build_data_plane()
+        for source in QUERY_SOURCES:
+            controller.dpo.forward([source], TRUE)
+        stats = controller.dpo.stats
+        counts = (stats.supersteps, stats.packets_crossed, stats.finals)
+        return counts, controller.cpo.stats.shards_run
+
+
+@pytest.fixture(scope="module")
+def traced_socket_pool(fattree4, tmp_path_factory):
+    trace_dir = str(tmp_path_factory.mktemp("pool") / "shards")
+    counts, shards = _query_pool(fattree4, "socket", trace_dir)
+    return counts, shards, load_spans(trace_dir)
+
+
+def test_query_pool_issues_no_pending_packets_probe(fattree4,
+                                                    traced_socket_pool):
+    counts, _shards, spans = traced_socket_pool
+    names = {span["name"] for span in spans}
+    assert "rpc.drain" in names
+    assert "rpc.pending_packets" not in names
+    assert counts == _query_pool(fattree4, "sequential")[0]
+
+
+def test_socket_workers_trace_their_flushes(traced_socket_pool):
+    """Socket workers run ``Worker.flush_shard`` itself: one
+    ``worker.flush`` span per (worker, flush) on the worker tracks."""
+    _counts, shards, spans = traced_socket_pool
+    flushes = sorted(
+        (span["proc"], span["attrs"]["shard"])
+        for span in spans
+        if span["name"] == "worker.flush"
+    )
+    flushed = sorted(
+        span["attrs"]["shard"] for span in spans if span["name"] == "cpo.flush"
+    )
+    assert len(flushed) == shards == 2
+    assert flushes == sorted(
+        (f"worker{worker}", shard)
+        for worker in range(3)
+        for shard in flushed
+    )
 
 
 # -- the worker command end to end ------------------------------------------
@@ -404,5 +493,6 @@ def test_cli_worker_hosts_requires_socket_runtime(capsys):
 
 
 def test_unknown_runtime_is_rejected():
-    with pytest.raises(ValueError, match="unknown runtime 'process'"):
-        S2Options(runtime="process")
+    for runtime in ("process", "threaded"):
+        with pytest.raises(ValueError, match=f"unknown runtime '{runtime}'"):
+            S2Options(runtime=runtime)
