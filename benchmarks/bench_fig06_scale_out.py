@@ -2,6 +2,14 @@
 
 Paper shape to reproduce: running time and per-worker peak memory fall
 steeply up to ~8 workers, then flatten (§5.5).
+
+The time half is asserted as a count: the busiest worker's route updates
+(``max-work``), which bound a round when every worker has its own cores.
+It falls steeply up to 8 workers and never rises past them; it does not
+flatten, because it leaves out the per-worker communication the paper's
+flattening comes from.  The wall column is measured on one machine with
+the workers run in one process, so it rises with the worker count
+instead of falling; EXPERIMENTS.md reports it as is.
 """
 
 from conftest import emit
@@ -17,18 +25,19 @@ def test_fig06_scale_out(benchmark):
         iterations=1,
     )
     table = format_table(
-        ROW_HEADERS,
-        [r.as_cells() for r in rows],
+        ROW_HEADERS + ["max-work"],
+        [r.as_cells() + [r.extra["max_route_work"]] for r in rows],
         title="Figure 6 — scale-out on the FatTree60 analogue (k=8)",
     )
     emit("fig06", table, rows)
     assert all(r.status == "ok" for r in rows)
     by_workers = dict(zip(WORKER_COUNTS, rows))
-    # steep improvement up to 8 workers...
-    assert by_workers[8].modeled_time < by_workers[1].modeled_time * 0.6
+    work = {w: row.extra["max_route_work"] for w, row in by_workers.items()}
+    # steep improvement up to 8 workers, in work and in per-worker memory...
+    assert work[8] < work[1] * 0.6
     assert by_workers[8].peak_memory < by_workers[1].peak_memory * 0.7
-    # ...then flat: 16 workers gains little over 8 (within 25%)
-    assert by_workers[16].modeled_time < by_workers[8].modeled_time * 1.25
+    # ...and 16 workers are no worse than 8 (within 25%)
+    assert work[16] < work[8] * 1.25
     # memory decreases monotonically with the worker count
     peaks = [by_workers[w].peak_memory for w in WORKER_COUNTS]
     assert peaks == sorted(peaks, reverse=True)

@@ -37,7 +37,11 @@ with S2Verifier(snapshot, options) as verifier:
           f"{answer.holds('edge-0-0', 'edge-3-1')}")
 
     report = verifier.controller.report()
-    print(f"\nper-worker peak memory: {report.peak_worker_bytes / 1e6:.1f} MB "
+    dp = result.dp_stats
+    print(f"\nmeasured wall: control plane "
+          f"{result.cp_stats.measured_seconds:.2f}s, predicates "
+          f"{dp.predicate_seconds:.2f}s, forwarding {dp.forward_seconds:.2f}s")
+    print(f"per-worker peak memory: {report.peak_worker_bytes / 1e6:.1f} MB "
           f"(modeled), cross-worker traffic: "
           f"{report.total_rpc_bytes / 1e3:.0f} KB in "
           f"{report.total_rpc_messages} messages")

@@ -3,7 +3,7 @@
 
 A compact version of the paper's §5.5–§5.7 methodology that operators can
 point at their own snapshot: sweep worker counts and shard counts, report
-modeled time / per-worker peak memory, and recommend a configuration.
+measured wall time / per-worker peak memory, and recommend a configuration.
 
 Run:  python examples/scale_out_study.py [k]
 """
@@ -12,6 +12,7 @@ import sys
 
 from repro import S2Options
 from repro.core.s2 import verify_snapshot
+from repro.dist.resources import UNLIMITED_CAPACITY
 from repro.harness.reporting import format_table
 from repro.net.fattree import build_fattree
 
@@ -25,14 +26,13 @@ def sweep(k: int):
                 S2Options(
                     num_workers=workers,
                     num_shards=shards,
-                    worker_capacity=1 << 62,
+                    worker_capacity=UNLIMITED_CAPACITY,
                 ),
             )
             rows.append(
                 {
                     "workers": workers,
                     "shards": shards or 1,
-                    "modeled": result.modeled_time,
                     "peak": result.peak_worker_bytes,
                     "wall": result.wall_seconds,
                 }
@@ -48,12 +48,11 @@ def main():
     rows = sweep(k)
     print(
         format_table(
-            ["workers", "shards", "modeled-time", "peak-mem(MB)", "wall-s"],
+            ["workers", "shards", "peak-mem(MB)", "wall-s"],
             [
                 [
                     r["workers"],
                     r["shards"],
-                    round(r["modeled"]),
                     round(r["peak"] / (1 << 20), 2),
                     round(r["wall"], 2),
                 ]
@@ -62,9 +61,9 @@ def main():
             title="scale-out sweep",
         )
     )
-    # recommend: the cheapest configuration within 10% of the best time
-    best_time = min(r["modeled"] for r in rows)
-    affordable = [r for r in rows if r["modeled"] <= best_time * 1.1]
+    # recommend: the cheapest configuration within 10% of the best wall time
+    best_time = min(r["wall"] for r in rows)
+    affordable = [r for r in rows if r["wall"] <= best_time * 1.1]
     pick = min(affordable, key=lambda r: (r["workers"], r["peak"]))
     print(
         f"\nrecommendation: {pick['workers']} workers, "

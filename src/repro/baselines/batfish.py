@@ -22,11 +22,7 @@ from ..bdd.headerspace import HeaderEncoding
 from ..config.loader import Snapshot
 from ..dataplane.queries import PropertyChecker, Query, ReachabilityResult
 from ..dataplane.verifier import DataPlaneVerifier
-from ..dist.resources import (
-    DEFAULT_WORKER_CAPACITY,
-    CostModel,
-    WorkerResources,
-)
+from ..dist.resources import DEFAULT_WORKER_CAPACITY, WorkerResources
 from ..dist.sharding import PrefixShard, make_shards
 from ..net.ip import Prefix
 from ..routing.engine import BgpResult, SimulationEngine
@@ -34,21 +30,17 @@ from ..routing.engine import BgpResult, SimulationEngine
 
 @dataclass
 class BatfishStats:
+    """Measured wall seconds and BDD operations per phase (Figure 10
+    splits the data plane into predicate computation and symbolic
+    forwarding)."""
+
     bgp_rounds: int = 0
     shards_run: int = 0
-    cp_modeled_time: float = 0.0
-    dp_predicate_modeled_time: float = 0.0
-    dp_forward_modeled_time: float = 0.0
     cp_seconds: float = 0.0
-    dp_seconds: float = 0.0
-
-    @property
-    def modeled_total(self) -> float:
-        return (
-            self.cp_modeled_time
-            + self.dp_predicate_modeled_time
-            + self.dp_forward_modeled_time
-        )
+    dp_predicate_seconds: float = 0.0
+    dp_forward_seconds: float = 0.0
+    dp_predicate_ops: int = 0
+    dp_forward_ops: int = 0
 
 
 class BatfishVerifier:
@@ -59,12 +51,10 @@ class BatfishVerifier:
         snapshot: Snapshot,
         num_shards: int = 0,
         capacity: int = DEFAULT_WORKER_CAPACITY,
-        cost_model: Optional[CostModel] = None,
         encoding: Optional[HeaderEncoding] = None,
         node_limit: int = 1 << 24,
         max_rounds: int = 200,
         max_hops: int = 24,
-        enforce_memory: bool = True,
         seed: int = 7,
     ) -> None:
         self.snapshot = snapshot
@@ -72,11 +62,7 @@ class BatfishVerifier:
         self.encoding = encoding or HeaderEncoding()
         self.node_limit = node_limit
         self.max_hops = max_hops
-        self.resources = WorkerResources(
-            name="batfish",
-            capacity=capacity if enforce_memory else (1 << 62),
-            model=cost_model or CostModel(),
-        )
+        self.resources = WorkerResources(name="batfish", capacity=capacity)
         self.resources.node_count = len(snapshot.configs)
         self.engine = SimulationEngine(snapshot, max_rounds=max_rounds)
         self.stats = BatfishStats()
@@ -103,11 +89,6 @@ class BatfishVerifier:
             result = self._run_shard(prefixes)
             for hostname, routes in result.items():
                 merged[hostname].update(routes)
-            if shard is not None:
-                self.resources.charge_shard_overhead()
-                self.stats.cp_modeled_time += (
-                    self.resources.model.shard_overhead
-                )
             self.stats.shards_run += 1
         self.stats.cp_seconds = time.perf_counter() - started
         self._routes = merged
@@ -126,9 +107,6 @@ class BatfishVerifier:
                 node.route_count() for node in engine.nodes.values()
             )
             self.resources.update_memory(candidates, bdd_nodes=0)
-            self.stats.cp_modeled_time += self.resources.charge_route_round(
-                candidates
-            )
             self.stats.bgp_rounds += 1
             if not changed:
                 break
@@ -154,16 +132,16 @@ class BatfishVerifier:
         )
         ops_before = dpv.engine.ops
         dpv.compile_predicates()
+        ops = dpv.engine.ops - ops_before
+        self.stats.dp_predicate_ops += ops
+        self.resources.bdd_ops += ops
         # The DP phase holds compiled FIBs and the BDD table; the RIB
         # candidates were flushed when the control plane finished.
         self._fib_entries = sum(len(fib) for fib in dpv.fibs.values())
         self.resources.update_memory(
             0, dpv.engine.node_count, fib_entries=self._fib_entries
         )
-        self.stats.dp_predicate_modeled_time += self.resources.charge_bdd_ops(
-            dpv.engine.ops - ops_before
-        )
-        self.stats.dp_seconds += time.perf_counter() - started
+        self.stats.dp_predicate_seconds += time.perf_counter() - started
         self._dpv = dpv
         return dpv
 
@@ -181,13 +159,13 @@ class BatfishVerifier:
         started = time.perf_counter()
         ops_before = dpv.engine.ops
         finals = dpv.forward(sources, header_bdd, trace)
+        ops = dpv.engine.ops - ops_before
+        self.stats.dp_forward_ops += ops
+        self.resources.bdd_ops += ops
         self.resources.update_memory(
             0, dpv.engine.node_count, fib_entries=self._fib_entries
         )
-        self.stats.dp_forward_modeled_time += self.resources.charge_bdd_ops(
-            dpv.engine.ops - ops_before
-        )
-        self.stats.dp_seconds += time.perf_counter() - started
+        self.stats.dp_forward_seconds += time.perf_counter() - started
         return finals
 
     # -- convenience --------------------------------------------------------------

@@ -13,12 +13,12 @@ the quotient has exactly six nodes (the paper's footnote 3):
 6. an edge switch in that different pod.
 
 To check all-pair reachability, the verifier compresses per destination
-prefix and simulates each compressed instance (in parallel across the
-logical server's cores).  This reproduces the Figure 5 profile: memory
-stays flat (every instance is 6 nodes) but total compute grows with the
-destination count × the per-destination compression cost (which scans the
-whole topology), so Bonsai outscales Batfish yet times out on hyper-scale
-FatTrees — it is compute-bound, not memory-bound.
+prefix and simulates each compressed instance.  This reproduces the
+Figure 5 profile: memory stays flat (every instance is 6 nodes) but total
+work grows with the destination count × the per-destination compression
+work (which scans the whole topology), so Bonsai outscales Batfish yet
+times out on hyper-scale FatTrees — it is compute-bound, not
+memory-bound.
 
 Like the paper's setup, the compression step here is FatTree-specific
 (a wildcard destination defeats it, which is why the paper runs Bonsai
@@ -31,26 +31,24 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..config.loader import Snapshot, make_snapshot, parse_device
-from ..dist.resources import (
-    DEFAULT_WORKER_CAPACITY,
-    CostModel,
-    WorkerResources,
-)
+from ..dist.resources import DEFAULT_WORKER_CAPACITY, WorkerResources
 from ..net.ip import Prefix, format_ip
 from ..obs.tracer import stopwatch
 from ..routing.engine import SimulationEngine
 
 
-#: Modeled cost multiplier of computing one destination's abstraction.
+#: Work units of compressing one destination, per topology element.
 #: Bonsai's compression interprets the full configuration of every device
 #: (BDD-based abstract interpretation), far costlier per topology element
-#: than one route-exchange step; this constant puts its per-destination
-#: cost on the same scale as the other verifiers' modeled units.
-COMPRESSION_COST_FACTOR = 300.0
+#: than one route-exchange step (one work unit of the simulation engine).
+COMPRESSION_COST_FACTOR = 300
 
 
 class BonsaiTimeout(RuntimeError):
-    """The modeled verification time exceeded the budget (§5.4)."""
+    """The verification work exceeded the budget (§5.4's time-out).
+
+    The budget is a deterministic work count, so whether a run times out
+    never depends on the speed of the machine it runs on."""
 
 
 class CompressionError(RuntimeError):
@@ -60,13 +58,13 @@ class CompressionError(RuntimeError):
 @dataclass
 class BonsaiStats:
     destinations_checked: int = 0
-    compression_modeled_time: float = 0.0
-    simulation_modeled_time: float = 0.0
+    compression_work: int = 0     # topology elements x the cost factor
+    simulation_work: int = 0      # the quotient engines' work units
     measured_seconds: float = 0.0
 
     @property
-    def modeled_total(self) -> float:
-        return self.compression_modeled_time + self.simulation_modeled_time
+    def total_work(self) -> int:
+        return self.compression_work + self.simulation_work
 
 
 @dataclass(frozen=True)
@@ -98,20 +96,15 @@ class BonsaiVerifier:
         self,
         snapshot: Snapshot,
         capacity: int = DEFAULT_WORKER_CAPACITY,
-        cost_model: Optional[CostModel] = None,
-        time_budget: Optional[float] = None,
+        work_budget: Optional[int] = None,
     ) -> None:
         if snapshot.metadata.get("kind") != "fattree":
             raise CompressionError(
                 "the 6-node quotient requires a synthesized FatTree"
             )
         self.snapshot = snapshot
-        self.resources = WorkerResources(
-            name="bonsai",
-            capacity=capacity,
-            model=cost_model or CostModel(),
-        )
-        self.time_budget = time_budget
+        self.resources = WorkerResources(name="bonsai", capacity=capacity)
+        self.work_budget = work_budget
         self.stats = BonsaiStats()
         self._topology_size = len(snapshot.configs) + sum(
             1 for _ in snapshot.topology.links()
@@ -132,9 +125,9 @@ class BonsaiVerifier:
     def compress(self, dest_edge: str) -> QuotientClasses:
         """Select the six representatives for ``dest_edge``.
 
-        This walks the real topology metadata — the modeled compression
-        *cost* charged per destination is proportional to the concrete
-        topology size, which is what makes Bonsai compute-bound at scale.
+        This walks the real topology metadata — the compression *work*
+        counted per destination is proportional to the concrete topology
+        size, which is what makes Bonsai compute-bound at scale.
         """
         topology = self.snapshot.topology
         dest = topology.node(dest_edge)
@@ -253,36 +246,27 @@ class BonsaiVerifier:
         reach the destination prefix.  Returns True when reachable."""
         clock = stopwatch()
         classes = self.compress(dest_edge)
-        # Model: the abstraction pass interprets the concrete topology once.
-        compression_cost = (
-            self._topology_size
-            * COMPRESSION_COST_FACTOR
-            / self.resources.model.cores_per_worker
+        # The abstraction pass interprets the concrete topology once.
+        self.stats.compression_work += (
+            self._topology_size * COMPRESSION_COST_FACTOR
         )
-        self.stats.compression_modeled_time += compression_cost
         quotient = self.build_quotient(classes, prefix)
         engine = SimulationEngine(quotient)
         routes = engine.run()
-        simulation_cost = (
-            engine.stats.work_units
-            * self.resources.model.route_update_cost
-            / self.resources.model.cores_per_worker
-        )
-        self.stats.simulation_modeled_time += simulation_cost
+        self.stats.simulation_work += engine.stats.work_units
         self.resources.update_memory(
             candidate_routes=engine.stats.peak_candidate_routes,
             bdd_nodes=0,
         )
-        self.resources.modeled_time += compression_cost + simulation_cost
         self.stats.destinations_checked += 1
         self.stats.measured_seconds += clock.seconds
         if (
-            self.time_budget is not None
-            and self.stats.modeled_total > self.time_budget
+            self.work_budget is not None
+            and self.stats.total_work > self.work_budget
         ):
             raise BonsaiTimeout(
-                f"modeled time {self.stats.modeled_total:.0f} exceeded "
-                f"budget {self.time_budget:.0f} after "
+                f"work {self.stats.total_work} exceeded "
+                f"budget {self.work_budget} after "
                 f"{self.stats.destinations_checked} destinations"
             )
         # Reachable iff every non-destination abstract node selected a

@@ -36,6 +36,7 @@ from .core.s2 import S2Verifier
 from .dataplane.queries import Query
 from .dist.controller import RUNTIMES, S2Options
 from .dist.partition import SCHEMES, estimate_loads, partition
+from .dist.resources import DEFAULT_WORKER_CAPACITY, UNLIMITED_CAPACITY
 from .dist.sharding import build_dpdg, make_shards
 from .harness.reporting import format_table
 from .net.ip import Prefix
@@ -117,7 +118,11 @@ def cmd_verify(args) -> int:
         num_workers=args.workers,
         num_shards=args.shards,
         partition_scheme=args.scheme,
-        enforce_memory=not args.no_memory_limit,
+        worker_capacity=(
+            UNLIMITED_CAPACITY
+            if args.no_memory_limit
+            else DEFAULT_WORKER_CAPACITY
+        ),
         runtime=args.runtime,
         worker_hosts=worker_hosts,
         store_dir=args.store_dir,
@@ -187,7 +192,6 @@ def cmd_verify(args) -> int:
                     w.name,
                     w.node_count,
                     f"{w.peak_bytes / (1 << 20):.2f}MB",
-                    round(w.modeled_time),
                     f"{w.rpc_bytes_sent / 1e3:.0f}KB",
                 ]
                 for w in result.report.workers
@@ -195,7 +199,7 @@ def cmd_verify(args) -> int:
             print()
             print(
                 format_table(
-                    ["worker", "nodes", "peak-mem", "modeled-time", "rpc"],
+                    ["worker", "nodes", "peak-mem", "rpc"],
                     rows,
                 )
             )

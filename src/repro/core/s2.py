@@ -49,7 +49,6 @@ class VerificationResult:
     num_workers: int
     num_shards: int
     wall_seconds: float = 0.0
-    modeled_time: float = 0.0
     peak_worker_bytes: int = 0
     total_routes: int = 0
     error: Optional[str] = None
@@ -76,8 +75,7 @@ class VerificationResult:
             f"{self.checked_pairs} pairs reachable, "
             f"{self.total_routes} routes, "
             f"peak {self.peak_worker_bytes / 1e6:.1f} MB/worker, "
-            f"{self.wall_seconds:.2f}s wall "
-            f"({self.modeled_time:.0f} modeled units)"
+            f"{self.wall_seconds:.2f}s wall"
         )
 
 
@@ -190,11 +188,6 @@ class S2Verifier:
         result.wall_seconds = clock.seconds
         result.report = self.controller.report()
         result.peak_worker_bytes = result.report.peak_worker_bytes
-        cp_modeled = (
-            result.cp_stats.modeled_wall_time if result.cp_stats else 0.0
-        )
-        dp_modeled = result.dp_stats.modeled_total if result.dp_stats else 0.0
-        result.modeled_time = cp_modeled + dp_modeled
         return result
 
 

@@ -23,8 +23,8 @@ from .message import PacketBatch, PacketEnvelope, RouteBatch, measured_size  # n
 from .partition import SCHEMES, PartitionResult, estimate_loads, partition  # noqa: F401
 from .resources import (  # noqa: F401
     DEFAULT_WORKER_CAPACITY,
+    UNLIMITED_CAPACITY,
     ClusterReport,
-    CostModel,
     SimulatedOOM,
     WorkerResources,
 )

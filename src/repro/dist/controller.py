@@ -57,7 +57,6 @@ from .partition import (
 from .resources import (
     DEFAULT_WORKER_CAPACITY,
     ClusterReport,
-    CostModel,
     WorkerResources,
 )
 from .runtime import Runtime, SequentialRuntime, ThreadedRuntime
@@ -81,8 +80,8 @@ class S2Options:
     num_workers: int = 4
     partition_scheme: str = "metis"
     num_shards: int = 0                  # 0 disables prefix sharding
-    worker_capacity: int = DEFAULT_WORKER_CAPACITY
-    cost_model: CostModel = field(default_factory=CostModel)
+    worker_capacity: int = DEFAULT_WORKER_CAPACITY  # UNLIMITED_CAPACITY
+    #                                  accounts memory without enforcing it
     encoding: HeaderEncoding = field(default_factory=HeaderEncoding)
     node_limit: int = 1 << 22            # per-worker BDD table capacity
     controller_node_limit: int = 1 << 24
@@ -99,7 +98,6 @@ class S2Options:
     #                                  of forking local workers
     seed: int = 7
     store_dir: Optional[str] = None
-    enforce_memory: bool = True
     refine_shards: bool = False      # §7 runtime dependency refinement
     # -- fault tolerance -------------------------------------------------
     fault_plan: Optional[FaultPlan] = None
@@ -389,7 +387,6 @@ class S2Controller:
             seed=opts.seed,
         )
         self.store = RouteStore(opts.store_dir)
-        capacity = opts.worker_capacity if opts.enforce_memory else (1 << 62)
         # -- observability -------------------------------------------------
         # Tracing is on iff an output was requested; shards always live in
         # a directory (derived from trace_out when none was given) so the
@@ -428,8 +425,7 @@ class S2Controller:
                 snapshot=snapshot,
                 assignment=self.partition.assignment,
                 num_workers=opts.num_workers,
-                capacity=capacity,
-                cost_model=opts.cost_model,
+                capacity=opts.worker_capacity,
                 max_hops=opts.max_hops,
                 retry_policy=opts.retry_policy,
                 fault_plan=opts.fault_plan,
@@ -463,9 +459,7 @@ class S2Controller:
                     snapshot=snapshot,
                     assignment=self.partition.assignment,
                     resources=WorkerResources(
-                        name=f"worker{i}",
-                        capacity=capacity,
-                        model=opts.cost_model,
+                        name=f"worker{i}", capacity=opts.worker_capacity
                     ),
                     max_hops=opts.max_hops,
                     tracer=(
@@ -1196,7 +1190,6 @@ class S2Controller:
                 "bdd_ops": r.bdd_ops,
                 "rpc_bytes_sent": r.rpc_bytes_sent,
                 "rpc_messages_sent": r.rpc_messages_sent,
-                "modeled_time": r.modeled_time,
                 "retries": r.retries,
                 "respawns": r.respawns,
                 "oom": r.oom,

@@ -45,7 +45,6 @@ class ControlPlaneStats:
     ospf_rounds: int = 0
     shards_run: int = 0
     shards_merged: int = 0  # §7 refinement: shards absorbed into reruns
-    modeled_wall_time: float = 0.0
     measured_seconds: float = 0.0
     route_flush_bytes: int = 0
     peak_candidate_routes: int = 0  # summed over workers, any instant
@@ -125,11 +124,6 @@ class ControlPlaneOrchestrator:
         self.sidecars = list(sidecars)
 
     # -- helpers ------------------------------------------------------------
-
-    def _modeled_barrier(self, deltas: List[float]) -> None:
-        """Advance the modeled wall clock by the slowest worker's phase."""
-        if deltas:
-            self.stats.modeled_wall_time += max(deltas)
 
     def _recover(self, failure: WorkerFailure) -> None:
         """Hand a worker failure to the supervisor (or give up)."""
@@ -301,7 +295,6 @@ class ControlPlaneOrchestrator:
         for round_token in range(self.max_rounds):
             if self.fault_plan is not None:
                 self.fault_plan.set_context(round_token=round_token)
-            clocks_before = [w.resources.modeled_time for w in self.workers]
             with self.tracer.span(
                 "cpo.round", category="cpo", shard=shard_index,
                 round=round_token,
@@ -329,8 +322,7 @@ class ControlPlaneOrchestrator:
             last_outcomes.extend(outcomes)
             candidate_total = 0
             for worker, outcome in zip(self.workers, outcomes):
-                worker.update_memory()
-                worker.resources.charge_route_round(outcome.updates_processed)
+                worker.resources.route_work += outcome.updates_processed
                 candidate_total += outcome.candidate_routes
                 self.stats.exports_reused += outcome.exports_reused
                 self.stats.imports_skipped += outcome.imports_skipped
@@ -342,14 +334,6 @@ class ControlPlaneOrchestrator:
                 self.metrics.gauge("cpo.candidate_routes").set(
                     candidate_total
                 )
-            # The round ends at a barrier: the slowest worker (route work
-            # plus its share of RPC) bounds the modeled wall clock.
-            self._modeled_barrier(
-                [
-                    w.resources.modeled_time - before
-                    for w, before in zip(self.workers, clocks_before)
-                ]
-            )
             self.stats.bgp_rounds += 1
             dropped = (
                 self.fault_plan.consume_drops()
@@ -392,17 +376,14 @@ class ControlPlaneOrchestrator:
                     for w in self.workers
                 ]
             )
-            flush_deltas = []
             flushed_bytes = 0
-            for worker, (written, selected) in zip(self.workers, results):
+            for written, selected in results:
                 self.stats.route_flush_bytes += written
                 flushed_bytes += written
                 self.stats.total_selected_routes += selected
-                flush_deltas.append(worker.resources.charge_shard_overhead())
             span.set(bytes=flushed_bytes)
         if self.metrics is not None:
             self.metrics.counter("cpo.flush_bytes").inc(flushed_bytes)
-        self._modeled_barrier(flush_deltas)
         self.stats.shards_run += 1
 
     # -- checkpoint/resume ----------------------------------------------------

@@ -8,10 +8,14 @@ crossing a segment boundary are serialized, shipped by the sidecars, and
 re-encoded into the receiving worker's engine.  Finals are collected back
 into the controller's engine for property checking.
 
-The per-step modeled time is the *maximum* of the workers' BDD-operation
-counts: operations on one engine serialize against its node table, but
-engines on different workers proceed in parallel — the §4.3 parallelism
-argument, and the source of Figure 10's speedups.
+Both phases are timed with the wall clock (``predicate_seconds`` and
+``forward_seconds``, Figure 10's two phases); every worker's BDD
+operations are also counted.  Per phase, the busiest worker's operations
+(``*_busiest_ops``) are the §4.3 parallelism argument as a count: engines
+on different workers proceed in parallel, so a step lasts as long as its
+busiest worker's share.  Unlike the clock, the counts do not depend on
+the machine; they move by a few percent with Python's string-hash seed,
+which reorders set iteration and so the BDD operation caches' hits.
 """
 
 from __future__ import annotations
@@ -35,10 +39,13 @@ from .worker import Worker
 
 @dataclass
 class DataPlaneStats:
-    predicate_modeled_time: float = 0.0
-    forward_modeled_time: float = 0.0
     predicate_seconds: float = 0.0
     forward_seconds: float = 0.0
+    # BDD operations on the critical path: the busiest worker's ops in a
+    # build, and in each superstep (a superstep ends with its busiest
+    # worker), summed.  Workers on their own cores run the rest alongside.
+    predicate_busiest_ops: int = 0
+    forward_busiest_ops: int = 0
     supersteps: int = 0
     packets_crossed: int = 0
     finals: int = 0
@@ -51,10 +58,6 @@ class DataPlaneStats:
     # -- fault tolerance -------------------------------------------------
     worker_failures: int = 0   # WorkerFailures seen during build/forward
     query_replays: int = 0     # queries rerun after a worker recovery
-
-    @property
-    def modeled_total(self) -> float:
-        return self.predicate_modeled_time + self.forward_modeled_time
 
 
 class DataPlaneOrchestrator:
@@ -171,11 +174,9 @@ class DataPlaneOrchestrator:
                     for w in self.workers
                 ]
             )
-            deltas = []
             for worker, ops in zip(self.workers, ops_list):
-                deltas.append(worker.resources.charge_bdd_ops(ops))
-            if deltas:
-                self.stats.predicate_modeled_time += max(deltas)
+                worker.resources.bdd_ops += ops
+            self.stats.predicate_busiest_ops += max(ops_list, default=0)
             span.set(bdd_ops=sum(ops_list))
         self.stats.predicate_seconds += clock.seconds
         self._built = True
@@ -233,9 +234,6 @@ class DataPlaneOrchestrator:
                 worker.inject_header(source_list, payload, trace)
             superstep = 0
             while True:
-                clocks_before = [
-                    w.resources.modeled_time for w in self.workers
-                ]
                 with self.tracer.span(
                     "dpo.superstep", category="dpo", step=superstep
                 ) as step_span:
@@ -247,20 +245,17 @@ class DataPlaneOrchestrator:
                     for worker, sidecar, (_, batches, ops) in zip(
                         self.workers, self.sidecars, results
                     ):
-                        worker.resources.charge_bdd_ops(ops)
+                        worker.resources.bdd_ops += ops
                         for batch in batches.values():
                             crossed += len(batch.envelopes)
                             sidecar.send_packets(batch)
                             batch_count += 1
+                    self.stats.forward_busiest_ops += max(
+                        (ops for _, _, ops in results), default=0
+                    )
                     step_span.set(batches=batch_count, crossed=crossed)
                 self.stats.packets_crossed += crossed
                 superstep += 1
-                deltas = [
-                    w.resources.modeled_time - before
-                    for w, before in zip(self.workers, clocks_before)
-                ]
-                if deltas:
-                    self.stats.forward_modeled_time += max(deltas)
                 self.stats.supersteps += 1
                 if self.metrics is not None:
                     self.metrics.counter("dpo.supersteps").inc()

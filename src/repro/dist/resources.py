@@ -1,20 +1,17 @@
-"""Worker resource model: memory accounting and the wall-clock model.
+"""Worker resource model: memory accounting and work counters.
 
-The paper's headline results are resource phenomena: vanilla Batfish OOMs
-at FatTree50 under a 100 GB ceiling, prefix sharding trades rounds for
-peak memory, and per-worker time falls with the worker count until ~8
-workers (Figures 4–9).  Those effects are arithmetic over route counts,
-BDD sizes, capacities, and core counts — so we model them explicitly and
-*measure* the inputs (candidate routes held, BDD operations performed,
-bytes serialized) from the real computation.
+The paper's memory results are resource phenomena: vanilla Batfish OOMs
+at FatTree50 under a 100 GB ceiling, and prefix sharding trades rounds
+for peak memory (Figures 4, 5, 8, 9).  Those effects are arithmetic over
+route counts, BDD sizes and capacities — so the memory side is modeled
+explicitly from *measured* inputs (candidate routes held, BDD nodes, FIB
+entries), with one capacity per worker.
 
-Two outputs per run:
-
-* **measured wall time** — the actual Python runtime (meaningful within a
-  run, but Python-speed, not Java-speed);
-* **modeled time/memory** — the cost model applied to measured work
-  counts, with per-worker parallelism, GC pressure near the memory
-  ceiling, and RPC overhead.  The benchmark figures report both.
+Time is never modeled: every time the repository reports is measured
+wall-clock seconds (``stopwatch`` in the orchestrators and harness).
+Alongside memory, each worker keeps plain work counters — route updates
+processed, BDD operations, RPC bytes and messages sent — which do not
+depend on the machine a run is on.
 
 Capacities default to a scaled-down "100 GB logical server" consistent
 with the scaled-down topologies (see DESIGN.md).
@@ -23,7 +20,7 @@ with the scaled-down topologies (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class SimulatedOOM(RuntimeError):
@@ -39,69 +36,42 @@ class SimulatedOOM(RuntimeError):
         self.capacity = capacity
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Constants translating measured work into modeled resources.
-
-    The defaults are calibrated so that a FatTree with ``k`` pods consumes
-    roughly the same *fraction* of a worker's capacity as the paper's
-    FatTree``k`` does of a 100 GB logical server, keeping every OOM
-    crossover at the same relative position in the sweeps.
-    """
-
-    # Scaled-model constants: routes are the dominant memory term at the
-    # paper's scale, so the per-route cost is inflated to keep that true
-    # at model scale (1000x fewer routes than the paper's networks).
-    route_bytes: int = 2048         # one BGP candidate path in memory
-    fib_entry_bytes: int = 256      # one compiled FIB entry (ECMP set)
-    bdd_node_bytes: int = 24        # one BDD node table slot
-    node_base_bytes: int = 4096     # fixed per switch model
-    worker_base_bytes: int = 1 << 20
-
-    cores_per_worker: int = 15      # the paper's logical-server core count
-    route_update_cost: float = 1.0  # time units per processed candidate
-    bdd_op_cost: float = 1.0        # time units per BDD apply step
-    rpc_byte_cost: float = 0.0002   # time units per serialized byte
-    rpc_message_cost: float = 5.0   # fixed per cross-worker message
-    shard_overhead: float = 500.0   # per-shard setup + flush-to-disk
-
-    # Garbage-collection pressure: time inflates as peak memory approaches
-    # capacity (the paper's observed slowdown near the limit, §5.3/§5.7).
-    gc_threshold: float = 0.5
-    gc_max_penalty: float = 10.0
-
-    def memory_bytes(
-        self,
-        candidate_routes: int,
-        bdd_nodes: int,
-        node_count: int,
-        fib_entries: int = 0,
-    ) -> int:
-        return (
-            self.worker_base_bytes
-            + node_count * self.node_base_bytes
-            + candidate_routes * self.route_bytes
-            + fib_entries * self.fib_entry_bytes
-            + bdd_nodes * self.bdd_node_bytes
-        )
-
-    def gc_factor(self, used: int, capacity: int) -> float:
-        """Time inflation from GC pressure at ``used/capacity`` utilization.
-
-        Quadratic above the threshold: collectors degrade gently at first
-        and catastrophically near a full heap.
-        """
-        utilization = used / capacity if capacity else 0.0
-        if utilization <= self.gc_threshold:
-            return 1.0
-        over = min(1.0, (utilization - self.gc_threshold) / (1 - self.gc_threshold))
-        return 1.0 + over * over * (self.gc_max_penalty - 1.0)
-
+# Memory constants, calibrated so that a FatTree with ``k`` pods consumes
+# roughly the same *fraction* of a worker's capacity as the paper's
+# FatTree``k`` does of a 100 GB logical server, keeping every OOM
+# crossover at the same relative position in the sweeps.  Routes are the
+# dominant memory term at the paper's scale, so the per-route cost is
+# inflated to keep that true at model scale (1000x fewer routes than the
+# paper's networks).
+ROUTE_BYTES = 2048          # one BGP candidate path in memory
+FIB_ENTRY_BYTES = 256       # one compiled FIB entry (ECMP set)
+BDD_NODE_BYTES = 24         # one BDD node table slot
+NODE_BASE_BYTES = 4096      # fixed per switch model
+WORKER_BASE_BYTES = 1 << 20
 
 #: Default modeled capacity of one logical server ("100 GB", scaled).
 #: Benchmarks usually calibrate a tighter value via
 #: :func:`repro.harness.scaling.capacity_for_sweep`.
 DEFAULT_WORKER_CAPACITY = 256 << 20  # 256 MB of modeled state
+
+#: A capacity no run reaches: memory is still accounted, never enforced.
+UNLIMITED_CAPACITY = 1 << 62
+
+
+def memory_bytes(
+    candidate_routes: int,
+    bdd_nodes: int,
+    node_count: int,
+    fib_entries: int = 0,
+) -> int:
+    """Modeled bytes held by a worker with these counts."""
+    return (
+        WORKER_BASE_BYTES
+        + node_count * NODE_BASE_BYTES
+        + candidate_routes * ROUTE_BYTES
+        + fib_entries * FIB_ENTRY_BYTES
+        + bdd_nodes * BDD_NODE_BYTES
+    )
 
 
 @dataclass
@@ -110,7 +80,6 @@ class WorkerResources:
 
     name: str
     capacity: int = DEFAULT_WORKER_CAPACITY
-    model: CostModel = field(default_factory=CostModel)
     node_count: int = 0
 
     candidate_routes: int = 0
@@ -119,11 +88,10 @@ class WorkerResources:
     peak_bytes: int = 0
     current_bytes: int = 0
 
-    route_work: float = 0.0       # Σ route updates (already ÷ by nothing)
+    route_work: int = 0           # Σ route updates processed
     bdd_ops: int = 0
     rpc_bytes_sent: int = 0
     rpc_messages_sent: int = 0
-    modeled_time: float = 0.0
     oom: bool = False
     retries: int = 0              # transient-RPC retries on this worker
     respawns: int = 0             # times this worker was respawned/reset
@@ -140,7 +108,7 @@ class WorkerResources:
         self.candidate_routes = candidate_routes
         self.bdd_nodes = bdd_nodes
         self.fib_entries = fib_entries
-        self.current_bytes = self.model.memory_bytes(
+        self.current_bytes = memory_bytes(
             candidate_routes, bdd_nodes, self.node_count, fib_entries
         )
         if self.current_bytes > self.peak_bytes:
@@ -150,41 +118,10 @@ class WorkerResources:
             raise SimulatedOOM(self.name, self.current_bytes, self.capacity)
         return self.current_bytes
 
-    def charge_route_round(self, updates_processed: int) -> float:
-        """Model the time of one control-plane round on this worker."""
-        base = (
-            updates_processed
-            * self.model.route_update_cost
-            / self.model.cores_per_worker
-        )
-        elapsed = base * self.model.gc_factor(self.current_bytes, self.capacity)
-        self.route_work += updates_processed
-        self.modeled_time += elapsed
-        return elapsed
-
-    def charge_bdd_ops(self, ops: int) -> float:
-        """Model the time of BDD work; ops on one engine serialize, so no
-        per-core division (§2.2: a single shared node table blocks)."""
-        elapsed = ops * self.model.bdd_op_cost * self.model.gc_factor(
-            self.current_bytes, self.capacity
-        )
-        self.bdd_ops += ops
-        self.modeled_time += elapsed
-        return elapsed
-
-    def charge_rpc(self, payload_bytes: int, messages: int = 1) -> float:
-        elapsed = (
-            payload_bytes * self.model.rpc_byte_cost
-            + messages * self.model.rpc_message_cost
-        )
+    def charge_rpc(self, payload_bytes: int, messages: int = 1) -> None:
+        """Count bytes and messages this worker sent."""
         self.rpc_bytes_sent += payload_bytes
         self.rpc_messages_sent += messages
-        self.modeled_time += elapsed
-        return elapsed
-
-    def charge_shard_overhead(self) -> float:
-        self.modeled_time += self.model.shard_overhead
-        return self.model.shard_overhead
 
 
 @dataclass
@@ -192,12 +129,6 @@ class ClusterReport:
     """Aggregated resource view across all workers of a run."""
 
     workers: List[WorkerResources] = field(default_factory=list)
-
-    @property
-    def makespan(self) -> float:
-        """Modeled wall clock: the slowest worker bounds each phase; as a
-        summary we report the max total (workers run the same rounds)."""
-        return max((w.modeled_time for w in self.workers), default=0.0)
 
     @property
     def peak_worker_bytes(self) -> int:

@@ -7,11 +7,13 @@ respawn: the old tracer shard is finished and a fresh
 :class:`~repro.dist.worker.Worker` is built at the next incarnation.
 
 ``dispatch`` never raises: every response is ``("ok", (result,
-telemetry))`` or ``("exc", (name, message, traceback))``.  The telemetry
-7-tuple piggybacks the worker's resource counters, so proxies track
-memory peaks without extra round trips, and ends in an interval-gated
-:mod:`repro.obs.telemetry` frame (``None`` when streaming is off or no
-frame is due) that proxies forward to the controller's collector.
+telemetry))`` or ``("exc", (name, message, traceback, telemetry))``.
+The telemetry 7-tuple piggybacks the worker's resource counters, so
+proxies track memory peaks without extra round trips — including the
+peak a :class:`~repro.dist.resources.SimulatedOOM` was raised at — and
+ends in an interval-gated :mod:`repro.obs.telemetry` frame (``None``
+when streaming is off or no frame is due) that proxies forward to the
+controller's collector.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class WorkerService:
         snapshot,
         assignment: Dict[str, int],
         capacity: int,
-        cost_model,
         max_hops: int,
         trace_dir: Optional[str] = None,
         incarnation: int = 0,
@@ -60,7 +61,7 @@ class WorkerService:
         if self.tracer is not NULL_TRACER:
             self.tracer.finish()
         self.resources = WorkerResources(
-            name=f"worker{worker_id}", capacity=capacity, model=cost_model
+            name=f"worker{worker_id}", capacity=capacity
         )
         self.tracer = NULL_TRACER
         if trace_dir:
@@ -119,32 +120,34 @@ class WorkerService:
                 flow="in" if flow_id is not None else None,
             ):
                 result = getattr(self.worker, command)(*args)
-            resources = self.resources
-            # PullOutcome travels fine; attach fresh memory telemetry so
-            # the proxy mirror can track the peak without extra round
-            # trips.  The optional seventh element is an interval-gated
-            # streaming frame for the controller's collector.
-            frame = (
-                self.telemetry.maybe_frame(phase=command)
-                if self.telemetry is not None
-                else None
-            )
-            telemetry = (
-                resources.current_bytes,
-                resources.peak_bytes,
-                resources.candidate_routes,
-                resources.bdd_nodes,
-                resources.fib_entries,
-                resources.oom,
-                frame,
-            )
-            return "ok", (result, telemetry)
+            return "ok", (result, self._telemetry(command))
         except Exception as exc:  # noqa: BLE001 — relayed to the controller
             return "exc", (
                 type(exc).__name__,
                 str(exc),
                 traceback.format_exc(),
+                self._telemetry(None),
             )
+
+    def _telemetry(self, phase: Optional[str]):
+        """Fresh memory counters for the proxy mirror (``None`` before
+        ``__configure__``), ending in an interval-gated streaming frame
+        for the controller's collector when ``phase`` is given."""
+        resources = self.resources
+        if resources is None:
+            return None
+        frame = None
+        if phase is not None and self.telemetry is not None:
+            frame = self.telemetry.maybe_frame(phase=phase)
+        return (
+            resources.current_bytes,
+            resources.peak_bytes,
+            resources.candidate_routes,
+            resources.bdd_nodes,
+            resources.fib_entries,
+            resources.oom,
+            frame,
+        )
 
     def finish(self) -> None:
         if self.tracer is not NULL_TRACER:

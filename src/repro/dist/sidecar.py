@@ -2,9 +2,10 @@
 
 Each worker (and the controller) has a sidecar holding the node→worker
 assignment; all cross-worker traffic flows sidecar→sidecar.  The in-process
-transport delivers objects directly but charges the sender's resource
-model with the *measured* serialized size of every message, so the
-communication columns of the figures come from real payloads, not guesses.
+transport delivers objects directly but counts the *measured* serialized
+size of every message against the sender (``rpc_bytes_sent``,
+``rpc_messages_sent``), so the communication columns of the figures come
+from real payloads, not guesses.
 
 Route batches are stamped with a per-sender sequence number so receivers
 can discard duplicated deliveries, and an optional
@@ -145,7 +146,7 @@ class Sidecar:
                 duplicates += duplicate
             saved = cache.bytes_saved - saved_before
         # Payloads the peer has already seen travel as digest references;
-        # only the delta is charged to the sender's communication model.
+        # only the delta is charged to the sender's byte count.
         wire = max(size - saved, 0)
         self.worker.resources.charge_rpc(wire, messages=1)
         self._record("rpc.packet_batches", wire)

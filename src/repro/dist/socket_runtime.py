@@ -19,9 +19,10 @@ Design notes:
   signatures; the worker service executes exactly that table.
 * Resource accounting stays controller-side: the remote worker enforces
   its memory ceiling (raising :class:`SimulatedOOM` in situ, relayed back
-  and re-raised by the proxy) and piggybacks its counters on every
-  response; the proxy's local :class:`WorkerResources` mirror is charged
-  by the orchestrators exactly as for in-process workers.
+  with the worker's own used bytes and re-raised by the proxy) and
+  piggybacks its memory counters on every response, failed ones
+  included; the orchestrators count work into the proxy's local
+  :class:`WorkerResources` mirror exactly as for in-process workers.
 * **Supervision**: every proxy call runs under the channel's deadline
   and an exponential-backoff retry loop for transient RPC faults; an
   unreachable worker or an expired deadline surfaces as a
@@ -250,10 +251,10 @@ class SocketWorkerProxy:
 
     Exposes the Worker methods the orchestrators and sidecars call; each
     call is one idempotent request on the worker's :class:`RpcChannel`.
-    The proxy keeps a local :class:`WorkerResources` mirror for the cost
-    model, and supervises the call: transient-fault retry with
-    exponential backoff, and fault injection from the attached
-    :class:`FaultPlan`.  A timed-out proxy stays usable: the channel's
+    The proxy keeps a local :class:`WorkerResources` mirror of the
+    worker's memory and work counters, and supervises the call:
+    transient-fault retry with exponential backoff, and fault injection
+    from the attached :class:`FaultPlan`.  A timed-out proxy stays usable: the channel's
     idempotent request ids make stale responses self-identifying.
     """
 
@@ -398,10 +399,11 @@ class SocketWorkerProxy:
     def _relay(self, command: str, status: str, payload) -> Any:
         """Map a wire response to a result, relayed exception, or error."""
         if status == "exc":
-            name, message, trace = payload
+            name, message, trace, telemetry = payload
+            self._mirror(telemetry)
             exc_type = _RELAYED_EXCEPTIONS.get(name)
             if exc_type is SimulatedOOM:
-                self.resources.oom = True
+                # The mirror now holds the bytes the worker raised at.
                 raise SimulatedOOM(
                     self.resources.name,
                     self.resources.current_bytes,
@@ -419,6 +421,14 @@ class SocketWorkerProxy:
                 command=command,
             )
         result, telemetry = payload
+        self._mirror(telemetry)
+        return result
+
+    def _mirror(self, telemetry) -> None:
+        """Fold a response's worker counters into the resource mirror and
+        hand its streaming frame to the collector."""
+        if telemetry is None:
+            return  # the worker was not configured yet
         (
             self.resources.current_bytes,
             peak,
@@ -435,7 +445,6 @@ class SocketWorkerProxy:
                 self.telemetry_sink(frame)
             except Exception:  # noqa: BLE001 — telemetry must never
                 pass  # poison the RPC result path
-        return result
 
     # -- supervision ------------------------------------------------------
 
@@ -538,7 +547,6 @@ class SocketWorkerPool:
         assignment: Dict[str, int],
         num_workers: int,
         capacity: int,
-        cost_model,
         max_hops: int = 24,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -553,9 +561,7 @@ class SocketWorkerPool:
         self._context = mp.get_context(
             "fork" if os.name == "posix" else "spawn"
         )
-        self._configure_args = (
-            snapshot, assignment, capacity, cost_model, max_hops
-        )
+        self._configure_args = (snapshot, assignment, capacity, max_hops)
         self._policy = retry_policy or RetryPolicy()
         self._fault_plan = fault_plan
         self._trace_dir = trace_dir
@@ -598,9 +604,7 @@ class SocketWorkerPool:
                     channel,
                     process,
                     WorkerResources(
-                        name=f"worker{worker_id}",
-                        capacity=capacity,
-                        model=cost_model,
+                        name=f"worker{worker_id}", capacity=capacity
                     ),
                     policy=self._policy,
                     fault_plan=fault_plan,
@@ -646,9 +650,7 @@ class SocketWorkerPool:
 
     def _configure(self, worker_id: int, channel: RpcChannel) -> None:
         """Ship identity + snapshot to the worker (idempotent RPC)."""
-        snapshot, assignment, capacity, cost_model, max_hops = (
-            self._configure_args
-        )
+        snapshot, assignment, capacity, max_hops = self._configure_args
         incarnation = self._incarnations.get(worker_id, -1) + 1
         self._incarnations[worker_id] = incarnation
         status, payload = channel.call(
@@ -658,7 +660,6 @@ class SocketWorkerPool:
                 snapshot,
                 assignment,
                 capacity,
-                cost_model,
                 max_hops,
                 self._trace_dir,
                 incarnation,
@@ -686,14 +687,13 @@ class SocketWorkerPool:
         config, not the boot-time one (it would then fail the epoch
         fence and recovery would loop).
         """
-        _old_snapshot, old_assignment, capacity, cost_model, max_hops = (
+        _old_snapshot, old_assignment, capacity, max_hops = (
             self._configure_args
         )
         self._configure_args = (
             snapshot,
             assignment if assignment is not None else old_assignment,
             capacity,
-            cost_model,
             max_hops,
         )
 

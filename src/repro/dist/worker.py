@@ -115,7 +115,7 @@ class Worker:
         "begin_epoch", "rebind_snapshot",
         # control plane
         "begin_shard", "compute_exports", "deliver_routes_many",
-        "pull_round", "update_memory", "observed_dependencies",
+        "pull_round", "observed_dependencies",
         "fault_counters", "flush_shard",
         # OSPF
         "has_ospf", "compute_ospf_exports", "pull_ospf_round",
@@ -494,6 +494,9 @@ class Worker:
                 changed=len(changed_nodes),
                 imports_skipped=skipped,
             )
+        # The round's memory estimate, taken before anything else touches
+        # this worker's state (the next round's deliveries).
+        self.update_memory()
         self._emit_telemetry("pull_round")
         reused, self._exports_reused = self._exports_reused, 0
         return PullOutcome(

@@ -22,7 +22,7 @@ from ..core.s2 import S2Verifier, VerificationResult, verify_snapshot
 from ..dataplane.queries import Query
 from ..obs.tracer import stopwatch
 from ..dist.controller import S2Options
-from ..dist.resources import CostModel, SimulatedOOM
+from ..dist.resources import UNLIMITED_CAPACITY, SimulatedOOM
 from ..net.dcn import build_dcn
 from ..net.fattree import FatTreeSpec, build_fattree
 from .scaling import PAPER_SIZES, SCALED_SIZES, capacity_for_sweep
@@ -54,7 +54,6 @@ class ExperimentRow:
     series: str                   # e.g. "batfish", "s2-16w"
     workload: str                 # e.g. "FatTree60 (k=8)"
     status: str = "ok"
-    modeled_time: float = 0.0
     peak_memory: int = 0
     wall_seconds: float = 0.0
     extra: Dict[str, object] = field(default_factory=dict)
@@ -64,13 +63,12 @@ class ExperimentRow:
             self.series,
             self.workload,
             self.status,
-            round(self.modeled_time, 1),
             f"{self.peak_memory / (1 << 20):.1f}MB",
             round(self.wall_seconds, 2),
         ]
 
 
-ROW_HEADERS = ["series", "workload", "status", "modeled-time", "peak-mem", "wall-s"]
+ROW_HEADERS = ["series", "workload", "status", "peak-mem", "wall-s"]
 
 
 # -- shared runners ---------------------------------------------------------
@@ -87,7 +85,6 @@ def run_s2(
     runtime: str = "sequential",
     query: Optional[Query] = None,
     cp_only: bool = False,
-    cost_model: Optional[CostModel] = None,
 ) -> Tuple[ExperimentRow, VerificationResult]:
     options = S2Options(
         num_workers=workers,
@@ -95,7 +92,6 @@ def run_s2(
         worker_capacity=capacity,
         partition_scheme=scheme,
         runtime=runtime,
-        cost_model=cost_model or CostModel(),
     )
     if cp_only:
         result = _run_s2_cp_only(snapshot, options)
@@ -106,15 +102,23 @@ def run_s2(
         series=label,
         workload=workload,
         status=result.status,
-        modeled_time=result.modeled_time,
         peak_memory=result.peak_worker_bytes,
         wall_seconds=result.wall_seconds,
     )
     if result.cp_stats:
-        row.extra["cp_modeled"] = result.cp_stats.modeled_wall_time
+        row.extra["cp_seconds"] = result.cp_stats.measured_seconds
         row.extra["bgp_rounds"] = result.cp_stats.bgp_rounds
     if result.dp_stats:
-        row.extra["dp_modeled"] = result.dp_stats.modeled_total
+        row.extra["dp_seconds"] = (
+            result.dp_stats.predicate_seconds + result.dp_stats.forward_seconds
+        )
+    if result.report:
+        # Load balance as a count: the busiest worker's route updates
+        # bound a round on a cluster with a core per worker.
+        row.extra["max_route_work"] = max(
+            w.route_work for w in result.report.workers
+        )
+        row.extra["rpc_bytes"] = result.report.total_rpc_bytes
     row.extra["routes"] = result.total_routes
     return row, result
 
@@ -139,9 +143,6 @@ def _run_s2_cp_only(
         result.wall_seconds = clock.seconds
         result.report = verifier.controller.report()
         result.peak_worker_bytes = result.report.peak_worker_bytes
-        result.modeled_time = (
-            result.cp_stats.modeled_wall_time if result.cp_stats else 0.0
-        )
     return result
 
 
@@ -159,17 +160,15 @@ def run_batfish(
     row = ExperimentRow(experiment="", series=label, workload=workload)
     try:
         verifier.all_pair_reachability()
-        row.modeled_time = verifier.stats.modeled_total
         row.extra["routes"] = verifier.total_route_count()
-        row.extra["cp_modeled"] = verifier.stats.cp_modeled_time
-        row.extra["dp_modeled"] = (
-            verifier.stats.dp_predicate_modeled_time
-            + verifier.stats.dp_forward_modeled_time
+        row.extra["cp_seconds"] = verifier.stats.cp_seconds
+        row.extra["dp_seconds"] = (
+            verifier.stats.dp_predicate_seconds
+            + verifier.stats.dp_forward_seconds
         )
     except SimulatedOOM as exc:
         row.status = "oom"
         row.extra["error"] = str(exc)
-        row.modeled_time = verifier.stats.modeled_total
     row.peak_memory = verifier.resources.peak_bytes
     row.wall_seconds = clock.seconds
     return row
@@ -179,11 +178,11 @@ def run_bonsai(
     snapshot: Snapshot,
     capacity: int,
     workload: str,
-    time_budget: Optional[float] = None,
+    work_budget: Optional[int] = None,
 ) -> ExperimentRow:
     clock = stopwatch()
     verifier = BonsaiVerifier(
-        snapshot, capacity=capacity, time_budget=time_budget
+        snapshot, capacity=capacity, work_budget=work_budget
     )
     row = ExperimentRow(experiment="", series="bonsai", workload=workload)
     try:
@@ -196,7 +195,7 @@ def run_bonsai(
     except SimulatedOOM as exc:
         row.status = "oom"
         row.extra["error"] = str(exc)
-    row.modeled_time = verifier.stats.modeled_total
+    row.extra["work"] = verifier.stats.total_work
     row.peak_memory = verifier.resources.peak_bytes
     row.wall_seconds = clock.seconds
     return row
@@ -212,11 +211,11 @@ def run_fig4_real_dcn(scale: int = 1, workers: int = 4) -> List[ExperimentRow]:
     # Calibrate the "100 GB" ceiling between the sharded and unsharded
     # peaks, so — matching Fig 4 — vanilla Batfish OOMs while Batfish
     # with prefix sharding squeezes through near the limit.
-    vanilla = BatfishVerifier(snapshot, enforce_memory=False)
+    vanilla = BatfishVerifier(snapshot, capacity=UNLIMITED_CAPACITY)
     vanilla.all_pair_reachability()
     vanilla_peak = vanilla.resources.peak_bytes
     sharded = BatfishVerifier(
-        build_dcn(scale=scale), num_shards=20, enforce_memory=False
+        build_dcn(scale=scale), num_shards=20, capacity=UNLIMITED_CAPACITY
     )
     sharded.all_pair_reachability()
     sharded_peak = sharded.resources.peak_bytes
@@ -248,22 +247,22 @@ def run_fig5_fattree_scaling(
     sizes = list(sizes or sweep_sizes())
     # One logical server just fits the smallest size without sharding.
     capacity = capacity_for_sweep(sizes[0][0], tuple(k for k, _ in sizes))
-    bonsai_budget = None
+    bonsai_budget: Optional[int] = None
     rows: List[ExperimentRow] = []
     for index, (k, paper_k) in enumerate(sizes):
         workload = f"FatTree{paper_k} (k={k})"
         snapshot = build_fattree(k)
         rows.append(run_batfish(snapshot, capacity, workload))
         if bonsai_budget is None:
-            # Bonsai's total cost grows ~k^5 (destinations x topology scan);
-            # a budget of 120x its smallest-size cost puts the timeout at
+            # Bonsai's total work grows ~k^5 (destinations x topology scan);
+            # a budget of 120x its smallest-size work puts the timeout at
             # the 5th sweep position, where Fig 5 has it (FatTree80).
             probe = BonsaiVerifier(build_fattree(sizes[0][0]), capacity=capacity)
             probe.check_all_destinations()
-            bonsai_budget = probe.stats.modeled_total * 120
+            bonsai_budget = probe.stats.total_work * 120
         rows.append(
             run_bonsai(
-                build_fattree(k), capacity, workload, time_budget=bonsai_budget
+                build_fattree(k), capacity, workload, work_budget=bonsai_budget
             )
         )
         for workers in (1, 8, 16):
@@ -309,17 +308,11 @@ def run_fig7_partition_schemes(
         workloads.append(("DCN x1", lambda _k: build_dcn(scale=1)))
     for workload, builder in workloads:
         for scheme in ("random", "expert", "metis", "imbalanced", "commheavy"):
-            row, result = run_s2(
+            row, _ = run_s2(
                 builder(k), workers, 20, capacity, scheme, workload,
                 scheme=scheme,
             )
             row.experiment = "fig7"
-            if result.cp_stats:
-                row.extra["cp_modeled"] = result.cp_stats.modeled_wall_time
-            if result.dp_stats:
-                row.extra["dp_modeled"] = result.dp_stats.modeled_total
-            if result.report:
-                row.extra["rpc_bytes"] = result.report.total_rpc_bytes
             rows.append(row)
     return rows
 
@@ -335,8 +328,8 @@ def run_fig8_sharding_necessity(
     peaks = []
     for k, _paper_k in sizes[-2:]:
         probe, _ = run_s2(
-            build_fattree(k), workers, 0, 1 << 62, "probe", "probe",
-            cp_only=True,
+            build_fattree(k), workers, 0, UNLIMITED_CAPACITY, "probe",
+            "probe", cp_only=True,
         )
         peaks.append(probe.peak_memory)
     capacity = (
@@ -360,12 +353,12 @@ def run_fig9_shard_count(
     workers: int = 4,
     shard_counts: Sequence[int] = (1, 2, 5, 10, 15, 20, 25, 30, 40),
 ) -> List[ExperimentRow]:
-    """Figure 9: shard-count sweep — memory falls, time is U-shaped."""
+    """Figure 9: shard-count sweep — memory falls with the shard count."""
     # Calibrate the capacity just above the unsharded per-worker peak, so
-    # low shard counts run deep in GC territory (the paper's "memory
-    # insufficient" regime) and higher counts escape it.
+    # every shard count fits.
     probe, _ = run_s2(
-        build_fattree(k), workers, 0, 1 << 62, "probe", "probe", cp_only=True
+        build_fattree(k), workers, 0, UNLIMITED_CAPACITY, "probe", "probe",
+        cp_only=True,
     )
     capacity = int(probe.peak_memory * 1.05)
     rows = []
@@ -407,7 +400,7 @@ def run_fig10_dpv(
         ):
             # Batfish (sharded CP so FIB generation succeeds, §5.8).
             verifier = BatfishVerifier(
-                build_fattree(k), num_shards=20, enforce_memory=False
+                build_fattree(k), num_shards=20, capacity=UNLIMITED_CAPACITY
             )
             checker = verifier.checker()
             with stopwatch() as clock:
@@ -419,8 +412,10 @@ def run_fig10_dpv(
                 workload,
                 phase_key,
                 wall_key,
-                predicates=verifier.stats.dp_predicate_modeled_time,
-                forward=verifier.stats.dp_forward_modeled_time,
+                predicates=verifier.stats.dp_predicate_seconds,
+                forward=verifier.stats.dp_forward_seconds,
+                predicate_ops=verifier.stats.dp_predicate_ops,
+                forward_ops=verifier.stats.dp_forward_ops,
                 peak=verifier.resources.peak_bytes,
                 wall=wall,
             )
@@ -430,7 +425,7 @@ def run_fig10_dpv(
                 S2Options(
                     num_workers=workers,
                     num_shards=20,
-                    worker_capacity=1 << 62,
+                    worker_capacity=UNLIMITED_CAPACITY,
                 ),
             )
             try:
@@ -446,8 +441,10 @@ def run_fig10_dpv(
                     workload,
                     phase_key,
                     wall_key,
-                    predicates=dp.predicate_modeled_time,
-                    forward=dp.forward_modeled_time,
+                    predicates=dp.predicate_seconds,
+                    forward=dp.forward_seconds,
+                    predicate_ops=dp.predicate_busiest_ops,
+                    forward_ops=dp.forward_busiest_ops,
                     peak=s2.controller.report().peak_worker_bytes,
                     wall=wall,
                 )
@@ -464,13 +461,20 @@ def _record_fig10(
     wall_key: str,
     predicates: float,
     forward: float,
+    predicate_ops: int,
+    forward_ops: int,
     peak: int,
     wall: float,
 ) -> None:
-    """Merge one (series, workload) measurement into the fig10 rows."""
+    """Merge one (series, workload) measurement into the fig10 rows.
+
+    Each phase is recorded twice: in measured seconds, and as the BDD
+    operations on its critical path (Batfish's one engine; S2's busiest
+    worker per step)."""
     for row in rows:
         if row.series == series and row.workload == workload:
             row.extra[phase_key] = forward
+            row.extra[f"{phase_key}_ops"] = forward_ops
             row.extra[wall_key] = wall
             return
     rows.append(
@@ -478,12 +482,13 @@ def _record_fig10(
             experiment="fig10",
             series=series,
             workload=workload,
-            modeled_time=predicates + forward,
             peak_memory=peak,
             wall_seconds=wall,
             extra={
                 "phase_predicates": predicates,
+                "phase_predicates_ops": predicate_ops,
                 phase_key: forward,
+                f"{phase_key}_ops": forward_ops,
                 wall_key: wall,
             },
         )

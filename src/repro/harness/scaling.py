@@ -10,10 +10,10 @@ crossovers land at the same *relative* sweep positions as the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..config.loader import Snapshot
-from ..dist.resources import CostModel
+from ..dist.resources import UNLIMITED_CAPACITY
 from ..net.fattree import FatTreeSpec, build_fattree
 
 #: The paper's sweep, smallest to largest.
@@ -69,7 +69,7 @@ def measured_single_server_peak(k: int) -> int:
         return cached
     from ..baselines.batfish import BatfishVerifier  # local: avoid a cycle
 
-    verifier = BatfishVerifier(build_fattree(k), enforce_memory=False)
+    verifier = BatfishVerifier(build_fattree(k), capacity=UNLIMITED_CAPACITY)
     verifier.run_control_plane()
     peak = verifier.resources.peak_bytes
     _PEAK_CACHE[k] = peak
@@ -79,7 +79,6 @@ def measured_single_server_peak(k: int) -> int:
 def capacity_for_sweep(
     reference_k: int,
     sweep_sizes: Tuple[int, ...] = (),
-    model: Optional[CostModel] = None,
     headroom: float = 1.35,
 ) -> int:
     """A capacity calibrated so one server "just fits" the unsharded
@@ -87,10 +86,10 @@ def capacity_for_sweep(
     paper's 100 GB ceiling does between FatTree40 and FatTree50.
 
     The reference peak is *measured* (one quick control-plane run with
-    memory enforcement off), so the calibration self-adjusts if the cost
-    model changes.  ``headroom`` leaves the reference size margin.
+    an unlimited capacity), so the calibration self-adjusts if the memory
+    constants change.  ``headroom`` leaves the reference size margin.
     """
-    del sweep_sizes, model  # calibration is measurement-based
+    del sweep_sizes  # calibration is measurement-based
     return int(measured_single_server_peak(reference_k) * headroom)
 
 

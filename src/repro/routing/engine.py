@@ -66,7 +66,7 @@ class SimulationStats:
     shards_run: int = 0
     peak_candidate_routes: int = 0
     total_selected_routes: int = 0
-    work_units: int = 0  # route updates processed; the time-model unit
+    work_units: int = 0  # route updates processed
 
 
 # hostname -> prefix -> ECMP tuple of selected BGP routes

@@ -10,7 +10,7 @@ from repro.baselines.bonsai import (
     CompressionError,
 )
 from repro.dataplane.queries import Query
-from repro.dist.resources import SimulatedOOM
+from repro.dist.resources import UNLIMITED_CAPACITY, SimulatedOOM
 from repro.net.fattree import build_fattree
 from repro.net.ip import Prefix
 
@@ -18,14 +18,14 @@ from repro.net.ip import Prefix
 class TestBatfish:
     def test_routes_match_reference_engine(self, fattree4, fattree4_sim):
         _, expected = fattree4_sim
-        verifier = BatfishVerifier(fattree4, enforce_memory=False)
+        verifier = BatfishVerifier(fattree4, capacity=UNLIMITED_CAPACITY)
         got = verifier.run_control_plane()
         assert normalize_ribs(got) == normalize_ribs(expected)
 
     def test_sharded_routes_match_unsharded(self, fattree4, fattree4_sim):
         _, expected = fattree4_sim
         verifier = BatfishVerifier(
-            fattree4, num_shards=4, enforce_memory=False
+            fattree4, num_shards=4, capacity=UNLIMITED_CAPACITY
         )
         got = verifier.run_control_plane()
         assert normalize_ribs(got) == normalize_ribs(expected)
@@ -38,39 +38,40 @@ class TestBatfish:
         assert verifier.resources.oom
 
     def test_sharding_lowers_cp_peak(self, fattree4):
-        unsharded = BatfishVerifier(fattree4, enforce_memory=False)
+        unsharded = BatfishVerifier(fattree4, capacity=UNLIMITED_CAPACITY)
         unsharded.run_control_plane()
         sharded = BatfishVerifier(
-            fattree4, num_shards=8, enforce_memory=False
+            fattree4, num_shards=8, capacity=UNLIMITED_CAPACITY
         )
         sharded.run_control_plane()
         assert sharded.resources.peak_bytes < unsharded.resources.peak_bytes
 
     def test_all_pair_reachability(self, fattree4):
-        verifier = BatfishVerifier(fattree4, enforce_memory=False)
+        verifier = BatfishVerifier(fattree4, capacity=UNLIMITED_CAPACITY)
         result = verifier.all_pair_reachability()
         assert len(result.pairs()) == 64
 
     def test_stats_populated(self, fattree4):
-        verifier = BatfishVerifier(fattree4, enforce_memory=False)
+        verifier = BatfishVerifier(fattree4, capacity=UNLIMITED_CAPACITY)
         verifier.all_pair_reachability()
         stats = verifier.stats
         assert stats.bgp_rounds > 0
-        assert stats.cp_modeled_time > 0
-        assert stats.dp_predicate_modeled_time > 0
-        assert stats.dp_forward_modeled_time > 0
-        assert stats.modeled_total == pytest.approx(
-            stats.cp_modeled_time
-            + stats.dp_predicate_modeled_time
-            + stats.dp_forward_modeled_time
+        assert stats.cp_seconds > 0
+        assert stats.dp_predicate_seconds > 0
+        assert stats.dp_forward_seconds > 0
+        assert stats.dp_predicate_ops > 0
+        assert stats.dp_forward_ops > 0
+        assert (
+            stats.dp_predicate_ops + stats.dp_forward_ops
+            == verifier.resources.bdd_ops
         )
 
     def test_total_route_count(self, fattree4):
-        verifier = BatfishVerifier(fattree4, enforce_memory=False)
+        verifier = BatfishVerifier(fattree4, capacity=UNLIMITED_CAPACITY)
         assert verifier.total_route_count() == 256
 
     def test_run_control_plane_cached(self, fattree4):
-        verifier = BatfishVerifier(fattree4, enforce_memory=False)
+        verifier = BatfishVerifier(fattree4, capacity=UNLIMITED_CAPACITY)
         first = verifier.run_control_plane()
         rounds = verifier.stats.bgp_rounds
         second = verifier.run_control_plane()
@@ -120,19 +121,27 @@ class TestBonsai:
             verifier.compress("edge-0-0")
 
     def test_timeout_budget(self, fattree4):
-        verifier = BonsaiVerifier(fattree4, time_budget=1.0)
+        probe = BonsaiVerifier(fattree4)
+        probe.check_all_destinations()
+        # The budget is a work count: it repeats exactly, so a budget one
+        # destination short of the whole run times out on the last one.
+        per_destination = probe.stats.total_work // 8
+        verifier = BonsaiVerifier(
+            fattree4, work_budget=probe.stats.total_work - per_destination
+        )
         with pytest.raises(BonsaiTimeout):
             verifier.check_all_destinations()
+        assert verifier.stats.destinations_checked == 8
+        assert BonsaiVerifier(
+            fattree4, work_budget=probe.stats.total_work
+        ).check_all_destinations()
 
     def test_cost_grows_with_size(self):
         small = BonsaiVerifier(build_fattree(4))
         small.check_destination("edge-0-0", Prefix.parse("10.0.0.0/24"))
         large = BonsaiVerifier(build_fattree(6))
         large.check_destination("edge-0-0", Prefix.parse("10.0.0.0/24"))
-        assert (
-            large.stats.compression_modeled_time
-            > small.stats.compression_modeled_time
-        )
+        assert large.stats.compression_work > small.stats.compression_work
 
     def test_memory_stays_flat_across_sizes(self):
         small = BonsaiVerifier(build_fattree(4))

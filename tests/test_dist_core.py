@@ -8,11 +8,12 @@ import pytest
 
 from repro.dist.message import RouteBatch, measured_size
 from repro.dist.partition import partition
+from repro.dist import resources as model
 from repro.dist.resources import (
     ClusterReport,
-    CostModel,
     SimulatedOOM,
     WorkerResources,
+    memory_bytes,
 )
 from repro.dist.sidecar import Sidecar
 from repro.dist.storage import RouteStore
@@ -23,34 +24,18 @@ from repro.routing.route import BgpRoute
 
 class TestCostModel:
     def test_memory_bytes_components(self):
-        model = CostModel()
-        base = model.memory_bytes(0, 0, 0)
-        assert base == model.worker_base_bytes
-        with_routes = model.memory_bytes(10, 0, 0)
-        assert with_routes == base + 10 * model.route_bytes
-        with_all = model.memory_bytes(10, 100, 5, fib_entries=7)
+        base = memory_bytes(0, 0, 0)
+        assert base == model.WORKER_BASE_BYTES
+        with_routes = memory_bytes(10, 0, 0)
+        assert with_routes == base + 10 * model.ROUTE_BYTES
+        with_all = memory_bytes(10, 100, 5, fib_entries=7)
         assert with_all == (
             base
-            + 10 * model.route_bytes
-            + 100 * model.bdd_node_bytes
-            + 5 * model.node_base_bytes
-            + 7 * model.fib_entry_bytes
+            + 10 * model.ROUTE_BYTES
+            + 100 * model.BDD_NODE_BYTES
+            + 5 * model.NODE_BASE_BYTES
+            + 7 * model.FIB_ENTRY_BYTES
         )
-
-    def test_gc_factor_below_threshold(self):
-        model = CostModel()
-        assert model.gc_factor(0, 100) == 1.0
-        assert model.gc_factor(49, 100) == 1.0
-
-    def test_gc_factor_monotone(self):
-        model = CostModel()
-        values = [model.gc_factor(u, 100) for u in (55, 70, 85, 100)]
-        assert values == sorted(values)
-        assert values[-1] == model.gc_max_penalty
-
-    def test_gc_factor_capped(self):
-        model = CostModel()
-        assert model.gc_factor(500, 100) == model.gc_max_penalty
 
 
 class TestWorkerResources:
@@ -74,44 +59,23 @@ class TestWorkerResources:
         resources.update_memory(1000, 0, enforce=False)
         assert not resources.oom
 
-    def test_charge_route_round_divides_by_cores(self):
-        model = CostModel(cores_per_worker=10, route_update_cost=1.0)
-        resources = WorkerResources(name="w", capacity=1 << 30, model=model)
-        elapsed = resources.charge_route_round(100)
-        assert elapsed == pytest.approx(10.0)
-
-    def test_charge_bdd_ops_not_divided(self):
-        resources = WorkerResources(name="w", capacity=1 << 30)
-        elapsed = resources.charge_bdd_ops(100)
-        assert elapsed == pytest.approx(100.0)
-
     def test_charge_rpc(self):
-        model = CostModel(rpc_byte_cost=0.001, rpc_message_cost=2.0)
-        resources = WorkerResources(name="w", capacity=1 << 30, model=model)
-        elapsed = resources.charge_rpc(1000, messages=3)
-        assert elapsed == pytest.approx(1.0 + 6.0)
-        assert resources.rpc_bytes_sent == 1000
-        assert resources.rpc_messages_sent == 3
-
-    def test_gc_inflates_route_round(self):
-        model = CostModel(cores_per_worker=1)
-        resources = WorkerResources(name="w", capacity=1 << 30, model=model)
-        resources.update_memory(10, 0)
-        cold = resources.charge_route_round(100)
-        resources.capacity = resources.current_bytes  # 100% utilization
-        hot = resources.charge_route_round(100)
-        assert hot > cold * 2
+        resources = WorkerResources(name="w", capacity=1 << 30)
+        resources.charge_rpc(1000, messages=3)
+        resources.charge_rpc(24)
+        assert resources.rpc_bytes_sent == 1024
+        assert resources.rpc_messages_sent == 4
 
     def test_cluster_report(self):
         a = WorkerResources(name="a")
         b = WorkerResources(name="b")
-        a.modeled_time, b.modeled_time = 10.0, 30.0
         a.peak_bytes, b.peak_bytes = 100, 50
+        b.rpc_bytes_sent = 7
         report = ClusterReport(workers=[a, b])
-        assert report.makespan == 30.0
         assert report.peak_worker_bytes == 100
+        assert report.total_rpc_bytes == 7
         assert not report.any_oom
-        assert report.by_name()["b"].modeled_time == 30.0
+        assert report.by_name()["b"].peak_bytes == 50
 
 
 class TestRouteStore:

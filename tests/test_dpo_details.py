@@ -7,6 +7,7 @@ from repro.bdd.headerspace import HeaderEncoding
 from repro.dataplane.forwarding import FinalState
 from repro.dataplane.queries import Query
 from repro.dist.controller import S2Controller, S2Options
+from repro.dist.resources import UNLIMITED_CAPACITY
 from repro.net.ip import Prefix
 
 
@@ -89,7 +90,11 @@ class TestPerWorkerEngines:
     def test_worker_bdd_overflow_surfaces(self, fattree4):
         with S2Controller(
             fattree4,
-            S2Options(num_workers=2, node_limit=32, worker_capacity=1 << 62),
+            S2Options(
+                num_workers=2,
+                node_limit=32,
+                worker_capacity=UNLIMITED_CAPACITY,
+            ),
         ) as controller:
             with pytest.raises(BddOverflowError):
                 controller.build_data_plane()

@@ -12,6 +12,7 @@ from repro.harness.experiments import (
     run_s2,
     sweep_sizes,
 )
+from repro.dist.resources import UNLIMITED_CAPACITY
 from repro.harness.reporting import format_bytes, format_status, format_table
 from repro.harness.scaling import (
     PAPER_SIZES,
@@ -64,17 +65,23 @@ class TestScalingRegistry:
 class TestRunners:
     def test_run_s2_row(self, fattree4):
         row, result = run_s2(
-            fattree4, 2, 2, 1 << 62, "s2-2w", "FatTree40 (k=4)"
+            fattree4, 2, 2, UNLIMITED_CAPACITY, "s2-2w", "FatTree40 (k=4)"
         )
         assert row.status == "ok"
         assert row.series == "s2-2w"
-        assert row.modeled_time > 0
+        assert row.wall_seconds > 0
+        assert row.extra["cp_seconds"] > 0
+        assert row.extra["dp_seconds"] > 0
         assert row.extra["routes"] == 256
+        assert row.extra["max_route_work"] == max(
+            w.route_work for w in result.report.workers
+        )
+        assert row.extra["rpc_bytes"] == result.report.total_rpc_bytes
         assert result.ok
 
     def test_run_s2_cp_only(self, fattree4):
         row, result = run_s2(
-            fattree4, 2, 2, 1 << 62, "cp", "w", cp_only=True
+            fattree4, 2, 2, UNLIMITED_CAPACITY, "cp", "w", cp_only=True
         )
         assert row.status == "ok"
         assert result.dp_stats is None
@@ -86,7 +93,7 @@ class TestRunners:
         assert not result.ok
 
     def test_run_batfish_row(self, fattree4):
-        row = run_batfish(fattree4, 1 << 62, "w")
+        row = run_batfish(fattree4, UNLIMITED_CAPACITY, "w")
         assert row.status == "ok"
         assert row.extra["routes"] == 256
 
@@ -96,21 +103,25 @@ class TestRunners:
         assert "error" in row.extra
 
     def test_run_bonsai_row(self, fattree4):
-        row = run_bonsai(fattree4, 1 << 62, "w")
+        row = run_bonsai(fattree4, UNLIMITED_CAPACITY, "w")
         assert row.status == "ok"
         assert row.extra["destinations"] == 8
         assert row.extra["reachable"] == 8
 
     def test_run_bonsai_timeout_row(self, fattree4):
-        row = run_bonsai(fattree4, 1 << 62, "w", time_budget=1.0)
+        row = run_bonsai(fattree4, UNLIMITED_CAPACITY, "w", work_budget=1)
         assert row.status == "timeout"
+        assert row.extra["work"] > 1
 
     def test_fig6_shape_small(self):
         rows = run_fig6_scale_out(k=4, worker_counts=(1, 4))
         assert len(rows) == 2
         assert all(r.status == "ok" for r in rows)
-        # more workers -> lower per-worker peak memory
+        # more workers -> lower per-worker peak memory and busiest-worker work
         assert rows[1].peak_memory < rows[0].peak_memory
+        assert (
+            rows[1].extra["max_route_work"] < rows[0].extra["max_route_work"]
+        )
 
     def test_fig9_memory_monotone_small(self):
         rows = run_fig9_shard_count(k=4, shard_counts=(1, 4, 8))
@@ -153,7 +164,6 @@ class TestReporting:
             experiment="figX",
             series="s",
             workload="w",
-            modeled_time=1.0,
             peak_memory=1 << 20,
             wall_seconds=0.5,
         )

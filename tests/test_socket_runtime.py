@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -22,7 +23,7 @@ from repro import FaultPlan, FaultSpec, RetryPolicy, S2Options, S2Verifier
 from repro.bdd.engine import TRUE
 from repro.dist.controller import S2Controller
 from repro.dist.partition import partition
-from repro.dist.resources import CostModel
+from repro.dist.resources import UNLIMITED_CAPACITY
 from repro.dist.service import WorkerService
 from repro.dist.socket_runtime import (
     RemoteWorkerError,
@@ -159,6 +160,30 @@ def test_oom_relayed_from_worker(fattree4):
     assert result.status == "oom"
 
 
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
+def test_oom_reports_the_workers_own_bytes(fattree4, runtime):
+    """A relayed OOM carries the bytes the worker raised at, and the
+    mirror's peak includes them: used > capacity on every runtime."""
+    from repro.core.s2 import verify_snapshot
+
+    capacity = 1_400_000
+    result = verify_snapshot(
+        fattree4,
+        _options(
+            runtime=runtime,
+            num_workers=2,
+            num_shards=0,
+            worker_capacity=capacity,
+        ),
+    )
+    assert result.status == "oom"
+    used, limit = re.search(
+        r"([\d.]+) MB used > ([\d.]+) MB capacity", result.error
+    ).groups()
+    assert float(used) > float(limit) == capacity / 1e6
+    assert result.peak_worker_bytes > capacity
+
+
 def test_remote_error_surfaces(fattree4):
     with S2Controller(fattree4, _options(num_workers=1)) as controller:
         with pytest.raises(RemoteWorkerError):
@@ -179,8 +204,7 @@ def _direct_pool(snapshot, num_workers: int) -> SocketWorkerPool:
         snapshot=snapshot,
         assignment=partition(snapshot, num_workers).assignment,
         num_workers=num_workers,
-        capacity=1 << 62,
-        cost_model=CostModel(),
+        capacity=UNLIMITED_CAPACITY,
     )
 
 
@@ -289,12 +313,14 @@ def test_service_refuses_names_outside_the_command_table(
         assignment = {name: 0 for name in fattree4.configs}
         channel.call(
             "__configure__",
-            (0, fattree4, assignment, 1 << 62, CostModel(), 24),
+            (0, fattree4, assignment, UNLIMITED_CAPACITY, 24),
             internal=True,
         )
         assert channel.call("begin_epoch", (5,))[0] == "ok"
         worker = listener.service.worker
-        status, (_name, message, _trace) = channel.call(command, args)
+        status, (_name, message, _trace, _memory) = channel.call(
+            command, args
+        )
         assert status == "exc"
         assert repr(command) in message
         assert listener.service.worker is worker
@@ -319,7 +345,8 @@ QUERY_SOURCES = ("edge-0-0", "edge-1-1", "edge-3-0")
 
 def _query_pool(snapshot, runtime, trace_dir=None):
     """Control plane, data plane, then one forward per source; returns
-    the DPO's superstep/crossing/final counts and the shard count."""
+    the DPO's superstep/crossing/final counts, the shard count and the
+    per-worker peak bytes."""
     options = _options(runtime=runtime, trace_dir=trace_dir)
     with S2Controller(snapshot, options) as controller:
         controller.build_data_plane()
@@ -327,29 +354,50 @@ def _query_pool(snapshot, runtime, trace_dir=None):
             controller.dpo.forward([source], TRUE)
         stats = controller.dpo.stats
         counts = (stats.supersteps, stats.packets_crossed, stats.finals)
-        return counts, controller.cpo.stats.shards_run
+        return (
+            counts,
+            controller.cpo.stats.shards_run,
+            controller.report().peak_worker_bytes,
+        )
+
+
+@pytest.fixture(scope="module")
+def sequential_pool(fattree4):
+    return _query_pool(fattree4, "sequential")
 
 
 @pytest.fixture(scope="module")
 def traced_socket_pool(fattree4, tmp_path_factory):
     trace_dir = str(tmp_path_factory.mktemp("pool") / "shards")
-    counts, shards = _query_pool(fattree4, "socket", trace_dir)
-    return counts, shards, load_spans(trace_dir)
+    counts, shards, peak = _query_pool(fattree4, "socket", trace_dir)
+    return counts, shards, peak, load_spans(trace_dir)
 
 
-def test_query_pool_issues_no_pending_packets_probe(fattree4,
+def test_query_pool_issues_no_pending_packets_probe(sequential_pool,
                                                     traced_socket_pool):
-    counts, _shards, spans = traced_socket_pool
+    counts, _shards, _peak, spans = traced_socket_pool
     names = {span["name"] for span in spans}
     assert "rpc.drain" in names
     assert "rpc.pending_packets" not in names
-    assert counts == _query_pool(fattree4, "sequential")[0]
+    assert counts == sequential_pool[0]
+
+
+def test_memory_estimate_rides_on_pull_round(sequential_pool,
+                                             traced_socket_pool):
+    """Each round's memory estimate comes back with ``pull_round``'s
+    response: no separate RPC, and the same peak as in-process."""
+    _counts, _shards, peak, spans = traced_socket_pool
+    names = {span["name"] for span in spans}
+    assert "rpc.pull_round" in names
+    assert "rpc.update_memory" not in names
+    assert "update_memory" not in Worker.COMMANDS
+    assert peak == sequential_pool[2] > 0
 
 
 def test_socket_workers_trace_their_flushes(traced_socket_pool):
     """Socket workers run ``Worker.flush_shard`` itself: one
     ``worker.flush`` span per (worker, flush) on the worker tracks."""
-    _counts, shards, spans = traced_socket_pool
+    _counts, shards, _peak, spans = traced_socket_pool
     flushes = sorted(
         (span["proc"], span["attrs"]["shard"])
         for span in spans
@@ -417,7 +465,7 @@ def test_repro_worker_metrics_scrape_after_configure(fattree4):
                 assignment = {name: 0 for name in fattree4.configs}
                 status, _ = channel.call(
                     "__configure__",
-                    (0, fattree4, assignment, 1 << 62, CostModel(), 24),
+                    (0, fattree4, assignment, UNLIMITED_CAPACITY, 24),
                     internal=True,
                 )
                 assert status == "ok"
