@@ -46,9 +46,9 @@ def _options(telemetry: bool) -> S2Options:
     return S2Options(
         num_workers=4,
         num_shards=2,
-        telemetry=telemetry,
         # In-process runtimes emit at phase boundaries; a short interval
-        # makes the enabled arm a worst case rather than a no-op.
+        # makes the enabled arm a worst case rather than a no-op.  An
+        # interval of 0 turns the plane off.
         telemetry_interval=0.05 if telemetry else 0.0,
     )
 

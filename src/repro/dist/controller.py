@@ -6,12 +6,23 @@ run the sharded control-plane fixed point, build the distributed data
 plane, and hand out a property checker.  :mod:`repro.core` wraps this in
 the high-level :class:`~repro.core.s2.S2Verifier` API.
 
+The controller owns the set of workers as one :class:`~repro.dist.fleet.
+Fleet` — active workers and sidecars, lost-worker records, the serving
+epoch — which the supervisor and both orchestrators read at every
+phase.  Both runtimes sit behind one worker-pool surface (``respawn``,
+``reconfigure``, ``update_snapshot``; see :class:`~repro.dist.runtime.
+LocalWorkerPool`), so nothing past construction asks which one runs.
+
 The controller is also where fault tolerance comes together:
 
-* a :class:`WorkerSupervisor` recovers failed workers (respawn in the
-  socket runtime, in-place reset in the in-process runtimes) and
-  replays the OSPF checkpoint into them, so the CPO can rerun the
+* a :class:`WorkerSupervisor` recovers failed workers (the pool respawns
+  a socket worker's process or resets an in-process worker in place)
+  and replays the OSPF checkpoint into them, so the CPO can rerun the
   interrupted shard;
+* a worker whose respawn budget is spent is declared lost: the fleet
+  records it, its shards migrate to the survivors, and
+  :meth:`S2Controller.rejoin_worker` rebalances them back once the host
+  heals;
 * if recovery itself fails (:class:`~repro.dist.faults.RespawnError`) or
   the retry budget is exhausted, :meth:`S2Controller.run_control_plane`
   degrades to the monolithic :class:`~repro.routing.engine.
@@ -28,17 +39,15 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..bdd.headerspace import HeaderEncoding
 from ..config.loader import Snapshot
-from ..net.ip import Prefix
 from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import TelemetryCollector, TelemetrySource
+from ..obs.telemetry import TelemetryCollector
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..obs.merge import merge_shards
 from ..routing.engine import BgpResult
-from ..routing.route import BgpRoute
 from .cpo import ControlPlaneOrchestrator, ControlPlaneStats
 from .dpo import DataPlaneOrchestrator, DataPlaneStats
 from .faults import (
@@ -48,6 +57,7 @@ from .faults import (
     StaleEpochError,
     WorkerFailure,
 )
+from .fleet import Fleet
 from .partition import (
     PartitionResult,
     estimate_loads,
@@ -59,11 +69,15 @@ from .resources import (
     ClusterReport,
     WorkerResources,
 )
-from .runtime import Runtime, SequentialRuntime, ThreadedRuntime
+from .runtime import (
+    LocalWorkerPool,
+    Runtime,
+    SequentialRuntime,
+    ThreadedRuntime,
+)
 from .sharding import PrefixShard, make_shards, validate_shards
 from .sidecar import Sidecar
 from .storage import RouteStore, RunManifest, ShardRoutes
-from .worker import Worker
 
 #: Execution backends: in-process workers run one by one (``sequential``);
 #: ``socket`` puts every worker behind a TCP server — forked on this
@@ -84,7 +98,6 @@ class S2Options:
     #                                  accounts memory without enforcing it
     encoding: HeaderEncoding = field(default_factory=HeaderEncoding)
     node_limit: int = 1 << 22            # per-worker BDD table capacity
-    controller_node_limit: int = 1 << 24
     bdd_kernel: str = "flat"         # "flat" (array kernel) | "dict"
     #                                  (legacy fallback); excluded from
     #                                  the options fingerprint — both
@@ -97,21 +110,20 @@ class S2Options:
     #                                  these host:port listeners instead
     #                                  of forking local workers
     seed: int = 7
-    store_dir: Optional[str] = None
+    store_dir: Optional[str] = None  # persistent iff set: manifest +
+    #                                  OSPF checkpoint, resumable
     refine_shards: bool = False      # §7 runtime dependency refinement
     # -- fault tolerance -------------------------------------------------
     fault_plan: Optional[FaultPlan] = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    checkpoint: bool = True          # manifest + OSPF checkpoint (needs
-    #                                  a persistent store_dir to matter)
     # -- observability ---------------------------------------------------
     # Like the supervision knobs, these are excluded from the options
     # fingerprint: they change how a run is observed, never its results.
     trace_out: Optional[str] = None      # merged Chrome trace-event file
     trace_dir: Optional[str] = None      # per-participant JSONL shards
     metrics_out: Optional[str] = None    # metrics snapshot JSON
-    telemetry: bool = True               # stream worker telemetry frames
-    telemetry_interval: float = 0.25     # min seconds between frames
+    telemetry_interval: float = 0.25     # min seconds between worker
+    #                                      telemetry frames (0 = off)
 
     def __post_init__(self) -> None:
         if self.runtime not in RUNTIMES:
@@ -151,12 +163,12 @@ def options_fingerprint(options: S2Options, snapshot: Snapshot) -> str:
 class WorkerSupervisor:
     """Recovers failed workers and replays checkpoints into them.
 
-    One recovery has three steps: (1) give the worker a fresh execution
-    context — :meth:`~repro.dist.socket_runtime.SocketWorkerPool.respawn`
-    for socket workers, :meth:`~repro.dist.worker.Worker.reset`
-    in-process — keeping the proxy/worker *identity* so orchestrator and
-    sidecar references stay valid; (2) replay the OSPF checkpoint taken
-    after the IGP fixed point; (3) the caller (CPO/DPO) replays the
+    One recovery has three steps: (1) the pool gives the worker a fresh
+    execution context — a new process or connection for socket workers,
+    an in-place :meth:`~repro.dist.worker.Worker.reset` in-process —
+    keeping the proxy/worker *identity* so orchestrator and sidecar
+    references stay valid; (2) replay the OSPF checkpoint taken after
+    the IGP fixed point; (3) the caller (CPO/DPO) replays the
     interrupted unit of work (shard or query), which is idempotent.
 
     Respawn itself can fail (dead host, ``respawn_fail``/``host_loss``
@@ -172,31 +184,23 @@ class WorkerSupervisor:
 
     def __init__(
         self,
-        workers: Sequence[Any],
+        fleet: Fleet,
         store: RouteStore,
-        pool=None,
+        pool,
         persistent: bool = False,
-        sidecars: Optional[Sequence[Sidecar]] = None,
         policy: Optional[RetryPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        self.workers = list(workers)
+        self.fleet = fleet
         self.store = store
         self.pool = pool
         self.persistent = persistent
-        self.sidecars = list(sidecars) if sidecars else []
         self.policy = policy or RetryPolicy()
-        self.fault_plan = fault_plan
         self._ospf_states: Dict[int, Any] = {}
         self.recoveries = 0
-        self.losses = 0
         # Loss migration hook: ``on_loss(worker_id, cause)`` must either
         # remove the worker from the fleet (migrating its state) or
         # raise; installed by :class:`S2Controller`.
         self.on_loss: Optional[Any] = None
-        # Serving mode: the epoch a recovered worker must be re-seeded
-        # to before it may rejoin the fixed point.  None outside serving.
-        self.epoch: Optional[int] = None
         self.stale_epoch_rejections = 0
         # Serving mode: the session's event journal, when attached —
         # respawns and stale-epoch rejections become typed records.
@@ -206,7 +210,7 @@ class WorkerSupervisor:
 
     def checkpoint_ospf(self) -> None:
         """Capture every worker's installed IGP routes (once, post-IGP)."""
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             state = worker.export_ospf_state()
             self._ospf_states[worker.worker_id] = state
             if self.persistent:
@@ -219,52 +223,17 @@ class WorkerSupervisor:
         case the caller falls back to re-running the IGP fixed point.
         """
         states: Dict[int, Any] = {}
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             state = self.store.read_ospf_state(worker.worker_id)
             if state is None:
                 return False
             states[worker.worker_id] = state
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             worker.restore_ospf_state(states[worker.worker_id])
         self._ospf_states = states
         return True
 
     # -- recovery ---------------------------------------------------------
-
-    def _worker_by_id(self, worker_id: int):
-        """The active worker with this id, or None (lists shrink on loss,
-        so positional indexing stopped being valid)."""
-        for worker in self.workers:
-            if worker.worker_id == worker_id:
-                return worker
-        return None
-
-    def _respawn_once(self, worker_id: int) -> None:
-        """One respawn attempt; raises :class:`RespawnError` on failure.
-
-        In-process runtimes have no pool, but a host-down injection must
-        still be honoured there — otherwise ``host_loss`` plans would be
-        untestable under the sequential runtime.
-        """
-        if self.pool is not None:
-            self.pool.respawn(worker_id)
-            return
-        worker = self._worker_by_id(worker_id)
-        if worker is None:
-            raise RespawnError(
-                f"worker {worker_id} is not in the active set",
-                worker_id=worker_id,
-            )
-        if (
-            self.fault_plan is not None
-            and self.fault_plan.should_fail_respawn(worker_id)
-        ):
-            raise RespawnError(
-                f"respawn of worker {worker_id} failed (injected)",
-                worker_id=worker_id,
-            )
-        worker.reset()
-        worker.resources.respawns += 1
 
     def recover(self, failure: WorkerFailure) -> None:
         """Bring the failed worker back; raises RespawnError on failure.
@@ -274,16 +243,17 @@ class WorkerSupervisor:
         so the caller's retry loop replays the unit on the survivors.
         """
         worker_id = failure.worker_id
-        if worker_id is None or self._worker_by_id(worker_id) is None:
+        if worker_id is None or self.fleet.get(worker_id) is None:
             raise failure
         self.recoveries += 1
+        epoch = self.fleet.epoch
         if isinstance(failure, StaleEpochError):
             self.stale_epoch_rejections += 1
             if self.journal is not None:
                 self.journal.record(
                     "stale_epoch_rejection",
                     worker=worker_id,
-                    epoch=self.epoch,
+                    epoch=epoch,
                     command=failure.command,
                 )
         if self.journal is not None:
@@ -291,37 +261,34 @@ class WorkerSupervisor:
                 "worker_respawn",
                 worker=worker_id,
                 reason=type(failure).__name__,
-                epoch=self.epoch,
+                epoch=epoch,
                 recoveries=self.recoveries,
             )
         budget = max(1, self.policy.respawn_budget)
-        if self.pool is not None and not self.pool.managed:
+        if not self.pool.managed:
             # Connect-mode socket host: respawn re-dials the same
             # address, so one refused attempt means the host is gone.
             budget = 1
-        attempts = 0
-        while True:
+        for _attempt in range(budget):
             try:
-                self._respawn_once(worker_id)
+                worker = self.pool.respawn(worker_id)
                 break
             except RespawnError as exc:
-                attempts += 1
-                if attempts < budget:
-                    continue
-                self.declare_lost(worker_id, exc)
-                return
-        worker = self._worker_by_id(worker_id)
+                cause = exc
+        else:
+            self.declare_lost(worker_id, cause)
+            return
         worker.restore_ospf_state(self._ospf_states.get(worker_id))
-        if self.epoch is not None:
+        if epoch is not None:
             # Fresh execution contexts come up at epoch -1 (stale by
             # construction); re-seed before the shard replay so the
             # fence admits the recovered worker.
-            worker.begin_epoch(self.epoch)
+            worker.begin_epoch(epoch)
         # The respawned worker lost its receive-side memory: every
         # surviving sender's dedup cache toward it would under-charge
         # (and a real dedup transport would dangle), so invalidate on
         # the incarnation change.
-        for sidecar in self.sidecars:
+        for sidecar in self.fleet.sidecars:
             sidecar.on_peer_respawn(worker_id)
 
     def declare_lost(self, worker_id: int, cause: RespawnError) -> None:
@@ -333,13 +300,12 @@ class WorkerSupervisor:
                 "worker_lost",
                 worker=worker_id,
                 reason=str(cause),
-                epoch=self.epoch,
-                survivors=max(0, len(self.workers) - 1),
+                epoch=self.fleet.epoch,
+                survivors=max(0, len(self.fleet.workers) - 1),
             )
         if self.on_loss is None:
             raise cause
         self.on_loss(worker_id, cause)
-        self.losses += 1
 
     def merge_ospf_checkpoints(self) -> None:
         """Install the union of every checkpoint on every active worker.
@@ -348,15 +314,17 @@ class WorkerSupervisor:
         checkpointed by the dead worker; ``restore_ospf_state`` ignores
         hostnames the worker doesn't own, so the union is safe to replay
         everywhere — and it keeps each per-worker checkpoint
-        self-sufficient for the *next* recovery.
+        self-sufficient for the *next* recovery.  Checkpoints of workers
+        that left the fleet are dropped.
         """
         union: Dict[str, Any] = {}
         for state in self._ospf_states.values():
             if state:
                 union.update(state)
+        self._ospf_states = {}
         if not union:
             return
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             worker.restore_ospf_state(dict(union))
             self._ospf_states[worker.worker_id] = dict(union)
             if self.persistent:
@@ -369,7 +337,7 @@ class WorkerSupervisor:
 
 
 class S2Controller:
-    """Owns the workers, sidecars, orchestrators, and the route store."""
+    """Owns the worker fleet, the orchestrators, and the route store."""
 
     def __init__(
         self,
@@ -380,12 +348,7 @@ class S2Controller:
         self.snapshot = snapshot
         self.options = options or S2Options()
         opts = self.options
-        self.partition: PartitionResult = partition(
-            snapshot,
-            opts.num_workers,
-            scheme=opts.partition_scheme,
-            seed=opts.seed,
-        )
+        self.partition: PartitionResult = self._plan_partition()
         self.store = RouteStore(opts.store_dir)
         # -- observability -------------------------------------------------
         # Tracing is on iff an output was requested; shards always live in
@@ -399,9 +362,6 @@ class S2Controller:
         # collector (remote runtimes piggyback them on RPC responses;
         # in-process workers call the sink at phase boundaries).
         self.telemetry = TelemetryCollector(self.metrics)
-        telemetry_interval = (
-            opts.telemetry_interval if opts.telemetry else 0.0
-        )
         if self.trace_dir:
             self.tracer: Tracer = Tracer(
                 process="controller",
@@ -409,10 +369,19 @@ class S2Controller:
             )
         else:
             self.tracer = NULL_TRACER
-        self._worker_tracers: List[Tracer] = []
         if opts.fault_plan is not None:
             opts.fault_plan.observer = self._observe_fault
-        self._pool = None
+        pool_args = dict(
+            snapshot=snapshot,
+            assignment=self.partition.assignment,
+            num_workers=opts.num_workers,
+            capacity=opts.worker_capacity,
+            max_hops=opts.max_hops,
+            fault_plan=opts.fault_plan,
+            trace_dir=self.trace_dir,
+            telemetry_interval=opts.telemetry_interval,
+            telemetry_sink=self.telemetry.ingest,
+        )
         if opts.runtime == "socket":
             # Workers behind TCP servers speaking the framed RPC protocol
             # (repro.dist.transport): localhost processes by default, or
@@ -422,149 +391,67 @@ class S2Controller:
             from .socket_runtime import SocketWorkerPool
 
             self._pool = SocketWorkerPool(
-                snapshot=snapshot,
-                assignment=self.partition.assignment,
-                num_workers=opts.num_workers,
-                capacity=opts.worker_capacity,
-                max_hops=opts.max_hops,
                 retry_policy=opts.retry_policy,
-                fault_plan=opts.fault_plan,
-                trace_dir=self.trace_dir,
                 tracer=self.tracer,
                 metrics=self.metrics,
                 worker_hosts=opts.worker_hosts,
-                telemetry_interval=telemetry_interval,
-                telemetry_sink=self.telemetry.ingest,
+                **pool_args,
             )
-            self.workers = self._pool.proxies
             self.runtime: Runtime = ThreadedRuntime()
         else:
-            if self.trace_dir:
-                # In-process workers write their own shards too, so the
-                # merged timeline has one track per worker regardless of
-                # runtime.
-                self._worker_tracers = [
-                    Tracer(
-                        process=f"worker{i}",
-                        sink=os.path.join(
-                            self.trace_dir, f"worker{i}.0.jsonl"
-                        ),
-                    )
-                    for i in range(opts.num_workers)
-                ]
+            self._pool = LocalWorkerPool(**pool_args)
             self.runtime = SequentialRuntime()
-            self.workers: List[Worker] = [
-                Worker(
-                    worker_id=i,
-                    snapshot=snapshot,
-                    assignment=self.partition.assignment,
-                    resources=WorkerResources(
-                        name=f"worker{i}", capacity=opts.worker_capacity
-                    ),
-                    max_hops=opts.max_hops,
-                    tracer=(
-                        self._worker_tracers[i]
-                        if self._worker_tracers
-                        else None
-                    ),
-                )
-                for i in range(opts.num_workers)
-            ]
-            # In-process fault injection happens inside the worker phases
-            # (the socket runtime injects at the proxy call layer).
-            for worker in self.workers:
-                worker.fault_injector = opts.fault_plan
-            if telemetry_interval > 0:
-                for worker in self.workers:
-                    worker.attach_telemetry(
-                        TelemetrySource(
-                            worker, interval=telemetry_interval
-                        ),
-                        sink=self.telemetry.ingest,
-                    )
-        self.sidecars = [
+        sidecars = [
             Sidecar(worker, fault_plan=opts.fault_plan, metrics=self.metrics)
-            for worker in self.workers
+            for worker in self._pool.proxies
         ]
-        for sidecar in self.sidecars:
-            sidecar.register_peers(self.sidecars)
-        self.shards: List[PrefixShard] = []
-        if opts.num_shards and opts.num_shards > 1:
-            self.shards = make_shards(snapshot, opts.num_shards, seed=opts.seed)
-            problems = validate_shards(self.shards, snapshot)
-            if problems:
-                raise ValueError(f"invalid shards: {problems[:3]}")
+        # The peer map is the whole roster, fixed for the run: batches
+        # are addressed by the current assignment, which never names a
+        # lost worker.
+        for sidecar in sidecars:
+            sidecar.register_peers(sidecars)
+        self.fleet = Fleet(self._pool.proxies, sidecars)
+        self.shards: List[PrefixShard] = self._build_shards()
         # -- checkpoint/resume state --------------------------------------
-        self.manifest: Optional[RunManifest] = None
-        fingerprint = options_fingerprint(opts, snapshot)
-        persistent = opts.store_dir is not None and opts.checkpoint
-        if persistent and resuming:
+        manifest: Optional[RunManifest] = None
+        if resuming:
             manifest = self.store.read_manifest()
             if manifest is None:
                 raise ValueError(
                     f"nothing to resume: no manifest in {self.store.directory}"
                 )
+            fingerprint = options_fingerprint(opts, snapshot)
             if manifest.options_hash != fingerprint:
                 raise ValueError(
                     "refusing to resume: the store was written with "
                     f"incompatible options (manifest hash "
                     f"{manifest.options_hash}, current {fingerprint})"
                 )
-            self.manifest = manifest
-        elif persistent:
+        elif opts.store_dir is not None:
             # A fresh run over a reused spool directory: stale shards
             # from an earlier (possibly killed) run must not pollute
             # merged_routes.
             self.store.clear_run_state()
-            self.manifest = RunManifest(
-                options_hash=fingerprint,
-                seed=opts.seed,
-                num_workers=opts.num_workers,
-                num_shards=max(1, len(self.shards) or 1),
-            )
-            self.store.write_manifest(self.manifest)
         self.supervisor = WorkerSupervisor(
-            self.workers,
+            self.fleet,
             self.store,
-            pool=self._pool,
-            persistent=persistent,
-            sidecars=self.sidecars,
+            self._pool,
+            persistent=opts.store_dir is not None,
             policy=opts.retry_policy,
-            fault_plan=opts.fault_plan,
         )
-        # Permanently lost workers: worker_id -> (worker, sidecar), kept
-        # so their final stats stay reportable and a healed host can
-        # rejoin with its original identity.
-        self.lost: Dict[int, Tuple[Any, Sidecar]] = {}
-        self.lost_reasons: Dict[int, str] = {}
         self.supervisor.on_loss = self._handle_worker_loss
-        self.cpo = ControlPlaneOrchestrator(
-            self.workers,
-            self.sidecars,
-            self.store,
-            runtime=self.runtime,
-            max_rounds=opts.max_rounds,
-            fault_plan=opts.fault_plan,
-            supervisor=self.supervisor,
-            retry_policy=opts.retry_policy,
-            manifest=self.manifest,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
         self.dpo = DataPlaneOrchestrator(
-            self.workers,
-            self.sidecars,
+            self.fleet,
             encoding=opts.encoding,
             runtime=self.runtime,
             node_limit=opts.node_limit,
-            controller_node_limit=opts.controller_node_limit,
             bdd_kernel=opts.bdd_kernel,
             supervisor=self.supervisor,
             retry_policy=opts.retry_policy,
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        self._cp_done = False
+        self.start_run(manifest)
 
     def _observe_fault(
         self, kind: str, worker_id: Optional[int], command: Optional[str]
@@ -574,6 +461,41 @@ class S2Controller:
         self.tracer.instant(
             "fault.injected", kind=kind, worker=worker_id, command=command
         )
+
+    def _plan_partition(self, lost: Sequence[int] = ()) -> PartitionResult:
+        """The canonical partition of the current snapshot, re-planned
+        around each ``lost`` worker: a shrunken fleet keeps its
+        reassignment overlay across deltas and rejoins."""
+        opts = self.options
+        result = partition(
+            self.snapshot,
+            opts.num_workers,
+            scheme=opts.partition_scheme,
+            seed=opts.seed,
+        )
+        loads = estimate_loads(self.snapshot) if lost else None
+        for lost_id in lost:
+            result = replace(
+                result,
+                assignment=plan_reassignment(
+                    result.assignment,
+                    lost_id,
+                    self.fleet.active_ids,
+                    node_loads=loads,
+                ),
+            )
+        return result
+
+    def _build_shards(self) -> List[PrefixShard]:
+        """The current snapshot's prefix shards (none when unsharded)."""
+        opts = self.options
+        if not (opts.num_shards and opts.num_shards > 1):
+            return []
+        shards = make_shards(self.snapshot, opts.num_shards, seed=opts.seed)
+        problems = validate_shards(shards, self.snapshot)
+        if problems:
+            raise ValueError(f"invalid shards: {problems[:3]}")
+        return shards
 
     # -- resume -----------------------------------------------------------
 
@@ -589,9 +511,51 @@ class S2Controller:
         """
         if options is None or options.store_dir is None:
             raise ValueError("resume() requires options.store_dir")
-        if not options.checkpoint:
-            raise ValueError("resume() requires options.checkpoint")
         return cls(snapshot, options, resuming=True)
+
+    def start_run(
+        self,
+        manifest: Optional[RunManifest] = None,
+        carried: Sequence[int] = (),
+        ospf_done: bool = False,
+    ) -> None:
+        """Bind a fresh orchestrator for one control-plane run.
+
+        Serving reruns the control plane once per committed delta and
+        wants per-epoch stats, so each recompute gets its own CPO while
+        the fleet, runtime, and supervisor carry over.  On a persistent
+        store the run records into ``manifest`` (a resumed one) or into
+        a fresh manifest written here, where the ``carried`` flush
+        indices count as converged and ``ospf_done`` marks an IGP result
+        the delta left unchanged.
+        """
+        opts = self.options
+        if manifest is None and opts.store_dir is not None:
+            manifest = RunManifest(
+                options_hash=options_fingerprint(opts, self.snapshot),
+                seed=opts.seed,
+                num_workers=opts.num_workers,
+                num_shards=max(1, len(self.shards)),
+                ospf_done=ospf_done,
+                epoch=self.fleet.epoch or 0,  # 0 outside serving
+            )
+            for index in carried:
+                manifest.mark_shard(index)
+            self.store.write_manifest(manifest)
+        self.manifest = manifest
+        self.cpo = ControlPlaneOrchestrator(
+            self.fleet,
+            self.store,
+            runtime=self.runtime,
+            max_rounds=opts.max_rounds,
+            fault_plan=opts.fault_plan,
+            supervisor=self.supervisor,
+            retry_policy=opts.retry_policy,
+            manifest=manifest,
+            tracer=self.tracer,
+            metrics=self.metrics,
+        )
+        self._cp_done = False
 
     # -- serving support (epoch-fenced deltas) -----------------------------
 
@@ -607,7 +571,7 @@ class S2Controller:
         A worker declared *lost* during recovery needs no retry — the
         migration already rebuilt the survivors.
         """
-        for worker in list(self.workers):
+        for worker in self.fleet.workers:
             worker_id = worker.worker_id
             try:
                 fn(worker)
@@ -615,7 +579,7 @@ class S2Controller:
                 if failure.worker_id is None:
                     failure.worker_id = worker_id
                 self.supervisor.recover(failure)
-                if any(w.worker_id == worker_id for w in self.workers):
+                if worker_id not in self.fleet.lost:
                     fn(worker)
 
     def begin_epoch(self, epoch: int) -> None:
@@ -626,39 +590,8 @@ class S2Controller:
         partition survivor) raises :class:`StaleEpochError` and goes
         through supervisor recovery before touching the shard.
         """
-        self.supervisor.epoch = epoch
-        self.cpo.epoch = epoch
+        self.fleet.epoch = epoch
         self._on_each_worker(lambda worker: worker.begin_epoch(epoch))
-
-    def make_cpo(
-        self, manifest: Optional[RunManifest], epoch: Optional[int] = None
-    ) -> ControlPlaneOrchestrator:
-        """Bind a fresh orchestrator (and manifest) for one recompute.
-
-        Serving reruns the control plane once per committed delta and
-        wants per-epoch stats, so each recompute gets its own CPO while
-        the workers, sidecars, runtime, and supervisor carry over.
-        """
-        opts = self.options
-        self.manifest = manifest
-        self.cpo = ControlPlaneOrchestrator(
-            self.workers,
-            self.sidecars,
-            self.store,
-            runtime=self.runtime,
-            max_rounds=opts.max_rounds,
-            fault_plan=opts.fault_plan,
-            supervisor=self.supervisor,
-            retry_policy=opts.retry_policy,
-            manifest=manifest,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
-        if epoch is not None:
-            self.cpo.epoch = epoch
-            self.supervisor.epoch = epoch
-        self._cp_done = False
-        return self.cpo
 
     def rebind_snapshot(
         self,
@@ -675,16 +608,14 @@ class S2Controller:
         """
         self.snapshot = snapshot
         changed = tuple(changed_hosts)
-        if self._pool is not None:
-            # A worker respawned mid-epoch is re-seeded from the pool's
-            # spawn args; those must describe the *current* snapshot.
-            self._pool.update_snapshot(snapshot)
+        # A worker respawned mid-epoch is re-seeded from the pool's
+        # spawn args; those must describe the *current* snapshot.
+        self._pool.update_snapshot(snapshot, self.partition.assignment)
         self._on_each_worker(
             lambda worker: worker.rebind_snapshot(snapshot, changed, epoch)
         )
         if epoch is not None:
-            self.supervisor.epoch = epoch
-            self.cpo.epoch = epoch
+            self.fleet.epoch = epoch
         self.dpo.invalidate()
         self._cp_done = False
 
@@ -696,70 +627,52 @@ class S2Controller:
         Repartitions the new snapshot and logically respawns every
         worker on it; the IGP fixed point and all shards recompute.
         """
-        opts = self.options
         self.snapshot = snapshot
-        self.partition = partition(
-            snapshot,
-            opts.num_workers,
-            scheme=opts.partition_scheme,
-            seed=opts.seed,
-        )
-        # A shrunken fleet keeps its reassignment overlay across deltas:
-        # re-plan the canonical partition around the workers still lost.
-        if self.lost:
-            loads = estimate_loads(snapshot)
-            active_ids = [w.worker_id for w in self.workers]
-            for lost_id in sorted(self.lost):
-                self.partition = PartitionResult(
-                    assignment=plan_reassignment(
-                        self.partition.assignment,
-                        lost_id,
-                        active_ids,
-                        node_loads=loads,
-                    ),
-                    num_workers=self.partition.num_workers,
-                    scheme=self.partition.scheme,
-                )
+        self.partition = self._plan_partition(sorted(self.fleet.lost))
         # Old-snapshot IGP checkpoints are meaningless for the new one;
         # drop them *before* any recovery so a respawn mid-reconfigure
         # doesn't restore stale OSPF state.
         self.supervisor.forget_checkpoints()
-        if self._pool is not None:
-            attempts = 0
-            while True:
-                try:
-                    # Refetched every attempt: a recovery that declared a
-                    # worker lost re-planned the assignment under us.
-                    self._pool.reconfigure(
-                        snapshot, self.partition.assignment
-                    )
-                    break
-                except WorkerFailure as failure:
-                    attempts += 1
-                    if attempts > len(self.workers):
-                        raise
-                    self.supervisor.recover(failure)
-        else:
-            for worker in self.workers:
-                worker.snapshot = snapshot
-                worker.assignment = self.partition.assignment
-                worker.reset()
-        # Every worker was logically respawned: receive-side sequence
-        # and dedup state is gone everywhere, so every sender's caches
-        # must go too.
-        for sidecar in self.sidecars:
-            sidecar.invalidate_send_caches()
-        if opts.num_shards and opts.num_shards > 1:
-            self.shards = make_shards(
-                snapshot, opts.num_shards, seed=opts.seed
-            )
-            problems = validate_shards(self.shards, snapshot)
-            if problems:
-                raise ValueError(f"invalid shards: {problems[:3]}")
+        self._reconfigure_fleet()
+        self.shards = self._build_shards()
         if epoch is not None:
             self.begin_epoch(epoch)
         self.dpo.invalidate()
         self._cp_done = False
+
+    def _reconfigure_fleet(self) -> None:
+        """Logically respawn every active worker on the current snapshot
+        and assignment, recovering workers that fail on the way."""
+        attempts = 0
+        while True:
+            try:
+                # Refetched every attempt: a recovery that declared a
+                # worker lost re-planned the assignment under us.
+                self._pool.reconfigure(
+                    self.snapshot, self.partition.assignment,
+                    self.fleet.workers,
+                )
+                break
+            except WorkerFailure as failure:
+                attempts += 1
+                if attempts > len(self.fleet.workers):
+                    raise
+                self.supervisor.recover(failure)
+        # Every active worker was rebuilt: receive-side sequence and
+        # dedup memory is gone everywhere, so every sender's caches go.
+        for sidecar in self.fleet.sidecars:
+            sidecar.invalidate_send_caches()
+
+    def _rebuild_fleet(self) -> None:
+        """After a membership change: respawn the active workers on the
+        new assignment, replay the merged IGP checkpoint, and re-seed
+        the serving epoch so the fence admits them."""
+        self._reconfigure_fleet()
+        self.supervisor.merge_ospf_checkpoints()
+        if self.fleet.epoch is not None:
+            for worker in self.fleet.workers:
+                worker.begin_epoch(self.fleet.epoch)
+        self.dpo.invalidate()
 
     def rebuild_data_plane(self) -> DataPlaneStats:
         """Force a fresh distributed data plane from the current store."""
@@ -771,18 +684,7 @@ class S2Controller:
 
     def capacity(self) -> Dict[str, Any]:
         """Degraded-capacity summary (serving surfaces re-export this)."""
-        active = len(self.workers)
-        lost = len(self.lost)
-        total = active + lost
-        return {
-            "active_workers": active,
-            "lost_workers": lost,
-            "capacity_ratio": (active / total) if total else 0.0,
-            "lost": {
-                str(worker_id): self.lost_reasons.get(worker_id, "")
-                for worker_id in sorted(self.lost)
-            },
-        }
+        return self.fleet.capacity()
 
     def _handle_worker_loss(
         self, worker_id: int, cause: WorkerFailure
@@ -797,63 +699,42 @@ class S2Controller:
         shrunken fleet.  Raises :class:`RespawnError` when no survivors
         remain — the sequential fallback's cue.
         """
-        survivors = [w for w in self.workers if w.worker_id != worker_id]
+        survivors = [i for i in self.fleet.active_ids if i != worker_id]
         if not survivors:
             raise RespawnError(
                 f"worker {worker_id} is lost and no survivors remain",
                 worker_id=worker_id,
             )
-        lost_worker = next(
-            w for w in self.workers if w.worker_id == worker_id
-        )
-        lost_sidecar = next(
-            s for s in self.sidecars if s.worker_id == worker_id
-        )
-        orphans = [
-            node
-            for node, owner in self.partition.assignment.items()
+        orphans = sum(
+            1 for owner in self.partition.assignment.values()
             if owner == worker_id
-        ]
+        )
         new_assignment = plan_reassignment(
             self.partition.assignment,
             worker_id,
-            [w.worker_id for w in survivors],
+            survivors,
             node_loads=estimate_loads(self.snapshot),
         )
-        self.partition = PartitionResult(
-            assignment=new_assignment,
-            num_workers=self.partition.num_workers,
-            scheme=self.partition.scheme,
+        self.partition = replace(self.partition, assignment=new_assignment)
+        # Quarantine the dead worker: the fleet freezes its identity,
+        # stats, and transport counters; the pool keeps its slot, since
+        # ``respawn`` doubles as the heal probe.
+        self.fleet.mark_lost(
+            worker_id,
+            f"{type(cause).__name__}: {cause}",
+            self._pool.channel_counters(worker_id),
         )
-        # Quarantine the dead worker: freeze its identity + stats, and
-        # drop it from every holder.  Pool proxy lists stay full-length
-        # (respawn indexes positionally); the pool just marks it lost.
-        self.lost[worker_id] = (lost_worker, lost_sidecar)
-        self.lost_reasons[worker_id] = f"{type(cause).__name__}: {cause}"
-        self.workers = survivors
-        self.sidecars = [
-            s for s in self.sidecars if s.worker_id != worker_id
-        ]
-        for sidecar in self.sidecars:
-            sidecar.register_peers(self.sidecars)
-        self.supervisor.workers = list(self.workers)
-        self.supervisor.sidecars = list(self.sidecars)
-        self.cpo.drop_worker(worker_id)
-        self.dpo.drop_worker(worker_id)
-        if self._pool is not None:
-            self._pool.mark_lost(worker_id)
         migrated = self._migrate_store_files(worker_id, new_assignment)
         # Account the loss *before* rebuilding the survivors: a cascade
         # (another worker dying during the rebuild) must not erase the
         # record of this one.
+        active = len(self.fleet.workers)
         self.cpo.stats.workers_lost += 1
         self.cpo.stats.shards_reassigned += migrated
         self.metrics.counter("cluster.workers_lost").inc()
-        self.metrics.gauge("cluster.active_workers").set(len(self.workers))
+        self.metrics.gauge("cluster.active_workers").set(active)
         self.tracer.instant(
-            "worker.lost",
-            worker=worker_id,
-            survivors=len(self.workers),
+            "worker.lost", worker=worker_id, survivors=active,
             shards=migrated,
         )
         if self.supervisor.journal is not None:
@@ -861,45 +742,10 @@ class S2Controller:
                 "shard_reassigned",
                 worker=worker_id,
                 shards=migrated,
-                nodes=len(orphans),
-                survivors=len(self.workers),
+                nodes=orphans,
+                survivors=active,
             )
-        # The survivors' node sets changed: logically respawn them on
-        # the new assignment, replay the merged IGP checkpoint, and
-        # re-seed the serving epoch so the fence admits them.
-        self._reconfigure_active()
-        self.supervisor.merge_ospf_checkpoints()
-        self.supervisor._ospf_states.pop(worker_id, None)
-        if self.supervisor.epoch is not None:
-            for worker in self.workers:
-                worker.begin_epoch(self.supervisor.epoch)
-        self.dpo.invalidate()
-
-    def _reconfigure_active(self) -> None:
-        """Logically respawn every *active* worker on the current
-        snapshot + assignment (their node sets changed)."""
-        if self._pool is not None:
-            attempts = 0
-            while True:
-                try:
-                    self._pool.reconfigure(
-                        self.snapshot, self.partition.assignment
-                    )
-                    break
-                except WorkerFailure as failure:
-                    attempts += 1
-                    if attempts > len(self.workers):
-                        raise
-                    self.supervisor.recover(failure)
-        else:
-            for worker in list(self.workers):
-                worker.snapshot = self.snapshot
-                worker.assignment = self.partition.assignment
-                worker.reset()
-        # Every active worker was rebuilt: receive-side sequence and
-        # dedup memory is gone everywhere, so every sender's caches go.
-        for sidecar in self.sidecars:
-            sidecar.invalidate_send_caches()
+        self._rebuild_fleet()
 
     def _migrate_store_files(
         self, worker_id: int, assignment: Dict[str, int]
@@ -937,78 +783,27 @@ class S2Controller:
         workers), the store's shard files are re-keyed to it, and the
         rejoined worker comes back epoch-fenced like any respawn.
         """
-        entry = self.lost.get(worker_id)
-        if entry is None:
+        if worker_id not in self.fleet.lost:
             raise ValueError(f"worker {worker_id} is not lost")
-        worker, sidecar = entry
         try:
-            if self._pool is not None:
-                self._pool.respawn(worker_id)
-            else:
-                plan = self.options.fault_plan
-                if plan is not None and plan.should_fail_respawn(worker_id):
-                    raise RespawnError(
-                        f"respawn of worker {worker_id} failed (injected)",
-                        worker_id=worker_id,
-                    )
-                worker.reset()
-                worker.resources.respawns += 1
+            self._pool.respawn(worker_id)
         except RespawnError:
             return False
-        del self.lost[worker_id]
-        self.lost_reasons.pop(worker_id, None)
-        self.workers = sorted(
-            self.workers + [worker], key=lambda w: w.worker_id
-        )
-        self.sidecars = sorted(
-            self.sidecars + [sidecar], key=lambda s: s.worker_id
-        )
-        for peer in self.sidecars:
-            peer.register_peers(self.sidecars)
-        self.supervisor.workers = list(self.workers)
-        self.supervisor.sidecars = list(self.sidecars)
-        self.cpo.set_fleet(self.workers, self.sidecars)
-        self.dpo.set_fleet(self.workers, self.sidecars)
-        opts = self.options
-        base = partition(
-            self.snapshot,
-            opts.num_workers,
-            scheme=opts.partition_scheme,
-            seed=opts.seed,
-        )
-        assignment = dict(base.assignment)
-        active_ids = [w.worker_id for w in self.workers]
-        loads = estimate_loads(self.snapshot)
-        for still_lost in sorted(self.lost):
-            assignment = plan_reassignment(
-                assignment, still_lost, active_ids, node_loads=loads
-            )
-        self.partition = PartitionResult(
-            assignment=assignment,
-            num_workers=base.num_workers,
-            scheme=base.scheme,
-        )
-        self._repartition_store(assignment)
-        self._reconfigure_active()
-        self.supervisor.merge_ospf_checkpoints()
-        if epoch is None:
-            epoch = self.supervisor.epoch
+        self.fleet.rejoin(worker_id)
+        self.partition = self._plan_partition(sorted(self.fleet.lost))
+        self._repartition_store(self.partition.assignment)
         if epoch is not None:
-            self.supervisor.epoch = epoch
-            self.cpo.epoch = epoch
-            for active in self.workers:
-                active.begin_epoch(epoch)
-        self.dpo.invalidate()
-        self.metrics.gauge("cluster.active_workers").set(len(self.workers))
-        self.tracer.instant(
-            "worker.rejoined", worker=worker_id, active=len(self.workers)
-        )
+            self.fleet.epoch = epoch
+        self._rebuild_fleet()
+        active = len(self.fleet.workers)
+        self.metrics.gauge("cluster.active_workers").set(active)
+        self.tracer.instant("worker.rejoined", worker=worker_id, active=active)
         if self.supervisor.journal is not None:
             self.supervisor.journal.record(
                 "worker_rejoined",
                 worker=worker_id,
-                epoch=epoch,
-                active=len(self.workers),
+                epoch=self.fleet.epoch,
+                active=active,
             )
         return True
 
@@ -1019,7 +814,7 @@ class S2Controller:
         the owning worker's file at the same flush index, so the merged
         RIBs stay bit-identical across the rebalance.
         """
-        active = [w.worker_id for w in self.workers]
+        active = self.fleet.active_ids
         indices = sorted(
             {
                 index
@@ -1132,12 +927,9 @@ class S2Controller:
         # Lost workers' stats are frozen at their last observed values
         # and stay in the report: dropping them would make totals like
         # total_respawns go *down* when a worker is declared lost.
-        resources = [w.resources for w in self.workers]
-        resources += [
-            self.lost[worker_id][0].resources
-            for worker_id in sorted(self.lost)
-        ]
-        return ClusterReport(workers=resources)
+        return ClusterReport(
+            workers=[worker.resources for worker, _ in self.fleet.roster()]
+        )
 
     def collected_ribs(self) -> BgpResult:
         """Merge every worker's stored shards: the network-wide RIBs.
@@ -1146,7 +938,7 @@ class S2Controller:
         the monolithic engine.
         """
         merged: BgpResult = {}
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             for node, routes in self.store.merged_routes(
                 worker.worker_id
             ).items():
@@ -1197,10 +989,8 @@ class S2Controller:
             }
 
         snapshot["workers"] = [
-            _worker_entry(w.resources, False) for w in self.workers
-        ] + [
-            _worker_entry(self.lost[worker_id][0].resources, True)
-            for worker_id in sorted(self.lost)
+            _worker_entry(worker.resources, lost)
+            for worker, lost in self.fleet.roster()
         ]
         if self.options.fault_plan is not None:
             snapshot["faults_fired"] = dict(
@@ -1209,8 +999,9 @@ class S2Controller:
         snapshot["recoveries"] = self.supervisor.recoveries
         snapshot["capacity"] = self.capacity()
         snapshot["telemetry"] = self.telemetry.summary()
-        if self._pool is not None:
-            snapshot["transport"] = self._pool.transport_counters()
+        transport = self._pool.transport_counters(self.fleet.lost)
+        if transport is not None:
+            snapshot["transport"] = transport
         return snapshot
 
     def _finalize_observability(self) -> None:
@@ -1221,8 +1012,6 @@ class S2Controller:
         their writers have exited.
         """
         opts = self.options
-        for tracer in self._worker_tracers:
-            tracer.finish()
         if self.tracer.enabled:
             with self.tracer.span("controller.finalize"):
                 pass
@@ -1252,8 +1041,7 @@ class S2Controller:
     def close(self) -> None:
         """Tear everything down; no step may mask another's cleanup."""
         try:
-            if self._pool is not None:
-                self._pool.close()
+            self._pool.close()
         finally:
             try:
                 self.store.close()

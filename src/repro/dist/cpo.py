@@ -25,18 +25,18 @@ records converged shards, letting :meth:`run` skip them on resume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from ..routing.engine import ConvergenceError
 from .faults import FaultPlan, RetryPolicy, WorkerFailure
+from .fleet import Fleet
 from .runtime import Runtime, SequentialRuntime
 from .sharding import PrefixShard
-from .sidecar import Sidecar
 from .storage import RouteStore, RunManifest
-from .worker import PullOutcome, Worker
+from .worker import PullOutcome
 
 
 @dataclass
@@ -73,8 +73,7 @@ class ControlPlaneStats:
 class ControlPlaneOrchestrator:
     def __init__(
         self,
-        workers: Sequence[Worker],
-        sidecars: Sequence[Sidecar],
+        fleet: Fleet,
         store: RouteStore,
         runtime: Optional[Runtime] = None,
         max_rounds: int = 200,
@@ -85,8 +84,8 @@ class ControlPlaneOrchestrator:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.workers = list(workers)
-        self.sidecars = list(sidecars)
+        # Read at every phase: a loss or rejoin takes effect at the next.
+        self.fleet = fleet
         self.store = store
         self.runtime = runtime or SequentialRuntime()
         self.max_rounds = max_rounds
@@ -97,45 +96,32 @@ class ControlPlaneOrchestrator:
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
         self.stats = ControlPlaneStats()
-        # Epoch fence (serving mode): when set, every begin_shard carries
-        # it and a worker at any other epoch refuses the shard, which
-        # surfaces as a WorkerFailure and routes through recovery.
-        self.epoch: Optional[int] = None
-
-    # -- fleet membership ----------------------------------------------------
-
-    def drop_worker(self, worker_id: int) -> None:
-        """Remove a lost worker from the round loop (loss migration).
-
-        The caller replays the interrupted shard afterwards; every
-        round's thunks are built fresh from ``self.workers``, so the
-        shrunken fleet takes effect at the next phase.
-        """
-        self.workers = [w for w in self.workers if w.worker_id != worker_id]
-        self.sidecars = [
-            s for s in self.sidecars if s.worker_id != worker_id
-        ]
-
-    def set_fleet(
-        self, workers: Sequence[Worker], sidecars: Sequence[Sidecar]
-    ) -> None:
-        """Rebind the active fleet (a healed worker rejoined)."""
-        self.workers = list(workers)
-        self.sidecars = list(sidecars)
 
     # -- helpers ------------------------------------------------------------
 
-    def _recover(self, failure: WorkerFailure) -> None:
-        """Hand a worker failure to the supervisor (or give up)."""
-        self.stats.worker_failures += 1
-        if self.supervisor is None:
-            raise failure
-        self.supervisor.recover(failure)
+    def _replaying(self, unit: Callable[[], None], replays: str) -> None:
+        """Run ``unit``; after a :class:`WorkerFailure`, have the
+        supervisor recover the worker (or give up) and rerun the unit,
+        at most ``max_shard_retries`` times, counting each rerun in
+        ``stats.<replays>``."""
+        attempts = 0
+        while True:
+            try:
+                return unit()
+            except WorkerFailure as failure:
+                attempts += 1
+                if attempts > self.retry_policy.max_shard_retries:
+                    raise
+                self.stats.worker_failures += 1
+                if self.supervisor is None:
+                    raise
+                self.supervisor.recover(failure)
+                setattr(self.stats, replays, getattr(self.stats, replays) + 1)
 
     def _heartbeat(self) -> None:
         """Probe worker liveness; a dead worker surfaces as WorkerFailure."""
         self.stats.heartbeat_probes += 1
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             answer = worker.ping()
             if answer != "pong":
                 raise WorkerFailure(
@@ -155,12 +141,12 @@ class ControlPlaneOrchestrator:
         delivery barrier phase B's pulls depend on.
         """
         sent = 0
-        for sidecar, batches in zip(self.sidecars, batch_maps):
+        for sidecar, batches in zip(self.fleet.sidecars, batch_maps):
             for batch in batches.values():
                 sidecar.queue_routes(batch)
                 sent += 1
         handles = []
-        for sidecar in self.sidecars:
+        for sidecar in self.fleet.sidecars:
             handles.extend(sidecar.flush_routes())
         for handle in handles:
             handle.result()
@@ -170,15 +156,15 @@ class ControlPlaneOrchestrator:
     def _collect_fault_telemetry(self) -> None:
         """Fold sidecar and worker fault counters into the stats."""
         self.stats.batches_dropped = sum(
-            s.batches_dropped for s in self.sidecars
+            s.batches_dropped for s in self.fleet.sidecars
         )
         self.stats.batches_duplicated = sum(
-            s.batches_duplicated for s in self.sidecars
+            s.batches_duplicated for s in self.fleet.sidecars
         )
         try:
             self.stats.duplicates_discarded = sum(
                 worker.fault_counters().get("duplicate_batches", 0)
-                for worker in self.workers
+                for worker in self.fleet.workers
             )
         except WorkerFailure:
             pass  # telemetry must never fail a finished run
@@ -193,20 +179,10 @@ class ControlPlaneOrchestrator:
         is monotone from any mixed state, so the fixed point (and hence
         the installed routes) is identical to the fault-free run.
         """
-        attempts = 0
-        while True:
-            try:
-                self._run_ospf_once()
-                return
-            except WorkerFailure as failure:
-                attempts += 1
-                if attempts > self.retry_policy.max_shard_retries:
-                    raise
-                self._recover(failure)
-                self.stats.ospf_replays += 1
+        self._replaying(self._run_ospf_once, "ospf_replays")
 
     def _run_ospf_once(self) -> None:
-        if not any(worker.has_ospf() for worker in self.workers):
+        if not any(worker.has_ospf() for worker in self.fleet.workers):
             return
         if self.fault_plan is not None:
             self.fault_plan.set_context(round_token=-1)
@@ -216,11 +192,11 @@ class ControlPlaneOrchestrator:
                     "cpo.ospf_round", category="cpo", round=_round
                 ):
                     batch_maps = self.runtime.map(
-                        [w.compute_ospf_exports for w in self.workers]
+                        [w.compute_ospf_exports for w in self.fleet.workers]
                     )
                     self._exchange(batch_maps)
                     changed_flags = self.runtime.map(
-                        [w.pull_ospf_round for w in self.workers]
+                        [w.pull_ospf_round for w in self.fleet.workers]
                     )
                 self.stats.ospf_rounds += 1
                 if self.metrics is not None:
@@ -241,7 +217,7 @@ class ControlPlaneOrchestrator:
                 )
             ospf_span.set(rounds=self.stats.ospf_rounds)
             self.runtime.map(
-                [w.install_ospf_routes for w in self.workers]
+                [w.install_ospf_routes for w in self.fleet.workers]
             )
 
     # -- BGP phase ------------------------------------------------------------------
@@ -254,25 +230,22 @@ class ControlPlaneOrchestrator:
         replay after respawning the failed worker reproduces the same
         RIBs the fault-free run would have flushed.
         """
-        attempts = 0
-        while True:
-            try:
-                self._converge_shard(shard)
-                self._flush_shard(shard.index if shard is not None else 0)
-                return
-            except WorkerFailure as failure:
-                attempts += 1
-                if attempts > self.retry_policy.max_shard_retries:
-                    raise
-                self._recover(failure)
-                self.stats.shard_replays += 1
+
+        def converge_and_flush() -> None:
+            self._converge_shard(shard)
+            self._flush_shard(shard.index if shard is not None else 0)
+
+        self._replaying(converge_and_flush, "shard_replays")
 
     def _converge_shard(self, shard: Optional[PrefixShard]) -> None:
         shard_index = shard.index if shard is not None else 0
         if self.fault_plan is not None:
             self.fault_plan.set_context(shard=shard_index)
-        for worker in self.workers:
-            worker.begin_shard(shard, self.epoch)
+        # Epoch fence (serving mode): a worker at any other epoch refuses
+        # the shard, which surfaces as a WorkerFailure and routes through
+        # recovery.
+        for worker in self.fleet.workers:
+            worker.begin_shard(shard, self.fleet.epoch)
         heartbeat_every = self.retry_policy.heartbeat_interval_rounds
         last_outcomes = []
         with self.tracer.span(
@@ -304,7 +277,7 @@ class ControlPlaneOrchestrator:
                     batch_maps = self.runtime.map(
                         [
                             (lambda w=w: w.compute_exports(round_token))
-                            for w in self.workers
+                            for w in self.fleet.workers
                         ]
                     )
                 with self.tracer.span("cpo.exchange", category="cpo") as ex:
@@ -315,13 +288,13 @@ class ControlPlaneOrchestrator:
                     outcomes = self.runtime.map(
                         [
                             (lambda w=w: w.pull_round(round_token))
-                            for w in self.workers
+                            for w in self.fleet.workers
                         ]
                     )
             del last_outcomes[:]
             last_outcomes.extend(outcomes)
             candidate_total = 0
-            for worker, outcome in zip(self.workers, outcomes):
+            for worker, outcome in zip(self.fleet.workers, outcomes):
                 worker.resources.route_work += outcome.updates_processed
                 candidate_total += outcome.candidate_routes
                 self.stats.exports_reused += outcome.exports_reused
@@ -354,7 +327,7 @@ class ControlPlaneOrchestrator:
         else:
             still_changing = {
                 worker.worker_id: list(outcome.changed_nodes)
-                for worker, outcome in zip(self.workers, last_outcomes)
+                for worker, outcome in zip(self.fleet.workers, last_outcomes)
                 if outcome.changed
             }
             raise ConvergenceError(
@@ -373,7 +346,7 @@ class ControlPlaneOrchestrator:
             results = self.runtime.map(
                 [
                     (lambda w=w: w.flush_shard(directory, flush_index))
-                    for w in self.workers
+                    for w in self.fleet.workers
                 ]
             )
             flushed_bytes = 0
@@ -407,7 +380,7 @@ class ControlPlaneOrchestrator:
     def _collect_observed_dependencies(self) -> set:
         found: set = set()
         for deps in self.runtime.map(
-            [w.observed_dependencies for w in self.workers]
+            [w.observed_dependencies for w in self.fleet.workers]
         ):
             found |= deps
         return found
@@ -429,17 +402,9 @@ class ControlPlaneOrchestrator:
         flush_index = 0
         while pending:
             shard = pending.pop(0)
-            attempts = 0
-            while True:
-                try:
-                    self._converge_shard(shard)
-                    break
-                except WorkerFailure as failure:
-                    attempts += 1
-                    if attempts > self.retry_policy.max_shard_retries:
-                        raise
-                    self._recover(failure)
-                    self.stats.shard_replays += 1
+            self._replaying(
+                lambda: self._converge_shard(shard), "shard_replays"
+            )
             unmet = {
                 watch
                 for _prefix, watch in self._collect_observed_dependencies()
@@ -498,29 +463,19 @@ class ControlPlaneOrchestrator:
                 self._checkpoint_ospf()
             if shards and refine:
                 self.run_bgp_refining(shards)
-            elif shards:
-                for shard in shards:
+            else:
+                for shard in shards or [None]:
+                    index = shard.index if shard is not None else 0
                     if (
                         self.manifest is not None
-                        and self.manifest.is_shard_done(shard.index)
+                        and self.manifest.is_shard_done(index)
                     ):
                         self.stats.shards_skipped += 1
                         continue
                     rounds_before = self.stats.bgp_rounds
                     self.run_bgp_shard(shard)
                     self._mark_shard_done(
-                        shard.index, self.stats.bgp_rounds - rounds_before
-                    )
-            else:
-                if self.manifest is not None and self.manifest.is_shard_done(
-                    0
-                ):
-                    self.stats.shards_skipped += 1
-                else:
-                    rounds_before = self.stats.bgp_rounds
-                    self.run_bgp_shard(None)
-                    self._mark_shard_done(
-                        0, self.stats.bgp_rounds - rounds_before
+                        index, self.stats.bgp_rounds - rounds_before
                     )
             self._collect_fault_telemetry()
             span.set(

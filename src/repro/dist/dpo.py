@@ -31,10 +31,12 @@ from ..dataplane.queries import PropertyChecker
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from .faults import RetryPolicy, WorkerFailure
+from .fleet import Fleet
 from .runtime import Runtime, SequentialRuntime
-from .sidecar import Sidecar
 from .storage import RouteStore
-from .worker import Worker
+
+#: Node-table capacity of the controller's engine, where finals land.
+CONTROLLER_NODE_LIMIT = 1 << 24
 
 
 @dataclass
@@ -63,26 +65,25 @@ class DataPlaneStats:
 class DataPlaneOrchestrator:
     def __init__(
         self,
-        workers: Sequence[Worker],
-        sidecars: Sequence[Sidecar],
+        fleet: Fleet,
         encoding: Optional[HeaderEncoding] = None,
         runtime: Optional[Runtime] = None,
         node_limit: int = 1 << 24,
-        controller_node_limit: int = 1 << 24,
         bdd_kernel: str = "flat",
         supervisor=None,
         retry_policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.workers = list(workers)
-        self.sidecars = list(sidecars)
+        # Read at every query: a loss or rejoin takes effect at the next
+        # build (the controller invalidates it).
+        self.fleet = fleet
         self.encoding = encoding or HeaderEncoding()
         self.runtime = runtime or SequentialRuntime()
         self.node_limit = node_limit
         self.bdd_kernel = bdd_kernel
         self.engine: BddEngine = self.encoding.make_engine(
-            node_limit=controller_node_limit, kernel=bdd_kernel
+            node_limit=CONTROLLER_NODE_LIMIT, kernel=bdd_kernel
         )
         self.supervisor = supervisor
         self.retry_policy = retry_policy or RetryPolicy()
@@ -92,30 +93,6 @@ class DataPlaneOrchestrator:
         self._built = False
         self._store: Optional[RouteStore] = None
         self._transits: List[str] = []
-
-    # -- fleet membership ------------------------------------------------
-
-    def drop_worker(self, worker_id: int) -> None:
-        """Remove a lost worker (loss migration).
-
-        Worker and sidecar are dropped in tandem so the forward loop's
-        ``zip(self.workers, self.sidecars, ...)`` stays aligned; the
-        caller invalidates the build so the next query reloads the
-        migrated routes from the store.
-        """
-        self.workers = [w for w in self.workers if w.worker_id != worker_id]
-        self.sidecars = [
-            s for s in self.sidecars if s.worker_id != worker_id
-        ]
-        self._built = False
-
-    def set_fleet(
-        self, workers: Sequence[Worker], sidecars: Sequence[Sidecar]
-    ) -> None:
-        """Rebind the active fleet (a healed worker rejoined)."""
-        self.workers = list(workers)
-        self.sidecars = list(sidecars)
-        self._built = False
 
     # -- fault handling --------------------------------------------------
 
@@ -171,10 +148,10 @@ class DataPlaneOrchestrator:
                             self.bdd_kernel,
                         )
                     )
-                    for w in self.workers
+                    for w in self.fleet.workers
                 ]
             )
-            for worker, ops in zip(self.workers, ops_list):
+            for worker, ops in zip(self.fleet.workers, ops_list):
                 worker.resources.bdd_ops += ops
             self.stats.predicate_busiest_ops += max(ops_list, default=0)
             span.set(bdd_ops=sum(ops_list))
@@ -187,7 +164,7 @@ class DataPlaneOrchestrator:
         # Remembered so a mid-query recovery (which rebuilds the data
         # plane from scratch) can re-install them before the replay.
         self._transits = list(transits)
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             worker.clear_waypoints()
             for index, transit in enumerate(transits):
                 worker.set_waypoint_bit(transit, index)
@@ -229,7 +206,7 @@ class DataPlaneOrchestrator:
             "dpo.forward", category="dpo", sources=len(source_list)
         ) as span:
             payload = serialize(self.engine, header_bdd)
-            for worker in self.workers:
+            for worker in self.fleet.workers:
                 worker.reset_dataplane_run()
                 worker.inject_header(source_list, payload, trace)
             superstep = 0
@@ -238,12 +215,12 @@ class DataPlaneOrchestrator:
                     "dpo.superstep", category="dpo", step=superstep
                 ) as step_span:
                     results = self.runtime.map(
-                        [w.drain for w in self.workers]
+                        [w.drain for w in self.fleet.workers]
                     )
                     batch_count = 0
                     crossed = 0
                     for worker, sidecar, (_, batches, ops) in zip(
-                        self.workers, self.sidecars, results
+                        self.fleet.workers, self.fleet.sidecars, results
                     ):
                         worker.resources.bdd_ops += ops
                         for batch in batches.values():
@@ -287,7 +264,7 @@ class DataPlaneOrchestrator:
 
     def worker_engine_counters(self) -> List[Dict[str, float]]:
         """Per-worker engine health counters (post-build; may be empty)."""
-        return [worker.engine_counters() for worker in self.workers]
+        return [worker.engine_counters() for worker in self.fleet.workers]
 
     def _publish_engine_metrics(self) -> None:
         """Fold worker engine + sidecar dedup telemetry into the stats
@@ -312,7 +289,7 @@ class DataPlaneOrchestrator:
             misses += counters.get("cache_misses", 0)
         saved = sum(
             sidecar.dedup_counters()["bytes_saved"]
-            for sidecar in self.sidecars
+            for sidecar in self.fleet.sidecars
         )
         self.stats.peak_worker_nodes = max(self.stats.peak_worker_nodes, peak)
         self.stats.gc_reclaimed_nodes = reclaimed
@@ -331,7 +308,7 @@ class DataPlaneOrchestrator:
 
     def _collect_finals(self) -> List[FinalPacket]:
         finals: List[FinalPacket] = []
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             for record in worker.collect_finals():
                 finals.append(
                     FinalPacket(

@@ -383,7 +383,8 @@ class FaultPlan:
         )
         return spec.kind if spec is not None else "deliver"
 
-    def should_fail_respawn(self, worker_id: int) -> bool:
+    def check_respawn(self, worker_id: int) -> None:
+        """Raise :class:`RespawnError` when the plan fails this respawn."""
         with self._lock:
             remaining = self._lost_hosts.get(worker_id, 0)
             if remaining > 0:
@@ -396,19 +397,13 @@ class FaultPlan:
                 self.fired_by_kind["respawn_fail"] = (
                     self.fired_by_kind.get("respawn_fail", 0) + 1
                 )
-                return True
-        return (
+        if remaining > 0 or (
             self._first_match({"respawn_fail"}, worker_id, None) is not None
-        )
-
-    def host_is_down(self, worker_id: int) -> bool:
-        """True while an armed ``host_loss`` still refuses respawns.
-
-        A read-only peek (no budget consumed) — used by heal probers to
-        decide whether dialing the host is worth a real attempt.
-        """
-        with self._lock:
-            return self._lost_hosts.get(worker_id, 0) > 0
+        ):
+            raise RespawnError(
+                f"respawn of worker {worker_id} failed (injected)",
+                worker_id=worker_id,
+            )
 
     def on_transport(
         self, worker_id: int, command: str

@@ -536,9 +536,9 @@ for _command in Worker.COMMANDS:
 class SocketWorkerPool:
     """Spawns (or dials) one TCP worker per id and hands out proxies.
 
-    Also the supervisor's muscle: it reports dead workers, heartbeats
-    the live ones, and respawns a worker in place (the proxy keeps its
-    identity; see :meth:`SocketWorkerProxy.revive`).
+    Also the supervisor's muscle: it respawns a worker in place (the
+    proxy keeps its identity; see :meth:`SocketWorkerProxy.revive`).
+    Liveness is the orchestrators' heartbeat, over ``ping``.
     """
 
     def __init__(
@@ -561,7 +561,9 @@ class SocketWorkerPool:
         self._context = mp.get_context(
             "fork" if os.name == "posix" else "spawn"
         )
-        self._configure_args = (snapshot, assignment, capacity, max_hops)
+        # What every __configure__ (first spawn or respawn) ships.
+        self._snapshot, self._assignment = snapshot, assignment
+        self._capacity, self._max_hops = capacity, max_hops
         self._policy = retry_policy or RetryPolicy()
         self._fault_plan = fault_plan
         self._trace_dir = trace_dir
@@ -572,10 +574,6 @@ class SocketWorkerPool:
         # the next incarnation number, so its spans stay distinguishable
         # after merging onto the same process track.
         self._incarnations: Dict[int, int] = {}
-        # Workers declared permanently lost: worker_id -> their channel
-        # counters frozen at loss time (the live channel is gone, but the
-        # traffic it carried must stay reportable, tagged lost).
-        self._lost: Dict[int, Dict[str, Any]] = {}
         self.managed = not worker_hosts
         if worker_hosts:
             addresses = [parse_hostport(spec) for spec in worker_hosts]
@@ -650,17 +648,16 @@ class SocketWorkerPool:
 
     def _configure(self, worker_id: int, channel: RpcChannel) -> None:
         """Ship identity + snapshot to the worker (idempotent RPC)."""
-        snapshot, assignment, capacity, max_hops = self._configure_args
         incarnation = self._incarnations.get(worker_id, -1) + 1
         self._incarnations[worker_id] = incarnation
         status, payload = channel.call(
             "__configure__",
             (
                 worker_id,
-                snapshot,
-                assignment,
-                capacity,
-                max_hops,
+                self._snapshot,
+                self._assignment,
+                self._capacity,
+                self._max_hops,
                 self._trace_dir,
                 incarnation,
                 self._telemetry_interval,
@@ -676,7 +673,7 @@ class SocketWorkerPool:
     # -- serving ----------------------------------------------------------
 
     def update_snapshot(
-        self, snapshot: Snapshot, assignment: Optional[Dict[str, int]] = None
+        self, snapshot: Snapshot, assignment: Dict[str, int]
     ) -> None:
         """Point future respawn ``__configure__`` replays at the current
         snapshot/assignment.
@@ -687,26 +684,19 @@ class SocketWorkerPool:
         config, not the boot-time one (it would then fail the epoch
         fence and recovery would loop).
         """
-        _old_snapshot, old_assignment, capacity, max_hops = (
-            self._configure_args
-        )
-        self._configure_args = (
-            snapshot,
-            assignment if assignment is not None else old_assignment,
-            capacity,
-            max_hops,
-        )
+        self._snapshot, self._assignment = snapshot, assignment
 
     def reconfigure(
-        self, snapshot: Snapshot, assignment: Dict[str, int]
+        self,
+        snapshot: Snapshot,
+        assignment: Dict[str, int],
+        workers: Sequence[SocketWorkerProxy],
     ) -> None:
-        """Rebind every live worker to a new snapshot (logical respawn);
+        """Rebind ``workers`` to a new snapshot (logical respawn);
         listeners and channels stay resident.  Transport failures surface
         as :class:`WorkerFailure` for the caller's supervisor."""
         self.update_snapshot(snapshot, assignment)
-        for proxy in self.proxies:
-            if proxy.worker_id in self._lost:
-                continue
+        for proxy in workers:
             try:
                 self._configure(proxy.worker_id, proxy._channel)
             except (TransportError, RespawnError) as exc:
@@ -719,44 +709,6 @@ class SocketWorkerPool:
 
     # -- supervision ------------------------------------------------------
 
-    def mark_lost(self, worker_id: int) -> None:
-        """Blacklist a worker, freezing its transport counters.
-
-        The proxy slot is retained — ``respawn`` doubles as the heal
-        probe and clears the mark on success — but fleet sweeps skip the
-        worker and :meth:`transport_counters` reports the frozen stats
-        tagged ``lost`` until then.
-        """
-        proxy = self.proxies[worker_id]
-        try:
-            counters: Dict[str, Any] = dict(proxy.transport_counters())
-        except Exception:  # noqa: BLE001 — the channel may be torn down
-            counters = {}
-        self._lost[worker_id] = counters
-
-    @property
-    def lost_workers(self) -> List[int]:
-        return sorted(self._lost)
-
-    def dead_workers(self) -> List[int]:
-        return [
-            proxy.worker_id
-            for proxy in self.proxies
-            if proxy.worker_id not in self._lost and not proxy.is_alive()
-        ]
-
-    def ping_all(self) -> List[int]:
-        failed = []
-        for proxy in self.proxies:
-            if proxy.worker_id in self._lost:
-                continue
-            try:
-                if not proxy.ping():
-                    failed.append(proxy.worker_id)
-            except WorkerFailure:
-                failed.append(proxy.worker_id)
-        return failed
-
     def respawn(self, worker_id: int) -> SocketWorkerProxy:
         """Give the worker a fresh process (managed) or connection.
 
@@ -766,13 +718,8 @@ class SocketWorkerPool:
         :class:`RespawnError` when the worker cannot be brought back —
         the controller's cue to degrade to the sequential fallback.
         """
-        if self._fault_plan is not None and (
-            self._fault_plan.should_fail_respawn(worker_id)
-        ):
-            raise RespawnError(
-                f"respawn of worker {worker_id} failed (injected)",
-                worker_id=worker_id,
-            )
+        if self._fault_plan is not None:
+            self._fault_plan.check_respawn(worker_id)
         proxy = self.proxies[worker_id]
         address = proxy._channel.address
         proxy.reap()
@@ -785,7 +732,6 @@ class SocketWorkerPool:
             channel.connect()
             proxy.revive(channel, process)
             self._configure(worker_id, channel)
-            self._lost.pop(worker_id, None)
         except TransportError as exc:
             raise RespawnError(
                 f"respawn of worker {worker_id} failed: {exc}",
@@ -800,20 +746,24 @@ class SocketWorkerPool:
 
     # -- telemetry --------------------------------------------------------
 
-    def transport_counters(self) -> Dict[str, Dict[str, int]]:
+    def channel_counters(self, worker_id: int) -> Dict[str, int]:
+        """One worker's channel counters (a lost worker's are frozen
+        into its :class:`~repro.dist.fleet.LostWorker` record)."""
+        return dict(self.proxies[worker_id].transport_counters())
+
+    def transport_counters(self, lost) -> Dict[str, Dict[str, int]]:
         """Per-worker channel counters plus a fleet-wide total.
 
-        A lost worker's entry is its counters frozen at loss time,
-        tagged ``lost: True`` — never the fresh zeros a torn-down
-        channel would report.
+        A lost worker's entry (``lost`` maps its id to its record) is
+        its counters frozen at loss time, tagged ``lost: True`` — never
+        the fresh zeros a torn-down channel would report.
         """
         per_worker: Dict[str, Dict[str, Any]] = {}
         for proxy in self.proxies:
-            if proxy.worker_id in self._lost:
-                counters = dict(self._lost[proxy.worker_id])
-                counters["lost"] = True
+            if proxy.worker_id in lost:
+                counters = dict(lost[proxy.worker_id].transport, lost=True)
             else:
-                counters = dict(proxy.transport_counters())
+                counters = self.channel_counters(proxy.worker_id)
             per_worker[f"worker{proxy.worker_id}"] = counters
         totals: Dict[str, int] = {}
         for counters in per_worker.values():

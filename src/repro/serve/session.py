@@ -46,14 +46,9 @@ from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from ..config.loader import Snapshot
 from ..dataplane.queries import Query
-from ..dist.controller import S2Controller, S2Options, options_fingerprint
+from ..dist.controller import S2Controller, S2Options
 from ..dist.sharding import make_shards
-from ..dist.storage import (
-    CorruptShardError,
-    EpochMismatchError,
-    RouteStore,
-    RunManifest,
-)
+from ..dist.storage import CorruptShardError, EpochMismatchError, RouteStore
 from ..obs.journal import EventJournal
 from ..obs.openmetrics import render_openmetrics
 from ..routing.engine import BgpResult
@@ -149,7 +144,6 @@ class VerifierSession:
             # temp spool removed on close.
             opts.store_dir = tempfile.mkdtemp(prefix="s2-serve-")
             self._owned_store = True
-        opts.checkpoint = True
         self.options = opts
         self.snapshot = snapshot
         self.epoch = 0
@@ -501,26 +495,7 @@ class VerifierSession:
             delta, future = item
             if not future.set_running_or_notify_cancel():
                 continue
-            if delta is _REBALANCE:
-                # Capacity change is an epoch event; run it on the same
-                # thread as deltas so fleet mutation is never concurrent.
-                self._recomputing = True
-                try:
-                    future.set_result(self._rebalance())
-                except BaseException as exc:  # noqa: BLE001 — same ladder
-                    self.degraded = True
-                    self.degraded_reason = f"{type(exc).__name__}: {exc}"
-                    self.journal.record(
-                        "degraded",
-                        reason=self.degraded_reason,
-                        epoch=self.epoch,
-                    )
-                    self._publish_gauges()
-                    future.set_exception(exc)
-                finally:
-                    self._recomputing = False
-                continue
-            if self.degraded:
+            if delta is not _REBALANCE and self.degraded:
                 future.set_exception(
                     SessionDegradedError(
                         self.degraded_reason or "session is degraded"
@@ -529,7 +504,14 @@ class VerifierSession:
                 continue
             self._recomputing = True
             try:
-                result = self._apply(delta)
+                # A capacity change is an epoch event: it runs on this
+                # thread like a delta, so fleet mutation is never
+                # concurrent.
+                result = (
+                    self._rebalance()
+                    if delta is _REBALANCE
+                    else self._apply(delta)
+                )
             except DeltaError as exc:
                 # Rejected before any state was touched (bad hostname,
                 # unparsable text, no such link): not a degradation.
@@ -601,7 +583,7 @@ class VerifierSession:
         """
         controller = self._controller
         healed = False
-        for worker_id in sorted(controller.lost):
+        for worker_id in sorted(controller.fleet.lost):
             epoch = self.epoch + 1
             if not controller.rejoin_worker(worker_id, epoch=epoch):
                 continue
@@ -619,7 +601,7 @@ class VerifierSession:
         while not self._heal_stop.wait(delay):
             if self._closed or self.degraded:
                 continue
-            if not self._controller.lost:
+            if not self._controller.fleet.lost:
                 delay = policy.heal_probe_base
                 continue
             future: Future = Future()
@@ -643,12 +625,9 @@ class VerifierSession:
         new_snapshot: Snapshot,
         classification: DeltaClassification,
         epoch: int,
-    ) -> int:
-        """Announce-only path: carry clean shards over, recompute dirty.
-
-        Returns the number of shards carried over (also visible as the
-        new CPO's ``shards_skipped``).
-        """
+    ) -> None:
+        """Announce-only path: carry clean shards over, recompute dirty
+        (the new CPO counts the carried ones as ``shards_skipped``)."""
         opts = self.options
         controller = self._controller
         store = controller.store
@@ -691,7 +670,7 @@ class VerifierSession:
         payloads: Dict[int, Dict[int, bytes]] = {}
         for new_index, old_index in list(carry.items()):
             per_worker: Dict[int, bytes] = {}
-            for worker in controller.workers:
+            for worker in controller.fleet.workers:
                 data = store.read_shard_payload(worker.worker_id, old_index)
                 if data is None:
                     break
@@ -704,38 +683,15 @@ class VerifierSession:
         for new_index, per_worker in payloads.items():
             for worker_id, data in per_worker.items():
                 store.write_shard_payload(worker_id, new_index, data)
-        manifest = RunManifest(
-            options_hash=options_fingerprint(opts, new_snapshot),
-            seed=opts.seed,
-            num_workers=opts.num_workers,
-            num_shards=max(1, len(new_shards) or 1),
-            ospf_done=True,  # announce-only: the IGP result is unchanged
-            epoch=epoch,
-        )
-        for new_index in carry:
-            manifest.mark_shard(new_index)
-        manifest.shard_fingerprints = {
-            str(shard.index): shard.fingerprint() for shard in new_shards
-        }
-        store.write_manifest(manifest)
-        controller.make_cpo(manifest, epoch)
-        return len(carry)
+        # Announce-only: the IGP result is unchanged.
+        controller.start_run(carried=carry, ospf_done=True)
 
     def _prepare_full(self, new_snapshot: Snapshot, epoch: int) -> None:
         """Topology/policy path: repartition, respawn, recompute all."""
-        opts = self.options
         controller = self._controller
         controller.reconfigure(new_snapshot, epoch)
         controller.store.clear_run_state()
-        manifest = RunManifest(
-            options_hash=options_fingerprint(opts, new_snapshot),
-            seed=opts.seed,
-            num_workers=opts.num_workers,
-            num_shards=max(1, len(controller.shards) or 1),
-            epoch=epoch,
-        )
-        controller.store.write_manifest(manifest)
-        controller.make_cpo(manifest, epoch)
+        controller.start_run()
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -113,7 +113,7 @@ class TestDistributedOrdering:
             controller.run_control_plane()
             # r3 (wherever it lives) learned the loopback over OSPF
             owner = controller.partition.assignment["r3"]
-            worker = controller.workers[owner]
+            worker = controller.fleet.workers[owner]
             node = worker.nodes["r3"]
             routes = node.main_rib.routes_for(LOOPBACK)
             assert routes and routes[0].protocol is Protocol.OSPF

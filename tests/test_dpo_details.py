@@ -71,9 +71,9 @@ class TestSupersteps:
 
 class TestPerWorkerEngines:
     def test_each_worker_has_private_engine(self, controller):
-        engines = {id(w.engine) for w in controller.workers}
+        engines = {id(w.engine) for w in controller.fleet.workers}
         assert len(engines) == 4
-        assert all(w.engine.node_count > 2 for w in controller.workers)
+        assert all(w.engine.node_count > 2 for w in controller.fleet.workers)
 
     def test_worker_engine_smaller_than_monolithic(
         self, controller, fattree4, fattree4_sim
@@ -84,7 +84,7 @@ class TestPerWorkerEngines:
         engine, routes = fattree4_sim
         mono = DataPlaneVerifier.from_simulation(engine, routes)
         mono.compile_predicates()
-        for worker in controller.workers:
+        for worker in controller.fleet.workers:
             assert worker.engine.node_count < mono.engine.node_count
 
     def test_worker_bdd_overflow_surfaces(self, fattree4):
@@ -108,7 +108,7 @@ class TestEncodingPlumbing:
         ) as controller:
             controller.build_data_plane()
             assert controller.dpo.engine.num_vars == encoding.num_vars
-            for worker in controller.workers:
+            for worker in controller.fleet.workers:
                 assert worker.engine.num_vars == encoding.num_vars
 
     def test_waypoint_bits_cleared_between_queries(self, fattree4):
@@ -129,7 +129,7 @@ class TestEncodingPlumbing:
             controller.dpo.install_waypoints(())
             assert all(
                 not (w.context and w.context.waypoint_bits)
-                for w in controller.workers
+                for w in controller.fleet.workers
             )
 
 
@@ -148,7 +148,7 @@ class TestEngineMemoryManagement:
             for _ in range(5):
                 dpo.forward(["edge-0-0"], TRUE)
                 counts.append(
-                    max(w.engine.node_count for w in controller.workers)
+                    max(w.engine.node_count for w in controller.fleet.workers)
                 )
             # The first query may allocate fresh structure; after that the
             # footprint must stabilize (repeats reuse the warm table).
@@ -192,10 +192,10 @@ class TestSendDedup:
             dpo = controller.dpo
             dpo.forward(["edge-0-0"], TRUE)
             baseline = sum(
-                s.dedup_counters()["hits"] for s in dpo.sidecars
+                s.dedup_counters()["hits"] for s in dpo.fleet.sidecars
             )
             dpo.forward(["edge-0-0"], TRUE)
-            after = sum(s.dedup_counters()["hits"] for s in dpo.sidecars)
+            after = sum(s.dedup_counters()["hits"] for s in dpo.fleet.sidecars)
             # The identical query re-crosses the same worker boundaries
             # with the identical symbolic packets.
             assert after > baseline
@@ -209,7 +209,7 @@ class TestSendDedup:
             ) as controller:
                 controller.build_data_plane()
                 dpo = controller.dpo
-                for sidecar in dpo.sidecars:
+                for sidecar in dpo.fleet.sidecars:
                     sidecar.dedup_packets = dedup
                 finals = dpo.forward(["edge-0-0"], TRUE)
                 results.append(
@@ -231,7 +231,8 @@ class TestSendDedup:
 
             def total_rpc_bytes():
                 return sum(
-                    w.resources.rpc_bytes_sent for w in controller.workers
+                    w.resources.rpc_bytes_sent
+                    for w in controller.fleet.workers
                 )
 
             before_first = total_rpc_bytes()

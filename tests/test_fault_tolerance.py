@@ -292,10 +292,11 @@ def test_loss_mid_ospf_is_bit_identical():
     assert ribs == base_ribs
 
 
-def test_lost_worker_rejoins_after_heal(fattree4, baseline):
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_lost_worker_rejoins_after_heal(runtime, fattree4, baseline):
     """Once the blacklisted host heals, ``rejoin_worker`` rebalances the
     shards back across the full fleet — and the RIBs survive the loss
-    *and* the rejoin untouched."""
+    *and* the rejoin untouched, on every runtime."""
     _, base_ribs = baseline
     # heal_after=2 == the respawn budget: the host is dead long enough
     # to be declared lost, then heals.
@@ -308,7 +309,7 @@ def test_lost_worker_rejoins_after_heal(fattree4, baseline):
         ]
     )
     with S2Controller(
-        fattree4, _options(runtime="socket", fault_plan=plan)
+        fattree4, _options(runtime=runtime, fault_plan=plan)
     ) as c:
         stats = c.run_control_plane()
         assert not stats.sequential_fallback
@@ -316,20 +317,24 @@ def test_lost_worker_rejoins_after_heal(fattree4, baseline):
             "active_workers": 2,
             "lost_workers": 1,
             "capacity_ratio": pytest.approx(2 / 3),
-            "lost": {"1": c.lost_reasons[1]},
+            "lost": {"1": c.fleet.lost[1].reason},
         }
+        lost = c.fleet.lost[1].worker
         assert c.rejoin_worker(1)
         capacity = c.capacity()
         assert capacity["active_workers"] == 3
         assert capacity["lost_workers"] == 0
+        assert c.fleet.workers[1] is lost       # same identity, back in
         assert set(c.partition.assignment.values()) == {0, 1, 2}
         assert normalize_ribs(c.collected_ribs()) == base_ribs
 
 
-def test_loss_freezes_worker_accounting(fattree4):
-    """A lost worker's resource totals and transport counters stay in
-    the report — frozen at their last values and tagged ``lost`` — so
-    the communication bill never silently shrinks."""
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_loss_freezes_worker_accounting(runtime, fattree4):
+    """A lost worker's resource totals (and, over sockets, its transport
+    counters) stay in the report — frozen at their last values and
+    tagged ``lost`` — so the communication bill never silently
+    shrinks."""
     plan = FaultPlan(
         [
             FaultSpec(
@@ -339,7 +344,7 @@ def test_loss_freezes_worker_accounting(fattree4):
         ]
     )
     with S2Controller(
-        fattree4, _options(runtime="socket", fault_plan=plan)
+        fattree4, _options(runtime=runtime, fault_plan=plan)
     ) as c:
         c.run_control_plane()
         report = c.report()
@@ -347,7 +352,12 @@ def test_loss_freezes_worker_accounting(fattree4):
     assert len(report.workers) == 3       # nobody vanishes from the bill
     workers = {entry["name"]: entry for entry in snapshot["workers"]}
     assert workers["worker1"]["lost"] and not workers["worker0"]["lost"]
+    assert workers["worker1"]["respawns"] == 0    # both respawns failed
+    assert workers["worker1"]["rpc_bytes_sent"] > 0  # sent before loss
     assert snapshot["capacity"]["lost_workers"] == 1
+    if runtime != "socket":
+        assert "transport" not in snapshot  # in-process: no wire
+        return
     transport = snapshot["transport"]
     assert transport["worker1"].get("lost")
     assert not transport["worker0"].get("lost")
@@ -654,16 +664,17 @@ def test_in_process_crash_raises_worker_failure(fattree4):
 def test_pool_detects_and_respawns_dead_worker(fattree4):
     with S2Controller(fattree4, _options(runtime="socket")) as controller:
         pool = controller._pool
-        assert pool.dead_workers() == []
-        assert pool.ping_all() == []
+        assert all(proxy.is_alive() for proxy in pool.proxies)
+        assert all(proxy.ping() == "pong" for proxy in pool.proxies)
         victim = pool.proxies[1]
         victim._process.kill()
         victim._process.join(5.0)
-        assert pool.dead_workers() == [1]
+        assert not victim.is_alive()
+        assert pool.proxies[0].is_alive() and pool.proxies[2].is_alive()
         with pytest.raises(WorkerDiedError):
             victim.ping()
         pool.respawn(1)
-        assert pool.dead_workers() == []
+        assert all(proxy.is_alive() for proxy in pool.proxies)
         assert victim.ping()                      # same proxy object
         assert victim.resources.respawns == 1
 

@@ -19,6 +19,8 @@ from repro.dist.controller import (
     WorkerSupervisor,
 )
 from repro.dist.faults import StaleEpochError, WorkerDiedError
+from repro.dist.fleet import Fleet
+from repro.dist.runtime import LocalWorkerPool
 from repro.dist.sidecar import Sidecar
 from repro.dist.storage import RouteStore
 from repro.dist.transport import RpcChannel, RpcServer
@@ -79,8 +81,11 @@ def _supervised_pair(tmp_path):
     sidecars = [Sidecar(worker) for worker in workers]
     for sidecar in sidecars:
         sidecar.register_peers(sidecars)
+    # The real in-process pool, holding the stubs: a respawn is a reset.
+    pool = LocalWorkerPool(None, {}, num_workers=0, capacity=0)
+    pool.proxies = workers
     supervisor = WorkerSupervisor(
-        workers, RouteStore(str(tmp_path)), sidecars=sidecars
+        Fleet(workers, sidecars), RouteStore(str(tmp_path)), pool
     )
     return workers, sidecars, supervisor
 
@@ -104,7 +109,7 @@ def test_recover_drops_dedup_caches_toward_the_respawned_peer(tmp_path):
 
 def test_recover_reseeds_the_serving_epoch(tmp_path):
     workers, _sidecars, supervisor = _supervised_pair(tmp_path)
-    supervisor.epoch = 7
+    supervisor.fleet.epoch = 7
     supervisor.recover(StaleEpochError("stale", worker_id=1))
     # Fresh contexts boot at epoch -1; recovery must re-admit the
     # worker past the fence before any shard replays on it.
@@ -129,9 +134,9 @@ def test_reconfigure_invalidates_every_send_cache(fattree4):
     with S2Controller(
         fattree4, S2Options(num_workers=2, num_shards=2)
     ) as controller:
-        assert controller.sidecars, "sequential runtime has sidecars"
-        for sidecar in controller.sidecars:
+        assert controller.fleet.sidecars, "sequential runtime has sidecars"
+        for sidecar in controller.fleet.sidecars:
             sidecar._packet_dedup = {0: SendDedupCache()}
         controller.reconfigure(fattree4)
-        for sidecar in controller.sidecars:
+        for sidecar in controller.fleet.sidecars:
             assert sidecar._packet_dedup == {}

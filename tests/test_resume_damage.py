@@ -38,7 +38,6 @@ def _options(store_dir, **overrides) -> S2Options:
         num_workers=NUM_WORKERS,
         num_shards=NUM_SHARDS,
         store_dir=str(store_dir),
-        checkpoint=True,
     )
     defaults.update(overrides)
     return S2Options(**defaults)

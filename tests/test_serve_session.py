@@ -276,7 +276,7 @@ def test_stale_epoch_worker_is_fenced_and_recovered(ft4):
     replays — with verdicts identical to the healthy run."""
     link = next(iter(ft4.topology.links()))
     with VerifierSession(ft4, _options()) as session:
-        worker = session._controller.workers[1]
+        worker = session._controller.fleet.workers[1]
         real_begin_epoch = worker.begin_epoch
         dropped = []
 
@@ -409,7 +409,8 @@ def test_loss_during_reconfigure_commits_at_reduced_capacity(ft4):
         assert "epoch_commit" in kinds
 
 
-def test_healed_host_is_rebalanced_back_at_an_epoch_boundary(ft4):
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
+def test_healed_host_is_rebalanced_back_at_an_epoch_boundary(ft4, runtime):
     """Once the blacklisted host heals, the heal prober rejoins it via
     the mutator queue: capacity returns to 1.0 as a fresh committed
     epoch, and the verdicts survive the loss *and* the rejoin."""
@@ -428,7 +429,7 @@ def test_healed_host_is_rebalanced_back_at_an_epoch_boundary(ft4):
         ]
     )
     with VerifierSession(
-        ft4, _options(fault_plan=plan, runtime="socket")
+        ft4, _options(fault_plan=plan, runtime=runtime)
     ) as session:
         assert session.health()["capacity"]["lost_workers"] == 1
         deadline = _time.time() + 60

@@ -22,6 +22,7 @@ import pytest
 from repro import FaultPlan, FaultSpec, RetryPolicy, S2Options, S2Verifier
 from repro.bdd.engine import TRUE
 from repro.dist.controller import S2Controller
+from repro.dist.faults import WorkerFailure
 from repro.dist.partition import partition
 from repro.dist.resources import UNLIMITED_CAPACITY
 from repro.dist.service import WorkerService
@@ -83,12 +84,13 @@ def converged_controller(fattree4):
 
 def test_workers_are_socket_proxies(converged_controller):
     assert all(
-        isinstance(w, SocketWorkerProxy) for w in converged_controller.workers
+        isinstance(w, SocketWorkerProxy)
+        for w in converged_controller.fleet.workers
     )
 
 
 def test_resource_mirror_tracks_peaks(converged_controller):
-    for proxy in converged_controller.workers:
+    for proxy in converged_controller.fleet.workers:
         assert proxy.resources.peak_bytes > 0
 
 
@@ -139,14 +141,16 @@ def test_socket_chaos_acceptance(fattree4, baseline):
 def test_socket_pool_detects_and_respawns_dead_worker(fattree4):
     with S2Controller(fattree4, _options()) as controller:
         pool = controller._pool
-        assert pool.dead_workers() == []
-        assert pool.ping_all() == []
+        assert all(proxy.is_alive() for proxy in pool.proxies)
+        assert all(proxy.ping() == "pong" for proxy in pool.proxies)
         victim = pool.proxies[1]
         victim._process.kill()
         victim._process.join(5.0)
-        assert 1 in [w for w in pool.ping_all()] or pool.dead_workers() == [1]
+        assert not victim.is_alive()
+        with pytest.raises(WorkerFailure):
+            victim.ping()
         pool.respawn(1)
-        assert pool.dead_workers() == []
+        assert all(proxy.is_alive() for proxy in pool.proxies)
         assert victim.ping()                      # same proxy object
         assert victim.resources.respawns == 1
 
@@ -187,7 +191,7 @@ def test_oom_reports_the_workers_own_bytes(fattree4, runtime):
 def test_remote_error_surfaces(fattree4):
     with S2Controller(fattree4, _options(num_workers=1)) as controller:
         with pytest.raises(RemoteWorkerError):
-            controller.workers[0]._call("no_such_method")
+            controller.fleet.workers[0]._call("no_such_method")
 
 
 def test_shard_flush_happens_in_worker_process(fattree4):

@@ -263,7 +263,7 @@ def _payload(controller, prefix="172.16.32.0/20"):
 
 
 def test_receive_memo_resolves_repeats_and_pickled_copies(warm_controller):
-    worker = warm_controller.workers[0]
+    worker = warm_controller.fleet.workers[0]
     payload = _payload(warm_controller)
     first = _deliver(worker, payload)
     reused = worker.payloads_reused
@@ -273,7 +273,7 @@ def test_receive_memo_resolves_repeats_and_pickled_copies(warm_controller):
 
 
 def test_collection_drops_memos_no_stale_id(warm_controller):
-    worker = warm_controller.workers[0]
+    worker = warm_controller.fleet.workers[0]
     payload = _payload(warm_controller)
     stale = _deliver(worker, payload)
     worker.reset_dataplane_run()  # empties the queue; grew too little
@@ -288,10 +288,10 @@ def test_collection_drops_memos_no_stale_id(warm_controller):
 
 def test_rebuild_data_plane_drops_both_memos(warm_controller):
     """The serve path's epoch commit rebuilds the data plane."""
-    _deliver(warm_controller.workers[0], _payload(warm_controller))
-    assert any(w._serialize_memo for w in warm_controller.workers)
+    _deliver(warm_controller.fleet.workers[0], _payload(warm_controller))
+    assert any(w._serialize_memo for w in warm_controller.fleet.workers)
     warm_controller.rebuild_data_plane()
-    for worker in warm_controller.workers:
+    for worker in warm_controller.fleet.workers:
         assert worker._serialize_memo == {} and worker._receive_memo == {}
         assert worker.engine_counters()["gc_floor"] == 0
 
@@ -301,7 +301,7 @@ def test_rebuild_data_plane_drops_both_memos(warm_controller):
 
 def test_boundary_collects_only_past_growth_factor(warm_controller,
                                                    monkeypatch):
-    worker = warm_controller.workers[0]
+    worker = warm_controller.fleet.workers[0]
     floor = worker.engine_counters()["gc_floor"]
     assert floor > 0  # the first boundary after the build collected
     runs = worker.engine.gc_runs
