@@ -28,7 +28,9 @@ Three measurements, matching the ISSUE acceptance criteria:
    a boundary collects exactly when the count it carries exceeds
    ``_GC_GROWTH`` times that footprint (so no worker carries more into
    a query), and the trigger fires at least once past the first
-   boundary.
+   boundary.  The busiest worker's node count right after the build —
+   what the predicate compile leaves, garbage included, before the
+   first collection — is gated against the baseline too.
 
 Usage:
 
@@ -38,7 +40,7 @@ Usage:
         benchmarks/baselines/bdd_engine_fattree4.json
 
 ``--check-baseline`` exits non-zero when that rule is broken, when
-either kernel's live footprint or peak node count regresses more than
+either kernel's build, live or peak node count regresses more than
 ``--tolerance`` (default 20%) over the committed baseline, or when a
 compile speedup drops below its 2x floor — this is the CI
 memory-regression job.
@@ -246,6 +248,10 @@ def bench_sharded_dpv(
     options = S2Options(num_workers=4, num_shards=2, bdd_kernel=kernel)
     with S2Controller(snapshot, options) as controller:
         controller.build_data_plane()
+        built = max(
+            int(counters["node_count"])
+            for counters in controller.dpo.worker_engine_counters()
+        )
         sources = controller.prefix_holders()
         shards = shard_queries(sources, num_query_shards)
         samples: List[List[Tuple[int, int, int]]] = []
@@ -276,6 +282,7 @@ def bench_sharded_dpv(
         "network": "fattree4",
         "kernel": kernel,
         "query_shards": len(samples),
+        "build_node_count": built,
         "per_shard_peak_node_count": per_query_peaks,
         "peak_node_count": max(per_query_peaks),
         "live_node_count": max(footprints),
@@ -319,6 +326,7 @@ def check(result: Dict[str, object], baseline: Dict[str, object],
         dpv = result["dpv"][kernel]
         base = baseline["dpv"][kernel]
         for key, what in (
+            ("build_node_count", "worker node_count after the build"),
             ("live_node_count", "live worker node_count after a collection"),
             ("peak_node_count", "peak worker node_count"),
         ):
@@ -378,7 +386,8 @@ def main(argv=None) -> int:
     for kernel in KERNELS:
         dpv = result["dpv"][kernel]
         print(f"fattree4 DPV [{kernel}] over {dpv['query_shards']} query "
-              f"shards: live node_count {dpv['live_node_count']}, "
+              f"shards: built {dpv['build_node_count']}, "
+              f"live node_count {dpv['live_node_count']}, "
               f"peak {dpv['peak_node_count']}, "
               f"per-shard {dpv['per_shard_peak_node_count']}, "
               f"gc_runs {dpv['gc_runs']} "

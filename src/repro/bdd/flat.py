@@ -114,15 +114,13 @@ class FlatBddEngine(BddEngine):
         while size < cache_limit:
             size <<= 1
         self._cmask = size - 1
-        self._ckeys = array("q", bytes(8 * size))
-        self._cvals = array("i", bytes(4 * size))
-        self._cache_filled = 0  # occupied op-cache slots (gauge)
+        # ite keys are three-operand and do not fit a packed int64 slot.
+        self._ite_memo: Dict[Tuple[int, int, int], int] = {}
+        self.clear_caches()
         # The base engine's dict generations are unused; keep inert empty
         # dicts so introspection written against the base stays harmless.
         self._cache = {}
         self._cache_old = {}
-        # ite keys are three-operand and do not fit a packed int64 slot.
-        self._ite_memo: Dict[Tuple[int, int, int], int] = {}
 
     # -- structure -------------------------------------------------------
 
@@ -427,11 +425,17 @@ class FlatBddEngine(BddEngine):
     # -- caches ----------------------------------------------------------
 
     def clear_caches(self) -> None:
-        """Zero the op-cache slots (the node table itself is kept)."""
+        """Zero the op-cache slots (the node table itself is kept).
+
+        The old arrays are released before the new ones are allocated,
+        and repetition fills them without a ``bytes`` temporary, so the
+        engine never holds two op caches at once.
+        """
         size = self._cmask + 1
-        self._ckeys = array("q", bytes(8 * size))
-        self._cvals = array("i", bytes(4 * size))
-        self._cache_filled = 0
+        self._ckeys = self._cvals = None
+        self._ckeys = array("q", [0]) * size
+        self._cvals = array("i", [0]) * size
+        self._cache_filled = 0  # occupied op-cache slots (gauge)
         self._ite_memo.clear()
 
     # -- garbage collection ----------------------------------------------

@@ -1,10 +1,11 @@
 """FIB construction: merge per-protocol RIBs into forwarding entries.
 
 A :class:`Fib` maps prefixes to actions (forward out ports / receive
-locally / discard) with longest-prefix-match semantics, realized both as a
-binary trie (for concrete lookups and tests) and as a length-sorted entry
-list (for predicate compilation, which needs "all entries, most specific
-first").
+locally / discard) with longest-prefix-match semantics, realized as one
+binary trie per address family: concrete lookups walk it top-down, and
+predicate compilation walks it bottom-up.  :meth:`Fib.entries` lists the
+entries most specific first, for consumers that scan them linearly (the
+ground-truth walker) and for tests.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class Fib:
         return best
 
     def entries(self, width: Optional[int] = None) -> List[FibEntry]:
-        """Entries ordered most-specific first (predicate order),
-        optionally restricted to one address family."""
+        """Entries ordered most-specific first, optionally restricted to
+        one address family."""
         selected = (
             self._entries.values()
             if width is None
@@ -110,9 +111,8 @@ class Fib:
         """The binary trie of one address family's entries.
 
         This is the bulk-compilation entry point: predicate compilation
-        walks the trie bottom-up and emits the exact LPM partition with
-        hash-consing ``mk`` calls alone, instead of carving entries out of
-        the covered space one chained ``or_``/``diff`` at a time.
+        walks the trie bottom-up and emits the exact LPM partition, one
+        region per forwarding action, with hash-consing ``mk`` calls.
         """
         return self._roots[width]
 

@@ -10,23 +10,24 @@ For each device the verifier derives, from its FIB and ACLs:
 
 Compilation realizes exact LPM semantics as a disjoint partition —
 forwarding + receive + drop predicates tile the full header space — by
-walking the FIB's binary *trie* bottom-up: every trie node merges its
-children's per-entry regions with one hash-consing ``mk`` call per entry,
-and a deeper entry overrides its ancestors by construction.  This replaces
-the historical most-specific-first entry walk (one ``diff``+``or_`` apply
-chain per entry, O(n) quadratic-ish in practice) with a pass that performs
-*zero* BDD apply operations for the partition itself.
+walking the FIB's binary *trie* bottom-up, and a deeper entry overrides
+its ancestors by construction.  The regions are kept per forwarding
+*action*, not per entry: entries that drop, receive, or leave by the
+same egress interfaces share one region, so a trie node merges its
+children with one hash-consing ``mk`` call per action class.  The
+partition itself costs no BDD apply operation; an interface that sits in
+several classes (distinct ECMP sets sharing it) is the only union left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..bdd.engine import FALSE, OP_OR, TRUE, BddEngine
 from ..bdd.headerspace import HeaderEncoding
 from ..config.ast import DeviceConfig
-from .fib import Fib, FibAction, FibEntry
+from .fib import Fib, FibAction
 
 
 @dataclass
@@ -68,36 +69,6 @@ class PortPredicates:
                 table[key] = remap[value]
 
 
-def _lpm_regions(
-    engine: BddEngine, fib: Fib, base: int, width: int
-) -> Dict[Optional[FibEntry], int]:
-    """The exact LPM partition of one address family's header space.
-
-    Returns a map ``entry -> BDD`` of the (disjoint) packet sets whose
-    longest-prefix match is that entry; the ``None`` key is the region
-    matching no entry at all (the implicit drop).  Built bottom-up over
-    the FIB trie with only ``mk`` calls.
-    """
-
-    def walk(node, depth: int, inherited):
-        if node is None:
-            return {inherited: TRUE}
-        effective = node.entry if node.entry is not None else inherited
-        if depth == width:
-            return {effective: TRUE}
-        low = walk(node.children[0], depth + 1, effective)
-        high = walk(node.children[1], depth + 1, effective)
-        var = base + depth
-        merged = {}
-        for key in low.keys() | high.keys():
-            merged[key] = engine.mk(
-                var, low.get(key, FALSE), high.get(key, FALSE)
-            )
-        return merged
-
-    return walk(fib.trie_root(width), 0, None)
-
-
 def compile_predicates(
     config: DeviceConfig,
     fib: Fib,
@@ -108,32 +79,48 @@ def compile_predicates(
     predicates = PortPredicates(node=fib.node)
     # One encoding covers one address family; the other family's FIB
     # entries belong to that family's verification pass.
-    regions = _lpm_regions(
-        engine,
-        fib,
-        encoding.field_base("dst"),
-        encoding.address_bits,
-    )
-    # The regions are pairwise disjoint, so the per-action unions below
-    # are the only apply work left in FIB compilation.  Each union goes
-    # through apply_many, the kernel's batched compile path (a balanced
-    # reduction on the flat kernel, the historical left fold on dict).
-    drop_regions = []
-    receive_regions = []
-    forward_regions: Dict[str, list] = {}
-    for entry, region in sorted(
-        regions.items(),
-        key=lambda item: (item[0] is not None, item[0].prefix if item[0] else None),
-    ):
-        if entry is None or entry.action is FibAction.DROP:
-            drop_regions.append(region)
-        elif entry.action is FibAction.RECEIVE:
-            receive_regions.append(region)
-        else:
-            for hop in entry.next_hops:
-                forward_regions.setdefault(hop.iface, []).append(region)
-    predicates.drop = engine.apply_many(OP_OR, drop_regions)
-    predicates.receive = engine.apply_many(OP_OR, receive_regions)
+    base = encoding.field_base("dst")
+    width = encoding.address_bits
+    mk = engine.mk
+    # Action -> class id in first-seen trie order: drop (class 0, which
+    # also covers "no entry matches"), receive, or the egress interfaces.
+    # Small-int keys merge in the same order in every process, which
+    # sets keyed by entries or by None (hashed by address) would not.
+    classes: Dict[object, int] = {FibAction.DROP: 0}
+
+    def walk(node, depth: int, inherited: int) -> Dict[int, int]:
+        """Class id -> the packets below ``node`` whose LPM action it is."""
+        if node is None:
+            return {inherited: TRUE}
+        entry = node.entry
+        if entry is not None:
+            action = entry.action
+            if action is FibAction.FORWARD:
+                action = tuple(hop.iface for hop in entry.next_hops)
+            inherited = classes.setdefault(action, len(classes))
+        if depth == width:
+            return {inherited: TRUE}
+        low = walk(node.children[0], depth + 1, inherited)
+        high = walk(node.children[1], depth + 1, inherited)
+        var = base + depth
+        return {
+            key: mk(var, low.get(key, FALSE), high.get(key, FALSE))
+            for key in low.keys() | high.keys()
+        }
+
+    regions = walk(fib.trie_root(width), 0, 0)
+    # The class regions are disjoint, so drop and receive are single
+    # regions; an interface in several classes is the only apply work.
+    forward_regions: Dict[str, List[int]] = {}
+    for action, key in classes.items():
+        region = regions.get(key, FALSE)
+        if action is FibAction.DROP:
+            predicates.drop = region
+        elif action is FibAction.RECEIVE:
+            predicates.receive = region
+        elif region != FALSE:
+            for iface in action:
+                forward_regions.setdefault(iface, []).append(region)
     for iface, iface_regions in forward_regions.items():
         predicates.forward[iface] = engine.apply_many(OP_OR, iface_regions)
 

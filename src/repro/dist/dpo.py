@@ -9,13 +9,15 @@ re-encoded into the receiving worker's engine.  Finals are collected back
 into the controller's engine for property checking.
 
 Both phases are timed with the wall clock (``predicate_seconds`` and
-``forward_seconds``, Figure 10's two phases); every worker's BDD
-operations are also counted.  Per phase, the busiest worker's operations
-(``*_busiest_ops``) are the §4.3 parallelism argument as a count: engines
-on different workers proceed in parallel, so a step lasts as long as its
-busiest worker's share.  Unlike the clock, the counts do not depend on
-the machine; they move by a few percent with Python's string-hash seed,
-which reorders set iteration and so the BDD operation caches' hits.
+``forward_seconds``, Figure 10's two phases); every worker's BDD work is
+also counted.  Per phase, the busiest worker's share is the §4.3
+parallelism argument as a count: engines on different workers proceed in
+parallel, so a step lasts as long as its busiest worker's share — nodes
+built for the predicate phase (``predicate_busiest_nodes``), operations
+for forwarding (``forward_busiest_ops``).  Unlike the clock, the counts
+do not depend on the machine; the forwarding ops move by a few percent
+with Python's string-hash seed, which reorders set iteration and so the
+BDD operation caches' hits.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ CONTROLLER_NODE_LIMIT = 1 << 24
 class DataPlaneStats:
     predicate_seconds: float = 0.0
     forward_seconds: float = 0.0
-    # BDD operations on the critical path: the busiest worker's ops in a
-    # build, and in each superstep (a superstep ends with its busiest
-    # worker), summed.  Workers on their own cores run the rest alongside.
-    predicate_busiest_ops: int = 0
+    # BDD work on the critical path: the nodes the busiest worker's build
+    # leaves in its fresh engine (the trie compile is mk calls, mostly no
+    # apply op), and each superstep's busiest worker's ops, summed.
+    # Workers on their own cores run the rest alongside.
+    predicate_busiest_nodes: int = 0
     forward_busiest_ops: int = 0
     supersteps: int = 0
     packets_crossed: int = 0
@@ -138,7 +141,7 @@ class DataPlaneOrchestrator:
         with stopwatch() as clock, self.tracer.span(
             "dpo.build", category="dpo"
         ) as span:
-            ops_list = self.runtime.map(
+            built = self.runtime.map(
                 [
                     (
                         lambda w=w: w.build_dataplane(
@@ -151,10 +154,12 @@ class DataPlaneOrchestrator:
                     for w in self.fleet.workers
                 ]
             )
-            for worker, ops in zip(self.fleet.workers, ops_list):
+            for worker, (ops, _) in zip(self.fleet.workers, built):
                 worker.resources.bdd_ops += ops
-            self.stats.predicate_busiest_ops += max(ops_list, default=0)
-            span.set(bdd_ops=sum(ops_list))
+            self.stats.predicate_busiest_nodes += max(
+                (nodes for _, nodes in built), default=0
+            )
+            span.set(bdd_ops=sum(ops for ops, _ in built))
         self.stats.predicate_seconds += clock.seconds
         self._built = True
 

@@ -611,12 +611,17 @@ class Worker:
         encoding: HeaderEncoding,
         node_limit: int = 1 << 24,
         bdd_kernel: str = "flat",
-    ) -> int:
+    ) -> Tuple[int, int]:
         """Build FIBs (from the route store) and compile predicates into
-        this worker's private engine.  Returns BDD ops spent (phase 1 of
-        Figure 10).  Idempotent: a rebuild (after worker recovery) starts
+        this worker's private engine.  Returns the BDD ops spent and the
+        nodes the fresh engine holds afterwards (phase 1 of Figure 10).
+        Idempotent: a rebuild (after worker recovery or a commit) starts
         from a fresh engine and FIB count."""
         self._inject("build_dataplane")
+        # Release the previous data plane before allocating the next, so
+        # a rebuild never holds two engines (and two op caches) at once.
+        self.engine = self.context = self._buffer = None
+        self._drop_engine_memos()
         resolver = NextHopResolver.from_snapshot(self.snapshot)
         self.encoding = encoding
         self._fib_entries = 0
@@ -655,10 +660,9 @@ class Worker:
                             self.encoding,
                         )
                     )
-            span.set(
-                fib_entries=self._fib_entries,
-                bdd_ops=self.engine.ops - ops_before,
-            )
+            ops = self.engine.ops - ops_before
+            nodes = self.engine.node_count
+            span.set(fib_entries=self._fib_entries, bdd_ops=ops, nodes=nodes)
         # The compiled predicates are the engine's permanent roots: they
         # must survive every between-query GC for the lifetime of this
         # data plane.
@@ -666,10 +670,9 @@ class Worker:
             for root in predicates.roots():
                 self.engine.add_root(root)
         self._gc_floor = 0
-        self._drop_engine_memos()
         self.update_memory()
         self._emit_telemetry("build_dataplane")
-        return self.engine.ops - ops_before
+        return ops, nodes
 
     def set_waypoint_bit(self, node: str, metadata_index: int) -> None:
         if self.context is not None and self.owns(node):

@@ -414,7 +414,7 @@ def run_fig10_dpv(
                 wall_key,
                 predicates=verifier.stats.dp_predicate_seconds,
                 forward=verifier.stats.dp_forward_seconds,
-                predicate_ops=verifier.stats.dp_predicate_ops,
+                predicate_nodes=verifier.stats.dp_predicate_nodes,
                 forward_ops=verifier.stats.dp_forward_ops,
                 peak=verifier.resources.peak_bytes,
                 wall=wall,
@@ -443,7 +443,7 @@ def run_fig10_dpv(
                     wall_key,
                     predicates=dp.predicate_seconds,
                     forward=dp.forward_seconds,
-                    predicate_ops=dp.predicate_busiest_ops,
+                    predicate_nodes=dp.predicate_busiest_nodes,
                     forward_ops=dp.forward_busiest_ops,
                     peak=s2.controller.report().peak_worker_bytes,
                     wall=wall,
@@ -461,7 +461,7 @@ def _record_fig10(
     wall_key: str,
     predicates: float,
     forward: float,
-    predicate_ops: int,
+    predicate_nodes: int,
     forward_ops: int,
     peak: int,
     wall: float,
@@ -469,8 +469,9 @@ def _record_fig10(
     """Merge one (series, workload) measurement into the fig10 rows.
 
     Each phase is recorded twice: in measured seconds, and as the BDD
-    operations on its critical path (Batfish's one engine; S2's busiest
-    worker per step)."""
+    work on its critical path (Batfish's one engine; S2's busiest worker
+    per step) — nodes built for the predicates, operations for each
+    forwarding phase."""
     for row in rows:
         if row.series == series and row.workload == workload:
             row.extra[phase_key] = forward
@@ -486,7 +487,7 @@ def _record_fig10(
             wall_seconds=wall,
             extra={
                 "phase_predicates": predicates,
-                "phase_predicates_ops": predicate_ops,
+                "phase_predicates_nodes": predicate_nodes,
                 phase_key: forward,
                 f"{phase_key}_ops": forward_ops,
                 wall_key: wall,

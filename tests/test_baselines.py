@@ -59,12 +59,11 @@ class TestBatfish:
         assert stats.cp_seconds > 0
         assert stats.dp_predicate_seconds > 0
         assert stats.dp_forward_seconds > 0
-        assert stats.dp_predicate_ops > 0
+        assert stats.dp_predicate_nodes > 0
         assert stats.dp_forward_ops > 0
-        assert (
-            stats.dp_predicate_ops + stats.dp_forward_ops
-            == verifier.resources.bdd_ops
-        )
+        # A FatTree compile is mk calls only, so every op the baseline
+        # charges is a forwarding op.
+        assert stats.dp_forward_ops == verifier.resources.bdd_ops
 
     def test_total_route_count(self, fattree4):
         verifier = BatfishVerifier(fattree4, capacity=UNLIMITED_CAPACITY)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Prefix, Query, S2Options, S2Verifier, verify_snapshot
+from repro.dataplane.verifier import DataPlaneVerifier
 from repro.dist.resources import UNLIMITED_CAPACITY
 
 
@@ -23,18 +24,26 @@ class TestVerify:
         assert result.peak_worker_bytes > 0
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_busiest_ops_bound_the_phases(self, fattree4, workers):
+    def test_busiest_ops_bound_the_phases(
+        self, fattree4, fattree4_sim, workers
+    ):
         result = verify_snapshot(fattree4, S2Options(num_workers=workers))
         dp = result.dp_stats
-        assert dp.predicate_busiest_ops > 0
         assert dp.forward_busiest_ops > 0
-        busiest = dp.predicate_busiest_ops + dp.forward_busiest_ops
+        # The monolith compiles every device into one fresh engine.
+        mono = DataPlaneVerifier.from_simulation(*fattree4_sim)
+        mono.compile_predicates()
+        build_ops = mono.engine.ops
+        assert build_ops == 0  # a FatTree compile is mk calls only
         total = sum(w.bdd_ops for w in result.report.workers)
         if workers == 1:
-            assert busiest == total
+            assert dp.predicate_busiest_nodes == mono.engine.node_count
+            assert build_ops + dp.forward_busiest_ops == total
         else:
-            # other workers' ops overlap the busiest one's
-            assert busiest < total
+            # each worker builds only its devices' nodes, and the other
+            # workers' ops overlap the busiest one's
+            assert 0 < dp.predicate_busiest_nodes < mono.engine.node_count
+            assert dp.forward_busiest_ops < total
 
     def test_summary_mentions_key_facts(self, fattree4):
         result = verify_snapshot(fattree4, S2Options(num_workers=2))
