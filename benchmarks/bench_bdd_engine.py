@@ -1,22 +1,14 @@
-"""Memory/throughput smoke benchmark for the BDD engine overhaul.
+"""Memory/throughput smoke benchmark for the BDD engine.
 
-Three measurements, matching the ISSUE acceptance criteria:
+Two measurements:
 
 1. **Prefix-set compilation speedup** — the trie-based bulk
    :meth:`HeaderEncoding.prefix_set_bdd` against the old chained
    ``or_`` fold over per-prefix BDDs, on a deterministic synthetic
-   prefix set.  The overhaul claims >= 2x.
+   prefix set.  The floor is 2x.
 
-2. **Kernel compile speedup** — each kernel's *native* compile path
-   over the same predicate-set workload: the dict kernel folds
-   per-prefix BDDs one ``or_`` at a time (the path the verifier used
-   before the flat kernel landed), the flat kernel takes the batched
-   bulk path.  Results are cross-checked for equality before timing;
-   the flat path must be >= 2x the dict path (CI floor; the acceptance
-   target is 3x).
-
-3. **Worker node counts across a sharded FatTree4 DPV**, run once per
-   kernel — the all-pair reachability workload split into query shards
+2. **Worker node counts across a sharded FatTree4 DPV** — the
+   all-pair reachability workload split into query shards
    (:func:`repro.dist.sharding.shard_queries`), repeated for
    ``PASSES`` passes whose header spaces differ (pass 0 is the full
    header space, later passes seeded random destination-prefix sets),
@@ -39,9 +31,9 @@ Usage:
     python benchmarks/bench_bdd_engine.py --check-baseline \
         benchmarks/baselines/bdd_engine_fattree4.json
 
-``--check-baseline`` exits non-zero when that rule is broken, when
-either kernel's build, live or peak node count regresses more than
-``--tolerance`` (default 20%) over the committed baseline, or when a
+``--check-baseline`` exits non-zero when that rule is broken, when the
+build, live or peak node count regresses more than ``--tolerance``
+(default 20%) over the committed baseline, or when the prefix-set
 compile speedup drops below its 2x floor — this is the CI
 memory-regression job.
 """
@@ -58,7 +50,7 @@ from typing import Dict, List, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bdd.engine import FALSE, TRUE, BddEngine
+from repro.bdd.engine import FALSE, TRUE
 from repro.bdd.headerspace import HeaderEncoding
 from repro.dist.controller import S2Controller, S2Options
 from repro.dist.sharding import shard_queries
@@ -67,8 +59,6 @@ from repro.net.fattree import build_fattree
 from repro.net.ip import Prefix
 
 SPEEDUP_FLOOR = 2.0
-KERNEL_SPEEDUP_FLOOR = 2.0
-KERNELS = ("flat", "dict")
 # DPV passes over the query shards; the committed baseline is for 4
 # passes of the default 8 shards, enough for the growth trigger to fire
 # past the first boundary.
@@ -125,57 +115,6 @@ def bench_prefix_compilation(count: int, repeats: int = 3) -> Dict[str, float]:
         "chained_seconds": chained_s,
         "bulk_seconds": bulk_s,
         "speedup": chained_s / bulk_s if bulk_s else float("inf"),
-    }
-
-
-def bench_kernel_compile(
-    count: int, repeats: int = 3
-) -> Dict[str, float]:
-    """Each kernel's native predicate-compile path, head to head.
-
-    The dict kernel compiles the way the verifier did before the flat
-    kernel existed: one per-prefix BDD at a time, chained with ``or_``.
-    The flat kernel takes its batched path (the bulk trie build).  Both
-    results are checked equal (same canonical function — compared via
-    model count and a cross-engine transfer-free probe) before timing.
-    """
-    encoding = HeaderEncoding()
-    prefixes = synthetic_prefixes(count)
-
-    def dict_native() -> float:
-        engine = encoding.make_engine(kernel="dict")
-        start = time.perf_counter()
-        acc = FALSE
-        for prefix in prefixes:
-            acc = engine.or_(acc, encoding.prefix_bdd(engine, prefix))
-        return time.perf_counter() - start
-
-    def flat_native() -> float:
-        engine = encoding.make_engine(kernel="flat")
-        start = time.perf_counter()
-        encoding.prefix_set_bdd(engine, prefixes)
-        return time.perf_counter() - start
-
-    # Correctness cross-check: same model count from both kernels'
-    # native paths (the kernels never share node ids).
-    probe_dict = encoding.make_engine(kernel="dict")
-    acc = FALSE
-    for prefix in prefixes:
-        acc = probe_dict.or_(acc, encoding.prefix_bdd(probe_dict, prefix))
-    probe_flat = encoding.make_engine(kernel="flat")
-    bulk_root = encoding.prefix_set_bdd(probe_flat, prefixes)
-    if probe_flat.sat_count(bulk_root) != probe_dict.sat_count(acc):
-        raise AssertionError(
-            "flat batched compile disagrees with the dict fold"
-        )
-
-    dict_s = min(dict_native() for _ in range(repeats))
-    flat_s = min(flat_native() for _ in range(repeats))
-    return {
-        "prefix_count": count,
-        "dict_seconds": dict_s,
-        "flat_seconds": flat_s,
-        "speedup": dict_s / flat_s if flat_s else float("inf"),
     }
 
 
@@ -239,13 +178,11 @@ def growth_rule_problems(
     return problems, footprints, later
 
 
-def bench_sharded_dpv(
-    num_query_shards: int, kernel: str = "flat"
-) -> Dict[str, object]:
+def bench_sharded_dpv(num_query_shards: int) -> Dict[str, object]:
     """All-pair reachability on FatTree4, one forward per query shard
     and pass; samples every worker's engine after each query."""
     snapshot = build_fattree(4)
-    options = S2Options(num_workers=4, num_shards=2, bdd_kernel=kernel)
+    options = S2Options(num_workers=4, num_shards=2)
     with S2Controller(snapshot, options) as controller:
         controller.build_data_plane()
         built = max(
@@ -280,7 +217,6 @@ def bench_sharded_dpv(
     per_query_peaks = [max(sample[0] for sample in s) for s in samples]
     return {
         "network": "fattree4",
-        "kernel": kernel,
         "query_shards": len(samples),
         "build_node_count": built,
         "per_shard_peak_node_count": per_query_peaks,
@@ -294,16 +230,9 @@ def bench_sharded_dpv(
 
 
 def run(num_query_shards: int, prefix_count: int) -> Dict[str, object]:
-    compile_result = bench_prefix_compilation(prefix_count)
-    kernel_result = bench_kernel_compile(prefix_count)
-    dpv_results = {
-        kernel: bench_sharded_dpv(num_query_shards, kernel)
-        for kernel in KERNELS
-    }
     return {
-        "prefix_compile": compile_result,
-        "kernel_compile": kernel_result,
-        "dpv": dpv_results,
+        "prefix_compile": bench_prefix_compilation(prefix_count),
+        "dpv": bench_sharded_dpv(num_query_shards),
     }
 
 
@@ -316,43 +245,24 @@ def check(result: Dict[str, object], baseline: Dict[str, object],
             f"prefix-set compile speedup {speedup:.2f}x is below the "
             f"{SPEEDUP_FLOOR:.1f}x floor"
         )
-    kernel_speedup = result["kernel_compile"]["speedup"]
-    if kernel_speedup < KERNEL_SPEEDUP_FLOOR:
-        problems.append(
-            f"flat-kernel compile speedup {kernel_speedup:.2f}x over the "
-            f"dict kernel is below the {KERNEL_SPEEDUP_FLOOR:.1f}x floor"
-        )
-    for kernel in KERNELS:
-        dpv = result["dpv"][kernel]
-        base = baseline["dpv"][kernel]
-        for key, what in (
-            ("build_node_count", "worker node_count after the build"),
-            ("live_node_count", "live worker node_count after a collection"),
-            ("peak_node_count", "peak worker node_count"),
-        ):
-            allowed = base[key] * (1.0 + tolerance)
-            if dpv[key] > allowed:
-                problems.append(
-                    f"[{kernel}] {what} {dpv[key]} exceeds baseline "
-                    f"{base[key]} by more than {tolerance:.0%} "
-                    f"(allowed {allowed:.0f})"
-                )
-        problems.extend(
-            f"[{kernel}] {problem}" for problem in dpv["growth_rule_problems"]
-        )
-        if dpv["collections_past_first"] == 0:
+    dpv = result["dpv"]
+    base = baseline["dpv"]
+    for key, what in (
+        ("build_node_count", "worker node_count after the build"),
+        ("live_node_count", "live worker node_count after a collection"),
+        ("peak_node_count", "peak worker node_count"),
+    ):
+        allowed = base[key] * (1.0 + tolerance)
+        if dpv[key] > allowed:
             problems.append(
-                f"[{kernel}] the growth trigger never fired past the first "
-                f"boundary in {dpv['query_shards']} queries"
+                f"{what} {dpv[key]} exceeds baseline {base[key]} by more "
+                f"than {tolerance:.0%} (allowed {allowed:.0f})"
             )
-    # The two kernels GC the same roots from semantically identical
-    # BDDs: their live-node peaks must agree, not just regress slowly.
-    flat_peak = result["dpv"]["flat"]["peak_node_count"]
-    dict_peak = result["dpv"]["dict"]["peak_node_count"]
-    if flat_peak > dict_peak * (1.0 + tolerance):
+    problems.extend(dpv["growth_rule_problems"])
+    if dpv["collections_past_first"] == 0:
         problems.append(
-            f"flat-kernel peak node_count {flat_peak} exceeds the dict "
-            f"kernel's {dict_peak} by more than {tolerance:.0%}"
+            f"the growth trigger never fired past the first boundary in "
+            f"{dpv['query_shards']} queries"
         )
     return problems
 
@@ -374,25 +284,19 @@ def main(argv=None) -> int:
 
     result = run(args.shards, args.prefixes)
     compile_result = result["prefix_compile"]
-    kernel_result = result["kernel_compile"]
     print(f"prefix-set compile ({compile_result['prefix_count']} prefixes): "
           f"chained {compile_result['chained_seconds'] * 1e3:.1f} ms, "
           f"bulk {compile_result['bulk_seconds'] * 1e3:.1f} ms "
           f"-> {compile_result['speedup']:.1f}x")
-    print(f"kernel compile ({kernel_result['prefix_count']} prefixes): "
-          f"dict fold {kernel_result['dict_seconds'] * 1e3:.1f} ms, "
-          f"flat batched {kernel_result['flat_seconds'] * 1e3:.1f} ms "
-          f"-> {kernel_result['speedup']:.1f}x")
-    for kernel in KERNELS:
-        dpv = result["dpv"][kernel]
-        print(f"fattree4 DPV [{kernel}] over {dpv['query_shards']} query "
-              f"shards: built {dpv['build_node_count']}, "
-              f"live node_count {dpv['live_node_count']}, "
-              f"peak {dpv['peak_node_count']}, "
-              f"per-shard {dpv['per_shard_peak_node_count']}, "
-              f"gc_runs {dpv['gc_runs']} "
-              f"({dpv['collections_past_first']} past the first boundary), "
-              f"{dpv['forward_seconds']:.2f} s")
+    dpv = result["dpv"]
+    print(f"fattree4 DPV over {dpv['query_shards']} query "
+          f"shards: built {dpv['build_node_count']}, "
+          f"live node_count {dpv['live_node_count']}, "
+          f"peak {dpv['peak_node_count']}, "
+          f"per-shard {dpv['per_shard_peak_node_count']}, "
+          f"gc_runs {dpv['gc_runs']} "
+          f"({dpv['collections_past_first']} past the first boundary), "
+          f"{dpv['forward_seconds']:.2f} s")
 
     if args.write_baseline:
         path = Path(args.write_baseline)

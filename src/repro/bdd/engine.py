@@ -4,7 +4,10 @@ Each S2 worker owns a *private* engine instance (§4.3 option 2): BDD
 operations on one worker never contend with another's, and each node table
 stays small.  The table capacity is configurable so the paper's node-table
 saturation behaviour (bounded by ``O(2^32)``) can be reproduced at model
-scale — exceeding it raises :class:`BddOverflowError`.
+scale — exceeding it raises :class:`BddOverflowError`.  It is the one
+engine on every path: workers, the DPO controller, the monolithic
+verifier and the baselines all build it through
+:meth:`HeaderEncoding.make_engine`.
 
 Implementation notes: nodes are hash-consed triples ``(var, low, high)``
 stored in parallel lists and addressed by integer id; ``0``/``1`` are the
@@ -57,9 +60,6 @@ class BddOverflowError(RuntimeError):
 class BddEngine:
     """A reduced, ordered BDD manager over ``num_vars`` Boolean variables."""
 
-    #: Which kernel implementation this engine is (see repro.bdd.flat).
-    kernel = "dict"
-
     def __init__(
         self,
         num_vars: int,
@@ -86,7 +86,7 @@ class BddEngine:
         # Two-generation bounded op-cache (current + previous).
         self._cache: Dict[Tuple[int, ...], int] = {}
         self._cache_old: Dict[Tuple[int, ...], int] = {}
-        self.ops = 0  # performed apply steps; the DPV time-model unit
+        self.ops = 0  # performed (cache-missing) apply steps
         # -- counters (exposed via counters() / repro.obs.metrics) --
         self.cache_hits = 0
         self.cache_misses = 0
@@ -253,10 +253,8 @@ class BddEngine:
     def apply_many(self, op: int, operands: Iterable[int]) -> int:
         """Combine a whole operand set under one binary op.
 
-        The dict kernel folds left to right — exactly what callers used
-        to spell by hand — so it stays the honest comparison baseline;
-        the flat kernel overrides this with a balanced reduction.  Empty
-        operand sets return the op's identity.
+        A left-to-right fold of :meth:`apply`.  Empty operand sets return
+        the op's identity.
         """
         items = iter(operands)
         first = next(items, None)

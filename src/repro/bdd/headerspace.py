@@ -84,24 +84,9 @@ class HeaderEncoding:
             raise IndexError(f"metadata bit {index} out of range")
         return self.header_bits + index
 
-    def make_engine(
-        self, node_limit: int = 1 << 24, kernel: str = "flat"
-    ) -> BddEngine:
-        """Build this encoding's BDD engine.
-
-        ``kernel`` selects the implementation: ``"flat"`` (the default)
-        is the array-backed kernel with batched compilation,
-        ``"dict"`` the original dict-of-tuples engine kept as a
-        differential-tested fallback.  Both produce bit-identical
-        verdicts; see ``repro.bdd.flat``.
-        """
-        if kernel == "flat":
-            from .flat import FlatBddEngine
-
-            return FlatBddEngine(self.num_vars, node_limit=node_limit)
-        if kernel == "dict":
-            return BddEngine(self.num_vars, node_limit=node_limit)
-        raise ValueError(f"unknown bdd kernel {kernel!r}")
+    def make_engine(self, node_limit: int = 1 << 24) -> BddEngine:
+        """A fresh private BDD engine over this encoding's variables."""
+        return BddEngine(self.num_vars, node_limit=node_limit)
 
     # -- field constraints ----------------------------------------------------
 

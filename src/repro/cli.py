@@ -130,7 +130,6 @@ def cmd_verify(args) -> int:
         retry_policy=RetryPolicy(**policy_overrides),
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
-        bdd_kernel=args.bdd_kernel,
     )
     if args.resume:
         if not args.store_dir:
@@ -608,13 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--prefix", help="header-space prefix for the query")
     verify.add_argument("--check-loops", action="store_true")
     verify.add_argument("--no-memory-limit", action="store_true")
-    verify.add_argument(
-        "--bdd-kernel",
-        choices=["flat", "dict"],
-        default="flat",
-        help="BDD kernel: 'flat' (array node table + direct-mapped op "
-        "cache, default) or 'dict' (the reference hash-consing engine)",
-    )
     verify.add_argument(
         "--runtime",
         choices=RUNTIMES,

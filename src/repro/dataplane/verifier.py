@@ -41,13 +41,10 @@ class DataPlaneVerifier:
         encoding: Optional[HeaderEncoding] = None,
         node_limit: int = 1 << 24,
         max_hops: int = DEFAULT_MAX_HOPS,
-        bdd_kernel: str = "flat",
     ) -> None:
         self.snapshot = snapshot
         self.encoding = encoding or HeaderEncoding()
-        self.engine = self.encoding.make_engine(
-            node_limit=node_limit, kernel=bdd_kernel
-        )
+        self.engine = self.encoding.make_engine(node_limit=node_limit)
         self.fibs: Dict[str, Fib] = {}
         self.context = ForwardingContext(
             self.engine, self.encoding, snapshot.topology, max_hops=max_hops

@@ -98,11 +98,6 @@ class S2Options:
     #                                  accounts memory without enforcing it
     encoding: HeaderEncoding = field(default_factory=HeaderEncoding)
     node_limit: int = 1 << 22            # per-worker BDD table capacity
-    bdd_kernel: str = "flat"         # "flat" (array kernel) | "dict"
-    #                                  (legacy fallback); excluded from
-    #                                  the options fingerprint — both
-    #                                  kernels are differential-tested to
-    #                                  produce bit-identical results
     max_rounds: int = 200
     max_hops: int = 24
     runtime: str = "sequential"      # one of RUNTIMES
@@ -445,7 +440,6 @@ class S2Controller:
             encoding=opts.encoding,
             runtime=self.runtime,
             node_limit=opts.node_limit,
-            bdd_kernel=opts.bdd_kernel,
             supervisor=self.supervisor,
             retry_policy=opts.retry_policy,
             tracer=self.tracer,

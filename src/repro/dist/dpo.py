@@ -72,7 +72,6 @@ class DataPlaneOrchestrator:
         encoding: Optional[HeaderEncoding] = None,
         runtime: Optional[Runtime] = None,
         node_limit: int = 1 << 24,
-        bdd_kernel: str = "flat",
         supervisor=None,
         retry_policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
@@ -84,9 +83,8 @@ class DataPlaneOrchestrator:
         self.encoding = encoding or HeaderEncoding()
         self.runtime = runtime or SequentialRuntime()
         self.node_limit = node_limit
-        self.bdd_kernel = bdd_kernel
         self.engine: BddEngine = self.encoding.make_engine(
-            node_limit=CONTROLLER_NODE_LIMIT, kernel=bdd_kernel
+            node_limit=CONTROLLER_NODE_LIMIT
         )
         self.supervisor = supervisor
         self.retry_policy = retry_policy or RetryPolicy()
@@ -145,10 +143,7 @@ class DataPlaneOrchestrator:
                 [
                     (
                         lambda w=w: w.build_dataplane(
-                            store.directory,
-                            self.encoding,
-                            self.node_limit,
-                            self.bdd_kernel,
+                            store.directory, self.encoding, self.node_limit
                         )
                     )
                     for w in self.fleet.workers

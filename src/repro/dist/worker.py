@@ -610,7 +610,6 @@ class Worker:
         store_dir: str,
         encoding: HeaderEncoding,
         node_limit: int = 1 << 24,
-        bdd_kernel: str = "flat",
     ) -> Tuple[int, int]:
         """Build FIBs (from the route store) and compile predicates into
         this worker's private engine.  Returns the BDD ops spent and the
@@ -625,9 +624,7 @@ class Worker:
         resolver = NextHopResolver.from_snapshot(self.snapshot)
         self.encoding = encoding
         self._fib_entries = 0
-        self.engine = encoding.make_engine(
-            node_limit=node_limit, kernel=bdd_kernel
-        )
+        self.engine = encoding.make_engine(node_limit=node_limit)
         self.engine.tracer = self.tracer if self.tracer.enabled else None
         self.context = ForwardingContext(
             self.engine,

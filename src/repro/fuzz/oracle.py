@@ -287,69 +287,42 @@ class DifferentialOracle:
     def _check_dataplane(self, spec: NetworkSpec) -> List[Divergence]:
         """All-pair reachability: monolithic baseline vs distributed.
 
-        The distributed check runs once per BDD kernel (flat and dict):
-        each kernel must agree with the baseline, and — the kernel
-        differential — the two kernels must agree with each other on
-        every pair, operationalizing the bit-identical claim across the
-        engine rewrite, not just across the runtimes.
+        One distributed run per case: its verdict on every source/holder
+        pair must match the Batfish-style baseline's, or the pair is
+        reported under variant ``dataplane``.
         """
         from ..baselines.batfish import BatfishVerifier
         from ..dataplane.queries import Query
 
         mono = BatfishVerifier(build_snapshot(spec), seed=self.plan.seed)
         expected = set(mono.all_pair_reachability().pairs())
-        got_by_kernel: Dict[str, set] = {}
-        for kernel in ("flat", "dict"):
-            snapshot = build_snapshot(spec)
-            options = S2Options(
-                num_workers=min(self.plan.workers, max(1, spec.size)),
-                num_shards=self.plan.shards,
-                partition_scheme=self.plan.scheme,
-                seed=self.plan.seed,
-                bdd_kernel=kernel,
+        options = S2Options(
+            num_workers=min(self.plan.workers, max(1, spec.size)),
+            num_shards=self.plan.shards,
+            partition_scheme=self.plan.scheme,
+            seed=self.plan.seed,
+        )
+        with S2Controller(build_snapshot(spec), options) as controller:
+            holders = tuple(controller.prefix_holders())
+            got = set(
+                controller.checker()
+                .check_reachability(
+                    Query(sources=holders, destinations=holders)
+                )
+                .pairs()
             )
-            with S2Controller(snapshot, options) as controller:
-                checker = controller.checker()
-                holders = controller.prefix_holders()
-                query = Query(
-                    sources=tuple(holders), destinations=tuple(holders)
-                )
-                got_by_kernel[kernel] = set(
-                    checker.check_reachability(query).pairs()
-                )
         divergences: List[Divergence] = []
-        for kernel, got in sorted(got_by_kernel.items()):
-            for pair in sorted(expected ^ got):
-                divergences.append(
-                    Divergence(
-                        variant=f"dataplane-{kernel}",
-                        kind="dataplane",
-                        host=pair[0],
-                        prefix=pair[1],
-                        expected=(
-                            "reachable" if pair in expected
-                            else "unreachable"
-                        ),
-                        got="reachable" if pair in got else "unreachable",
-                    )
-                )
-                if len(divergences) >= self.plan.max_divergences:
-                    return divergences
-        for pair in sorted(got_by_kernel["flat"] ^ got_by_kernel["dict"]):
+        for pair in sorted(expected ^ got):
             divergences.append(
                 Divergence(
-                    variant="kernel-diff",
+                    variant="dataplane",
                     kind="dataplane",
                     host=pair[0],
                     prefix=pair[1],
                     expected=(
-                        "reachable" if pair in got_by_kernel["dict"]
-                        else "unreachable"
+                        "reachable" if pair in expected else "unreachable"
                     ),
-                    got=(
-                        "reachable" if pair in got_by_kernel["flat"]
-                        else "unreachable"
-                    ),
+                    got="reachable" if pair in got else "unreachable",
                 )
             )
             if len(divergences) >= self.plan.max_divergences:

@@ -111,6 +111,21 @@ class TestCollectGarbage:
         assert engine.or_(a2, engine.not_(a2)) == TRUE
         assert engine.diff(b2, a2) == FALSE  # b implies a
 
+    def test_compaction_keeps_children_first_and_dedups(self, engine):
+        keep = engine.add_root(engine.cube({0: True, 5: False, 9: True}))
+        for i in range(10):
+            engine.xor(engine.var(i), engine.var((i + 3) % N_VARS))
+        before = engine.node_count
+        count = engine.sat_count(keep)
+        keep = engine.collect_garbage()[keep]
+        assert engine.node_count < before
+        assert engine.sat_count(keep) == count
+        for node in range(2, engine.node_count):
+            assert engine.low_of(node) < node
+            assert engine.high_of(node) < node
+        # The rebuilt unique table dedups against the compacted nodes.
+        assert engine.cube({0: True, 5: False, 9: True}) == keep
+
     def test_peak_node_count_tracks_high_water(self, engine):
         build(engine, ("xor", ("var", 0), ("xor", ("var", 1), ("var", 2))))
         grown = engine.node_count

@@ -1,52 +1,27 @@
-"""Flat-kernel specifics: table growth, packed-id limits, GC compaction,
-the direct-mapped op cache, and counters.  Semantic equivalence with the
-dict kernel lives in test_kernel_differential.py; these tests pin the
-flat engine's own mechanics.
+"""Engine mechanics once pinned against the flat kernel, now run on the
+one remaining engine: node-limit overflow, cube index validation, ops
+after GC compaction, and serialization across engine instances.
 """
 
 import pytest
 
-from repro.bdd.engine import FALSE, OP_OR, TRUE, BddOverflowError
-from repro.bdd.flat import MAX_FLAT_NODE_LIMIT, FlatBddEngine
+from repro.bdd.engine import TRUE, BddEngine, BddOverflowError
 from repro.bdd.serialize import deserialize, serialize
-from repro.bdd.engine import BddEngine
 
 N_VARS = 16
 
 
 @pytest.fixture
 def engine():
-    return FlatBddEngine(N_VARS)
-
-
-def test_kernel_tag(engine):
-    assert engine.kernel == "flat"
-    assert BddEngine(N_VARS).kernel == "dict"
-
-
-def test_node_limit_must_fit_packed_ids():
-    FlatBddEngine(N_VARS, node_limit=MAX_FLAT_NODE_LIMIT)  # boundary ok
-    with pytest.raises(ValueError, match="packs node ids"):
-        FlatBddEngine(N_VARS, node_limit=MAX_FLAT_NODE_LIMIT + 1)
+    return BddEngine(N_VARS)
 
 
 def test_node_limit_overflow_still_raises():
-    tiny = FlatBddEngine(N_VARS, node_limit=8)
+    tiny = BddEngine(N_VARS, node_limit=8)
     with pytest.raises(BddOverflowError):
         u = TRUE
         for i in range(N_VARS):
             u = tiny.and_(u, tiny.var(i))
-
-
-def test_table_grows_past_initial_capacity():
-    engine = FlatBddEngine(40)
-    u = TRUE
-    for i in range(40):
-        u = engine.and_(u, engine.var(i) if i % 2 else engine.nvar(i))
-        u = engine.or_(u, engine.cube({i: True, (i + 7) % 40: False}))
-    assert engine.node_count > 1024  # past the preallocated arrays
-    assert len(engine._var) == len(engine._low) == len(engine._high)
-    assert engine.node_count <= len(engine._var)
 
 
 def test_cube_validates_index(engine):
@@ -54,25 +29,6 @@ def test_cube_validates_index(engine):
         engine.cube({N_VARS: True})
     with pytest.raises(ValueError, match="out of range"):
         engine.cube({-1: False})
-
-
-def test_gc_compacts_in_place(engine):
-    keep = engine.cube({0: True, 5: False, 9: True})
-    engine.add_root(keep)
-    for i in range(10):
-        engine.xor(engine.var(i), engine.var((i + 3) % N_VARS))
-    before = engine.node_count
-    fp_before = engine.sat_count(keep)
-    remap = engine.collect_garbage()
-    keep = remap[keep]
-    assert engine.node_count < before
-    assert engine.sat_count(keep) == fp_before
-    # Children-before-parents invariant survives compaction.
-    for node in range(2, engine.node_count):
-        assert engine.low_of(node) < node
-        assert engine.high_of(node) < node
-    # The rebuilt unique table dedups against compacted nodes.
-    assert engine.cube({0: True, 5: False, 9: True}) == keep
 
 
 def test_gc_then_ops_stay_consistent(engine):
@@ -87,29 +43,6 @@ def test_gc_then_ops_stay_consistent(engine):
     assert engine.implies(b, union)
 
 
-def test_direct_mapped_cache_is_bounded():
-    engine = FlatBddEngine(N_VARS, cache_limit=64)
-    for i in range(N_VARS):
-        for j in range(N_VARS):
-            engine.apply(OP_OR, engine.var(i), engine.nvar(j))
-    # The op cache is a fixed-size direct-mapped array: filled slots can
-    # never exceed its capacity no matter how many distinct ops ran.
-    capacity = engine._cmask + 1
-    assert engine._cache_filled <= capacity
-    counters = engine.counters()
-    assert counters["cache_entries"] <= capacity + len(engine._ite_memo)
-
-
-def test_counters_expose_flat_gauges(engine):
-    engine.and_(engine.var(0), engine.var(1))
-    counters = engine.counters()
-    assert counters["kernel_flat"] == 1.0
-    assert counters["cache_capacity"] >= engine.cache_limit
-    assert counters["node_capacity"] >= engine.node_count
-    for key in ("node_count", "cache_hits", "cache_misses", "gc_runs"):
-        assert key in counters
-
-
 def test_serialization_crosses_kernels(engine):
     u = engine.or_(
         engine.cube({0: True, 4: False}), engine.cube({2: True})
@@ -120,13 +53,3 @@ def test_serialization_crosses_kernels(engine):
     assert other.sat_count(v) == engine.sat_count(u)
     back = deserialize(engine, serialize(other, v))
     assert back == u  # hash-consing makes the roundtrip exact
-
-
-def test_ite_memo_is_bounded():
-    engine = FlatBddEngine(N_VARS, cache_limit=32)
-    for i in range(N_VARS):
-        for j in range(N_VARS):
-            engine.ite(
-                engine.var(i), engine.var(j), engine.nvar((i + j) % N_VARS)
-            )
-    assert len(engine._ite_memo) <= engine.cache_limit

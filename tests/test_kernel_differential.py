@@ -1,22 +1,15 @@
-"""Differential testing of the flat BDD kernel against the dict kernel.
+"""Differential testing of the BDD engine's garbage collector.
 
-The flat kernel (:mod:`repro.bdd.flat`) is a from-scratch rewrite of
-the node table and op caches; its only acceptable observable difference
-from the reference dict engine is speed.  Node *ids* are allowed to
-differ (allocation order depends on cache hits), so equivalence is
-checked on the canonical form: nodes relabeled in children-first
-traversal order, plus the model count.
+Collection compacts the node table and renames every survivor, so a
+bug in the mark, the sweep or the remap shows up as a function that
+silently changed.  The reference for each trace is the same trace with
+every ``collect_garbage`` step skipped: node *ids* differ between the
+two runs, so equivalence is checked on the canonical form (nodes
+relabeled in children-first traversal order) plus the model count.
 
-Three layers:
-
-* a pinned 200-seed corpus of random op traces (cube / apply / not /
-  ite / exists / set_var / apply_many / GC with root remapping) that
-  must fingerprint identically on both kernels, forever;
-* a hypothesis property: any formula tree evaluates to the same
-  canonical BDD on both kernels;
-* end-to-end replays of the stored fuzz corpus: the full distributed
-  verifier run under each kernel must produce bit-identical RIBs and
-  reachability verdicts.
+The pinned 200-seed corpus of random op traces (cube / apply / not /
+ite / exists / set_var / apply_many / GC with root remapping) must
+fingerprint identically with and without collection, forever.
 """
 
 from __future__ import annotations
@@ -24,7 +17,6 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
 
 from repro.bdd.engine import (
     FALSE,
@@ -34,14 +26,13 @@ from repro.bdd.engine import (
     TRUE,
     BddEngine,
 )
-from repro.bdd.flat import FlatBddEngine
 
 N_VARS = 24
 PINNED_SEEDS = range(200)
 
 
 def fingerprint(engine, root):
-    """Kernel-independent canonical form of one BDD."""
+    """Id-independent canonical form of one BDD."""
     ids = {FALSE: 0, TRUE: 1}
     triples = []
     for node, var, low, high in engine.nodes_of(root):
@@ -50,8 +41,13 @@ def fingerprint(engine, root):
     return tuple(triples), engine.sat_count(root)
 
 
-def run_trace(engine, seed: int, steps: int = 120):
-    """One seeded random op trace; returns periodic fingerprints."""
+def run_trace(engine, seed: int, steps: int = 120, collect: bool = True):
+    """One seeded random op trace; returns periodic fingerprints.
+
+    With ``collect=False`` every GC step keeps the node table as it is
+    but drops the same unrooted nodes from the working set, so both
+    runs make the same random choices over the same functions.
+    """
     rng = random.Random(seed)
     nodes = [FALSE, TRUE]
     roots = []
@@ -92,7 +88,12 @@ def run_trace(engine, seed: int, steps: int = 120):
             u = rng.choice(nodes)
             engine.add_root(u)
             roots.append(u)
-            remap = engine.collect_garbage(extra_roots=())
+            if collect:
+                remap = engine.collect_garbage(extra_roots=())
+            else:
+                remap = {FALSE: FALSE, TRUE: TRUE}
+                for root in roots:
+                    remap.update((n, n) for n, *_ in engine.nodes_of(root))
             nodes = [remap.get(n, n) for n in nodes if n in remap]
             roots = [remap[r] for r in roots]
             if not nodes:
@@ -106,111 +107,29 @@ def run_trace(engine, seed: int, steps: int = 120):
 
 @pytest.mark.parametrize("seed", PINNED_SEEDS)
 def test_pinned_trace_corpus(seed):
-    """The 200-seed pinned corpus: bit-identical canonical results."""
-    dict_fps = run_trace(BddEngine(N_VARS, node_limit=1 << 20), seed)
-    flat_fps = run_trace(FlatBddEngine(N_VARS, node_limit=1 << 20), seed)
-    assert dict_fps == flat_fps
-
-
-# -- hypothesis property ----------------------------------------------------
-
-from tests.test_bdd import build, formula  # noqa: E402
-
-
-@settings(max_examples=60, deadline=None)
-@given(formula, formula)
-def test_formula_trees_agree(ta, tb):
-    results = []
-    for cls in (BddEngine, FlatBddEngine):
-        engine = cls(12)
-        a, b = build(engine, ta), build(engine, tb)
-        conj = engine.and_(a, b)
-        ex = engine.exists(conj, 3)
-        results.append(
-            (
-                fingerprint(engine, a),
-                fingerprint(engine, b),
-                fingerprint(engine, conj),
-                fingerprint(engine, engine.ite(a, b, conj)),
-                fingerprint(engine, ex),
-            )
-        )
-    assert results[0] == results[1]
+    """The 200-seed pinned corpus: collection preserves every function."""
+    collected = run_trace(BddEngine(N_VARS, node_limit=1 << 20), seed)
+    reference = run_trace(
+        BddEngine(N_VARS, node_limit=1 << 20), seed, collect=False
+    )
+    assert collected == reference
 
 
 def test_apply_many_matches_fold():
-    for cls in (BddEngine, FlatBddEngine):
-        engine = cls(N_VARS)
-        rng = random.Random(11)
-        operands = [
-            engine.cube(
-                {
-                    rng.randrange(N_VARS): rng.random() < 0.5
-                    for _ in range(3)
-                }
-            )
-            for _ in range(25)
-        ]
-        for op in (OP_AND, OP_OR, OP_XOR):
-            folded = operands[0]
-            for u in operands[1:]:
-                folded = engine.apply(op, folded, u)
-            assert engine.apply_many(op, operands) == folded
-        # Identity elements for the empty operand set.
-        assert engine.apply_many(OP_AND, []) == TRUE
-        assert engine.apply_many(OP_OR, []) == FALSE
-        assert engine.apply_many(OP_XOR, []) == FALSE
-
-
-# -- end-to-end: stored fuzz corpus, one run per kernel ---------------------
-
-
-def _kernel_run(spec, kernel: str):
-    from repro.dataplane.queries import Query
-    from repro.dist.controller import S2Controller, S2Options
-    from repro.fuzz.generators import build_snapshot
-    from repro.fuzz.oracle import normalize_ribs
-
-    snapshot = build_snapshot(spec)
-    options = S2Options(
-        num_workers=min(3, max(1, spec.size)),
-        num_shards=3,
-        partition_scheme="random",
-        seed=7,
-        bdd_kernel=kernel,
-    )
-    with S2Controller(snapshot, options) as controller:
-        controller.run_control_plane()
-        ribs = normalize_ribs(controller.collected_ribs())
-        holders = tuple(controller.prefix_holders())
-        pairs = frozenset(
-            controller.checker()
-            .check_reachability(
-                Query(sources=holders, destinations=holders)
-            )
-            .pairs()
+    engine = BddEngine(N_VARS)
+    rng = random.Random(11)
+    operands = [
+        engine.cube(
+            {rng.randrange(N_VARS): rng.random() < 0.5 for _ in range(3)}
         )
-    return ribs, pairs
-
-
-def _equivalent_cases():
-    from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, load_corpus
-
-    return [
-        case
-        for case in load_corpus(DEFAULT_CORPUS_DIR)
-        if case.expect == "equivalent"
+        for _ in range(25)
     ]
-
-
-@pytest.mark.parametrize(
-    "case", _equivalent_cases(), ids=lambda case: case.name
-)
-def test_corpus_replay_is_kernel_invariant(case):
-    """Full verifier runs under each kernel: bit-identical RIBs and
-    reachability verdicts on every stored equivalent fuzz case."""
-    spec = case.resolve_spec()
-    flat_ribs, flat_pairs = _kernel_run(spec, "flat")
-    dict_ribs, dict_pairs = _kernel_run(spec, "dict")
-    assert flat_pairs == dict_pairs, case.name
-    assert flat_ribs == dict_ribs, case.name
+    for op in (OP_AND, OP_OR, OP_XOR):
+        folded = operands[0]
+        for u in operands[1:]:
+            folded = engine.apply(op, folded, u)
+        assert engine.apply_many(op, operands) == folded
+    # Identity elements for the empty operand set.
+    assert engine.apply_many(OP_AND, []) == TRUE
+    assert engine.apply_many(OP_OR, []) == FALSE
+    assert engine.apply_many(OP_XOR, []) == FALSE

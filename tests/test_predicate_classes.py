@@ -206,11 +206,14 @@ engine = SimulationEngine(build_dcn(scale=1))
 dpv = DataPlaneVerifier.from_simulation(engine, engine.run())
 dpv.compile_predicates()
 print(dpv.engine.node_count, dpv.engine.ops)
+dpv.all_pair_reachability()
+print(dpv.engine.ops)
 """
 
 
 def test_dcn_compile_counts_ignore_the_hash_seed():
-    """Node count and apply ops of a compile repeat from process to
+    """Node count and apply ops of a compile, and the apply ops of one
+    all-pair reachability check after it, repeat from process to
     process, even under different string-hash seeds: the merge iterates
     small-int class ids, never sets keyed by strings, entries or ``None``
     (whose hash is its address on some Pythons)."""
