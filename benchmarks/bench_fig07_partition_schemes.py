@@ -19,7 +19,7 @@ from repro.harness import format_table, run_fig7_partition_schemes
 
 HEADERS = [
     "series", "workload", "status", "wall-s", "cp-s", "dp-s", "max-work",
-    "peak-mem", "rpc-KB",
+    "peak-mem", "rpc-KB", "crossed",
 ]
 
 
@@ -42,6 +42,7 @@ def test_fig07_partition_schemes(benchmark):
                 r.extra.get("max_route_work", 0),
                 f"{r.peak_memory / (1 << 20):.1f}MB",
                 round(r.extra.get("rpc_bytes", 0) / 1e3),
+                r.extra.get("packets_crossed", 0),
             ]
             for r in rows
         ],

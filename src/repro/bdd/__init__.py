@@ -6,8 +6,6 @@ from .serialize import (  # noqa: F401
     SerializedBdd,
     deserialize,
     from_bytes,
-    packed_size,
     serialize,
     to_bytes,
-    transfer,
 )

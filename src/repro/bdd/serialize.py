@@ -8,17 +8,15 @@ single bottom-up pass of hash-consing ``mk`` calls — re-canonicalizing the
 function in the destination engine regardless of how either table grew.
 
 Because the format is canonical for a given function (children-first DFS
-order from the root), *identical symbolic packets serialize identically*,
-which is what the send-side :class:`SendDedupCache` exploits: payloads are
-content-hashed, and a payload already shipped to a peer is charged only a
-small digest-reference instead of the full node list.
+order from the root), *identical symbolic packets serialize identically*:
+:func:`content_digest` of the same function is the same on every engine.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from .engine import FALSE, TRUE, BddEngine
 
@@ -29,10 +27,6 @@ SerializedBdd = Tuple[int, int, Tuple[Tuple[int, int, int], ...]]
 
 _HEADER = struct.Struct("<II")
 _TRIPLE = struct.Struct("<III")
-
-# What a dedup-aware transport ships for an already-seen payload: a
-# 16-byte content digest plus a 4-byte length/flags word.
-DEDUP_REF_BYTES = 20
 
 
 def serialize(engine: BddEngine, root: int) -> SerializedBdd:
@@ -59,19 +53,8 @@ def deserialize(engine: BddEngine, payload: SerializedBdd) -> int:
     return ids[root_slot]
 
 
-def packed_size(payload: SerializedBdd) -> int:
-    """Wire size in bytes under a dense fixed-width packing.
-
-    Each triple packs into 12 bytes (var, low, high as uint32) plus an
-    8-byte header — the figure the communication accounting charges for a
-    cross-worker symbolic packet.
-    """
-    _num_vars, _root, triples = payload
-    return 8 + 12 * len(triples)
-
-
 def to_bytes(payload: SerializedBdd) -> bytes:
-    """Actually pack the payload (content digests hash these bytes)."""
+    """Pack the payload into bytes (content digests hash these bytes)."""
     num_vars, root, triples = payload
     parts = [_HEADER.pack(num_vars, root)]
     for var, low, high in triples:
@@ -123,69 +106,3 @@ def from_bytes(data: bytes) -> SerializedBdd:
 def content_digest(payload: SerializedBdd) -> bytes:
     """A 16-byte content hash of the canonical wire encoding."""
     return hashlib.blake2b(to_bytes(payload), digest_size=16).digest()
-
-
-class SendDedupCache:
-    """Content-hashed memory of payloads already shipped to one peer.
-
-    The serialized form of a BDD is canonical, so the same symbolic
-    packet re-crossing a worker boundary in a later round (or a later
-    query of the same run) hashes to the same digest.  A dedup-aware
-    transport then sends a :data:`DEDUP_REF_BYTES`-sized reference instead
-    of the node list, and the communication accounting charges only that
-    delta.
-
-    Bounded the same way as the engine's op-cache: two generations with
-    wholesale eviction of the older one — forgetting an entry merely
-    forfeits a future dedup hit.
-    """
-
-    def __init__(self, max_entries: int = 1 << 14) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._current: Dict[bytes, int] = {}
-        self._previous: Dict[bytes, int] = {}
-        self.hits = 0
-        self.misses = 0
-        self.bytes_saved = 0
-
-    def __len__(self) -> int:
-        return len(self._current) + len(self._previous)
-
-    def offer(self, payload: SerializedBdd) -> Tuple[bool, int]:
-        """Record a payload about to be sent.
-
-        Returns ``(duplicate, wire_bytes)`` where ``wire_bytes`` is what
-        the transport actually ships: the full :func:`packed_size` on
-        first sight, :data:`DEDUP_REF_BYTES` on a repeat.
-        """
-        digest = content_digest(payload)
-        size = self._current.get(digest)
-        if size is None:
-            size = self._previous.get(digest)
-            if size is not None:
-                self._current[digest] = size
-        if size is not None:
-            # A terminal payload packs smaller than a digest reference;
-            # never charge more than simply resending it.
-            wire = min(size, DEDUP_REF_BYTES)
-            self.hits += 1
-            self.bytes_saved += size - wire
-            return True, wire
-        self.misses += 1
-        size = packed_size(payload)
-        self._current[digest] = size
-        if len(self._current) >= self.max_entries:
-            self._previous = self._current
-            self._current = {}
-        return False, size
-
-
-def transfer(
-    source: BddEngine, root: int, destination: BddEngine
-) -> Tuple[int, int]:
-    """Serialize ``root`` out of ``source`` and rebuild it in
-    ``destination``; returns ``(new_root, wire_bytes)``."""
-    payload = serialize(source, root)
-    return deserialize(destination, payload), packed_size(payload)

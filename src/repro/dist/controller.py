@@ -279,12 +279,6 @@ class WorkerSupervisor:
             # construction); re-seed before the shard replay so the
             # fence admits the recovered worker.
             worker.begin_epoch(epoch)
-        # The respawned worker lost its receive-side memory: every
-        # surviving sender's dedup cache toward it would under-charge
-        # (and a real dedup transport would dangle), so invalidate on
-        # the incarnation change.
-        for sidecar in self.fleet.sidecars:
-            sidecar.on_peer_respawn(worker_id)
 
     def declare_lost(self, worker_id: int, cause: RespawnError) -> None:
         """Budget spent: journal the loss and hand off to the migration
@@ -652,10 +646,6 @@ class S2Controller:
                 if attempts > len(self.fleet.workers):
                     raise
                 self.supervisor.recover(failure)
-        # Every active worker was rebuilt: receive-side sequence and
-        # dedup memory is gone everywhere, so every sender's caches go.
-        for sidecar in self.fleet.sidecars:
-            sidecar.invalidate_send_caches()
 
     def _rebuild_fleet(self) -> None:
         """After a membership change: respawn the active workers on the

@@ -59,7 +59,9 @@ class DataPlaneStats:
     gc_reclaimed_nodes: int = 0    # nodes freed by between-query GCs
     boundary_collections: int = 0  # query boundaries that collected
     payloads_reused: int = 0       # received payloads the memo resolved
-    dedup_bytes_saved: int = 0     # wire bytes saved by send-side dedup
+    # Always 0: packet batches are charged at their measured size.  Kept
+    # because s2bench reports it as ``dpo.dedup_bytes_saved``.
+    dedup_bytes_saved: int = 0
     # -- fault tolerance -------------------------------------------------
     worker_failures: int = 0   # WorkerFailures seen during build/forward
     query_replays: int = 0     # queries rerun after a worker recovery
@@ -267,8 +269,8 @@ class DataPlaneOrchestrator:
         return [worker.engine_counters() for worker in self.fleet.workers]
 
     def _publish_engine_metrics(self) -> None:
-        """Fold worker engine + sidecar dedup telemetry into the stats
-        (and the metrics registry, when one is attached)."""
+        """Fold worker engine telemetry into the stats (and the metrics
+        registry, when one is attached)."""
         nodes = 0
         peak = 0
         reclaimed = 0
@@ -287,21 +289,15 @@ class DataPlaneOrchestrator:
             reused += int(counters.get("payloads_reused", 0))
             hits += counters.get("cache_hits", 0)
             misses += counters.get("cache_misses", 0)
-        saved = sum(
-            sidecar.dedup_counters()["bytes_saved"]
-            for sidecar in self.fleet.sidecars
-        )
         self.stats.peak_worker_nodes = max(self.stats.peak_worker_nodes, peak)
         self.stats.gc_reclaimed_nodes = reclaimed
         self.stats.boundary_collections = collections
         self.stats.payloads_reused = reused
-        self.stats.dedup_bytes_saved = saved
         if self.metrics is None:
             return
         self.metrics.gauge("bdd.node_count").set(nodes)
         self.metrics.gauge("bdd.peak_worker_node_count").set(peak)
         self.metrics.gauge("bdd.gc_reclaimed_nodes").set(reclaimed)
-        self.metrics.gauge("rpc.dedup_bytes_saved").set(saved)
         lookups = hits + misses
         if lookups:
             self.metrics.gauge("bdd.cache_hit_rate").set(hits / lookups)

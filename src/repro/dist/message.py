@@ -1,10 +1,9 @@
 """Wire messages between sidecars, with real serialization accounting.
 
-All cross-worker traffic is expressed as these dataclasses.  The in-process
-transports deliver the objects directly but still *pickle them once* to
-measure the bytes an RPC transport would move (the paper uses gRPC with
-Java serialization; we charge the measured payload size to the sender's
-resource model).  The process transport actually ships the pickled bytes.
+All cross-worker traffic is expressed as these dataclasses.  The sidecars
+*pickle each message once* to measure the bytes an RPC transport moves
+(the paper uses gRPC with Java serialization) and charge that size to the
+sender's resource model, on the in-process and the socket runtime alike.
 """
 
 from __future__ import annotations

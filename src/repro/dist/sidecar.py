@@ -1,11 +1,11 @@
 """Sidecars: the communication layer between controller and workers (§3.2).
 
 Each worker (and the controller) has a sidecar holding the node→worker
-assignment; all cross-worker traffic flows sidecar→sidecar.  The in-process
-transport delivers objects directly but counts the *measured* serialized
-size of every message against the sender (``rpc_bytes_sent``,
-``rpc_messages_sent``), so the communication columns of the figures come
-from real payloads, not guesses.
+assignment; all cross-worker traffic flows sidecar→sidecar.  Every
+message — route batch or packet batch, on either runtime — is charged to
+the sender at its pickled size from :func:`~repro.dist.message.measured_size`
+(``rpc_bytes_sent``, ``rpc_messages_sent``), so the communication columns
+of the figures come from real payloads, not guesses.
 
 Route batches are stamped with a per-sender sequence number so receivers
 can discard duplicated deliveries, and an optional
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from ..bdd.serialize import SendDedupCache
 from ..obs.metrics import MetricsRegistry
 from .faults import FaultPlan
 from .message import PacketBatch, RouteBatch, measured_size
@@ -34,17 +33,11 @@ class Sidecar:
         worker: Worker,
         fault_plan: Optional[FaultPlan] = None,
         metrics: Optional[MetricsRegistry] = None,
-        dedup_packets: bool = True,
     ) -> None:
         self.worker = worker
         self.peers: Dict[int, "Sidecar"] = {}
         self.fault_plan = fault_plan
         self.metrics = metrics
-        self.dedup_packets = dedup_packets
-        # Per-peer memory of symbolic-packet payloads already shipped
-        # there.  Content-hashed, so it stays valid across engine GCs on
-        # either side (node ids never appear in the wire format).
-        self._packet_dedup: Dict[int, SendDedupCache] = {}
         self._sequence = 0
         self.batches_dropped = 0
         self.batches_duplicated = 0
@@ -133,59 +126,14 @@ class Sidecar:
         # route advertisements are, so the fault model for the data plane
         # is worker crashes (recovered by query replay), not lost batches.
         size = measured_size(batch)
-        duplicates = 0
-        saved = 0
-        if self.dedup_packets:
-            cache = self._packet_dedup.get(batch.target_worker)
-            if cache is None:
-                cache = SendDedupCache()
-                self._packet_dedup[batch.target_worker] = cache
-            saved_before = cache.bytes_saved
-            for envelope in batch.envelopes:
-                duplicate, _wire = cache.offer(envelope.payload)
-                duplicates += duplicate
-            saved = cache.bytes_saved - saved_before
-        # Payloads the peer has already seen travel as digest references;
-        # only the delta is charged to the sender's byte count.
-        wire = max(size - saved, 0)
-        self.worker.resources.charge_rpc(wire, messages=1)
-        self._record("rpc.packet_batches", wire)
-        if self.metrics is not None and duplicates:
-            self.metrics.counter("rpc.dedup_packets").inc(duplicates)
-            self.metrics.counter("rpc.dedup_bytes_saved").inc(saved)
+        self.worker.resources.charge_rpc(size, messages=1)
+        self._record("rpc.packet_batches", size)
         with self.worker.tracer.span(
             "sidecar.send_packets",
             category="rpc",
             target=batch.target_worker,
-            bytes=wire,
+            bytes=size,
             packets=len(batch.envelopes),
-            dedup_hits=duplicates,
         ):
             self.peers[batch.target_worker].worker.deliver_packets(batch)
-        return wire
-
-    # -- cache invalidation ----------------------------------------------
-
-    def on_peer_respawn(self, worker_id: int) -> None:
-        """Drop the dedup memory aimed at a respawned peer.
-
-        The peer's fresh incarnation has no receive-side memory, so
-        digest references toward it would under-charge the sender (and a
-        real dedup transport would fail to resolve them).  Counters are
-        discarded with the cache: savings already banked were real —
-        they happened against the dead incarnation.
-        """
-        self._packet_dedup.pop(worker_id, None)
-
-    def invalidate_send_caches(self) -> None:
-        """Forget every peer's dedup memory (e.g. on a full reset)."""
-        self._packet_dedup.clear()
-
-    def dedup_counters(self) -> Dict[str, int]:
-        """Aggregate send-dedup telemetry across this sidecar's peers."""
-        hits = misses = saved = 0
-        for cache in self._packet_dedup.values():
-            hits += cache.hits
-            misses += cache.misses
-            saved += cache.bytes_saved
-        return {"hits": hits, "misses": misses, "bytes_saved": saved}
+        return size

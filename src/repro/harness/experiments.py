@@ -119,6 +119,9 @@ def run_s2(
             w.route_work for w in result.report.workers
         )
         row.extra["rpc_bytes"] = result.report.total_rpc_bytes
+    row.extra["packets_crossed"] = (
+        result.dp_stats.packets_crossed if result.dp_stats else 0
+    )
     row.extra["routes"] = result.total_routes
     return row, result
 

@@ -79,9 +79,9 @@ def render_openmetrics(
     def family(name: str, kind: str):
         found = families.get(name)
         if found is not None and found[0] != kind:
-            # The registry allows a counter and a gauge to share a name
-            # (e.g. rpc.dedup_bytes_saved); a Prometheus family cannot,
-            # so the later kind gets a disambiguating suffix.
+            # The registry allows a counter and a gauge to share a name;
+            # a Prometheus family cannot, so the later kind gets a
+            # disambiguating suffix.
             name = f"{name}_{kind}"
             found = families.get(name)
         if found is None:

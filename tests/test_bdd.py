@@ -5,15 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bdd.engine import FALSE, TRUE, BddEngine, BddOverflowError
 from repro.bdd.serialize import (
-    DEDUP_REF_BYTES,
-    SendDedupCache,
     content_digest,
     deserialize,
     from_bytes,
-    packed_size,
     serialize,
     to_bytes,
-    transfer,
 )
 
 N_VARS = 12
@@ -263,18 +259,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize(other, serialize(engine, engine.var(0)))
 
-    def test_packed_size_grows_with_nodes(self, engine):
+    def test_wire_bytes_grow_with_nodes(self, engine):
         small = serialize(engine, engine.var(0))
         big = serialize(
             engine, engine.cube({i: True for i in range(N_VARS)})
         )
-        assert packed_size(big) > packed_size(small)
+        assert len(to_bytes(big)) > len(to_bytes(small))
 
     def test_bytes_roundtrip(self, engine):
         u = engine.xor(engine.var(0), engine.var(5))
         payload = serialize(engine, u)
         assert from_bytes(to_bytes(payload)) == payload
-        assert len(to_bytes(payload)) == packed_size(payload)
 
     @given(formula)
     @settings(max_examples=80, deadline=None)
@@ -284,8 +279,8 @@ class TestSerialization:
         destination = BddEngine(N_VARS)
         # warm the destination with unrelated nodes so ids differ
         destination.cube({0: True, 7: False})
-        v, _bytes = transfer(source, u, destination)
-        back, _ = transfer(destination, v, source)
+        v = deserialize(destination, serialize(source, u))
+        back = deserialize(source, serialize(destination, v))
         assert back == u
 
     @given(formula, formula)
@@ -294,10 +289,12 @@ class TestSerialization:
         source = BddEngine(N_VARS)
         a, b = build(source, ta), build(source, tb)
         destination = BddEngine(N_VARS)
-        a2, _ = transfer(source, a, destination)
-        b2, _ = transfer(source, b, destination)
+        a2 = deserialize(destination, serialize(source, a))
+        b2 = deserialize(destination, serialize(source, b))
         joined_there = destination.and_(a2, b2)
-        joined_here, _ = transfer(source, source.and_(a, b), destination)
+        joined_here = deserialize(
+            destination, serialize(source, source.and_(a, b))
+        )
         assert joined_there == joined_here
 
     @given(formula)
@@ -350,60 +347,20 @@ class TestFromBytesValidation:
                 pass  # the only acceptable failure mode
 
 
-class TestSendDedupCache:
-    def test_first_offer_charges_full_size(self, engine):
-        cache = SendDedupCache()
-        payload = serialize(engine, engine.and_(engine.var(0), engine.var(1)))
-        duplicate, wire = cache.offer(payload)
-        assert not duplicate
-        assert wire == packed_size(payload)
-        assert cache.misses == 1 and cache.hits == 0
-
-    def test_repeat_offer_charges_reference(self, engine):
-        cache = SendDedupCache()
-        payload = serialize(engine, engine.cube({i: True for i in range(8)}))
-        cache.offer(payload)
-        duplicate, wire = cache.offer(payload)
-        assert duplicate
-        assert wire == DEDUP_REF_BYTES
-        assert cache.bytes_saved == packed_size(payload) - DEDUP_REF_BYTES
-
-    def test_terminal_payload_never_charged_more_than_resend(self, engine):
-        """A terminal packs to 8 bytes < DEDUP_REF_BYTES; dedup must not
-        make it more expensive."""
-        cache = SendDedupCache()
-        payload = serialize(engine, TRUE)
-        _, first = cache.offer(payload)
-        duplicate, wire = cache.offer(payload)
-        assert duplicate
-        assert wire <= first
-        assert cache.bytes_saved == 0
-
-    def test_same_function_from_different_engines_dedups(self):
-        """The wire format is canonical, so dedup is engine-independent."""
+class TestContentDigest:
+    def test_same_function_from_different_engines_digests_equal(self):
+        """The wire format is canonical, so the digest is
+        engine-independent."""
         a, b = BddEngine(N_VARS), BddEngine(N_VARS)
         b.cube({3: False, 9: True})  # skew b's node ids
         tree = ("or", ("var", 2), ("and", ("var", 5), ("nvar", 7)))
         pa, pb = serialize(a, build(a, tree)), serialize(b, build(b, tree))
         assert content_digest(pa) == content_digest(pb)
-        cache = SendDedupCache()
-        cache.offer(pa)
-        duplicate, _ = cache.offer(pb)
-        assert duplicate
 
     def test_distinct_payloads_do_not_collide(self, engine):
-        cache = SendDedupCache()
         first = serialize(engine, engine.var(0))
         second = serialize(engine, engine.var(1))
-        assert not cache.offer(first)[0]
-        assert not cache.offer(second)[0]
-
-    def test_bounded_eviction(self, engine):
-        cache = SendDedupCache(max_entries=4)
-        payloads = [serialize(engine, engine.var(i)) for i in range(10)]
-        for payload in payloads:
-            cache.offer(payload)
-        assert len(cache) <= 2 * 4
+        assert content_digest(first) != content_digest(second)
 
 
 class TestOpCacheBounds:

@@ -7,6 +7,7 @@ from repro.bdd.headerspace import HeaderEncoding
 from repro.dataplane.forwarding import FinalState
 from repro.dataplane.queries import Query
 from repro.dist.controller import S2Controller, S2Options
+from repro.dist.message import measured_size
 from repro.dist.resources import UNLIMITED_CAPACITY
 from repro.net.ip import Prefix
 
@@ -183,51 +184,28 @@ class TestEngineMemoryManagement:
         assert controller.dpo.stats.peak_worker_nodes > 2
 
 
-class TestSendDedup:
-    def test_repeated_query_dedups_cross_worker_payloads(self, fattree4):
+class TestPacketBytes:
+    @pytest.mark.parametrize("runtime", ["sequential", "socket"])
+    def test_packet_batches_are_charged_their_measured_size(
+        self, fattree4, runtime
+    ):
+        """Every packet batch is charged its pickled size, so a repeated
+        query charges exactly what the first one did."""
         with S2Controller(
-            fattree4, S2Options(num_workers=4, num_shards=2)
+            fattree4,
+            S2Options(num_workers=4, num_shards=2, runtime=runtime),
         ) as controller:
             controller.build_data_plane()
             dpo = controller.dpo
-            dpo.forward(["edge-0-0"], TRUE)
-            baseline = sum(
-                s.dedup_counters()["hits"] for s in dpo.fleet.sidecars
-            )
-            dpo.forward(["edge-0-0"], TRUE)
-            after = sum(s.dedup_counters()["hits"] for s in dpo.fleet.sidecars)
-            # The identical query re-crosses the same worker boundaries
-            # with the identical symbolic packets.
-            assert after > baseline
-            assert dpo.stats.dedup_bytes_saved > 0
+            sent = []
+            for sidecar in dpo.fleet.sidecars:
+                send = sidecar.send_packets
 
-    def test_dedup_does_not_change_finals(self, fattree4):
-        results = []
-        for dedup in (True, False):
-            with S2Controller(
-                fattree4, S2Options(num_workers=4, num_shards=2)
-            ) as controller:
-                controller.build_data_plane()
-                dpo = controller.dpo
-                for sidecar in dpo.fleet.sidecars:
-                    sidecar.dedup_packets = dedup
-                finals = dpo.forward(["edge-0-0"], TRUE)
-                results.append(
-                    sorted(
-                        (f.state.value, f.node, dpo.engine.sat_count(f.bdd))
-                        for f in finals
-                    )
-                )
-        assert results[0] == results[1]
+                def recording(batch, send=send):
+                    sent.append(measured_size(batch))
+                    return send(batch)
 
-    def test_dedup_reduces_charged_bytes(self, fattree4):
-        """The second identical query must charge fewer RPC bytes than
-        the first (references instead of full node lists)."""
-        with S2Controller(
-            fattree4, S2Options(num_workers=4, num_shards=2)
-        ) as controller:
-            controller.build_data_plane()
-            dpo = controller.dpo
+                sidecar.send_packets = recording
 
             def total_rpc_bytes():
                 return sum(
@@ -235,10 +213,12 @@ class TestSendDedup:
                     for w in controller.fleet.workers
                 )
 
-            before_first = total_rpc_bytes()
-            dpo.forward(["edge-0-0"], TRUE)
-            first = total_rpc_bytes() - before_first
-            before_second = total_rpc_bytes()
-            dpo.forward(["edge-0-0"], TRUE)
-            second = total_rpc_bytes() - before_second
-            assert 0 < second < first
+            charges = []
+            for _ in range(2):
+                sent.clear()
+                before = total_rpc_bytes()
+                dpo.forward(["edge-0-0"], TRUE)
+                charges.append(total_rpc_bytes() - before)
+                assert sent, "the query must cross a worker boundary"
+                assert charges[-1] == sum(sent)
+            assert charges[0] == charges[1]

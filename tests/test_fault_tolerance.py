@@ -593,56 +593,6 @@ def test_worker_dedupes_batches_by_sequence(fattree4):
     assert worker.fault_counters()["duplicate_batches"] == 1
 
 
-def test_sidecar_dedup_cache_cleared_on_peer_respawn(fattree4):
-    """A respawned peer has no receive-side dedup memory, so the sender's
-    content-hash cache toward it must be dropped — otherwise payloads
-    would travel as digest references the fresh incarnation can't resolve
-    (and the sender's communication bill would be under-charged)."""
-    from types import SimpleNamespace
-
-    from repro.dist.message import PacketBatch, PacketEnvelope
-    from repro.dist.sidecar import Sidecar
-    from repro.dist.worker import Worker
-
-    assignment = {name: 0 for name in fattree4.configs}
-    sidecar = Sidecar(Worker(0, fattree4, assignment))
-    peer = SimpleNamespace(
-        worker_id=1,
-        worker=SimpleNamespace(deliver_packets=lambda batch: None),
-    )
-    sidecar.register_peers([peer])
-
-    # A synthetic but structurally valid serialized BDD: 40 one-level
-    # nodes whose children are the terminal slots.
-    payload = (32, 2, tuple((i % 32, 0, 1) for i in range(40)))
-    batch = PacketBatch(
-        source_worker=0,
-        target_worker=1,
-        envelopes=(
-            PacketEnvelope(
-                payload=payload,
-                node="leaf1",
-                in_port="eth0",
-                hops=0,
-                source="leaf1",
-            ),
-        ),
-    )
-    first = sidecar.send_packets(batch)
-    second = sidecar.send_packets(batch)      # dedup: digest reference
-    assert second < first
-    assert 1 in sidecar._packet_dedup
-
-    sidecar.on_peer_respawn(1)                # peer came back empty
-    assert 1 not in sidecar._packet_dedup
-    third = sidecar.send_packets(batch)       # full payload again
-    assert third == first
-
-    sidecar.send_packets(batch)
-    sidecar.invalidate_send_caches()
-    assert sidecar._packet_dedup == {}
-
-
 def test_in_process_crash_raises_worker_failure(fattree4):
     from repro.dist.worker import Worker
 

@@ -1,9 +1,10 @@
 """State audits on worker reconnect and respawn.
 
 A reconnection or respawn is an *incarnation change*: state derived from
-the previous incarnation — liveness suspicion on the channel, send-side
-dedup memory aimed at the peer — must be discarded, or the healed link
-keeps paying for (or miscounting against) a peer that no longer exists.
+the previous incarnation — liveness suspicion on the channel, the serving
+epoch the old worker had been admitted at — must be discarded or
+re-seeded, or the healed link keeps acting on a peer that no longer
+exists.
 """
 
 from __future__ import annotations
@@ -12,12 +13,7 @@ import threading
 
 import pytest
 
-from repro.bdd.serialize import SendDedupCache
-from repro.dist.controller import (
-    S2Controller,
-    S2Options,
-    WorkerSupervisor,
-)
+from repro.dist.controller import WorkerSupervisor
 from repro.dist.faults import StaleEpochError, WorkerDiedError
 from repro.dist.fleet import Fleet
 from repro.dist.runtime import LocalWorkerPool
@@ -51,7 +47,7 @@ def test_reconnect_clears_suspect_state():
         thread.join(5.0)
 
 
-# -- the supervisor: respawn invalidates dedup memory toward the peer -------
+# -- the supervisor: respawn resets the worker and re-seeds its epoch -------
 
 
 class _StubWorker:
@@ -90,31 +86,18 @@ def _supervised_pair(tmp_path):
     return workers, sidecars, supervisor
 
 
-def test_recover_drops_dedup_caches_toward_the_respawned_peer(tmp_path):
-    workers, sidecars, supervisor = _supervised_pair(tmp_path)
-    # Both sidecars hold send-dedup memory toward both peers.
-    for sidecar in sidecars:
-        sidecar._packet_dedup = {0: SendDedupCache(), 1: SendDedupCache()}
-    supervisor.recover(WorkerDiedError("gone", worker_id=1))
-    assert workers[1].resets == 1
-    assert workers[1].resources.respawns == 1
-    for sidecar in sidecars:
-        # Memory toward the dead incarnation is gone; toward the
-        # surviving peer it is kept.
-        assert 1 not in sidecar._packet_dedup
-        assert 0 in sidecar._packet_dedup
-    assert supervisor.recoveries == 1
-    assert supervisor.stale_epoch_rejections == 0
-
-
 def test_recover_reseeds_the_serving_epoch(tmp_path):
     workers, _sidecars, supervisor = _supervised_pair(tmp_path)
     supervisor.fleet.epoch = 7
     supervisor.recover(StaleEpochError("stale", worker_id=1))
+    assert workers[1].resets == 1
+    assert workers[1].resources.respawns == 1
+    assert workers[0].resets == 0
     # Fresh contexts boot at epoch -1; recovery must re-admit the
     # worker past the fence before any shard replays on it.
     assert workers[1].epoch_seeds == [7]
     assert workers[0].epoch_seeds == []
+    assert supervisor.recoveries == 1
     assert supervisor.stale_epoch_rejections == 1
 
 
@@ -123,20 +106,3 @@ def test_recover_rejects_unknown_worker(tmp_path):
     with pytest.raises(WorkerDiedError):
         supervisor.recover(WorkerDiedError("who", worker_id=9))
     assert supervisor.recoveries == 0
-
-
-# -- the controller: full reconfigure resets every sender's memory ----------
-
-
-def test_reconfigure_invalidates_every_send_cache(fattree4):
-    """A full reconfigure logically respawns the whole fleet: every
-    receive side forgets, so every send side must forget too."""
-    with S2Controller(
-        fattree4, S2Options(num_workers=2, num_shards=2)
-    ) as controller:
-        assert controller.fleet.sidecars, "sequential runtime has sidecars"
-        for sidecar in controller.fleet.sidecars:
-            sidecar._packet_dedup = {0: SendDedupCache()}
-        controller.reconfigure(fattree4)
-        for sidecar in controller.fleet.sidecars:
-            assert sidecar._packet_dedup == {}
