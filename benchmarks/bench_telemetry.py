@@ -1,11 +1,13 @@
-"""Telemetry-plane overhead benchmark: streaming on vs off.
+"""Observability-cost benchmark: a live scraper on vs off.
 
-The live telemetry plane (worker-side frame sources + the controller
-collector) rides on phase boundaries and existing RPC replies, so it
-must be close to free.  This benchmark times a full FatTree4 verify
-with telemetry disabled and with it enabled at the default interval,
-best-of-N each, and reports the relative overhead.  The acceptance bar
-is **< 3%**.
+Every worker reply carries the worker's status, and a scrape folds the
+fleet's latest statuses into ``worker<N>.*`` gauges at read time, so
+watching a run must be close to free.  This benchmark times a full
+FatTree4 verify twice: once alone, and once with a scraper thread
+rendering ``render_openmetrics(controller.metrics_snapshot())`` every
+50 ms — what ``repro verify --metrics-listen`` serves to a Prometheus
+scraper.  Arms are interleaved, best-of-N each, and the relative
+overhead is reported.  The acceptance bar is **< 3%**.
 
 The relative overhead is machine-independent (both arms run on the same
 box in the same process), so it is the only gated quantity; the
@@ -20,8 +22,8 @@ Usage:
         benchmarks/baselines/telemetry_fattree4.json
 
 ``--check-baseline`` exits non-zero when the measured overhead exceeds
-``--threshold`` (default 3%) or when the telemetry arm produced no
-frames at all (the plane silently off would make the gate vacuous).
+``--threshold`` (default 3%) or when no scrape saw worker 0's BDD-node
+gauge (a scraper that never read a worker would make the gate vacuous).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -38,54 +41,73 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core.s2 import S2Verifier
 from repro.dist.controller import S2Options
 from repro.net.fattree import build_fattree
+from repro.obs.openmetrics import render_openmetrics
 
 OVERHEAD_THRESHOLD_PCT = 3.0
+SCRAPE_INTERVAL = 0.05
+WORKER_SERIES = 's2_worker_bdd_nodes{worker="0"}'
 
 
-def _options(telemetry: bool) -> S2Options:
-    return S2Options(
-        num_workers=4,
-        num_shards=2,
-        # In-process runtimes emit at phase boundaries; a short interval
-        # makes the enabled arm a worst case rather than a no-op.  An
-        # interval of 0 turns the plane off.
-        telemetry_interval=0.05 if telemetry else 0.0,
-    )
-
-
-def _one_verify(snapshot, telemetry: bool) -> Dict[str, float]:
+def _one_verify(snapshot, scraped: bool) -> Dict[str, float]:
+    scrapes = 0
+    hits = 0
+    done = threading.Event()
     started = time.perf_counter()
-    with S2Verifier(snapshot, _options(telemetry)) as verifier:
-        result = verifier.verify()
-        frames = verifier.controller.telemetry.frames_total
+    with S2Verifier(
+        snapshot, S2Options(num_workers=4, num_shards=2)
+    ) as verifier:
+        controller = verifier.controller
+
+        def scrape() -> None:
+            nonlocal scrapes, hits
+            while True:
+                text = render_openmetrics(controller.metrics_snapshot())
+                scrapes += 1
+                hits += WORKER_SERIES in text
+                if done.wait(SCRAPE_INTERVAL):
+                    return
+
+        scraper = threading.Thread(target=scrape) if scraped else None
+        if scraper is not None:
+            scraper.start()
+        try:
+            result = verifier.verify()
+        finally:
+            done.set()
+            if scraper is not None:
+                scraper.join()
     elapsed = time.perf_counter() - started
     if result.status != "ok":
         raise AssertionError(f"verify failed: {result.status}")
-    return {"seconds": elapsed, "frames": frames}
+    return {"seconds": elapsed, "scrapes": scrapes, "worker_hits": hits}
 
 
 def run(repeats: int) -> Dict[str, object]:
     snapshot = build_fattree(4)
-    _one_verify(snapshot, telemetry=False)  # warm caches for both arms
+    _one_verify(snapshot, scraped=False)  # warm caches for both arms
     off: List[float] = []
     on: List[float] = []
-    frames = 0
+    scrapes = 0
+    worker_hits = 0
     # Interleave the arms so drift (thermal, page cache) hits both.
     for _ in range(repeats):
-        off.append(_one_verify(snapshot, telemetry=False)["seconds"])
-        sample = _one_verify(snapshot, telemetry=True)
+        off.append(_one_verify(snapshot, scraped=False)["seconds"])
+        sample = _one_verify(snapshot, scraped=True)
         on.append(sample["seconds"])
-        frames = max(frames, int(sample["frames"]))
+        scrapes += int(sample["scrapes"])
+        worker_hits += int(sample["worker_hits"])
     off_best = min(off)
     on_best = min(on)
     overhead_pct = 100.0 * (on_best - off_best) / off_best
     return {
         "network": "fattree4",
         "repeats": repeats,
+        "scrape_interval_seconds": SCRAPE_INTERVAL,
         "off_seconds": off_best,
         "on_seconds": on_best,
         "overhead_pct": overhead_pct,
-        "frames": frames,
+        "scrapes": scrapes,
+        "worker_hits": worker_hits,
     }
 
 
@@ -93,15 +115,15 @@ def check(result: Dict[str, object], threshold: float) -> List[str]:
     problems: List[str] = []
     if result["overhead_pct"] > threshold:
         problems.append(
-            f"telemetry overhead {result['overhead_pct']:.2f}% exceeds "
+            f"scrape overhead {result['overhead_pct']:.2f}% exceeds "
             f"the {threshold:.1f}% bar "
             f"(off {result['off_seconds']:.3f}s, "
             f"on {result['on_seconds']:.3f}s)"
         )
-    if result["frames"] < 1:
+    if result["worker_hits"] < 1:
         problems.append(
-            "the telemetry arm streamed no frames — the plane was "
-            "effectively off, so the overhead measurement is vacuous"
+            f"no scrape contained {WORKER_SERIES} — the scraper never "
+            "read a worker, so the overhead measurement is vacuous"
         )
     return problems
 
@@ -123,10 +145,11 @@ def main(argv=None) -> int:
     result = run(args.repeats)
     print(
         f"fattree4 verify (best of {args.repeats}): "
-        f"telemetry off {result['off_seconds']:.3f}s, "
-        f"on {result['on_seconds']:.3f}s "
+        f"unscraped {result['off_seconds']:.3f}s, "
+        f"scraped {result['on_seconds']:.3f}s "
         f"-> {result['overhead_pct']:+.2f}% "
-        f"({result['frames']} frames streamed)"
+        f"({result['scrapes']} scrapes, {result['worker_hits']} with "
+        f"worker series)"
     )
 
     if args.write_baseline:

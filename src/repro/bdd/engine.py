@@ -93,7 +93,7 @@ class BddEngine:
         self.cache_generation = 0  # eviction (rotation) count
         self.gc_runs = 0
         self.gc_reclaimed_nodes = 0
-        self.peak_node_count = 2
+        self.peak_node_count = 2  # largest table a collection started from
         # External-root registry: node id -> refcount.  GC keeps exactly
         # these (plus terminals plus caller-passed extras) alive.
         self._roots: Dict[int, int] = {}
@@ -578,13 +578,18 @@ class BddEngine:
     # -- observability ----------------------------------------------------
 
     def counters(self) -> Dict[str, float]:
-        """Engine health counters, ready for ``repro.obs.metrics``."""
+        """Engine health counters, ready for ``repro.obs.metrics``.
+
+        Read-only (scalars and ``len()``), so another thread may take
+        them mid-operation.  The table only grows between collections,
+        and each collection records the size it started from, so the
+        high water is that record or the current size.
+        """
         lookups = self.cache_hits + self.cache_misses
-        if len(self._var) > self.peak_node_count:
-            self.peak_node_count = len(self._var)
+        nodes = len(self._var)
         return {
-            "node_count": len(self._var),
-            "peak_node_count": self.peak_node_count,
+            "node_count": nodes,
+            "peak_node_count": max(self.peak_node_count, nodes),
             "ops": self.ops,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,

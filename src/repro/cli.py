@@ -17,8 +17,9 @@ Commands:
                live in the worker fleet, config/link deltas recompute
                incrementally (epoch-fenced), queries answer from the
                last committed epoch over a line-JSON TCP API;
-``top``        live console over a serving session: per-worker telemetry
-               frames, epoch/queue state, and the event journal tail.
+``top``        live console over a serving session: per-worker status
+               (lost workers included), epoch/queue state, and the event
+               journal tail.
 
 ``verify``, ``worker``, and ``serve`` accept ``--metrics-listen
 HOST:PORT`` to expose an OpenMetrics (Prometheus-scrapeable) HTTP
@@ -671,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         metavar="PATH",
         help="write the run's metrics snapshot (counters/gauges/"
-        "histograms plus per-worker telemetry) as JSON",
+        "histograms plus per-worker status gauges) as JSON",
     )
     verify.add_argument(
         "--metrics-listen",
@@ -912,8 +913,9 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live console over a serving session",
         description="Poll a `repro serve` session's statusz/eventsz ops "
-        "and render per-worker telemetry (epoch, round, BDD nodes, "
-        "memory, respawns), session health, and the event journal tail. "
+        "and render per-worker status (epoch, round, BDD nodes, "
+        "memory, respawns, lost), session health, and the event journal "
+        "tail. "
         "On a TTY the screen refreshes in place; piped output prints "
         "one frame (or --iterations frames) and exits.",
     )

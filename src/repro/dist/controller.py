@@ -43,8 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..bdd.headerspace import HeaderEncoding
 from ..config.loader import Snapshot
-from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import TelemetryCollector
+from ..obs.metrics import MetricsRegistry, fold_statuses
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..obs.merge import merge_shards
 from ..routing.engine import BgpResult
@@ -117,8 +116,6 @@ class S2Options:
     trace_out: Optional[str] = None      # merged Chrome trace-event file
     trace_dir: Optional[str] = None      # per-participant JSONL shards
     metrics_out: Optional[str] = None    # metrics snapshot JSON
-    telemetry_interval: float = 0.25     # min seconds between worker
-    #                                      telemetry frames (0 = off)
 
     def __post_init__(self) -> None:
         if self.runtime not in RUNTIMES:
@@ -347,10 +344,6 @@ class S2Controller:
             opts.trace_out + ".shards" if opts.trace_out else None
         )
         self.metrics = MetricsRegistry()
-        # Streaming telemetry: every runtime pushes frames into this
-        # collector (remote runtimes piggyback them on RPC responses;
-        # in-process workers call the sink at phase boundaries).
-        self.telemetry = TelemetryCollector(self.metrics)
         if self.trace_dir:
             self.tracer: Tracer = Tracer(
                 process="controller",
@@ -368,8 +361,6 @@ class S2Controller:
             max_hops=opts.max_hops,
             fault_plan=opts.fault_plan,
             trace_dir=self.trace_dir,
-            telemetry_interval=opts.telemetry_interval,
-            telemetry_sink=self.telemetry.ingest,
         )
         if opts.runtime == "socket":
             # Workers behind TCP servers speaking the framed RPC protocol
@@ -946,12 +937,15 @@ class S2Controller:
         return holders
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """The registry snapshot plus folded pipeline/worker telemetry.
+        """The registry snapshot plus folded pipeline and worker numbers.
 
-        Safe to take mid-run: instruments are live, the stats dataclasses
-        are whatever the orchestrators have accumulated so far.
+        Safe to take mid-run, from any thread: instruments are live, the
+        stats dataclasses are whatever the orchestrators have accumulated
+        so far, and worker statuses are read without a round trip.
         """
-        snapshot = self.metrics.snapshot()
+        snapshot = fold_statuses(
+            self.metrics.snapshot(), self.fleet.statuses()
+        )
         snapshot["control_plane"] = asdict(self.cpo.stats)
         snapshot["data_plane"] = asdict(self.dpo.stats)
         def _worker_entry(r: WorkerResources, lost: bool) -> Dict[str, Any]:
@@ -982,7 +976,10 @@ class S2Controller:
             )
         snapshot["recoveries"] = self.supervisor.recoveries
         snapshot["capacity"] = self.capacity()
-        snapshot["telemetry"] = self.telemetry.summary()
+        # Worker statuses the socket proxies received (none in-process).
+        snapshot["telemetry"] = {
+            "frames": snapshot["counters"].get("telemetry.frames", 0)
+        }
         transport = self._pool.transport_counters(self.fleet.lost)
         if transport is not None:
             snapshot["transport"] = transport
@@ -1012,14 +1009,8 @@ class S2Controller:
                     },
                 )
         if opts.metrics_out:
-            folded = self.metrics_snapshot()
             self.metrics.write_json(
-                opts.metrics_out,
-                extra={
-                    key: value
-                    for key, value in folded.items()
-                    if key not in ("counters", "gauges", "histograms")
-                },
+                opts.metrics_out, extra=self.metrics_snapshot()
             )
 
     def close(self) -> None:

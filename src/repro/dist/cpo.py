@@ -153,7 +153,7 @@ class ControlPlaneOrchestrator:
         self.stats.pipelined_deliveries += len(handles)
         return sent
 
-    def _collect_fault_telemetry(self) -> None:
+    def _collect_fault_counts(self) -> None:
         """Fold sidecar and worker fault counters into the stats."""
         self.stats.batches_dropped = sum(
             s.batches_dropped for s in self.fleet.sidecars
@@ -161,13 +161,10 @@ class ControlPlaneOrchestrator:
         self.stats.batches_duplicated = sum(
             s.batches_duplicated for s in self.fleet.sidecars
         )
-        try:
-            self.stats.duplicates_discarded = sum(
-                worker.fault_counters().get("duplicate_batches", 0)
-                for worker in self.fleet.workers
-            )
-        except WorkerFailure:
-            pass  # telemetry must never fail a finished run
+        self.stats.duplicates_discarded = sum(
+            worker.status().get("duplicate_batches", 0)
+            for worker in self.fleet.workers
+        )
 
     # -- OSPF phase -----------------------------------------------------------
 
@@ -477,7 +474,7 @@ class ControlPlaneOrchestrator:
                     self._mark_shard_done(
                         index, self.stats.bgp_rounds - rounds_before
                     )
-            self._collect_fault_telemetry()
+            self._collect_fault_counts()
             span.set(
                 bgp_rounds=self.stats.bgp_rounds,
                 shards=self.stats.shards_run,

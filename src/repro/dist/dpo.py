@@ -250,8 +250,8 @@ class DataPlaneOrchestrator:
         self.stats.forward_seconds += clock.seconds
         collections = self.stats.boundary_collections
         reused = self.stats.payloads_reused
-        # Outside forward_seconds and the dpo.forward span: the fold makes
-        # one counters call per worker, which is not query work.
+        # Outside forward_seconds and the dpo.forward span: the fold reads
+        # every worker's status, which is not query work.
         with self.tracer.span("dpo.engine_metrics", category="dpo") as span:
             self._publish_engine_metrics()
             # This query's share (0, not negative, after a respawned
@@ -265,11 +265,19 @@ class DataPlaneOrchestrator:
         return finals
 
     def worker_engine_counters(self) -> List[Dict[str, float]]:
-        """Per-worker engine health counters (post-build; may be empty)."""
-        return [worker.engine_counters() for worker in self.fleet.workers]
+        """Per-worker engine health counters, the ``engine.*`` fields of
+        each worker's status (empty before a build)."""
+        return [
+            {
+                name[len("engine."):]: value
+                for name, value in worker.status().items()
+                if name.startswith("engine.")
+            }
+            for worker in self.fleet.workers
+        ]
 
     def _publish_engine_metrics(self) -> None:
-        """Fold worker engine telemetry into the stats (and the metrics
+        """Fold worker engine counters into the stats (and the metrics
         registry, when one is attached)."""
         nodes = 0
         peak = 0

@@ -87,6 +87,20 @@ class Fleet:
             for worker_id in sorted(self.lost)
         ]
 
+    def statuses(self) -> Dict[str, Dict[str, Any]]:
+        """Every worker's latest status, keyed ``worker<N>``, in roster
+        order, with the controller-side counts (respawns, retries) and
+        the lost flag.  A lost worker keeps the last status it sent."""
+        return {
+            f"worker{worker.worker_id}": dict(
+                worker.status(),
+                respawns=worker.resources.respawns,
+                retries=worker.resources.retries,
+                lost=lost,
+            )
+            for worker, lost in self.roster()
+        }
+
     def capacity(self) -> Dict[str, Any]:
         """Degraded-capacity summary (serving surfaces re-export this)."""
         active = len(self.workers)

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..config.loader import Snapshot
-from ..obs.telemetry import TelemetrySource
 from ..obs.tracer import Tracer
 from .faults import FaultPlan
 from .resources import WorkerResources
@@ -102,8 +101,6 @@ class LocalWorkerPool:
         max_hops: int = 24,
         fault_plan: Optional[FaultPlan] = None,
         trace_dir: Optional[str] = None,
-        telemetry_interval: float = 0.0,
-        telemetry_sink: Optional[Callable[[Dict[str, Any]], Any]] = None,
     ) -> None:
         self._snapshot, self._assignment = snapshot, assignment
         self._fault_plan = fault_plan
@@ -131,11 +128,6 @@ class LocalWorkerPool:
         ]
         for worker in self.proxies:
             worker.fault_injector = fault_plan
-            if telemetry_interval > 0:
-                worker.attach_telemetry(
-                    TelemetrySource(worker, interval=telemetry_interval),
-                    sink=telemetry_sink,
-                )
 
     def update_snapshot(
         self, snapshot: Snapshot, assignment: Dict[str, int]

@@ -7,13 +7,13 @@ respawn: the old tracer shard is finished and a fresh
 :class:`~repro.dist.worker.Worker` is built at the next incarnation.
 
 ``dispatch`` never raises: every response is ``("ok", (result,
-telemetry))`` or ``("exc", (name, message, traceback, telemetry))``.
-The telemetry 7-tuple piggybacks the worker's resource counters, so
-proxies track memory peaks without extra round trips — including the
-peak a :class:`~repro.dist.resources.SimulatedOOM` was raised at — and
-ends in an interval-gated :mod:`repro.obs.telemetry` frame (``None``
-when streaming is off or no frame is due) that proxies forward to the
-controller's collector.
+status))`` or ``("exc", (name, message, traceback, status))``, where
+``status`` is the worker's :meth:`~repro.dist.worker.Worker.status`
+taken after the command (``None`` before ``__configure__``).  Proxies
+mirror its memory counters — including the peak a
+:class:`~repro.dist.resources.SimulatedOOM` was raised at — and keep
+the whole map as the worker's latest status, so the controller never
+spends a round trip to learn a worker's numbers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import traceback
 from typing import Any, Dict, Optional, Tuple
 
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..obs.telemetry import TelemetrySource
 from .resources import WorkerResources
 from .worker import Worker
 
@@ -40,7 +39,6 @@ class WorkerService:
         self.resources: Optional[WorkerResources] = None
         self.tracer = NULL_TRACER
         self.incarnation = -1
-        self.telemetry: Optional[TelemetrySource] = None
 
     @property
     def configured(self) -> bool:
@@ -55,7 +53,6 @@ class WorkerService:
         max_hops: int,
         trace_dir: Optional[str] = None,
         incarnation: int = 0,
-        telemetry_interval: float = 0.0,
     ) -> None:
         """(Re)build the worker; a reconfigure is a logical respawn."""
         if self.tracer is not NULL_TRACER:
@@ -83,18 +80,6 @@ class WorkerService:
             tracer=self.tracer,
         )
         self.incarnation = incarnation
-        # Streaming telemetry: interval-gated, sequence numbers scoped
-        # per incarnation so the collector sees a respawn as a fresh
-        # stream rather than a seq regression.
-        self.telemetry = (
-            TelemetrySource(
-                self.worker,
-                interval=telemetry_interval,
-                incarnation=incarnation,
-            )
-            if telemetry_interval > 0
-            else None
-        )
 
     def dispatch(
         self, command: str, args: tuple, flow_id: Optional[int] = None
@@ -102,8 +87,8 @@ class WorkerService:
         """Execute one command; never raises — failures are relayed.
 
         Only names in :attr:`Worker.COMMANDS` run: a peer must not reach
-        local-only methods (``reset``, ``attach_telemetry``) or private
-        ones through the wire.
+        local-only methods (``reset``, ``status``) or private ones
+        through the wire.
         """
         try:
             if command not in Worker.COMMANDS:
@@ -120,34 +105,14 @@ class WorkerService:
                 flow="in" if flow_id is not None else None,
             ):
                 result = getattr(self.worker, command)(*args)
-            return "ok", (result, self._telemetry(command))
+            return "ok", (result, self.worker.status())
         except Exception as exc:  # noqa: BLE001 — relayed to the controller
             return "exc", (
                 type(exc).__name__,
                 str(exc),
                 traceback.format_exc(),
-                self._telemetry(None),
+                self.worker.status() if self.worker is not None else None,
             )
-
-    def _telemetry(self, phase: Optional[str]):
-        """Fresh memory counters for the proxy mirror (``None`` before
-        ``__configure__``), ending in an interval-gated streaming frame
-        for the controller's collector when ``phase`` is given."""
-        resources = self.resources
-        if resources is None:
-            return None
-        frame = None
-        if phase is not None and self.telemetry is not None:
-            frame = self.telemetry.maybe_frame(phase=phase)
-        return (
-            resources.current_bytes,
-            resources.peak_bytes,
-            resources.candidate_routes,
-            resources.bdd_nodes,
-            resources.fib_entries,
-            resources.oom,
-            frame,
-        )
 
     def finish(self) -> None:
         if self.tracer is not NULL_TRACER:

@@ -20,9 +20,11 @@ Design notes:
 * Resource accounting stays controller-side: the remote worker enforces
   its memory ceiling (raising :class:`SimulatedOOM` in situ, relayed back
   with the worker's own used bytes and re-raised by the proxy) and
-  piggybacks its memory counters on every response, failed ones
-  included; the orchestrators count work into the proxy's local
-  :class:`WorkerResources` mirror exactly as for in-process workers.
+  appends its status to every response, failed ones included; the
+  proxy mirrors the memory counters into its local
+  :class:`WorkerResources` (the orchestrators count work into it exactly
+  as for in-process workers) and answers :meth:`SocketWorkerProxy.status`
+  from the latest one, without a round trip.
 * **Supervision**: every proxy call runs under the channel's deadline
   and an exponential-backoff retry loop for transient RPC faults; an
   unreachable worker or an expired deadline surfaces as a
@@ -57,11 +59,11 @@ import multiprocessing as mp
 import os
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.engine import BddOverflowError
 from ..config.loader import Snapshot
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, fold_statuses
 from ..obs.tracer import NULL_TRACER, Tracer
 from .faults import (
     FaultPlan,
@@ -138,7 +140,7 @@ def serve_worker(
     one listener can serve many runs.
 
     ``metrics_listen`` (``host:port``) additionally exposes a local
-    OpenMetrics scrape endpoint reporting this worker's live frame —
+    OpenMetrics scrape endpoint reporting this worker's live status —
     remote workers in connect mode are observable even when the
     controller is on another machine.
 
@@ -153,32 +155,16 @@ def serve_worker(
     metrics_server = None
     if metrics_listen:
         from ..obs.openmetrics import MetricsHTTPServer
-        from ..obs.telemetry import TelemetryCollector, TelemetrySource
-
-        scrape_metrics = MetricsRegistry()
-        collector = TelemetryCollector(scrape_metrics)
-        # A dedicated source per worker incarnation: sharing the RPC
-        # piggyback source would consume its sequence numbers and show
-        # up as frame gaps on the controller side.
-        scrape_sources: Dict[Tuple[int, int], Any] = {}
 
         def _scrape_snapshot() -> Dict[str, Any]:
-            # Fold a fresh frame on demand: the scrape itself is the
-            # sampling clock for a standalone worker.
+            # The scrape reads the live worker, whichever incarnation.
             worker = service.worker
-            if worker is not None:
-                key = (id(worker), service.incarnation)
-                source = scrape_sources.get(key)
-                if source is None:
-                    scrape_sources.clear()
-                    source = TelemetrySource(
-                        worker,
-                        interval=1e-9,
-                        incarnation=max(service.incarnation, 0),
-                    )
-                    scrape_sources[key] = source
-                collector.ingest(source.frame(phase="scrape"))
-            return scrape_metrics.snapshot()
+            statuses = (
+                {}
+                if worker is None
+                else {f"worker{worker.worker_id}": worker.status()}
+            )
+            return fold_statuses({}, statuses)
 
         def _scrape_status() -> Dict[str, Any]:
             return {
@@ -223,7 +209,7 @@ class _SocketCallFuture:
     """Proxy-level future over a wire :class:`RpcFuture`.
 
     Settling maps transport failures to worker failures and applies the
-    proxy's ``_relay`` (telemetry mirror, exception relaying) — the same
+    proxy's ``_relay`` (status mirror, exception relaying) — the same
     post-processing a blocking call would have done inline.
     """
 
@@ -251,8 +237,9 @@ class SocketWorkerProxy:
 
     Exposes the Worker methods the orchestrators and sidecars call; each
     call is one idempotent request on the worker's :class:`RpcChannel`.
-    The proxy keeps a local :class:`WorkerResources` mirror of the
-    worker's memory and work counters, and supervises the call:
+    The proxy keeps the worker's latest status, a local
+    :class:`WorkerResources` mirror of its memory and work counters, and
+    supervises the call:
     transient-fault retry with exponential backoff, and fault injection
     from the attached :class:`FaultPlan`.  A timed-out proxy stays usable: the channel's
     idempotent request ids make stale responses self-identifying.
@@ -267,7 +254,7 @@ class SocketWorkerProxy:
         policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
-        telemetry_sink: Optional[Callable[[Dict[str, Any]], Any]] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.worker_id = worker_id
         self.resources = resources
@@ -276,10 +263,14 @@ class SocketWorkerProxy:
         self._policy = policy or RetryPolicy()
         self._fault_plan = fault_plan
         self.tracer = tracer or NULL_TRACER
-        # Streaming telemetry frames piggybacked on responses are handed
-        # to this callable (the controller's collector) when set.
-        self.telemetry_sink = telemetry_sink
         self._flow_seq = 0
+        # The latest status a reply carried, and when it arrived; the
+        # count of statuses received keeps its historical metric name.
+        self._status: Dict[str, Any] = {}
+        self._status_at = 0.0
+        self._statuses = (metrics or MetricsRegistry()).counter(
+            "telemetry.frames"
+        )
 
     # -- plumbing ---------------------------------------------------------
 
@@ -399,8 +390,8 @@ class SocketWorkerProxy:
     def _relay(self, command: str, status: str, payload) -> Any:
         """Map a wire response to a result, relayed exception, or error."""
         if status == "exc":
-            name, message, trace, telemetry = payload
-            self._mirror(telemetry)
+            name, message, trace, worker_status = payload
+            self._mirror(worker_status)
             exc_type = _RELAYED_EXCEPTIONS.get(name)
             if exc_type is SimulatedOOM:
                 # The mirror now holds the bytes the worker raised at.
@@ -420,31 +411,34 @@ class SocketWorkerProxy:
                 worker_id=self.worker_id,
                 command=command,
             )
-        result, telemetry = payload
-        self._mirror(telemetry)
+        result, worker_status = payload
+        self._mirror(worker_status)
         return result
 
-    def _mirror(self, telemetry) -> None:
-        """Fold a response's worker counters into the resource mirror and
-        hand its streaming frame to the collector."""
-        if telemetry is None:
+    def _mirror(self, status: Optional[Dict[str, Any]]) -> None:
+        """Keep a response's worker status and fold its memory counters
+        into the resource mirror."""
+        if status is None:
             return  # the worker was not configured yet
-        (
-            self.resources.current_bytes,
-            peak,
-            self.resources.candidate_routes,
-            self.resources.bdd_nodes,
-            self.resources.fib_entries,
-            oom,
-            frame,
-        ) = telemetry
-        self.resources.peak_bytes = max(self.resources.peak_bytes, peak)
-        self.resources.oom = self.resources.oom or oom
-        if frame is not None and self.telemetry_sink is not None:
-            try:
-                self.telemetry_sink(frame)
-            except Exception:  # noqa: BLE001 — telemetry must never
-                pass  # poison the RPC result path
+        self._status, self._status_at = status, time.monotonic()
+        self._statuses.inc()
+        resources = self.resources
+        resources.current_bytes = status["current_bytes"]
+        resources.candidate_routes = status["candidate_routes"]
+        resources.bdd_nodes = status["bdd_nodes"]
+        resources.fib_entries = status["fib_entries"]
+        resources.peak_bytes = max(resources.peak_bytes, status["peak_bytes"])
+        resources.oom = resources.oom or status["oom"]
+
+    def status(self) -> Dict[str, Any]:
+        """The worker's latest status (see :meth:`Worker.status`) and its
+        age in seconds; empty until a configured worker has replied."""
+        if not self._status:
+            return {}
+        return dict(
+            self._status,
+            age_seconds=round(time.monotonic() - self._status_at, 3),
+        )
 
     # -- supervision ------------------------------------------------------
 
@@ -555,8 +549,6 @@ class SocketWorkerPool:
         metrics: Optional[MetricsRegistry] = None,
         worker_hosts: Optional[Sequence[str]] = None,
         host: str = "127.0.0.1",
-        telemetry_interval: float = 0.0,
-        telemetry_sink: Optional[Callable[[Dict[str, Any]], Any]] = None,
     ) -> None:
         self._context = mp.get_context(
             "fork" if os.name == "posix" else "spawn"
@@ -569,7 +561,6 @@ class SocketWorkerPool:
         self._trace_dir = trace_dir
         self._metrics = metrics
         self._host = host
-        self._telemetry_interval = telemetry_interval
         # Spawn counts per worker id: a respawned worker's shard carries
         # the next incarnation number, so its spans stay distinguishable
         # after merging onto the same process track.
@@ -607,7 +598,7 @@ class SocketWorkerPool:
                     policy=self._policy,
                     fault_plan=fault_plan,
                     tracer=tracer,
-                    telemetry_sink=telemetry_sink,
+                    metrics=metrics,
                 )
             )
             self._configure(worker_id, channel)
@@ -660,7 +651,6 @@ class SocketWorkerPool:
                 self._max_hops,
                 self._trace_dir,
                 incarnation,
-                self._telemetry_interval,
             ),
             internal=True,
         )

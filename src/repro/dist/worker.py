@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
@@ -115,15 +115,14 @@ class Worker:
         "begin_epoch", "rebind_snapshot",
         # control plane
         "begin_shard", "compute_exports", "deliver_routes_many",
-        "pull_round", "observed_dependencies",
-        "fault_counters", "flush_shard",
+        "pull_round", "observed_dependencies", "flush_shard",
         # OSPF
         "has_ospf", "compute_ospf_exports", "pull_ospf_round",
         "install_ospf_routes", "export_ospf_state", "restore_ospf_state",
         # data plane
         "build_dataplane", "set_waypoint_bit", "clear_waypoints",
         "inject_header", "deliver_packets", "drain", "collect_finals",
-        "reset_dataplane_run", "engine_counters",
+        "reset_dataplane_run",
     )
 
     def __init__(
@@ -159,13 +158,8 @@ class Worker:
         # starts stale on purpose: it must fail the epoch fence until the
         # session (or the supervisor's recovery path) seeds it.
         self.epoch: int = -1
-        # Streaming telemetry (in-process runtimes): an attached source
-        # emits interval-gated frames at phase boundaries straight into
-        # the controller's collector.  Remote runtimes piggyback frames
-        # on RPC responses instead (see WorkerService.dispatch).
-        self.telemetry = None
-        self.telemetry_sink = None
         self.last_round: int = -1
+        self.last_phase: Optional[str] = None  # the last phase finished
         self._exports_reused = 0  # phase A's count, reported by phase B
         self._build_nodes()
         # -- data-plane state (populated by the DPO phase) --
@@ -210,23 +204,35 @@ class Worker:
         """Liveness probe; the heartbeat path of the supervisor."""
         return "pong"
 
-    # -- streaming telemetry ---------------------------------------------
+    def status(self) -> Dict[str, Any]:
+        """This worker's counters as one flat map: memory, the data-plane
+        engine (``engine.*``, absent before a build), redelivered batches,
+        and where the worker is (epoch, round, last phase).
 
-    def attach_telemetry(self, source, sink=None) -> None:
-        """Wire an in-process frame source (and collector sink)."""
-        self.telemetry = source
-        self.telemetry_sink = sink
-
-    def _emit_telemetry(self, phase: str) -> None:
-        """Push one interval-gated frame to the sink, if attached."""
-        if self.telemetry is None or self.telemetry_sink is None:
-            return
-        frame = self.telemetry.maybe_frame(phase=phase)
-        if frame is not None:
-            try:
-                self.telemetry_sink(frame)
-            except Exception:  # noqa: BLE001 — observability must never
-                pass  # fail the phase it observes
+        Local, not a command: the socket service appends it to every
+        reply.  It reads only scalars and ``len()``, so a scrape thread
+        may call it on a live in-process worker.
+        """
+        resources = self.resources
+        status: Dict[str, Any] = {
+            "epoch": self.epoch,
+            "round": self.last_round,
+            "phase": self.last_phase,
+            "candidate_routes": resources.candidate_routes,
+            "bdd_nodes": resources.bdd_nodes,
+            "fib_entries": resources.fib_entries,
+            "current_bytes": resources.current_bytes,
+            "peak_bytes": resources.peak_bytes,
+            "oom": resources.oom,
+            "duplicate_batches": self.duplicate_batches,
+        }
+        engine = self.engine
+        if engine is not None:
+            for name, value in engine.counters().items():
+                status["engine." + name] = value
+            status["engine.gc_floor"] = self._gc_floor
+            status["engine.payloads_reused"] = self.payloads_reused
+        return status
 
     def reset(self) -> None:
         """Rebuild this worker from scratch *in place* (identity kept).
@@ -246,10 +252,7 @@ class Worker:
         self._ospf_installed = {}
         self.epoch = -1
         self.last_round = -1
-        if self.telemetry is not None:
-            # A reset is the in-process respawn: the frame stream starts
-            # a new incarnation so the collector sees a fresh sequence.
-            self.telemetry.reincarnate()
+        self.last_phase = None
         self._build_nodes()
         self.engine = None
         self.encoding = None
@@ -276,10 +279,6 @@ class Worker:
             )
         if spec.kind == "delay":
             time.sleep(spec.delay)
-
-    def fault_counters(self) -> Dict[str, int]:
-        """Receiver-side fault telemetry the CPO folds into its stats."""
-        return {"duplicate_batches": self.duplicate_batches}
 
     # -- node resolution -------------------------------------------------
 
@@ -393,7 +392,7 @@ class Worker:
                 for routes in node_routes.values()
             )
             span.set(bytes=written, selected=selected)
-        self._emit_telemetry("flush_shard")
+        self.last_phase = "flush_shard"
         return written, selected
 
     # -- control plane: one round (two phases) ---------------------------------
@@ -427,7 +426,7 @@ class Worker:
                 computed=self._node_total("exports_computed") - computed,
                 reused=self._exports_reused,
             )
-        self._emit_telemetry("compute_exports")
+        self.last_phase = "compute_exports"
         return {
             target: RouteBatch(
                 source_worker=self.worker_id,
@@ -444,7 +443,7 @@ class Worker:
         Deliveries are deduplicated by the batch's per-sender sequence
         number: an RPC transport may redeliver on retry, and applying a
         batch twice must not double-count (the mailbox overwrite is
-        idempotent, but the telemetry should know it happened).
+        idempotent, but the worker's status should show it happened).
         """
         last = self._batch_sequences.get(batch.source_worker)
         if last is not None and batch.sequence == last:
@@ -497,7 +496,7 @@ class Worker:
         # The round's memory estimate, taken before anything else touches
         # this worker's state (the next round's deliveries).
         self.update_memory()
-        self._emit_telemetry("pull_round")
+        self.last_phase = "pull_round"
         reused, self._exports_reused = self._exports_reused, 0
         return PullOutcome(
             changed=bool(changed_nodes),
@@ -668,7 +667,7 @@ class Worker:
                 self.engine.add_root(root)
         self._gc_floor = 0
         self.update_memory()
-        self._emit_telemetry("build_dataplane")
+        self.last_phase = "build_dataplane"
         return ops, nodes
 
     def set_waypoint_bit(self, node: str, metadata_index: int) -> None:
@@ -766,7 +765,7 @@ class Worker:
                 bdd_ops=self.engine.ops - ops_before,
             )
         self.update_memory()
-        self._emit_telemetry("drain")
+        self.last_phase = "drain"
         batches = {
             target: PacketBatch(
                 source_worker=self.worker_id,
@@ -846,17 +845,3 @@ class Worker:
         self._gc_floor = self.engine.node_count
         self.update_memory(enforce=False)
         return before - self.engine.node_count
-
-    def engine_counters(self) -> Dict[str, float]:
-        """The data-plane engine's health counters plus the worker's
-        growth floor and receive-memo hits (empty pre-build)."""
-        if self.engine is None:
-            return {}
-        counters = self.engine.counters()
-        counters["gc_floor"] = self._gc_floor
-        counters["payloads_reused"] = self.payloads_reused
-        return counters
-
-    @property
-    def pending_packets(self) -> int:
-        return len(self._buffer) if self._buffer is not None else 0

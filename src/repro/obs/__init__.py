@@ -16,6 +16,7 @@ from .metrics import (  # noqa: F401
     Gauge,
     Histogram,
     MetricsRegistry,
+    fold_statuses,
 )
 from .journal import (  # noqa: F401
     EVENT_KINDS,
@@ -23,12 +24,6 @@ from .journal import (  # noqa: F401
     JournalEvent,
     journal_gaps,
     read_journal,
-)
-from .telemetry import (  # noqa: F401
-    FRAME_VERSION,
-    TelemetryCollector,
-    TelemetrySource,
-    validate_frame,
 )
 from .openmetrics import (  # noqa: F401
     MetricsHTTPServer,

@@ -36,7 +36,6 @@ EVENT_KINDS = frozenset(
         "degraded",  # session fell back to read-only
         "ground_truth",  # concrete-packet spot check result
         "drain",  # session started draining for shutdown
-        "telemetry_gap",  # collector saw missing telemetry frames
         "load_shed",  # admission queue refused a delta
         "worker_lost",  # respawn budget exhausted; worker left the fleet
         "shard_reassigned",  # a lost worker's state migrated to a survivor
@@ -76,7 +75,7 @@ class EventJournal:
     """Bounded in-memory ring of :class:`JournalEvent` records.
 
     Thread safe; ``record()`` is called from the mutator thread, the
-    supervisor (inside RPC retries), and the telemetry collector, while
+    supervisor (inside RPC retries) and the controller, while
     API handlers read concurrently.  When more than ``capacity`` events
     accumulate the oldest are dropped — ``dropped`` counts them and
     ``first_seq`` names the oldest still retained, so a reader that asks

@@ -7,6 +7,10 @@ the pipeline.  Increments are guarded by one registry-wide lock — the
 socket runtime's phase threads update counters concurrently — which
 costs a few hundred nanoseconds per event at the per-batch/per-round
 granularity the pipeline uses (never per BDD operation).
+
+Workers' own numbers are not instruments: each worker reports a flat
+status map, and :func:`fold_statuses` turns the fleet's latest statuses
+into ``worker<N>.*`` gauges when a snapshot is read.
 """
 
 from __future__ import annotations
@@ -248,3 +252,20 @@ class MetricsRegistry:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True, default=str)
             handle.write("\n")
+
+
+def fold_statuses(
+    snapshot: Dict[str, Any], statuses: Dict[str, Dict[str, Any]]
+) -> Dict[str, Any]:
+    """Fold per-worker statuses (keyed ``worker<N>``) into ``snapshot``'s
+    gauges as ``worker<N>.<field>``; returns ``snapshot``.
+
+    Non-numeric fields (the worker's last phase) are left out, so every
+    folded gauge renders as a number.
+    """
+    gauges = snapshot.setdefault("gauges", {})
+    for worker, status in statuses.items():
+        for name, value in status.items():
+            if isinstance(value, (int, float)):
+                gauges[f"{worker}.{name}"] = {"value": value}
+    return snapshot

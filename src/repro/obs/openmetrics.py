@@ -16,6 +16,7 @@ stdlib-only scrape endpoint behind ``--metrics-listen`` (paths:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -68,12 +69,26 @@ def _labels(pairs: Dict[str, str]) -> str:
     return "{" + inner + "}"
 
 
+@functools.lru_cache(maxsize=4096)
+def _gauge_series(name: str, namespace: str) -> Tuple[str, str]:
+    """A gauge's family and rendered labels: ``worker<N>.<stat>`` becomes
+    the ``worker_<stat>`` family labelled ``worker="N"``.  Cached, since
+    every scrape renders the same names."""
+    match = _WORKER_GAUGE.match(name)
+    if match is None:
+        return sanitize_metric_name(name, namespace), ""
+    return (
+        sanitize_metric_name("worker_" + match.group(2), namespace),
+        _labels({"worker": match.group(1)}),
+    )
+
+
 def render_openmetrics(
     snapshot: Dict[str, Any], namespace: str = "s2"
 ) -> str:
     """Render a registry snapshot as Prometheus/OpenMetrics text."""
-    # family name -> (type, [(label-dict, sample-suffix, value), ...])
-    families: "Dict[str, Tuple[str, List[Tuple[Dict[str, str], str, Any]]]]"
+    # family name -> (type, [(labels, sample-suffix, value), ...])
+    families: "Dict[str, Tuple[str, List[Tuple[str, str, Any]]]]"
     families = {}
 
     def family(name: str, kind: str):
@@ -91,7 +106,7 @@ def render_openmetrics(
 
     for name, value in snapshot.get("counters", {}).items():
         fam = sanitize_metric_name(name, namespace)
-        family(fam, "counter").append(({}, "_total", value))
+        family(fam, "counter").append(("", "_total", value))
 
     for name, payload in snapshot.get("gauges", {}).items():
         value = (
@@ -99,27 +114,19 @@ def render_openmetrics(
             if isinstance(payload, dict)
             else payload
         )
-        match = _WORKER_GAUGE.match(name)
-        if match:
-            fam = sanitize_metric_name(
-                "worker_" + match.group(2), namespace
-            )
-            labels = {"worker": match.group(1)}
-        else:
-            fam = sanitize_metric_name(name, namespace)
-            labels = {}
+        fam, labels = _gauge_series(name, namespace)
         family(fam, "gauge").append((labels, "", value))
 
     for name, summary in snapshot.get("histograms", {}).items():
         fam = sanitize_metric_name(name, namespace)
         samples = family(fam, "summary")
         count = summary.get("count", 0)
-        samples.append(({}, "_count", count))
-        samples.append(({}, "_sum", summary.get("sum", 0.0)))
+        samples.append(("", "_count", count))
+        samples.append(("", "_sum", summary.get("sum", 0.0)))
         for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
             if key in summary:
                 samples.append(
-                    ({"quantile": quantile}, "", summary[key])
+                    (_labels({"quantile": quantile}), "", summary[key])
                 )
 
     lines: List[str] = []
@@ -127,7 +134,7 @@ def render_openmetrics(
         kind, samples = families[fam]
         lines.append(f"# TYPE {fam} {kind}")
         for labels, suffix, value in samples:
-            lines.append(f"{fam}{suffix}{_labels(labels)} {_fmt(value)}")
+            lines.append(f"{fam}{suffix}{labels} {_fmt(value)}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 

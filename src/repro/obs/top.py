@@ -2,8 +2,9 @@
 
 Connects to a :class:`~repro.serve.api.SessionServer` line-JSON port,
 polls ``statusz`` + ``eventsz``, and renders a compact dashboard: epoch,
-admission-queue depth, per-worker round progress and health, rolling
-p50/p99 query latency, and the last N journal events.
+admission-queue depth, one row per worker from its latest status (a
+lost worker stays, marked ``LOST``), rolling p50/p99 query latency, and
+the last N journal events.
 
 The renderer is a pure function (``render_top``) so tests can assert on
 frames without a terminal; the loop uses plain ANSI clear-and-home
@@ -75,14 +76,9 @@ def _fmt_ms(seconds: Any) -> str:
         return "-"
 
 
-def render_top(
-    status: Dict[str, Any],
-    events: List[Dict[str, Any]],
-    now: Optional[float] = None,
-) -> str:
+def render_top(status: Dict[str, Any], events: List[Dict[str, Any]]) -> str:
     """Render one dashboard frame from a ``statusz`` payload plus a
     journal tail (both straight off the wire)."""
-    now = time.time() if now is None else now
     out: List[str] = []
     state = status.get("status", "?")
     epoch = status.get("epoch")
@@ -129,36 +125,33 @@ def render_top(
     else:
         out.append("query latency: no queries yet")
 
-    frames = status.get("frames") or {}
+    workers = (status.get("worker_health") or {}).get("workers") or {}
     out.append("")
     header = (
-        f"{'WORKER':<8} {'EPOCH':>5} {'ROUND':>5} {'INC':>3} {'SEQ':>5} "
-        f"{'AGE':>6} {'PHASE':<16} {'BDD':>8} {'ROUTES':>8} "
-        f"{'MEM':>9} {'RESPAWN':>7}"
+        f"{'WORKER':<8} {'EPOCH':>5} {'ROUND':>5} {'AGE':>6} "
+        f"{'PHASE':<16} {'BDD':>8} {'ROUTES':>8} {'MEM':>9} {'RESPAWN':>7}"
     )
     out.append(header)
     out.append("-" * len(header))
-    if not frames:
-        out.append("  (no telemetry frames yet)")
-    for key in sorted(frames, key=lambda k: int(k)):
-        frame = frames[key]
-        stats = frame.get("stats", {})
-        age = max(0.0, now - float(frame.get("ts", now)))
-        spans = frame.get("spans") or []
-        phase = frame.get("phase") or (spans[-1] if spans else "-")
-        flags = " OOM" if stats.get("oom") else ""
+    if not workers:
+        out.append("  (no worker status yet)")
+    for name in sorted(workers, key=lambda n: int(n[len("worker"):])):
+        worker = workers[name]
+        age = worker.get("age_seconds")
+        nodes = worker.get("engine.node_count", worker.get("bdd_nodes", 0))
+        flags = (" LOST" if worker.get("lost") else "") + (
+            " OOM" if worker.get("oom") else ""
+        )
         out.append(
-            f"worker{frame.get('worker', key):<2} "
-            f"{frame.get('epoch', -1):>5} "
-            f"{frame.get('round', -1):>5} "
-            f"{frame.get('incarnation', 0):>3} "
-            f"{frame.get('seq', 0):>5} "
-            f"{age:>5.1f}s "
-            f"{str(phase)[:16]:<16} "
-            f"{int(stats.get('engine.node_count', stats.get('bdd_nodes', 0))):>8} "
-            f"{int(stats.get('candidate_routes', 0)):>8} "
-            f"{_fmt_bytes(stats.get('current_bytes', 0)):>9} "
-            f"{int(stats.get('respawns', 0)):>7}{flags}"
+            f"{name:<8} "
+            f"{worker.get('epoch', -1):>5} "
+            f"{worker.get('round', -1):>5} "
+            f"{'-' if age is None else f'{age:.1f}s':>6} "
+            f"{str(worker.get('phase') or '-')[:16]:<16} "
+            f"{int(nodes):>8} "
+            f"{int(worker.get('candidate_routes', 0)):>8} "
+            f"{_fmt_bytes(worker.get('current_bytes', 0)):>9} "
+            f"{int(worker.get('respawns', 0)):>7}{flags}"
         )
 
     out.append("")

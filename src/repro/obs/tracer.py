@@ -235,14 +235,6 @@ class Tracer:
 
     # -- public API ------------------------------------------------------
 
-    def span_stack(self) -> List[str]:
-        """Names of the spans currently open on the calling thread,
-        outermost first — the live "where is this worker" signal that
-        telemetry frames carry (empty when tracing is disabled)."""
-        if not self.enabled:
-            return []
-        return [span.name for span in self._stack()]
-
     def span(
         self,
         name: str,

@@ -12,7 +12,7 @@ Operations (``op`` field):
 ``delta``    ``kind: "config"`` (``hostname``, ``text``, optional
              ``dialect``) or ``kind: "link"`` (``a``, ``b``, optional
              ``state: "down"|"up"``); blocks until the epoch commits
-``statusz``  health plus live per-worker telemetry frames and the
+``statusz``  health (with every worker's latest status) plus the
              query-latency summary (what ``repro top`` renders)
 ``eventsz``  structured event journal replay; optional ``since``
              (sequence-number floor) and ``limit``

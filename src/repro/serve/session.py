@@ -171,9 +171,8 @@ class VerifierSession:
         self.last_ground_truth: Optional[Dict[str, Any]] = None
         self._queue: "queue.Queue" = queue.Queue(maxsize=max(1, queue_limit))
         self._controller = self._boot(warm_boot)
-        # Supervision and telemetry feed the journal from here on.
+        # Supervision feeds the journal from here on.
         self._controller.supervisor.journal = self.journal
-        self._controller.telemetry.journal = self.journal
         self.journal.record(
             "boot",
             warm=self.warm_booted,
@@ -430,26 +429,21 @@ class VerifierSession:
             "worker_health": {
                 "recoveries": supervisor.recoveries,
                 "stale_epoch_rejections": supervisor.stale_epoch_rejections,
-                "workers": self._controller.telemetry.worker_summary(),
+                "workers": self._controller.fleet.statuses(),
             },
         }
 
     def statusz(self) -> Dict[str, Any]:
-        """:meth:`health` plus the live telemetry plane — the payload
+        """:meth:`health` plus the query-latency summary — the payload
         behind the ``statusz`` API op and ``repro top``."""
         status = self.health()
-        status["frames"] = {
-            str(worker_id): frame
-            for worker_id, frame in self._controller.telemetry.latest().items()
-        }
-        status["telemetry"] = self._controller.telemetry.summary()
         status["query_latency"] = self._controller.metrics.histogram(
             "serve.query_latency"
         ).summary()
         return status
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        return self._controller.metrics.snapshot()
+        return self._controller.metrics_snapshot()
 
     def openmetrics(self) -> str:
         """The session's metrics in OpenMetrics text format."""

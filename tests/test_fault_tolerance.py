@@ -590,7 +590,7 @@ def test_worker_dedupes_batches_by_sequence(fattree4):
     worker.deliver_routes(batch)
     worker.deliver_routes(batch)  # redelivery of the same sequence
     assert worker.duplicate_batches == 1
-    assert worker.fault_counters()["duplicate_batches"] == 1
+    assert worker.status()["duplicate_batches"] == 1
 
 
 def test_in_process_crash_raises_worker_failure(fattree4):

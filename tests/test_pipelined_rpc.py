@@ -155,7 +155,7 @@ def test_deliver_routes_many_equals_loop(fattree4):
         a.deliver_routes(batch)
     b.deliver_routes_many(batches)
     assert a.mailbox == b.mailbox
-    assert a.fault_counters() == b.fault_counters()
+    assert a.status()["duplicate_batches"] == b.status()["duplicate_batches"]
 
 
 def test_queue_flush_matches_send(worker_pair):
@@ -186,7 +186,7 @@ def test_queue_flush_coalesces_per_target(worker_pair):
     # Sequence numbers were stamped at queue time, in order; every
     # batch landed (no dedup hits) via the one coalesced delivery.
     assert workers[1]._batch_sequences[0] == 3
-    assert workers[1].fault_counters()["duplicate_batches"] == 0
+    assert workers[1].status()["duplicate_batches"] == 0
 
 
 def test_queue_respects_fault_injection(fattree4):
@@ -212,7 +212,7 @@ def test_queue_respects_fault_injection(fattree4):
     # The dropped batch (sequence 1) never arrived; the duplicated one
     # (sequence 2) arrived twice and the receiver deduped the replay.
     assert workers[1]._batch_sequences[0] == 2
-    assert workers[1].fault_counters()["duplicate_batches"] == 1
+    assert workers[1].status()["duplicate_batches"] == 1
 
 
 def test_convergence_through_queue_flush(worker_pair, fattree4_sim):

@@ -26,6 +26,7 @@ from repro.config.loader import snapshot_from_texts
 from repro.dataplane.queries import Query
 from repro.dist.controller import S2Controller, S2Options
 from repro.net.fattree import FatTreeSpec, render_configs
+from repro.obs.top import render_top
 from repro.serve import (
     ConfigTextDelta,
     DeltaError,
@@ -403,6 +404,17 @@ def test_loss_during_reconfigure_commits_at_reduced_capacity(ft4):
         assert health["status"] == "serving"
         assert health["capacity"]["lost_workers"] == 1
         assert health["workers"] == NUM_WORKERS - 1
+        # The lost worker stays in the per-worker map, marked lost, and
+        # repro top shows it as such rather than as a live row.
+        workers = health["worker_health"]["workers"]
+        assert sorted(workers) == ["worker0", "worker1"]
+        assert workers["worker1"]["lost"] and not workers["worker0"]["lost"]
+        rows = [
+            line
+            for line in render_top(session.statusz(), []).splitlines()
+            if line.startswith("worker")
+        ]
+        assert [row.endswith("LOST") for row in rows] == [False, True]
         _assert_equivalent(session)
         kinds = [event.kind for event in session.journal.tail(100)]
         assert "worker_lost" in kinds

@@ -217,7 +217,9 @@ def test_pool_lifecycle(fattree4):
     try:
         for proxy in pool.proxies:
             proxy.begin_shard(None)
-            assert proxy.engine_counters() == {}  # no data plane yet
+            status = proxy.status()  # what begin_shard's reply carried
+            assert status["epoch"] == -1 and status["age_seconds"] >= 0
+            assert not any(name.startswith("engine.") for name in status)
     finally:
         pool.close()
     assert not any(proxy._process.is_alive() for proxy in pool.proxies)
@@ -349,8 +351,8 @@ QUERY_SOURCES = ("edge-0-0", "edge-1-1", "edge-3-0")
 
 def _query_pool(snapshot, runtime, trace_dir=None):
     """Control plane, data plane, then one forward per source; returns
-    the DPO's superstep/crossing/final counts, the shard count and the
-    per-worker peak bytes."""
+    the DPO's superstep/crossing/final counts, the shard count, the
+    per-worker peak bytes and the DPO's engine-health stats."""
     options = _options(runtime=runtime, trace_dir=trace_dir)
     with S2Controller(snapshot, options) as controller:
         controller.build_data_plane()
@@ -358,10 +360,17 @@ def _query_pool(snapshot, runtime, trace_dir=None):
             controller.dpo.forward([source], TRUE)
         stats = controller.dpo.stats
         counts = (stats.supersteps, stats.packets_crossed, stats.finals)
+        engine_health = (
+            stats.boundary_collections,
+            stats.payloads_reused,
+            stats.peak_worker_nodes,
+            stats.gc_reclaimed_nodes,
+        )
         return (
             counts,
             controller.cpo.stats.shards_run,
             controller.report().peak_worker_bytes,
+            engine_health,
         )
 
 
@@ -373,24 +382,31 @@ def sequential_pool(fattree4):
 @pytest.fixture(scope="module")
 def traced_socket_pool(fattree4, tmp_path_factory):
     trace_dir = str(tmp_path_factory.mktemp("pool") / "shards")
-    counts, shards, peak = _query_pool(fattree4, "socket", trace_dir)
-    return counts, shards, peak, load_spans(trace_dir)
+    counts, shards, peak, engine_health = _query_pool(
+        fattree4, "socket", trace_dir
+    )
+    return counts, shards, peak, load_spans(trace_dir), engine_health
 
 
 def test_query_pool_issues_no_pending_packets_probe(sequential_pool,
                                                     traced_socket_pool):
-    counts, _shards, _peak, spans = traced_socket_pool
+    """The pool's counters ride on replies: no probe RPCs, and the DPO's
+    engine-health stats equal the in-process run's."""
+    counts, _shards, _peak, spans, engine_health = traced_socket_pool
     names = {span["name"] for span in spans}
     assert "rpc.drain" in names
-    assert "rpc.pending_packets" not in names
+    for probe in ("pending_packets", "engine_counters", "fault_counters"):
+        assert f"rpc.{probe}" not in names
     assert counts == sequential_pool[0]
+    assert engine_health == sequential_pool[3]
+    assert engine_health[0] > 0 and engine_health[1] > 0
 
 
 def test_memory_estimate_rides_on_pull_round(sequential_pool,
                                              traced_socket_pool):
     """Each round's memory estimate comes back with ``pull_round``'s
     response: no separate RPC, and the same peak as in-process."""
-    _counts, _shards, peak, spans = traced_socket_pool
+    _counts, _shards, peak, spans, _engine = traced_socket_pool
     names = {span["name"] for span in spans}
     assert "rpc.pull_round" in names
     assert "rpc.update_memory" not in names
@@ -401,7 +417,7 @@ def test_memory_estimate_rides_on_pull_round(sequential_pool,
 def test_socket_workers_trace_their_flushes(traced_socket_pool):
     """Socket workers run ``Worker.flush_shard`` itself: one
     ``worker.flush`` span per (worker, flush) on the worker tracks."""
-    _counts, shards, _peak, spans = traced_socket_pool
+    _counts, shards, _peak, spans, _engine = traced_socket_pool
     flushes = sorted(
         (span["proc"], span["attrs"]["shard"])
         for span in spans

@@ -1,11 +1,12 @@
-"""The live telemetry plane: frames, journal, OpenMetrics, repro top.
+"""Live observability: worker status, journal, OpenMetrics, repro top.
 
-Unit coverage for the new ``repro.obs`` pieces (bounded journal,
-reservoir histograms, frame validation, churn-aware collection,
+Unit coverage for the ``repro.obs`` pieces (bounded journal, reservoir
+histograms, the read-time fold of worker statuses into gauges,
 exposition-format rendering) plus end-to-end checks: a serving session
-stays observable across a forced worker respawn, torn telemetry frames
-under chaos faults never poison results, and ``repro top`` renders a
-live session without a TTY.
+stays observable across a forced worker respawn, torn replies under
+chaos faults never poison the gauges, a scrape thread can read a live
+in-process fleet, and ``repro top`` renders a live session without a
+TTY.
 """
 
 from __future__ import annotations
@@ -25,18 +26,12 @@ from repro.obs.journal import (
     journal_gaps,
     read_journal,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, fold_statuses
 from repro.obs.openmetrics import (
     MetricsHTTPServer,
     render_openmetrics,
     sanitize_metric_name,
     validate_openmetrics,
-)
-from repro.obs.telemetry import (
-    FRAME_VERSION,
-    TelemetryCollector,
-    TelemetrySource,
-    validate_frame,
 )
 from repro.obs.top import render_top, run_top
 
@@ -134,147 +129,34 @@ def test_histogram_memory_is_bounded_above_cap():
     assert total * 0.3 < p50 < total * 0.7
 
 
-# -- frames ----------------------------------------------------------------
+# -- worker status fold -----------------------------------------------------
 
 
-class _FakeResources:
-    candidate_routes = 7
-    bdd_nodes = 42
-    fib_entries = 5
-    current_bytes = 1 << 20
-    peak_bytes = 2 << 20
-    retries = 0
-    respawns = 1
-    oom = False
-
-
-class _FakeWorker:
-    worker_id = 3
-    epoch = 9
-    last_round = 4
-    resources = _FakeResources()
-    pending_packets = 2
-    duplicate_batches = 0
-    engine = None
-    tracer = None
-
-
-def test_source_builds_valid_frames_with_monotonic_seq():
-    source = TelemetrySource(_FakeWorker(), interval=1e-9)
-    first = source.maybe_frame(phase="pull_round")
-    second = source.frame(phase="drain")
-    for frame in (first, second):
-        assert validate_frame(frame) is None
-    assert first["v"] == FRAME_VERSION
-    assert (first["seq"], second["seq"]) == (1, 2)
-    assert first["worker"] == 3 and first["epoch"] == 9
-    assert first["stats"]["candidate_routes"] == 7
-    assert first["stats"]["respawns"] == 1
-    assert second["phase"] == "drain"
-    # frames are wire-safe
-    json.dumps(first)
-
-
-def test_source_interval_gate_and_disable():
-    clock = [0.0]
-    source = TelemetrySource(
-        _FakeWorker(), interval=1.0, clock=lambda: clock[0]
-    )
-    assert source.maybe_frame() is not None  # first call always emits
-    assert source.maybe_frame() is None      # gated
-    clock[0] += 1.5
-    assert source.maybe_frame() is not None
-    assert source.maybe_frame(force=True) is not None
-    disabled = TelemetrySource(_FakeWorker(), interval=0.0)
-    assert not disabled.enabled
-    assert disabled.maybe_frame(force=True) is None
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda f: f.pop("seq"),
-        lambda f: f.__setitem__("seq", 0),
-        lambda f: f.__setitem__("seq", True),
-        lambda f: f.__setitem__("v", FRAME_VERSION + 1),
-        lambda f: f.__setitem__("stats", [1, 2]),
-        lambda f: f["stats"].__setitem__("bdd_nodes", "torn#garbage"),
-    ],
-)
-def test_validate_frame_rejects_damage(mutate):
-    frame = TelemetrySource(_FakeWorker(), interval=1e-9).frame()
-    assert validate_frame(frame) is None
-    mutate(frame)
-    assert validate_frame(frame) is not None
-
-
-def test_validate_frame_rejects_non_dicts():
-    assert validate_frame(None) is not None
-    assert validate_frame(b"\x00\x01torn") is not None
-    assert validate_frame(["not", "a", "frame"]) is not None
-
-
-# -- collector -------------------------------------------------------------
-
-
-def _frame(worker=0, incarnation=0, seq=1, **stats):
+def _status(epoch=1, **fields):
     return {
-        "v": FRAME_VERSION,
-        "worker": worker,
-        "incarnation": incarnation,
-        "seq": seq,
-        "ts": time.time(),
-        "epoch": 1,
+        "epoch": epoch,
         "round": 2,
         "phase": "pull_round",
-        "spans": [],
-        "stats": {"bdd_nodes": 10, **stats},
+        "bdd_nodes": 10,
+        "respawns": 0,
+        "lost": False,
+        **fields,
     }
 
 
 def test_collector_folds_frames_into_worker_gauges():
     registry = MetricsRegistry()
-    collector = TelemetryCollector(registry)
-    assert collector.ingest(_frame(worker=1, seq=1)) == "ok"
-    snapshot = registry.snapshot()
+    registry.counter("serve.deltas").inc()
+    snapshot = fold_statuses(registry.snapshot(), {"worker1": _status()})
     assert snapshot["gauges"]["worker1.bdd_nodes"]["value"] == 10
     assert snapshot["gauges"]["worker1.epoch"]["value"] == 1
-    assert snapshot["counters"]["telemetry.frames"] == 1
-    assert collector.worker_summary()["worker1"]["seq"] == 1
-
-
-def test_collector_drops_stale_and_counts_gaps():
-    registry = MetricsRegistry()
-    journal = EventJournal()
-    collector = TelemetryCollector(registry, journal=journal)
-    assert collector.ingest(_frame(seq=1)) == "ok"
-    assert collector.ingest(_frame(seq=1)) == "stale"   # duplicate
-    assert collector.ingest(_frame(seq=4)) == "gap"     # 2, 3 lost
-    assert collector.frames_lost == 2
-    assert collector.ingest(_frame(seq=3)) == "stale"   # reordered past
-    gap_events = [e for e in journal.events() if e.kind == "telemetry_gap"]
-    assert len(gap_events) == 1
-    assert gap_events[0].attrs["lost"] == 2
-    assert collector.ingest(b"torn!") == "invalid"
-    assert registry.snapshot()["counters"]["telemetry.frames_invalid"] == 1
-
-
-def test_collector_accepts_respawn_mid_push():
-    """A respawned worker restarts at seq 1 under a new incarnation —
-    that must be accepted, not treated as a stale duplicate."""
-    registry = MetricsRegistry()
-    collector = TelemetryCollector(registry)
-    source = TelemetrySource(_FakeWorker(), interval=1e-9)
-    assert collector.ingest(source.frame()) == "ok"
-    assert collector.ingest(source.frame()) == "ok"
-    source.reincarnate()  # the respawn, mid-push
-    frame = source.frame()
-    assert frame["seq"] == 1 and frame["incarnation"] == 1
-    assert collector.ingest(frame) == "ok"
-    # ...and a zombie from the old incarnation is now stale
-    assert collector.ingest(_frame(worker=3, incarnation=0, seq=9)) == "stale"
-    summary = collector.worker_summary()["worker3"]
-    assert summary["incarnation"] == 1 and summary["seq"] == 1
+    assert snapshot["counters"]["serve.deltas"] == 1
+    # the phase is a string: it stays in the status, out of the gauges
+    assert "worker1.phase" not in snapshot["gauges"]
+    # the fold happens at read time; the registry holds no worker gauge
+    assert not any(
+        name.startswith("worker") for name in registry.snapshot()["gauges"]
+    )
 
 
 # -- openmetrics -----------------------------------------------------------
@@ -368,9 +250,9 @@ def test_metrics_http_server_scrapes():
 
 
 def test_telemetry_survives_socket_chaos(fattree4):
-    """Torn frames and a partition on the very RPCs that piggyback
-    telemetry: the run must still converge, and whatever frames did get
-    through must have been folded without poisoning the registry."""
+    """Torn frames and a partition on the very RPCs whose replies carry
+    worker statuses: the run must still converge, and whatever statuses
+    did get through must fold into numeric gauges."""
     from repro import FaultPlan, FaultSpec, RetryPolicy, S2Verifier
 
     plan = FaultPlan(
@@ -393,15 +275,12 @@ def test_telemetry_survives_socket_chaos(fattree4):
         runtime="socket",
         fault_plan=plan,
         retry_policy=RetryPolicy(backoff_base=0.01),
-        telemetry_interval=1e-9,  # every dispatch carries a frame
     )
     with S2Verifier(fattree4, options) as verifier:
         result = verifier.verify()
-        collector = verifier.controller.telemetry
         snapshot = verifier.controller.metrics_snapshot()
     assert result.status == "ok"
-    assert collector.frames_total > 0
-    assert snapshot["telemetry"]["frames"] == collector.frames_total
+    assert snapshot["telemetry"]["frames"] > 0
     # every folded gauge is numeric — nothing torn leaked through
     for name, payload in snapshot["gauges"].items():
         if name.startswith("worker"):
@@ -410,24 +289,62 @@ def test_telemetry_survives_socket_chaos(fattree4):
     assert validate_openmetrics(text) == [], text
 
 
+def test_scrape_thread_reads_a_live_in_process_fleet(fattree4):
+    """What ``repro verify --metrics-listen`` does: a scrape thread
+    renders the controller's metrics while a sequential-runtime verify
+    mutates the very workers whose statuses it folds."""
+    from repro import S2Verifier
+
+    done = threading.Event()
+    scrapes = []
+    problems = []
+
+    def scrape(controller):
+        while not done.is_set():
+            try:
+                snapshot = controller.metrics_snapshot()
+                scrapes.append(render_openmetrics(snapshot))
+            except Exception as exc:  # noqa: BLE001 — the assertion
+                problems.append(repr(exc))
+                continue
+            problems.extend(
+                name
+                for name, payload in snapshot["gauges"].items()
+                if name.startswith("worker")
+                and not isinstance(payload["value"], (int, float))
+            )
+            done.wait(0.002)
+
+    with S2Verifier(fattree4, S2Options(num_workers=4)) as verifier:
+        controller = verifier.controller
+        thread = threading.Thread(target=scrape, args=(controller,))
+        thread.start()
+        try:
+            result = verifier.verify()
+        finally:
+            done.set()
+            thread.join(timeout=30)
+        final = render_openmetrics(controller.metrics_snapshot())
+    assert result.status == "ok"
+    assert problems == []
+    assert scrapes
+    assert all(validate_openmetrics(text) == [] for text in scrapes)
+    assert 's2_worker_engine_node_count{worker="3"}' in final
+
+
 # -- end-to-end: serve session observability -------------------------------
 
 
 @pytest.fixture(scope="module")
 def observed_session(fattree4):
-    """A socket-runtime serving session with fast telemetry, plus its
-    line-JSON server — the fixture behind the end-to-end assertions."""
+    """A socket-runtime serving session plus its line-JSON server — the
+    fixture behind the end-to-end assertions."""
     from repro.serve.api import SessionServer
     from repro.serve.session import VerifierSession
 
     session = VerifierSession(
         fattree4,
-        S2Options(
-            num_workers=2,
-            num_shards=4,
-            runtime="socket",
-            telemetry_interval=1e-9,
-        ),
+        S2Options(num_workers=2, num_shards=4, runtime="socket"),
         warm_boot=False,
     )
     server = SessionServer(session)
@@ -449,15 +366,18 @@ def test_serve_session_streams_frames_and_journals(observed_session):
     session.apply_delta(
         LinkDelta(a=link.a.node, b=link.b.node, up=False), timeout=300
     )
-    # statusz carries live per-worker frames from the socket runtime
+    # statusz carries every worker's latest status from the socket runtime
     status = server.handle({"op": "statusz"})
     assert status["ok"]
-    assert status["frames"], "no telemetry frames reached the controller"
-    for frame in status["frames"].values():
-        assert validate_frame(frame) is None
+    workers = status["worker_health"]["workers"]
+    assert sorted(workers) == ["worker0", "worker1"]
+    for worker in workers.values():
+        assert worker["epoch"] == session.epoch
+        assert worker["engine.node_count"] > 2
+        assert worker["age_seconds"] >= 0 and not worker["lost"]
+    assert "frames" not in status
     assert status["journal"]["last_seq"] >= 2
     assert status["last_commit_ts"] is not None
-    assert status["worker_health"]["workers"]
     # the journal recorded the boot, the classification, and the commits
     events = server.handle({"op": "eventsz"})
     assert events["ok"]
@@ -493,14 +413,13 @@ def test_eventsz_replays_in_order_across_worker_respawn(observed_session):
     assert "epoch_commit" in kinds
     seqs = [e["seq"] for e in reply["events"]]
     assert seqs == list(range(before + 1, before + 1 + len(seqs)))
-    # the respawned worker's telemetry keeps flowing under its new
-    # incarnation (collector did not stale-drop the fresh stream)
+    # the respawned worker reports again: its status is current, at the
+    # committed epoch, and counts the respawn
     status = server.handle({"op": "statusz"})
-    incarnations = {
-        key: frame["incarnation"]
-        for key, frame in status["frames"].items()
-    }
-    assert any(inc >= 1 for inc in incarnations.values()), incarnations
+    respawned = status["worker_health"]["workers"]["worker1"]
+    assert respawned["respawns"] >= 1
+    assert respawned["epoch"] == session.epoch
+    assert not respawned["lost"]
 
 
 def test_health_is_machine_monitorable(observed_session):
@@ -569,20 +488,30 @@ def test_render_top_is_pure():
         "journal": {"last_seq": 7, "dropped": 0},
         "last_commit_age_seconds": 1.5,
         "query_latency": {"count": 10, "p50": 0.001, "p99": 0.004},
-        "frames": {
-            "0": _frame(worker=0, seq=5),
-            "1": _frame(worker=1, seq=6, current_bytes=3 << 20),
+        "worker_health": {
+            "workers": {
+                "worker0": _status(age_seconds=0.2),
+                "worker1": _status(current_bytes=3 << 20),
+                "worker2": _status(epoch=2, lost=True),
+            },
         },
     }
     events = [
         {"seq": 7, "ts": time.time(), "kind": "epoch_commit",
          "attrs": {"epoch": 3}},
     ]
-    now = time.time()
-    text = render_top(status, events, now=now)
+    text = render_top(status, events)
     assert "[serving]" in text and "epoch=3" in text
-    assert "worker0" in text and "worker1" in text
+    rows = {
+        line.split()[0]: line
+        for line in text.splitlines()
+        if line.startswith("worker")
+    }
+    assert sorted(rows) == ["worker0", "worker1", "worker2"]
+    assert rows["worker2"].endswith("LOST")
+    assert "LOST" not in rows["worker0"] + rows["worker1"]
+    assert "3.0MiB" in rows["worker1"]
     assert "p50=1.0ms" in text
     assert "#   7" in text and "epoch_commit" in text
     # render is a pure function of its inputs
-    assert text == render_top(status, events, now=now)
+    assert text == render_top(status, events)

@@ -293,7 +293,7 @@ def test_rebuild_data_plane_drops_both_memos(warm_controller):
     warm_controller.rebuild_data_plane()
     for worker in warm_controller.fleet.workers:
         assert worker._serialize_memo == {} and worker._receive_memo == {}
-        assert worker.engine_counters()["gc_floor"] == 0
+        assert worker.status()["engine.gc_floor"] == 0
 
 
 # -- the growth trigger and its counters ----------------------------------------
@@ -302,7 +302,7 @@ def test_rebuild_data_plane_drops_both_memos(warm_controller):
 def test_boundary_collects_only_past_growth_factor(warm_controller,
                                                    monkeypatch):
     worker = warm_controller.fleet.workers[0]
-    floor = worker.engine_counters()["gc_floor"]
+    floor = worker.status()["engine.gc_floor"]
     assert floor > 0  # the first boundary after the build collected
     runs = worker.engine.gc_runs
     worker.reset_dataplane_run()
