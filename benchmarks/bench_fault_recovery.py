@@ -100,7 +100,7 @@ def _run_experiment():
         for shard in controller.shards[: SHARDS - 2]:
             controller.cpo.run_bgp_shard(shard)
             controller.cpo._mark_shard_done(shard.index, 0)
-        controller.runtime.close()  # abandon without store cleanup
+        # Abandon the controller unclosed: the store keeps its state.
         started = time.perf_counter()
         with S2Controller.resume(snapshot, options) as resumed:
             resume_stats = resumed.run_control_plane()

@@ -28,7 +28,6 @@ from .resources import (  # noqa: F401
     SimulatedOOM,
     WorkerResources,
 )
-from .runtime import Runtime, SequentialRuntime, ThreadedRuntime  # noqa: F401
 from .sharding import (  # noqa: F401
     Dpdg,
     PrefixShard,

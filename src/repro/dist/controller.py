@@ -9,9 +9,11 @@ the high-level :class:`~repro.core.s2.S2Verifier` API.
 The controller owns the set of workers as one :class:`~repro.dist.fleet.
 Fleet` — active workers and sidecars, lost-worker records, the serving
 epoch — which the supervisor and both orchestrators read at every
-phase.  Both runtimes sit behind one worker-pool surface (``respawn``,
-``reconfigure``, ``update_snapshot``; see :class:`~repro.dist.runtime.
-LocalWorkerPool`), so nothing past construction asks which one runs.
+phase; every phase fans out through ``Fleet.call_all``.  Both runtimes
+sit behind one worker-pool surface (``respawn``, ``reconfigure``,
+``update_snapshot``; see :class:`~repro.dist.runtime.LocalWorkerPool`)
+and one call surface (``call_nowait``), so nothing past construction
+asks which one runs.
 
 The controller is also where fault tolerance comes together:
 
@@ -68,20 +70,15 @@ from .resources import (
     ClusterReport,
     WorkerResources,
 )
-from .runtime import (
-    LocalWorkerPool,
-    Runtime,
-    SequentialRuntime,
-    ThreadedRuntime,
-)
+from .runtime import LocalWorkerPool
 from .sharding import PrefixShard, make_shards, validate_shards
 from .sidecar import Sidecar
 from .storage import RouteStore, RunManifest, ShardRoutes
 
-#: Execution backends: in-process workers run one by one (``sequential``);
-#: ``socket`` puts every worker behind a TCP server — forked on this
-#: machine, or dialed via ``worker_hosts`` — and fans phases out on a
-#: thread pool.
+#: Worker pools: in-process workers run each call as it is issued
+#: (``sequential``); ``socket`` puts every worker behind a TCP server —
+#: forked on this machine, or dialed via ``worker_hosts`` — and a phase's
+#: calls are all on the wire before the controller waits on one.
 RUNTIMES = ("sequential", "socket")
 
 
@@ -365,9 +362,7 @@ class S2Controller:
         if opts.runtime == "socket":
             # Workers behind TCP servers speaking the framed RPC protocol
             # (repro.dist.transport): localhost processes by default, or
-            # remote listeners via worker_hosts.  Phases dispatch on a
-            # thread pool whose threads block on the worker channels, so
-            # the worker processes execute concurrently.
+            # remote listeners via worker_hosts.
             from .socket_runtime import SocketWorkerPool
 
             self._pool = SocketWorkerPool(
@@ -377,10 +372,8 @@ class S2Controller:
                 worker_hosts=opts.worker_hosts,
                 **pool_args,
             )
-            self.runtime: Runtime = ThreadedRuntime()
         else:
             self._pool = LocalWorkerPool(**pool_args)
-            self.runtime = SequentialRuntime()
         sidecars = [
             Sidecar(worker, fault_plan=opts.fault_plan, metrics=self.metrics)
             for worker in self._pool.proxies
@@ -423,7 +416,6 @@ class S2Controller:
         self.dpo = DataPlaneOrchestrator(
             self.fleet,
             encoding=opts.encoding,
-            runtime=self.runtime,
             node_limit=opts.node_limit,
             supervisor=self.supervisor,
             retry_policy=opts.retry_policy,
@@ -502,7 +494,7 @@ class S2Controller:
 
         Serving reruns the control plane once per committed delta and
         wants per-epoch stats, so each recompute gets its own CPO while
-        the fleet, runtime, and supervisor carry over.  On a persistent
+        the fleet and supervisor carry over.  On a persistent
         store the run records into ``manifest`` (a resumed one) or into
         a fresh manifest written here, where the ``carried`` flush
         indices count as converged and ``ospf_done`` marks an IGP result
@@ -525,7 +517,6 @@ class S2Controller:
         self.cpo = ControlPlaneOrchestrator(
             self.fleet,
             self.store,
-            runtime=self.runtime,
             max_rounds=opts.max_rounds,
             fault_plan=opts.fault_plan,
             supervisor=self.supervisor,
@@ -538,8 +529,9 @@ class S2Controller:
 
     # -- serving support (epoch-fenced deltas) -----------------------------
 
-    def _on_each_worker(self, fn) -> None:
-        """Apply ``fn`` to every worker, healing one failure per worker.
+    def _on_each_worker(self, command: str, *args) -> None:
+        """Run ``command`` on every worker in turn, healing one failure
+        per worker.
 
         A worker that died *between* epochs (no shard in flight, so the
         CPO's replay machinery never sees it) first surfaces here when
@@ -553,13 +545,13 @@ class S2Controller:
         for worker in self.fleet.workers:
             worker_id = worker.worker_id
             try:
-                fn(worker)
+                worker.call_nowait(command, *args).result()
             except WorkerFailure as failure:
                 if failure.worker_id is None:
                     failure.worker_id = worker_id
                 self.supervisor.recover(failure)
                 if worker_id not in self.fleet.lost:
-                    fn(worker)
+                    worker.call_nowait(command, *args).result()
 
     def begin_epoch(self, epoch: int) -> None:
         """Seed every worker — and the fence plumbing — with ``epoch``.
@@ -570,7 +562,7 @@ class S2Controller:
         through supervisor recovery before touching the shard.
         """
         self.fleet.epoch = epoch
-        self._on_each_worker(lambda worker: worker.begin_epoch(epoch))
+        self._on_each_worker("begin_epoch", epoch)
 
     def rebind_snapshot(
         self,
@@ -590,9 +582,7 @@ class S2Controller:
         # A worker respawned mid-epoch is re-seeded from the pool's
         # spawn args; those must describe the *current* snapshot.
         self._pool.update_snapshot(snapshot, self.partition.assignment)
-        self._on_each_worker(
-            lambda worker: worker.rebind_snapshot(snapshot, changed, epoch)
-        )
+        self._on_each_worker("rebind_snapshot", snapshot, changed, epoch)
         if epoch is not None:
             self.fleet.epoch = epoch
         self.dpo.invalidate()
@@ -645,8 +635,7 @@ class S2Controller:
         self._reconfigure_fleet()
         self.supervisor.merge_ospf_checkpoints()
         if self.fleet.epoch is not None:
-            for worker in self.fleet.workers:
-                worker.begin_epoch(self.fleet.epoch)
+            self.fleet.call_all("begin_epoch", self.fleet.epoch)
         self.dpo.invalidate()
 
     def rebuild_data_plane(self) -> DataPlaneStats:
@@ -1021,10 +1010,7 @@ class S2Controller:
             try:
                 self.store.close()
             finally:
-                try:
-                    self.runtime.close()
-                finally:
-                    self._finalize_observability()
+                self._finalize_observability()
 
     def __enter__(self) -> "S2Controller":
         return self

@@ -32,8 +32,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from ..routing.engine import ConvergenceError
 from .faults import FaultPlan, RetryPolicy, WorkerFailure
-from .fleet import Fleet
-from .runtime import Runtime, SequentialRuntime
+from .fleet import Fleet, settle_all
 from .sharding import PrefixShard
 from .storage import RouteStore, RunManifest
 from .worker import PullOutcome
@@ -75,7 +74,6 @@ class ControlPlaneOrchestrator:
         self,
         fleet: Fleet,
         store: RouteStore,
-        runtime: Optional[Runtime] = None,
         max_rounds: int = 200,
         fault_plan: Optional[FaultPlan] = None,
         supervisor=None,
@@ -87,7 +85,6 @@ class ControlPlaneOrchestrator:
         # Read at every phase: a loss or rejoin takes effect at the next.
         self.fleet = fleet
         self.store = store
-        self.runtime = runtime or SequentialRuntime()
         self.max_rounds = max_rounds
         self.fault_plan = fault_plan
         self.supervisor = supervisor
@@ -121,8 +118,8 @@ class ControlPlaneOrchestrator:
     def _heartbeat(self) -> None:
         """Probe worker liveness; a dead worker surfaces as WorkerFailure."""
         self.stats.heartbeat_probes += 1
-        for worker in self.fleet.workers:
-            answer = worker.ping()
+        answers = self.fleet.call_all("ping")
+        for worker, answer in zip(self.fleet.workers, answers):
             if answer != "pong":
                 raise WorkerFailure(
                     f"worker {worker.worker_id} failed its heartbeat "
@@ -148,8 +145,7 @@ class ControlPlaneOrchestrator:
         handles = []
         for sidecar in self.fleet.sidecars:
             handles.extend(sidecar.flush_routes())
-        for handle in handles:
-            handle.result()
+        settle_all(handles)
         self.stats.pipelined_deliveries += len(handles)
         return sent
 
@@ -188,13 +184,10 @@ class ControlPlaneOrchestrator:
                 with self.tracer.span(
                     "cpo.ospf_round", category="cpo", round=_round
                 ):
-                    batch_maps = self.runtime.map(
-                        [w.compute_ospf_exports for w in self.fleet.workers]
+                    self._exchange(
+                        self.fleet.call_all("compute_ospf_exports")
                     )
-                    self._exchange(batch_maps)
-                    changed_flags = self.runtime.map(
-                        [w.pull_ospf_round for w in self.fleet.workers]
-                    )
+                    changed_flags = self.fleet.call_all("pull_ospf_round")
                 self.stats.ospf_rounds += 1
                 if self.metrics is not None:
                     self.metrics.counter("cpo.ospf_rounds").inc()
@@ -213,9 +206,7 @@ class ControlPlaneOrchestrator:
                     rounds=self.max_rounds,
                 )
             ospf_span.set(rounds=self.stats.ospf_rounds)
-            self.runtime.map(
-                [w.install_ospf_routes for w in self.fleet.workers]
-            )
+            self.fleet.call_all("install_ospf_routes")
 
     # -- BGP phase ------------------------------------------------------------------
 
@@ -241,27 +232,18 @@ class ControlPlaneOrchestrator:
         # Epoch fence (serving mode): a worker at any other epoch refuses
         # the shard, which surfaces as a WorkerFailure and routes through
         # recovery.
-        for worker in self.fleet.workers:
-            worker.begin_shard(shard, self.fleet.epoch)
-        heartbeat_every = self.retry_policy.heartbeat_interval_rounds
-        last_outcomes = []
+        self.fleet.call_all("begin_shard", shard, self.fleet.epoch)
         with self.tracer.span(
             "cpo.shard", category="cpo", shard=shard_index
         ) as shard_span:
             try:
-                self._converge_shard_rounds(
-                    shard, shard_index, heartbeat_every, last_outcomes
-                )
+                self._converge_shard_rounds(shard_index)
             finally:
                 shard_span.set(rounds=self.stats.bgp_rounds)
 
-    def _converge_shard_rounds(
-        self,
-        shard: Optional[PrefixShard],
-        shard_index: int,
-        heartbeat_every: int,
-        last_outcomes: List[PullOutcome],
-    ) -> None:
+    def _converge_shard_rounds(self, shard_index: int) -> None:
+        heartbeat_every = self.retry_policy.heartbeat_interval_rounds
+        outcomes: List[PullOutcome] = []
         for round_token in range(self.max_rounds):
             if self.fault_plan is not None:
                 self.fault_plan.set_context(round_token=round_token)
@@ -271,25 +253,15 @@ class ControlPlaneOrchestrator:
             ):
                 # Phase A: snapshot exports, batch the boundary ones.
                 with self.tracer.span("cpo.exports", category="cpo"):
-                    batch_maps = self.runtime.map(
-                        [
-                            (lambda w=w: w.compute_exports(round_token))
-                            for w in self.fleet.workers
-                        ]
+                    batch_maps = self.fleet.call_all(
+                        "compute_exports", round_token
                     )
                 with self.tracer.span("cpo.exchange", category="cpo") as ex:
                     sent = self._exchange(batch_maps)
                     ex.set(batches=sent)
                 # Phase B: pull and merge.
                 with self.tracer.span("cpo.pull", category="cpo"):
-                    outcomes = self.runtime.map(
-                        [
-                            (lambda w=w: w.pull_round(round_token))
-                            for w in self.fleet.workers
-                        ]
-                    )
-            del last_outcomes[:]
-            last_outcomes.extend(outcomes)
+                    outcomes = self.fleet.call_all("pull_round", round_token)
             candidate_total = 0
             for worker, outcome in zip(self.fleet.workers, outcomes):
                 worker.resources.route_work += outcome.updates_processed
@@ -324,12 +296,12 @@ class ControlPlaneOrchestrator:
         else:
             still_changing = {
                 worker.worker_id: list(outcome.changed_nodes)
-                for worker, outcome in zip(self.fleet.workers, last_outcomes)
+                for worker, outcome in zip(self.fleet.workers, outcomes)
                 if outcome.changed
             }
             raise ConvergenceError(
                 f"BGP did not converge within {self.max_rounds} rounds",
-                shard_index=shard.index if shard is not None else 0,
+                shard_index=shard_index,
                 rounds=self.max_rounds,
                 still_changing=still_changing,
             )
@@ -339,12 +311,8 @@ class ControlPlaneOrchestrator:
         with self.tracer.span(
             "cpo.flush", category="cpo", shard=flush_index
         ) as span:
-            directory = self.store.directory
-            results = self.runtime.map(
-                [
-                    (lambda w=w: w.flush_shard(directory, flush_index))
-                    for w in self.fleet.workers
-                ]
+            results = self.fleet.call_all(
+                "flush_shard", self.store.directory, flush_index
             )
             flushed_bytes = 0
             for written, selected in results:
@@ -376,9 +344,7 @@ class ControlPlaneOrchestrator:
 
     def _collect_observed_dependencies(self) -> set:
         found: set = set()
-        for deps in self.runtime.map(
-            [w.observed_dependencies for w in self.fleet.workers]
-        ):
+        for deps in self.fleet.call_all("observed_dependencies"):
             found |= deps
         return found
 

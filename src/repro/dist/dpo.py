@@ -23,7 +23,7 @@ BDD operation caches' hits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
@@ -33,8 +33,7 @@ from ..dataplane.queries import PropertyChecker
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from .faults import RetryPolicy, WorkerFailure
-from .fleet import Fleet
-from .runtime import Runtime, SequentialRuntime
+from .fleet import Fleet, settle_all
 from .storage import RouteStore
 
 #: Node-table capacity of the controller's engine, where finals land.
@@ -72,7 +71,6 @@ class DataPlaneOrchestrator:
         self,
         fleet: Fleet,
         encoding: Optional[HeaderEncoding] = None,
-        runtime: Optional[Runtime] = None,
         node_limit: int = 1 << 24,
         supervisor=None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -83,7 +81,6 @@ class DataPlaneOrchestrator:
         # build (the controller invalidates it).
         self.fleet = fleet
         self.encoding = encoding or HeaderEncoding()
-        self.runtime = runtime or SequentialRuntime()
         self.node_limit = node_limit
         self.engine: BddEngine = self.encoding.make_engine(
             node_limit=CONTROLLER_NODE_LIMIT
@@ -99,11 +96,28 @@ class DataPlaneOrchestrator:
 
     # -- fault handling --------------------------------------------------
 
-    def _recover(self, failure: WorkerFailure) -> None:
-        self.stats.worker_failures += 1
-        if self.supervisor is None:
-            raise failure
-        self.supervisor.recover(failure)
+    def _replaying(self, unit: Callable[[], Any], rebuild: bool) -> Any:
+        """Run ``unit``; after a :class:`WorkerFailure`, recover the
+        worker and rerun it (rebuilding the data plane first when
+        ``rebuild``), at most ``max_query_retries`` times."""
+        attempts = 0
+        while True:
+            try:
+                return unit()
+            except WorkerFailure as failure:
+                attempts += 1
+                if attempts > self.retry_policy.max_query_retries:
+                    raise
+                self.stats.worker_failures += 1
+                if self.supervisor is None:
+                    raise
+                self.supervisor.recover(failure)
+                if rebuild:
+                    self._built = False
+                    assert self._store is not None
+                    self.build(self._store)
+                    self.install_waypoints(self._transits)
+                    self.stats.query_replays += 1
 
     # -- phase 1: FIBs + predicates --------------------------------------
 
@@ -117,17 +131,7 @@ class DataPlaneOrchestrator:
         routes come back from the store plus its OSPF checkpoint.
         """
         self._store = store
-        attempts = 0
-        while True:
-            try:
-                self._build_once(store)
-                return
-            except WorkerFailure as failure:
-                attempts += 1
-                self._built = False
-                if attempts > self.retry_policy.max_query_retries:
-                    raise
-                self._recover(failure)
+        self._replaying(lambda: self._build_once(store), rebuild=False)
 
     def invalidate(self) -> None:
         """Force the next :meth:`build` to run — the serving path calls
@@ -141,15 +145,11 @@ class DataPlaneOrchestrator:
         with stopwatch() as clock, self.tracer.span(
             "dpo.build", category="dpo"
         ) as span:
-            built = self.runtime.map(
-                [
-                    (
-                        lambda w=w: w.build_dataplane(
-                            store.directory, self.encoding, self.node_limit
-                        )
-                    )
-                    for w in self.fleet.workers
-                ]
+            built = self.fleet.call_all(
+                "build_dataplane",
+                store.directory,
+                self.encoding,
+                self.node_limit,
             )
             for worker, (ops, _) in zip(self.fleet.workers, built):
                 worker.resources.bdd_ops += ops
@@ -166,10 +166,9 @@ class DataPlaneOrchestrator:
         # Remembered so a mid-query recovery (which rebuilds the data
         # plane from scratch) can re-install them before the replay.
         self._transits = list(transits)
-        for worker in self.fleet.workers:
-            worker.clear_waypoints()
-            for index, transit in enumerate(transits):
-                worker.set_waypoint_bit(transit, index)
+        self.fleet.call_all("clear_waypoints")
+        for index, transit in enumerate(transits):
+            self.fleet.call_all("set_waypoint_bit", transit, index)
 
     # -- phase 2: forwarding -----------------------------------------------------
 
@@ -186,20 +185,10 @@ class DataPlaneOrchestrator:
         """
         assert self._built, "call build() before forward()"
         source_list = list(sources)  # a one-shot iterable survives replays
-        attempts = 0
-        while True:
-            try:
-                return self._forward_once(source_list, header_bdd, trace)
-            except WorkerFailure as failure:
-                attempts += 1
-                if attempts > self.retry_policy.max_query_retries:
-                    raise
-                self._recover(failure)
-                self._built = False
-                assert self._store is not None
-                self.build(self._store)
-                self.install_waypoints(self._transits)
-                self.stats.query_replays += 1
+        return self._replaying(
+            lambda: self._forward_once(source_list, header_bdd, trace),
+            rebuild=True,
+        )
 
     def _forward_once(
         self, source_list: List[str], header_bdd: int, trace: bool = False
@@ -208,18 +197,15 @@ class DataPlaneOrchestrator:
             "dpo.forward", category="dpo", sources=len(source_list)
         ) as span:
             payload = serialize(self.engine, header_bdd)
-            for worker in self.fleet.workers:
-                worker.reset_dataplane_run()
-                worker.inject_header(source_list, payload, trace)
+            self.fleet.call_all("reset_dataplane_run")
+            self.fleet.call_all("inject_header", source_list, payload, trace)
             superstep = 0
             while True:
                 with self.tracer.span(
                     "dpo.superstep", category="dpo", step=superstep
                 ) as step_span:
-                    results = self.runtime.map(
-                        [w.drain for w in self.fleet.workers]
-                    )
-                    batch_count = 0
+                    results = self.fleet.call_all("drain")
+                    deliveries = []
                     crossed = 0
                     for worker, sidecar, (_, batches, ops) in zip(
                         self.fleet.workers, self.fleet.sidecars, results
@@ -227,8 +213,9 @@ class DataPlaneOrchestrator:
                         worker.resources.bdd_ops += ops
                         for batch in batches.values():
                             crossed += len(batch.envelopes)
-                            sidecar.send_packets(batch)
-                            batch_count += 1
+                            deliveries.append(sidecar.send_packets(batch))
+                    settle_all(deliveries)  # lands before the next drain
+                    batch_count = len(deliveries)
                     self.stats.forward_busiest_ops += max(
                         (ops for _, _, ops in results), default=0
                     )
@@ -312,8 +299,8 @@ class DataPlaneOrchestrator:
 
     def _collect_finals(self) -> List[FinalPacket]:
         finals: List[FinalPacket] = []
-        for worker in self.fleet.workers:
-            for record in worker.collect_finals():
+        for records in self.fleet.call_all("collect_finals"):
+            for record in records:
                 finals.append(
                     FinalPacket(
                         state=record["state"],

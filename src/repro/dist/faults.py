@@ -57,7 +57,6 @@ tests rely on.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -245,8 +244,9 @@ class FaultPlan:
 
     The orchestrators keep the plan's shard/round context up to date;
     the proxies, workers, and sidecars ask it whether to fire at their
-    site.  All bookkeeping is lock-protected (the socket runtime's proxies
-    call in from phase threads).
+    site, all from the one thread driving the run (a phase's calls are
+    issued in worker-id order), so a seeded plan fires identically run
+    to run.
     """
 
     def __init__(
@@ -254,7 +254,6 @@ class FaultPlan:
     ) -> None:
         self.specs: List[FaultSpec] = list(specs)
         self._rng = random.Random(seed)
-        self._lock = threading.Lock()
         self._fired: Dict[int, int] = {}       # spec index -> firing count
         self.fired_by_kind: Dict[str, int] = {}
         self._recent_drops = 0
@@ -339,20 +338,19 @@ class FaultPlan:
         round_token: Optional[int] = None,
     ) -> Optional[FaultSpec]:
         fired: Optional[FaultSpec] = None
-        with self._lock:
-            for index, spec in enumerate(self.specs):
-                if spec.kind not in kinds:
-                    continue
-                if self._matches(index, spec, worker_id, command, round_token):
-                    fired = self._fire(index, spec)
-                    if fired.kind == "host_loss" and worker_id is not None:
-                        # The host is now down: the next heal_after
-                        # respawn attempts will fail too.
-                        self._lost_hosts[worker_id] = (
-                            self._lost_hosts.get(worker_id, 0)
-                            + fired.heal_after
-                        )
-                    break
+        for index, spec in enumerate(self.specs):
+            if spec.kind not in kinds:
+                continue
+            if self._matches(index, spec, worker_id, command, round_token):
+                fired = self._fire(index, spec)
+                if fired.kind == "host_loss" and worker_id is not None:
+                    # The host is now down: the next heal_after
+                    # respawn attempts will fail too.
+                    self._lost_hosts[worker_id] = (
+                        self._lost_hosts.get(worker_id, 0)
+                        + fired.heal_after
+                    )
+                break
         if fired is not None and self.observer is not None:
             try:
                 self.observer(fired.kind, worker_id, command)
@@ -385,18 +383,17 @@ class FaultPlan:
 
     def check_respawn(self, worker_id: int) -> None:
         """Raise :class:`RespawnError` when the plan fails this respawn."""
-        with self._lock:
-            remaining = self._lost_hosts.get(worker_id, 0)
-            if remaining > 0:
-                # One probe consumed; the host heals when the budget
-                # drains, after which respawns succeed again.
-                if remaining == 1:
-                    del self._lost_hosts[worker_id]
-                else:
-                    self._lost_hosts[worker_id] = remaining - 1
-                self.fired_by_kind["respawn_fail"] = (
-                    self.fired_by_kind.get("respawn_fail", 0) + 1
-                )
+        remaining = self._lost_hosts.get(worker_id, 0)
+        if remaining > 0:
+            # One probe consumed; the host heals when the budget
+            # drains, after which respawns succeed again.
+            if remaining == 1:
+                del self._lost_hosts[worker_id]
+            else:
+                self._lost_hosts[worker_id] = remaining - 1
+            self.fired_by_kind["respawn_fail"] = (
+                self.fired_by_kind.get("respawn_fail", 0) + 1
+            )
         if remaining > 0 or (
             self._first_match({"respawn_fail"}, worker_id, None) is not None
         ):
@@ -417,11 +414,10 @@ class FaultPlan:
         """
         spec = self._first_match(NETWORK_KINDS, worker_id, command)
         if spec is not None and spec.kind == "partition":
-            with self._lock:
-                key = (worker_id, spec.direction)
-                self._active_partitions[key] = (
-                    self._active_partitions.get(key, 0) + spec.heal_after
-                )
+            key = (worker_id, spec.direction)
+            self._active_partitions[key] = (
+                self._active_partitions.get(key, 0) + spec.heal_after
+            )
         return spec
 
     def partition_blocks(self, worker_id: int, direction: str) -> bool:
@@ -433,34 +429,30 @@ class FaultPlan:
         chosen over round-count healing because a fully blocked link
         prevents the very rounds that would otherwise age it out.
         """
-        with self._lock:
-            key = (worker_id, direction)
-            remaining = self._active_partitions.get(key, 0)
-            if remaining <= 0:
-                return False
-            if remaining == 1:
-                del self._active_partitions[key]
-            else:
-                self._active_partitions[key] = remaining - 1
-            return True
+        key = (worker_id, direction)
+        remaining = self._active_partitions.get(key, 0)
+        if remaining <= 0:
+            return False
+        if remaining == 1:
+            del self._active_partitions[key]
+        else:
+            self._active_partitions[key] = remaining - 1
+        return True
 
     # -- accounting ------------------------------------------------------
 
     def consume_drops(self) -> int:
         """Drops fired since the last call (the CPO's per-round check)."""
-        with self._lock:
-            count = self._recent_drops
-            self._recent_drops = 0
+        count = self._recent_drops
+        self._recent_drops = 0
         return count
 
     def count(self, kind: str) -> int:
-        with self._lock:
-            return self.fired_by_kind.get(kind, 0)
+        return self.fired_by_kind.get(kind, 0)
 
     @property
     def total_fired(self) -> int:
-        with self._lock:
-            return sum(self.fired_by_kind.values())
+        return sum(self.fired_by_kind.values())
 
 
 def sample_plan(seed: int, num_workers: int) -> FaultPlan:

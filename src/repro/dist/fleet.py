@@ -10,14 +10,34 @@ a loss or a rejoin is one mutation here.
 Membership has exactly two recorded states, active and lost.  Suspect
 and respawning are transient: they live inside one call to
 :meth:`~repro.dist.controller.WorkerSupervisor.recover`.
+
+Every worker phase is one fan-out, :meth:`Fleet.call_all`: issue the
+command to every active worker, then settle every call; a failure is
+raised only then, so recovery never starts while a sibling call is
+still changing a worker's state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .sidecar import Sidecar
+
+
+def settle_all(handles: Iterable[Any]) -> List[Any]:
+    """Every handle's ``result()``, in order; the first failure is
+    raised only after every handle has settled."""
+    results: List[Any] = []
+    errors: List[Exception] = []
+    for handle in handles:
+        try:
+            results.append(handle.result())
+        except Exception as exc:  # noqa: BLE001 — re-raised below
+            errors.append(exc)
+    if errors:
+        raise errors[0]
+    return results
 
 
 @dataclass
@@ -46,14 +66,20 @@ class Fleet:
 
     def get(self, worker_id: int) -> Optional[Any]:
         """The active worker with this id, or None."""
-        for worker in self.workers:
-            if worker.worker_id == worker_id:
-                return worker
-        return None
+        return next(
+            (w for w in self.workers if w.worker_id == worker_id), None
+        )
 
     @property
     def active_ids(self) -> List[int]:
         return [worker.worker_id for worker in self.workers]
+
+    def call_all(self, command: str, *args) -> List[Any]:
+        """Run ``command(*args)`` on every active worker; the results
+        in worker-id order.  All calls are issued before any settles."""
+        return settle_all(
+            [worker.call_nowait(command, *args) for worker in self.workers]
+        )
 
     def mark_lost(
         self, worker_id: int, reason: str, transport: Dict[str, int]

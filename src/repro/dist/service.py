@@ -86,13 +86,11 @@ class WorkerService:
     ) -> Tuple[str, Any]:
         """Execute one command; never raises — failures are relayed.
 
-        Only names in :attr:`Worker.COMMANDS` run: a peer must not reach
-        local-only methods (``reset``, ``status``) or private ones
-        through the wire.
+        Only names in :attr:`Worker.COMMANDS` run (``call_nowait``
+        refuses the rest): a peer must not reach local-only methods
+        (``reset``, ``status``) or private ones through the wire.
         """
         try:
-            if command not in Worker.COMMANDS:
-                raise LookupError(f"{command!r} is not a worker command")
             if self.worker is None:
                 raise RuntimeError(
                     f"worker service is not configured (got {command!r} "
@@ -104,7 +102,7 @@ class WorkerService:
                 flow_id=flow_id,
                 flow="in" if flow_id is not None else None,
             ):
-                result = getattr(self.worker, command)(*args)
+                result = self.worker.call_nowait(command, *args).result()
             return "ok", (result, self.worker.status())
         except Exception as exc:  # noqa: BLE001 — relayed to the controller
             return "exc", (

@@ -96,11 +96,10 @@ class Sidecar:
     def flush_routes(self) -> List:
         """Ship the queued round, one ``deliver_routes_many`` per target.
 
-        Remote peers that support pipelined calls (``call_nowait``) are
-        issued without waiting and their result handles returned — the
-        caller **must** settle every handle before Phase B pulls, since
-        mailboxes must be filled before they are read.  In-process peers
-        deliver synchronously here and contribute no handle.
+        Every delivery is issued without waiting (``call_nowait``) and
+        its handle returned: the caller **must** settle every handle
+        before Phase B pulls, since mailboxes must be filled before they
+        are read.
         """
         outbox, self._outbox = self._outbox, {}
         handles: List = []
@@ -111,20 +110,19 @@ class Sidecar:
             batches=sum(len(b) for b in outbox.values()),
         ):
             for target_id in sorted(outbox):
-                batches = tuple(outbox[target_id])
-                target = self.peers[target_id].worker
-                nowait = getattr(target, "call_nowait", None)
-                if nowait is not None:
-                    handles.append(nowait("deliver_routes_many", batches))
-                else:
-                    target.deliver_routes_many(batches)
+                handles.append(
+                    self.peers[target_id].worker.call_nowait(
+                        "deliver_routes_many", tuple(outbox[target_id])
+                    )
+                )
         return handles
 
-    def send_packets(self, batch: PacketBatch) -> int:
-        # Packet batches are not subject to drop/duplicate injection:
-        # symbolic packets are not retransmitted round-over-round the way
-        # route advertisements are, so the fault model for the data plane
-        # is worker crashes (recovered by query replay), not lost batches.
+    def send_packets(self, batch: PacketBatch):
+        """Issue one batch's delivery; the caller settles the returned
+        handle before the target drains.  Packet batches are not subject
+        to drop/duplicate injection: symbolic packets are not resent
+        round-over-round the way route advertisements are, so the data
+        plane's fault model is worker crashes (query replay)."""
         size = measured_size(batch)
         self.worker.resources.charge_rpc(size, messages=1)
         self._record("rpc.packet_batches", size)
@@ -135,5 +133,6 @@ class Sidecar:
             bytes=size,
             packets=len(batch.envelopes),
         ):
-            self.peers[batch.target_worker].worker.deliver_packets(batch)
-        return size
+            return self.peers[batch.target_worker].worker.call_nowait(
+                "deliver_packets", batch
+            )

@@ -6,9 +6,9 @@ workers can live on different machines — S2's actual deployment (§5: one
 controller plus workers on separate servers).  Localhost is the default;
 pointing ``worker_hosts`` at remote ``host:port`` listeners (each started
 with ``repro worker --listen``) is a config change, not a code change.
-Phases execute with true parallelism: the controller issues a phase to
-every worker through a thread pool, and each thread blocks on its
-channel (releasing the GIL) while the worker processes compute.
+Phases execute with true parallelism: the controller issues a phase's
+call to every worker before it waits on any (``Fleet.call_all``), so
+the worker processes compute while it waits.
 
 Design notes:
 
@@ -58,13 +58,12 @@ import inspect
 import multiprocessing as mp
 import os
 import time
-from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.engine import BddOverflowError
 from ..config.loader import Snapshot
 from ..obs.metrics import MetricsRegistry, fold_statuses
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.tracer import NULL_SPAN, NULL_TRACER, Tracer
 from .faults import (
     FaultPlan,
     RespawnError,
@@ -84,10 +83,19 @@ from .transport import (
     TransportError,
     parse_hostport,
 )
-from .worker import Worker
+from .worker import Settled, Worker
 
 #: Seconds to wait for a freshly forked worker to report its port.
 _HANDSHAKE_TIMEOUT = 30.0
+
+
+class RemoteWorkerError(WorkerFailure):
+    """An unexpected exception inside a worker process."""
+
+
+class UnknownCommandError(RemoteWorkerError, LookupError):
+    """The worker refused a name outside ``Worker.COMMANDS``."""
+
 
 _RELAYED_EXCEPTIONS = {
     "SimulatedOOM": SimulatedOOM,
@@ -95,11 +103,8 @@ _RELAYED_EXCEPTIONS = {
     # Epoch-fence rejections must keep their type across the wire: the
     # supervisor counts them and re-seeds the epoch on recovery.
     "StaleEpochError": StaleEpochError,
+    "LookupError": UnknownCommandError,
 }
-
-
-class RemoteWorkerError(WorkerFailure):
-    """An unexpected exception inside a worker process."""
 
 
 def service_handler(service: WorkerService):
@@ -206,29 +211,22 @@ def serve_worker(
 
 
 class _SocketCallFuture:
-    """Proxy-level future over a wire :class:`RpcFuture`.
+    """A proxy call on the wire.  Settling closes its ``rpc.<command>``
+    span, maps transport failures to worker failures and applies the
+    proxy's ``_relay`` (status mirror, exception relaying)."""
 
-    Settling maps transport failures to worker failures and applies the
-    proxy's ``_relay`` (status mirror, exception relaying) — the same
-    post-processing a blocking call would have done inline.
-    """
+    def __init__(self, proxy, command: str, future, span) -> None:
+        self._proxy, self._command = proxy, command
+        self._future, self._span = future, span
 
-    __slots__ = ("_proxy", "_command", "_future")
-
-    def __init__(self, proxy, command: str, future) -> None:
-        self._proxy = proxy
-        self._command = command
-        self._future = future
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        del timeout  # the channel enforces its own call deadline
+    def result(self) -> Any:
+        span, self._span = self._span, NULL_SPAN
         try:
             status, payload = self._future.result()
         except TransportError as exc:
             raise self._proxy._worker_failure(self._command, exc) from exc
+        finally:
+            span.end()
         return self._proxy._relay(self._command, status, payload)
 
 
@@ -236,12 +234,10 @@ class SocketWorkerProxy:
     """Controller-side handle for one socket worker.
 
     Exposes the Worker methods the orchestrators and sidecars call; each
-    call is one idempotent request on the worker's :class:`RpcChannel`.
-    The proxy keeps the worker's latest status, a local
-    :class:`WorkerResources` mirror of its memory and work counters, and
-    supervises the call:
-    transient-fault retry with exponential backoff, and fault injection
-    from the attached :class:`FaultPlan`.  A timed-out proxy stays usable: the channel's
+    call is one idempotent request on the worker's :class:`RpcChannel`,
+    issued by :meth:`call_nowait`.  The proxy keeps the worker's latest
+    status and a local :class:`WorkerResources` mirror of its memory and
+    work counters.  A timed-out proxy stays usable: the channel's
     idempotent request ids make stale responses self-identifying.
     """
 
@@ -283,50 +279,49 @@ class SocketWorkerProxy:
         self._flow_seq += 1
         return (self.worker_id + 1) * 1_000_000 + self._flow_seq
 
-    def _rpc_span(self, command: str, flow_id: Optional[int]):
-        return self.tracer.span(
+    def call_nowait(self, command: str, *args):
+        """Issue a call on the channel without waiting; ``result()``
+        settles it and raises any failure, never this method.
+
+        Injected call faults apply at issue: a delay sleeps, an injected
+        error is retried with backoff, a crash kills the worker before
+        the send or (``after_send``) right after it.  The span runs from
+        issue to settle, so calls issued together are siblings.
+        """
+        attempt = 0
+        while True:
+            try:
+                kill_after_send = self._fault_preamble(command)
+                break
+            except TransientRpcError as exc:
+                attempt += 1
+                self.resources.retries += 1
+                if attempt > self._policy.max_call_retries:
+                    return Settled(error=exc)
+                time.sleep(self._policy.backoff(attempt))
+        flow_id = self._next_flow_id()
+        span = self.tracer.span(
             f"rpc.{command}",
             category="rpc",
             flow_id=flow_id,
             flow="out" if flow_id is not None else None,
             worker=self.worker_id,
-        )
-
-    def call_nowait(self, command: str, *args):
-        """Issue a call without waiting; returns a future with .result().
-
-        The channel multiplexes responses by request id, so several
-        requests genuinely share the wire up to ``rpc_window``.  With a
-        fault plan attached the call runs blocking instead — injected
-        call faults keep their exact semantics (preamble, transient
-        retries) — and the returned future is already settled, so a
-        failure still surfaces at ``result()``.
-        """
-        if self._fault_plan is not None:
-            future: Future = Future()
-            try:
-                future.set_result(self._call(command, *args))
-            except Exception as exc:  # noqa: BLE001 — raised at result()
-                future.set_exception(exc)
-            return future
-        flow_id = self._next_flow_id()
-        with self._rpc_span(command, flow_id):
-            wire_future = self._channel.call_nowait(
-                command, args, flow_id=flow_id
+        ).begin()
+        try:
+            future = self._channel.call_nowait(
+                command,
+                args,
+                flow_id=flow_id,
+                post_send=self._fault_kill if kill_after_send else None,
+                span=span,
             )
-        return _SocketCallFuture(self, command, wire_future)
+        except TransportError as exc:
+            span.end()
+            return Settled(error=self._worker_failure(command, exc))
+        return _SocketCallFuture(self, command, future, span)
 
     def _call(self, command: str, *args) -> Any:
-        attempt = 0
-        while True:
-            try:
-                return self._call_once(command, args)
-            except TransientRpcError:
-                attempt += 1
-                self.resources.retries += 1
-                if attempt > self._policy.max_call_retries:
-                    raise
-                time.sleep(self._policy.backoff(attempt))
+        return self.call_nowait(command, *args).result()
 
     def _fault_kill(self) -> None:
         """Kill the worker process to realize an injected crash."""
@@ -356,22 +351,6 @@ class SocketWorkerProxy:
                 return True
             self._fault_kill()
         return False
-
-    def _call_once(self, command: str, args: tuple) -> Any:
-        kill_after_send = self._fault_preamble(command)
-        flow_id = self._next_flow_id()
-        with self._rpc_span(command, flow_id) as span:
-            try:
-                status, payload = self._channel.call(
-                    command,
-                    args,
-                    flow_id=flow_id,
-                    post_send=self._fault_kill if kill_after_send else None,
-                    span=span,
-                )
-            except TransportError as exc:
-                raise self._worker_failure(command, exc) from exc
-        return self._relay(command, status, payload)
 
     def _worker_failure(
         self, command: str, exc: TransportError
@@ -627,7 +606,7 @@ class SocketWorkerPool:
     def _open_channel(
         self, worker_id: int, address: Tuple[str, int]
     ) -> RpcChannel:
-        channel = RpcChannel(
+        return RpcChannel(
             address,
             policy=self._policy,
             worker_id=worker_id,
@@ -635,7 +614,6 @@ class SocketWorkerPool:
             metrics=self._metrics,
             heartbeat=self._policy.heartbeat_interval_seconds > 0,
         )
-        return channel
 
     def _configure(self, worker_id: int, channel: RpcChannel) -> None:
         """Ship identity + snapshot to the worker (idempotent RPC)."""

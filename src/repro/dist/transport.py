@@ -597,12 +597,15 @@ class RpcChannel:
                     pass
                 self._count("torn_frames")
                 # fall through to the drop outside the send lock
-            elif spec is not None and spec.kind == "reorder":
+            elif spec is not None and spec.kind == "reorder" and (
+                self._held_frame is None
+            ):
                 # Hold this frame until the next one passes it on the
                 # wire; a timer flushes it if no successor shows up.
                 # Callers still await their response, so phase barriers
                 # hold — the reorder is visible to the server's arrival
-                # order and the client's demultiplexer only.
+                # order and the client's demultiplexer only.  A frame
+                # already held is passed below, never overwritten (lost).
                 self._held_frame = frame
                 if self._reorder_timer is not None:
                     self._reorder_timer.cancel()
@@ -672,6 +675,8 @@ class RpcChannel:
         a caller cannot race further ahead than the window allows.
         Settle the call with :meth:`RpcFuture.result`, which owns the
         deadline/retransmit loop and releases the window slot.
+        ``post_send`` runs exactly once after the first successful
+        transmission (fault injection kills the worker "after send").
         """
         budget = timeout if timeout is not None else self._policy.call_timeout
         deadline = time.monotonic() + budget
@@ -724,27 +729,16 @@ class RpcChannel:
         args: tuple = (),
         flow_id: Optional[int] = None,
         timeout: Optional[float] = None,
-        post_send: Optional[Callable[[], None]] = None,
         internal: bool = False,
-        span=None,
     ) -> Tuple[str, Any]:
         """One idempotent RPC; returns the raw ``(status, payload)``.
 
         Raises :class:`RpcTimeoutError` when the deadline expires and
         :class:`ConnectionLostError` when the peer stays unreachable
-        through the retry budget.  ``post_send`` runs exactly once after
-        the first successful transmission (fault injection uses it to
-        kill the worker "after send").  Equivalent to
-        ``call_nowait(...).result()``.
+        through the retry budget.
         """
         return self.call_nowait(
-            command,
-            args,
-            flow_id=flow_id,
-            timeout=timeout,
-            post_send=post_send,
-            internal=internal,
-            span=span,
+            command, args, flow_id=flow_id, timeout=timeout, internal=internal
         ).result()
 
     # -- heartbeat --------------------------------------------------------

@@ -67,6 +67,23 @@ _NO_ROUTES: Advertisement = ()
 _GC_GROWTH = 4
 
 
+class Settled:
+    """A call that already ran: ``result()`` returns its value or raises
+    its error, like the socket proxy's pending calls once they land."""
+
+    __slots__ = ("_value", "_error")
+
+    def __init__(
+        self, value: Any = None, error: Optional[BaseException] = None
+    ) -> None:
+        self._value, self._error = value, error
+
+    def result(self) -> Any:
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 class ShadowNode:
     """Stand-in for a switch hosted on another worker (§3.2).
 
@@ -106,10 +123,10 @@ class Worker:
     """One S2 worker: a segment's switch models plus the DPV context."""
 
     #: The remote surface: every method a controller may invoke over the
-    #: wire, with exactly these signatures.  The worker service refuses
+    #: wire, with exactly these signatures.  :meth:`call_nowait` refuses
     #: any other name, and the socket proxy's forwarders are generated
     #: from this table, so a new command is one method plus one entry.
-    COMMANDS = (
+    COMMANDS = frozenset((
         "ping",
         # serving
         "begin_epoch", "rebind_snapshot",
@@ -123,7 +140,7 @@ class Worker:
         "build_dataplane", "set_waypoint_bit", "clear_waypoints",
         "inject_header", "deliver_packets", "drain", "collect_finals",
         "reset_dataplane_run",
-    )
+    ))
 
     def __init__(
         self,
@@ -199,6 +216,17 @@ class Worker:
         self.resources.node_count = len(self.nodes)
 
     # -- supervision -----------------------------------------------------
+
+    def call_nowait(self, command: str, *args) -> Settled:
+        """Run one of :attr:`COMMANDS` now, as the socket proxy's
+        ``call_nowait`` issues it; ``result()`` raises any failure,
+        including the refusal of any other name."""
+        try:
+            if command not in self.COMMANDS:
+                raise LookupError(f"{command!r} is not a worker command")
+            return Settled(getattr(self, command)(*args))
+        except Exception as exc:  # noqa: BLE001 — raised at result()
+            return Settled(error=exc)
 
     def ping(self) -> str:
         """Liveness probe; the heartbeat path of the supervisor."""

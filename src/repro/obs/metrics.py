@@ -4,7 +4,8 @@ A :class:`MetricsRegistry` is snapshot-able mid-run: instruments are
 created on first use and hold plain Python numbers, so ``snapshot()`` is
 a cheap dict copy that can be taken between CPO rounds without pausing
 the pipeline.  Increments are guarded by one registry-wide lock — the
-socket runtime's phase threads update counters concurrently — which
+socket channels' receive and heartbeat threads update counters
+concurrently with the controller — which
 costs a few hundred nanoseconds per event at the per-batch/per-round
 granularity the pipeline uses (never per BDD operation).
 

@@ -88,6 +88,12 @@ class _NullSpan:
     def __exit__(self, *_exc) -> bool:
         return False
 
+    def begin(self) -> "_NullSpan":
+        return self
+
+    def end(self) -> None:
+        pass
+
     def set(self, **_attrs) -> "_NullSpan":
         return self
 
@@ -97,7 +103,7 @@ NULL_SPAN = _NullSpan()
 
 
 class Span:
-    """A live span; close it via the context-manager protocol."""
+    """A live span: a context manager, or :meth:`begin` ... :meth:`end`."""
 
     __slots__ = (
         "_tracer", "name", "category", "start", "attrs",
@@ -128,15 +134,27 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def __enter__(self) -> "Span":
+    def begin(self) -> "Span":
+        """Start the span without entering it: spans begun one after
+        another are siblings, each closed by its own :meth:`end` — the
+        shape of calls issued together and settled later."""
         stack = self._tracer._stack()
         if stack:
             self.parent_id = stack[-1].span_id
-        stack.append(self)
         self.start = self._tracer.clock()
         return self
 
+    def __enter__(self) -> "Span":
+        self.begin()
+        self._tracer._stack().append(self)
+        return self
+
     def __exit__(self, *_exc) -> bool:
+        self.end()
+        return False
+
+    def end(self) -> None:
+        """Close and record the span (exactly once)."""
         end = self._tracer.clock()
         stack = self._tracer._stack()
         if stack and stack[-1] is self:
@@ -158,7 +176,6 @@ class Span:
                 attrs=self.attrs,
             )
         )
-        return False
 
 
 class Tracer:

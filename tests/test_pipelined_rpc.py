@@ -5,7 +5,8 @@ back a future whose ``result()`` owns the whole retry/timeout machinery
 ``call`` had; the sidecar outbox must coalesce a round's batches into
 one ``deliver_routes_many`` per target with accounting identical to the
 one-at-a-time path.  These are the semantics the CPO's overlapped
-exchange phase rests on.
+exchange phase rests on.  ``Fleet.call_all`` fans every phase out over
+the same calls on both runtimes: issue all, settle all, then raise.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import time
 
 import pytest
 
+from repro import RetryPolicy, S2Options
+from repro.dist.controller import S2Controller
 from repro.dist.faults import FaultPlan, FaultSpec
 from repro.dist.message import RouteBatch, measured_size
 from repro.dist.partition import partition
@@ -89,6 +92,22 @@ def test_future_retries_through_faults(harness):  # noqa: F811
     assert h.channel.counters["retries"] >= 1
     # The torn copy never parsed: executed exactly once despite retry.
     assert h.service.calls.count("pull_round") == 1
+
+
+def test_pipelined_reorders_lose_no_frame(harness):  # noqa: F811
+    """Two reordered requests in flight at once: the second passes the
+    held first one instead of replacing it, so both are answered on
+    their first transmission, well inside the call deadline."""
+    plan = FaultPlan(
+        [FaultSpec(kind="reorder", worker=0, command="sync", times=2)]
+    )
+    h = harness(policy=_fast_policy(rpc_window=4), fault_plan=plan)
+    futures = [h.channel.call_nowait("sync", (i,)) for i in range(2)]
+    for i, future in enumerate(futures):
+        assert future.result() == ("ok", ("echo", "sync", (i,)))
+    assert plan.count("reorder") == 2
+    assert h.channel.counters["retries"] == 0
+    assert h.channel.counters["timeouts"] == 0
 
 
 def test_future_failure_releases_the_window():
@@ -172,7 +191,10 @@ def test_queue_flush_matches_send(worker_pair):
     # Nothing delivered until the flush barrier.
     assert ("x", "y") not in workers[1].mailbox
     handles = sidecars[0].flush_routes()
-    assert handles == []  # in-process peers deliver synchronously
+    # One coalesced delivery for the one target, already settled: an
+    # in-process peer runs the call as it is issued.
+    assert len(handles) == 1
+    assert handles[0].result() is None
     assert workers[1].mailbox[("x", "y")] == (route,)
     # A second flush is a no-op: the outbox was consumed.
     assert sidecars[0].flush_routes() == []
@@ -236,3 +258,87 @@ def test_convergence_through_queue_flush(worker_pair, fattree4_sim):
         merged.update(worker.finish_shard())
     for host, table in expected.items():
         assert merged.get(host, {}) == table
+
+
+# -- the fleet fan-out ------------------------------------------------------
+
+RUNTIMES = ["sequential", "socket"]
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_failure_is_raised_after_every_call_settled(runtime, fattree4):
+    """Worker 0 crashes at its first ``compute_exports``; when recovery
+    starts, worker 1's call of the same phase has settled."""
+    plan = FaultPlan(
+        [FaultSpec(kind="crash", worker=0, command="compute_exports")]
+    )
+    options = S2Options(
+        num_workers=2,
+        runtime=runtime,
+        fault_plan=plan,
+        retry_policy=RetryPolicy(backoff_base=0.001),
+    )
+    seen = []
+    with S2Controller(fattree4, options) as controller:
+        recover = controller.supervisor.recover
+
+        def observing_recover(failure):
+            peer = controller.fleet.get(1)
+            seen.append(
+                (
+                    failure.worker_id,
+                    peer.status()["phase"],
+                    peer.status()["round"],
+                    peer._channel._inflight if runtime == "socket" else 0,
+                )
+            )
+            return recover(failure)
+
+        controller.supervisor.recover = observing_recover
+        controller.run_control_plane()
+    assert plan.count("crash") == 1
+    # The peer ran the phase of the crashed round, and on socket its
+    # channel has nothing left in flight.
+    assert seen == [(0, "compute_exports", 0, 0)]
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+@pytest.mark.parametrize("command", ["reset", "status"])
+def test_non_command_is_refused_alike(runtime, command, fattree4):
+    with S2Controller(
+        fattree4, S2Options(num_workers=2, runtime=runtime)
+    ) as controller:
+        handle = controller.fleet.workers[0].call_nowait(command)
+        with pytest.raises(
+            LookupError, match=f"'{command}' is not a worker command"
+        ):
+            handle.result()
+
+
+def _seeded_call_fault_run(fattree4):
+    plan = FaultPlan(
+        [
+            FaultSpec(kind="error", probability=0.3, times=3),
+            FaultSpec(kind="delay", delay=0.001, probability=0.2, times=5),
+        ],
+        seed=11,
+    )
+    options = S2Options(
+        num_workers=3,
+        num_shards=2,
+        runtime="socket",
+        fault_plan=plan,
+        retry_policy=RetryPolicy(backoff_base=0.001),
+    )
+    with S2Controller(fattree4, options) as controller:
+        controller.run_control_plane()
+        retries = [w.resources.retries for w in controller.fleet.workers]
+    return retries, dict(plan.fired_by_kind)
+
+
+def test_seeded_call_faults_fire_identically(fattree4):
+    """Call faults fire in worker-id order at issue, so one seed gives
+    one firing sequence: the same workers retry, run after run."""
+    first = _seeded_call_fault_run(fattree4)
+    assert first[1].get("error", 0) > 0 and first[1].get("delay", 0) > 0
+    assert _seeded_call_fault_run(fattree4) == first
