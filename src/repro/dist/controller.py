@@ -31,7 +31,8 @@ The controller is also where fault tolerance comes together:
   SimulationEngine` and writes *bit-identical* per-shard results into
   the route store (the engines are equivalence-tested);
 * with a persistent ``store_dir``, a :class:`~repro.dist.storage.
-  RunManifest` records converged shards and the OSPF checkpoint, and
+  RunManifest` records the shard packing, converged shards and the OSPF
+  checkpoint, and
   :meth:`S2Controller.resume` restarts a killed run, skipping them.
 """
 
@@ -384,7 +385,6 @@ class S2Controller:
         for sidecar in sidecars:
             sidecar.register_peers(sidecars)
         self.fleet = Fleet(self._pool.proxies, sidecars)
-        self.shards: List[PrefixShard] = self._build_shards()
         # -- checkpoint/resume state --------------------------------------
         manifest: Optional[RunManifest] = None
         if resuming:
@@ -405,6 +405,11 @@ class S2Controller:
             # from an earlier (possibly killed) run must not pollute
             # merged_routes.
             self.store.clear_run_state()
+        self.shards: List[PrefixShard] = (
+            self._adopt_packing(manifest)
+            if manifest is not None
+            else self._build_shards()
+        )
         self.supervisor = WorkerSupervisor(
             self.fleet,
             self.store,
@@ -457,15 +462,36 @@ class S2Controller:
             )
         return result
 
-    def _build_shards(self) -> List[PrefixShard]:
-        """The current snapshot's prefix shards (none when unsharded)."""
+    def _build_shards(
+        self, previous: Sequence[PrefixShard] = ()
+    ) -> List[PrefixShard]:
+        """The current snapshot's prefix shards (none when unsharded),
+        packed sticky to ``previous`` when given."""
         opts = self.options
         if not (opts.num_shards and opts.num_shards > 1):
             return []
-        shards = make_shards(self.snapshot, opts.num_shards, seed=opts.seed)
+        shards = make_shards(
+            self.snapshot, opts.num_shards, seed=opts.seed, previous=previous
+        )
         problems = validate_shards(shards, self.snapshot)
         if problems:
             raise ValueError(f"invalid shards: {problems[:3]}")
+        return shards
+
+    def _adopt_packing(self, manifest: RunManifest) -> List[PrefixShard]:
+        """Resume: the manifest's packing when it still covers the
+        snapshot — the flush indices on disk refer to it.  Otherwise
+        pack cold and drop every converged mark, so all shards
+        recompute."""
+        if not (self.options.num_shards and self.options.num_shards > 1):
+            return []
+        stored = manifest.packing()
+        if stored is not None and not validate_shards(stored, self.snapshot):
+            return stored
+        shards = self._build_shards()
+        manifest.shards.clear()
+        manifest.record_packing(shards)
+        self.store.write_manifest(manifest)
         return shards
 
     # -- resume -----------------------------------------------------------
@@ -476,9 +502,11 @@ class S2Controller:
     ) -> "S2Controller":
         """Reattach to a killed run's persistent store and continue it.
 
-        The next :meth:`run_control_plane` restores the OSPF checkpoint
-        (if taken) and skips every shard the manifest records as
-        converged; only the interrupted remainder is recomputed.
+        The controller adopts the manifest's shard packing (or, when it
+        no longer covers the snapshot, packs cold and trusts no converged
+        mark); the next :meth:`run_control_plane` restores the OSPF
+        checkpoint (if taken) and skips every shard the manifest records
+        as converged; only the interrupted remainder is recomputed.
         """
         if options is None or options.store_dir is None:
             raise ValueError("resume() requires options.store_dir")
@@ -510,6 +538,7 @@ class S2Controller:
                 ospf_done=ospf_done,
                 epoch=self.fleet.epoch or 0,  # 0 outside serving
             )
+            manifest.record_packing(self.shards)
             for index in carried:
                 manifest.mark_shard(index)
             self.store.write_manifest(manifest)
@@ -574,10 +603,12 @@ class S2Controller:
 
         Topology, partition, and the IGP result are unchanged, so only
         the changed hosts' router models are rebuilt (their installed
-        OSPF routes replayed from the worker's live checkpoint); the
-        caller then recomputes just the dirty shards.
+        OSPF routes replayed from the worker's live checkpoint), and the
+        shards are repacked sticky to the current ones; the caller then
+        recomputes just the dirty shards.
         """
         self.snapshot = snapshot
+        self.shards = self._build_shards(previous=self.shards)
         changed = tuple(changed_hosts)
         # A worker respawned mid-epoch is re-seeded from the pool's
         # spawn args; those must describe the *current* snapshot.
@@ -839,9 +870,7 @@ class S2Controller:
         )
         for shard in shard_list:
             flush_index = shard.index if shard is not None else 0
-            if self.manifest is not None and self.manifest.is_shard_done(
-                flush_index
-            ):
+            if self.manifest is not None and self.manifest.converged(shard):
                 continue
             result = engine.run_bgp_shard(
                 shard.prefixes if shard is not None else None

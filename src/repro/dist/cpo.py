@@ -20,7 +20,8 @@ sidecar batches are healed by the rounds themselves (exports are resent
 in full every round); the only hazard is a drop in the would-be-final
 round, so the CPO refuses to declare convergence in any round where the
 fault plan dropped a batch.  A :class:`~repro.dist.storage.RunManifest`
-records converged shards, letting :meth:`run` skip them on resume.
+records converged shards, letting :meth:`run` skip them on resume — an
+index only while the manifest's packing still gives it the same prefixes.
 """
 
 from __future__ import annotations
@@ -431,7 +432,7 @@ class ControlPlaneOrchestrator:
                     index = shard.index if shard is not None else 0
                     if (
                         self.manifest is not None
-                        and self.manifest.is_shard_done(index)
+                        and self.manifest.converged(shard)
                     ):
                         self.stats.shards_skipped += 1
                         continue

@@ -13,6 +13,18 @@ Shards are unions of *weakly connected components* of the DPDG, packed
 into ``m`` shards by a greedy longest-processing-time rule; equal-size
 components are shuffled first so one switch's prefixes do not dominate a
 shard (the §4.5 balance fix).
+
+A resident verifier repacks at every epoch, and the packing is *sticky*
+there: given the previous epoch's shards, a component that was already
+placed keeps its shard index (the lowest one, when it now spans several
+old shards), only new components go through the LPT rule (onto the
+lightest shard, so emptied bins fill first), and a withdrawn prefix just
+leaves its shard.  One dirty prefix therefore dirties one shard, and
+every other shard keeps both its index and its prefix list, so its
+flushed results carry over unchanged.  Sticky packing drifts from the
+balance LPT would reach; when its largest shard exceeds the cold
+packing's largest plus the largest component, the epoch takes the cold
+packing instead.
 """
 
 from __future__ import annotations
@@ -40,15 +52,16 @@ class PrefixShard:
     def __contains__(self, prefix: Prefix) -> bool:
         return prefix in self.prefixes
 
-    def fingerprint(self) -> str:
-        """Content digest of the prefix set (index-independent).
+    def prefix_list(self) -> List[str]:
+        """The prefix set as sorted text: what the run manifest records
+        per flush index, and what a resumed or next-epoch run compares
+        before trusting that index's flushed results."""
+        return sorted(str(p) for p in self.prefixes)
 
-        The serving layer stores it per flush index: a shard whose
-        fingerprint reappears in the next epoch holds the same prefixes,
-        so its flushed results can be carried over even when the packer
-        assigned it a different index.
-        """
-        text = "\n".join(sorted(str(p) for p in self.prefixes))
+    def fingerprint(self) -> str:
+        """Short content digest of :meth:`prefix_list` (index-independent),
+        for logs and tests that compare packings across epochs."""
+        text = "\n".join(self.prefix_list())
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -134,27 +147,72 @@ def make_shards(
     num_shards: int,
     seed: int = 11,
     include_conditionals: bool = True,
+    previous: Sequence[PrefixShard] = (),
 ) -> List[PrefixShard]:
     """Partition the snapshot's prefixes into ``num_shards`` shards.
 
     Dependent prefixes always co-shard; components are placed largest
     first onto the currently smallest shard, with equal-size components
     shuffled (§4.5).  Returns fewer shards than requested when there are
-    fewer components.
+    fewer components.  With ``previous`` (the last epoch's shards) the
+    packing is sticky, see :func:`pack_components`.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     dpdg = build_dpdg(snapshot, include_conditionals=include_conditionals)
     components = dpdg.weakly_connected_components()
-    return pack_components(components, num_shards, seed)
+    return pack_components(components, num_shards, seed, previous=previous)
 
 
 def pack_components(
-    components: Sequence[Sequence[Prefix]], num_shards: int, seed: int = 11
+    components: Sequence[Sequence[Prefix]],
+    num_shards: int,
+    seed: int = 11,
+    previous: Sequence[PrefixShard] = (),
 ) -> List[PrefixShard]:
-    """Greedy LPT packing of dependency components into shards."""
-    # Shuffle runs of equal-size components so prefixes originated by the
-    # same switch (which tend to be enumerated together) spread out.
+    """Greedy LPT packing of dependency components into shards.
+
+    Without ``previous`` this is the cold packing.  With it, a component
+    holding a prefix of a previous shard keeps that shard's index (the
+    lowest such index when it spans several), and only the remaining
+    components are placed by LPT, onto the lightest of all
+    ``num_shards`` bins.  If the sticky packing's largest shard exceeds
+    the cold packing's largest plus the largest component, the cold
+    packing is returned instead (the drift bound).
+    """
+    cold = _place(
+        _lpt_order(components, seed),
+        [[] for _ in range(min(num_shards, max(1, len(components))))],
+    )
+    if not previous or not components:
+        return cold
+    owner = {
+        prefix: shard.index
+        for shard in previous
+        if shard.index < num_shards
+        for prefix in shard.prefixes
+    }
+    bins: List[List[Prefix]] = [[] for _ in range(num_shards)]
+    new: List[Sequence[Prefix]] = []
+    for component in components:
+        placed = [owner[p] for p in component if p in owner]
+        if placed:
+            bins[min(placed)].extend(component)
+        else:
+            new.append(component)
+    sticky = _place(_lpt_order(new, seed), bins)
+    largest = max(len(component) for component in components)
+    if max(map(len, sticky)) > max(map(len, cold)) + largest:
+        return cold
+    return sticky
+
+
+def _lpt_order(
+    components: Sequence[Sequence[Prefix]], seed: int
+) -> List[Sequence[Prefix]]:
+    """Largest first; runs of equal-size components shuffled so prefixes
+    originated by the same switch (which tend to be enumerated together)
+    spread out."""
     rng = random.Random(seed)
     grouped: Dict[int, List[Sequence[Prefix]]] = {}
     for component in components:
@@ -164,12 +222,17 @@ def pack_components(
         bucket = grouped[size]
         rng.shuffle(bucket)
         ordered.extend(bucket)
+    return ordered
 
-    num_shards = min(num_shards, max(1, len(ordered)))
-    bins: List[List[Prefix]] = [[] for _ in range(num_shards)]
-    sizes = [0] * num_shards
+
+def _place(
+    ordered: Sequence[Sequence[Prefix]], bins: List[List[Prefix]]
+) -> List[PrefixShard]:
+    """Put each component onto the currently smallest bin (lowest index
+    on ties); empty bins yield no shard."""
+    sizes = [len(contents) for contents in bins]
     for component in ordered:
-        smallest = min(range(num_shards), key=lambda i: (sizes[i], i))
+        smallest = min(range(len(bins)), key=lambda i: (sizes[i], i))
         bins[smallest].extend(component)
         sizes[smallest] += len(component)
     return [
@@ -211,8 +274,9 @@ def validate_shards(
 ) -> List[str]:
     """Check shard invariants; returns human-readable problems (empty=ok).
 
-    Every network prefix appears in exactly one shard, and every DPDG
-    edge's endpoints co-shard.
+    Every network prefix appears in exactly one shard, no shard holds a
+    prefix the snapshot's DPDG lacks (a stored packing of another
+    snapshot), and every DPDG edge's endpoints co-shard.
     """
     problems: List[str] = []
     owner: Dict[Prefix, int] = {}
@@ -228,6 +292,10 @@ def validate_shards(
         if prefix not in owner:
             problems.append(f"{prefix} missing from all shards")
     dpdg = build_dpdg(snapshot)
+    for prefix in sorted(owner.keys() - dpdg.prefixes):
+        problems.append(
+            f"{prefix} in shard {owner[prefix]} is not in the snapshot"
+        )
     for depends, on in dpdg.edges:
         if owner.get(depends) != owner.get(on):
             problems.append(

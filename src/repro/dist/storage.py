@@ -22,10 +22,11 @@ import pickle
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..net.ip import Prefix
 from ..routing.route import BgpRoute
+from .sharding import PrefixShard
 
 # node -> prefix -> selected ECMP routes
 ShardRoutes = Dict[str, Dict[Prefix, Tuple[BgpRoute, ...]]]
@@ -72,7 +73,10 @@ class RunManifest:
     Written after OSPF convergence and after every shard flush, so a
     restarted controller (:meth:`~repro.dist.controller.S2Controller.
     resume`) knows exactly which work survives.  ``options_hash`` guards
-    against resuming with incompatible options or a different snapshot.
+    against resuming with incompatible options or a different snapshot;
+    ``shard_prefixes`` is the packing the flush indices refer to, so a
+    resumed run (or a warm-booted session) repacks nothing and trusts a
+    converged index only while it still holds the same prefixes.
     """
 
     version: int = 1
@@ -83,13 +87,10 @@ class RunManifest:
     ospf_done: bool = False
     # str(flush index) -> {"status": "converged", "rounds": int}
     shards: Dict[str, Dict] = field(default_factory=dict)
-    # Serving state: the committed epoch this manifest belongs to, and a
-    # content fingerprint per flush index (hash of the shard's sorted
-    # prefixes).  Fingerprints let a later epoch carry a clean shard's
-    # files over even when the packer assigned it a different index.
+    # Serving state: the committed epoch this manifest belongs to.
     epoch: int = 0
-    # str(flush index) -> fingerprint
-    shard_fingerprints: Dict[str, str] = field(default_factory=dict)
+    # str(flush index) -> the shard's sorted prefix texts
+    shard_prefixes: Dict[str, List[str]] = field(default_factory=dict)
 
     def mark_shard(self, flush_index: int, rounds: int = 0) -> None:
         self.shards[str(flush_index)] = {
@@ -100,6 +101,40 @@ class RunManifest:
     def is_shard_done(self, flush_index: int) -> bool:
         entry = self.shards.get(str(flush_index))
         return bool(entry) and entry.get("status") == "converged"
+
+    def converged(self, shard: Optional[PrefixShard]) -> bool:
+        """Whether ``shard``'s flush index converged *with the prefixes
+        it holds now* (``None``: the single pass of an unsharded run)."""
+        if shard is None:
+            return self.is_shard_done(0)
+        return (
+            self.is_shard_done(shard.index)
+            and self.shard_prefixes.get(str(shard.index))
+            == shard.prefix_list()
+        )
+
+    def record_packing(self, shards: List[PrefixShard]) -> None:
+        self.shard_prefixes = {
+            str(shard.index): shard.prefix_list() for shard in shards
+        }
+
+    def packing(self) -> Optional[List[PrefixShard]]:
+        """The recorded packing, or None when none was recorded or it
+        does not parse."""
+        if not self.shard_prefixes:
+            return None
+        try:
+            return [
+                PrefixShard(
+                    index=int(index),
+                    prefixes=frozenset(Prefix.parse(p) for p in prefixes),
+                )
+                for index, prefixes in sorted(
+                    self.shard_prefixes.items(), key=lambda kv: int(kv[0])
+                )
+            ]
+        except (AttributeError, TypeError, ValueError):
+            return None
 
     def completed_shards(self) -> List[int]:
         return sorted(
@@ -119,7 +154,7 @@ class RunManifest:
                 "ospf_done": self.ospf_done,
                 "shards": self.shards,
                 "epoch": self.epoch,
-                "shard_fingerprints": self.shard_fingerprints,
+                "shard_prefixes": self.shard_prefixes,
             },
             indent=2,
             sort_keys=True,
@@ -137,7 +172,7 @@ class RunManifest:
             ospf_done=data.get("ospf_done", False),
             shards=data.get("shards", {}),
             epoch=data.get("epoch", 0),
-            shard_fingerprints=data.get("shard_fingerprints", {}),
+            shard_prefixes=data.get("shard_prefixes", {}),
         )
 
 
@@ -234,15 +269,19 @@ class RouteStore:
         self._atomic_write(path, payload)
         self.bytes_written += len(payload)
 
-    def clear_shard_files(self) -> None:
-        """Remove only the RIB shard files (keep OSPF state + manifest).
+    def clear_shard_files(self, keep: Iterable[int] = ()) -> None:
+        """Remove the RIB shard files except the ``keep`` flush indices
+        (OSPF state and manifest stay).
 
         The between-epoch reset: OSPF checkpoints stay valid across an
-        announce-only delta, but the shard layout may change, so every
-        ``.rib`` file is either recomputed or explicitly carried over.
+        announce-only delta, and the shards it left clean keep their
+        files in place; every other ``.rib`` file is recomputed.
         """
+        kept = tuple(f"-shard{index:04d}.rib" for index in keep)
         for name in os.listdir(self.directory):
-            if name.endswith(".rib") or ".tmp." in name:
+            if ".tmp." in name or (
+                name.endswith(".rib") and not name.endswith(kept)
+            ):
                 try:
                     os.unlink(os.path.join(self.directory, name))
                 except OSError:

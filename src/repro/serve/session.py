@@ -24,8 +24,8 @@ Self-healing rests on four mechanisms:
   been exhausted) flips the session to *degraded*: the previous epoch
   keeps serving read-only and further deltas are refused.
 
-Commits are two-phase on disk: the manifest (tagged with the epoch and
-per-shard fingerprints) is written, then the ``EPOCH`` tag file.  A warm
+Commits are two-phase on disk: the manifest (tagged with the epoch, and
+holding the shard packing) is written, then the ``EPOCH`` tag file.  A warm
 boot (:class:`VerifierSession` over an existing store) trusts the RIB
 files only when the two agree — otherwise (torn commit, damaged
 manifest) it raises the typed storage error internally and falls back
@@ -47,7 +47,6 @@ from typing import Any, Dict, FrozenSet, Optional, Tuple
 from ..config.loader import Snapshot
 from ..dataplane.queries import Query
 from ..dist.controller import S2Controller, S2Options
-from ..dist.sharding import make_shards
 from ..dist.storage import CorruptShardError, EpochMismatchError, RouteStore
 from ..obs.journal import EventJournal
 from ..obs.openmetrics import render_openmetrics
@@ -255,10 +254,6 @@ class VerifierSession:
         manifest = controller.manifest
         if manifest is not None:
             manifest.epoch = self.epoch
-            manifest.shard_fingerprints = {
-                str(shard.index): shard.fingerprint()
-                for shard in controller.shards
-            }
             controller.store.write_manifest(manifest)
             controller.store.write_epoch_tag(self.epoch)
         checker = controller.checker()
@@ -622,59 +617,47 @@ class VerifierSession:
     ) -> None:
         """Announce-only path: carry clean shards over, recompute dirty
         (the new CPO counts the carried ones as ``shards_skipped``)."""
-        opts = self.options
         controller = self._controller
         store = controller.store
         old_manifest = controller.manifest
-        old_fingerprints = (
-            dict(old_manifest.shard_fingerprints)
-            if old_manifest is not None
-            else {}
-        )
-        new_shards = (
-            make_shards(new_snapshot, opts.num_shards, seed=opts.seed)
-            if opts.num_shards and opts.num_shards > 1
-            else []
-        )
+        converged: Dict[Tuple[str, ...], int] = {}
+        if old_manifest is not None:
+            for index_text, prefixes in old_manifest.shard_prefixes.items():
+                if old_manifest.is_shard_done(int(index_text)):
+                    converged[tuple(prefixes)] = int(index_text)
         # Same topology and partition: rebuild only the changed hosts'
-        # router models, seeding the new epoch in the same RPC.
+        # router models, seeding the new epoch in the same RPC; the
+        # shards are repacked sticky, so clean ones keep their index.
         controller.rebind_snapshot(
             new_snapshot, classification.changed_hosts, epoch
         )
-        controller.shards = new_shards
-        # A new shard is *clean* when it holds no dirty prefix and its
-        # fingerprint matches a converged flush index of the old epoch.
+        # A shard is *clean* when it holds no dirty prefix and exactly
+        # the prefixes of a converged flush index of the old epoch.
         dirty = classification.dirty_prefixes
         carry: Dict[int, int] = {}
-        for shard in new_shards:
+        for shard in controller.shards:
             if shard.prefixes & dirty:
                 continue
-            fingerprint = shard.fingerprint()
-            for old_index_text, old_fp in old_fingerprints.items():
-                if old_fp != fingerprint:
-                    continue
-                old_index = int(old_index_text)
-                if old_manifest is not None and old_manifest.is_shard_done(
-                    old_index
-                ):
-                    carry[shard.index] = old_index
-                break
-        # Read the clean payloads out before the between-epoch reset; a
-        # shard with any file missing is recomputed instead.
-        payloads: Dict[int, Dict[int, bytes]] = {}
-        for new_index, old_index in list(carry.items()):
-            per_worker: Dict[int, bytes] = {}
-            for worker in controller.fleet.workers:
-                data = store.read_shard_payload(worker.worker_id, old_index)
-                if data is None:
-                    break
-                per_worker[worker.worker_id] = data
-            else:
-                payloads[new_index] = per_worker
-                continue
-            del carry[new_index]
-        store.clear_shard_files()
-        for new_index, per_worker in payloads.items():
+            old_index = converged.get(tuple(shard.prefix_list()))
+            if old_index is not None:
+                carry[shard.index] = old_index
+        # A shard with any worker's file missing is recomputed instead.
+        workers = [worker.worker_id for worker in controller.fleet.workers]
+        present = set.intersection(
+            *(set(store.worker_shard_indices(w)) for w in workers)
+        )
+        carry = {new: old for new, old in carry.items() if old in present}
+        # A clean shard under its old index keeps its files in place; one
+        # the packer moved (a cold repack) is read out before the reset.
+        moved = {
+            new: {w: store.read_shard_payload(w, old) for w in workers}
+            for new, old in carry.items()
+            if new != old
+        }
+        store.clear_shard_files(
+            keep=[new for new, old in carry.items() if new == old]
+        )
+        for new_index, per_worker in moved.items():
             for worker_id, data in per_worker.items():
                 store.write_shard_payload(worker_id, new_index, data)
         # Announce-only: the IGP result is unchanged.

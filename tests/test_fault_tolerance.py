@@ -9,6 +9,7 @@ reruns the interrupted shard (which ``begin_shard`` makes idempotent).
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import sys
 import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, S2Options, S2Verifier
+from repro.config.loader import snapshot_from_texts
 from repro.dist.controller import S2Controller, options_fingerprint
 from repro.dist.faults import (
     InjectedWorkerCrash,
@@ -25,7 +27,8 @@ from repro.dist.faults import (
 )
 from repro.dist.message import RouteBatch
 from repro.dist.storage import CorruptShardError, RouteStore, RunManifest
-from repro.routing.engine import ConvergenceError
+from repro.net.fattree import FatTreeSpec, render_configs
+from repro.routing.engine import ConvergenceError, SimulationEngine
 
 from tests.conftest import normalize_ribs
 
@@ -464,6 +467,106 @@ def test_resume_of_completed_run_skips_everything(fattree4, tmp_path):
         assert stats.shards_run == 0
         assert stats.bgp_rounds == 0
         assert normalize_ribs(controller.collected_ribs()) == ribs
+
+
+def _completed_store(snapshot, store):
+    options = S2Options(num_workers=3, num_shards=4, store_dir=store)
+    with S2Controller(snapshot, options) as controller:
+        controller.run_control_plane()
+        packing = [s.prefix_list() for s in controller.shards]
+    return options, packing
+
+
+def _tamper(store, edit):
+    path = os.path.join(store, "manifest.json")
+    with open(path) as handle:
+        data = json.load(handle)
+    edit(data["shard_prefixes"])
+    with open(path, "w") as handle:
+        json.dump(data, handle)
+
+
+def _drop_one(packing):
+    packing["0"].pop()
+
+
+def _duplicate_one(packing):
+    packing["1"].append(packing["0"][0])
+
+
+def _unparsable(packing):
+    packing["2"][0] = "10.0.0.0/99"
+
+
+def _missing(packing):
+    packing.clear()
+
+
+@pytest.mark.parametrize(
+    "edit", [_drop_one, _duplicate_one, _unparsable, _missing]
+)
+def test_resume_over_a_tampered_packing_recomputes_everything(
+    fattree4, fattree4_sim, tmp_path, edit
+):
+    """A stored packing that no longer covers the snapshot is not
+    adopted: the resume packs cold, trusts no converged mark, and its
+    RIBs equal the monolithic engine's."""
+    _, oracle = fattree4_sim
+    store = str(tmp_path / "spool")
+    options, packing = _completed_store(fattree4, store)
+    _tamper(store, edit)
+    with S2Controller.resume(fattree4, options) as controller:
+        assert [s.prefix_list() for s in controller.shards] == packing
+        stats = controller.run_control_plane()
+        ribs = normalize_ribs(controller.collected_ribs())
+        manifest = controller.store.read_manifest()
+    assert stats.shards_skipped == 0
+    assert stats.shards_run == 4
+    assert ribs == normalize_ribs(oracle)
+    assert manifest.completed_shards() == [0, 1, 2, 3]
+    assert [manifest.shard_prefixes[str(i)] for i in range(4)] == packing
+
+
+def test_resume_onto_a_snapshot_without_a_stored_prefix_recomputes(
+    tmp_path,
+):
+    """The store's packing holds a prefix the resumed snapshot no longer
+    announces: it is not adopted, so no stale result is served."""
+    texts = render_configs(FatTreeSpec(k=4))
+    dialect, text = texts["edge-0-0"]
+    grown = dict(texts)
+    grown["edge-0-0"] = (
+        dialect,
+        text.replace(
+            " network ", " network 203.0.113.0 mask 255.255.255.0\n network ", 1
+        ),
+    )
+    store = str(tmp_path / "spool")
+    _completed_store(snapshot_from_texts(grown, name="ft4"), store)
+    snapshot = snapshot_from_texts(texts, name="ft4")
+    options = S2Options(num_workers=3, num_shards=4, store_dir=store)
+    with S2Controller.resume(snapshot, options) as controller:
+        stats = controller.run_control_plane()
+        ribs = normalize_ribs(controller.collected_ribs())
+    assert stats.shards_skipped == 0
+    assert ribs == normalize_ribs(SimulationEngine(snapshot).run())
+
+
+def test_resume_adopts_a_valid_stored_packing(fattree4, tmp_path):
+    """The flush indices on disk refer to the stored packing, so a
+    resume keeps it even where a cold pack would differ."""
+    store = str(tmp_path / "spool")
+    options, packing = _completed_store(fattree4, store)
+
+    def swap(stored):
+        stored["0"], stored["1"] = stored["1"], stored["0"]
+
+    _tamper(store, swap)
+    with S2Controller.resume(fattree4, options) as controller:
+        adopted = [s.prefix_list() for s in controller.shards]
+        stats = controller.run_control_plane()
+    assert adopted == [packing[1], packing[0]] + packing[2:]
+    assert stats.shards_skipped == 4
 
 
 def test_fresh_run_clears_stale_store(fattree4, tmp_path):

@@ -6,9 +6,10 @@ The central claims under test:
   produces bit-identical RIBs and reachability verdicts to a cold-start
   run of the final snapshot, whether the delta took the incremental
   (announce-only) or the full-recompute path.
-* **Incrementality** — a single-device announce delta recomputes
-  strictly fewer shards than the full run, carrying converged clean
-  shards across the epoch by fingerprint.
+* **Incrementality** — a single-device announce delta recomputes only
+  the one shard it dirties: the packing is sticky across epochs (and
+  across a warm boot, which adopts the stored packing), so every clean
+  shard keeps its index and its flushed results.
 * **Self-healing** — a worker holding a stale epoch is rejected by the
   ``begin_shard`` fence and recovered; queries during a recompute read
   the previous committed epoch; a full admission queue sheds load with
@@ -24,9 +25,12 @@ import pytest
 
 from repro.config.loader import snapshot_from_texts
 from repro.dataplane.queries import Query
+from repro.dataplane.verifier import DataPlaneVerifier
 from repro.dist.controller import S2Controller, S2Options
+from repro.dist.sharding import PrefixShard
 from repro.net.fattree import FatTreeSpec, render_configs
 from repro.obs.top import render_top
+from repro.routing.engine import SimulationEngine
 from repro.serve import (
     ConfigTextDelta,
     DeltaError,
@@ -59,21 +63,25 @@ def ft4(ft4_texts):
     return snapshot_from_texts(ft4_texts, name="ft4-serve")
 
 
-@pytest.fixture(scope="module")
-def announce_host(ft4_texts):
-    """The first device that actually announces networks (an edge
-    switch — agg/core have no ``network`` statements)."""
+def _announcers(texts, count):
+    """The first ``count`` devices that actually announce networks (edge
+    switches — agg/core have no ``network`` statements)."""
     return sorted(
         host
-        for host, (_dialect, text) in ft4_texts.items()
+        for host, (_dialect, text) in texts.items()
         if any(
             line.strip().startswith("network ")
             for line in text.splitlines()
         )
-    )[0]
+    )[:count]
 
 
-def _with_extra_network(text: str) -> str:
+@pytest.fixture(scope="module")
+def announce_host(ft4_texts):
+    return _announcers(ft4_texts, 1)[0]
+
+
+def _with_extra_network(text: str, octet: int = 113) -> str:
     """The device's config with one more announced network."""
     lines = text.splitlines()
     last_net = max(
@@ -81,7 +89,9 @@ def _with_extra_network(text: str) -> str:
         for index, line in enumerate(lines)
         if line.strip().startswith("network ")
     )
-    lines.insert(last_net + 1, " network 203.0.113.0 mask 255.255.255.0")
+    lines.insert(
+        last_net + 1, f" network 203.0.{octet}.0 mask 255.255.255.0"
+    )
     return "\n".join(lines)
 
 
@@ -105,6 +115,30 @@ def _oracle(snapshot):
             normalize_ribs(controller.collected_ribs()),
             frozenset(result.pairs()),
         )
+
+
+def _monolithic(snapshot):
+    """RIBs + reachability pairs from the monolithic engine and data
+    plane, the reference that shares no code with the session."""
+    engine = SimulationEngine(snapshot)
+    routes = engine.run()
+    endpoints = tuple(
+        host
+        for host, config in sorted(snapshot.configs.items())
+        if config.bgp is not None and config.bgp.networks
+    )
+    dpv = DataPlaneVerifier.from_simulation(engine, routes)
+    result = dpv.check_reachability(
+        Query(sources=endpoints, destinations=endpoints)
+    )
+    return normalize_ribs(routes), frozenset(result.pairs())
+
+
+def _assert_monolithic(session: VerifierSession) -> None:
+    view = session.reachability()
+    ribs, pairs = _monolithic(session.snapshot)
+    assert normalize_ribs(view.ribs) == ribs
+    assert view.pairs == pairs
 
 
 def _assert_equivalent(session: VerifierSession) -> None:
@@ -151,8 +185,8 @@ def test_announce_delta_recomputes_strictly_fewer_shards(
     ft4, ft4_texts, announce_host
 ):
     """The acceptance criterion: one device's announce change recomputes
-    only the dirty shards — strictly fewer than the full run — and the
-    result is bit-identical to a cold start of the new snapshot."""
+    only the one shard it dirties, and the result is bit-identical to a
+    cold start of the new snapshot."""
     dialect, text = ft4_texts[announce_host]
     with VerifierSession(ft4, _options()) as session:
         total = len(session._controller.shards)
@@ -167,13 +201,82 @@ def test_announce_delta_recomputes_strictly_fewer_shards(
         assert result.kind == "announce"
         assert result.epoch == 1
         assert result.dirty_prefixes >= 1
-        assert 1 <= result.shards_recomputed < total
-        assert result.shards_reused >= 1
+        assert result.shards_recomputed == 1 < total
         assert result.shards_recomputed + result.shards_reused == len(
             session._controller.shards
         )
         assert not result.sequential_fallback
         _assert_equivalent(session)
+
+
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
+def test_sticky_packing_recomputes_one_shard_per_epoch(
+    ft4, ft4_texts, runtime
+):
+    """Six epochs: three hosts each add a network, then each withdraws
+    it.  Every epoch recomputes exactly the one shard it dirtied and
+    matches the monolithic engine; the final packing is epoch 0's."""
+    hosts = _announcers(ft4_texts, 3)
+    schedule = [(host, True) for host in hosts] + [
+        (host, False) for host in hosts
+    ]
+    with VerifierSession(ft4, _options(runtime=runtime)) as session:
+        before = [
+            (s.index, s.fingerprint()) for s in session._controller.shards
+        ]
+        for epoch, (host, add) in enumerate(schedule, start=1):
+            dialect, text = ft4_texts[host]
+            if add:
+                text = _with_extra_network(text, octet=epoch)
+            result = session.apply_delta(
+                ConfigTextDelta(hostname=host, text=text, dialect=dialect),
+                timeout=300,
+            )
+            assert (result.kind, result.epoch) == ("announce", epoch)
+            assert result.shards_recomputed == 1
+            assert result.shards_reused == len(before) - 1
+            _assert_monolithic(session)
+        assert [
+            (s.index, s.fingerprint()) for s in session._controller.shards
+        ] == before
+
+
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
+def test_warm_boot_keeps_the_sticky_packing(
+    ft4, ft4_texts, runtime, tmp_path
+):
+    """Three announces, close, warm boot on the same store, a fourth
+    announce: the boot adopts the packing the store's files were written
+    under, so the delta recomputes one shard and matches the monolithic
+    engine."""
+    hosts = _announcers(ft4_texts, 4)
+    options = _options(runtime=runtime, store_dir=str(tmp_path / "store"))
+
+    def announce(session, host, octet):
+        dialect, text = ft4_texts[host]
+        return session.apply_delta(
+            ConfigTextDelta(
+                hostname=host,
+                text=_with_extra_network(text, octet=octet),
+                dialect=dialect,
+            ),
+            timeout=300,
+        )
+
+    with VerifierSession(ft4, options) as session:
+        for octet, host in enumerate(hosts[:3], start=1):
+            assert announce(session, host, octet).shards_recomputed == 1
+        snapshot = session.snapshot
+        packing = [s.prefix_list() for s in session._controller.shards]
+    with VerifierSession(snapshot, options) as session:
+        assert session.warm_booted and session.epoch == 3
+        assert [
+            s.prefix_list() for s in session._controller.shards
+        ] == packing
+        result = announce(session, hosts[3], 4)
+        assert (result.kind, result.epoch) == ("announce", 4)
+        assert result.shards_recomputed == 1
+        _assert_monolithic(session)
 
 
 def test_withdraw_delta_loses_pairs_and_stays_equivalent(
@@ -199,6 +302,33 @@ def test_withdraw_delta_loses_pairs_and_stays_equivalent(
         assert announce_host not in session.reachability().endpoints
         assert announce_host in before.endpoints
         _assert_equivalent(session)
+
+
+def test_clean_shards_follow_a_packing_that_moved(
+    ft4, ft4_texts, announce_host
+):
+    """When the packing moves between epochs (as a cold repack under the
+    drift bound does), clean shards' files follow their prefixes to the
+    new indices instead of being recomputed."""
+    dialect, text = ft4_texts[announce_host]
+    with VerifierSession(ft4, _options()) as session:
+        controller = session._controller
+        shards = controller.shards
+        controller.shards = [
+            PrefixShard(index=len(shards) - 1 - s.index, prefixes=s.prefixes)
+            for s in shards
+        ]
+        result = session.apply_delta(
+            ConfigTextDelta(
+                hostname=announce_host,
+                text=_with_extra_network(text),
+                dialect=dialect,
+            ),
+            timeout=300,
+        )
+        assert result.shards_recomputed == 1
+        assert result.shards_reused == len(shards) - 1
+        _assert_monolithic(session)
 
 
 def test_reapplying_the_same_config_is_a_cheap_epoch(

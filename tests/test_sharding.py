@@ -3,13 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config.loader import snapshot_from_texts
 from repro.dist.sharding import (
     Dpdg,
+    PrefixShard,
     build_dpdg,
     make_shards,
     pack_components,
     validate_shards,
 )
+from repro.net.fattree import FatTreeSpec, render_configs
 from repro.net.ip import Prefix
 from repro.routing.engine import collect_network_prefixes
 
@@ -152,6 +155,140 @@ class TestPacking:
         flat = {p for s in shards for p in s.prefixes}
         assert len(flat) == 17
         assert all(len(s) > 0 for s in shards)
+
+
+def _singletons(count, start=0):
+    return [[Prefix((start + i) << 8, 24)] for i in range(count)]
+
+
+def _by_index(shards):
+    return {shard.index: shard.prefixes for shard in shards}
+
+
+def _ft4_with(edits):
+    """FatTree k=4 with ``edits`` ({host: extra line}) added to each named
+    device's ``router bgp`` block."""
+    texts = dict(render_configs(FatTreeSpec(k=4)))
+    for host, extra in edits.items():
+        dialect, text = texts[host]
+        lines = text.splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("router bgp"))
+        lines.insert(at + 1, extra)
+        texts[host] = (dialect, "\n".join(lines) + "\n")
+    return snapshot_from_texts(texts, name="ft4-edited")
+
+
+class TestStickyPacking:
+    """Repacking against the previous epoch's shards (serving mode)."""
+
+    def test_placed_components_keep_their_index(self):
+        previous = pack_components(_singletons(17), 4)
+        grown = pack_components(
+            _singletons(17) + _singletons(1, start=100), 4,
+            previous=previous,
+        )
+        after = _by_index(grown)
+        gained = []
+        for shard in previous:
+            assert shard.prefixes <= after[shard.index]
+            gained.extend(after[shard.index] - shard.prefixes)
+        assert gained == [Prefix(100 << 8, 24)]
+
+    def test_new_component_lands_on_the_lightest_bin(self):
+        previous = pack_components(_singletons(17), 4)
+        sizes = {shard.index: len(shard) for shard in previous}
+        lightest = min(sizes, key=lambda i: (sizes[i], i))
+        new = Prefix(100 << 8, 24)
+        grown = pack_components(
+            _singletons(17) + [[new]], 4, previous=previous
+        )
+        assert new in _by_index(grown)[lightest]
+
+    def test_new_component_fills_an_emptied_bin_first(self):
+        components = _singletons(6)
+        previous = pack_components(components, 3)
+        emptied = previous[1]
+        kept = [c for c in components if c[0] not in emptied.prefixes]
+        shrunk = pack_components(kept, 3, previous=previous)
+        assert sorted(shard.index for shard in shrunk) == [0, 2]
+        new = Prefix(100 << 8, 24)
+        grown = pack_components(kept + [[new]], 3, previous=shrunk)
+        assert _by_index(grown)[1] == frozenset([new])
+
+    def test_add_then_withdraw_restores_every_fingerprint(self, fattree4):
+        previous = make_shards(fattree4, 8)
+        added = make_shards(
+            _ft4_with({"edge-0-0": " network 203.0.113.0 mask 255.255.255.0"}),
+            8,
+            previous=previous,
+        )
+        changed = [
+            shard.index for shard, before in zip(added, previous)
+            if shard.fingerprint() != before.fingerprint()
+        ]
+        assert len(added) == len(previous) and len(changed) == 1
+        withdrawn = make_shards(fattree4, 8, previous=added)
+        assert [(s.index, s.fingerprint()) for s in withdrawn] == [
+            (s.index, s.fingerprint()) for s in previous
+        ]
+
+    def test_aggregate_merging_two_components_stays_valid(self, fattree4):
+        previous = make_shards(fattree4, 8)
+        owner = {p: s.index for s in previous for p in s.prefixes}
+        a, b = Prefix.parse("10.0.0.0/24"), Prefix.parse("10.0.1.0/24")
+        assert owner[a] != owner[b]
+        merged = _ft4_with(
+            {"agg-0-0": " aggregate-address 10.0.0.0 255.255.254.0"}
+        )
+        packed = make_shards(merged, 8, previous=previous)
+        assert validate_shards(packed, merged) == []
+        shards = _by_index(packed)
+        home = min(owner[a], owner[b])
+        assert shards[home] == {a, b, Prefix.parse("10.0.0.0/23")}
+        assert max(owner[a], owner[b]) not in shards   # emptied
+        for shard in previous:
+            if not shard.prefixes & {a, b}:
+                assert shards[shard.index] == shard.prefixes
+
+    def test_a_packing_with_a_withdrawn_prefix_is_invalid(self, fattree4):
+        grown = _ft4_with(
+            {"edge-0-0": " network 203.0.113.0 mask 255.255.255.0"}
+        )
+        stale = make_shards(grown, 8)
+        assert validate_shards(stale, grown) == []
+        assert validate_shards(stale, fattree4) == [
+            f"203.0.113.0/24 in shard {s.index} is not in the snapshot"
+            for s in stale
+            if Prefix.parse("203.0.113.0/24") in s
+        ]
+
+    def test_drift_bound_returns_exactly_the_cold_packing(self, fattree4):
+        everything = frozenset(
+            p for s in make_shards(fattree4, 1) for p in s.prefixes
+        )
+        lopsided = [PrefixShard(index=0, prefixes=everything)]
+        shards = make_shards(fattree4, 4, previous=lopsided)
+        assert [(s.index, s.prefixes) for s in shards] == [
+            (s.index, s.prefixes) for s in make_shards(fattree4, 4)
+        ]
+
+    def test_within_the_bound_the_sticky_packing_stands(self, fattree4):
+        cold = make_shards(fattree4, 4)
+        swapped = [
+            PrefixShard(index=3 - s.index, prefixes=s.prefixes) for s in cold
+        ]
+        shards = make_shards(fattree4, 4, previous=swapped)
+        assert _by_index(shards) == _by_index(swapped)
+
+    def test_cold_packing_matches_pinned_fingerprints(self, fattree4, dcn1):
+        """Cold packing is unchanged by the sticky path."""
+        assert [s.fingerprint() for s in make_shards(fattree4, 3)] == [
+            "570c320908b17e10", "decd9bdd64d9f81d", "71c1f79b35adbc18",
+        ]
+        assert [s.fingerprint() for s in make_shards(dcn1, 6)] == [
+            "978c14e8e7497057", "3cf5751a95d51fb6", "ca0c87477698d7f3",
+            "818333b1c0e93c1a", "1e76a49f41ce42cc", "5abdcb43c47fa121",
+        ]
 
 
 class TestShardedEqualsUnsharded:
