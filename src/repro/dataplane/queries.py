@@ -96,9 +96,16 @@ class PropertyChecker:
 
     # -- reachability -------------------------------------------------------
 
-    def check_reachability(self, query: Query) -> ReachabilityResult:
-        """Packets from each source that ARRIVE at each destination."""
-        header = self._header_bdd(query)
+    def check_reachability(
+        self, query: Query, within: int = TRUE
+    ) -> ReachabilityResult:
+        """Packets from each source that ARRIVE at each destination.
+
+        ``within`` (a header BDD in this checker's engine) restricts the
+        injected header space further: the serving layer's commit
+        rechecks only the destinations an announce made dirty.
+        """
+        header = self._engine.and_(self._header_bdd(query), within)
         result = ReachabilityResult()
         finals = self._forward(query.sources, header, False)
         wanted = set(query.destinations)

@@ -30,6 +30,27 @@ boot (:class:`VerifierSession` over an existing store) trusts the RIB
 files only when the two agree — otherwise (torn commit, damaged
 manifest) it raises the typed storage error internally and falls back
 to a cold start.
+
+Every commit rechecks all-pair reachability between the endpoints, but
+only over the header space the epoch can have changed.  Forwarding is
+destination-based, and an announce-only delta changes nothing but
+``bgp.networks``: the only FIB entries that can differ are those for the
+epoch's dirty prefixes (their BGP routes and the RECEIVE entries of
+originations; ACLs, connected, static and OSPF routes are untouched).
+An entry for prefix ``p`` matches only destinations in ``p``, so with
+``D`` the union of the dirty prefixes, every packet outside ``D`` meets
+the same entries and is forwarded exactly as in the committed epoch::
+
+    reach'(s, d) = (reach(s, d) ∧ ¬D) ∨ forward_D(s, d)
+
+where ``forward_D`` is the distributed all-pair forward with the injected
+header restricted to ``D``.  The committed per-pair BDDs are kept for
+that (in the DPO's controller engine, which is never collected).  The
+full recheck is the same rule with ``D = TRUE``; it is taken on boot, for
+a full delta, on a rebalance, when the endpoint set changed, when the
+control plane took the sequential fallback, and when the supervisor
+recovered a worker during the epoch.  An empty ``D`` (the same config
+re-applied) forwards nothing.
 """
 
 from __future__ import annotations
@@ -44,10 +65,12 @@ from concurrent.futures import Future
 from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
+from ..bdd.engine import FALSE, TRUE, BddEngine
 from ..config.loader import Snapshot
 from ..dataplane.queries import Query
 from ..dist.controller import S2Controller, S2Options
 from ..dist.storage import CorruptShardError, EpochMismatchError, RouteStore
+from ..net.ip import Prefix
 from ..obs.journal import EventJournal
 from ..obs.openmetrics import render_openmetrics
 from ..routing.engine import BgpResult
@@ -116,6 +139,28 @@ class DeltaResult:
     gained_pairs: Tuple[Tuple[str, str], ...] = ()
 
 
+# Per (source, destination): the BDD of packets that arrive.
+Reachable = Dict[Tuple[str, str], int]
+
+
+def merge_recheck(
+    engine: BddEngine, committed: Reachable, fresh: Reachable, within: int
+) -> Reachable:
+    """``(committed ∧ ¬within) ∨ fresh`` per pair, FALSE pairs dropped:
+    the committed epoch outside the rechecked header space, the fresh
+    forward inside it."""
+    outside = engine.not_(within)
+    merged: Reachable = {}
+    for pair in sorted(committed.keys() | fresh.keys()):
+        bdd = engine.or_(
+            engine.and_(committed.get(pair, FALSE), outside),
+            fresh.get(pair, FALSE),
+        )
+        if bdd != FALSE:
+            merged[pair] = bdd
+    return merged
+
+
 _STOP = object()
 
 # Internal queue item: the heal-probe thread asking the mutator to
@@ -155,6 +200,9 @@ class VerifierSession:
         self._recomputing = False
         self._view_lock = threading.Lock()
         self._committed: Optional[CommittedView] = None
+        # The committed view's per-pair reachable BDDs, in the DPO's
+        # controller engine; read and written by the mutator only.
+        self._reachable: Reachable = {}
         # The structured event journal: bounded in memory, mirrored to a
         # JSONL sink on the store so post-mortems survive the process.
         self.journal = EventJournal(
@@ -248,33 +296,48 @@ class VerifierSession:
 
     def _commit_view(
         self,
+        dirty: Optional[FrozenSet[Prefix]] = None,
+        full_reason: str = "boot",
+        recoveries: int = 0,
     ) -> Tuple[Optional[CommittedView], CommittedView]:
-        """Persist the epoch (manifest, then tag) and swap the view."""
+        """Persist the epoch (manifest, then tag), recheck, swap the view.
+
+        ``dirty`` is the epoch's dirty prefix set when its delta allows
+        the dirty-space recheck (``recoveries`` is the supervisor's count
+        when the epoch began); None takes the full one for
+        ``full_reason``.
+        """
         controller = self._controller
         manifest = controller.manifest
         if manifest is not None:
             manifest.epoch = self.epoch
             controller.store.write_manifest(manifest)
             controller.store.write_epoch_tag(self.epoch)
-        checker = controller.checker()
         endpoints = tuple(controller.prefix_holders())
-        result = checker.check_reachability(
-            Query(sources=endpoints, destinations=endpoints)
+        previous = self._committed
+        started = time.perf_counter()
+        reachable, recheck, prefixes = self._recheck(
+            endpoints, dirty, full_reason, recoveries
         )
+        recheck_ms = (time.perf_counter() - started) * 1000.0
         view = CommittedView(
             epoch=self.epoch,
             endpoints=endpoints,
-            pairs=frozenset(result.pairs()),
+            pairs=frozenset(reachable),
             ribs=controller.collected_ribs(),
         )
+        self._reachable = reachable
         with self._view_lock:
-            previous, self._committed = self._committed, view
+            self._committed = view
         self.last_commit_ts = time.time()
         self.journal.record(
             "epoch_commit",
             epoch=self.epoch,
             endpoints=len(endpoints),
             reachable_pairs=len(view.pairs),
+            recheck=recheck,
+            recheck_prefixes=prefixes,
+            recheck_ms=round(recheck_ms, 3),
         )
         if self._ground_truth_every:
             self._commits += 1
@@ -282,6 +345,47 @@ class VerifierSession:
                 self._ground_truth_check(view)
         self._publish_gauges()
         return previous, view
+
+    def _recheck(
+        self,
+        endpoints: Tuple[str, ...],
+        dirty: Optional[FrozenSet[Prefix]],
+        full_reason: str,
+        recoveries: int,
+    ) -> Tuple[Reachable, str, Optional[int]]:
+        """The epoch's per-pair reachable BDDs (FALSE pairs dropped),
+        the ``recheck`` journal tag, and the prefix count of ``D``.
+
+        The dirty-space rule is the module docstring's.  Prefixes of the
+        other address family are left out of ``D``: the predicates
+        compile only the encoding's family.  A changed endpoint set, or
+        a worker recovered at any point of the epoch (the dirty forward
+        included), sends the commit down the full path.
+        """
+        controller = self._controller
+        dpo = controller.dpo
+        if dirty is not None and self._committed.endpoints != endpoints:
+            dirty, full_reason = None, "endpoints"
+        if dirty is None:
+            within, carried, prefixes = TRUE, {}, None
+        else:
+            family = [
+                p for p in dirty if p.width == dpo.encoding.address_bits
+            ]
+            within = dpo.encoding.prefix_set_bdd(dpo.engine, family)
+            carried, prefixes = self._reachable, len(family)
+        fresh: Reachable = {}
+        if within != FALSE:
+            fresh = controller.checker().check_reachability(
+                Query(sources=endpoints, destinations=endpoints),
+                within=within,
+            ).reachable
+        recovered = controller.supervisor.recoveries != recoveries
+        if dirty is not None and recovered:
+            return self._recheck(endpoints, None, "recovery", recoveries)
+        reachable = merge_recheck(dpo.engine, carried, fresh, within)
+        tag = "dirty" if dirty is not None else f"full:{full_reason}"
+        return reachable, tag, prefixes
 
     def _ground_truth_check(self, view: CommittedView) -> None:
         """Audit the committed epoch with concrete packet walks.
@@ -534,6 +638,7 @@ class VerifierSession:
             epoch=epoch,
         )
         controller = self._controller
+        recoveries = controller.supervisor.recoveries
         if classification.incremental:
             self._prepare_incremental(new_snapshot, classification, epoch)
         else:
@@ -542,7 +647,13 @@ class VerifierSession:
         controller.rebuild_data_plane()
         self.snapshot = new_snapshot
         self.epoch = epoch
-        previous, view = self._commit_view()
+        if not classification.incremental:
+            dirty, reason = None, "delta"
+        elif stats.sequential_fallback:
+            dirty, reason = None, "sequential-fallback"
+        else:
+            dirty, reason = classification.dirty_prefixes, ""
+        previous, view = self._commit_view(dirty, reason, recoveries)
         return DeltaResult(
             epoch=epoch,
             kind=classification.kind,
@@ -580,7 +691,7 @@ class VerifierSession:
             healed = True
         if healed:
             controller.rebuild_data_plane()
-            self._commit_view()
+            self._commit_view(full_reason="rebalance")
         return healed
 
     def _heal_loop(self) -> None:

@@ -13,6 +13,8 @@ import threading
 
 import pytest
 
+from repro.bdd.engine import FALSE
+from repro.dataplane.queries import Query
 from repro.net.dcn import build_dcn
 from repro.net.fattree import build_fattree
 from repro.routing.engine import SimulationEngine
@@ -89,3 +91,22 @@ def normalize_ribs(result):
         }
         for host, table in result.items()
     }
+
+
+def full_recheck(controller, endpoints):
+    """The all-pair recheck over the whole header space (``D = TRUE``)
+    of a serve session's current data plane, in its own engine: the
+    per-pair BDDs every dirty-space commit must equal."""
+    reachable = controller.checker().check_reachability(
+        Query(sources=tuple(endpoints), destinations=tuple(endpoints))
+    ).reachable
+    return {pair: bdd for pair, bdd in reachable.items() if bdd != FALSE}
+
+
+def commit_records(session):
+    """The ``epoch_commit`` journal records' attrs, oldest first."""
+    return [
+        event.attrs
+        for event in session.journal.events()
+        if event.kind == "epoch_commit"
+    ]

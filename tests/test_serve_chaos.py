@@ -6,6 +6,11 @@ process force-killed between epochs, must end bit-identical to a cold
 start at the final configuration: same RIBs, same reachability
 verdicts.  Anything less means a fault leaked into the results instead
 of being healed by the epoch fence and supervisor recovery.
+
+Every commit's per-pair BDDs are also checked against a full recheck
+(``D = TRUE``) of the same data plane, wrapped around the session's
+recheck, so a dirty-space commit that a fault made stale shows up at the
+epoch it happened, not only in the final view.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ import pytest
 from repro.config.loader import snapshot_from_texts
 from repro.dataplane.queries import Query
 from repro.dist.controller import S2Controller, S2Options
-from repro.dist.faults import sample_serve_plan
+from repro.dist.faults import FaultPlan, FaultSpec, sample_serve_plan
 from repro.net.fattree import FatTreeSpec, render_configs
 from repro.serve import ConfigTextDelta, LinkDelta, VerifierSession
 
-from tests.conftest import normalize_ribs
+from tests.conftest import commit_records, full_recheck, normalize_ribs
 
 NUM_WORKERS = 3
 NUM_SHARDS = 8
@@ -55,6 +60,29 @@ def _announce_delta(ft4_texts):
     return ConfigTextDelta(
         hostname=host, text="\n".join(lines), dialect=dialect
     )
+
+
+@pytest.fixture
+def recheck_reference(monkeypatch):
+    """Wrap :meth:`VerifierSession._recheck` with a full-recheck
+    reference; yields ``[(epoch, recheck tag, equal)]``, one per call
+    (a dirty recheck that a recovery sent down the full path calls it
+    twice), checked after the test."""
+    records = []
+    original = VerifierSession._recheck
+
+    def checked(self, endpoints, dirty, full_reason, recoveries):
+        reachable, tag, prefixes = original(
+            self, endpoints, dirty, full_reason, recoveries
+        )
+        expected = full_recheck(self._controller, endpoints)
+        records.append((self.epoch, tag, reachable == expected))
+        return reachable, tag, prefixes
+
+    monkeypatch.setattr(VerifierSession, "_recheck", checked)
+    yield records
+    assert records, "no commit was rechecked"
+    assert [r for r in records if not r[2]] == []
 
 
 def _oracle(snapshot):
@@ -100,7 +128,9 @@ def _assert_final_state(session) -> None:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_socket_session_under_sampled_chaos(ft4, ft4_texts, seed):
+def test_socket_session_under_sampled_chaos(
+    ft4, ft4_texts, seed, recheck_reference
+):
     """Sampled network faults + a forced worker kill across three
     epochs over real TCP: final state equals the cold start."""
     plan = sample_serve_plan(seed, NUM_WORKERS)
@@ -122,7 +152,9 @@ def test_socket_session_under_sampled_chaos(ft4, ft4_texts, seed):
     assert fired >= 1, "the sampled plan never injected anything"
 
 
-def test_socket_session_survives_worker_kill(ft4, ft4_texts):
+def test_socket_session_survives_worker_kill(
+    ft4, ft4_texts, recheck_reference
+):
     """No injected faults, one worker killed between epochs: the next
     delta heals it and the final state equals the cold start."""
     options = S2Options(
@@ -132,9 +164,16 @@ def test_socket_session_survives_worker_kill(ft4, ft4_texts):
         _drive(session, ft4, ft4_texts, kill_worker=True)
         assert session._controller.supervisor.recoveries >= 1
         _assert_final_state(session)
+    # The announce rechecked its dirty space; the kill healed at the
+    # next (full) delta.
+    assert [tag for _, tag, _ in recheck_reference] == [
+        "full:boot", "dirty", "full:delta", "full:delta"
+    ]
 
 
-def test_socket_session_kill_during_incremental_delta(ft4, ft4_texts):
+def test_socket_session_kill_during_incremental_delta(
+    ft4, ft4_texts, recheck_reference
+):
     """The kill lands before an *announce* delta: the respawn must be
     re-seeded from the new snapshot (not boot-time configure args) and
     fenced into the new epoch before its dirty shards replay."""
@@ -154,3 +193,35 @@ def test_socket_session_kill_during_incremental_delta(ft4, ft4_texts):
         assert view.pairs == oracle_pairs
         assert normalize_ribs(view.ribs) == oracle_ribs
         assert not session.degraded
+
+
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
+def test_crash_during_the_dirty_recheck_takes_the_full_path(
+    ft4, ft4_texts, runtime, recheck_reference
+):
+    """A worker crashes on ``drain`` while an announce's dirty-space
+    recheck forwards (armed after boot, and the control plane never
+    drains).  The DPO recovers and replays, and the commit then takes
+    the full recheck: its view equals the cold start."""
+    plan = FaultPlan()
+    options = S2Options(
+        num_workers=NUM_WORKERS,
+        num_shards=NUM_SHARDS,
+        runtime=runtime,
+        fault_plan=plan,
+    )
+    with VerifierSession(ft4, options) as session:
+        plan.add(FaultSpec.parse("crash:worker=1,command=drain"))
+        result = session.apply_delta(_announce_delta(ft4_texts), timeout=300)
+        assert result.kind == "announce"
+        assert plan.count("crash") == 1
+        assert session._controller.supervisor.recoveries >= 1
+        assert commit_records(session)[-1]["recheck"] == "full:recovery"
+        oracle_ribs, oracle_pairs = _oracle(session.snapshot)
+        view = session.reachability()
+        assert view.pairs == oracle_pairs
+        assert normalize_ribs(view.ribs) == oracle_ribs
+        assert not session.degraded
+    assert {tag for epoch, tag, _ in recheck_reference if epoch == 1} == {
+        "full:recovery"
+    }

@@ -19,15 +19,18 @@ The central claims under test:
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
+from repro.bdd.engine import FALSE
 from repro.config.loader import snapshot_from_texts
 from repro.dataplane.queries import Query
 from repro.dataplane.verifier import DataPlaneVerifier
 from repro.dist.controller import S2Controller, S2Options
 from repro.dist.sharding import PrefixShard
+from repro.net.dcn import build_dcn, default_spec, render_configs as dcn_texts
 from repro.net.fattree import FatTreeSpec, render_configs
 from repro.obs.top import render_top
 from repro.routing.engine import SimulationEngine
@@ -40,8 +43,9 @@ from repro.serve import (
     UnknownEndpointError,
     VerifierSession,
 )
+from repro.serve import session as session_module
 
-from tests.conftest import normalize_ribs
+from tests.conftest import commit_records, full_recheck, normalize_ribs
 
 NUM_WORKERS = 2
 NUM_SHARDS = 8
@@ -81,18 +85,21 @@ def announce_host(ft4_texts):
     return _announcers(ft4_texts, 1)[0]
 
 
-def _with_extra_network(text: str, octet: int = 113) -> str:
-    """The device's config with one more announced network."""
+def _with_network(text: str, network: str) -> str:
+    """The device's config with one more ``network`` statement."""
     lines = text.splitlines()
     last_net = max(
         index
         for index, line in enumerate(lines)
         if line.strip().startswith("network ")
     )
-    lines.insert(
-        last_net + 1, f" network 203.0.{octet}.0 mask 255.255.255.0"
-    )
+    lines.insert(last_net + 1, f" network {network}")
     return "\n".join(lines)
+
+
+def _with_extra_network(text: str, octet: int = 113) -> str:
+    """The device's config with one more announced /24."""
+    return _with_network(text, f"203.0.{octet}.0 mask 255.255.255.0")
 
 
 def _without_networks(text: str) -> str:
@@ -395,6 +402,159 @@ def test_wrong_hostname_in_config_delta_is_rejected(
                 timeout=300,
             )
         assert session.health()["status"] == "serving"
+
+
+# -- the dirty-space recheck ------------------------------------------------
+
+
+def _carried_equals_full(session) -> bool:
+    """The session's per-pair BDDs equal a full recheck (``D = TRUE``)
+    of its current data plane, in the same engine."""
+    endpoints = session.reachability().endpoints
+    return session._reachable == full_recheck(session._controller, endpoints)
+
+
+def _recheck_schedule(ft4, ft4_texts, host):
+    """(delta, expected ``recheck`` tag, expected prefixes in ``D``)."""
+    dialect, text = ft4_texts[host]
+    link = next(iter(ft4.topology.links()))
+    a, b = link.a.node, link.b.node
+    added = _with_extra_network(text)
+    return [
+        (ConfigTextDelta(host, added, dialect), "dirty", 1),
+        (ConfigTextDelta(host, text, dialect), "dirty", 1),
+        # The same config again: D is empty.
+        (ConfigTextDelta(host, text, dialect), "dirty", 0),
+        # The host stops announcing, so the endpoint set changes.
+        (
+            ConfigTextDelta(host, _without_networks(text), dialect),
+            "full:endpoints",
+            None,
+        ),
+        (LinkDelta(a=a, b=b), "full:delta", None),
+        (LinkDelta(a=a, b=b, up=True), "full:delta", None),
+    ]
+
+
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
+def test_dirty_recheck_equals_the_full_recheck(
+    ft4, ft4_texts, announce_host, runtime
+):
+    """Every epoch's per-pair BDDs equal a full recheck in the same
+    engine, whichever path the commit took; an empty ``D`` forwards
+    nothing; the final view equals the monolithic engine."""
+    schedule = _recheck_schedule(ft4, ft4_texts, announce_host)
+    with VerifierSession(ft4, _options(runtime=runtime)) as session:
+        dpo = session._controller.dpo
+        assert commit_records(session)[-1]["recheck"] == "full:boot"
+        for delta, tag, prefixes in schedule:
+            supersteps = dpo.stats.supersteps
+            result = session.apply_delta(delta, timeout=300)
+            record = commit_records(session)[-1]
+            assert record["epoch"] == result.epoch
+            assert (record["recheck"], record["recheck_prefixes"]) == (
+                tag,
+                prefixes,
+            )
+            assert record["recheck_ms"] >= 0
+            if prefixes == 0:
+                assert dpo.stats.supersteps == supersteps
+            assert _carried_equals_full(session), result.epoch
+        _assert_monolithic(session)
+
+
+def test_dirty_recheck_oracle_catches_a_stale_carry(
+    ft4, ft4_texts, announce_host, monkeypatch
+):
+    """Without the ``∧ ¬D`` conjunct a withdrawn /24 keeps its arrivals
+    from the committed epoch: the oracle above must see the difference."""
+
+    def merge_without_outside(engine, committed, fresh, within):
+        merged = {
+            pair: engine.or_(
+                committed.get(pair, FALSE), fresh.get(pair, FALSE)
+            )
+            for pair in committed.keys() | fresh.keys()
+        }
+        return {pair: bdd for pair, bdd in merged.items() if bdd != FALSE}
+
+    monkeypatch.setattr(
+        session_module, "merge_recheck", merge_without_outside
+    )
+    dialect, text = ft4_texts[announce_host]
+    with VerifierSession(ft4, _options()) as session:
+        session.apply_delta(
+            ConfigTextDelta(
+                announce_host, _with_extra_network(text), dialect
+            ),
+            timeout=300,
+        )
+        session.apply_delta(
+            ConfigTextDelta(announce_host, text, dialect), timeout=300
+        )
+        assert commit_records(session)[-1]["recheck"] == "dirty"
+        assert not _carried_equals_full(session)
+
+
+def test_dirty_recheck_inside_an_aggregate_on_dcn(dcn1):
+    """A /24 announced inside an aggregating cluster's /16: ``D`` is the
+    whole aggregate component and overlaps prefixes that stay clean
+    (the border's default route), yet every epoch equals the full
+    recheck and the final view the monolithic engine."""
+    host = "c3-t0-0"  # a Cisco ToR of the aggregating cluster
+    dialect, text = dcn_texts(default_spec(1))[host]
+    added = _with_network(text, "10.3.200.0 mask 255.255.255.0")
+    with VerifierSession(dcn1, _options()) as session:
+        for new_text in (added, text):
+            result = session.apply_delta(
+                ConfigTextDelta(host, new_text, dialect), timeout=300
+            )
+            record = commit_records(session)[-1]
+            assert result.kind == "announce"
+            assert record["recheck"] == "dirty"
+            assert record["recheck_prefixes"] == result.dirty_prefixes > 1
+            assert _carried_equals_full(session), result.epoch
+        _assert_monolithic(session)
+
+
+def test_dual_stack_prefixes_stay_out_of_the_ipv4_recheck():
+    """Under the IPv4 encoding an IPv6 ``network`` toggle dirties only
+    other-family prefixes, so ``D`` is empty; a mixed delta rechecks
+    only its IPv4 half.  Each epoch equals the full recheck."""
+    dcn6 = build_dcn(scale=1, ipv6=True)
+    host = "c3-t0-0"
+    spec = dataclasses.replace(default_spec(1), ipv6=True)
+    dialect, text = dcn_texts(spec)[host]
+    v4_only = "\n".join(
+        line
+        for line in text.splitlines()
+        if not (line.strip().startswith("network ") and ":" in line)
+    )
+    mixed = _with_network(text, "10.3.200.0 mask 255.255.255.0")
+    with VerifierSession(dcn6, _options()) as session:
+        dpo = session._controller.dpo
+        supersteps = dpo.stats.supersteps
+        result = session.apply_delta(
+            ConfigTextDelta(host, v4_only, dialect), timeout=300
+        )
+        record = commit_records(session)[-1]
+        assert result.kind == "announce" and result.dirty_prefixes > 0
+        assert (record["recheck"], record["recheck_prefixes"]) == ("dirty", 0)
+        assert dpo.stats.supersteps == supersteps
+        assert _carried_equals_full(session)
+        # Restores the IPv6 network and adds an IPv4 /24, then withdraws
+        # the /24 alone.
+        for new_text, v6_dirty in ((mixed, True), (text, False)):
+            result = session.apply_delta(
+                ConfigTextDelta(host, new_text, dialect), timeout=300
+            )
+            record = commit_records(session)[-1]
+            assert record["recheck"] == "dirty"
+            assert 0 < record["recheck_prefixes"] <= result.dirty_prefixes
+            assert (
+                record["recheck_prefixes"] < result.dirty_prefixes
+            ) == v6_dirty
+            assert _carried_equals_full(session), result.epoch
 
 
 # -- self-healing -----------------------------------------------------------
