@@ -17,16 +17,15 @@ asks which one runs.
 
 The controller is also where fault tolerance comes together:
 
-* a :class:`WorkerSupervisor` recovers failed workers (the pool respawns
-  a socket worker's process or resets an in-process worker in place)
-  and replays the OSPF checkpoint into them, so the CPO can rerun the
-  interrupted shard;
-* a worker whose respawn budget is spent is declared lost: the fleet
-  records it, its shards migrate to the survivors, and
-  :meth:`S2Controller.rejoin_worker` rebalances them back once the host
-  heals;
+* every unit of worker work (shard, OSPF, build, query, fan-out) runs
+  in :meth:`WorkerSupervisor.replay`: the pool respawns or resets a
+  failed worker, the supervisor replays its OSPF checkpoint, and the
+  unit reruns;
+* a worker whose respawn budget is spent is declared lost; after a loss
+  or a rejoin (:meth:`S2Controller.rejoin_worker`) the assignment is
+  always :meth:`S2Controller._plan_partition` around the lost set;
 * if recovery itself fails (:class:`~repro.dist.faults.RespawnError`) or
-  the retry budget is exhausted, :meth:`S2Controller.run_control_plane`
+  the replay budget is exhausted, :meth:`S2Controller.run_control_plane`
   degrades to the monolithic :class:`~repro.routing.engine.
   SimulationEngine` and writes *bit-identical* per-shard results into
   the route store (the engines are equivalence-tested);
@@ -42,7 +41,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..bdd.headerspace import HeaderEncoding
 from ..config.loader import Snapshot
@@ -86,7 +85,8 @@ RUNTIMES = ("sequential", "socket")
 @dataclass
 class S2Options:
     """Tuning knobs of an S2 run (defaults mirror the paper's setup at
-    model scale: METIS partitioning, 20 shards, 100GB-per-worker)."""
+    model scale: METIS partitioning, 100GB-per-worker; prefix sharding
+    is off unless ``num_shards`` > 1)."""
 
     num_workers: int = 4
     partition_scheme: str = "metis"
@@ -158,8 +158,8 @@ class WorkerSupervisor:
     an in-place :meth:`~repro.dist.worker.Worker.reset` in-process —
     keeping the proxy/worker *identity* so orchestrator and sidecar
     references stay valid; (2) replay the OSPF checkpoint taken after
-    the IGP fixed point; (3) the caller (CPO/DPO) replays the
-    interrupted unit of work (shard or query), which is idempotent.
+    the IGP fixed point; (3) :meth:`replay` reruns the interrupted unit
+    of work (shard, query, fan-out), which is idempotent.
 
     Respawn itself can fail (dead host, ``respawn_fail``/``host_loss``
     injection).  Each recovery retries up to ``policy.respawn_budget``
@@ -167,9 +167,7 @@ class WorkerSupervisor:
     hosts), where a refused re-dial means the host is gone and the
     budget is one.  A worker whose budget is spent is declared **lost**:
     journaled, then handed to :attr:`on_loss` (the controller's shard
-    migration hook) so the run continues on the survivors.  Without a
-    hook the :class:`RespawnError` propagates — the legacy
-    all-or-nothing degradation.
+    migration hook) so the run continues on the survivors.
     """
 
     def __init__(
@@ -195,6 +193,32 @@ class WorkerSupervisor:
         # Serving mode: the session's event journal, when attached —
         # respawns and stale-epoch rejections become typed records.
         self.journal: Optional[Any] = None
+
+    # -- replay -----------------------------------------------------------
+
+    def replay(
+        self,
+        unit: Callable[[], Any],
+        on_recovered: Optional[Callable[[], None]] = None,
+    ) -> Any:
+        """Run the idempotent ``unit``; on each :class:`WorkerFailure`,
+        :meth:`recover` the worker, call ``on_recovered`` and rerun it.
+
+        Re-raises once one worker would be recovered more than
+        ``policy.max_replays`` times within this unit.
+        """
+        recovered: Dict[Optional[int], int] = {}
+        while True:
+            try:
+                return unit()
+            except WorkerFailure as failure:
+                count = recovered.get(failure.worker_id, 0) + 1
+                if count > self.policy.max_replays:
+                    raise
+                recovered[failure.worker_id] = count
+                self.recover(failure)
+            if on_recovered is not None:
+                on_recovered()
 
     # -- OSPF checkpoint --------------------------------------------------
 
@@ -230,7 +254,7 @@ class WorkerSupervisor:
 
         When the respawn budget is spent the worker is declared lost and
         :attr:`on_loss` migrates its shards instead — returning normally
-        so the caller's retry loop replays the unit on the survivors.
+        so :meth:`replay` reruns the unit on the survivors.
         """
         worker_id = failure.worker_id
         if worker_id is None or self.fleet.get(worker_id) is None:
@@ -266,7 +290,19 @@ class WorkerSupervisor:
             except RespawnError as exc:
                 cause = exc
         else:
-            self.declare_lost(worker_id, cause)
+            # Budget spent: the worker is lost.  Without a loss hook
+            # (standalone supervisor) the RespawnError propagates.
+            if self.journal is not None:
+                self.journal.record(
+                    "worker_lost",
+                    worker=worker_id,
+                    reason=str(cause),
+                    epoch=epoch,
+                    survivors=max(0, len(self.fleet.workers) - 1),
+                )
+            if self.on_loss is None:
+                raise cause
+            self.on_loss(worker_id, cause)
             return
         worker.restore_ospf_state(self._ospf_states.get(worker_id))
         if epoch is not None:
@@ -274,22 +310,6 @@ class WorkerSupervisor:
             # construction); re-seed before the shard replay so the
             # fence admits the recovered worker.
             worker.begin_epoch(epoch)
-
-    def declare_lost(self, worker_id: int, cause: RespawnError) -> None:
-        """Budget spent: journal the loss and hand off to the migration
-        hook.  Without a hook (standalone supervisor) the RespawnError
-        propagates and the caller degrades as before."""
-        if self.journal is not None:
-            self.journal.record(
-                "worker_lost",
-                worker=worker_id,
-                reason=str(cause),
-                epoch=self.fleet.epoch,
-                survivors=max(0, len(self.fleet.workers) - 1),
-            )
-        if self.on_loss is None:
-            raise cause
-        self.on_loss(worker_id, cause)
 
     def merge_ospf_checkpoints(self) -> None:
         """Install the union of every checkpoint on every active worker.
@@ -420,10 +440,9 @@ class S2Controller:
         self.supervisor.on_loss = self._handle_worker_loss
         self.dpo = DataPlaneOrchestrator(
             self.fleet,
+            self.supervisor,
             encoding=opts.encoding,
             node_limit=opts.node_limit,
-            supervisor=self.supervisor,
-            retry_policy=opts.retry_policy,
             tracer=self.tracer,
             metrics=self.metrics,
         )
@@ -546,9 +565,9 @@ class S2Controller:
         self.cpo = ControlPlaneOrchestrator(
             self.fleet,
             self.store,
+            self.supervisor,
             max_rounds=opts.max_rounds,
             fault_plan=opts.fault_plan,
-            supervisor=self.supervisor,
             retry_policy=opts.retry_policy,
             manifest=manifest,
             tracer=self.tracer,
@@ -558,40 +577,19 @@ class S2Controller:
 
     # -- serving support (epoch-fenced deltas) -----------------------------
 
-    def _on_each_worker(self, command: str, *args) -> None:
-        """Run ``command`` on every worker in turn, healing one failure
-        per worker.
-
-        A worker that died *between* epochs (no shard in flight, so the
-        CPO's replay machinery never sees it) first surfaces here when
-        the next delta fans out.  Route the failure through supervisor
-        recovery — respawn from the pool's current configure args, OSPF
-        checkpoint restore, epoch re-seed — then retry once on the
-        recovered worker; a second failure propagates to the caller.
-        A worker declared *lost* during recovery needs no retry — the
-        migration already rebuilt the survivors.
-        """
-        for worker in self.fleet.workers:
-            worker_id = worker.worker_id
-            try:
-                worker.call_nowait(command, *args).result()
-            except WorkerFailure as failure:
-                if failure.worker_id is None:
-                    failure.worker_id = worker_id
-                self.supervisor.recover(failure)
-                if worker_id not in self.fleet.lost:
-                    worker.call_nowait(command, *args).result()
-
     def begin_epoch(self, epoch: int) -> None:
         """Seed every worker — and the fence plumbing — with ``epoch``.
 
         From here on, ``begin_shard`` carries the epoch and any worker
         at a different one (a respawn that missed the delta, a healed
         partition survivor) raises :class:`StaleEpochError` and goes
-        through supervisor recovery before touching the shard.
+        through supervisor recovery before touching the shard.  A worker
+        that died *between* epochs surfaces in this (idempotent) fan-out.
         """
         self.fleet.epoch = epoch
-        self._on_each_worker("begin_epoch", epoch)
+        self.supervisor.replay(
+            lambda: self.fleet.call_all("begin_epoch", epoch)
+        )
 
     def rebind_snapshot(
         self,
@@ -613,7 +611,11 @@ class S2Controller:
         # A worker respawned mid-epoch is re-seeded from the pool's
         # spawn args; those must describe the *current* snapshot.
         self._pool.update_snapshot(snapshot, self.partition.assignment)
-        self._on_each_worker("rebind_snapshot", snapshot, changed, epoch)
+        self.supervisor.replay(
+            lambda: self.fleet.call_all(
+                "rebind_snapshot", snapshot, changed, epoch
+            )
+        )
         if epoch is not None:
             self.fleet.epoch = epoch
         self.dpo.invalidate()
@@ -643,21 +645,13 @@ class S2Controller:
     def _reconfigure_fleet(self) -> None:
         """Logically respawn every active worker on the current snapshot
         and assignment, recovering workers that fail on the way."""
-        attempts = 0
-        while True:
-            try:
-                # Refetched every attempt: a recovery that declared a
-                # worker lost re-planned the assignment under us.
-                self._pool.reconfigure(
-                    self.snapshot, self.partition.assignment,
-                    self.fleet.workers,
-                )
-                break
-            except WorkerFailure as failure:
-                attempts += 1
-                if attempts > len(self.fleet.workers):
-                    raise
-                self.supervisor.recover(failure)
+        # Read at every attempt: a recovery that declared a worker lost
+        # re-planned the assignment and shrank the fleet under us.
+        self.supervisor.replay(
+            lambda: self._pool.reconfigure(
+                self.snapshot, self.partition.assignment, self.fleet.workers
+            )
+        )
 
     def _rebuild_fleet(self) -> None:
         """After a membership change: respawn the active workers on the
@@ -686,31 +680,18 @@ class S2Controller:
     ) -> None:
         """Migrate a dead worker's shards to the survivors.
 
-        Installed as the supervisor's ``on_loss`` hook.  The run stays
-        *distributed*: the lost worker's nodes are reassigned across the
-        survivors (heaviest first), its persisted shard files merge into
-        the adopters', the union OSPF checkpoint replays everywhere, and
-        the caller's retry loop replays the interrupted unit on the
-        shrunken fleet.  Raises :class:`RespawnError` when no survivors
-        remain — the sequential fallback's cue.
+        Installed as the supervisor's ``on_loss`` hook: the worker is
+        marked lost and the membership tail runs, so the run stays
+        *distributed* on the shrunken fleet.  Raises
+        :class:`RespawnError` when no survivors remain — the sequential
+        fallback's cue.
         """
-        survivors = [i for i in self.fleet.active_ids if i != worker_id]
-        if not survivors:
+        if self.fleet.active_ids == [worker_id]:
             raise RespawnError(
                 f"worker {worker_id} is lost and no survivors remain",
                 worker_id=worker_id,
             )
-        orphans = sum(
-            1 for owner in self.partition.assignment.values()
-            if owner == worker_id
-        )
-        new_assignment = plan_reassignment(
-            self.partition.assignment,
-            worker_id,
-            survivors,
-            node_loads=estimate_loads(self.snapshot),
-        )
-        self.partition = replace(self.partition, assignment=new_assignment)
+        orphans = list(self.partition.assignment.values()).count(worker_id)
         # Quarantine the dead worker: the fleet freezes its identity,
         # stats, and transport counters; the pool keeps its slot, since
         # ``respawn`` doubles as the heal probe.
@@ -719,53 +700,15 @@ class S2Controller:
             f"{type(cause).__name__}: {cause}",
             self._pool.channel_counters(worker_id),
         )
-        migrated = self._migrate_store_files(worker_id, new_assignment)
-        # Account the loss *before* rebuilding the survivors: a cascade
-        # (another worker dying during the rebuild) must not erase the
-        # record of this one.
-        active = len(self.fleet.workers)
+        migrated = len(self.store.worker_shard_indices(worker_id))
         self.cpo.stats.workers_lost += 1
         self.cpo.stats.shards_reassigned += migrated
         self.metrics.counter("cluster.workers_lost").inc()
-        self.metrics.gauge("cluster.active_workers").set(active)
-        self.tracer.instant(
-            "worker.lost", worker=worker_id, survivors=active,
-            shards=migrated,
+        self._membership_changed(
+            "worker.lost", "shard_reassigned", worker=worker_id,
+            shards=migrated, nodes=orphans,
+            survivors=len(self.fleet.workers),
         )
-        if self.supervisor.journal is not None:
-            self.supervisor.journal.record(
-                "shard_reassigned",
-                worker=worker_id,
-                shards=migrated,
-                nodes=orphans,
-                survivors=active,
-            )
-        self._rebuild_fleet()
-
-    def _migrate_store_files(
-        self, worker_id: int, assignment: Dict[str, int]
-    ) -> int:
-        """Merge the lost worker's flushed shard files into the adopters'.
-
-        ``collected_ribs`` and ``build_dataplane`` read per-worker merged
-        stores, so after migration the survivors' files must jointly
-        cover every node the dead worker owned.  Returns the number of
-        shard files migrated.
-        """
-        migrated = 0
-        for shard_index in self.store.worker_shard_indices(worker_id):
-            routes = self.store.read_shard(worker_id, shard_index)
-            adopted: Dict[int, ShardRoutes] = {}
-            for node, prefixes in routes.items():
-                owner = assignment.get(node)
-                if owner is None or owner == worker_id:
-                    continue
-                adopted.setdefault(owner, {})[node] = prefixes
-            for owner, nodes in sorted(adopted.items()):
-                self.store.merge_into_shard(owner, shard_index, nodes)
-            migrated += 1
-        self.store.delete_worker_files(worker_id)
-        return migrated
 
     def rejoin_worker(
         self, worker_id: int, epoch: Optional[int] = None
@@ -773,10 +716,8 @@ class S2Controller:
         """Probe a lost worker's host and rebalance shards back onto it.
 
         Returns False while the host is still down (the caller re-arms
-        its backoff timer).  On success the canonical partition for the
-        now-larger fleet is restored (re-planned around any *still*-lost
-        workers), the store's shard files are re-keyed to it, and the
-        rejoined worker comes back epoch-fenced like any respawn.
+        its backoff timer).  On success the worker returns to the fleet
+        and the membership tail runs, as after a loss.
         """
         if worker_id not in self.fleet.lost:
             raise ValueError(f"worker {worker_id} is not lost")
@@ -785,53 +726,57 @@ class S2Controller:
         except RespawnError:
             return False
         self.fleet.rejoin(worker_id)
-        self.partition = self._plan_partition(sorted(self.fleet.lost))
-        self._repartition_store(self.partition.assignment)
         if epoch is not None:
             self.fleet.epoch = epoch
-        self._rebuild_fleet()
-        active = len(self.fleet.workers)
-        self.metrics.gauge("cluster.active_workers").set(active)
-        self.tracer.instant("worker.rejoined", worker=worker_id, active=active)
-        if self.supervisor.journal is not None:
-            self.supervisor.journal.record(
-                "worker_rejoined",
-                worker=worker_id,
-                epoch=self.fleet.epoch,
-                active=active,
-            )
+        self._membership_changed(
+            "worker.rejoined", "worker_rejoined", worker=worker_id,
+            epoch=self.fleet.epoch, active=len(self.fleet.workers),
+        )
         return True
 
-    def _repartition_store(self, assignment: Dict[str, int]) -> int:
-        """Re-key every persisted shard file to ``assignment``'s owners.
-
-        Content is untouched — the same (node, prefix) routes land in
-        the owning worker's file at the same flush index, so the merged
-        RIBs stay bit-identical across the rebalance.
-        """
-        active = self.fleet.active_ids
-        indices = sorted(
-            {
-                index
-                for wid in active
-                for index in self.store.worker_shard_indices(wid)
-            }
+    def _membership_changed(
+        self, instant: str, record: str, **fields: Any
+    ) -> None:
+        """The tail of a loss or a rejoin: re-plan around the lost set
+        (whatever order it formed in), re-key the store, record the
+        change (before the rebuild, so a cascading loss cannot erase
+        it), and rebuild the active workers."""
+        self.partition = self._plan_partition(sorted(self.fleet.lost))
+        self._repartition_store()
+        self.metrics.gauge("cluster.active_workers").set(
+            len(self.fleet.workers)
         )
-        for shard_index in indices:
-            combined: ShardRoutes = {}
-            for wid in active:
+        self.tracer.instant(instant, **fields)
+        if self.supervisor.journal is not None:
+            self.supervisor.journal.record(record, **fields)
+        self._rebuild_fleet()
+
+    def _repartition_store(self) -> None:
+        """Re-key every shard file, a just-lost worker's included, to
+        the current assignment's owners at the same flush index (the
+        merged RIBs stay bit-identical), then delete the lost workers'
+        files so a later re-key cannot resurrect them."""
+        assignment = self.partition.assignment
+        active = self.fleet.active_ids
+        readers = active + sorted(self.fleet.lost)
+        indices = set()
+        for wid in readers:
+            indices.update(self.store.worker_shard_indices(wid))
+        for shard_index in sorted(indices):
+            per_worker: Dict[int, ShardRoutes] = {wid: {} for wid in active}
+            for wid in readers:
                 try:
-                    combined.update(self.store.read_shard(wid, shard_index))
+                    routes = self.store.read_shard(wid, shard_index)
                 except FileNotFoundError:
                     continue
-            per_worker: Dict[int, ShardRoutes] = {wid: {} for wid in active}
-            for node, prefixes in combined.items():
-                owner = assignment.get(node)
-                if owner in per_worker:
-                    per_worker[owner][node] = prefixes
+                for node, prefixes in routes.items():
+                    owner = assignment.get(node)
+                    if owner in per_worker:
+                        per_worker[owner][node] = prefixes
             for wid, routes in per_worker.items():
                 self.store.write_shard(wid, shard_index, routes)
-        return len(indices)
+        for wid in self.fleet.lost:
+            self.store.delete_worker_files(wid)
 
     # -- pipeline ---------------------------------------------------------
 
@@ -839,7 +784,7 @@ class S2Controller:
         """The sharded fixed point, with graceful degradation.
 
         A :class:`WorkerFailure` escaping the CPO means supervision is
-        out of options (respawn failed, or the shard retry budget is
+        out of options (respawn failed, or the replay budget is
         spent); rather than abandon the run, the controller recomputes
         the remaining shards on the monolithic engine — slower, but
         bit-identical (the engines are equivalence-tested) — and the

@@ -13,9 +13,9 @@ which is exactly what bounds the per-worker peak at one shard (§4.5).
 
 Fault tolerance rides on shard idempotency: ``begin_shard`` fully resets
 per-shard state, so when a :class:`~repro.dist.faults.WorkerFailure`
-surfaces mid-fixed-point the CPO asks the supervisor to recover the
-worker (respawn/reset + OSPF checkpoint replay) and simply replays the
-whole shard from round 0 — bit-identical to the fault-free run.  Dropped
+surfaces mid-fixed-point, ``WorkerSupervisor.replay`` recovers the
+worker and reruns the whole shard from round 0 — bit-identical to the
+fault-free run.  Dropped
 sidecar batches are healed by the rounds themselves (exports are resent
 in full every round); the only hazard is a drop in the would-be-final
 round, so the CPO refuses to declare convergence in any round where the
@@ -27,7 +27,7 @@ index only while the manifest's packing still gives it the same prefixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
@@ -50,7 +50,7 @@ class ControlPlaneStats:
     peak_candidate_routes: int = 0  # summed over workers, any instant
     total_selected_routes: int = 0
     # -- fault tolerance -------------------------------------------------
-    worker_failures: int = 0        # WorkerFailures seen during BGP/OSPF
+    worker_failures: int = 0        # WorkerFailures recovered in BGP/OSPF
     shard_replays: int = 0          # shards rerun after a recovery
     ospf_replays: int = 0           # OSPF fixed points rerun after recovery
     forced_rounds: int = 0          # extra rounds forced by dropped batches
@@ -75,9 +75,9 @@ class ControlPlaneOrchestrator:
         self,
         fleet: Fleet,
         store: RouteStore,
+        supervisor,
         max_rounds: int = 200,
         fault_plan: Optional[FaultPlan] = None,
-        supervisor=None,
         retry_policy: Optional[RetryPolicy] = None,
         manifest: Optional[RunManifest] = None,
         tracer: Optional[Tracer] = None,
@@ -97,24 +97,11 @@ class ControlPlaneOrchestrator:
 
     # -- helpers ------------------------------------------------------------
 
-    def _replaying(self, unit: Callable[[], None], replays: str) -> None:
-        """Run ``unit``; after a :class:`WorkerFailure`, have the
-        supervisor recover the worker (or give up) and rerun the unit,
-        at most ``max_shard_retries`` times, counting each rerun in
-        ``stats.<replays>``."""
-        attempts = 0
-        while True:
-            try:
-                return unit()
-            except WorkerFailure as failure:
-                attempts += 1
-                if attempts > self.retry_policy.max_shard_retries:
-                    raise
-                self.stats.worker_failures += 1
-                if self.supervisor is None:
-                    raise
-                self.supervisor.recover(failure)
-                setattr(self.stats, replays, getattr(self.stats, replays) + 1)
+    def _recovered(self, counter: str) -> None:
+        """``on_recovered`` of a replayed unit: count the recovered
+        failure, and the rerun in ``stats.<counter>``."""
+        self.stats.worker_failures += 1
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def _heartbeat(self) -> None:
         """Probe worker liveness; a dead worker surfaces as WorkerFailure."""
@@ -173,7 +160,9 @@ class ControlPlaneOrchestrator:
         is monotone from any mixed state, so the fixed point (and hence
         the installed routes) is identical to the fault-free run.
         """
-        self._replaying(self._run_ospf_once, "ospf_replays")
+        self.supervisor.replay(
+            self._run_ospf_once, lambda: self._recovered("ospf_replays")
+        )
 
     def _run_ospf_once(self) -> None:
         if not any(worker.has_ospf() for worker in self.fleet.workers):
@@ -224,7 +213,9 @@ class ControlPlaneOrchestrator:
             self._converge_shard(shard)
             self._flush_shard(shard.index if shard is not None else 0)
 
-        self._replaying(converge_and_flush, "shard_replays")
+        self.supervisor.replay(
+            converge_and_flush, lambda: self._recovered("shard_replays")
+        )
 
     def _converge_shard(self, shard: Optional[PrefixShard]) -> None:
         shard_index = shard.index if shard is not None else 0
@@ -329,8 +320,7 @@ class ControlPlaneOrchestrator:
 
     def _checkpoint_ospf(self) -> None:
         """Record the IGP result for respawn replay (and resume)."""
-        if self.supervisor is not None:
-            self.supervisor.checkpoint_ospf()
+        self.supervisor.checkpoint_ospf()
         if self.manifest is not None:
             self.manifest.ospf_done = True
             self.store.write_manifest(self.manifest)
@@ -366,8 +356,9 @@ class ControlPlaneOrchestrator:
         flush_index = 0
         while pending:
             shard = pending.pop(0)
-            self._replaying(
-                lambda: self._converge_shard(shard), "shard_replays"
+            self.supervisor.replay(
+                lambda: self._converge_shard(shard),
+                lambda: self._recovered("shard_replays"),
             )
             unmet = {
                 watch
@@ -418,7 +409,6 @@ class ControlPlaneOrchestrator:
             if (
                 self.manifest is not None
                 and self.manifest.ospf_done
-                and self.supervisor is not None
                 and self.supervisor.restore_ospf()
             ):
                 self.stats.ospf_restored = True

@@ -23,7 +23,7 @@ BDD operation caches' hits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
@@ -32,7 +32,6 @@ from ..dataplane.forwarding import FinalPacket
 from ..dataplane.queries import PropertyChecker
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
-from .faults import RetryPolicy, WorkerFailure
 from .fleet import Fleet, settle_all
 from .storage import RouteStore
 
@@ -62,7 +61,7 @@ class DataPlaneStats:
     # because s2bench reports it as ``dpo.dedup_bytes_saved``.
     dedup_bytes_saved: int = 0
     # -- fault tolerance -------------------------------------------------
-    worker_failures: int = 0   # WorkerFailures seen during build/forward
+    worker_failures: int = 0   # WorkerFailures recovered in build/forward
     query_replays: int = 0     # queries rerun after a worker recovery
 
 
@@ -70,10 +69,9 @@ class DataPlaneOrchestrator:
     def __init__(
         self,
         fleet: Fleet,
+        supervisor,
         encoding: Optional[HeaderEncoding] = None,
         node_limit: int = 1 << 24,
-        supervisor=None,
-        retry_policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -86,7 +84,6 @@ class DataPlaneOrchestrator:
             node_limit=CONTROLLER_NODE_LIMIT
         )
         self.supervisor = supervisor
-        self.retry_policy = retry_policy or RetryPolicy()
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
         self.stats = DataPlaneStats()
@@ -96,28 +93,19 @@ class DataPlaneOrchestrator:
 
     # -- fault handling --------------------------------------------------
 
-    def _replaying(self, unit: Callable[[], Any], rebuild: bool) -> Any:
-        """Run ``unit``; after a :class:`WorkerFailure`, recover the
-        worker and rerun it (rebuilding the data plane first when
-        ``rebuild``), at most ``max_query_retries`` times."""
-        attempts = 0
-        while True:
-            try:
-                return unit()
-            except WorkerFailure as failure:
-                attempts += 1
-                if attempts > self.retry_policy.max_query_retries:
-                    raise
-                self.stats.worker_failures += 1
-                if self.supervisor is None:
-                    raise
-                self.supervisor.recover(failure)
-                if rebuild:
-                    self._built = False
-                    assert self._store is not None
-                    self.build(self._store)
-                    self.install_waypoints(self._transits)
-                    self.stats.query_replays += 1
+    def _count_failure(self) -> None:
+        """The ``on_recovered`` hook of a replayed build."""
+        self.stats.worker_failures += 1
+
+    def _rebuild(self) -> None:
+        """The ``on_recovered`` hook of a replayed query: rebuild the
+        data plane from the store and reinstall the waypoints first."""
+        self.stats.worker_failures += 1
+        self._built = False
+        assert self._store is not None
+        self.build(self._store)
+        self.install_waypoints(self._transits)
+        self.stats.query_replays += 1
 
     # -- phase 1: FIBs + predicates --------------------------------------
 
@@ -131,7 +119,9 @@ class DataPlaneOrchestrator:
         routes come back from the store plus its OSPF checkpoint.
         """
         self._store = store
-        self._replaying(lambda: self._build_once(store), rebuild=False)
+        self.supervisor.replay(
+            lambda: self._build_once(store), self._count_failure
+        )
 
     def invalidate(self) -> None:
         """Force the next :meth:`build` to run — the serving path calls
@@ -185,9 +175,9 @@ class DataPlaneOrchestrator:
         """
         assert self._built, "call build() before forward()"
         source_list = list(sources)  # a one-shot iterable survives replays
-        return self._replaying(
+        return self.supervisor.replay(
             lambda: self._forward_once(source_list, header_bdd, trace),
-            rebuild=True,
+            self._rebuild,
         )
 
     def _forward_once(

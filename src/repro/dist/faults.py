@@ -122,14 +122,14 @@ class StaleEpochError(WorkerFailure):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Budgets for supervision: call retries, shard reruns, heartbeats."""
+    """Budgets for supervision: call retries, unit replays, heartbeats."""
 
     call_timeout: float = 120.0      # seconds to wait for one proxy call
     max_call_retries: int = 3        # transient-RPC retries per call
     backoff_base: float = 0.05       # first backoff sleep (seconds)
     backoff_factor: float = 2.0      # exponential growth per retry
-    max_shard_retries: int = 2       # shard reruns after worker recovery
-    max_query_retries: int = 2       # data-plane query/build reruns
+    max_replays: int = 2             # recoveries of one worker within one
+                                     # replayed unit (shard, query, ...)
     respawn_budget: int = 2          # failed respawns before a worker is
                                      # declared *lost* (shards migrate)
     heal_probe_base: float = 0.25    # first heal-probe delay (seconds)

@@ -14,26 +14,34 @@ and respawning are transient: they live inside one call to
 Every worker phase is one fan-out, :meth:`Fleet.call_all`: issue the
 command to every active worker, then settle every call; a failure is
 raised only then, so recovery never starts while a sibling call is
-still changing a worker's state.
+still changing a worker's state, and it names the worker to recover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .faults import WorkerFailure
 from .sidecar import Sidecar
 
 
-def settle_all(handles: Iterable[Any]) -> List[Any]:
+def settle_all(
+    handles: Iterable[Any], worker_ids: Optional[Sequence[int]] = None
+) -> List[Any]:
     """Every handle's ``result()``, in order; the first failure is
-    raised only after every handle has settled."""
+    raised only after every handle has settled.  With ``worker_ids``
+    (one per handle), a :class:`WorkerFailure` that names no worker is
+    tagged with its handle's."""
     results: List[Any] = []
     errors: List[Exception] = []
-    for handle in handles:
+    for handle, worker_id in zip(handles, worker_ids or repeat(None)):
         try:
             results.append(handle.result())
         except Exception as exc:  # noqa: BLE001 — re-raised below
+            if isinstance(exc, WorkerFailure) and exc.worker_id is None:
+                exc.worker_id = worker_id
             errors.append(exc)
     if errors:
         raise errors[0]
@@ -76,9 +84,13 @@ class Fleet:
 
     def call_all(self, command: str, *args) -> List[Any]:
         """Run ``command(*args)`` on every active worker; the results
-        in worker-id order.  All calls are issued before any settles."""
+        in worker-id order.  All calls are issued before any settles,
+        and a failure that names no worker is tagged with the id of the
+        worker whose call raised it."""
+        workers = self.workers
         return settle_all(
-            [worker.call_nowait(command, *args) for worker in self.workers]
+            [worker.call_nowait(command, *args) for worker in workers],
+            [worker.worker_id for worker in workers],
         )
 
     def mark_lost(

@@ -304,22 +304,6 @@ class RouteStore:
                 indices.append(int(name[len(prefix):-len(suffix)]))
         return sorted(indices)
 
-    def merge_into_shard(
-        self, worker_id: int, shard_index: int, routes: ShardRoutes
-    ) -> int:
-        """Fold ``routes`` into one shard file (loss-migration path).
-
-        Reads the existing file when present — mid-run the adopter may
-        not have flushed this index yet — merges at node granularity,
-        and rewrites atomically.  Returns bytes written.
-        """
-        try:
-            merged = self.read_shard(worker_id, shard_index)
-        except FileNotFoundError:
-            merged = {}
-        merged.update(routes)
-        return self.write_shard(worker_id, shard_index, merged)
-
     def delete_worker_files(self, worker_id: int) -> None:
         """Drop every persisted file of one worker (it left the fleet).
 

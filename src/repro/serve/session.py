@@ -218,8 +218,6 @@ class VerifierSession:
         self.last_ground_truth: Optional[Dict[str, Any]] = None
         self._queue: "queue.Queue" = queue.Queue(maxsize=max(1, queue_limit))
         self._controller = self._boot(warm_boot)
-        # Supervision feeds the journal from here on.
-        self._controller.supervisor.journal = self.journal
         self.journal.record(
             "boot",
             warm=self.warm_booted,

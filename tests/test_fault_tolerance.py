@@ -367,6 +367,42 @@ def test_loss_freezes_worker_accounting(runtime, fattree4):
     assert "lost" not in transport["total"]
 
 
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_two_losses_in_a_row_follow_the_one_assignment_rule(
+    runtime, fattree4, fattree4_sim
+):
+    """Worker 1's host dies in shard 0, worker 2's in shard 1.  The run
+    stays distributed and bit-identical, and the second loss places
+    every node exactly where ``_plan_partition`` around both lost
+    workers does — the rule a full delta or a rejoin re-plans with, so
+    neither moves nodes between survivors behind the run's back."""
+    _, oracle = fattree4_sim
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                kind="host_loss", worker=1, shard=0, command="pull_round",
+                heal_after=100,
+            ),
+            FaultSpec(
+                kind="host_loss", worker=2, shard=1, command="pull_round",
+                heal_after=100,
+            ),
+        ]
+    )
+    options = _options(num_workers=4, runtime=runtime, fault_plan=plan)
+    with S2Controller(fattree4, options) as controller:
+        stats = controller.run_control_plane()
+        ribs = normalize_ribs(controller.collected_ribs())
+        assert plan.count("host_loss") == 2, "a loss never fired"
+        assert sorted(controller.fleet.lost) == [1, 2]
+        assert controller.partition.assignment == controller._plan_partition(
+            sorted(controller.fleet.lost)
+        ).assignment
+    assert not stats.sequential_fallback
+    assert stats.workers_lost == 2
+    assert ribs == normalize_ribs(oracle)
+
+
 def test_unrecoverable_dataplane_failure_is_reported(fattree4):
     """A worker that crashes on *every* build attempt exhausts the query
     retry budget; verify() reports it instead of raising."""
@@ -396,7 +432,7 @@ plan = FaultPlan([FaultSpec(
     kind="crash", worker=1, shard=2, command="pull_round", times=0)])
 options = S2Options(
     num_workers=3, num_shards=4, store_dir={store!r},
-    fault_plan=plan, retry_policy=RetryPolicy(max_shard_retries=0))
+    fault_plan=plan, retry_policy=RetryPolicy(max_replays=0))
 controller = S2Controller(snapshot, options)
 try:
     controller.cpo.run(controller.shards)

@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from repro.dist.controller import WorkerSupervisor
-from repro.dist.faults import StaleEpochError, WorkerDiedError
+from repro.dist.faults import RetryPolicy, StaleEpochError, WorkerDiedError
 from repro.dist.fleet import Fleet
 from repro.dist.runtime import LocalWorkerPool
 from repro.dist.sidecar import Sidecar
@@ -105,4 +105,113 @@ def test_recover_rejects_unknown_worker(tmp_path):
     _workers, _sidecars, supervisor = _supervised_pair(tmp_path)
     with pytest.raises(WorkerDiedError):
         supervisor.recover(WorkerDiedError("who", worker_id=9))
+    assert supervisor.recoveries == 0
+
+
+# -- the fan-out names the failed worker ------------------------------------
+
+
+class _CallingStub(_StubWorker):
+    """A stub whose calls raise ``error`` (when set) at settle time and
+    count how often they were settled."""
+
+    def __init__(self, worker_id: int, error=None) -> None:
+        super().__init__(worker_id)
+        self.error = error
+        self.settled = 0
+
+    def call_nowait(self, command: str, *args):
+        stub = self
+
+        class _Handle:
+            def result(self):
+                stub.settled += 1
+                if stub.error is not None:
+                    raise stub.error
+                return command
+
+        return _Handle()
+
+
+def _fleet(workers):
+    return Fleet(workers, [Sidecar(worker) for worker in workers])
+
+
+def test_call_all_tags_a_failure_with_its_worker():
+    workers = [
+        _CallingStub(0),
+        _CallingStub(1, error=WorkerDiedError("died")),
+        _CallingStub(2),
+    ]
+    with pytest.raises(WorkerDiedError) as raised:
+        _fleet(workers).call_all("ping")
+    assert raised.value.worker_id == 1
+    # Every call settled before the failure was raised.
+    assert [worker.settled for worker in workers] == [1, 1, 1]
+
+
+def test_call_all_keeps_a_failure_that_names_its_worker():
+    failure = WorkerDiedError("peer died", worker_id=0)
+    workers = [_CallingStub(0), _CallingStub(1, error=failure)]
+    with pytest.raises(WorkerDiedError) as raised:
+        _fleet(workers).call_all("ping")
+    assert raised.value.worker_id == 0
+
+
+# -- the replay loop: a budget per worker within one unit -------------------
+
+
+def _failing_unit(failures):
+    """A unit that raises each of ``failures`` in turn, then returns
+    the number of runs it took."""
+    runs = []
+
+    def unit():
+        runs.append(None)
+        if len(runs) <= len(failures):
+            raise failures[len(runs) - 1]
+        return len(runs)
+
+    return unit
+
+
+def test_replay_recovers_failures_on_different_workers(tmp_path):
+    workers, _sidecars, supervisor = _supervised_pair(tmp_path)
+    supervisor.policy = RetryPolicy(max_replays=1)
+    recovered = []
+    unit = _failing_unit(
+        [WorkerDiedError("a", worker_id=0), WorkerDiedError("b", worker_id=1)]
+    )
+    assert supervisor.replay(unit, lambda: recovered.append(None)) == 3
+    assert [worker.resets for worker in workers] == [1, 1]
+    assert len(recovered) == 2
+    assert supervisor.recoveries == 2
+
+
+def test_replay_gives_up_past_max_replays_for_one_worker(tmp_path):
+    workers, _sidecars, supervisor = _supervised_pair(tmp_path)
+    assert supervisor.policy.max_replays == 2
+    unit = _failing_unit(
+        [WorkerDiedError("again", worker_id=1) for _ in range(3)]
+    )
+    with pytest.raises(WorkerDiedError):
+        supervisor.replay(unit)
+    assert workers[1].resets == 2
+    # The count is per unit: a fresh unit gets the full budget again.
+    unit = _failing_unit(
+        [WorkerDiedError("again", worker_id=1) for _ in range(2)]
+    )
+    assert supervisor.replay(unit) == 3
+    assert workers[1].resets == 4
+
+
+def test_replay_with_no_budget_reraises_the_first_failure(tmp_path):
+    workers, _sidecars, supervisor = _supervised_pair(tmp_path)
+    supervisor.policy = RetryPolicy(max_replays=0)
+    recovered = []
+    unit = _failing_unit([WorkerDiedError("once", worker_id=0)])
+    with pytest.raises(WorkerDiedError):
+        supervisor.replay(unit, lambda: recovered.append(None))
+    assert workers[0].resets == 0
+    assert recovered == []
     assert supervisor.recoveries == 0
