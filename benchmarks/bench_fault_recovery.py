@@ -98,8 +98,7 @@ def _run_experiment():
         controller.cpo.run_ospf()
         controller.cpo._checkpoint_ospf()
         for shard in controller.shards[: SHARDS - 2]:
-            controller.cpo.run_bgp_shard(shard)
-            controller.cpo._mark_shard_done(shard.index, 0)
+            controller.cpo.run_batch([shard])
         # Abandon the controller unclosed: the store keeps its state.
         started = time.perf_counter()
         with S2Controller.resume(snapshot, options) as resumed:

@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
             cp = result.cp_stats
             print(
                 f"fault tolerance: {cp.worker_failures} worker failures, "
-                f"{cp.shard_replays} shard replays, "
+                f"{cp.shard_replays} batch replays, "
                 f"{cp.shards_skipped} shards skipped on resume, "
                 f"{cp.forced_rounds} rounds forced by dropped batches"
                 + (" [sequential fallback]" if cp.sequential_fallback else "")

@@ -40,8 +40,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.headerspace import HeaderEncoding
 from ..config.loader import Snapshot
@@ -71,7 +72,12 @@ from .resources import (
     WorkerResources,
 )
 from .runtime import LocalWorkerPool
-from .sharding import PrefixShard, make_shards, validate_shards
+from .sharding import (
+    PrefixShard,
+    make_shards,
+    route_slots,
+    validate_shards,
+)
 from .sidecar import Sidecar
 from .storage import RouteStore, RunManifest, ShardRoutes
 
@@ -90,7 +96,10 @@ class S2Options:
 
     num_workers: int = 4
     partition_scheme: str = "metis"
-    num_shards: int = 0                  # 0 disables prefix sharding
+    num_shards: int = 0                  # 0 disables prefix sharding;
+    #                                  sets the flush and carry-over unit:
+    #                                  the CPO converges as many shards as
+    #                                  worker_capacity admits as one batch
     worker_capacity: int = DEFAULT_WORKER_CAPACITY  # UNLIMITED_CAPACITY
     #                                  accounts memory without enforcing it
     encoding: HeaderEncoding = field(default_factory=HeaderEncoding)
@@ -353,6 +362,7 @@ class S2Controller:
         self.options = options or S2Options()
         opts = self.options
         self.partition: PartitionResult = self._plan_partition()
+        self._footprint_cache: Optional[tuple] = None
         self.store = RouteStore(opts.store_dir)
         # -- observability -------------------------------------------------
         # Tracing is on iff an output was requested; shards always live in
@@ -481,6 +491,26 @@ class S2Controller:
             )
         return result
 
+    def _footprint(self) -> Dict[int, Tuple[int, int]]:
+        """Per worker ``(nodes, route slots)`` of the current partition
+        (:func:`~repro.dist.sharding.route_slots`), what the CPO admits
+        shards into a batch against; computed once per partition."""
+        cached = self._footprint_cache
+        if (
+            cached is None
+            or cached[0] is not self.snapshot
+            or cached[1] is not self.partition
+        ):
+            assignment = self.partition.assignment
+            nodes = Counter(assignment.values())
+            slots = route_slots(self.snapshot, assignment)
+            cached = self._footprint_cache = (
+                self.snapshot,
+                self.partition,
+                {wid: (nodes[wid], slots[wid]) for wid in nodes},
+            )
+        return cached[2]
+
     def _build_shards(
         self, previous: Sequence[PrefixShard] = ()
     ) -> List[PrefixShard]:
@@ -566,6 +596,7 @@ class S2Controller:
             self.fleet,
             self.store,
             self.supervisor,
+            self._footprint,
             max_rounds=opts.max_rounds,
             fault_plan=opts.fault_plan,
             retry_policy=opts.retry_policy,

@@ -1,40 +1,55 @@
 """The control plane orchestrator (CPO, §4.2).
 
 Schedules protocols in sequence (IGPs before BGP), and for BGP runs the
-distributed fixed point once per prefix shard: each round every worker
-computes its nodes' exports (phase A), the sidecars ship the boundary
-advertisements (measured bytes), and every worker's nodes pull and merge
-(phase B).  The round repeats until *all* workers report no change —
-Algorithm 1 with the pull relays batched per worker pair.
+distributed fixed point once per *batch* of prefix shards: each round
+every worker computes its nodes' exports (phase A), the sidecars ship
+the boundary advertisements (measured bytes), and every worker's nodes
+pull and merge (phase B).  The round repeats until *all* workers report
+no change — Algorithm 1 with the pull relays batched per worker pair.
 
-When a shard converges, its routes are flushed to the
-:class:`~repro.dist.storage.RouteStore` and the in-memory RIBs are freed,
-which is exactly what bounds the per-worker peak at one shard (§4.5).
+A batch is every pending shard, in order, that the modeled worker
+ceiling admits at once (:func:`~repro.dist.sharding.plan_batches`): a
+shard joins while, on every worker, the resting bytes plus its route
+slots (:func:`~repro.dist.sharding.route_slots`) times the batch's
+prefixes times ``ROUTE_BYTES`` stay within ``worker_capacity``.  Under
+a ceiling that admits no two shards this is the per-shard run, which
+bounds the per-worker peak at one shard (§4.5); with memory to spare
+the whole network converges as one fixed point, since sharding only
+slows a run that fits (the paper's Fig 4).  Shards are unions of DPDG
+components, so a union of shards converges to the same routes.
 
-Fault tolerance rides on shard idempotency: ``begin_shard`` fully resets
-per-shard state, so when a :class:`~repro.dist.faults.WorkerFailure`
-surfaces mid-fixed-point, ``WorkerSupervisor.replay`` recovers the
-worker and reruns the whole shard from round 0 — bit-identical to the
-fault-free run.  Dropped
+When a batch converges, the workers flush it once per shard, each flush
+writing that shard's routes to its own file in the
+:class:`~repro.dist.storage.RouteStore` (the first one frees the RIBs):
+the shard stays the flush, carry-over and resume unit.
+
+Fault tolerance rides on batch idempotency: ``begin_shard`` fully
+resets per-shard state, so when a :class:`~repro.dist.faults.
+WorkerFailure` surfaces anywhere in a batch, ``WorkerSupervisor.replay``
+recovers the worker and reruns the whole batch from round 0 —
+bit-identical to the fault-free run; a shard whose flush already landed
+is not flushed again.  Dropped
 sidecar batches are healed by the rounds themselves (exports are resent
 in full every round); the only hazard is a drop in the would-be-final
 round, so the CPO refuses to declare convergence in any round where the
 fault plan dropped a batch.  A :class:`~repro.dist.storage.RunManifest`
-records converged shards, letting :meth:`run` skip them on resume — an
-index only while the manifest's packing still gives it the same prefixes.
+marks each shard as soon as its flush lands, letting :meth:`run` skip
+it on resume — an index only while the manifest's packing still gives
+it the same prefixes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from ..routing.engine import ConvergenceError
 from .faults import FaultPlan, RetryPolicy, WorkerFailure
 from .fleet import Fleet, settle_all
-from .sharding import PrefixShard
+from .resources import ROUTE_BYTES, memory_bytes
+from .sharding import PrefixShard, plan_batches
 from .storage import RouteStore, RunManifest
 from .worker import PullOutcome
 
@@ -44,6 +59,7 @@ class ControlPlaneStats:
     bgp_rounds: int = 0
     ospf_rounds: int = 0
     shards_run: int = 0
+    batches_run: int = 0            # fixed points, one per batch of shards
     shards_merged: int = 0  # §7 refinement: shards absorbed into reruns
     measured_seconds: float = 0.0
     route_flush_bytes: int = 0
@@ -51,7 +67,7 @@ class ControlPlaneStats:
     total_selected_routes: int = 0
     # -- fault tolerance -------------------------------------------------
     worker_failures: int = 0        # WorkerFailures recovered in BGP/OSPF
-    shard_replays: int = 0          # shards rerun after a recovery
+    shard_replays: int = 0          # batches rerun after a recovery
     ospf_replays: int = 0           # OSPF fixed points rerun after recovery
     forced_rounds: int = 0          # extra rounds forced by dropped batches
     shards_skipped: int = 0         # shards skipped on resume (manifest)
@@ -76,6 +92,7 @@ class ControlPlaneOrchestrator:
         fleet: Fleet,
         store: RouteStore,
         supervisor,
+        footprint: Callable[[], Dict[int, Tuple[int, int]]],
         max_rounds: int = 200,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -89,6 +106,9 @@ class ControlPlaneOrchestrator:
         self.max_rounds = max_rounds
         self.fault_plan = fault_plan
         self.supervisor = supervisor
+        # worker id -> (nodes, route slots) of the current partition,
+        # what the batch planner admits shards against.
+        self.footprint = footprint
         self.retry_policy = retry_policy or RetryPolicy()
         self.manifest = manifest
         self.tracer = tracer or NULL_TRACER
@@ -200,38 +220,74 @@ class ControlPlaneOrchestrator:
 
     # -- BGP phase ------------------------------------------------------------------
 
-    def run_bgp_shard(self, shard: Optional[PrefixShard]) -> None:
-        """Converge one shard and flush it, replaying after recoveries.
+    def run_batch(self, batch: Sequence[Optional[PrefixShard]]) -> None:
+        """Converge a batch of shards as one fixed point, then flush
+        each shard to its own file, replaying after recoveries.
 
-        A shard is the recovery unit: ``begin_shard`` (at the top of the
-        fixed point) fully resets per-shard state on every worker, so a
-        replay after respawning the failed worker reproduces the same
-        RIBs the fault-free run would have flushed.
+        The batch is the recovery unit: ``begin_shard`` (at the top of
+        the fixed point) fully resets per-shard state on every worker,
+        so a replay after respawning the failed worker reproduces the
+        RIBs the fault-free run would have flushed.  Shards are unions
+        of DPDG components, so the batch's union converges to the same
+        routes as its shards one by one.  A shard whose flush landed
+        is marked in the manifest at once and not flushed again by a
+        replay.
         """
+        flushed: set = set()
 
         def converge_and_flush() -> None:
-            self._converge_shard(shard)
-            self._flush_shard(shard.index if shard is not None else 0)
+            rounds = self._converge_shard(_union(batch), _indices(batch))
+            for shard, index in zip(batch, _indices(batch)):
+                if index in flushed:
+                    continue
+                self._flush_shard(index, shard if len(batch) > 1 else None)
+                flushed.add(index)
+                self._mark_shard_done(index, rounds)
 
         self.supervisor.replay(
             converge_and_flush, lambda: self._recovered("shard_replays")
         )
+        self.stats.batches_run += 1
 
-    def _converge_shard(self, shard: Optional[PrefixShard]) -> None:
-        shard_index = shard.index if shard is not None else 0
+    def _batch_limits(self) -> List[Tuple[int, int]]:
+        """Per active worker, ``(free bytes, bytes per prefix)`` under
+        its ceiling: free is the capacity less the worker's modeled
+        bytes with no shard loaded, and a prefix costs its route slots
+        times ``ROUTE_BYTES``."""
+        footprint = self.footprint()
+        limits = []
+        for worker in self.fleet.workers:
+            nodes, slots = footprint.get(worker.worker_id, (0, 0))
+            resources = worker.resources
+            resting = memory_bytes(
+                0, resources.bdd_nodes, nodes, resources.fib_entries
+            )
+            limits.append((resources.capacity - resting, slots * ROUTE_BYTES))
+        return limits
+
+    def _converge_shard(
+        self, shard: Optional[PrefixShard], flush_indices: Sequence[int] = ()
+    ) -> int:
+        """Converge ``shard`` (a batch's union of shards, None for every
+        prefix) as one fixed point; returns its rounds.  The fault
+        plan's shard context is the batch's ``flush_indices`` (default:
+        the shard's own index)."""
+        indices = list(flush_indices) or _indices([shard])
         if self.fault_plan is not None:
-            self.fault_plan.set_context(shard=shard_index)
+            self.fault_plan.set_context(shard=indices)
         # Epoch fence (serving mode): a worker at any other epoch refuses
         # the shard, which surfaces as a WorkerFailure and routes through
         # recovery.
         self.fleet.call_all("begin_shard", shard, self.fleet.epoch)
+        rounds_before = self.stats.bgp_rounds
         with self.tracer.span(
-            "cpo.shard", category="cpo", shard=shard_index
+            "cpo.shard", category="cpo", shard=indices[0], shards=indices
         ) as shard_span:
             try:
-                self._converge_shard_rounds(shard_index)
+                self._converge_shard_rounds(indices[0])
             finally:
-                shard_span.set(rounds=self.stats.bgp_rounds)
+                shard_span.set(rounds=self.stats.bgp_rounds - rounds_before)
+        return self.stats.bgp_rounds - rounds_before
 
     def _converge_shard_rounds(self, shard_index: int) -> None:
         heartbeat_every = self.retry_policy.heartbeat_interval_rounds
@@ -298,13 +354,19 @@ class ControlPlaneOrchestrator:
                 still_changing=still_changing,
             )
 
-    def _flush_shard(self, flush_index: int) -> None:
-        """Flush the converged shard to persistent storage, freeing RIBs."""
+    def _flush_shard(
+        self, flush_index: int, shard: Optional[PrefixShard] = None
+    ) -> None:
+        """Flush one converged shard to persistent storage (``shard``:
+        only its prefixes, one shard of a batch; None: every converged
+        route)."""
+        if self.fault_plan is not None:
+            self.fault_plan.set_context(shard=[flush_index])
         with self.tracer.span(
             "cpo.flush", category="cpo", shard=flush_index
         ) as span:
             results = self.fleet.call_all(
-                "flush_shard", self.store.directory, flush_index
+                "flush_shard", self.store.directory, flush_index, shard
             )
             flushed_bytes = 0
             for written, selected in results:
@@ -418,23 +480,46 @@ class ControlPlaneOrchestrator:
             if shards and refine:
                 self.run_bgp_refining(shards)
             else:
+                pending: List[Optional[PrefixShard]] = []
                 for shard in shards or [None]:
-                    index = shard.index if shard is not None else 0
                     if (
                         self.manifest is not None
                         and self.manifest.converged(shard)
                     ):
                         self.stats.shards_skipped += 1
-                        continue
-                    rounds_before = self.stats.bgp_rounds
-                    self.run_bgp_shard(shard)
-                    self._mark_shard_done(
-                        index, self.stats.bgp_rounds - rounds_before
+                    else:
+                        pending.append(shard)
+                while pending:
+                    # Planned batch by batch: a loss mid-run moves nodes
+                    # onto the survivors, and the next batch sees it.
+                    batch = (
+                        plan_batches(pending, self._batch_limits())[0]
+                        if pending[0] is not None
+                        else pending[:1]
                     )
+                    del pending[: len(batch)]
+                    self.run_batch(batch)
             self._collect_fault_counts()
             span.set(
                 bgp_rounds=self.stats.bgp_rounds,
                 shards=self.stats.shards_run,
+                batches=self.stats.batches_run,
             )
         self.stats.measured_seconds = clock.seconds
         return self.stats
+
+
+def _indices(batch: Sequence[Optional[PrefixShard]]) -> List[int]:
+    """The batch's flush indices (0 for the single pass of an unsharded
+    run)."""
+    return [shard.index if shard is not None else 0 for shard in batch]
+
+
+def _union(batch: Sequence[Optional[PrefixShard]]) -> Optional[PrefixShard]:
+    """One shard holding the batch's prefixes, at its first index."""
+    if len(batch) == 1:
+        return batch[0]
+    return PrefixShard(
+        index=batch[0].index,
+        prefixes=frozenset().union(*(shard.prefixes for shard in batch)),
+    )

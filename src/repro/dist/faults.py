@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
 
 
 # -- failure taxonomy -------------------------------------------------------
@@ -182,7 +182,8 @@ class FaultSpec:
     kind: str
     worker: Optional[int] = None     # worker id (batch faults: the sender)
     round: Optional[int] = None      # BGP/OSPF round token (-1 = OSPF)
-    shard: Optional[int] = None      # shard flush index
+    shard: Optional[int] = None      # shard flush index (matches while
+                                     # its batch converges or it flushes)
     command: Optional[str] = None    # call/phase name (exact match)
     where: str = "before"            # "before" | "after_send" (crash), or
                                      # "request" | "response" (partition)
@@ -263,7 +264,7 @@ class FaultPlan:
         # worker_id -> failed respawn attempts remaining before the host
         # heals (armed when a host_loss spec fires at a call site).
         self._lost_hosts: Dict[int, int] = {}
-        self.current_shard: Optional[int] = None
+        self.current_shards: FrozenSet[int] = frozenset()
         self.current_round: Optional[int] = None
         # Observability hook: ``fn(kind, worker_id, command)`` called for
         # every firing (outside the plan lock).  The controller points it
@@ -285,11 +286,15 @@ class FaultPlan:
 
     def set_context(
         self,
-        shard: Optional[int] = None,
+        shard: Union[int, Iterable[int], None] = None,
         round_token: Optional[int] = None,
     ) -> None:
+        """``shard``: the flush indices in flight — a batch's during its
+        rounds, one during its flush (a bare int is one index)."""
         if shard is not None:
-            self.current_shard = shard
+            self.current_shards = frozenset(
+                (shard,) if isinstance(shard, int) else shard
+            )
         if round_token is not None:
             self.current_round = round_token
 
@@ -309,7 +314,7 @@ class FaultPlan:
             return False
         if spec.command is not None and spec.command != command:
             return False
-        if spec.shard is not None and spec.shard != self.current_shard:
+        if spec.shard is not None and spec.shard not in self.current_shards:
             return False
         if spec.round is not None:
             effective = (

@@ -25,6 +25,11 @@ flushed results carry over unchanged.  Sticky packing drifts from the
 balance LPT would reach; when its largest shard exceeds the cold
 packing's largest plus the largest component, the epoch takes the cold
 packing instead.
+
+A shard is the unit of flushing and carry-over, not of convergence: the
+CPO converges as many shards as the modeled worker ceiling admits as one
+fixed point (:func:`plan_batches`), bounding each worker by its
+:func:`route_slots` per prefix — a union of shards is a valid shard.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 from ..config.loader import Snapshot
 from ..net.ip import Prefix
 from ..routing.engine import collect_network_prefixes
+from ..routing.node import resolve_neighbors
 
 
 @dataclass(frozen=True)
@@ -205,6 +211,59 @@ def pack_components(
     if max(map(len, sticky)) > max(map(len, cold)) + largest:
         return cold
     return sticky
+
+
+def route_slots(
+    snapshot: Snapshot, assignment: Dict[str, int]
+) -> Dict[int, int]:
+    """Per worker, an upper bound on the candidate routes it holds *per
+    prefix* while a shard converges (what ``Worker.update_memory``
+    counts): one adj-RIB-in entry per session of its nodes (``BgpRib``
+    keeps at most one path per (neighbor, prefix)), one local
+    origination key per node, and one mailbox entry per session a
+    node on another worker exports to one of its nodes."""
+    slots: Dict[int, int] = {}
+    for hostname, owner in assignment.items():
+        slots.setdefault(owner, 0)
+        config = snapshot.configs.get(hostname)
+        if config is None:
+            continue
+        slots[owner] += 1
+        for _neighbor, peer, _iface, _addr in resolve_neighbors(
+            config, snapshot.topology
+        ):
+            slots[owner] += 1
+            target = assignment.get(peer)
+            if target is not None and target != owner:
+                slots[target] = slots.get(target, 0) + 1
+    return slots
+
+
+def plan_batches(
+    shards: Sequence[PrefixShard], limits: Sequence[Tuple[int, int]]
+) -> List[List[PrefixShard]]:
+    """Group ``shards``, in order, into batches that converge as one
+    fixed point each.
+
+    ``limits`` holds one ``(free bytes, bytes per prefix)`` pair per
+    worker; a shard joins the current batch while the batch's prefix
+    count times every worker's bytes per prefix stays within its free
+    bytes.  A batch always holds at least one shard, so a ceiling that
+    admits no two shards gives one shard per batch — the per-shard run.
+    """
+    batches: List[List[PrefixShard]] = []
+    size = 0
+    for shard in shards:
+        grown = size + len(shard)
+        if batches and all(
+            grown * per_prefix <= free for free, per_prefix in limits
+        ):
+            batches[-1].append(shard)
+            size = grown
+        else:
+            batches.append([shard])
+            size = len(shard)
+    return batches
 
 
 def _lpt_order(

@@ -178,6 +178,8 @@ class Worker:
         self.last_round: int = -1
         self.last_phase: Optional[str] = None  # the last phase finished
         self._exports_reused = 0  # phase A's count, reported by phase B
+        # The batch's selected routes between its first and last flush.
+        self._selected: Optional[ShardRoutes] = None
         self._build_nodes()
         # -- data-plane state (populated by the DPO phase) --
         self.engine: Optional[BddEngine] = None
@@ -281,6 +283,7 @@ class Worker:
         self.epoch = -1
         self.last_round = -1
         self.last_phase = None
+        self._selected = None
         self._build_nodes()
         self.engine = None
         self.encoding = None
@@ -373,11 +376,14 @@ class Worker:
     def begin_shard(
         self, shard: Optional[PrefixShard], epoch: Optional[int] = None
     ) -> None:
+        """Start converging ``shard``'s prefixes (a batch's union of
+        shards, or None for every prefix) from an empty state."""
         self._fence_epoch(epoch)
         prefixes = shard.prefixes if shard is not None else None
         for node in self.nodes.values():
             node.begin_shard(prefixes)
         self.mailbox.clear()
+        self._selected = None
 
     def finish_shard(self) -> ShardRoutes:
         """Collect the shard's selected routes and free the RIBs."""
@@ -399,18 +405,29 @@ class Worker:
             found |= node.observed_dependencies
         return found
 
-    def flush_shard(self, store_dir: str, shard_index: int) -> Tuple[int, int]:
-        """Finish the shard and persist it (§3.1: write to disk).
+    def flush_shard(
+        self,
+        store_dir: str,
+        shard_index: int,
+        shard: Optional[PrefixShard] = None,
+    ) -> Tuple[int, int]:
+        """Persist the converged routes of flush index ``shard_index``
+        (§3.1: write to disk).
 
-        Returns ``(bytes written, selected routes)``.  In the socket
-        runtime this happens inside the worker process, so converged RIBs
-        never travel over the wire.
+        The first flush after ``begin_shard`` finishes the RIBs; a batch
+        of shards then flushes once per shard, each call taking only
+        ``shard``'s prefixes (None: every converged route).  Returns
+        ``(bytes written, selected routes)``.  In the socket runtime
+        this happens inside the worker process, so converged RIBs never
+        travel over the wire.
         """
         self._inject("flush_shard")
         with self.tracer.span(
             "worker.flush", category="cpo", shard=shard_index
         ) as span:
-            shard_routes = self.finish_shard()
+            if self._selected is None:
+                self._selected = self.finish_shard()
+            shard_routes = self._take_selected(shard)
             written = RouteStore(store_dir).write_shard(
                 self.worker_id, shard_index, shard_routes
             )
@@ -422,6 +439,23 @@ class Worker:
             span.set(bytes=written, selected=selected)
         self.last_phase = "flush_shard"
         return written, selected
+
+    def _take_selected(self, shard: Optional[PrefixShard]) -> ShardRoutes:
+        """Remove and return ``shard``'s part of the finished batch."""
+        selected = self._selected
+        if shard is None:
+            self._selected = {}
+            return selected
+        taken: ShardRoutes = {}
+        for hostname, routes in selected.items():
+            part = {
+                prefix: routes.pop(prefix)
+                for prefix in shard.prefixes
+                if prefix in routes
+            }
+            if part:
+                taken[hostname] = part
+        return taken
 
     # -- control plane: one round (two phases) ---------------------------------
 

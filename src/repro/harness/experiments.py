@@ -12,8 +12,9 @@ narrows the FatTree sweep without touching code.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.batfish import BatfishVerifier
 from ..baselines.bonsai import BonsaiTimeout, BonsaiVerifier
@@ -21,8 +22,11 @@ from ..config.loader import Snapshot
 from ..core.s2 import S2Verifier, VerificationResult, verify_snapshot
 from ..dataplane.queries import Query
 from ..obs.tracer import stopwatch
+from ..routing.engine import collect_network_prefixes
 from ..dist.controller import S2Options
-from ..dist.resources import UNLIMITED_CAPACITY, SimulatedOOM
+from ..dist.partition import partition
+from ..dist.resources import UNLIMITED_CAPACITY, SimulatedOOM, memory_bytes
+from ..dist.sharding import make_shards, route_slots
 from ..net.dcn import build_dcn
 from ..net.fattree import FatTreeSpec, build_fattree
 from .scaling import PAPER_SIZES, SCALED_SIZES, capacity_for_sweep
@@ -108,6 +112,7 @@ def run_s2(
     if result.cp_stats:
         row.extra["cp_seconds"] = result.cp_stats.measured_seconds
         row.extra["bgp_rounds"] = result.cp_stats.bgp_rounds
+        row.extra["batches"] = result.cp_stats.batches_run
     if result.dp_stats:
         row.extra["dp_seconds"] = (
             result.dp_stats.predicate_seconds + result.dp_stats.forward_seconds
@@ -235,7 +240,12 @@ def run_fig4_real_dcn(scale: int = 1, workers: int = 4) -> List[ExperimentRow]:
     )
     rows.append(row)
     row, _ = run_s2(
-        build_dcn(scale=scale), workers, 20, capacity, "s2", workload
+        build_dcn(scale=scale),
+        workers,
+        20,
+        per_shard_capacity(snapshot, workers, 20, capacity),
+        "s2",
+        workload,
     )
     rows.append(row)
     for row in rows:
@@ -273,7 +283,7 @@ def run_fig5_fattree_scaling(
                 build_fattree(k),
                 workers,
                 20,
-                capacity,
+                per_shard_capacity(snapshot, workers, 20, capacity),
                 f"s2-{workers}w",
                 workload,
             )
@@ -356,21 +366,22 @@ def run_fig9_shard_count(
     workers: int = 4,
     shard_counts: Sequence[int] = (1, 2, 5, 10, 15, 20, 25, 30, 40),
 ) -> List[ExperimentRow]:
-    """Figure 9: shard-count sweep — memory falls with the shard count."""
-    # Calibrate the capacity just above the unsharded per-worker peak, so
-    # every shard count fits.
-    probe, _ = run_s2(
-        build_fattree(k), workers, 0, UNLIMITED_CAPACITY, "probe", "probe",
-        cp_only=True,
-    )
-    capacity = int(probe.peak_memory * 1.05)
+    """Figure 9: shard-count sweep — memory falls with the shard count.
+
+    Each row's capacity is its largest single-shard bound, so the CPO
+    admits one shard per batch and the row shows that shard count's
+    memory (under the default capacity every row would batch all its
+    shards into one fixed point and show the unsharded peak)."""
     rows = []
     for shards in shard_counts:
+        snapshot = build_fattree(k)
         row, _ = run_s2(
-            build_fattree(k),
+            snapshot,
             workers,
             shards,
-            capacity,
+            single_shard_ceiling(
+                snapshot, S2Options(num_workers=workers, num_shards=shards)
+            ),
             f"{shards}-shards",
             f"FatTree (k={k})",
             cp_only=True,
@@ -379,6 +390,56 @@ def run_fig9_shard_count(
         row.extra["shards"] = shards
         rows.append(row)
     return rows
+
+
+def batch_bound(snapshot: Snapshot, options: S2Options) -> Callable[[int], int]:
+    """The bytes the CPO's batch planner charges, at rest, for a batch of
+    ``n`` prefixes on the run's most loaded worker, as a function of
+    ``n``: a ``worker_capacity`` below ``batch_bound(...)(n)`` admits no
+    batch of ``n`` prefixes."""
+    assignment = partition(
+        snapshot,
+        options.num_workers,
+        scheme=options.partition_scheme,
+        seed=options.seed,
+    ).assignment
+    slots = route_slots(snapshot, assignment)
+    nodes = Counter(assignment.values())
+    return lambda prefixes: max(
+        memory_bytes(prefixes * slots[worker], 0, count)
+        for worker, count in nodes.items()
+    )
+
+
+def single_shard_ceiling(snapshot: Snapshot, options: S2Options) -> int:
+    """The largest :func:`batch_bound` of one shard of the run's packing:
+    a ``worker_capacity`` at this value admits every shard alone and,
+    when the packing is balanced, no two together — the per-shard run."""
+    if options.num_shards > 1:
+        packing = make_shards(
+            snapshot, options.num_shards, seed=options.seed
+        )
+        largest = max(len(shard) for shard in packing)
+    else:
+        largest = len(collect_network_prefixes(snapshot))
+    return batch_bound(snapshot, options)(largest)
+
+
+def per_shard_capacity(
+    snapshot: Snapshot, workers: int, shards: int, capacity: int
+) -> int:
+    """``capacity``, lowered to the run's :func:`single_shard_ceiling`:
+    S2 then converges its shards one at a time (on a balanced packing),
+    the configuration the paper's memory figures measure, and never gets
+    more memory than the calibrated server holds.  With the calibrated
+    capacity alone the CPO batches every shard that fits, trading that
+    memory for rounds."""
+    return min(
+        capacity,
+        single_shard_ceiling(
+            snapshot, S2Options(num_workers=workers, num_shards=shards)
+        ),
+    )
 
 
 def run_fig10_dpv(
@@ -423,12 +484,15 @@ def run_fig10_dpv(
                 wall=wall,
             )
             # S2 distributed DPV.
+            snapshot = build_fattree(k)
             s2 = S2Verifier(
-                build_fattree(k),
+                snapshot,
                 S2Options(
                     num_workers=workers,
                     num_shards=20,
-                    worker_capacity=UNLIMITED_CAPACITY,
+                    worker_capacity=per_shard_capacity(
+                        snapshot, workers, 20, UNLIMITED_CAPACITY
+                    ),
                 ),
             )
             try:

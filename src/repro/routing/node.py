@@ -39,6 +39,29 @@ Resolver = Callable[[str], object]
 Advertisement = Tuple[BgpRoute, ...]
 
 
+def resolve_neighbors(
+    config: DeviceConfig, topology: Topology
+) -> List[Tuple[BgpNeighbor, str, str, int]]:
+    """The device's BGP neighbors that match a topology adjacency, as
+    ``(neighbor, neighbor hostname, local iface, local address)``; a
+    session to an absent peer stays idle and is left out."""
+    if config.bgp is None or config.hostname not in topology:
+        return []
+    # peer address -> (neighbor hostname, local iface, local address)
+    adjacency: Dict[int, Tuple[str, str, int]] = {}
+    for link in topology.links_of(config.hostname):
+        local = link.local(config.hostname)
+        remote = link.other(config.hostname)
+        adjacency[topology.interface_address(remote)] = (
+            remote.node, local.interface, topology.interface_address(local)
+        )
+    return [
+        (neighbor,) + adjacency[neighbor.peer_ip]
+        for neighbor in config.bgp.neighbors
+        if neighbor.peer_ip in adjacency
+    ]
+
+
 @dataclass
 class BgpSession:
     """One resolved BGP session (config neighbor + topology adjacency)."""
@@ -120,21 +143,11 @@ class RouterNode:
     def _resolve_sessions(self, topology: Topology) -> None:
         """Match configured neighbors against topology adjacencies."""
         bgp = self.config.bgp
-        if bgp is None or self.name not in topology:
+        if bgp is None:
             return
-        # peer address -> (neighbor hostname, local iface, local address)
-        adjacency: Dict[int, Tuple[str, str, int]] = {}
-        for link in topology.links_of(self.name):
-            local = link.local(self.name)
-            remote = link.other(self.name)
-            remote_addr = topology.interface_address(remote)
-            local_addr = topology.interface_address(local)
-            adjacency[remote_addr] = (remote.node, local.interface, local_addr)
-        for neighbor in bgp.neighbors:
-            resolved = adjacency.get(neighbor.peer_ip)
-            if resolved is None:
-                continue  # session to an absent peer stays idle
-            hostname, iface, local_addr = resolved
+        for neighbor, hostname, iface, local_addr in resolve_neighbors(
+            self.config, topology
+        ):
             session = BgpSession(
                 local_addr=local_addr,
                 peer_ip=neighbor.peer_ip,

@@ -15,6 +15,8 @@ import pytest
 
 from repro.bdd.engine import FALSE
 from repro.dataplane.queries import Query
+from repro.dist.sharding import make_shards
+from repro.harness.experiments import batch_bound
 from repro.net.dcn import build_dcn
 from repro.net.fattree import build_fattree
 from repro.routing.engine import SimulationEngine
@@ -110,3 +112,14 @@ def commit_records(session):
         for event in session.journal.events()
         if event.kind == "epoch_commit"
     ]
+
+
+def one_shard_per_batch(snapshot, options):
+    """The largest ``worker_capacity`` under which the CPO's planner puts
+    no two consecutive shards of the run's packing into one batch: the
+    per-shard schedule, whatever the shard sizes."""
+    shards = make_shards(snapshot, options.num_shards, seed=options.seed)
+    pairs = [len(a) + len(b) for a, b in zip(shards, shards[1:])]
+    if not pairs:
+        return options.worker_capacity
+    return batch_bound(snapshot, options)(min(pairs)) - 1

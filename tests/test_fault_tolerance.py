@@ -371,7 +371,9 @@ def test_loss_freezes_worker_accounting(runtime, fattree4):
 def test_two_losses_in_a_row_follow_the_one_assignment_rule(
     runtime, fattree4, fattree4_sim
 ):
-    """Worker 1's host dies in shard 0, worker 2's in shard 1.  The run
+    """Worker 1's host dies while shard 0 converges, worker 2's when
+    shard 1 flushes (the default ceiling batches both shards into one
+    fixed point, so the second loss aims at the flush).  The run
     stays distributed and bit-identical, and the second loss places
     every node exactly where ``_plan_partition`` around both lost
     workers does — the rule a full delta or a rejoin re-plans with, so
@@ -384,7 +386,7 @@ def test_two_losses_in_a_row_follow_the_one_assignment_rule(
                 heal_after=100,
             ),
             FaultSpec(
-                kind="host_loss", worker=2, shard=1, command="pull_round",
+                kind="host_loss", worker=2, shard=1, command="flush_shard",
                 heal_after=100,
             ),
         ]
@@ -426,10 +428,10 @@ from repro.dist.faults import WorkerFailure
 from repro.net.fattree import build_fattree
 
 snapshot = build_fattree(4)
-# Crash worker 1 on every round of shard 2, with no recovery budget: the
+# Crash worker 1 on every flush of shard 2, with no recovery budget: the
 # run dies after shards 0 and 1 were flushed and recorded.
 plan = FaultPlan([FaultSpec(
-    kind="crash", worker=1, shard=2, command="pull_round", times=0)])
+    kind="crash", worker=1, shard=2, command="flush_shard", times=0)])
 options = S2Options(
     num_workers=3, num_shards=4, store_dir={store!r},
     fault_plan=plan, retry_policy=RetryPolicy(max_replays=0))
@@ -705,6 +707,23 @@ def test_fault_plan_respects_times_and_context():
     assert plan.on_phase(1, "pull_round", 0) is not None
     assert plan.on_phase(1, "pull_round", 1) is None   # times=1 exhausted
     assert plan.count("crash") == 1
+
+
+def test_fault_plan_matches_a_shard_inside_its_batch():
+    """While a batch converges, every flush index in it is in flight;
+    while one shard flushes, only its own index is."""
+    plan = FaultPlan(
+        [FaultSpec(kind="crash", shard=2, command="pull_round", times=0)]
+    )
+    plan.set_context(shard=[0, 1], round_token=0)
+    assert plan.on_phase(0, "pull_round", 0) is None   # not in this batch
+    plan.set_context(shard=[0, 1, 2, 3])
+    assert plan.on_phase(0, "pull_round", 0) is not None
+    plan.set_context(shard=[1])                        # shard 1 flushes
+    assert plan.on_phase(0, "pull_round", 0) is None
+    plan.set_context(shard=2)                          # a bare index
+    assert plan.on_phase(0, "pull_round", 0) is not None
+    assert plan.count("crash") == 2
 
 
 def test_retry_policy_backoff_grows_exponentially():
