@@ -82,6 +82,8 @@ class ControlPlaneStats:
     exports_reused: int = 0         # export tuples carried over unchanged
     imports_skipped: int = 0        # sessions whose advertisement was the
                                     # object already merged
+    transforms_computed: int = 0    # per-prefix export/import transforms run
+    transforms_reused: int = 0      # ... and carried over: same input route
     workers_lost: int = 0           # respawn budget spent; left the fleet
     shards_reassigned: int = 0      # shard files migrated to survivors
 
@@ -316,6 +318,8 @@ class ControlPlaneOrchestrator:
                 candidate_total += outcome.candidate_routes
                 self.stats.exports_reused += outcome.exports_reused
                 self.stats.imports_skipped += outcome.imports_skipped
+                self.stats.transforms_computed += outcome.transforms_computed
+                self.stats.transforms_reused += outcome.transforms_reused
             self.stats.peak_candidate_routes = max(
                 self.stats.peak_candidate_routes, candidate_total
             )

@@ -22,6 +22,7 @@ into :class:`~repro.dist.message.PacketEnvelope` batches.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -117,6 +118,10 @@ class PullOutcome:
     # round (this round's phase A) and sessions whose import was skipped.
     exports_reused: int = 0
     imports_skipped: int = 0
+    # Per-prefix route transforms (export and import) this round: run, or
+    # carried over because the route was the one transformed last time.
+    transforms_computed: int = 0
+    transforms_reused: int = 0
 
 
 class Worker:
@@ -177,7 +182,8 @@ class Worker:
         self.epoch: int = -1
         self.last_round: int = -1
         self.last_phase: Optional[str] = None  # the last phase finished
-        self._exports_reused = 0  # phase A's count, reported by phase B
+        # Phase A's round counters (``_node_totals``), reported by phase B.
+        self._phase_a: Counter = Counter()
         # The batch's selected routes between its first and last flush.
         self._selected: Optional[ShardRoutes] = None
         self._build_nodes()
@@ -468,8 +474,7 @@ class Worker:
         self._inject("compute_exports", round_token)
         self.last_round = round_token
         boundary: Dict[int, BoundaryExports] = {}
-        computed = self._node_total("exports_computed")
-        reused = self._node_total("exports_reused")
+        before = self._node_totals()
         with self.tracer.span(
             "worker.exports", category="cpo", round=round_token
         ) as span:
@@ -482,11 +487,14 @@ class Worker:
                     boundary.setdefault(owner, {})[
                         (hostname, session.peer_ip)
                     ] = exports
-            self._exports_reused = self._node_total("exports_reused") - reused
+            delta = self._phase_a = self._node_totals()
+            delta.subtract(before)
             span.set(
                 boundary_targets=len(boundary),
-                computed=self._node_total("exports_computed") - computed,
-                reused=self._exports_reused,
+                computed=delta["exports_computed"],
+                reused=delta["exports_reused"],
+                transforms_computed=delta["transforms_computed"],
+                transforms_reused=delta["transforms_reused"],
             )
         self.last_phase = "compute_exports"
         return {
@@ -536,7 +544,7 @@ class Worker:
         self._inject("pull_round", round_token)
         self.last_round = round_token
         changed_nodes: List[str] = []
-        skipped = self._node_total("imports_skipped")
+        before = self._node_totals()
         with self.tracer.span(
             "worker.pull", category="cpo", round=round_token
         ) as span:
@@ -549,29 +557,43 @@ class Worker:
             candidates = sum(
                 node.route_count() for node in self.nodes.values()
             )
-            skipped = self._node_total("imports_skipped") - skipped
+            delta = self._node_totals()
+            delta.subtract(before)
             span.set(
                 updates=candidates,
                 changed=len(changed_nodes),
-                imports_skipped=skipped,
+                imports_skipped=delta["imports_skipped"],
+                transforms_computed=delta["transforms_computed"],
+                transforms_reused=delta["transforms_reused"],
             )
         # The round's memory estimate, taken before anything else touches
         # this worker's state (the next round's deliveries).
         self.update_memory()
         self.last_phase = "pull_round"
-        reused, self._exports_reused = self._exports_reused, 0
+        phase_a, self._phase_a = self._phase_a, Counter()
+        both = phase_a + delta
         return PullOutcome(
             changed=bool(changed_nodes),
             updates_processed=candidates,
             candidate_routes=candidates,
             changed_nodes=tuple(changed_nodes),
-            exports_reused=reused,
-            imports_skipped=skipped,
+            exports_reused=phase_a["exports_reused"],
+            imports_skipped=delta["imports_skipped"],
+            transforms_computed=both["transforms_computed"],
+            transforms_reused=both["transforms_reused"],
         )
 
-    def _node_total(self, counter: str) -> int:
-        """Sum one of the nodes' change-driven round counters."""
-        return sum(getattr(node, counter) for node in self.nodes.values())
+    _ROUND_COUNTERS = (
+        "exports_computed", "exports_reused", "imports_skipped",
+        "transforms_computed", "transforms_reused",
+    )
+
+    def _node_totals(self) -> Counter:
+        """The nodes' change-driven round counters, summed."""
+        return Counter({
+            counter: sum(getattr(n, counter) for n in self.nodes.values())
+            for counter in self._ROUND_COUNTERS
+        })
 
     # -- control plane: OSPF rounds ----------------------------------------------
 

@@ -136,20 +136,28 @@ def round_reuse(spans: List[Dict[str, Any]]) -> Optional[str]:
     ``worker.exports`` carries how many session exports were recomputed
     and how many were carried over unchanged; ``worker.pull`` how many
     session imports were skipped because the advertisement was the
-    object already merged.  None when the trace has no export spans.
+    object already merged.  Both carry how many per-prefix route
+    transforms ran and how many reused the previous output.  None when
+    the trace has no export spans.
     """
-    totals = {"computed": 0, "reused": 0, "imports_skipped": 0}
+    totals = {
+        "computed": 0, "reused": 0, "imports_skipped": 0,
+        "transforms_computed": 0, "transforms_reused": 0,
+    }
     for span in spans:
         if span["name"] in ("worker.exports", "worker.pull"):
             attrs = span.get("attrs") or {}
             for key in totals:
                 totals[key] += int(attrs.get(key, 0) or 0)
     exports = totals["computed"] + totals["reused"]
+    transforms = totals["transforms_computed"] + totals["transforms_reused"]
     if not exports:
         return None
     return (
         f"change-driven rounds: {totals['reused']} of {exports} session "
-        f"exports reused, {totals['imports_skipped']} imports skipped"
+        f"exports reused, {totals['imports_skipped']} imports skipped, "
+        f"{totals['transforms_reused']} of {transforms} route transforms "
+        "reused"
     )
 
 

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+)
 
 from ..config.ast import Aggregate, BgpNeighbor, DeviceConfig
 from ..config.policy import PolicyEngine, apply_remove_private_as
@@ -37,6 +39,8 @@ ShardFilter = Optional[FrozenSet[Prefix]]
 Resolver = Callable[[str], object]
 # One session's exported routes; immutable, so identity can stand for content.
 Advertisement = Tuple[BgpRoute, ...]
+# One session's last transforms: prefix -> (input route, output or None).
+RouteMemo = Dict[Prefix, Tuple[BgpRoute, Optional[BgpRoute]]]
 
 
 def resolve_neighbors(
@@ -112,9 +116,18 @@ class RouterNode:
         self._export_cache: Dict[int, Tuple[int, int, Advertisement]] = {}
         # adj-RIB-in key -> the advertisement object merged last
         self._merged: Dict[str, Advertisement] = {}
+        # Per-prefix tier below the per-session one: a route map is pure
+        # in (session, route), so a route that ``is`` or ``==`` the one
+        # transformed last time on that session reuses its output.
+        # peer address -> prefix -> (route, exported route or None)
+        self._export_memo: Dict[int, RouteMemo] = {}
+        # adj-RIB-in key -> prefix -> (received route, accepted or None)
+        self._import_memo: Dict[str, RouteMemo] = {}
         self.exports_computed = 0
         self.exports_reused = 0
         self.imports_skipped = 0
+        self.transforms_computed = 0
+        self.transforms_reused = 0
         # Runtime-discovered prefix dependencies (§7): populated when a
         # conditional advertisement consults a watch prefix that is not
         # part of the current shard — the signal the CPO's shard
@@ -214,6 +227,8 @@ class RouterNode:
         self._version += 1
         self._export_cache.clear()
         self._merged.clear()
+        self._export_memo.clear()
+        self._import_memo.clear()
         self.observed_dependencies.clear()
 
     def finish_shard(self) -> Dict[Prefix, Tuple[BgpRoute, ...]]:
@@ -377,30 +392,66 @@ class RouterNode:
                 continue  # iBGP-learned routes are not sent to iBGP peers
             outgoing.append(chosen)
 
-        exports: List[BgpRoute] = []
-        for route in outgoing:
-            wire = replace(
-                route,
-                next_hop=session.local_addr,
-                from_node=self.name,
-                originator_id=self.router_id,
-                med=0,
-                weight=0,
-                aggregate=route.aggregate,
-            )
-            if session.ebgp:
-                as_path = (self.asn,) + wire.as_path
-                if session.remove_private_as:
-                    as_path = (self.asn,) + apply_remove_private_as(
-                        wire.as_path, self.behavior.remove_private_as_mode
-                    )
-                wire = replace(wire, as_path=as_path, ebgp=True)
-            transformed = self.policy.run(
-                session.export_policy, wire, self.asn
-            )
+        return tuple(self._transform_all(
+            self._export_memo, session.peer_ip, outgoing,
+            lambda route: self._export_route(session, route),
+        ))
+
+    def _export_route(
+        self, session: BgpSession, route: BgpRoute
+    ) -> Optional[BgpRoute]:
+        """One route onto the wire of ``session``; None if policy denies."""
+        as_path = route.as_path
+        ebgp = route.ebgp
+        if session.ebgp:
+            if session.remove_private_as:
+                as_path = apply_remove_private_as(
+                    as_path, self.behavior.remove_private_as_mode
+                )
+            as_path = (self.asn,) + as_path
+            ebgp = True
+        wire = replace(
+            route,
+            next_hop=session.local_addr,
+            from_node=self.name,
+            originator_id=self.router_id,
+            med=0,
+            weight=0,
+            as_path=as_path,
+            ebgp=ebgp,
+        )
+        return self.policy.run(session.export_policy, wire, self.asn)
+
+    def _transform_all(
+        self,
+        memos: Dict[Any, RouteMemo],
+        key: Any,
+        routes: Iterable[BgpRoute],
+        transform: Callable[[BgpRoute], Optional[BgpRoute]],
+    ) -> List[BgpRoute]:
+        """Apply one session's ``transform`` to every route; returns the
+        permitted outputs in order.
+
+        ``memos[key]`` holds the session's previous call; a route that is
+        (in process) or equals (after unpickling) the input stored for its
+        prefix reuses the stored output.  The session's memo is then
+        replaced by one entry per prefix seen in this call."""
+        previous: RouteMemo = memos.get(key, {})
+        memo: RouteMemo = {}
+        result: List[BgpRoute] = []
+        for route in routes:
+            entry = previous.get(route.prefix)
+            if entry is not None and (entry[0] is route or entry[0] == route):
+                self.transforms_reused += 1
+                transformed = entry[1]
+            else:
+                self.transforms_computed += 1
+                transformed = transform(route)
+            memo[route.prefix] = (route, transformed)
             if transformed is not None:
-                exports.append(transformed)
-        return tuple(exports)
+                result.append(transformed)
+        memos[key] = memo
+        return result
 
     # -- import -------------------------------------------------------------------
 
@@ -432,29 +483,29 @@ class RouterNode:
     def _process_imports(
         self, session: BgpSession, received: Iterable[BgpRoute]
     ) -> List[BgpRoute]:
-        accepted: List[BgpRoute] = []
-        for route in received:
-            if not self._in_shard(route.prefix):
-                continue
-            if session.ebgp and self.asn in route.as_path:
-                continue  # AS-path loop prevention
-            incoming = replace(
-                route,
-                from_node=session.neighbor,
-                ebgp=session.ebgp,
-                local_pref=(
-                    self.behavior.default_local_pref
-                    if session.ebgp
-                    else route.local_pref
-                ),
-            )
-            transformed = self.policy.run(
-                session.import_policy, incoming, self.asn
-            )
-            if transformed is None:
-                continue
-            accepted.append(transformed)
-        return accepted
+        return self._transform_all(
+            self._import_memo, session.rib_key,
+            (route for route in received if self._in_shard(route.prefix)),
+            lambda route: self._import_route(session, route),
+        )
+
+    def _import_route(
+        self, session: BgpSession, route: BgpRoute
+    ) -> Optional[BgpRoute]:
+        """One received route into the adj-RIB-in; None if rejected."""
+        if session.ebgp and self.asn in route.as_path:
+            return None  # AS-path loop prevention
+        incoming = replace(
+            route,
+            from_node=session.neighbor,
+            ebgp=session.ebgp,
+            local_pref=(
+                self.behavior.default_local_pref
+                if session.ebgp
+                else route.local_pref
+            ),
+        )
+        return self.policy.run(session.import_policy, incoming, self.asn)
 
     # -- results ---------------------------------------------------------------
 

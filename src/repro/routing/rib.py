@@ -30,6 +30,9 @@ class BgpRib:
         self._candidates: Dict[Prefix, Dict[str, BgpRoute]] = {}
         self._best: Dict[Prefix, Tuple[BgpRoute, ...]] = {}
         self._dirty: set = set()
+        # adj-RIB-in key -> the prefixes it holds a path for, so replacing
+        # one session's routes costs that session, not the whole RIB.
+        self._by_source: Dict[str, set] = {}
 
     def __len__(self) -> int:
         return sum(len(paths) for paths in self._candidates.values())
@@ -46,9 +49,10 @@ class BgpRib:
         key = source or route.from_node
         paths = self._candidates.setdefault(route.prefix, {})
         previous = paths.get(key)
-        if previous == route:
+        if previous is route or previous == route:
             return False
         paths[key] = route
+        self._by_source.setdefault(key, set()).add(route.prefix)
         self._dirty.add(route.prefix)
         return True
 
@@ -58,6 +62,7 @@ class BgpRib:
         if not paths or source not in paths:
             return False
         del paths[source]
+        self._by_source[source].discard(prefix)
         if not paths:
             del self._candidates[prefix]
         self._dirty.add(prefix)
@@ -80,8 +85,8 @@ class BgpRib:
         # Withdraw paths the neighbor no longer exports.
         stale = [
             prefix
-            for prefix, paths in self._candidates.items()
-            if source in paths and prefix not in incoming
+            for prefix in self._by_source.get(source, ())
+            if prefix not in incoming
         ]
         for prefix in stale:
             changed |= self.withdraw(prefix, source)
@@ -128,6 +133,7 @@ class BgpRib:
         self._candidates.clear()
         self._best.clear()
         self._dirty.clear()
+        self._by_source.clear()
 
     def fingerprint(self) -> int:
         """Order-independent hash of the selected routes, for convergence."""

@@ -10,23 +10,34 @@ monkeypatch.  Workers are forked, so the patch reaches socket workers too
 Both must agree round by round: the same per-node ``BgpRib.fingerprint()``
 after every pull, the same round counts, the same final RIBs, and — on the
 divergent corpus gadgets — the same diagnosed non-convergence.
+
+The per-prefix tier (a route whose input is unchanged reuses its export or
+import transform) is checked at the end against a memo-less copy of the
+node.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import pickle
+import re
+from dataclasses import replace
 
 import pytest
 
 from repro import FaultPlan, FaultSpec, S2Options
+from repro.cli import main
 from repro.dist.controller import S2Controller
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, load_corpus
 from repro.fuzz.generators import build_snapshot
 from repro.routing.engine import ConvergenceError, SimulationEngine
 from repro.routing.node import RouterNode
+from repro.routing.route import Origin
 
 from tests.conftest import normalize_ribs, one_shard_per_batch
+from tests.test_bgp_node import P_A, chain_snapshot, cisco
 
 RUNTIMES = ["sequential", "socket"]
 DISTRIBUTED = dict(
@@ -249,3 +260,258 @@ def test_faults_heal_despite_identity_skip(fault, runtime, fattree4,
     else:
         assert plan.count("crash") == 1
         assert stats.shard_replays >= 1
+
+
+# -- the per-prefix tier: route transforms --------------------------------------
+#
+# Below the per-session tier, ``_compute_exports`` and ``_process_imports``
+# keep, per session, the last (input route, output) pair of every prefix
+# and reuse the output when the input ``is`` or ``==`` the stored one.  The
+# reference is the same node with both memos emptied before each call.
+
+
+def memo_less(node: RouterNode) -> RouterNode:
+    """``node`` (sharing its RIB and config) with no transform memo."""
+    fresh = copy.copy(node)
+    fresh._export_memo = {}
+    fresh._import_memo = {}
+    return fresh
+
+
+def _adj_rib_in(node: RouterNode, key: str):
+    return {
+        prefix: paths[key]
+        for prefix, paths in node.rib._candidates.items()
+        if key in paths
+    }
+
+
+def _install_memo_check(monkeypatch, log_dir) -> None:
+    """Patch RouterNode (before any fork) so every computed export, every
+    round's export snapshot and every session's adj-RIB-in is compared
+    against a memo-less node; one ``[checks, mismatches]`` line per call."""
+    compute_exports = RouterNode._compute_exports
+    pull_round = RouterNode.pull_round
+
+    def log(checks, mismatches):
+        path = os.path.join(log_dir, f"{os.getpid()}.jsonl")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps([checks, mismatches]) + "\n")
+
+    def checked_exports(self, session):
+        exports = compute_exports(self, session)
+        reference = compute_exports(memo_less(self), session)
+        log(1, [self.name, session.peer_ip] if exports != reference else None)
+        return exports
+
+    def checked_pull_round(self, resolver, round_token=-1):
+        mismatches = []
+        for session in self.sessions:
+            cached = self._export_cache.get(session.peer_ip)
+            if cached is not None and cached[0] == round_token:
+                reference = compute_exports(memo_less(self), session)
+                if cached[2] != reference:
+                    mismatches.append(["export", session.peer_ip])
+        changed = pull_round(self, resolver, round_token)
+        for session in self.sessions:
+            merged = self._merged.get(session.rib_key)
+            if merged is None:
+                continue
+            reference = memo_less(self)._process_imports(session, merged)
+            expected = {route.prefix: route for route in reference}
+            if _adj_rib_in(self, session.rib_key) != expected:
+                mismatches.append(["import", session.rib_key])
+        log(len(self.sessions), [self.name, round_token, mismatches]
+            if mismatches else None)
+        return changed
+
+    monkeypatch.setattr(RouterNode, "_compute_exports", checked_exports)
+    monkeypatch.setattr(RouterNode, "pull_round", checked_pull_round)
+
+
+@pytest.mark.parametrize("runtime", ["mono"] + RUNTIMES)
+@pytest.mark.parametrize(
+    "case", CORPUS, ids=[case.name for case in CORPUS]
+)
+def test_corpus_transform_memo_equals_memo_less(case, runtime, tmp_path,
+                                                monkeypatch):
+    """Every round of every corpus case: each session's export tuple and
+    adj-RIB-in equal what a node without the memo computes."""
+    snapshot = build_snapshot(case.resolve_spec())
+    with monkeypatch.context() as patch:
+        _install_memo_check(patch, str(tmp_path))
+        if runtime == "mono":
+            engine = SimulationEngine(snapshot)
+            try:
+                engine.run()
+            except ConvergenceError:
+                pass
+            reused = sum(n.transforms_reused for n in engine.nodes.values())
+        else:
+            options = S2Options(**dict(DISTRIBUTED, runtime=runtime))
+            with S2Controller(snapshot, options) as controller:
+                try:
+                    controller.run_control_plane()
+                except ConvergenceError:
+                    pass
+                reused = controller.cpo.stats.transforms_reused
+    checks, mismatches = 0, []
+    for name in os.listdir(tmp_path):
+        with open(tmp_path / name, encoding="utf-8") as handle:
+            for line in handle:
+                count, mismatch = json.loads(line)
+                checks += count
+                if mismatch is not None:
+                    mismatches.append(mismatch)
+    assert checks > 0
+    assert mismatches == []
+    # A gadget's few routes may change every time one is transformed.
+    assert reused > 0 or case.name.startswith("gadget-"), "memo never fired"
+
+
+class _Altered:
+    """A neighbor whose advertisement carries one changed route."""
+
+    def __init__(self, node, prefix, change):
+        self.node, self.prefix, self.change = node, prefix, change
+        self.answers = {}
+
+    def advertise(self, to_peer_addr, round_token=-1):
+        if round_token not in self.answers:
+            self.answers[round_token] = tuple(
+                self.change(route) if route.prefix == self.prefix else route
+                for route in self.node.advertise(to_peer_addr, round_token)
+            )
+        return self.answers[round_token]
+
+
+def test_one_changed_prefix_recomputes_one_transform_per_session(fattree4):
+    engine = SimulationEngine(fattree4)
+    engine.run()
+    node = engine.nodes["agg-0-0"]
+    for session in node.sessions:
+        node._compute_exports(session)
+    # A remote prefix agg-0-0 learned from a core: its best path changes
+    # (one more community, still the best) and nothing else does.
+    source = next(s for s in node.sessions if s.neighbor.startswith("core"))
+    prefix = next(
+        prefix for prefix, best in node.bgp_routes().items()
+        if best[0].from_node == source.neighbor
+    )
+    altered = _Altered(
+        engine.nodes[source.neighbor], prefix,
+        lambda route: replace(
+            route, communities=route.communities | {65000}
+        ),
+    )
+
+    def resolver(name):
+        return altered if name == source.neighbor else engine.nodes[name]
+
+    computed, reused = node.transforms_computed, node.transforms_reused
+    assert node.pull_round(resolver, round_token=1000)
+    # One import transform ran (the changed route); the source's other
+    # routes were reused and every other session's import was skipped.
+    assert node.transforms_computed - computed == 1
+    assert node.transforms_reused - reused == len(altered.answers[1000]) - 1
+    assert node.bgp_routes()[prefix][0].communities == {65000}
+
+    exporting = 0
+    for session in node.sessions:
+        computed, reused = node.transforms_computed, node.transforms_reused
+        exports = node._compute_exports(session)
+        sends = any(route.prefix == prefix for route in exports)
+        exporting += sends
+        assert node.transforms_computed - computed == int(sends)
+        assert node.transforms_reused - reused == len(exports) - int(sends)
+        assert exports == memo_less(node)._compute_exports(session)
+    assert exporting == len(node.sessions) - 1  # split horizon to the source
+
+
+def test_import_memo_hits_by_equality_after_unpickling(fattree4):
+    """The socket case: an advertisement crosses the wire as a copy, so
+    only equality can find the stored input."""
+    engine = SimulationEngine(fattree4)
+    engine.run()
+    node = engine.nodes["agg-1-1"]
+    for session in node.sessions:
+        received = engine.nodes[session.neighbor].advertise(
+            session.local_addr
+        )
+        assert received
+        accepted = node._process_imports(session, received)
+        copied = pickle.loads(pickle.dumps(received))
+        assert copied == received and copied[0] is not received[0]
+        computed, reused = node.transforms_computed, node.transforms_reused
+        assert node._process_imports(session, copied) == accepted
+        assert node.transforms_computed == computed
+        assert node.transforms_reused - reused == len(received)
+
+
+def test_as_path_replace_with_remove_private_as_across_a_route_change():
+    """b strips private ASNs and then overwrites the AS path towards c, so
+    routes differing only in their AS path export identically: the memo
+    must still recompute on the changed input, and a change that survives
+    the policy must show."""
+    a = cisco("a", 64512, [("eth0", "10.0.0.0", 31)],
+              [("10.0.0.1", 3000, [])])
+    a = a.replace("router bgp 64512",
+                  "router bgp 64512\n network 10.1.0.0 mask 255.255.255.0", 1)
+    b = cisco("b", 3000,
+              [("eth0", "10.0.0.1", 31), ("eth1", "10.0.0.2", 31)],
+              [("10.0.0.0", 64512, []),
+               ("10.0.0.3", 4000, ["remove-private-as", "route-map OUT out"])],
+              body="route-map OUT permit 10\n set as-path replace any\n")
+    c = cisco("c", 4000, [("eth0", "10.0.0.3", 31)],
+              [("10.0.0.2", 3000, [])])
+    engine = SimulationEngine(chain_snapshot(a, b, c))
+    routes = engine.run()
+    assert routes["c"][P_A][0].as_path == (3000,)
+    node = engine.nodes["b"]
+    from_a, to_c = node.sessions
+    before = node._compute_exports(to_c)
+    [learned] = node.rib.candidates_for(P_A)
+    changes = [
+        replace(learned, as_path=(64512, 64513, 7)),   # stripped, replaced
+        replace(learned, as_path=(7, 64512)),          # kept, replaced
+        replace(learned, as_path=(7,), origin=Origin.INCOMPLETE),
+    ]
+    for change in changes:
+        node.rib.put(change, from_a.rib_key)
+        node.rib.refresh()
+        computed = node.transforms_computed
+        exports = node._compute_exports(to_c)
+        assert node.transforms_computed - computed == 1
+        assert exports == memo_less(node)._compute_exports(to_c)
+        assert exports[0].as_path == (3000,)
+    assert exports[0].origin is Origin.INCOMPLETE
+    assert exports != before
+
+
+def test_transform_counts_reach_the_stats_and_the_report(fattree4, tmp_path,
+                                                         capsys):
+    options = S2Options(num_workers=2, num_shards=2)
+    with S2Controller(fattree4, options) as controller:
+        stats = controller.run_control_plane()
+        nodes = [
+            node
+            for worker in controller.fleet.workers
+            for node in worker.nodes.values()
+        ]
+    assert stats.transforms_computed == sum(
+        node.transforms_computed for node in nodes
+    ) > 0
+    assert stats.transforms_reused == sum(
+        node.transforms_reused for node in nodes
+    ) > 0
+
+    trace_out = str(tmp_path / "trace.json")
+    assert main(["verify", "fattree", "--k", "4", "--workers", "2",
+                 "--trace-out", trace_out]) == 0
+    capsys.readouterr()
+    assert main(["report", trace_out]) == 0
+    match = re.search(
+        r"(\d+) of (\d+) route transforms reused", capsys.readouterr().out
+    )
+    assert match is not None
+    assert 0 < int(match.group(1)) < int(match.group(2))
