@@ -113,7 +113,6 @@ class S2Options:
     seed: int = 7
     store_dir: Optional[str] = None  # persistent iff set: manifest +
     #                                  OSPF checkpoint, resumable
-    refine_shards: bool = False      # §7 runtime dependency refinement
     # -- fault tolerance -------------------------------------------------
     fault_plan: Optional[FaultPlan] = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -143,7 +142,7 @@ def options_fingerprint(options: S2Options, snapshot: Snapshot) -> str:
     so a crashed socket-runtime run may be resumed sequentially.
     """
     payload = {
-        "version": 1,
+        "version": 2,
         "snapshot": snapshot.name,
         "nodes": sorted(snapshot.configs),
         "num_workers": options.num_workers,
@@ -151,7 +150,6 @@ def options_fingerprint(options: S2Options, snapshot: Snapshot) -> str:
         "num_shards": options.num_shards,
         "seed": options.seed,
         "max_rounds": options.max_rounds,
-        "refine_shards": options.refine_shards,
     }
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -822,10 +820,7 @@ class S2Controller:
         stats record the degradation.
         """
         try:
-            stats = self.cpo.run(
-                self.shards if self.shards else None,
-                refine=self.options.refine_shards,
-            )
+            stats = self.cpo.run(self.shards if self.shards else None)
         except WorkerFailure:
             stats = self._sequential_fallback()
         self._cp_done = True

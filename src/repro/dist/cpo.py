@@ -18,17 +18,24 @@ the whole network converges as one fixed point, since sharding only
 slows a run that fits (the paper's Fig 4).  Shards are unions of DPDG
 components, so a union of shards converges to the same routes.
 
+A batch grows when the DPDG missed a dependency (§7 refinement): each
+pull reports the conditional watches a worker's nodes consulted outside
+the batch's union, and a batch that converges with any joins every shard
+holding one (pending or already flushed) plus any watch no shard holds,
+then converges again.  With the complete DPDG growth never fires.
+
 When a batch converges, the workers flush it once per shard, each flush
 writing that shard's routes to its own file in the
 :class:`~repro.dist.storage.RouteStore` (the first one frees the RIBs):
-the shard stays the flush, carry-over and resume unit.
+the shard stays the flush, carry-over and resume unit.  A flushed shard
+that a later batch absorbs is rewritten atomically at its own index.
 
 Fault tolerance rides on batch idempotency: ``begin_shard`` fully
 resets per-shard state, so when a :class:`~repro.dist.faults.
 WorkerFailure` surfaces anywhere in a batch, ``WorkerSupervisor.replay``
-recovers the worker and reruns the whole batch from round 0 —
-bit-identical to the fault-free run; a shard whose flush already landed
-is not flushed again.  Dropped
+recovers the worker and reruns the whole batch, as grown so far, from
+round 0 — bit-identical to the fault-free run; a shard whose flush
+already landed is not flushed again.  Dropped
 sidecar batches are healed by the rounds themselves (exports are resent
 in full every round); the only hazard is a drop in the would-be-final
 round, so the CPO refuses to declare convergence in any round where the
@@ -41,8 +48,11 @@ it the same prefixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+)
 
+from ..net.ip import Prefix
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from ..routing.engine import ConvergenceError
@@ -60,7 +70,7 @@ class ControlPlaneStats:
     ospf_rounds: int = 0
     shards_run: int = 0
     batches_run: int = 0            # fixed points, one per batch of shards
-    shards_merged: int = 0  # §7 refinement: shards absorbed into reruns
+    shards_merged: int = 0          # §7 refinement: shards a batch grew by
     measured_seconds: float = 0.0
     route_flush_bytes: int = 0
     peak_candidate_routes: int = 0  # summed over workers, any instant
@@ -222,7 +232,12 @@ class ControlPlaneOrchestrator:
 
     # -- BGP phase ------------------------------------------------------------------
 
-    def run_batch(self, batch: Sequence[Optional[PrefixShard]]) -> None:
+    def run_batch(
+        self,
+        batch: Sequence[Optional[PrefixShard]],
+        pending: Optional[List[PrefixShard]] = None,
+        packing: Sequence[PrefixShard] = (),
+    ) -> None:
         """Converge a batch of shards as one fixed point, then flush
         each shard to its own file, replaying after recoveries.
 
@@ -234,15 +249,42 @@ class ControlPlaneOrchestrator:
         routes as its shards one by one.  A shard whose flush landed
         is marked in the manifest at once and not flushed again by a
         replay.
+
+        A batch that converges with watches outside its union (§7: the
+        DPDG missed a dependency) grows by every shard of ``packing``
+        holding one — taken out of ``pending``, or to be rewritten if
+        already flushed — and by any watch no shard holds, and converges
+        again.  Growth is a correctness step: it is not planned against
+        the ceiling, and a replay keeps it.
         """
+        batch = list(batch)
+        extra: set = set()  # watches no shard of the packing holds
+        grown: List[int] = []
         flushed: set = set()
 
         def converge_and_flush() -> None:
-            rounds = self._converge_shard(_union(batch), _indices(batch))
+            while True:
+                union = _union(batch, extra)
+                rounds, dependencies = self._converge_shard(
+                    union, _indices(batch), grown
+                )
+                if not dependencies:
+                    break
+                watches = {watch for _, watch in dependencies}
+                for holder in packing:
+                    if watches.isdisjoint(holder.prefixes):
+                        continue
+                    if pending and holder in pending:
+                        pending.remove(holder)
+                    batch.append(holder)
+                    grown.append(holder.index)
+                    self.stats.shards_merged += 1
+                    watches -= holder.prefixes
+                extra.update(watches)
             for shard, index in zip(batch, _indices(batch)):
                 if index in flushed:
                     continue
-                self._flush_shard(index, shard if len(batch) > 1 else None)
+                self._flush_shard(index, shard if union is not shard else None)
                 flushed.add(index)
                 self._mark_shard_done(index, rounds)
 
@@ -268,12 +310,17 @@ class ControlPlaneOrchestrator:
         return limits
 
     def _converge_shard(
-        self, shard: Optional[PrefixShard], flush_indices: Sequence[int] = ()
-    ) -> int:
+        self,
+        shard: Optional[PrefixShard],
+        flush_indices: Sequence[int] = (),
+        grown: Sequence[int] = (),
+    ) -> Tuple[int, FrozenSet[Tuple[Prefix, Prefix]]]:
         """Converge ``shard`` (a batch's union of shards, None for every
-        prefix) as one fixed point; returns its rounds.  The fault
+        prefix) as one fixed point; returns its rounds and the (prefix,
+        watch) dependencies the workers observed outside it.  The fault
         plan's shard context is the batch's ``flush_indices`` (default:
-        the shard's own index)."""
+        the shard's own index); ``grown`` names the shards growth
+        absorbed into the batch, for the trace."""
         indices = list(flush_indices) or _indices([shard])
         if self.fault_plan is not None:
             self.fault_plan.set_context(shard=indices)
@@ -285,13 +332,19 @@ class ControlPlaneOrchestrator:
         with self.tracer.span(
             "cpo.shard", category="cpo", shard=indices[0], shards=indices
         ) as shard_span:
+            if grown:
+                shard_span.set(grown=list(grown))
             try:
-                self._converge_shard_rounds(indices[0])
+                outcomes = self._converge_shard_rounds(indices[0])
             finally:
                 shard_span.set(rounds=self.stats.bgp_rounds - rounds_before)
-        return self.stats.bgp_rounds - rounds_before
+        return self.stats.bgp_rounds - rounds_before, frozenset().union(
+            *(outcome.unmet_dependencies for outcome in outcomes)
+        )
 
-    def _converge_shard_rounds(self, shard_index: int) -> None:
+    def _converge_shard_rounds(self, shard_index: int) -> List[PullOutcome]:
+        """Run rounds until no worker changes; returns the last round's
+        outcomes."""
         heartbeat_every = self.retry_policy.heartbeat_interval_rounds
         outcomes: List[PullOutcome] = []
         for round_token in range(self.max_rounds):
@@ -336,7 +389,7 @@ class ControlPlaneOrchestrator:
             )
             if not any(outcome.changed for outcome in outcomes):
                 if dropped == 0:
-                    break
+                    return outcomes
                 # A batch was dropped this round: a "no change" verdict
                 # may rest on a stale mailbox.  Exports are re-sent in
                 # full every round, so one extra round heals the state
@@ -397,70 +450,8 @@ class ControlPlaneOrchestrator:
         self.manifest.mark_shard(flush_index, rounds=rounds)
         self.store.write_manifest(self.manifest)
 
-    # -- §7 extension: runtime dependency refinement --------------------------
-
-    def _collect_observed_dependencies(self) -> set:
-        found: set = set()
-        for deps in self.fleet.call_all("observed_dependencies"):
-            found |= deps
-        return found
-
-    def run_bgp_refining(self, shards: Sequence[PrefixShard]) -> None:
-        """Run shards with runtime dependency refinement (§7).
-
-        After a shard converges, workers report any prefix dependency
-        they observed pointing *outside* the shard (an unforeseen
-        dependency the DPDG missed).  The affected shards are merged and
-        the union recomputed; since flush indices grow monotonically, a
-        recomputation simply supersedes earlier results for its prefixes.
-
-        (Refinement reshapes the shard list as it runs, so refined runs
-        are not resumable: the manifest's flush indices would not line
-        up across a restart.  Worker recovery still applies.)
-        """
-        pending: List[PrefixShard] = list(shards)
-        flush_index = 0
-        while pending:
-            shard = pending.pop(0)
-            self.supervisor.replay(
-                lambda: self._converge_shard(shard),
-                lambda: self._recovered("shard_replays"),
-            )
-            unmet = {
-                watch
-                for _prefix, watch in self._collect_observed_dependencies()
-                if watch not in shard
-            }
-            if unmet:
-                absorbed = [
-                    other
-                    for other in pending
-                    if other.prefixes & unmet
-                ]
-                merged_prefixes = set(shard.prefixes)
-                for other in absorbed:
-                    pending.remove(other)
-                    merged_prefixes |= other.prefixes
-                # Watches held by *already flushed* shards simply join the
-                # merged shard: the recomputation's higher flush index
-                # supersedes their earlier results for those prefixes.
-                merged_prefixes |= unmet
-                self.stats.shards_merged += 1 + len(absorbed)
-                pending.insert(
-                    0,
-                    PrefixShard(
-                        index=shard.index,
-                        prefixes=frozenset(merged_prefixes),
-                    ),
-                )
-                continue
-            self._flush_shard(flush_index)
-            flush_index += 1
-
     def run(
-        self,
-        shards: Optional[Sequence[PrefixShard]] = None,
-        refine: bool = False,
+        self, shards: Optional[Sequence[PrefixShard]] = None
     ) -> ControlPlaneStats:
         """IGPs first, then BGP over every shard (None = single pass).
 
@@ -481,28 +472,22 @@ class ControlPlaneOrchestrator:
             else:
                 self.run_ospf()
                 self._checkpoint_ospf()
-            if shards and refine:
-                self.run_bgp_refining(shards)
-            else:
-                pending: List[Optional[PrefixShard]] = []
-                for shard in shards or [None]:
-                    if (
-                        self.manifest is not None
-                        and self.manifest.converged(shard)
-                    ):
-                        self.stats.shards_skipped += 1
-                    else:
-                        pending.append(shard)
-                while pending:
-                    # Planned batch by batch: a loss mid-run moves nodes
-                    # onto the survivors, and the next batch sees it.
-                    batch = (
-                        plan_batches(pending, self._batch_limits())[0]
-                        if pending[0] is not None
-                        else pending[:1]
-                    )
-                    del pending[: len(batch)]
-                    self.run_batch(batch)
+            pending: List[Optional[PrefixShard]] = []
+            for shard in shards or [None]:
+                if self.manifest is not None and self.manifest.converged(shard):
+                    self.stats.shards_skipped += 1
+                else:
+                    pending.append(shard)
+            while pending:
+                # Planned batch by batch: a loss mid-run moves nodes onto
+                # the survivors, and the next batch sees it.
+                batch = (
+                    plan_batches(pending, self._batch_limits())[0]
+                    if pending[0] is not None
+                    else pending[:1]
+                )
+                del pending[: len(batch)]
+                self.run_batch(batch, pending, shards or ())
             self._collect_fault_counts()
             span.set(
                 bgp_rounds=self.stats.bgp_rounds,
@@ -519,11 +504,14 @@ def _indices(batch: Sequence[Optional[PrefixShard]]) -> List[int]:
     return [shard.index if shard is not None else 0 for shard in batch]
 
 
-def _union(batch: Sequence[Optional[PrefixShard]]) -> Optional[PrefixShard]:
-    """One shard holding the batch's prefixes, at its first index."""
-    if len(batch) == 1:
+def _union(
+    batch: Sequence[Optional[PrefixShard]], extra: AbstractSet[Prefix] = ()
+) -> Optional[PrefixShard]:
+    """One shard holding the batch's prefixes and ``extra``, at its first
+    index."""
+    if len(batch) == 1 and not extra:
         return batch[0]
     return PrefixShard(
         index=batch[0].index,
-        prefixes=frozenset().union(*(shard.prefixes for shard in batch)),
+        prefixes=frozenset(extra).union(*(shard.prefixes for shard in batch)),
     )

@@ -123,8 +123,8 @@ def build_dpdg(
 
     ``include_conditionals=False`` deliberately omits the conditional-
     advertisement edges, producing an *incomplete* DPDG — the scenario
-    §7's runtime refinement exists for (tests and the refinement path use
-    it to provoke unforeseen dependencies).
+    §7's runtime refinement exists for (tests pack shards from it to
+    provoke the unforeseen dependencies that grow a CPO batch).
     """
     dpdg = Dpdg()
     all_prefixes = collect_network_prefixes(snapshot)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
@@ -122,6 +122,10 @@ class PullOutcome:
     # carried over because the route was the one transformed last time.
     transforms_computed: int = 0
     transforms_reused: int = 0
+    # §7 refinement: the (prefix, watch) dependencies this worker's nodes
+    # observed since ``begin_shard`` whose watch lies outside the batch's
+    # union — a DPDG edge the packing missed; the CPO grows the batch.
+    unmet_dependencies: FrozenSet[Tuple[Prefix, Prefix]] = frozenset()
 
 
 class Worker:
@@ -137,7 +141,7 @@ class Worker:
         "begin_epoch", "rebind_snapshot",
         # control plane
         "begin_shard", "compute_exports", "deliver_routes_many",
-        "pull_round", "observed_dependencies", "flush_shard",
+        "pull_round", "flush_shard",
         # OSPF
         "has_ospf", "compute_ospf_exports", "pull_ospf_round",
         "install_ospf_routes", "export_ospf_state", "restore_ospf_state",
@@ -403,14 +407,6 @@ class Worker:
         self.update_memory(enforce=False)
         return result
 
-    def observed_dependencies(self) -> set:
-        """Runtime-discovered (prefix, watched-prefix) dependencies (§7),
-        aggregated across this worker's real nodes for the current shard."""
-        found: set = set()
-        for node in self.nodes.values():
-            found |= node.observed_dependencies
-        return found
-
     def flush_shard(
         self,
         store_dir: str,
@@ -581,6 +577,9 @@ class Worker:
             imports_skipped=delta["imports_skipped"],
             transforms_computed=both["transforms_computed"],
             transforms_reused=both["transforms_reused"],
+            unmet_dependencies=frozenset().union(
+                *(node.observed_dependencies for node in self.nodes.values())
+            ),
         )
 
     _ROUND_COUNTERS = (

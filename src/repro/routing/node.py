@@ -130,8 +130,8 @@ class RouterNode:
         self.transforms_reused = 0
         # Runtime-discovered prefix dependencies (§7): populated when a
         # conditional advertisement consults a watch prefix that is not
-        # part of the current shard — the signal the CPO's shard
-        # refinement acts on.
+        # part of the current shard — the signal the CPO grows a batch
+        # on.
         self.observed_dependencies: set = set()
         self._resolve_sessions(topology)
         self._install_connected(topology)

@@ -114,11 +114,13 @@ def commit_records(session):
     ]
 
 
-def one_shard_per_batch(snapshot, options):
+def one_shard_per_batch(snapshot, options, shards=None):
     """The largest ``worker_capacity`` under which the CPO's planner puts
-    no two consecutive shards of the run's packing into one batch: the
-    per-shard schedule, whatever the shard sizes."""
-    shards = make_shards(snapshot, options.num_shards, seed=options.seed)
+    no two consecutive shards of the run's packing (or of ``shards``, in
+    run order) into one batch: the per-shard schedule, whatever the shard
+    sizes."""
+    if shards is None:
+        shards = make_shards(snapshot, options.num_shards, seed=options.seed)
     pairs = [len(a) + len(b) for a, b in zip(shards, shards[1:])]
     if not pairs:
         return options.worker_capacity
