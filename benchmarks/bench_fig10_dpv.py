@@ -15,7 +15,12 @@ operations (``*-ops``).  Engines on different workers proceed in parallel
 (§4.3), so that count bounds a phase on a cluster with a core per worker.
 The ``*-ms`` columns are measured in one process, where the workers run
 one after another and every worker boundary pays serialization, so they
-are reported, not asserted.  The memory claim is asserted too: S2's
+are reported, not asserted.  S2's forwarding columns drive its symbolic
+forwarding explicitly (``dpo.forward`` of the full header space from the
+query's sources): its reachability check answers these ACL-free classes
+by destination-class closure and forwards nothing, which would make the
+comparison vacuous.  ``closure-ms`` is that check on the all-pair query,
+reported, not asserted.  The memory claim is asserted too: S2's
 per-worker peak stays below the single Batfish server's.
 """
 
@@ -32,8 +37,14 @@ COUNTS = (
 )
 HEADERS = [
     "series", "workload", "pred-nodes", "fwd-allpair-ops", "fwd-single-ops",
-    "pred-ms", "fwd-allpair-ms", "fwd-single-ms", "peak-mem",
+    "pred-ms", "fwd-allpair-ms", "fwd-single-ms", "closure-ms", "peak-mem",
 ]
+
+
+def closure_ms(row):
+    """S2's all-pair check by closure; Batfish has no closure path."""
+    closure = row.extra.get("closure_allpair")
+    return "-" if closure is None else round(closure * 1e3)
 
 
 def test_fig10_dpv(benchmark):
@@ -46,6 +57,7 @@ def test_fig10_dpv(benchmark):
             [r.series, r.workload]
             + [r.extra.get(count, 0) for count in COUNTS]
             + [round(r.extra.get(phase, 0) * 1e3) for phase in PHASES]
+            + [closure_ms(r)]
             + [f"{r.peak_memory / (1 << 20):.1f}MB"]
             for r in rows
         ],

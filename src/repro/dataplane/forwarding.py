@@ -141,13 +141,9 @@ class ForwardingContext:
 
         pkt = packet.bdd
         if packet.in_port is not None:
-            permitted = engine.and_(
-                pkt, predicates.acl_in_for(packet.in_port)
+            pkt = self._filter(
+                packet, pkt, predicates.acl_in_for(packet.in_port), finals
             )
-            denied = engine.diff(pkt, permitted)
-            if denied != FALSE:
-                finals.append(self._final(packet, FinalState.BLACKHOLE, denied))
-            pkt = permitted
         if pkt == FALSE:
             return finals, outgoing
 
@@ -163,18 +159,14 @@ class ForwardingContext:
         if dropped != FALSE:
             finals.append(self._final(packet, FinalState.BLACKHOLE, dropped))
 
-        for iface, forward_pred in sorted(predicates.forward.items()):
+        # compile_predicates inserts the ports in sorted order.
+        for iface, forward_pred in predicates.forward.items():
             out = engine.and_(pkt, forward_pred)
             if out == FALSE:
                 continue
-            permitted_out = engine.and_(
-                out, predicates.acl_out_for(iface)
+            permitted_out = self._filter(
+                packet, out, predicates.acl_out_for(iface), finals
             )
-            denied_out = engine.diff(out, permitted_out)
-            if denied_out != FALSE:
-                finals.append(
-                    self._final(packet, FinalState.BLACKHOLE, denied_out)
-                )
             if permitted_out == FALSE:
                 continue
             peer = self.adjacency.get((packet.node, iface))
@@ -195,6 +187,24 @@ class ForwardingContext:
                 packet.stepped(permitted_out, peer_node, peer_iface)
             )
         return finals, outgoing
+
+    def _filter(
+        self,
+        packet: SymbolicPacket,
+        pkt: int,
+        acl: int,
+        finals: List[FinalPacket],
+    ) -> int:
+        """Apply one port ACL: the permitted packets, with the denied ones
+        appended to ``finals`` as a BLACKHOLE.  A permit-all ACL costs no
+        BDD operation; otherwise ``pkt ∧ ¬acl`` is the same canonical id
+        as ``pkt ∧ ¬(pkt ∧ acl)``, and ``¬acl`` stays in the op cache."""
+        if acl == TRUE:
+            return pkt
+        denied = self.engine.diff(pkt, acl)
+        if denied != FALSE:
+            finals.append(self._final(packet, FinalState.BLACKHOLE, denied))
+        return self.engine.and_(pkt, acl)
 
     def _final(
         self,

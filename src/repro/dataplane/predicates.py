@@ -121,7 +121,8 @@ def compile_predicates(
         elif region != FALSE:
             for iface in action:
                 forward_regions.setdefault(iface, []).append(region)
-    for iface, iface_regions in forward_regions.items():
+    # In port order: the hop kernel walks ``forward`` as it stands.
+    for iface, iface_regions in sorted(forward_regions.items()):
         predicates.forward[iface] = engine.apply_many(OP_OR, iface_regions)
 
     for iface in config.interfaces.values():

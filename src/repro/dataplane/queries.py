@@ -19,6 +19,8 @@ from .forwarding import FinalPacket, FinalState
 
 # forward(sources, header_bdd, trace) -> finals
 ForwardFn = Callable[[Sequence[str], int, bool], List[FinalPacket]]
+# reach_by_closure(query, header_bdd) -> (reachable pairs, residual header)
+ClosureFn = Callable[["Query", int], Tuple[Dict[Tuple[str, str], int], int]]
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,13 @@ class PropertyChecker:
         encoding: HeaderEncoding,
         forward: ForwardFn,
         install_waypoints: Optional[Callable[[Sequence[str]], None]] = None,
+        reach_by_closure: Optional[ClosureFn] = None,
     ) -> None:
         self._engine = engine
         self._encoding = encoding
         self._forward = forward
         self._install_waypoints = install_waypoints
+        self._reach_by_closure = reach_by_closure
 
     def _header_bdd(self, query: Query) -> int:
         if query.header_space is None:
@@ -104,9 +108,17 @@ class PropertyChecker:
         ``within`` (a header BDD in this checker's engine) restricts the
         injected header space further: the serving layer's commit
         rechecks only the destinations an announce made dirty.
+
+        With a ``reach_by_closure`` hook, the pairs it answers come from
+        there and only its residual header space is forwarded; forwarding
+        runs only for a residual that is not FALSE.
         """
         header = self._engine.and_(self._header_bdd(query), within)
         result = ReachabilityResult()
+        if self._reach_by_closure is not None:
+            result.reachable, header = self._reach_by_closure(query, header)
+        if header == FALSE:
+            return result
         finals = self._forward(query.sources, header, False)
         wanted = set(query.destinations)
         for final in finals:

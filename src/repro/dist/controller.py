@@ -453,6 +453,7 @@ class S2Controller:
             node_limit=opts.node_limit,
             tracer=self.tracer,
             metrics=self.metrics,
+            max_hops=opts.max_hops,
         )
         self.start_run(manifest)
 

@@ -23,13 +23,22 @@ BDD operation caches' hits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..bdd.engine import BddEngine
+from ..bdd.engine import FALSE, OP_OR, TRUE, BddEngine
 from ..bdd.headerspace import HeaderEncoding
 from ..bdd.serialize import deserialize, serialize
-from ..dataplane.forwarding import FinalPacket
-from ..dataplane.queries import PropertyChecker
+from ..dataplane.classes import (
+    Action,
+    class_atoms,
+    closure_pairs,
+    nearest_parents,
+    shortest_first,
+    with_ancestors,
+)
+from ..dataplane.forwarding import DEFAULT_MAX_HOPS, FinalPacket
+from ..dataplane.queries import PropertyChecker, Query
+from ..net.ip import Prefix
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from .fleet import Fleet, settle_all
@@ -60,6 +69,12 @@ class DataPlaneStats:
     # Always 0: packet batches are charged at their measured size.  Kept
     # because s2bench reports it as ``dpo.dedup_bytes_saved``.
     dedup_bytes_saved: int = 0
+    # -- destination-class closure (reachability) -------------------------
+    closure_seconds: float = 0.0
+    closure_classes: int = 0   # classes the header touched, closed or not
+    closure_groups: int = 0    # groups of classes with equal actions
+    closure_pairs: int = 0     # pairs answered by closure
+    symbolic_classes: int = 0  # ACL-touched classes left to forwarding
     # -- fault tolerance -------------------------------------------------
     worker_failures: int = 0   # WorkerFailures recovered in build/forward
     query_replays: int = 0     # queries rerun after a worker recovery
@@ -74,6 +89,7 @@ class DataPlaneOrchestrator:
         node_limit: int = 1 << 24,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
+        max_hops: int = DEFAULT_MAX_HOPS,
     ) -> None:
         # Read at every query: a loss or rejoin takes effect at the next
         # build (the controller invalidates it).
@@ -90,6 +106,15 @@ class DataPlaneOrchestrator:
         self._built = False
         self._store: Optional[RouteStore] = None
         self._transits: List[str] = []
+        # The workers' hop bound, which the closure applies as theirs.
+        self.max_hops = max_hops
+        # Per build: each destination class's nearest parent and atom (in
+        # the controller engine), and memoized per class: every device's
+        # action, and whether an ACL touches it.
+        self._parents: Dict[Prefix, Optional[Prefix]] = {}
+        self._atoms: Dict[Prefix, int] = {}
+        self._rows: Dict[Prefix, Dict[str, Action]] = {}
+        self._touched: Set[Prefix] = set()
 
     # -- fault handling --------------------------------------------------
 
@@ -128,6 +153,18 @@ class DataPlaneOrchestrator:
         this after every committed delta so FIBs and predicates reflect
         the new routes."""
         self._built = False
+        self._set_classes(frozenset())
+
+    def _set_classes(self, prefixes: FrozenSet[Prefix]) -> None:
+        """Take the union of the workers' FIB prefixes as the classes,
+        build their atoms, and drop the memoized actions."""
+        classes = shortest_first(prefixes)
+        self._parents = nearest_parents(classes)
+        self._atoms = class_atoms(
+            self.engine, self.encoding, classes, self._parents
+        )
+        self._rows = {}
+        self._touched = set()
 
     def _build_once(self, store: RouteStore) -> None:
         if self._built:
@@ -141,13 +178,16 @@ class DataPlaneOrchestrator:
                 self.encoding,
                 self.node_limit,
             )
-            for worker, (ops, _) in zip(self.fleet.workers, built):
+            for worker, (ops, _, _) in zip(self.fleet.workers, built):
                 worker.resources.bdd_ops += ops
             self.stats.predicate_busiest_nodes += max(
-                (nodes for _, nodes in built), default=0
+                (nodes for _, nodes, _ in built), default=0
             )
-            span.set(bdd_ops=sum(ops for ops, _ in built))
+            span.set(bdd_ops=sum(ops for ops, _, _ in built))
         self.stats.predicate_seconds += clock.seconds
+        self._set_classes(
+            frozenset().union(*(prefixes for _, _, prefixes in built))
+        )
         self._built = True
 
     # -- waypoints ------------------------------------------------------------
@@ -304,6 +344,89 @@ class DataPlaneOrchestrator:
                 )
         return finals
 
+    # -- reachability by destination-class closure ----------------------------
+
+    def reach_by_closure(
+        self, query: Query, header: int
+    ) -> Tuple[Dict[Tuple[str, str], int], int]:
+        """The reachable pairs of every class ``header`` touches that no
+        ACL touches, and the residual header space left to forwarding.
+
+        With a waypoint bit installed the bits live inside the symbolic
+        packets, so the whole header is the residual.  Pairs are
+        ``header ∧ ⋁ atoms`` over the classes by which the source reaches
+        the destination; a FALSE pair is never stored.
+        """
+        assert self._built, "call build() before reach_by_closure()"
+        if self._transits:
+            return {}, header
+        engine = self.engine
+        with stopwatch() as clock, self.tracer.span(
+            "dpo.closure", category="dpo"
+        ) as span:
+            # The header's share of each class it touches.
+            shares: Dict[Prefix, int] = {}
+            for prefix, atom in self._atoms.items():
+                share = atom if header == TRUE else engine.and_(header, atom)
+                if share != FALSE:
+                    shares[prefix] = share
+            self.supervisor.replay(
+                lambda: self._fetch_rows(list(shares)), self._rebuild
+            )
+            symbolic = [p for p in shares if p in self._touched]
+            residual = engine.apply_many(
+                OP_OR, (shares[p] for p in symbolic)
+            )
+            closed = {
+                p: self._rows[p] for p in shares if p not in self._touched
+            }
+            groups, pairs = closure_pairs(
+                closed, query.sources, query.destinations, self.max_hops
+            )
+            group_bdds = [
+                engine.apply_many(OP_OR, (shares[p] for p in members))
+                for members in groups
+            ]
+            reachable = {
+                pair: engine.apply_many(
+                    OP_OR, (group_bdds[index] for index in indexes)
+                )
+                for pair, indexes in pairs.items()
+            }
+            span.set(
+                classes=len(shares),
+                groups=len(groups),
+                pairs=len(reachable),
+                symbolic_classes=len(symbolic),
+            )
+        stats = self.stats
+        stats.closure_seconds += clock.seconds
+        stats.closure_classes += len(shares)
+        stats.closure_groups += len(groups)
+        stats.closure_pairs += len(reachable)
+        stats.symbolic_classes += len(symbolic)
+        if self.metrics is not None:
+            self.metrics.counter("dpo.closure_pairs").inc(len(reachable))
+            self.metrics.counter("dpo.symbolic_classes").inc(len(symbolic))
+        return reachable, residual
+
+    def _fetch_rows(self, wanted: List[Prefix]) -> None:
+        """Fetch every device's actions for the ``wanted`` classes not
+        memoized yet: one ``class_actions`` fan-out, device ids on the
+        wire.  After a replay's rebuild the memo is empty again, so the
+        missing set is taken inside the replayed unit."""
+        missing = [p for p in wanted if p not in self._rows]
+        if not missing:
+            return
+        request = with_ancestors(missing, self._parents)
+        fresh: List[Dict[str, Action]] = [{} for _ in request]
+        for rows, touched in self.fleet.call_all("class_actions", request):
+            for device, actions in rows.items():
+                for row, action in zip(fresh, actions):
+                    row[device] = action
+            self._touched.update(touched)
+        self._rows.update(zip(request, fresh))
+
     # -- property checking ------------------------------------------------------------
 
     def checker(self) -> PropertyChecker:
@@ -312,4 +435,5 @@ class DataPlaneOrchestrator:
             self.encoding,
             self.forward,
             install_waypoints=self.install_waypoints,
+            reach_by_closure=self.reach_by_closure,
         )

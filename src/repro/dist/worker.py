@@ -30,7 +30,14 @@ from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
 from ..bdd.serialize import SerializedBdd, deserialize, serialize
 from ..config.loader import Snapshot
-from ..dataplane.fib import NextHopResolver, build_fib
+from ..dataplane.classes import (
+    RECEIVE,
+    SINK,
+    Action,
+    device_actions,
+    parent_indexes,
+)
+from ..dataplane.fib import Fib, FibAction, NextHopResolver, build_fib
 from ..dataplane.forwarding import (
     FinalPacket,
     ForwardingContext,
@@ -128,6 +135,14 @@ class PullOutcome:
     unmet_dependencies: FrozenSet[Tuple[Prefix, Prefix]] = frozenset()
 
 
+def _acl_bound(config, iface: str, direction: str) -> bool:
+    """Whether ``iface`` filters with a defined ACL in ``direction``
+    (``acl_in`` / ``acl_out``), as :func:`compile_predicates` binds one."""
+    interface = config.interfaces.get(iface) if config is not None else None
+    name = getattr(interface, direction, None)
+    return name is not None and name in config.acls
+
+
 class Worker:
     """One S2 worker: a segment's switch models plus the DPV context."""
 
@@ -148,7 +163,7 @@ class Worker:
         # data plane
         "build_dataplane", "set_waypoint_bit", "clear_waypoints",
         "inject_header", "deliver_packets", "drain", "collect_finals",
-        "reset_dataplane_run",
+        "reset_dataplane_run", "class_actions",
     ))
 
     def __init__(
@@ -197,6 +212,7 @@ class Worker:
         self.context: Optional[ForwardingContext] = None
         self._buffer: Optional[PacketBuffer] = None
         self._finals: List[FinalPacket] = []
+        self._fibs: Dict[str, Fib] = {}
         self._fib_entries = 0
         # Live node count the last collection left; 0 after a build, so
         # the first query boundary always collects.
@@ -300,6 +316,7 @@ class Worker:
         self.context = None
         self._buffer = None
         self._finals = []
+        self._fibs = {}
         self._fib_entries = 0
         self._gc_floor = 0
         self._drop_engine_memos()
@@ -692,16 +709,19 @@ class Worker:
         store_dir: str,
         encoding: HeaderEncoding,
         node_limit: int = 1 << 24,
-    ) -> Tuple[int, int]:
+    ) -> Tuple[int, int, FrozenSet[Prefix]]:
         """Build FIBs (from the route store) and compile predicates into
-        this worker's private engine.  Returns the BDD ops spent and the
-        nodes the fresh engine holds afterwards (phase 1 of Figure 10).
-        Idempotent: a rebuild (after worker recovery or a commit) starts
-        from a fresh engine and FIB count."""
+        this worker's private engine.  Returns the BDD ops spent, the
+        nodes the fresh engine holds afterwards (phase 1 of Figure 10),
+        and the FIB prefixes of the encoding's family (the destination
+        classes this worker contributes).  Idempotent: a rebuild (after
+        worker recovery or a commit) starts from a fresh engine and FIB
+        count."""
         self._inject("build_dataplane")
         # Release the previous data plane before allocating the next, so
         # a rebuild never holds two engines (and two op caches) at once.
         self.engine = self.context = self._buffer = None
+        self._fibs = {}
         self._drop_engine_memos()
         resolver = NextHopResolver.from_snapshot(self.snapshot)
         self.encoding = encoding
@@ -731,6 +751,7 @@ class Worker:
                         resolver,
                     )
                     self._fib_entries += len(fib)
+                    self._fibs[hostname] = fib
                     self.context.add_node(
                         compile_predicates(
                             self.snapshot.configs[hostname],
@@ -751,7 +772,76 @@ class Worker:
         self._gc_floor = 0
         self.update_memory()
         self.last_phase = "build_dataplane"
-        return ops, nodes
+        width = encoding.address_bits
+        prefixes = frozenset(
+            entry.prefix
+            for fib in self._fibs.values()
+            for entry in fib.entries(width)
+        )
+        return ops, nodes, prefixes
+
+    def class_actions(
+        self, classes: Sequence[Prefix]
+    ) -> Tuple[Dict[str, Tuple[Action, ...]], FrozenSet[Prefix]]:
+        """Each owned device's action per destination class, and the
+        classes an ACL touches on this worker.
+
+        ``classes`` is upward-closed and shortest first
+        (:func:`~repro.dataplane.classes.with_ancestors`).  Successors are
+        read from the forwarding adjacency, so an egress port with no peer
+        is a sink, exactly where the symbolic forwarder exits.  A class is
+        touched where a device forwards it out of a port with an outbound
+        ACL, or onto a peer port with an inbound one.
+        """
+        self._inject("class_actions")
+        assert self.context is not None
+        parents = parent_indexes(classes)
+        rows: Dict[str, Tuple[Action, ...]] = {}
+        touched = set()
+        for hostname in sorted(self._fibs):
+            entry_for = self._fibs[hostname].entry_for
+            # Entries leaving by the same ports share one action.
+            by_ports: Dict[Tuple[str, ...], Tuple[Action, bool]] = {}
+
+            def own(prefix: Prefix) -> Optional[Tuple[Action, bool]]:
+                entry = entry_for(prefix)
+                if entry is None:
+                    return None
+                if entry.action is FibAction.RECEIVE:
+                    return RECEIVE, False
+                if entry.action is FibAction.DROP:
+                    return SINK, False
+                ports = tuple(hop.iface for hop in entry.next_hops)
+                found = by_ports.get(ports)
+                if found is None:
+                    found = by_ports[ports] = self._egress(hostname, ports)
+                return found
+
+            actions = device_actions(classes, parents, own)
+            rows[hostname] = tuple(action for action, _ in actions)
+            touched.update(
+                prefix
+                for prefix, (_, acl) in zip(classes, actions)
+                if acl
+            )
+        self.last_phase = "class_actions"
+        return rows, frozenset(touched)
+
+    def _egress(
+        self, hostname: str, ports: Sequence[str]
+    ) -> Tuple[Action, bool]:
+        """Forwarding out of ``ports`` as a class action, and whether an
+        ACL sits on any of them or on their peers' ingress ports."""
+        configs = self.snapshot.configs
+        successors = set()
+        touched = False
+        for iface in set(ports):
+            touched |= _acl_bound(configs.get(hostname), iface, "acl_out")
+            peer = self.context.adjacency.get((hostname, iface))
+            if peer is not None:
+                successors.add(peer[0])
+                touched |= _acl_bound(configs.get(peer[0]), peer[1], "acl_in")
+        return tuple(sorted(successors)), touched
 
     def set_waypoint_bit(self, node: str, metadata_index: int) -> None:
         if self.context is not None and self.owns(node):

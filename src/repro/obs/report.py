@@ -185,6 +185,33 @@ def warm_dataplane(spans: List[Dict[str, Any]]) -> Optional[str]:
     )
 
 
+def class_closure(spans: List[Dict[str, Any]]) -> Optional[str]:
+    """One line on reachability by destination-class closure, from the
+    ``dpo.closure`` spans.
+
+    Each reachability check without waypoint bits opens one; it carries
+    the classes its header touched, their groups of equal actions, the
+    pairs closure answered, and the ACL-touched classes left to symbolic
+    forwarding.  None when the trace has no closure span.
+    """
+    totals = {"classes": 0, "groups": 0, "pairs": 0, "symbolic_classes": 0}
+    checks = 0
+    for span in spans:
+        if span["name"] == "dpo.closure":
+            attrs = span.get("attrs") or {}
+            checks += 1
+            for key in totals:
+                totals[key] += int(attrs.get(key, 0) or 0)
+    if not checks:
+        return None
+    return (
+        f"class closure: {totals['pairs']} pairs over {checks} checks from "
+        f"{totals['classes']} classes in {totals['groups']} groups, "
+        f"{totals['symbolic_classes']} ACL-touched classes forwarded "
+        "symbolically"
+    )
+
+
 def render_report(
     path: str,
     by_process: bool = False,
@@ -211,7 +238,9 @@ def render_report(
         f"{len(processes)} participants ({', '.join(processes)})"
     )
     report = format_table(REPORT_HEADERS, rows, title=title)
-    for line in (round_reuse(spans), warm_dataplane(spans)):
+    for line in (
+        round_reuse(spans), warm_dataplane(spans), class_closure(spans)
+    ):
         if line:
             report += "\n" + line
     rpc_rows = rpc_supervision(spans)

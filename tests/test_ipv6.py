@@ -286,6 +286,12 @@ class TestTwoPassVerification:
             )
             result = checker.check_reachability(query)
             assert result.holds("c0-t0-0", "c3-t0-0")
+            # No ACL touches the class: the closure answered it.
+            assert controller.dpo.stats.closure_pairs == 1
+            header = controller.options.encoding.prefix_bdd(
+                controller.dpo.engine, vlan6_prefix(3, 0)
+            )
+            controller.dpo.forward(query.sources, header)
             assert controller.dpo.stats.packets_crossed > 0
 
     def test_distributed_v6_ribs_match_monolithic(self, dcn6, dcn6_sim):

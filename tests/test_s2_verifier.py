@@ -9,11 +9,14 @@ from repro.dist.resources import UNLIMITED_CAPACITY
 
 class TestVerify:
     def test_default_all_pair(self, fattree4):
+        # The loop check forwards symbolically; all-pair reachability on
+        # an ACL-free FatTree is answered by destination-class closure.
         result = verify_snapshot(
-            fattree4, S2Options(num_workers=2, num_shards=2)
+            fattree4, S2Options(num_workers=2, num_shards=2), check_loops=True
         )
         assert result.ok
         assert result.status == "ok"
+        assert result.dp_stats.closure_pairs == 64
         assert result.reachable_pairs == 64
         assert result.checked_pairs == 64
         assert result.total_routes == 256
@@ -27,8 +30,12 @@ class TestVerify:
     def test_busiest_ops_bound_the_phases(
         self, fattree4, fattree4_sim, workers
     ):
-        result = verify_snapshot(fattree4, S2Options(num_workers=workers))
+        result = verify_snapshot(
+            fattree4, S2Options(num_workers=workers), check_loops=True
+        )
         dp = result.dp_stats
+        # Closure spends no worker BDD op: every one is the loop check's.
+        assert dp.closure_pairs == 64
         assert dp.forward_busiest_ops > 0
         # The monolith compiles every device into one fresh engine.
         mono = DataPlaneVerifier.from_simulation(*fattree4_sim)
@@ -90,10 +97,11 @@ class TestVerify:
 
     def test_stats_attached(self, fattree4):
         result = verify_snapshot(
-            fattree4, S2Options(num_workers=2, num_shards=3)
+            fattree4, S2Options(num_workers=2, num_shards=3), check_loops=True
         )
         assert result.cp_stats.shards_run == 3
         assert result.cp_stats.bgp_rounds > 0
+        assert result.dp_stats.closure_pairs == 64
         assert result.dp_stats.supersteps > 0
         assert result.num_workers == 2
         assert result.num_shards == 3

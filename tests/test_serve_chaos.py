@@ -199,10 +199,12 @@ def test_socket_session_kill_during_incremental_delta(
 def test_crash_during_the_dirty_recheck_takes_the_full_path(
     ft4, ft4_texts, runtime, recheck_reference
 ):
-    """A worker crashes on ``drain`` while an announce's dirty-space
-    recheck forwards (armed after boot, and the control plane never
-    drains).  The DPO recovers and replays, and the commit then takes
-    the full recheck: its view equals the cold start."""
+    """A worker crashes on ``class_actions`` while an announce's
+    dirty-space recheck fetches its classes' actions (armed after boot,
+    and the control plane never fetches them; the ACL-free FatTree's
+    recheck is a closure, with no superstep to crash in).  The DPO
+    recovers and replays, and the commit then takes the full recheck:
+    its view equals the cold start."""
     plan = FaultPlan()
     options = S2Options(
         num_workers=NUM_WORKERS,
@@ -211,7 +213,7 @@ def test_crash_during_the_dirty_recheck_takes_the_full_path(
         fault_plan=plan,
     )
     with VerifierSession(ft4, options) as session:
-        plan.add(FaultSpec.parse("crash:worker=1,command=drain"))
+        plan.add(FaultSpec.parse("crash:worker=1,command=class_actions"))
         result = session.apply_delta(_announce_delta(ft4_texts), timeout=300)
         assert result.kind == "announce"
         assert plan.count("crash") == 1

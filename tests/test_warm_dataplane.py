@@ -239,7 +239,13 @@ def test_crash_mid_pool_replays_to_reference(runtime, fattree4, reference):
 def warm_controller(fattree4):
     with S2Controller(fattree4, S2Options(num_workers=WORKERS)) as controller:
         controller.build_data_plane()
-        controller.dpo.forward(["edge-0-0"], TRUE)  # leaves garbage behind
+        # A permit-all hop builds no node on a TRUE header, so forward a
+        # narrower one: injected and forwarded, it leaves garbage behind.
+        engine = controller.dpo.engine
+        header = controller.options.encoding.prefix_bdd(
+            engine, Prefix.parse("172.16.0.0/12")
+        )
+        controller.dpo.forward(["edge-0-0"], header)
         yield controller
 
 
