@@ -10,7 +10,6 @@ the AS_PATH-overwrite policy and the two vendor-specific interpretations of
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import ast
@@ -123,16 +122,16 @@ class PolicyEngine:
         config = self._config
         for action in clause.sets:
             if isinstance(action, SetLocalPref):
-                route = replace(route, local_pref=action.value)
+                route = route.evolve(local_pref=action.value)
             elif isinstance(action, SetMed):
-                route = replace(route, med=action.value)
+                route = route.evolve(med=action.value)
             elif isinstance(action, SetWeight):
-                route = replace(route, weight=action.value)
+                route = route.evolve(weight=action.value)
             elif isinstance(action, SetOrigin):
                 # type(route.origin) keeps policy decoupled from the
                 # routing package (both Origin enums share values).
-                route = replace(
-                    route, origin=type(route.origin)(int(action.value))
+                route = route.evolve(
+                    origin=type(route.origin)(int(action.value))
                 )
             elif isinstance(action, SetCommunities):
                 if action.additive:
@@ -141,7 +140,7 @@ class PolicyEngine:
                     )
                 else:
                     communities = frozenset(action.communities)
-                route = replace(route, communities=communities)
+                route = route.evolve(communities=communities)
             elif isinstance(action, SetDeleteCommunities):
                 clist = config.community_lists.get(action.community_list)
                 if clist is None:
@@ -153,14 +152,14 @@ class PolicyEngine:
                     for value in route.communities
                     if not clist.permits(frozenset([value]))
                 )
-                route = replace(route, communities=kept)
+                route = route.evolve(communities=kept)
             elif isinstance(action, SetAsPathPrepend):
                 route = route.with_prepend(action.asns)
             elif isinstance(action, SetAsPathReplace):
                 asn = action.asn if action.asn is not None else own_asn
-                route = replace(route, as_path=(asn,))
+                route = route.evolve(as_path=(asn,))
             elif isinstance(action, SetNextHop):
-                route = replace(route, next_hop=action.address)
+                route = route.evolve(next_hop=action.address)
             elif isinstance(action, SetTag):
                 pass  # tags do not affect BGP attributes in this model
             else:

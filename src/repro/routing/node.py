@@ -23,7 +23,7 @@ advertisement), ``aggregate-address`` with contributor activation,
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
 )
@@ -315,7 +315,7 @@ class RouterNode:
                     aggregate.attribute_map, route, self.asn
                 )
                 if transformed is not None:
-                    route = replace(transformed, aggregate=True)
+                    route = transformed.evolve(aggregate=True)
             result.append((aggregate, route))
         return result
 
@@ -410,8 +410,7 @@ class RouterNode:
                 )
             as_path = (self.asn,) + as_path
             ebgp = True
-        wire = replace(
-            route,
+        wire = route.evolve(
             next_hop=session.local_addr,
             from_node=self.name,
             originator_id=self.router_id,
@@ -495,8 +494,7 @@ class RouterNode:
         """One received route into the adj-RIB-in; None if rejected."""
         if session.ebgp and self.asn in route.as_path:
             return None  # AS-path loop prevention
-        incoming = replace(
-            route,
+        incoming = route.evolve(
             from_node=session.neighbor,
             ebgp=session.ebgp,
             local_pref=(

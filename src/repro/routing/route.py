@@ -1,16 +1,16 @@
 """Route value types shared by the control plane and the data plane.
 
 Routes are immutable: the decision process and route maps never mutate a
-route in place but derive new ones (route maps go through a mutable
-:class:`~repro.config.policy.RouteBuilder` and re-freeze).  Immutability is
-what makes it safe to hold the same route object in many RIBs across
-workers and to hash routes for convergence detection.
+route in place but derive new ones, and every derived BGP route comes from
+:meth:`BgpRoute.evolve`.  Immutability is what makes it safe to hold the
+same route object in many RIBs across workers and to hash routes for
+convergence detection.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from typing import FrozenSet, Optional, Tuple
 
 from ..net.ip import Prefix, format_ip
@@ -102,8 +102,24 @@ class BgpRoute:
     def as_path_length(self) -> int:
         return len(self.as_path)
 
+    def evolve(self, **changes) -> "BgpRoute":
+        """A copy with ``changes`` applied: ``dataclasses.replace`` without
+        re-running ``__init__``.
+
+        The copy takes this instance's ``__dict__`` in its key order, so it
+        equals, hashes, prints and pickles exactly like the replaced route.
+        An unknown field name raises ``TypeError``, as ``replace`` does."""
+        if not changes.keys() <= _BGP_ROUTE_FIELDS:
+            unknown = sorted(changes.keys() - _BGP_ROUTE_FIELDS)
+            raise TypeError(f"BgpRoute has no field(s) {', '.join(unknown)}")
+        route = object.__new__(type(self))
+        state = route.__dict__
+        state.update(self.__dict__)
+        state.update(changes)
+        return route
+
     def with_prepend(self, asns: Tuple[int, ...]) -> "BgpRoute":
-        return replace(self, as_path=asns + self.as_path)
+        return self.evolve(as_path=asns + self.as_path)
 
     def has_as(self, asn: int) -> bool:
         return asn in self.as_path
@@ -114,6 +130,9 @@ class BgpRoute:
             f"{self.prefix} via {format_ip(self.next_hop)} "
             f"as-path [{path}] lp={self.local_pref} med={self.med}"
         )
+
+
+_BGP_ROUTE_FIELDS = frozenset(f.name for f in fields(BgpRoute))
 
 
 def decision_key(route: BgpRoute):

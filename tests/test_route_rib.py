@@ -1,5 +1,8 @@
 """Tests for route types, the BGP decision process, and the RIBs."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -135,6 +138,88 @@ class TestRouteHelpers:
             < Protocol.OSPF.admin_distance
             < Protocol.IBGP.admin_distance
         )
+
+
+# One strategy per BgpRoute field; the evolve property below draws a route
+# and a change set over every one of them.
+ROUTE_FIELDS = {
+    "prefix": st.builds(
+        Prefix,
+        network=st.integers(0, 2**32 - 1),
+        length=st.integers(0, 32),
+    ) | st.sampled_from(
+        [Prefix.parse("2001:db8::/48"), Prefix.parse("0.0.0.0/0")]
+    ),
+    "next_hop": st.integers(0, 2**32 - 1),
+    "from_node": st.text(max_size=8),
+    "as_path": st.lists(st.integers(1, 2**32 - 1), max_size=5).map(tuple),
+    "local_pref": st.integers(0, 2**32 - 1),
+    "med": st.integers(0, 2**32 - 1),
+    "origin": st.sampled_from(list(Origin)),
+    "communities": st.frozensets(st.integers(0, 2**32 - 1), max_size=4),
+    "weight": st.integers(0, 65535),
+    "ebgp": st.booleans(),
+    "originator_id": st.integers(0, 2**32 - 1),
+    "igp_cost": st.integers(0, 1000),
+    "aggregate": st.booleans(),
+    "suppressed": st.booleans(),
+}
+
+
+def change_sets():
+    return st.sets(st.sampled_from(sorted(ROUTE_FIELDS))).flatmap(
+        lambda names: st.fixed_dictionaries(
+            {name: ROUTE_FIELDS[name] for name in names}
+        )
+    )
+
+
+class TestEvolve:
+    def test_strategies_cover_every_field(self):
+        assert set(ROUTE_FIELDS) == {
+            f.name for f in dataclasses.fields(BgpRoute)
+        }
+
+    def test_init_does_nothing_evolve_skips(self):
+        # evolve bypasses __init__; that is only sound while __init__ does
+        # no more than assign every field from its argument.
+        assert not hasattr(BgpRoute, "__post_init__")
+        for f in dataclasses.fields(BgpRoute):
+            assert f.init and f.default_factory is dataclasses.MISSING
+
+    @given(st.fixed_dictionaries(ROUTE_FIELDS), change_sets())
+    def test_evolve_is_replace(self, attrs, changes):
+        source = BgpRoute(**attrs)
+        before = pickle.dumps(source)
+        evolved = source.evolve(**changes)
+        replaced = dataclasses.replace(source, **changes)
+        assert evolved == replaced
+        assert hash(evolved) == hash(replaced)
+        assert repr(evolved) == repr(replaced)
+        assert list(evolved.__dict__) == list(replaced.__dict__)
+        assert pickle.dumps(evolved) == pickle.dumps(replaced)
+        assert type(evolved) is BgpRoute
+        # The source is untouched, and the copy is as frozen as it.
+        assert pickle.dumps(source) == before
+        assert source == BgpRoute(**attrs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            evolved.med = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            evolved.unknown = 1
+
+    @given(st.fixed_dictionaries(ROUTE_FIELDS))
+    def test_evolve_of_an_unpickled_route(self, attrs):
+        source = pickle.loads(pickle.dumps(BgpRoute(**attrs)))
+        evolved = source.evolve(med=7)
+        assert pickle.dumps(evolved) == pickle.dumps(
+            dataclasses.replace(source, med=7)
+        )
+
+    def test_unknown_field_raises_type_error(self):
+        with pytest.raises(TypeError, match="bogus"):
+            route().evolve(bogus=1)
+        with pytest.raises(TypeError, match="protocol"):
+            route().evolve(med=1, protocol=Protocol.BGP)
 
 
 class TestBgpRib:
