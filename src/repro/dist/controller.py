@@ -87,6 +87,10 @@ from .storage import RouteStore, RunManifest, ShardRoutes
 #: calls are all on the wire before the controller waits on one.
 RUNTIMES = ("sequential", "socket")
 
+#: Failed respawns of one worker, within one recovery, before it is
+#: declared lost and its shards migrate to the survivors.
+RESPAWN_BUDGET = 2
+
 
 @dataclass
 class S2Options:
@@ -169,7 +173,7 @@ class WorkerSupervisor:
     of work (shard, query, fan-out), which is idempotent.
 
     Respawn itself can fail (dead host, ``respawn_fail``/``host_loss``
-    injection).  Each recovery retries up to ``policy.respawn_budget``
+    injection).  Each recovery retries up to ``RESPAWN_BUDGET``
     times — except against an *unmanaged* pool (connect-mode socket
     hosts), where a refused re-dial means the host is gone and the
     budget is one.  A worker whose budget is spent is declared **lost**:
@@ -285,11 +289,9 @@ class WorkerSupervisor:
                 epoch=epoch,
                 recoveries=self.recoveries,
             )
-        budget = max(1, self.policy.respawn_budget)
-        if not self.pool.managed:
-            # Connect-mode socket host: respawn re-dials the same
-            # address, so one refused attempt means the host is gone.
-            budget = 1
+        # Connect-mode socket host: respawn re-dials the same address,
+        # so one refused attempt means the host is gone.
+        budget = RESPAWN_BUDGET if self.pool.managed else 1
         for _attempt in range(budget):
             try:
                 worker = self.pool.respawn(worker_id)
@@ -598,7 +600,6 @@ class S2Controller:
             self._footprint,
             max_rounds=opts.max_rounds,
             fault_plan=opts.fault_plan,
-            retry_policy=opts.retry_policy,
             manifest=manifest,
             tracer=self.tracer,
             metrics=self.metrics,

@@ -56,7 +56,7 @@ from ..net.ip import Prefix
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from ..routing.engine import ConvergenceError
-from .faults import FaultPlan, RetryPolicy, WorkerFailure
+from .faults import FaultPlan
 from .fleet import Fleet, settle_all
 from .resources import ROUTE_BYTES, memory_bytes
 from .sharding import PrefixShard, plan_batches
@@ -82,7 +82,6 @@ class ControlPlaneStats:
     forced_rounds: int = 0          # extra rounds forced by dropped batches
     shards_skipped: int = 0         # shards skipped on resume (manifest)
     ospf_restored: bool = False     # OSPF came from a checkpoint, not rounds
-    heartbeat_probes: int = 0
     sequential_fallback: bool = False  # degraded to the monolithic engine
     batches_dropped: int = 0        # injected at the sidecars
     batches_duplicated: int = 0     # injected at the sidecars
@@ -107,7 +106,6 @@ class ControlPlaneOrchestrator:
         footprint: Callable[[], Dict[int, Tuple[int, int]]],
         max_rounds: int = 200,
         fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         manifest: Optional[RunManifest] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -121,7 +119,6 @@ class ControlPlaneOrchestrator:
         # worker id -> (nodes, route slots) of the current partition,
         # what the batch planner admits shards against.
         self.footprint = footprint
-        self.retry_policy = retry_policy or RetryPolicy()
         self.manifest = manifest
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
@@ -134,19 +131,6 @@ class ControlPlaneOrchestrator:
         failure, and the rerun in ``stats.<counter>``."""
         self.stats.worker_failures += 1
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-
-    def _heartbeat(self) -> None:
-        """Probe worker liveness; a dead worker surfaces as WorkerFailure."""
-        self.stats.heartbeat_probes += 1
-        answers = self.fleet.call_all("ping")
-        for worker, answer in zip(self.fleet.workers, answers):
-            if answer != "pong":
-                raise WorkerFailure(
-                    f"worker {worker.worker_id} failed its heartbeat "
-                    f"(answered {answer!r})",
-                    worker_id=worker.worker_id,
-                    command="ping",
-                )
 
     def _exchange(self, batch_maps) -> int:
         """Ship one round's boundary batches, pipelined.
@@ -345,7 +329,6 @@ class ControlPlaneOrchestrator:
     def _converge_shard_rounds(self, shard_index: int) -> List[PullOutcome]:
         """Run rounds until no worker changes; returns the last round's
         outcomes."""
-        heartbeat_every = self.retry_policy.heartbeat_interval_rounds
         outcomes: List[PullOutcome] = []
         for round_token in range(self.max_rounds):
             if self.fault_plan is not None:
@@ -396,8 +379,6 @@ class ControlPlaneOrchestrator:
                 # (the resent tuple is not the stale one the puller
                 # merged, so its identity skip cannot hide the heal).
                 self.stats.forced_rounds += 1
-            if heartbeat_every and (round_token + 1) % heartbeat_every == 0:
-                self._heartbeat()
         else:
             still_changing = {
                 worker.worker_id: list(outcome.changed_nodes)

@@ -85,7 +85,7 @@ class WorkerFailure(RuntimeError):
 
 
 class WorkerDiedError(WorkerFailure):
-    """The worker is unreachable (connection lost, or failed heartbeat)."""
+    """The worker is unreachable (connection lost or process dead)."""
 
 
 class WorkerTimeoutError(WorkerFailure):
@@ -122,7 +122,12 @@ class StaleEpochError(WorkerFailure):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Budgets for supervision: call retries, unit replays, heartbeats."""
+    """Budgets for supervision: call deadlines, retries, unit replays.
+
+    ``call_timeout`` is also the failure detector: every round calls
+    every active worker, and a call that misses it or loses its
+    connection is the failure signal.
+    """
 
     call_timeout: float = 120.0      # seconds to wait for one proxy call
     max_call_retries: int = 3        # transient-RPC retries per call
@@ -130,18 +135,9 @@ class RetryPolicy:
     backoff_factor: float = 2.0      # exponential growth per retry
     max_replays: int = 2             # recoveries of one worker within one
                                      # replayed unit (shard, query, ...)
-    respawn_budget: int = 2          # failed respawns before a worker is
-                                     # declared *lost* (shards migrate)
-    heal_probe_base: float = 0.25    # first heal-probe delay (seconds)
-    heal_probe_factor: float = 2.0   # probe backoff growth per failure
-    heal_probe_max: float = 30.0     # probe backoff ceiling (seconds)
-    heartbeat_interval_rounds: int = 10  # liveness check cadence (0 = off)
-    join_timeout: float = 5.0        # grace before terminate()/kill()
     # Socket-transport knobs (see repro.dist.transport):
-    backoff_jitter: float = 0.25     # +[0,j)·backoff seeded jitter fraction
     rpc_window: int = 8              # in-flight requests per channel
     connect_timeout: float = 10.0    # budget for one TCP dial
-    heartbeat_interval_seconds: float = 2.0  # idle-channel ping (0 = off)
 
     def backoff(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (1-based)."""

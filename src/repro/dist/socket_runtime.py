@@ -88,6 +88,9 @@ from .worker import Settled, Worker
 #: Seconds to wait for a freshly forked worker to report its port.
 _HANDSHAKE_TIMEOUT = 30.0
 
+#: Seconds a worker process gets to exit before terminate(), then kill().
+JOIN_TIMEOUT = 5.0
+
 
 class RemoteWorkerError(WorkerFailure):
     """An unexpected exception inside a worker process."""
@@ -328,7 +331,7 @@ class SocketWorkerProxy:
         if self._process is None:
             return  # connect mode: the listener is not ours to kill
         self._process.kill()
-        self._process.join(self._policy.join_timeout)
+        self._process.join(JOIN_TIMEOUT)
 
     def _fault_preamble(self, command: str) -> bool:
         """Apply injected call faults; returns kill-after-send."""
@@ -422,9 +425,11 @@ class SocketWorkerProxy:
     # -- supervision ------------------------------------------------------
 
     def is_alive(self) -> bool:
+        """The process is alive (connect mode has none) and the channel
+        is open; a hung worker is caught by its next call's deadline."""
         if self._process is not None and not self._process.is_alive():
             return False
-        return self._channel.healthy()
+        return not self._channel.closed
 
     def reap(self) -> None:
         """Tear down the channel and the dead (or doomed) process."""
@@ -435,10 +440,10 @@ class SocketWorkerProxy:
         try:
             if process.is_alive():
                 process.terminate()
-                process.join(self._policy.join_timeout)
+                process.join(JOIN_TIMEOUT)
             if process.is_alive():
                 process.kill()
-                process.join(self._policy.join_timeout)
+                process.join(JOIN_TIMEOUT)
         except OSError:
             pass
 
@@ -456,7 +461,7 @@ class SocketWorkerProxy:
 
     # -- lifecycle --------------------------------------------------------
 
-    def stop(self, timeout: float = 5.0) -> None:
+    def stop(self, timeout: float = JOIN_TIMEOUT) -> None:
         try:
             self._channel.call("__stop__", timeout=timeout, internal=True)
         except TransportError:
@@ -511,7 +516,9 @@ class SocketWorkerPool:
 
     Also the supervisor's muscle: it respawns a worker in place (the
     proxy keeps its identity; see :meth:`SocketWorkerProxy.revive`).
-    Liveness is the orchestrators' heartbeat, over ``ping``.
+    The calls are the liveness check: every round calls every active
+    worker, and a call that misses its deadline or loses its connection
+    is the failure signal.
     """
 
     def __init__(
@@ -557,8 +564,8 @@ class SocketWorkerPool:
                 for worker_id in range(num_workers)
             ]
         else:
-            # Fork every server process before any channel exists: the rx
-            # and heartbeat threads must never be duplicated into a child.
+            # Fork every server process before any channel exists: a
+            # channel's receive thread must never be duplicated into a child.
             spawned = [
                 self._spawn_process(worker_id)
                 for worker_id in range(num_workers)
@@ -612,7 +619,6 @@ class SocketWorkerPool:
             worker_id=worker_id,
             fault_plan=self._fault_plan,
             metrics=self._metrics,
-            heartbeat=self._policy.heartbeat_interval_seconds > 0,
         )
 
     def _configure(self, worker_id: int, channel: RpcChannel) -> None:
@@ -749,7 +755,7 @@ class SocketWorkerPool:
         """Stop every worker; never raises (best-effort teardown)."""
         for proxy in self.proxies:
             try:
-                proxy.stop(timeout=self._policy.join_timeout)
+                proxy.stop()
             except Exception:  # noqa: BLE001 — best-effort teardown
                 pass
         for proxy in self.proxies:
@@ -757,6 +763,6 @@ class SocketWorkerPool:
             try:
                 if process is not None and process.is_alive():
                     process.kill()
-                    process.join(self._policy.join_timeout)
+                    process.join(JOIN_TIMEOUT)
             except OSError:
                 pass

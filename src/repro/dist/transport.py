@@ -18,10 +18,12 @@ three parts:
   idempotent ``(channel_id, request_id)`` pair, runs under a per-call
   deadline, and is retried with exponential backoff plus jitter across
   transparent reconnections.  A bounded in-flight window applies
-  backpressure; a background heartbeat probes liveness while the
-  channel is idle.  Because retries reuse the request id and the server
+  backpressure.  Because retries reuse the request id and the server
   caches responses, a retry after a lost response is answered from the
-  cache — the request is **executed at most once**.
+  cache — the request is **executed at most once**.  The calls are the
+  liveness check: every round calls every active worker, and a call
+  that misses its deadline or loses its connection is the failure
+  signal.
 
 * **`RpcServer`** — the service loop: single connection at a time,
   sequential request execution, a bounded response cache keyed by the
@@ -163,6 +165,10 @@ def _dumps(obj: Any) -> bytes:
 #: restart at 1), so the response cache key never collides.
 _CHANNEL_COUNTER = itertools.count(1)
 
+#: Each retry's backoff sleep is stretched by a seeded ``[0, 0.25)``
+#: fraction, so channels that failed together do not retry in lockstep.
+BACKOFF_JITTER = 0.25
+
 
 class _Pending:
     """One in-flight request awaiting its response (or a failure)."""
@@ -265,7 +271,6 @@ class RpcFuture:
                     if pending.status == "__transport__":
                         failure = pending.payload
                     else:
-                        channel._suspect_count = 0
                         if attempts and self._span is not None:
                             self._span.set(transport_retries=attempts)
                         return pending.status, pending.payload
@@ -345,13 +350,11 @@ class RpcChannel:
       leaked) and retried by their callers;
     * **backpressure** — at most ``policy.rpc_window`` requests are in
       flight; further callers wait (against their own deadline);
-    * **liveness** — an optional background heartbeat pings the server
-      while the channel is idle; consecutive failures mark the peer
-      suspect (``healthy()``), and any successful traffic clears it.
+    * **liveness** — the calls themselves: one that misses its deadline
+      raises :class:`RpcTimeoutError`, one whose peer stays unreachable
+      raises :class:`ConnectionLostError`, and the proxy turns either
+      into the supervisor's failure signal.
     """
-
-    #: consecutive heartbeat failures before the peer is suspect
-    SUSPECT_AFTER = 3
 
     def __init__(
         self,
@@ -360,7 +363,6 @@ class RpcChannel:
         worker_id: int = -1,
         fault_plan=None,
         metrics=None,
-        heartbeat: bool = False,
     ) -> None:
         from .faults import RetryPolicy  # local: faults imports nothing back
 
@@ -386,8 +388,7 @@ class RpcChannel:
         self._inflight = 0
         self._held_frame: Optional[bytes] = None
         self._reorder_timer: Optional[threading.Timer] = None
-        self._closed = False
-        self._suspect_count = 0
+        self.closed = False
         self.counters: Dict[str, int] = {
             "calls": 0,
             "retries": 0,
@@ -398,20 +399,9 @@ class RpcChannel:
             "frames_sent": 0,
             "frames_received": 0,
             "inflight_high_water": 0,
-            "heartbeats": 0,
-            "heartbeat_failures": 0,
             "stale_responses": 0,
             "torn_frames": 0,
         }
-        self._heartbeat_thread: Optional[threading.Thread] = None
-        self._heartbeat_stop = threading.Event()
-        if heartbeat and self._policy.heartbeat_interval_seconds > 0:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                name=f"rpc-heartbeat-w{worker_id}",
-                daemon=True,
-            )
-            self._heartbeat_thread.start()
 
     # -- counters ---------------------------------------------------------
 
@@ -419,10 +409,6 @@ class RpcChannel:
         self.counters[name] = self.counters.get(name, 0) + amount
         if self._metrics is not None:
             self._metrics.counter(f"transport.{name}").inc(amount)
-
-    def healthy(self) -> bool:
-        """False once ``SUSPECT_AFTER`` consecutive heartbeats failed."""
-        return not self._closed and self._suspect_count < self.SUSPECT_AFTER
 
     # -- connection management -------------------------------------------
 
@@ -435,7 +421,7 @@ class RpcChannel:
 
     def _ensure_connected(self, deadline: float) -> None:
         with self._conn_lock:
-            if self._closed:
+            if self.closed:
                 raise ConnectionLostError("channel is closed")
             if self._sock is not None:
                 return
@@ -452,12 +438,6 @@ class RpcChannel:
             sock.settimeout(None)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._sock = sock
-            # A fresh connection means fresh liveness state: suspicion
-            # accumulated against the *previous* socket must not carry
-            # over, or a healed channel reads as dead until enough
-            # heartbeats succeed to outvote history that no longer
-            # describes this connection.
-            self._suspect_count = 0
             self._generation += 1
             if self._ever_connected:
                 self._count("reconnects")
@@ -653,7 +633,7 @@ class RpcChannel:
 
     def _jittered_backoff(self, attempt: int) -> float:
         base = self._policy.backoff(attempt)
-        return base * (1.0 + self._policy.backoff_jitter * self._rng.random())
+        return base * (1.0 + BACKOFF_JITTER * self._rng.random())
 
     def call_nowait(
         self,
@@ -741,41 +721,12 @@ class RpcChannel:
             command, args, flow_id=flow_id, timeout=timeout, internal=internal
         ).result()
 
-    # -- heartbeat --------------------------------------------------------
-
-    def _heartbeat_loop(self) -> None:
-        interval = self._policy.heartbeat_interval_seconds
-        while not self._heartbeat_stop.wait(interval):
-            if self._closed:
-                return
-            # Only probe an idle channel: real traffic is its own
-            # heartbeat (any success clears the suspect count), and a
-            # probe queued behind a long-running command would time out
-            # for the wrong reason.
-            if self._inflight or self._sock is None:
-                continue
-            self._count("heartbeats")
-            try:
-                status, payload = self.call(
-                    "__ping__",
-                    timeout=min(self._policy.call_timeout, interval * 2),
-                    internal=True,
-                )
-                if status == "ok" and payload == "pong":
-                    self._suspect_count = 0
-                else:
-                    raise ConnectionLostError("bad heartbeat answer")
-            except TransportError:
-                self._suspect_count += 1
-                self._count("heartbeat_failures")
-
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
-        self._heartbeat_stop.set()
+        self.closed = True
         if self._reorder_timer is not None:
             self._reorder_timer.cancel()
         self._drop_connection()

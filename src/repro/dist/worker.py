@@ -257,7 +257,8 @@ class Worker:
             return Settled(error=exc)
 
     def ping(self) -> str:
-        """Liveness probe; the heartbeat path of the supervisor."""
+        """A round trip that touches no state: a probe for tests and
+        operators (the supervisor detects failures by the round calls)."""
         return "pong"
 
     def status(self) -> Dict[str, Any]:

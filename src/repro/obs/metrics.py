@@ -4,10 +4,10 @@ A :class:`MetricsRegistry` is snapshot-able mid-run: instruments are
 created on first use and hold plain Python numbers, so ``snapshot()`` is
 a cheap dict copy that can be taken between CPO rounds without pausing
 the pipeline.  Increments are guarded by one registry-wide lock — the
-socket channels' receive and heartbeat threads update counters
-concurrently with the controller — which
-costs a few hundred nanoseconds per event at the per-batch/per-round
-granularity the pipeline uses (never per BDD operation).
+socket channels' receive threads update counters concurrently with the
+controller — which costs a few hundred nanoseconds per event at the
+per-batch/per-round granularity the pipeline uses (never per BDD
+operation).
 
 Workers' own numbers are not instruments: each worker reports a flat
 status map, and :func:`fold_statuses` turns the fleet's latest statuses

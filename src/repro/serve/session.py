@@ -63,7 +63,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, replace as dc_replace
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 from ..bdd.engine import FALSE, TRUE, BddEngine
 from ..config.loader import Snapshot
@@ -163,9 +163,12 @@ def merge_recheck(
 
 _STOP = object()
 
-# Internal queue item: the heal-probe thread asking the mutator to
-# rebalance healed hosts back in (fleet mutation stays single-threaded).
-_REBALANCE = object()
+# While a worker is lost the mutator probes for its heal between deltas:
+# first after HEAL_PROBE_BASE seconds, then HEAL_PROBE_FACTOR times
+# longer after each probe that heals nothing, up to HEAL_PROBE_MAX.
+HEAL_PROBE_BASE = 0.25
+HEAL_PROBE_FACTOR = 2.0
+HEAL_PROBE_MAX = 30.0
 
 
 class VerifierSession:
@@ -232,13 +235,6 @@ class VerifierSession:
             target=self._mutate_loop, name="serve-mutator", daemon=True
         )
         self._mutator.start()
-        # Heal probe: while any worker is lost, periodically (with
-        # backoff) ask the mutator to try rebalancing it back in.
-        self._heal_stop = threading.Event()
-        self._heal_thread = threading.Thread(
-            target=self._heal_loop, name="serve-heal", daemon=True
-        )
-        self._heal_thread.start()
 
     # -- boot --------------------------------------------------------------
 
@@ -579,48 +575,81 @@ class VerifierSession:
         return self.submit_delta(delta).result(timeout)
 
     def _mutate_loop(self) -> None:
+        """Apply queued deltas and, while a worker is lost, probe for its
+        heal at a backoff deadline.  A delta finishing past the deadline
+        runs the probe before the next delta, so traffic cannot starve
+        it; every fleet mutation stays on this thread."""
+        delay = HEAL_PROBE_BASE
+        next_probe: Optional[float] = None
         while True:
-            item = self._queue.get()
+            lost = self._controller.fleet.lost
+            if not lost or self.degraded or self._closed:
+                delay, next_probe = HEAL_PROBE_BASE, None
+            elif next_probe is None:
+                next_probe = time.monotonic() + delay
+            elif time.monotonic() >= next_probe:
+                try:
+                    healed = self._run(self._rebalance)
+                except Exception:  # noqa: BLE001 — _run degraded the session
+                    healed = False
+                delay = (
+                    HEAL_PROBE_BASE
+                    if healed
+                    else min(delay * HEAL_PROBE_FACTOR, HEAL_PROBE_MAX)
+                )
+                next_probe = None
+                continue
+            try:
+                item = self._queue.get(
+                    timeout=(
+                        None
+                        if next_probe is None
+                        else max(0.0, next_probe - time.monotonic())
+                    )
+                )
+            except queue.Empty:
+                continue
             if item is _STOP:
                 return
             delta, future = item
             if not future.set_running_or_notify_cancel():
                 continue
-            if delta is not _REBALANCE and self.degraded:
+            if self.degraded:
                 future.set_exception(
                     SessionDegradedError(
                         self.degraded_reason or "session is degraded"
                     )
                 )
                 continue
-            self._recomputing = True
             try:
-                # A capacity change is an epoch event: it runs on this
-                # thread like a delta, so fleet mutation is never
-                # concurrent.
-                result = (
-                    self._rebalance()
-                    if delta is _REBALANCE
-                    else self._apply(delta)
-                )
-            except DeltaError as exc:
-                # Rejected before any state was touched (bad hostname,
-                # unparsable text, no such link): not a degradation.
+                future.set_result(self._run(lambda: self._apply(delta)))
+            except BaseException as exc:  # noqa: BLE001 — relayed
                 future.set_exception(exc)
-            except BaseException as exc:  # noqa: BLE001 — degradation ladder
-                self.degraded = True
-                self.degraded_reason = f"{type(exc).__name__}: {exc}"
-                self.journal.record(
-                    "degraded",
-                    reason=self.degraded_reason,
-                    epoch=self.epoch,
-                )
-                self._publish_gauges()
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
-            finally:
-                self._recomputing = False
+
+    def _run(self, event: Callable[[], Any]) -> Any:
+        """Run one epoch event (a delta or a rebalance) on the mutator.
+
+        A failure degrades the session and propagates, except a rejected
+        delta (:class:`DeltaError` — bad hostname, unparsable text, no
+        such link), which is refused before any state was touched.
+        """
+        self._recomputing = True
+        try:
+            return event()
+        except DeltaError:
+            raise
+        except BaseException as exc:  # noqa: BLE001 — degradation ladder
+            self.degraded = True
+            self.degraded_reason = f"{type(exc).__name__}: {exc}"
+            self.journal.record(
+                "degraded",
+                reason=self.degraded_reason,
+                epoch=self.epoch,
+            )
+            self._publish_gauges()
+            raise
+        finally:
+            self._recomputing = False
 
     def _apply(self, delta) -> DeltaResult:
         old_snapshot = self.snapshot
@@ -691,32 +720,6 @@ class VerifierSession:
             controller.rebuild_data_plane()
             self._commit_view(full_reason="rebalance")
         return healed
-
-    def _heal_loop(self) -> None:
-        """Backoff timer that retries blacklisted hosts via the mutator."""
-        policy = self.options.retry_policy
-        delay = policy.heal_probe_base
-        while not self._heal_stop.wait(delay):
-            if self._closed or self.degraded:
-                continue
-            if not self._controller.fleet.lost:
-                delay = policy.heal_probe_base
-                continue
-            future: Future = Future()
-            try:
-                self._queue.put_nowait((_REBALANCE, future))
-            except queue.Full:
-                # Deltas keep priority; try again next tick.
-                delay = min(delay * policy.heal_probe_factor, policy.heal_probe_max)
-                continue
-            try:
-                healed = future.result(timeout=300)
-            except BaseException:  # noqa: BLE001 — probe must never crash
-                healed = False
-            if healed:
-                delay = policy.heal_probe_base
-            else:
-                delay = min(delay * policy.heal_probe_factor, policy.heal_probe_max)
 
     def _prepare_incremental(
         self,
@@ -791,10 +794,8 @@ class VerifierSession:
         self.journal.record(
             "drain", epoch=self.epoch, queued=self._queue.qsize()
         )
-        self._heal_stop.set()
         self._queue.put(_STOP)  # drains queued deltas first
         self._mutator.join(timeout=120)
-        self._heal_thread.join(timeout=5)
         self._draining = False
         try:
             self._controller.close()

@@ -1,15 +1,12 @@
-"""State audits on worker reconnect and respawn.
+"""State audits on worker respawn and unit replay.
 
-A reconnection or respawn is an *incarnation change*: state derived from
-the previous incarnation — liveness suspicion on the channel, the serving
-epoch the old worker had been admitted at — must be discarded or
-re-seeded, or the healed link keeps acting on a peer that no longer
-exists.
+A respawn is an *incarnation change*: state derived from the previous
+incarnation — the serving epoch the old worker had been admitted at —
+must be re-seeded, or the healed link keeps acting on a peer that no
+longer exists.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -19,32 +16,6 @@ from repro.dist.fleet import Fleet
 from repro.dist.runtime import LocalWorkerPool
 from repro.dist.sidecar import Sidecar
 from repro.dist.storage import RouteStore
-from repro.dist.transport import RpcChannel, RpcServer
-
-
-# -- the channel: reconnect clears liveness suspicion -----------------------
-
-
-def test_reconnect_clears_suspect_state():
-    """Regression: a channel that went suspect (missed heartbeats) and
-    then re-dialed successfully must be healthy again *immediately* —
-    the suspicion belonged to the dead connection, not the new one."""
-    server = RpcServer(lambda command, args, flow_id: ("ok", None))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    channel = RpcChannel((server.host, server.port))
-    try:
-        channel.connect()
-        channel._drop_connection()  # the blip that made it suspect...
-        channel._suspect_count = RpcChannel.SUSPECT_AFTER
-        assert not channel.healthy()
-        channel.connect()  # ...heals: no RPC has completed yet
-        assert channel.healthy()
-        assert channel._suspect_count == 0
-    finally:
-        channel.close()
-        server.stop()
-        thread.join(5.0)
 
 
 # -- the supervisor: respawn resets the worker and re-seeds its epoch -------

@@ -711,11 +711,23 @@ def test_loss_during_reconfigure_commits_at_reduced_capacity(ft4):
         assert "epoch_commit" in kinds
 
 
-@pytest.mark.parametrize("runtime", ["sequential", "socket"])
-def test_healed_host_is_rebalanced_back_at_an_epoch_boundary(ft4, runtime):
-    """Once the blacklisted host heals, the heal prober rejoins it via
-    the mutator queue: capacity returns to 1.0 as a fresh committed
-    epoch, and the verdicts survive the loss *and* the rejoin."""
+@pytest.mark.parametrize(
+    "runtime, traffic",
+    [
+        pytest.param("sequential", "idle", id="sequential"),
+        pytest.param("socket", "idle", id="socket"),
+        pytest.param("sequential", "busy", id="sequential-busy"),
+        pytest.param("socket", "busy", id="socket-busy"),
+    ],
+)
+def test_healed_host_is_rebalanced_back_at_an_epoch_boundary(
+    ft4, ft4_texts, announce_host, runtime, traffic
+):
+    """Once the blacklisted host heals, the mutator's heal probe rejoins
+    it: capacity returns to 1.0 as a fresh committed epoch, and the
+    verdicts survive the loss *and* the rejoin.  Under ``busy`` traffic
+    announce deltas arrive back to back, so the queue is never empty —
+    the probe's deadline, not an idle queue, must get it to run."""
     import time as _time
 
     from repro.dist.faults import FaultPlan, FaultSpec
@@ -730,11 +742,38 @@ def test_healed_host_is_rebalanced_back_at_an_epoch_boundary(ft4, runtime):
             )
         ]
     )
+    dialect, text = ft4_texts[announce_host]
+
+    def rejoined(session):
+        kinds = [event.kind for event in session.journal.tail(100)]
+        return "worker_rejoined" in kinds
+
     with VerifierSession(
         ft4, _options(fault_plan=plan, runtime=runtime)
     ) as session:
         assert session.health()["capacity"]["lost_workers"] == 1
         deadline = _time.time() + 60
+        if traffic == "busy":
+            # Keep one delta queued behind the one running until the
+            # rejoin lands (each replaces the host's config, so the last
+            # one submitted is the final snapshot).
+            pending = []
+            octet = 100
+            while not rejoined(session) and _time.time() < deadline:
+                pending.append(
+                    session.submit_delta(
+                        ConfigTextDelta(
+                            hostname=announce_host,
+                            text=_with_extra_network(text, octet),
+                            dialect=dialect,
+                        )
+                    )
+                )
+                octet += 1
+                if len(pending) > 1:
+                    pending.pop(0).result(timeout=300)
+            for future in pending:
+                future.result(timeout=300)
         while _time.time() < deadline:
             health = session.health()
             if (
@@ -755,7 +794,45 @@ def test_healed_host_is_rebalanced_back_at_an_epoch_boundary(ft4, runtime):
         _assert_equivalent(session)
         kinds = [event.kind for event in session.journal.tail(100)]
         assert "worker_lost" in kinds
-        assert "worker_rejoined" in kinds
+        assert rejoined(session)
+        if traffic == "busy":
+            assert kinds.count("delta_classified") >= 2
+
+
+def test_heal_probe_that_raises_degrades_the_session(ft4):
+    """A heal probe runs on the mutator like a delta, and a failure in it
+    takes the delta's degradation path: read-only, typed refusals."""
+    import time as _time
+
+    from repro.dist.faults import FaultPlan, FaultSpec
+
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                kind="host_loss", worker=1, command="pull_round",
+                heal_after=100,
+            )
+        ]
+    )
+    with VerifierSession(ft4, _options(fault_plan=plan)) as session:
+        assert session.health()["capacity"]["lost_workers"] == 1
+
+        def explode(worker_id, epoch=None):
+            raise RuntimeError("rejoin failed terminally")
+
+        session._controller.rejoin_worker = explode
+        deadline = _time.time() + 30
+        while not session.degraded and _time.time() < deadline:
+            _time.sleep(0.05)
+        health = session.health()
+        assert health["status"] == "degraded"
+        assert "rejoin failed terminally" in health["degraded_reason"]
+        assert health["epoch"] == 0
+        kinds = [event.kind for event in session.journal.tail(100)]
+        assert "degraded" in kinds
+        link = next(iter(ft4.topology.links()))
+        with pytest.raises(SessionDegradedError):
+            session.submit_delta(LinkDelta(a=link.a.node, b=link.b.node))
 
 
 def test_terminal_failure_degrades_to_read_only(

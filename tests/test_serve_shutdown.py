@@ -95,6 +95,30 @@ def test_drain_stop_finishes_the_inflight_request():
         server.stop()
 
 
+def test_serving_socket_session_runs_only_mutator_and_receivers():
+    """A socket session serving on two workers runs one mutator thread
+    and one receive thread per live channel — failure detection rides
+    on the calls, so there is no liveness thread — and ``close()``
+    leaves none of them behind."""
+    from repro.dist.controller import S2Options
+    from repro.net.fattree import build_fattree
+    from repro.serve import VerifierSession
+
+    before = set(threading.enumerate())
+    session = VerifierSession(
+        build_fattree(4), S2Options(num_workers=2, runtime="socket")
+    )
+    try:
+        started = [t for t in threading.enumerate() if t not in before]
+        names = sorted(t.name.split(".")[0] for t in started)
+        assert names == ["rpc-recv-w0", "rpc-recv-w1", "serve-mutator"]
+    finally:
+        session.close()
+    for thread in started:
+        thread.join(timeout=10)
+    assert [t.name for t in started if t.is_alive()] == []
+
+
 def test_serve_sigterm_drains_and_exits_zero():
     proc = _spawn(
         "serve",

@@ -3,7 +3,8 @@
 Framing (including a random byte-split fuzz over the incremental
 decoder), host:port parsing, and the channel/server pair under
 injected network chaos: torn frames, directional partitions, reorders,
-slow links, timeouts, backpressure, and heartbeat failure detection.
+slow links, timeouts (a hung handler, or a peer that never reads), and
+backpressure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ def _fast_policy(**overrides) -> RetryPolicy:
         max_call_retries=3,
         backoff_base=0.01,
         connect_timeout=2.0,
-        heartbeat_interval_seconds=0.0,
     )
     defaults.update(overrides)
     return RetryPolicy(**defaults)
@@ -138,7 +138,7 @@ class _Service:
 
 
 class _Harness:
-    def __init__(self, policy=None, fault_plan=None, heartbeat=False):
+    def __init__(self, policy=None, fault_plan=None):
         self.service = _Service()
         self.server = RpcServer(self.service.handle)
         self.thread = threading.Thread(
@@ -150,7 +150,6 @@ class _Harness:
             policy=policy or _fast_policy(),
             worker_id=0,
             fault_plan=fault_plan,
-            heartbeat=heartbeat,
         )
 
     def close(self):
@@ -188,12 +187,47 @@ def test_basic_call_roundtrip(harness):
 
 
 def test_call_timeout_raises_and_counts(harness):
-    h = harness(policy=_fast_policy(call_timeout=0.2, max_call_retries=0))
+    """A call's deadline is the liveness check: a hung handler, and a
+    peer that accepts the connection but never reads, both fail the call
+    with ``RpcTimeoutError`` within its budget."""
+    policy = _fast_policy(call_timeout=0.2, max_call_retries=0)
+    h = harness(policy=policy)
     h.service.stall = threading.Event()  # never set: the handler hangs
     with pytest.raises(RpcTimeoutError, match="did not answer"):
         h.channel.call("pull_round")
     assert h.channel.counters["timeouts"] >= 1
     h.service.stall.set()
+
+    blackhole = socket.socket()
+    blackhole.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    blackhole.bind(("127.0.0.1", 0))
+    blackhole.listen(1)
+    sinks = []
+
+    def swallow():
+        while True:
+            try:
+                conn, _ = blackhole.accept()
+            except OSError:
+                return
+            sinks.append(conn)
+
+    thread = threading.Thread(target=swallow, daemon=True)
+    thread.start()
+    channel = RpcChannel(blackhole.getsockname(), policy=policy)
+    try:
+        started = time.monotonic()
+        with pytest.raises(RpcTimeoutError, match="did not answer"):
+            channel.call("pull_round")
+        assert time.monotonic() - started < 2.0
+        assert channel.counters["timeouts"] == 1
+    finally:
+        channel.close()
+        blackhole.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+        blackhole.close()
+        for conn in sinks:
+            conn.close()
+        thread.join(2.0)
 
 
 def test_unreachable_server_raises_connection_lost():
@@ -329,54 +363,6 @@ def test_internal_calls_bypass_fault_injection(harness):
     status, payload = h.channel.call("__ping__", internal=True)
     assert (status, payload) == ("ok", "pong")
     assert plan.count("torn_frame") == 0
-
-
-def test_heartbeat_marks_unresponsive_peer_suspect():
-    """A peer that accepts bytes but never answers must go suspect after
-    SUSPECT_AFTER consecutive heartbeat failures."""
-    blackhole = socket.socket()
-    blackhole.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    blackhole.bind(("127.0.0.1", 0))
-    blackhole.listen(1)
-    sinks = []
-
-    def swallow():
-        while True:
-            try:
-                conn, _ = blackhole.accept()
-            except OSError:
-                return
-            sinks.append(conn)
-
-    thread = threading.Thread(target=swallow, daemon=True)
-    thread.start()
-    channel = RpcChannel(
-        blackhole.getsockname(),
-        policy=_fast_policy(
-            call_timeout=0.1,
-            max_call_retries=0,
-            heartbeat_interval_seconds=0.03,
-        ),
-        heartbeat=True,
-    )
-    try:
-        channel.connect()
-        assert channel.healthy()
-        deadline = time.monotonic() + 5.0
-        while channel.healthy() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert not channel.healthy()
-        assert (
-            channel.counters["heartbeat_failures"]
-            >= RpcChannel.SUSPECT_AFTER
-        )
-    finally:
-        channel.close()
-        blackhole.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
-        blackhole.close()
-        for conn in sinks:
-            conn.close()
-        thread.join(2.0)
 
 
 def test_server_stop_command(harness):
