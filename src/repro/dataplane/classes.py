@@ -120,18 +120,29 @@ def device_actions(
     return found
 
 
+def child_classes(
+    parents: Mapping[Prefix, Optional[Prefix]],
+) -> Dict[Prefix, List[Prefix]]:
+    """Each class's nearest contained classes (absent for a leaf), in
+    ``parents``' order."""
+    children: Dict[Prefix, List[Prefix]] = defaultdict(list)
+    for prefix, parent in parents.items():
+        if parent is not None:
+            children[parent].append(prefix)
+    return dict(children)
+
+
 def class_atoms(
     engine: BddEngine,
     encoding: HeaderEncoding,
     classes: Sequence[Prefix],
     parents: Mapping[Prefix, Optional[Prefix]],
 ) -> Dict[Prefix, int]:
-    """Each class's atom (``prefix_bdd(p)`` minus its children in the
-    set); classes their children cover entirely are left out."""
-    children: Dict[Prefix, List[Prefix]] = defaultdict(list)
-    for prefix, parent in parents.items():
-        if parent is not None:
-            children[parent].append(prefix)
+    """Each of ``classes``' atom (``prefix_bdd(p)`` minus its children
+    in ``parents``, the whole set); classes their children cover
+    entirely are left out.  An atom depends on its class and children
+    alone."""
+    children = child_classes(parents)
     atoms: Dict[Prefix, int] = {}
     for prefix in classes:
         atom = encoding.prefix_bdd(engine, prefix)

@@ -6,12 +6,16 @@ binary trie per address family: concrete lookups walk it top-down, and
 predicate compilation walks it bottom-up.  :meth:`Fib.entries` lists the
 entries most specific first, for consumers that scan them linearly (the
 ground-truth walker) and for tests.
+
+A prefix's entry depends on that prefix's routes alone
+(:func:`fib_entry`), so a FIB can be patched one prefix at a time:
+:meth:`Fib.add` replaces an entry and :meth:`Fib.remove` deletes one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..net.ip import Prefix
@@ -77,6 +81,22 @@ class Fib:
             node = node.children[bit]
         node.entry = entry
 
+    def remove(self, prefix: Prefix) -> None:
+        """Delete the entry for ``prefix`` (if any) and prune the trie
+        branch that held only it."""
+        if self._entries.pop(prefix, None) is None:
+            return
+        bits = list(prefix.bits())
+        path = [self._roots[prefix.width]]
+        for bit in bits:
+            path.append(path[-1].children[bit])
+        path[-1].entry = None
+        for depth in range(len(bits), 0, -1):
+            node = path[depth]
+            if node.entry is not None or node.children != [None, None]:
+                break
+            path[depth - 1].children[bits[depth - 1]] = None
+
     def lookup(self, address: int, width: int = 32) -> Optional[FibEntry]:
         """Longest-prefix-match lookup of a concrete address."""
         node = self._roots[width]
@@ -106,6 +126,10 @@ class Fib:
 
     def entry_for(self, prefix: Prefix) -> Optional[FibEntry]:
         return self._entries.get(prefix)
+
+    def prefixes(self) -> Iterable[Prefix]:
+        """The prefixes holding an entry, in no particular order."""
+        return self._entries.keys()
 
     def trie_root(self, width: int = 32) -> _TrieNode:
         """The binary trie of one address family's entries.
@@ -160,6 +184,113 @@ class NextHopResolver:
         )
 
 
+#: Originated prefixes terminate locally *unless* a real route exists — a
+#: redistributed static (Null0 / out an interface) must keep its
+#: forwarding action, so originations install at a sentinel distance any
+#: genuine protocol route overrides.
+LOCAL_FALLBACK_AD = 250
+
+
+def fib_entry(
+    node: str,
+    prefix: Prefix,
+    local: bool,
+    main_routes: Sequence[Route],
+    bgp_routes: Sequence[BgpRoute],
+    resolver: NextHopResolver,
+) -> Optional[FibEntry]:
+    """The FIB entry of one prefix on one node, or None when no route and
+    no origination covers it.
+
+    The protocol with the lowest administrative distance wins, the first
+    of equal ones among ``main_routes``; BGP wins only when strictly
+    better, and then installs all its (ECMP) next hops.  A prefix the
+    node originates resolves to RECEIVE — symbolic packets reaching it
+    have arrived (§4.3 final state 1).
+    """
+    entry: Optional[FibEntry] = None
+    installed_ad: Optional[int] = None
+    if local:
+        entry = FibEntry(prefix=prefix, action=FibAction.RECEIVE)
+        installed_ad = LOCAL_FALLBACK_AD
+    for route in main_routes:
+        if installed_ad is not None and installed_ad <= route.admin_distance:
+            continue
+        entry = _main_entry(node, route, resolver)
+        installed_ad = route.admin_distance
+    if bgp_routes:
+        ad = bgp_routes[0].protocol.admin_distance
+        if installed_ad is None or ad < installed_ad:
+            entry = _bgp_entry(node, prefix, bgp_routes, resolver)
+    return entry
+
+
+def _main_entry(
+    node: str, route: Route, resolver: NextHopResolver
+) -> FibEntry:
+    if route.protocol is Protocol.CONNECTED:
+        return FibEntry(
+            prefix=route.prefix,
+            action=FibAction.RECEIVE,
+            protocol=Protocol.CONNECTED,
+        )
+    if route.discard:
+        return FibEntry(
+            prefix=route.prefix, action=FibAction.DROP, protocol=route.protocol
+        )
+    if route.interface is not None:
+        # static route out of an interface: the far side (if any) is the
+        # topology's problem; an unconnected interface is an edge port and
+        # such packets EXIT there.
+        return FibEntry(
+            prefix=route.prefix,
+            action=FibAction.FORWARD,
+            next_hops=(NextHop(iface=route.interface, node=""),),
+            protocol=route.protocol,
+        )
+    hop = (
+        resolver.resolve(node, route.next_hop)
+        if route.next_hop is not None
+        else None
+    )
+    if hop is None:
+        # unresolvable next hop: the packet is dropped here
+        return FibEntry(
+            prefix=route.prefix, action=FibAction.DROP, protocol=route.protocol
+        )
+    return FibEntry(
+        prefix=route.prefix,
+        action=FibAction.FORWARD,
+        next_hops=(hop,),
+        protocol=route.protocol,
+    )
+
+
+def _bgp_entry(
+    node: str,
+    prefix: Prefix,
+    routes: Sequence[BgpRoute],
+    resolver: NextHopResolver,
+) -> FibEntry:
+    hops: List[NextHop] = []
+    for route in routes:
+        hop = resolver.resolve(node, route.next_hop)
+        if hop is not None and hop not in hops:
+            hops.append(hop)
+    if not hops:
+        # A selected route whose next hop is not adjacent cannot be
+        # installed; matching packets drop here (Null0-equivalent).
+        return FibEntry(
+            prefix=prefix, action=FibAction.DROP, protocol=routes[0].protocol
+        )
+    return FibEntry(
+        prefix=prefix,
+        action=FibAction.FORWARD,
+        next_hops=tuple(sorted(hops, key=lambda h: h.address)),
+        protocol=routes[0].protocol,
+    )
+
+
 def build_fib(
     node: str,
     local_prefixes: FrozenSet[Prefix],
@@ -167,104 +298,20 @@ def build_fib(
     bgp_routes: Dict[Prefix, Tuple[BgpRoute, ...]],
     resolver: NextHopResolver,
 ) -> Fib:
-    """Merge a node's RIBs into its FIB.
-
-    Per prefix, the protocol with the lowest administrative distance wins;
-    within the winner, all (ECMP) next hops are installed.  Prefixes the
-    node originates resolve to RECEIVE — symbolic packets reaching them
-    have arrived (§4.3 final state 1).
-    """
-    fib = Fib(node)
-    # admin distance per prefix currently installed
-    installed_ad: Dict[Prefix, int] = {}
-
-    # Originated prefixes terminate locally *unless* a real route exists —
-    # a redistributed static (Null0 / out an interface) must keep its
-    # forwarding action, so originations install at a sentinel distance
-    # any genuine protocol route overrides.
-    LOCAL_FALLBACK_AD = 250
-    for prefix in local_prefixes:
-        fib.add(
-            FibEntry(prefix=prefix, action=FibAction.RECEIVE)
-        )
-        installed_ad[prefix] = LOCAL_FALLBACK_AD
-
+    """Merge a node's RIBs into its FIB: :func:`fib_entry` per prefix."""
+    by_prefix: Dict[Prefix, List[Route]] = {}
     for route in main_routes:
-        current = installed_ad.get(route.prefix)
-        if current is not None and current <= route.admin_distance:
-            continue
-        if route.protocol is Protocol.CONNECTED:
-            entry = FibEntry(
-                prefix=route.prefix,
-                action=FibAction.RECEIVE,
-                protocol=Protocol.CONNECTED,
-            )
-        elif route.discard:
-            entry = FibEntry(
-                prefix=route.prefix,
-                action=FibAction.DROP,
-                protocol=route.protocol,
-            )
-        elif route.interface is not None:
-            # static route out of an interface: the far side (if any) is
-            # the topology's problem; an unconnected interface is an edge
-            # port and such packets EXIT there.
-            entry = FibEntry(
-                prefix=route.prefix,
-                action=FibAction.FORWARD,
-                next_hops=(NextHop(iface=route.interface, node=""),),
-                protocol=route.protocol,
-            )
-        else:
-            hop = (
-                resolver.resolve(node, route.next_hop)
-                if route.next_hop is not None
-                else None
-            )
-            if hop is None:
-                # unresolvable next hop: the packet is dropped here
-                entry = FibEntry(
-                    prefix=route.prefix,
-                    action=FibAction.DROP,
-                    protocol=route.protocol,
-                )
-            else:
-                entry = FibEntry(
-                    prefix=route.prefix,
-                    action=FibAction.FORWARD,
-                    next_hops=(hop,),
-                    protocol=route.protocol,
-                )
-        fib.add(entry)
-        installed_ad[route.prefix] = route.admin_distance
-
-    for prefix, routes in bgp_routes.items():
-        if not routes:
-            continue
-        ad = routes[0].protocol.admin_distance
-        current = installed_ad.get(prefix)
-        if current is not None and current <= ad:
-            continue
-        hops: List[NextHop] = []
-        for route in routes:
-            hop = resolver.resolve(node, route.next_hop)
-            if hop is not None and hop not in hops:
-                hops.append(hop)
-        if hops:
-            entry = FibEntry(
-                prefix=prefix,
-                action=FibAction.FORWARD,
-                next_hops=tuple(sorted(hops, key=lambda h: h.address)),
-                protocol=routes[0].protocol,
-            )
-        else:
-            # A selected route whose next hop is not adjacent cannot be
-            # installed; matching packets drop here (Null0-equivalent).
-            entry = FibEntry(
-                prefix=prefix,
-                action=FibAction.DROP,
-                protocol=routes[0].protocol,
-            )
-        fib.add(entry)
-        installed_ad[prefix] = ad
+        by_prefix.setdefault(route.prefix, []).append(route)
+    fib = Fib(node)
+    for prefix in local_prefixes | by_prefix.keys() | bgp_routes.keys():
+        entry = fib_entry(
+            node,
+            prefix,
+            prefix in local_prefixes,
+            by_prefix.get(prefix, ()),
+            bgp_routes.get(prefix, ()),
+            resolver,
+        )
+        if entry is not None:
+            fib.add(entry)
     return fib

@@ -7,8 +7,9 @@ the four final states: ARRIVE, EXIT, BLACKHOLE, LOOP.
 
 The mechanism is split from the driver so the same code serves both the
 monolithic verifier and S2's distributed DPV: a :class:`ForwardingContext`
-owns one BDD engine and the predicates of *its* nodes, and processing a
-packet yields finals plus packets bound for other nodes — which the
+owns one BDD engine and the predicates of *its* nodes (added up front, or
+compiled by a hook on the first packet that reaches a node), and processing
+a packet yields finals plus packets bound for other nodes — which the
 monolithic driver loops back locally and the DPO ships across workers
 (serializing the BDD at the boundary).
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..bdd.engine import FALSE, TRUE, BddEngine
 from ..bdd.headerspace import HeaderEncoding
@@ -87,6 +88,10 @@ class ForwardingContext:
     network; in S2 each worker has one, and ``adjacency`` still spans the
     full topology so the context knows *where* a packet goes next even
     when the neighbor's predicates live on another worker.
+
+    ``compile``, when given, is called with a node name the first time a
+    packet reaches a node whose predicates were not added; what it returns
+    is kept in :attr:`predicates`.
     """
 
     def __init__(
@@ -95,11 +100,13 @@ class ForwardingContext:
         encoding: HeaderEncoding,
         topology: Topology,
         max_hops: int = DEFAULT_MAX_HOPS,
+        compile: Optional[Callable[[str], PortPredicates]] = None,
     ) -> None:
         self.engine = engine
         self.encoding = encoding
         self.max_hops = max_hops
         self.predicates: Dict[str, PortPredicates] = {}
+        self._compile = compile
         self.waypoint_bits: Dict[str, int] = {}
         # (node, iface) -> (peer node, peer iface); absent = edge port
         self.adjacency: Dict[Tuple[str, str], Tuple[str, str]] = {}
@@ -121,8 +128,15 @@ class ForwardingContext:
         given metadata bit set."""
         self.waypoint_bits[node] = self.encoding.metadata_var(metadata_index)
 
-    def owns(self, node: str) -> bool:
-        return node in self.predicates
+    def predicates_for(self, node: str) -> PortPredicates:
+        """``node``'s predicates, compiled through the hook on first use
+        (KeyError without one)."""
+        predicates = self.predicates.get(node)
+        if predicates is None:
+            if self._compile is None:
+                raise KeyError(node)
+            predicates = self.predicates[node] = self._compile(node)
+        return predicates
 
     # -- the hop function ---------------------------------------------------
 
@@ -135,7 +149,7 @@ class ForwardingContext:
         at a neighbor node (which may belong to a different context).
         """
         engine = self.engine
-        predicates = self.predicates[packet.node]
+        predicates = self.predicates_for(packet.node)
         finals: List[FinalPacket] = []
         outgoing: List[SymbolicPacket] = []
 

@@ -42,10 +42,20 @@ import json
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..bdd.headerspace import HeaderEncoding
 from ..config.loader import Snapshot
+from ..net.ip import Prefix
 from ..obs.metrics import MetricsRegistry, fold_statuses
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..obs.merge import merge_shards
@@ -60,6 +70,7 @@ from .faults import (
     WorkerFailure,
 )
 from .fleet import Fleet
+from .message import DataPlanePatch
 from .partition import (
     PartitionResult,
     estimate_loads,
@@ -694,11 +705,37 @@ class S2Controller:
             self.fleet.call_all("begin_epoch", self.fleet.epoch)
         self.dpo.invalidate()
 
-    def rebuild_data_plane(self) -> DataPlaneStats:
-        """Force a fresh distributed data plane from the current store."""
+    def rebuild_data_plane(
+        self, dirty: Optional[AbstractSet[Prefix]] = None
+    ) -> DataPlaneStats:
+        """Rebuild the distributed data plane from the current store.
+
+        ``dirty`` is an announce-only epoch's dirty prefix set, given
+        when the epoch's control plane ran with no recovery and no
+        sequential fallback: the workers then patch their data planes
+        within it and the recomputed shards (:meth:`_patch_for`).
+        Otherwise they build from empty.
+        """
         self.dpo.invalidate()
-        self.dpo.build(self.store)
+        self.dpo.build(self.store, self._patch_for(dirty))
         return self.dpo.stats
+
+    def _patch_for(
+        self, dirty: Optional[AbstractSet[Prefix]]
+    ) -> Optional[DataPlanePatch]:
+        """The flush indices this run recomputed and the prefixes whose
+        FIB entries can have changed: ``dirty`` plus those shards'
+        prefixes.  None without ``dirty`` or without shards (one
+        unsharded flush holds every prefix)."""
+        if dirty is None or not self.shards:
+            return None
+        flushed = self.cpo.flushed
+        return DataPlanePatch(
+            flush_indices=tuple(sorted(flushed)),
+            prefixes=frozenset(dirty).union(
+                *(s.prefixes for s in self.shards if s.index in flushed)
+            ),
+        )
 
     # -- permanent loss: shard reassignment --------------------------------
 
@@ -897,18 +934,36 @@ class S2Controller:
             workers=[worker.resources for worker, _ in self.fleet.roster()]
         )
 
-    def collected_ribs(self) -> BgpResult:
+    def collected_ribs(
+        self,
+        base: Optional[BgpResult] = None,
+        dirty: Optional[AbstractSet[Prefix]] = None,
+    ) -> BgpResult:
         """Merge every worker's stored shards: the network-wide RIBs.
 
         This is the oracle interface the equivalence tests compare against
-        the monolithic engine.
+        the monolithic engine.  Given the previous epoch's RIBs as
+        ``base`` and an announce-only epoch's ``dirty`` set (as for
+        :meth:`rebuild_data_plane`), only the recomputed shards' files
+        are read: ``base`` outside the patch's prefixes, those files
+        inside it.
         """
+        patch = self._patch_for(dirty) if base is not None else None
         merged: BgpResult = {}
+        if patch is not None:
+            inside = patch.prefixes
+            for node, routes in base.items():
+                merged[node] = {
+                    prefix: selected
+                    for prefix, selected in routes.items()
+                    if prefix not in inside
+                }
+        indices = patch.flush_indices if patch is not None else None
         for worker in self.fleet.workers:
             for node, routes in self.store.merged_routes(
-                worker.worker_id
+                worker.worker_id, indices
             ).items():
-                merged[node] = dict(routes)
+                merged.setdefault(node, {}).update(routes)
         for name in self.snapshot.configs:
             merged.setdefault(name, {})
         return merged
@@ -966,6 +1021,7 @@ class S2Controller:
                 self.options.fault_plan.fired_by_kind
             )
         snapshot["recoveries"] = self.supervisor.recoveries
+        snapshot["storage"] = self.storage_counts()
         snapshot["capacity"] = self.capacity()
         # Worker statuses the socket proxies received (none in-process).
         snapshot["telemetry"] = {
@@ -976,6 +1032,20 @@ class S2Controller:
             snapshot["transport"] = transport
         return snapshot
 
+    def storage_counts(self) -> Dict[str, int]:
+        """The route store's metadata operations so far: the controller
+        store's durable writes (temp create + fsync + rename) and
+        unlinks, plus one worker file per ``flush_shard`` reply."""
+        workers = int(
+            self.metrics.counter("storage.worker_writes").value
+        )
+        return {
+            "durable_writes": self.store.durable_writes + workers,
+            "controller_writes": self.store.durable_writes,
+            "worker_writes": workers,
+            "unlinks": self.store.unlinks,
+        }
+
     def _finalize_observability(self) -> None:
         """Flush tracers, merge trace shards, write the metrics file.
 
@@ -985,8 +1055,11 @@ class S2Controller:
         """
         opts = self.options
         if self.tracer.enabled:
-            with self.tracer.span("controller.finalize"):
-                pass
+            with self.tracer.span("controller.finalize") as span:
+                span.set(**{
+                    f"storage_{name}": count
+                    for name, count in self.storage_counts().items()
+                })
             self.tracer.finish()
             if opts.trace_out and self.trace_dir:
                 merge_shards(

@@ -49,7 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+    AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 from ..net.ip import Prefix
@@ -123,6 +124,8 @@ class ControlPlaneOrchestrator:
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
         self.stats = ControlPlaneStats()
+        # Flush indices this run wrote: what a data-plane patch rereads.
+        self.flushed: Set[int] = set()
 
     # -- helpers ------------------------------------------------------------
 
@@ -406,6 +409,7 @@ class ControlPlaneOrchestrator:
             results = self.fleet.call_all(
                 "flush_shard", self.store.directory, flush_index, shard
             )
+            self.flushed.add(flush_index)
             flushed_bytes = 0
             for written, selected in results:
                 self.stats.route_flush_bytes += written
@@ -414,6 +418,8 @@ class ControlPlaneOrchestrator:
             span.set(bytes=flushed_bytes)
         if self.metrics is not None:
             self.metrics.counter("cpo.flush_bytes").inc(flushed_bytes)
+            # One durable write per worker reply (each writes its file).
+            self.metrics.counter("storage.worker_writes").inc(len(results))
         self.stats.shards_run += 1
 
     # -- checkpoint/resume ----------------------------------------------------

@@ -1,20 +1,26 @@
 """The data plane orchestrator (DPO, §3.2, §4.3).
 
 Workflow: (1) every worker builds the FIBs of its nodes from the route
-store and compiles forwarding/ACL predicates into its *own* BDD engine;
-(2) symbolic packets are injected at the query's sources and forwarded in
-bulk-synchronous supersteps — each worker drains its local queue, packets
-crossing a segment boundary are serialized, shipped by the sidecars, and
-re-encoded into the receiving worker's engine.  Finals are collected back
-into the controller's engine for property checking.
+store (after an announce-only epoch it patches them within the recomputed
+prefixes instead); (2) symbolic packets are injected at the query's
+sources and forwarded in bulk-synchronous supersteps — each worker drains
+its local queue, compiling a device's forwarding/ACL predicates into its
+*own* BDD engine on the first packet that reaches it; packets crossing a
+segment boundary are serialized, shipped by the sidecars, and re-encoded
+into the receiving worker's engine.  Finals are collected back into the
+controller's engine for property checking.  Reachability of classes no
+ACL touches needs no packet at all (:meth:`DataPlaneOrchestrator.
+reach_by_closure`), so an ACL-free all-pair check compiles nothing.
 
 Both phases are timed with the wall clock (``predicate_seconds`` and
-``forward_seconds``, Figure 10's two phases); every worker's BDD work is
-also counted.  Per phase, the busiest worker's share is the §4.3
-parallelism argument as a count: engines on different workers proceed in
-parallel, so a step lasts as long as its busiest worker's share — nodes
-built for the predicate phase (``predicate_busiest_nodes``), operations
-for forwarding (``forward_busiest_ops``).  Unlike the clock, the counts
+``forward_seconds``, Figure 10's two phases; phase 1 is the build plus
+an explicit :meth:`DataPlaneOrchestrator.compile_all`, which Figure 10
+drives); every worker's BDD work is also counted.  Per phase, the
+busiest worker's share is the §4.3 parallelism argument as a count:
+engines on different workers proceed in parallel, so a step lasts as
+long as its busiest worker's share — nodes built for the predicate phase
+(``predicate_busiest_nodes``), operations for forwarding
+(``forward_busiest_ops``).  Unlike the clock, the counts
 do not depend on the machine; the forwarding ops move by a few percent
 with Python's string-hash seed, which reorders set iteration and so the
 BDD operation caches' hits.
@@ -30,6 +36,7 @@ from ..bdd.headerspace import HeaderEncoding
 from ..bdd.serialize import deserialize, serialize
 from ..dataplane.classes import (
     Action,
+    child_classes,
     class_atoms,
     closure_pairs,
     nearest_parents,
@@ -42,6 +49,7 @@ from ..net.ip import Prefix
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from .fleet import Fleet, settle_all
+from .message import DataPlanePatch
 from .storage import RouteStore
 
 #: Node-table capacity of the controller's engine, where finals land.
@@ -52,12 +60,17 @@ CONTROLLER_NODE_LIMIT = 1 << 24
 class DataPlaneStats:
     predicate_seconds: float = 0.0
     forward_seconds: float = 0.0
-    # BDD work on the critical path: the nodes the busiest worker's build
-    # leaves in its fresh engine (the trie compile is mk calls, mostly no
+    # BDD work on the critical path: the nodes the busiest worker's engine
+    # holds after compile_all (the trie compile is mk calls, mostly no
     # apply op), and each superstep's busiest worker's ops, summed.
     # Workers on their own cores run the rest alongside.
     predicate_busiest_nodes: int = 0
     forward_busiest_ops: int = 0
+    # Devices whose predicates a worker compiled, on a first packet or
+    # in compile_all; 0 for a closure-only check.
+    devices_compiled: int = 0
+    builds: int = 0            # data-plane builds from empty
+    patches: int = 0           # ... and patches within the dirty prefixes
     supersteps: int = 0
     packets_crossed: int = 0
     finals: int = 0
@@ -108,19 +121,17 @@ class DataPlaneOrchestrator:
         self._transits: List[str] = []
         # The workers' hop bound, which the closure applies as theirs.
         self.max_hops = max_hops
-        # Per build: each destination class's nearest parent and atom (in
-        # the controller engine), and memoized per class: every device's
-        # action, and whether an ACL touches it.
+        # Per build: the destination classes, each one's nearest parent,
+        # children and atom (in the controller engine), and memoized per
+        # class: every device's action, and whether an ACL touches it.
+        self._classes: FrozenSet[Prefix] = frozenset()
         self._parents: Dict[Prefix, Optional[Prefix]] = {}
+        self._children: Dict[Prefix, List[Prefix]] = {}
         self._atoms: Dict[Prefix, int] = {}
         self._rows: Dict[Prefix, Dict[str, Action]] = {}
         self._touched: Set[Prefix] = set()
 
     # -- fault handling --------------------------------------------------
-
-    def _count_failure(self) -> None:
-        """The ``on_recovered`` hook of a replayed build."""
-        self.stats.worker_failures += 1
 
     def _rebuild(self) -> None:
         """The ``on_recovered`` hook of a replayed query: rebuild the
@@ -132,63 +143,120 @@ class DataPlaneOrchestrator:
         self.install_waypoints(self._transits)
         self.stats.query_replays += 1
 
-    # -- phase 1: FIBs + predicates --------------------------------------
+    # -- phase 1: FIBs ------------------------------------------------------
 
-    def build(self, store: RouteStore) -> None:
-        """Build FIBs and predicates on every worker.
+    def build(
+        self, store: RouteStore, patch: Optional[DataPlanePatch] = None
+    ) -> None:
+        """Build the FIBs on every worker, from empty or by ``patch``.
 
         Queries are the recovery unit of the DPV phase: a worker failure
         here (or mid-forward) resets ``_built``, the supervisor recovers
-        the worker, and the whole build reruns — ``build_dataplane`` is
-        idempotent (fresh engine per call), and a recovered worker's
-        routes come back from the store plus its OSPF checkpoint.
+        the worker, and the whole build reruns from empty on every
+        worker — ``build_dataplane`` without a patch is idempotent
+        (fresh engine per call), and a recovered worker's routes come
+        back from the store plus its OSPF checkpoint.
         """
         self._store = store
+        pending = [patch]
+
+        def recovered() -> None:
+            self.stats.worker_failures += 1
+            pending[0] = None
+
         self.supervisor.replay(
-            lambda: self._build_once(store), self._count_failure
+            lambda: self._build_once(store, pending[0]), recovered
         )
 
     def invalidate(self) -> None:
         """Force the next :meth:`build` to run — the serving path calls
-        this after every committed delta so FIBs and predicates reflect
-        the new routes."""
+        this after every committed delta so the FIBs reflect the new
+        routes.  The classes stay until that build: a patch edits
+        them."""
         self._built = False
-        self._set_classes(frozenset())
+        self._rows = {}
+        self._touched = set()
 
     def _set_classes(self, prefixes: FrozenSet[Prefix]) -> None:
         """Take the union of the workers' FIB prefixes as the classes,
-        build their atoms, and drop the memoized actions."""
+        build their atoms, and drop the memoized actions.
+
+        The controller engine is never collected, so a class whose
+        children are the previous build's keeps its atom; only new
+        classes and those whose children changed build one."""
         classes = shortest_first(prefixes)
-        self._parents = nearest_parents(classes)
-        self._atoms = class_atoms(
-            self.engine, self.encoding, classes, self._parents
+        parents = nearest_parents(classes)
+        children = child_classes(parents)
+        previous, kept = self._children, self._atoms
+        stale = [
+            prefix
+            for prefix in classes
+            if prefix not in self._classes
+            or children.get(prefix) != previous.get(prefix)
+        ]
+        built = class_atoms(self.engine, self.encoding, stale, parents)
+        stale_set = set(stale)
+        self._atoms = {}
+        for prefix in classes:
+            atom = (built if prefix in stale_set else kept).get(prefix)
+            if atom is not None:  # absent: the children cover the class
+                self._atoms[prefix] = atom
+        self._classes, self._parents, self._children = (
+            prefixes, parents, children,
         )
         self._rows = {}
         self._touched = set()
 
-    def _build_once(self, store: RouteStore) -> None:
+    def _build_once(
+        self, store: RouteStore, patch: Optional[DataPlanePatch]
+    ) -> None:
         if self._built:
             return
         with stopwatch() as clock, self.tracer.span(
-            "dpo.build", category="dpo"
-        ) as span:
+            "dpo.build", category="dpo", patch=patch is not None
+        ):
             built = self.fleet.call_all(
                 "build_dataplane",
                 store.directory,
                 self.encoding,
                 self.node_limit,
+                patch,
             )
-            for worker, (ops, _, _) in zip(self.fleet.workers, built):
-                worker.resources.bdd_ops += ops
-            self.stats.predicate_busiest_nodes += max(
-                (nodes for _, nodes, _ in built), default=0
-            )
-            span.set(bdd_ops=sum(ops for ops, _, _ in built))
         self.stats.predicate_seconds += clock.seconds
-        self._set_classes(
-            frozenset().union(*(prefixes for _, _, prefixes in built))
-        )
+        classes = frozenset().union(*built)
+        if patch is None:
+            self.stats.builds += 1
+        else:
+            self.stats.patches += 1
+            classes |= self._classes - patch.prefixes
+        self._set_classes(classes)
         self._built = True
+
+    def compile_all(self) -> None:
+        """Compile every device's predicates now, through the hook a
+        first packet calls: Figure 10's phase 1, timed into
+        ``predicate_seconds``, with the busiest worker's node count."""
+        assert self._store is not None, "call build() before compile_all()"
+
+        def compile_once():
+            self._build_once(self._store, None)
+            return self.fleet.call_all("compile_devices")
+
+        def recovered() -> None:
+            self.stats.worker_failures += 1
+            self._built = False
+
+        with stopwatch() as clock, self.tracer.span(
+            "dpo.compile", category="dpo"
+        ) as span:
+            compiled = self.supervisor.replay(compile_once, recovered)
+            devices = sum(count for count, _ in compiled)
+            span.set(compiled=devices)
+        self.stats.predicate_seconds += clock.seconds
+        self.stats.devices_compiled += devices
+        self.stats.predicate_busiest_nodes += max(
+            (nodes for _, nodes in compiled), default=0
+        )
 
     # -- waypoints ------------------------------------------------------------
 
@@ -237,17 +305,18 @@ class DataPlaneOrchestrator:
                     results = self.fleet.call_all("drain")
                     deliveries = []
                     crossed = 0
-                    for worker, sidecar, (_, batches, ops) in zip(
+                    for worker, sidecar, (_, batches, ops, compiled) in zip(
                         self.fleet.workers, self.fleet.sidecars, results
                     ):
                         worker.resources.bdd_ops += ops
+                        self.stats.devices_compiled += compiled
                         for batch in batches.values():
                             crossed += len(batch.envelopes)
                             deliveries.append(sidecar.send_packets(batch))
                     settle_all(deliveries)  # lands before the next drain
                     batch_count = len(deliveries)
                     self.stats.forward_busiest_ops += max(
-                        (ops for _, _, ops in results), default=0
+                        (result[2] for result in results), default=0
                     )
                     step_span.set(batches=batch_count, crossed=crossed)
                 self.stats.packets_crossed += crossed

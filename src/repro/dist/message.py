@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..bdd.serialize import SerializedBdd
 from ..net.ip import Prefix
@@ -42,6 +42,20 @@ class RouteBatch:
 
     def route_count(self) -> int:
         return sum(len(routes) for routes in self.exports.values())
+
+
+@dataclass(frozen=True)
+class DataPlanePatch:
+    """What an announce-only epoch recomputed, for ``build_dataplane``.
+
+    ``flush_indices`` are the shards whose files the epoch rewrote, and
+    ``prefixes`` the dirty prefixes plus every prefix of those shards:
+    the only prefixes whose FIB entries can differ from the previous
+    epoch's (DESIGN.md, "Data-plane build").
+    """
+
+    flush_indices: Tuple[int, ...]
+    prefixes: FrozenSet[Prefix]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,14 @@ When a prefix shard finishes, each worker flushes the shard's selected
 routes to disk and frees the in-memory RIBs, which is what caps peak
 memory at one shard's footprint.  The store really writes pickle files
 (one per worker × shard) under a spool directory, so the flush cost and
-the reload path (the data-plane phase needs all shards back) are genuine.
+the reload path are genuine.  A full data-plane build reads every shard
+file back; after an announce-only epoch a worker reads only the files of
+the flush indices that epoch recomputed (:meth:`RouteStore.merged_routes`
+with ``indices``), and so does the serving session's RIB view.
+
+Each store counts its metadata operations: ``durable_writes`` (temp file,
+fsync, rename) and ``unlinks``.  A worker's flush writes through its own
+store object, so the controller counts those files from the replies.
 
 The store doubles as the **checkpoint substrate** of the fault-tolerance
 layer: every file is written to a temp name and :func:`os.replace`-d into
@@ -188,6 +195,8 @@ class RouteStore:
             self._owned = False
         self.directory = directory
         self.bytes_written = 0
+        self.durable_writes = 0
+        self.unlinks = 0
 
     def _path(self, worker_id: int, shard_index: int) -> str:
         return os.path.join(
@@ -211,6 +220,15 @@ class RouteStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
+        self.durable_writes += 1
+
+    def _unlink(self, name: str) -> None:
+        """Remove one file of the directory; a missing one is no error."""
+        try:
+            os.unlink(os.path.join(self.directory, name))
+        except OSError:
+            return
+        self.unlinks += 1
 
     def _load(self, path: str) -> ShardRoutes:
         with open(path, "rb") as handle:
@@ -282,13 +300,20 @@ class RouteStore:
             if ".tmp." in name or (
                 name.endswith(".rib") and not name.endswith(kept)
             ):
-                try:
-                    os.unlink(os.path.join(self.directory, name))
-                except OSError:
-                    pass
+                self._unlink(name)
 
-    def iter_worker_shards(self, worker_id: int) -> Iterator[ShardRoutes]:
-        """All shard files of one worker, in shard order."""
+    def iter_worker_shards(
+        self, worker_id: int, indices: Optional[Iterable[int]] = None
+    ) -> Iterator[ShardRoutes]:
+        """All shard files of one worker in shard order, or those of the
+        flush ``indices`` (a missing one reads as empty)."""
+        if indices is not None:
+            for index in sorted(indices):
+                try:
+                    yield self.read_shard(worker_id, index)
+                except FileNotFoundError:
+                    continue
+            return
         prefix = f"worker{worker_id:03d}-"
         for name in sorted(os.listdir(self.directory)):
             if name.startswith(prefix) and name.endswith(".rib"):
@@ -314,15 +339,15 @@ class RouteStore:
         prefix = f"worker{worker_id:03d}"
         for name in os.listdir(self.directory):
             if name.startswith(f"{prefix}-shard") or name == f"{prefix}.ospf":
-                try:
-                    os.unlink(os.path.join(self.directory, name))
-                except OSError:
-                    pass
+                self._unlink(name)
 
-    def merged_routes(self, worker_id: int) -> ShardRoutes:
-        """Union of every shard's routes for one worker's nodes."""
+    def merged_routes(
+        self, worker_id: int, indices: Optional[Iterable[int]] = None
+    ) -> ShardRoutes:
+        """Union of every shard's routes for one worker's nodes, or of
+        the flush ``indices``' shards only."""
         merged: ShardRoutes = {}
-        for shard_routes in self.iter_worker_shards(worker_id):
+        for shard_routes in self.iter_worker_shards(worker_id, indices):
             for node, routes in shard_routes.items():
                 merged.setdefault(node, {}).update(routes)
         return merged
@@ -415,10 +440,7 @@ class RouteStore:
                 or name == EPOCH_TAG_NAME
                 or ".tmp." in name
             ):
-                try:
-                    os.unlink(os.path.join(self.directory, name))
-                except OSError:
-                    pass
+                self._unlink(name)
         self.bytes_written = 0
 
     def close(self) -> None:

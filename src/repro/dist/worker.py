@@ -14,9 +14,11 @@ the distributed fixed point independent of how nodes are spread across
 workers — S2's RIBs match the monolithic engine's exactly.
 
 For the data plane the worker owns a private BDD engine (§4.3 option 2),
-builds FIBs for its real nodes from the route store, compiles predicates,
-and forwards symbolic packets; packets leaving its segment are serialized
-into :class:`~repro.dist.message.PacketEnvelope` batches.
+builds FIBs for its real nodes from the route store (or patches them after
+an announce-only epoch), compiles a device's predicates on the first
+symbolic packet that reaches it, and forwards symbolic packets; packets
+leaving its segment are serialized into
+:class:`~repro.dist.message.PacketEnvelope` batches.
 """
 
 from __future__ import annotations
@@ -24,7 +26,17 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
@@ -37,22 +49,23 @@ from ..dataplane.classes import (
     device_actions,
     parent_indexes,
 )
-from ..dataplane.fib import Fib, FibAction, NextHopResolver, build_fib
+from ..dataplane.fib import Fib, FibAction, NextHopResolver, fib_entry
 from ..dataplane.forwarding import (
     FinalPacket,
     ForwardingContext,
     PacketBuffer,
     SymbolicPacket,
 )
-from ..dataplane.predicates import compile_predicates
+from ..dataplane.predicates import PortPredicates, compile_predicates
 from ..net.ip import Prefix
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..routing.node import Advertisement, RouterNode
 from .faults import FaultPlan, InjectedWorkerCrash, StaleEpochError
 from ..routing.ospf import OspfProcess
-from ..routing.route import Route
+from ..routing.route import BgpRoute
 from .message import (
     BoundaryExports,
+    DataPlanePatch,
     OspfExports,
     PacketBatch,
     PacketEnvelope,
@@ -163,7 +176,7 @@ class Worker:
         # data plane
         "build_dataplane", "set_waypoint_bit", "clear_waypoints",
         "inject_header", "deliver_packets", "drain", "collect_finals",
-        "reset_dataplane_run", "class_actions",
+        "reset_dataplane_run", "class_actions", "compile_devices",
     ))
 
     def __init__(
@@ -214,9 +227,17 @@ class Worker:
         self._finals: List[FinalPacket] = []
         self._fibs: Dict[str, Fib] = {}
         self._fib_entries = 0
-        # Live node count the last collection left; 0 after a build, so
-        # the first query boundary always collects.
+        self._resolver: Optional[NextHopResolver] = None
+        # Devices compiled by this worker, counted where the compile runs.
+        self.devices_compiled = 0
+        # Live node count the last collection left plus what compiles
+        # added since; 0 after a build, so the first query boundary
+        # always collects.  Nodes from ``_gc_mark`` up were created after
+        # the collection or build; ``_gc_counted`` are those a compile
+        # counted into the floor.
         self._gc_floor = 0
+        self._gc_mark = 0
+        self._gc_counted: Set[int] = set()
         self._drop_engine_memos()
         # Received payloads resolved through the receive memo.
         self.payloads_reused = 0
@@ -319,7 +340,10 @@ class Worker:
         self._finals = []
         self._fibs = {}
         self._fib_entries = 0
-        self._gc_floor = 0
+        self._resolver = None
+        self.devices_compiled = 0
+        self._gc_floor = self._gc_mark = 0
+        self._gc_counted = set()
         self._drop_engine_memos()
         self.payloads_reused = 0
 
@@ -710,23 +734,77 @@ class Worker:
         store_dir: str,
         encoding: HeaderEncoding,
         node_limit: int = 1 << 24,
-    ) -> Tuple[int, int, FrozenSet[Prefix]]:
-        """Build FIBs (from the route store) and compile predicates into
-        this worker's private engine.  Returns the BDD ops spent, the
-        nodes the fresh engine holds afterwards (phase 1 of Figure 10),
-        and the FIB prefixes of the encoding's family (the destination
-        classes this worker contributes).  Idempotent: a rebuild (after
-        worker recovery or a commit) starts from a fresh engine and FIB
-        count."""
+        patch: Optional[DataPlanePatch] = None,
+    ) -> FrozenSet[Prefix]:
+        """Build this worker's FIBs from the route store.  No predicate
+        is compiled here: the forwarding context compiles a device on
+        the first symbolic packet that reaches it.
+
+        Without ``patch`` the build starts from an empty data plane (a
+        fresh engine, no FIB) and reads every shard file: a cold build,
+        a full delta, a rebalance and every rebuild after a recovery.
+        With one (an announce-only epoch) it keeps the data plane, reads
+        only the patch's flush indices, recomputes the entry of every
+        patch prefix on each owned device, and drops the compiled
+        predicates of every device whose FIB changed; a worker with no
+        data plane to patch (respawned) builds from empty instead.
+        Either way the FIBs equal a fresh build from the same store.
+
+        Returns the FIB prefixes of the encoding's family — the
+        destination classes this worker contributes — among the patch's
+        prefixes when patching.
+        """
         self._inject("build_dataplane")
+        if self.context is None:
+            patch = None
+        if patch is None:
+            self._empty_dataplane(encoding, node_limit)
+            wanted, indices = None, None
+        else:
+            wanted, indices = patch.prefixes, patch.flush_indices
+        with self.tracer.span(
+            "worker.build_dataplane", category="dpo", patch=patch is not None
+        ) as span:
+            routes = RouteStore(store_dir).merged_routes(
+                self.worker_id, indices
+            )
+            changed = 0
+            for hostname, node in sorted(self.nodes.items()):
+                if self._patch_fib(
+                    hostname, node, routes.get(hostname, {}), wanted
+                ):
+                    changed += 1
+                    self._drop_predicates(hostname)
+            self._fib_entries = sum(len(fib) for fib in self._fibs.values())
+            span.set(fib_entries=self._fib_entries, devices_changed=changed)
+        # What a fresh data plane holds: no waypoint bit and no memoized
+        # id; the first query boundary collects.
+        self.context.waypoint_bits.clear()
+        self._drop_engine_memos()
+        self._gc_floor = 0
+        self._gc_mark = self.engine.node_count
+        self._gc_counted = set()
+        self.update_memory()
+        self.last_phase = "build_dataplane"
+        width = encoding.address_bits
+        return frozenset(
+            prefix
+            for fib in self._fibs.values()
+            for prefix in (fib.prefixes() if wanted is None else wanted)
+            if prefix.width == width
+            and (wanted is None or fib.entry_for(prefix) is not None)
+        )
+
+    def _empty_dataplane(
+        self, encoding: HeaderEncoding, node_limit: int
+    ) -> None:
+        """A fresh engine and forwarding context, and no FIB."""
         # Release the previous data plane before allocating the next, so
         # a rebuild never holds two engines (and two op caches) at once.
         self.engine = self.context = self._buffer = None
         self._fibs = {}
-        self._drop_engine_memos()
-        resolver = NextHopResolver.from_snapshot(self.snapshot)
+        self._resolver = NextHopResolver.from_snapshot(self.snapshot)
         self.encoding = encoding
-        self._fib_entries = 0
         self.engine = encoding.make_engine(node_limit=node_limit)
         self.engine.tracer = self.tracer if self.tracer.enabled else None
         self.context = ForwardingContext(
@@ -734,52 +812,103 @@ class Worker:
             encoding,
             self.snapshot.topology,
             max_hops=self.max_hops,
+            compile=self._compile_device,
         )
         self._buffer = PacketBuffer(self.engine)
-        with self.tracer.span("worker.build_dataplane", category="dpo") as span:
-            merged = RouteStore(store_dir).merged_routes(self.worker_id)
-            ops_before = self.engine.ops
-            for hostname, node in sorted(self.nodes.items()):
-                with self.engine.batch("bdd.compile", node=hostname):
-                    main_routes: List[Route] = []
-                    for prefix in node.main_rib.prefixes():
-                        main_routes.extend(node.main_rib.routes_for(prefix))
-                    fib = build_fib(
-                        hostname,
-                        node.local_prefixes,
-                        main_routes,
-                        merged.get(hostname, {}),
-                        resolver,
-                    )
-                    self._fib_entries += len(fib)
-                    self._fibs[hostname] = fib
-                    self.context.add_node(
-                        compile_predicates(
-                            self.snapshot.configs[hostname],
-                            fib,
-                            self.engine,
-                            self.encoding,
-                        )
-                    )
-            ops = self.engine.ops - ops_before
-            nodes = self.engine.node_count
-            span.set(fib_entries=self._fib_entries, bdd_ops=ops, nodes=nodes)
-        # The compiled predicates are the engine's permanent roots: they
-        # must survive every between-query GC for the lifetime of this
-        # data plane.
-        for predicates in self.context.predicates.values():
+
+    def _patch_fib(
+        self,
+        hostname: str,
+        node: RouterNode,
+        bgp: Dict[Prefix, Tuple[BgpRoute, ...]],
+        wanted: Optional[FrozenSet[Prefix]],
+    ) -> bool:
+        """Recompute ``hostname``'s FIB entry of every ``wanted`` prefix
+        (None: every prefix the node routes or originates); whether any
+        entry changed."""
+        fib = self._fibs.get(hostname)
+        if fib is None:
+            fib = self._fibs[hostname] = Fib(hostname)
+        main = node.main_rib
+        local = node.local_prefixes
+        if wanted is None:
+            wanted = local.union(main.prefixes(), bgp)
+        changed = False
+        for prefix in wanted:
+            entry = fib_entry(
+                hostname,
+                prefix,
+                prefix in local,
+                main.routes_for(prefix),
+                bgp.get(prefix, ()),
+                self._resolver,
+            )
+            if entry == fib.entry_for(prefix):
+                continue
+            changed = True
+            if entry is None:
+                fib.remove(prefix)
+            else:
+                fib.add(entry)
+        return changed
+
+    def _drop_predicates(self, hostname: str) -> None:
+        """Forget a device's compiled predicates and release their
+        roots; its next packet compiles them again."""
+        predicates = self.context.predicates.pop(hostname, None)
+        if predicates is not None:
             for root in predicates.roots():
-                self.engine.add_root(root)
-        self._gc_floor = 0
+                self.engine.remove_root(root)
+
+    def _compile_device(self, hostname: str) -> PortPredicates:
+        """The forwarding context's compile hook: one owned device's
+        predicates, registered as engine roots at once so they survive
+        every query-boundary collection while this data plane lives.
+        The nodes they add to the live set raise the growth floor, so
+        a compile is never mistaken for garbage."""
+        with self.engine.batch("bdd.compile", node=hostname):
+            predicates = compile_predicates(
+                self.snapshot.configs[hostname],
+                self._fibs[hostname],
+                self.engine,
+                self.encoding,
+            )
+        for root in predicates.roots():
+            self.engine.add_root(root)
+        self._gc_floor += self._newly_live(predicates.roots())
+        self.devices_compiled += 1
+        return predicates
+
+    def _newly_live(self, roots: Iterable[int]) -> int:
+        """How many nodes ``roots`` add to the engine's live set: those
+        created since the last collection or build (ids from
+        ``_gc_mark`` up; a child's id is below its parent's) that no
+        earlier compile counted."""
+        engine, mark, counted = self.engine, self._gc_mark, self._gc_counted
+        stack = [u for u in roots if u >= mark]
+        added = 0
+        while stack:
+            u = stack.pop()
+            if u < mark or u in counted:
+                continue
+            counted.add(u)
+            added += 1
+            stack.append(engine.low_of(u))
+            stack.append(engine.high_of(u))
+        return added
+
+    def compile_devices(self) -> Tuple[int, int]:
+        """Compile every owned device not compiled yet, through the hook
+        a first packet calls (Figure 10 drives phase 1 with it).
+        Returns the devices compiled and the engine's node count
+        afterwards."""
+        assert self.context is not None
+        before = self.devices_compiled
+        for hostname in sorted(self.nodes):
+            self.context.predicates_for(hostname)
         self.update_memory()
-        self.last_phase = "build_dataplane"
-        width = encoding.address_bits
-        prefixes = frozenset(
-            entry.prefix
-            for fib in self._fibs.values()
-            for entry in fib.entries(width)
-        )
-        return ops, nodes, prefixes
+        self.last_phase = "compile_devices"
+        return self.devices_compiled - before, self.engine.node_count
 
     def class_actions(
         self, classes: Sequence[Prefix]
@@ -897,14 +1026,16 @@ class Worker:
                 )
             )
 
-    def drain(self) -> Tuple[int, Dict[int, PacketBatch], int]:
+    def drain(self) -> Tuple[int, Dict[int, PacketBatch], int, int]:
         """Process the local queue to exhaustion (one DPO superstep).
 
-        Returns (finals produced, per-target outgoing batches, BDD ops).
+        Returns (finals produced, per-target outgoing batches, BDD ops,
+        devices compiled on their first packet).
         """
         self._inject("drain")
         assert self.context is not None and self.engine is not None
         ops_before = self.engine.ops
+        compiled_before = self.devices_compiled
         outgoing: Dict[int, List[PacketEnvelope]] = {}
         produced = 0
         with self.tracer.span("worker.drain", category="dpo") as span:
@@ -933,10 +1064,12 @@ class Worker:
                                         path=hop.path,
                                     )
                                 )
+            compiled = self.devices_compiled - compiled_before
             span.set(
                 waves=waves,
                 finals=produced,
                 bdd_ops=self.engine.ops - ops_before,
+                compiled=compiled,
             )
         self.update_memory()
         self.last_phase = "drain"
@@ -948,7 +1081,7 @@ class Worker:
             )
             for target, envelopes in outgoing.items()
         }
-        return produced, batches, self.engine.ops - ops_before
+        return produced, batches, self.engine.ops - ops_before, compiled
 
     def _serialized(self, bdd: int) -> SerializedBdd:
         """Serialize a node id, memoized until the next GC renames ids.
@@ -1016,6 +1149,7 @@ class Worker:
         for predicates in self.context.predicates.values():
             predicates.remap(remap)
         self._drop_engine_memos()
-        self._gc_floor = self.engine.node_count
+        self._gc_floor = self._gc_mark = self.engine.node_count
+        self._gc_counted = set()
         self.update_memory(enforce=False)
         return before - self.engine.node_count

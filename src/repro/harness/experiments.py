@@ -454,7 +454,10 @@ def run_fig10_dpv(
     S2's ``dpo.forward`` driven explicitly, since S2's own reachability
     check answers an ACL-free class by destination-class closure and
     forwards nothing here.  That check is timed on its own
-    (``closure_*``)."""
+    (``closure_*``).  S2's predicate phase is its FIB build plus
+    ``dpo.compile_all()``: a worker otherwise compiles a device only on
+    the first symbolic packet that reaches it, which would move the
+    compile into the forwarding columns."""
     sizes = list(sizes or sweep_sizes())
     rows: List[ExperimentRow] = []
     for k, paper_k in sizes:
@@ -509,6 +512,9 @@ def run_fig10_dpv(
                 s2.run_control_plane()
                 s2_checker = s2.controller.checker()
                 dpo = s2.controller.dpo
+                # Phase 1 compiles every device explicitly, through the
+                # hook a device's first packet would call.
+                dpo.compile_all()
                 dp = dpo.stats
                 with stopwatch() as clock:
                     dpo.forward(query.sources, TRUE)

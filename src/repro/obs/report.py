@@ -212,6 +212,24 @@ def class_closure(spans: List[Dict[str, Any]]) -> Optional[str]:
     )
 
 
+def store_metadata(spans: List[Dict[str, Any]]) -> Optional[str]:
+    """One line on the route store's metadata operations, from the
+    ``controller.finalize`` span a closing controller emits (the last
+    one, when a trace holds several runs).  None without one."""
+    attrs = None
+    for span in spans:
+        if span["name"] == "controller.finalize":
+            attrs = span.get("attrs") or {}
+    if attrs is None or "storage_durable_writes" not in attrs:
+        return None
+    return (
+        f"store metadata: {attrs['storage_durable_writes']} durable writes "
+        f"({attrs['storage_controller_writes']} by the controller, "
+        f"{attrs['storage_worker_writes']} worker shard files), "
+        f"{attrs['storage_unlinks']} unlinks"
+    )
+
+
 def render_report(
     path: str,
     by_process: bool = False,
@@ -239,7 +257,10 @@ def render_report(
     )
     report = format_table(REPORT_HEADERS, rows, title=title)
     for line in (
-        round_reuse(spans), warm_dataplane(spans), class_closure(spans)
+        round_reuse(spans),
+        warm_dataplane(spans),
+        class_closure(spans),
+        store_metadata(spans),
     ):
         if line:
             report += "\n" + line

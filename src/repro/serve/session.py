@@ -24,6 +24,18 @@ Self-healing rests on four mechanisms:
   been exhausted) flips the session to *degraded*: the previous epoch
   keeps serving read-only and further deltas are refused.
 
+A delta commits in steps: classify it; rebind the snapshot (announce:
+changed hosts only, clean shards carried over) or reconfigure (full);
+run the control plane over the shards left to recompute; rebuild the
+data plane — after an announce-only epoch whose control plane
+recovered nothing and did not fall back, each worker patches its FIBs
+within the dirty prefixes and the recomputed shards and drops the
+compiled predicates of the devices whose FIB changed; otherwise every
+worker builds from empty; persist the epoch; recheck reachability;
+swap in the view, whose RIBs are the previous view's with the
+recomputed shards' prefixes read back (after a patch) or every shard
+reread (otherwise).
+
 Commits are two-phase on disk: the manifest (tagged with the epoch, and
 holding the shard packing) is written, then the ``EPOCH`` tag file.  A warm
 boot (:class:`VerifierSession` over an existing store) trusts the RIB
@@ -299,7 +311,8 @@ class VerifierSession:
         ``dirty`` is the epoch's dirty prefix set when its delta allows
         the dirty-space recheck (``recoveries`` is the supervisor's count
         when the epoch began); None takes the full one for
-        ``full_reason``.
+        ``full_reason``.  With ``dirty`` the RIB view is the previous
+        one with the recomputed shards' prefixes replaced.
         """
         controller = self._controller
         manifest = controller.manifest
@@ -318,7 +331,11 @@ class VerifierSession:
             epoch=self.epoch,
             endpoints=endpoints,
             pairs=frozenset(reachable),
-            ribs=controller.collected_ribs(),
+            ribs=(
+                controller.collected_ribs(previous.ribs, dirty)
+                if dirty is not None
+                else controller.collected_ribs()
+            ),
         )
         self._reachable = reachable
         with self._view_lock:
@@ -671,15 +688,17 @@ class VerifierSession:
         else:
             self._prepare_full(new_snapshot, epoch)
         stats = controller.run_control_plane()
-        controller.rebuild_data_plane()
-        self.snapshot = new_snapshot
-        self.epoch = epoch
         if not classification.incremental:
             dirty, reason = None, "delta"
         elif stats.sequential_fallback:
             dirty, reason = None, "sequential-fallback"
+        elif controller.supervisor.recoveries != recoveries:
+            dirty, reason = None, "recovery"
         else:
             dirty, reason = classification.dirty_prefixes, ""
+        controller.rebuild_data_plane(dirty)
+        self.snapshot = new_snapshot
+        self.epoch = epoch
         previous, view = self._commit_view(dirty, reason, recoveries)
         return DeltaResult(
             epoch=epoch,

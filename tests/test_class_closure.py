@@ -15,6 +15,7 @@ one fan-out recovers through replay.
 from __future__ import annotations
 
 import ast
+import functools
 
 import pytest
 
@@ -84,22 +85,23 @@ def converge(controller):
         controller._cp_done = True
 
 
-def compare(snapshot, options, query=None, within=None, transits=()):
+def compare(
+    snapshot, options, query=None, within=None, transits=(), want=None
+):
     """Closure-checked vs monolithic per-pair digests, and the DPO stats.
 
     ``query`` defaults to every device to every device; ``within`` is a
     prefix list restricting the header as the serve commit does;
-    ``transits`` installs waypoint bits on both sides first."""
+    ``transits`` installs waypoint bits on both sides first.  ``want``,
+    when given, is the monolithic digests computed already."""
     nodes = tuple(sorted(snapshot.configs))
     query = query or Query(sources=nodes, destinations=nodes)
-    reference = monolith(snapshot, options)
     with S2Controller(snapshot, options) as controller:
         converge(controller)
         checker = controller.checker()
         dpo = controller.dpo
         if transits:
             dpo.install_waypoints(transits)
-            reference.install_waypoints(transits)
         header = TRUE
         if within is not None:
             header = options.encoding.prefix_set_bdd(dpo.engine, within)
@@ -107,14 +109,23 @@ def compare(snapshot, options, query=None, within=None, transits=()):
             dpo.engine, checker.check_reachability(query, header).reachable
         )
         stats = dpo.stats
+    if want is None:
+        want = reference_digests(snapshot, options, query, within, transits)
+    return got, want, stats
+
+
+def reference_digests(snapshot, options, query, within=None, transits=()):
+    """The monolithic side of :func:`compare`."""
+    reference = monolith(snapshot, options)
+    if transits:
+        reference.install_waypoints(transits)
     header = TRUE
     if within is not None:
         header = options.encoding.prefix_set_bdd(reference.engine, within)
-    want = digests(
+    return digests(
         reference.engine,
         reference.checker().check_reachability(query, header).reachable,
     )
-    return got, want, stats
 
 
 # -- (a) content-equal on every network family ---------------------------
@@ -144,15 +155,29 @@ def test_corpus_cases(runtime):
         assert got == want and got, case.name
 
 
+@functools.lru_cache(maxsize=None)
+def fuzz_case(seed):
+    """One fuzz seed's snapshot and monolithic digests, parsed and
+    computed once for both runtimes' parametrizations."""
+    snapshot = build_snapshot(generate_spec(seed))
+    nodes = tuple(sorted(snapshot.configs))
+    want = reference_digests(
+        snapshot, S2Options(), Query(sources=nodes, destinations=nodes)
+    )
+    return snapshot, want
+
+
 @pytest.mark.parametrize(
     "runtime, seeds",
     [("sequential", FUZZ_SEEDS), ("socket", SOCKET_FUZZ_SEEDS)],
 )
 def test_fuzz_seeds(runtime, seeds):
     for seed in seeds:
-        snapshot = build_snapshot(generate_spec(seed))
-        got, want, _ = compare(
-            snapshot, S2Options(num_workers=3, num_shards=2, runtime=runtime)
+        snapshot, want = fuzz_case(seed)
+        got, _, _ = compare(
+            snapshot,
+            S2Options(num_workers=3, num_shards=2, runtime=runtime),
+            want=want,
         )
         assert got == want, f"seed {seed}"
 

@@ -97,8 +97,11 @@ class TestPerWorkerEngines:
                 worker_capacity=UNLIMITED_CAPACITY,
             ),
         ) as controller:
+            # The build compiles nothing; the first packet compiles its
+            # source's predicates, which overflow the table.
+            controller.build_data_plane()
             with pytest.raises(BddOverflowError):
-                controller.build_data_plane()
+                controller.dpo.forward(["edge-0-0"], TRUE)
 
 
 class TestEncodingPlumbing:

@@ -54,6 +54,22 @@ class TestTrie:
         assert len(fib) == 1
         assert fib.lookup(Prefix.parse("10.0.0.1").network).next_hops[0].iface == "b"
 
+    def test_remove_prunes_the_branch_and_keeps_the_rest(self):
+        fib = Fib("r")
+        fib.add(entry("10.0.0.0/8", hops=("a",)))
+        fib.add(entry("10.1.2.0/24", hops=("c",)))
+        fib.remove(Prefix.parse("10.1.2.0/24"))
+        fib.remove(Prefix.parse("10.9.0.0/16"))  # absent: a no-op
+        assert [e.prefix for e in fib.entries()] == [Prefix.parse("10.0.0.0/8")]
+        assert fib.lookup(Prefix.parse("10.1.2.3").network).next_hops[0].iface == "a"
+        # The /8 node is a leaf again: the /24's branch is gone.
+        node = fib.trie_root()
+        for bit in Prefix.parse("10.0.0.0/8").bits():
+            node = node.children[bit]
+        assert node.children == [None, None]
+        fib.remove(Prefix.parse("10.0.0.0/8"))
+        assert len(fib) == 0 and fib.trie_root().children == [None, None]
+
     def test_entries_sorted_most_specific_first(self):
         fib = Fib("r")
         fib.add(entry("10.0.0.0/8"))

@@ -13,8 +13,10 @@ import os
 
 import pytest
 
+from repro.bdd.engine import TRUE
 from repro.cli import main
 from repro.dist.controller import S2Controller, S2Options
+from repro.net.fattree import FatTreeSpec, render_configs
 from repro.obs.merge import (
     chrome_events,
     merge_shards,
@@ -30,6 +32,7 @@ from repro.obs.tracer import (
     Tracer,
     stopwatch,
 )
+from repro.serve import ConfigTextDelta, VerifierSession
 
 
 class FakeClock:
@@ -323,6 +326,8 @@ class TestTracedPipeline:
         with S2Controller(fattree4, options) as controller:
             controller.run_control_plane()
             controller.checker()
+            # A symbolic packet compiles its devices' predicates.
+            controller.dpo.forward(["edge-0-0"], TRUE)
         assert validate_chrome_trace(trace_out) == []
         document = json.load(open(trace_out, encoding="utf-8"))
         events = document["traceEvents"]
@@ -413,3 +418,62 @@ class TestReport:
             assert "phase" in report
             assert "exports reused" in report  # change-driven rounds
         assert main(["report", str(tmp_path / "nope.json")]) == 2
+
+
+class TestStoreMetadata:
+    """The route store's durable writes and unlinks, counted on the
+    controller: its own store's, plus one worker file per flush reply."""
+
+    def test_cold_run_counts_and_report_line(self, fattree4, tmp_path):
+        trace_out = str(tmp_path / "trace.json")
+        options = S2Options(
+            num_workers=2,
+            num_shards=2,
+            store_dir=str(tmp_path / "store"),
+            trace_out=trace_out,
+        )
+        with S2Controller(fattree4, options) as controller:
+            controller.run_control_plane()
+            counts = controller.storage_counts()
+            assert controller.metrics_snapshot()["storage"] == counts
+        # The manifest at the start, after OSPF and per shard; each
+        # worker's OSPF checkpoint; one file per worker and shard.
+        assert counts == {
+            "durable_writes": 10,
+            "controller_writes": 1 + 1 + 2 + 2,
+            "worker_writes": 2 * 2,
+            "unlinks": 0,
+        }
+        assert (
+            "store metadata: 10 durable writes (6 by the controller, "
+            "4 worker shard files), 0 unlinks"
+        ) in render_report(trace_out)
+
+    def test_an_announce_counts_its_shards(self, fattree4):
+        dialect, text = render_configs(FatTreeSpec(k=4))["edge-0-0"]
+        added = text.replace(
+            " network 10", " network 203.0.7.0 mask 255.255.255.0\n network 10",
+            1,
+        )
+        assert added != text
+        options = S2Options(num_workers=2, num_shards=8)
+        with VerifierSession(fattree4, options, warm_boot=False) as session:
+            controller = session._controller
+            for new_text in (added, text):
+                before = controller.storage_counts()
+                result = session.apply_delta(
+                    ConfigTextDelta("edge-0-0", new_text, dialect), timeout=300
+                )
+                after = controller.storage_counts()
+                moved = {name: after[name] - before[name] for name in after}
+                recomputed = result.shards_recomputed
+                assert recomputed >= 1
+                # The manifest at the start and per recomputed shard, then
+                # the commit's manifest and epoch tag; each worker rewrites
+                # (and first unlinks) its file of every recomputed shard.
+                assert moved == {
+                    "durable_writes": 3 + recomputed + 2 * recomputed,
+                    "controller_writes": 3 + recomputed,
+                    "worker_writes": 2 * recomputed,
+                    "unlinks": 2 * recomputed,
+                }

@@ -846,7 +846,7 @@ def test_terminal_failure_degrades_to_read_only(
         src, dst = sorted(view.endpoints)[:2]
         expected = session.query(src, dst).holds
 
-        def explode():
+        def explode(dirty=None):
             raise RuntimeError("data plane rebuild failed terminally")
 
         session._controller.rebuild_data_plane = explode

@@ -373,7 +373,8 @@ def test_serve_session_streams_frames_and_journals(observed_session):
     assert sorted(workers) == ["worker0", "worker1"]
     for worker in workers.values():
         assert worker["epoch"] == session.epoch
-        assert worker["engine.node_count"] > 2
+        # Built, and empty: closure compiles no predicate.
+        assert worker["engine.node_count"] == 2
         assert worker["age_seconds"] >= 0 and not worker["lost"]
     assert "frames" not in status
     assert status["journal"]["last_seq"] >= 2
