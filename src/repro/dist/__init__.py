@@ -14,7 +14,6 @@ from .faults import (  # noqa: F401
     InjectedWorkerCrash,
     RespawnError,
     RetryPolicy,
-    TransientRpcError,
     WorkerDiedError,
     WorkerFailure,
     WorkerTimeoutError,

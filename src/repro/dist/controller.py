@@ -77,11 +77,7 @@ from .partition import (
     partition,
     plan_reassignment,
 )
-from .resources import (
-    DEFAULT_WORKER_CAPACITY,
-    ClusterReport,
-    WorkerResources,
-)
+from .resources import DEFAULT_WORKER_CAPACITY, ClusterReport
 from .runtime import LocalWorkerPool
 from .sharding import (
     PrefixShard,
@@ -994,26 +990,8 @@ class S2Controller:
         )
         snapshot["control_plane"] = asdict(self.cpo.stats)
         snapshot["data_plane"] = asdict(self.dpo.stats)
-        def _worker_entry(r: WorkerResources, lost: bool) -> Dict[str, Any]:
-            return {
-                "name": r.name,
-                "candidate_routes": r.candidate_routes,
-                "bdd_nodes": r.bdd_nodes,
-                "fib_entries": r.fib_entries,
-                "peak_bytes": r.peak_bytes,
-                "current_bytes": r.current_bytes,
-                "route_work": r.route_work,
-                "bdd_ops": r.bdd_ops,
-                "rpc_bytes_sent": r.rpc_bytes_sent,
-                "rpc_messages_sent": r.rpc_messages_sent,
-                "retries": r.retries,
-                "respawns": r.respawns,
-                "oom": r.oom,
-                "lost": lost,
-            }
-
         snapshot["workers"] = [
-            _worker_entry(worker.resources, lost)
+            dict(asdict(worker.resources), lost=lost)
             for worker, lost in self.fleet.roster()
         ]
         if self.options.fault_plan is not None:

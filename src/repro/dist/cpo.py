@@ -84,8 +84,8 @@ class ControlPlaneStats:
     shards_skipped: int = 0         # shards skipped on resume (manifest)
     ospf_restored: bool = False     # OSPF came from a checkpoint, not rounds
     sequential_fallback: bool = False  # degraded to the monolithic engine
-    batches_dropped: int = 0        # injected at the sidecars
-    batches_duplicated: int = 0     # injected at the sidecars
+    batches_dropped: int = 0        # the plan's fired drops
+    batches_duplicated: int = 0     # the plan's fired duplicates
     duplicates_discarded: int = 0   # receiver-side sequence dedup hits
     pipelined_deliveries: int = 0   # coalesced in-flight sends per round
     # -- change-driven rounds ------------------------------------------
@@ -142,7 +142,8 @@ class ControlPlaneOrchestrator:
         before any delivery is awaited — remote deliveries for the whole
         round are in flight together instead of call-and-wait one batch
         at a time.  Settling every handle before returning is the
-        delivery barrier phase B's pulls depend on.
+        delivery barrier phase B's pulls depend on.  Each delivery
+        replies with the duplicates its receiver discarded.
         """
         sent = 0
         for sidecar, batches in zip(self.fleet.sidecars, batch_maps):
@@ -152,22 +153,9 @@ class ControlPlaneOrchestrator:
         handles = []
         for sidecar in self.fleet.sidecars:
             handles.extend(sidecar.flush_routes())
-        settle_all(handles)
+        self.stats.duplicates_discarded += sum(settle_all(handles))
         self.stats.pipelined_deliveries += len(handles)
         return sent
-
-    def _collect_fault_counts(self) -> None:
-        """Fold sidecar and worker fault counters into the stats."""
-        self.stats.batches_dropped = sum(
-            s.batches_dropped for s in self.fleet.sidecars
-        )
-        self.stats.batches_duplicated = sum(
-            s.batches_duplicated for s in self.fleet.sidecars
-        )
-        self.stats.duplicates_discarded = sum(
-            worker.status().get("duplicate_batches", 0)
-            for worker in self.fleet.workers
-        )
 
     # -- OSPF phase -----------------------------------------------------------
 
@@ -475,7 +463,11 @@ class ControlPlaneOrchestrator:
                 )
                 del pending[: len(batch)]
                 self.run_batch(batch, pending, shards or ())
-            self._collect_fault_counts()
+            if self.fault_plan is not None:
+                self.stats.batches_dropped = self.fault_plan.count("drop")
+                self.stats.batches_duplicated = self.fault_plan.count(
+                    "duplicate"
+                )
             span.set(
                 bgp_rounds=self.stats.bgp_rounds,
                 shards=self.stats.shards_run,

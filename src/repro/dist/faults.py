@@ -10,13 +10,14 @@ list of :class:`FaultSpec` rules and fires seeded, bounded faults:
 ========== ===================================================================
 kind        effect
 ========== ===================================================================
-``crash``   kill the worker process (socket runtime) or raise
-            :class:`InjectedWorkerCrash` inside the worker (in-process
-            runtimes); recovery respawns/resets the worker and replays
-            the shard from its last checkpoint
-``delay``   sleep ``delay`` seconds at the matched call/phase
-``error``   raise :class:`TransientRpcError` before the call is issued —
-            exercised by the proxy's exponential-backoff retry loop
+``crash``   kill the worker process (socket runtime) or return
+            :class:`InjectedWorkerCrash` through the call's handle before
+            the command runs (in process); recovery respawns/resets the
+            worker and replays the shard from its last checkpoint
+``delay``   sleep ``delay`` seconds before the matched call is issued
+``error``   fail one transmission of the matched call before it is
+            written (a transient wire failure); the channel retransmits
+            under the same request id (socket runtime only)
 ``drop``    discard a sidecar route batch (the CPO detects the gap and
             forces an extra round, so the resent batch heals the state)
 ``duplicate`` deliver a sidecar route batch twice (receivers dedupe by
@@ -46,6 +47,14 @@ kind        effect
             connection mid-frame; the receiver must detect the tear via
             the framing layer and never deserialize garbage
 ========== ===================================================================
+
+One site per layer, one retry loop.  Call faults (``crash``, ``delay``,
+``host_loss``) are consulted at ``call_nowait``, the one call surface
+both runtimes share; batch faults at the sidecar's ``queue_routes``;
+wire faults (``error`` and the four chaos kinds) in
+``RpcChannel._transmit``, where the channel's ``RpcFuture`` is the only
+loop that retries.  Each firing is counted once, in
+:attr:`FaultPlan.fired_by_kind`.
 
 Matching is deterministic: a spec constrains worker id, BGP round, shard
 index, and call/phase name (``command``), fires at most ``times`` times,
@@ -92,10 +101,6 @@ class WorkerTimeoutError(WorkerFailure):
     """The worker did not answer a call within the configured timeout."""
 
 
-class TransientRpcError(WorkerFailure):
-    """A (possibly injected) transient RPC failure; safe to retry."""
-
-
 class InjectedWorkerCrash(WorkerDiedError):
     """An in-process worker 'crashed' under fault injection."""
 
@@ -119,6 +124,13 @@ class StaleEpochError(WorkerFailure):
 
 # -- supervision policy -----------------------------------------------------
 
+#: Each retry's backoff sleep grows by this factor over the previous one.
+BACKOFF_FACTOR = 2.0
+
+#: Each retry's backoff sleep is stretched by a seeded ``[0, 0.25)``
+#: fraction, so channels that failed together do not retry in lockstep.
+BACKOFF_JITTER = 0.25
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -130,9 +142,8 @@ class RetryPolicy:
     """
 
     call_timeout: float = 120.0      # seconds to wait for one proxy call
-    max_call_retries: int = 3        # transient-RPC retries per call
+    max_call_retries: int = 3        # transport retries per call
     backoff_base: float = 0.05       # first backoff sleep (seconds)
-    backoff_factor: float = 2.0      # exponential growth per retry
     max_replays: int = 2             # recoveries of one worker within one
                                      # replayed unit (shard, query, ...)
     # Socket-transport knobs (see repro.dist.transport):
@@ -141,7 +152,7 @@ class RetryPolicy:
 
     def backoff(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (1-based)."""
-        return self.backoff_base * (self.backoff_factor ** max(0, attempt - 1))
+        return self.backoff_base * (BACKOFF_FACTOR ** max(0, attempt - 1))
 
 
 # -- fault specification ----------------------------------------------------
@@ -160,7 +171,8 @@ KINDS = (
     "torn_frame",
 )
 
-_CALL_KINDS = {"crash", "delay", "error", "host_loss"}
+#: Kinds consulted at ``call_nowait`` on either runtime.
+_CALL_KINDS = {"crash", "delay", "host_loss"}
 #: Kinds that kill the worker at the matched site (the caller treats a
 #: fired ``host_loss`` exactly like ``crash``; the difference is what
 #: happens when the supervisor tries to bring the worker back).
@@ -168,7 +180,7 @@ CRASH_KINDS = {"crash", "host_loss"}
 _BATCH_KINDS = {"drop", "duplicate"}
 #: Kinds injected at the socket transport layer (repro.dist.transport);
 #: the in-process runtimes have no wire, so these never fire there.
-NETWORK_KINDS = {"partition", "reorder", "slow_link", "torn_frame"}
+NETWORK_KINDS = {"error", "partition", "reorder", "slow_link", "torn_frame"}
 
 
 @dataclass
@@ -302,7 +314,6 @@ class FaultPlan:
         spec: FaultSpec,
         worker_id: Optional[int],
         command: Optional[str],
-        round_token: Optional[int],
     ) -> bool:
         if spec.times and self._fired.get(index, 0) >= spec.times:
             return False
@@ -312,12 +323,8 @@ class FaultPlan:
             return False
         if spec.shard is not None and spec.shard not in self.current_shards:
             return False
-        if spec.round is not None:
-            effective = (
-                round_token if round_token is not None else self.current_round
-            )
-            if spec.round != effective:
-                return False
+        if spec.round is not None and spec.round != self.current_round:
+            return False
         if spec.probability < 1.0 and self._rng.random() >= spec.probability:
             return False
         return True
@@ -336,13 +343,12 @@ class FaultPlan:
         kinds,
         worker_id: Optional[int],
         command: Optional[str],
-        round_token: Optional[int] = None,
     ) -> Optional[FaultSpec]:
         fired: Optional[FaultSpec] = None
         for index, spec in enumerate(self.specs):
             if spec.kind not in kinds:
                 continue
-            if self._matches(index, spec, worker_id, command, round_token):
+            if self._matches(index, spec, worker_id, command):
                 fired = self._fire(index, spec)
                 if fired.kind == "host_loss" and worker_id is not None:
                     # The host is now down: the next heal_after
@@ -364,22 +370,13 @@ class FaultPlan:
     def on_call(
         self, worker_id: int, command: str
     ) -> Optional[FaultSpec]:
-        """Proxy call site (socket runtime); caller interprets the spec."""
+        """The call site, ``call_nowait`` on either runtime; the caller
+        interprets the spec."""
         return self._first_match(_CALL_KINDS, worker_id, command)
 
-    def on_phase(
-        self, worker_id: int, site: str, round_token: Optional[int] = None
-    ) -> Optional[FaultSpec]:
-        """In-process worker phase site; caller interprets the spec."""
-        return self._first_match(_CALL_KINDS, worker_id, site, round_token)
-
-    def on_batch(
-        self, source_worker: int, round_token: Optional[int] = None
-    ) -> str:
+    def on_batch(self, source_worker: int) -> str:
         """Sidecar route-batch site: 'deliver' | 'drop' | 'duplicate'."""
-        spec = self._first_match(
-            _BATCH_KINDS, source_worker, None, round_token
-        )
+        spec = self._first_match(_BATCH_KINDS, source_worker, None)
         return spec.kind if spec is not None else "deliver"
 
     def check_respawn(self, worker_id: int) -> None:
@@ -411,7 +408,8 @@ class FaultPlan:
         A matched ``partition`` is *activated* here — recorded as a
         blocked-transmission budget for its ``(worker, direction)`` link —
         and subsequently enforced by :meth:`partition_blocks`; the other
-        network kinds are returned for the channel to act on directly.
+        network kinds (``error`` among them) are returned for the channel
+        to act on directly.
         """
         spec = self._first_match(NETWORK_KINDS, worker_id, command)
         if spec is not None and spec.kind == "partition":
@@ -451,27 +449,24 @@ class FaultPlan:
     def count(self, kind: str) -> int:
         return self.fired_by_kind.get(kind, 0)
 
-    @property
-    def total_fired(self) -> int:
-        return sum(self.fired_by_kind.values())
-
 
 def sample_plan(seed: int, num_workers: int) -> FaultPlan:
     """Draw a small recoverable fault plan for differential fuzzing.
 
     The sampled faults are all of the *survivable* kinds (crash with
-    respawn, transient RPC errors, dropped/duplicated batches, and —
+    respawn, dropped/duplicated batches, and —
     since the loss-migration layer — a permanent ``host_loss`` whose
     shards migrate to the survivors): the fuzz oracle asserts that a run
     surviving them is bit-identical to a fault-free run.  Bare
     ``respawn_fail`` is excluded on purpose — with a budget of one
     failure it is indistinguishable from a slow respawn, and exhausting
     the budget on *every* worker degrades to the sequential fallback,
-    which is covered by the fault-tolerance suite instead.
+    which is covered by the fault-tolerance suite instead, and so is
+    ``error``, a wire fault that cannot fire in process.
     """
     rng = random.Random(seed)
     specs: List[FaultSpec] = []
-    kinds = ["crash", "error", "drop", "duplicate", "host_loss"]
+    kinds = ["crash", "drop", "duplicate", "host_loss"]
     for _ in range(rng.randint(1, 2)):
         kind = rng.choice(kinds)
         spec = FaultSpec(
@@ -479,7 +474,7 @@ def sample_plan(seed: int, num_workers: int) -> FaultPlan:
             worker=rng.randrange(num_workers),
             times=rng.randint(1, 2),
         )
-        if kind in ("crash", "error"):
+        if kind == "crash":
             spec = FaultSpec(
                 kind=kind,
                 worker=spec.worker,
@@ -524,9 +519,10 @@ def sample_host_loss_plan(seed: int, num_workers: int) -> FaultPlan:
 def sample_network_plan(seed: int, num_workers: int) -> FaultPlan:
     """Draw a small recoverable *network* fault plan (socket runtime).
 
-    All four network kinds are recoverable — partitions heal, torn
-    frames and reorders are absorbed by the idempotent retry machinery,
-    slow links merely cost time — so the chaos oracle can assert the
+    All five network kinds are recoverable — partitions heal, errors,
+    torn frames and reorders are absorbed by the idempotent retry
+    machinery (or, past its budget, by respawn and replay), slow links
+    merely cost time — so the chaos oracle can assert the
     run's results are bit-identical to a fault-free one.  Commands are
     constrained to the hot control-plane RPCs so every sampled fault
     actually fires.

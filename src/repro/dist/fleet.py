@@ -127,13 +127,12 @@ class Fleet:
 
     def statuses(self) -> Dict[str, Dict[str, Any]]:
         """Every worker's latest status, keyed ``worker<N>``, in roster
-        order, with the controller-side counts (respawns, retries) and
-        the lost flag.  A lost worker keeps the last status it sent."""
+        order, with the controller-side respawn count and the lost
+        flag.  A lost worker keeps the last status it sent."""
         return {
             f"worker{worker.worker_id}": dict(
                 worker.status(),
                 respawns=worker.resources.respawns,
-                retries=worker.resources.retries,
                 lost=lost,
             )
             for worker, lost in self.roster()

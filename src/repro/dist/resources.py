@@ -93,7 +93,6 @@ class WorkerResources:
     rpc_bytes_sent: int = 0
     rpc_messages_sent: int = 0
     oom: bool = False
-    retries: int = 0              # transient-RPC retries on this worker
     respawns: int = 0             # times this worker was respawned/reset
 
     def update_memory(
@@ -146,11 +145,6 @@ class ClusterReport:
     @property
     def any_oom(self) -> bool:
         return any(w.oom for w in self.workers)
-
-    @property
-    def total_retries(self) -> int:
-        """Transient-RPC retries absorbed by the supervision layer."""
-        return sum(w.retries for w in self.workers)
 
     @property
     def total_respawns(self) -> int:

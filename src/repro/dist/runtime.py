@@ -27,8 +27,8 @@ class LocalWorkerPool:
 
     Like the socket pool, it keeps each worker's identity across
     respawns and rebuilds it from the pool's *current* snapshot and
-    assignment.  In-process fault injection happens inside the worker
-    phases (the socket runtime injects at the proxy call layer), and a
+    assignment.  Call faults fire at :meth:`Worker.call_nowait`, the
+    surface the socket proxy injects at too, and a
     ``host_loss``/``respawn_fail`` plan fails the respawn here.
     """
 
@@ -69,7 +69,7 @@ class LocalWorkerPool:
             for i in range(num_workers)
         ]
         for worker in self.proxies:
-            worker.fault_injector = fault_plan
+            worker.fault_plan = fault_plan
 
     def update_snapshot(
         self, snapshot: Snapshot, assignment: Dict[str, int]

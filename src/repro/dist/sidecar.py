@@ -12,6 +12,8 @@ can discard duplicated deliveries, and an optional
 :class:`~repro.dist.faults.FaultPlan` can drop or duplicate batches at
 this layer — the injection point for lost-message experiments (the CPO
 detects drops and forces an extra round, which heals the mailboxes).
+The plan counts what it fires; the receivers' ``deliver_routes_many``
+replies count the duplicates they discarded.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ class Sidecar:
         self.fault_plan = fault_plan
         self.metrics = metrics
         self._sequence = 0
-        self.batches_dropped = 0
-        self.batches_duplicated = 0
         # Per-round outbox for the pipelined exchange path: batches are
         # queued (charged immediately) and shipped by flush_routes() as
         # one coalesced delivery per target worker.
@@ -77,17 +77,13 @@ class Sidecar:
         self._record("rpc.route_batches", size)
         action = "deliver"
         if self.fault_plan is not None:
-            action = self.fault_plan.on_batch(
-                batch.source_worker, batch.round_token
-            )
+            action = self.fault_plan.on_batch(batch.source_worker)
         if action == "drop":
-            self.batches_dropped += 1
             return size
         self._outbox.setdefault(batch.target_worker, []).append(batch)
         if action == "duplicate":
             # Redeliver the same sequence number: the receiver dedupes,
             # but the duplicate bytes are still charged to the sender.
-            self.batches_duplicated += 1
             self.worker.resources.charge_rpc(size, messages=1)
             self._record("rpc.route_batches", size)
             self._outbox[batch.target_worker].append(batch)

@@ -26,7 +26,7 @@ Design notes:
   as for in-process workers) and answers :meth:`SocketWorkerProxy.status`
   from the latest one, without a round trip.
 * **Supervision**: every proxy call runs under the channel's deadline
-  and an exponential-backoff retry loop for transient RPC faults; an
+  and its one retry loop (:class:`~repro.dist.transport.RpcFuture`); an
   unreachable worker or an expired deadline surfaces as a
   :class:`~repro.dist.faults.WorkerFailure` the orchestrators recover
   from (respawn + shard replay).
@@ -69,7 +69,6 @@ from .faults import (
     RespawnError,
     RetryPolicy,
     StaleEpochError,
-    TransientRpcError,
     WorkerDiedError,
     WorkerFailure,
     WorkerTimeoutError,
@@ -250,7 +249,6 @@ class SocketWorkerProxy:
         channel: RpcChannel,
         process,
         resources: WorkerResources,
-        policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -259,7 +257,6 @@ class SocketWorkerProxy:
         self.resources = resources
         self._channel = channel
         self._process = process
-        self._policy = policy or RetryPolicy()
         self._fault_plan = fault_plan
         self.tracer = tracer or NULL_TRACER
         self._flow_seq = 0
@@ -286,22 +283,21 @@ class SocketWorkerProxy:
         """Issue a call on the channel without waiting; ``result()``
         settles it and raises any failure, never this method.
 
-        Injected call faults apply at issue: a delay sleeps, an injected
-        error is retried with backoff, a crash kills the worker before
-        the send or (``after_send``) right after it.  The span runs from
-        issue to settle, so calls issued together are siblings.
+        Injected call faults apply at issue: a delay sleeps, a crash
+        kills the worker before the send or (``after_send``) right after
+        it.  The span runs from issue to settle, so calls issued
+        together are siblings.
         """
-        attempt = 0
-        while True:
-            try:
-                kill_after_send = self._fault_preamble(command)
-                break
-            except TransientRpcError as exc:
-                attempt += 1
-                self.resources.retries += 1
-                if attempt > self._policy.max_call_retries:
-                    return Settled(error=exc)
-                time.sleep(self._policy.backoff(attempt))
+        spec = post_send = None
+        if self._fault_plan is not None:
+            spec = self._fault_plan.on_call(self.worker_id, command)
+        if spec is not None:
+            if spec.kind == "delay":
+                time.sleep(spec.delay)
+            elif spec.where == "after_send":
+                post_send = self._fault_kill
+            else:
+                self._fault_kill()
         flow_id = self._next_flow_id()
         span = self.tracer.span(
             f"rpc.{command}",
@@ -315,7 +311,7 @@ class SocketWorkerProxy:
                 command,
                 args,
                 flow_id=flow_id,
-                post_send=self._fault_kill if kill_after_send else None,
+                post_send=post_send,
                 span=span,
             )
         except TransportError as exc:
@@ -332,28 +328,6 @@ class SocketWorkerProxy:
             return  # connect mode: the listener is not ours to kill
         self._process.kill()
         self._process.join(JOIN_TIMEOUT)
-
-    def _fault_preamble(self, command: str) -> bool:
-        """Apply injected call faults; returns kill-after-send."""
-        if self._fault_plan is None:
-            return False
-        spec = self._fault_plan.on_call(self.worker_id, command)
-        if spec is None:
-            return False
-        if spec.kind == "delay":
-            time.sleep(spec.delay)
-        elif spec.kind == "error":
-            raise TransientRpcError(
-                f"injected transient RPC failure calling "
-                f"{command} on worker {self.worker_id}",
-                worker_id=self.worker_id,
-                command=command,
-            )
-        elif spec.kind in ("crash", "host_loss"):
-            if spec.where == "after_send":
-                return True
-            self._fault_kill()
-        return False
 
     def _worker_failure(
         self, command: str, exc: TransportError
@@ -581,7 +555,6 @@ class SocketWorkerPool:
                     WorkerResources(
                         name=f"worker{worker_id}", capacity=capacity
                     ),
-                    policy=self._policy,
                     fault_plan=fault_plan,
                     tracer=tracer,
                     metrics=metrics,

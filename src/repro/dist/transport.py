@@ -34,10 +34,11 @@ The module also owns the :class:`TransportError` taxonomy: OS-level
 socket failures are converted at the edge, and supervisors and proxies
 match on these types only.
 
-Network-level chaos faults (``partition``, ``reorder``, ``slow_link``,
-``torn_frame`` — see :mod:`repro.dist.faults`) are injected in
-:meth:`RpcChannel._transmit`, i.e. at the same layer a real lossy
-network would bite.
+Network-level faults (``error``, ``partition``, ``reorder``,
+``slow_link``, ``torn_frame`` — see :mod:`repro.dist.faults`) are
+injected in :meth:`RpcChannel._transmit`, i.e. at the same layer a real
+lossy network would bite, and :class:`RpcFuture` is the one loop that
+retries them.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ import threading
 import time
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from .faults import BACKOFF_JITTER, RetryPolicy
 
 # -- failure taxonomy -------------------------------------------------------
 
@@ -164,11 +167,6 @@ def _dumps(obj: Any) -> bytes:
 #: to one server (respawns create fresh channels whose request ids
 #: restart at 1), so the response cache key never collides.
 _CHANNEL_COUNTER = itertools.count(1)
-
-#: Each retry's backoff sleep is stretched by a seeded ``[0, 0.25)``
-#: fraction, so channels that failed together do not retry in lockstep.
-BACKOFF_JITTER = 0.25
-
 
 class _Pending:
     """One in-flight request awaiting its response (or a failure)."""
@@ -364,8 +362,6 @@ class RpcChannel:
         fault_plan=None,
         metrics=None,
     ) -> None:
-        from .faults import RetryPolicy  # local: faults imports nothing back
-
         self.address = address
         self.worker_id = worker_id
         self._policy = policy or RetryPolicy()
@@ -560,6 +556,11 @@ class RpcChannel:
             raise ConnectionLostError(
                 f"link to worker {self.worker_id} is partitioned "
                 "(injected, request direction)"
+            )
+        if spec is not None and spec.kind == "error":
+            raise ConnectionLostError(
+                f"sending {command} to worker {self.worker_id} failed "
+                "(injected transient error)"
             )
         if spec is not None and spec.kind == "slow_link":
             time.sleep(spec.delay if spec.delay > 0 else 0.05)

@@ -60,7 +60,12 @@ from ..dataplane.predicates import PortPredicates, compile_predicates
 from ..net.ip import Prefix
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..routing.node import Advertisement, RouterNode
-from .faults import FaultPlan, InjectedWorkerCrash, StaleEpochError
+from .faults import (
+    CRASH_KINDS,
+    FaultPlan,
+    InjectedWorkerCrash,
+    StaleEpochError,
+)
 from ..routing.ospf import OspfProcess
 from ..routing.route import BgpRoute
 from .message import (
@@ -201,10 +206,10 @@ class Worker:
         self.ospf_mailbox: Dict[
             Tuple[str, int], Dict[Prefix, Tuple[int, frozenset]]
         ] = {}
-        # Fault-tolerance state: the (controller-installed) injector for
-        # in-process runtimes, per-source batch dedup, and the snapshot
+        # Fault-tolerance state: the pool-installed fault plan that
+        # ``call_nowait`` consults, per-source batch dedup, and the snapshot
         # of installed OSPF routes that checkpoint/replay ships around.
-        self.fault_injector: Optional[FaultPlan] = None
+        self.fault_plan: Optional[FaultPlan] = None
         self._batch_sequences: Dict[int, int] = {}
         self.duplicate_batches = 0
         self._ospf_installed: Dict[str, Tuple] = {}
@@ -269,10 +274,26 @@ class Worker:
     def call_nowait(self, command: str, *args) -> Settled:
         """Run one of :attr:`COMMANDS` now, as the socket proxy's
         ``call_nowait`` issues it; ``result()`` raises any failure,
-        including the refusal of any other name."""
+        including the refusal of any other name.
+
+        Injected call faults apply here, as at the proxy: a delay sleeps,
+        and a crash fails the call with :class:`InjectedWorkerCrash`
+        before the command runs.
+        """
         try:
             if command not in self.COMMANDS:
                 raise LookupError(f"{command!r} is not a worker command")
+            if self.fault_plan is not None:
+                spec = self.fault_plan.on_call(self.worker_id, command)
+                if spec is not None and spec.kind in CRASH_KINDS:
+                    raise InjectedWorkerCrash(
+                        f"worker {self.worker_id} crashed (injected, at "
+                        f"{command})",
+                        worker_id=self.worker_id,
+                        command=command,
+                    )
+                if spec is not None:
+                    time.sleep(spec.delay)
             return Settled(getattr(self, command)(*args))
         except Exception as exc:  # noqa: BLE001 — raised at result()
             return Settled(error=exc)
@@ -346,22 +367,6 @@ class Worker:
         self._gc_counted = set()
         self._drop_engine_memos()
         self.payloads_reused = 0
-
-    def _inject(self, site: str, round_token: Optional[int] = None) -> None:
-        """Consult the fault plan at an in-process phase boundary."""
-        if self.fault_injector is None:
-            return
-        spec = self.fault_injector.on_phase(self.worker_id, site, round_token)
-        if spec is None:
-            return
-        if spec.kind in ("crash", "host_loss"):
-            raise InjectedWorkerCrash(
-                f"worker {self.worker_id} crashed (injected, at {site})",
-                worker_id=self.worker_id,
-                command=site,
-            )
-        if spec.kind == "delay":
-            time.sleep(spec.delay)
 
     # -- node resolution -------------------------------------------------
 
@@ -465,7 +470,6 @@ class Worker:
         this happens inside the worker process, so converged RIBs never
         travel over the wire.
         """
-        self._inject("flush_shard")
         with self.tracer.span(
             "worker.flush", category="cpo", shard=shard_index
         ) as span:
@@ -509,7 +513,6 @@ class Worker:
         Local sessions are warmed into the node's export cache; sessions
         whose importer lives elsewhere are batched per target worker.
         """
-        self._inject("compute_exports", round_token)
         self.last_round = round_token
         boundary: Dict[int, BoundaryExports] = {}
         before = self._node_totals()
@@ -565,8 +568,9 @@ class Worker:
             for key, vector in batch.ospf_exports.items():
                 self.ospf_mailbox[key] = vector
 
-    def deliver_routes_many(self, batches: Sequence[RouteBatch]) -> None:
-        """Deliver one round's worth of batches in a single call.
+    def deliver_routes_many(self, batches: Sequence[RouteBatch]) -> int:
+        """Deliver one round's worth of batches in a single call; returns
+        how many of them were duplicates and discarded.
 
         The pipelined exchange path coalesces every batch bound for this
         worker into one RPC per round, so a remote runtime pays one
@@ -574,12 +578,13 @@ class Worker:
         Dedup semantics are per-batch, identical to repeated
         :meth:`deliver_routes` calls.
         """
+        before = self.duplicate_batches
         for batch in batches:
             self.deliver_routes(batch)
+        return self.duplicate_batches - before
 
     def pull_round(self, round_token: int) -> PullOutcome:
         """Phase B: every real node pulls from its (real or shadow) peers."""
-        self._inject("pull_round", round_token)
         self.last_round = round_token
         changed_nodes: List[str] = []
         before = self._node_totals()
@@ -667,7 +672,6 @@ class Worker:
         }
 
     def pull_ospf_round(self) -> bool:
-        self._inject("pull_ospf_round", -1)
         changed = False
         with self.tracer.span("worker.ospf_pull", category="cpo") as span:
             for hostname in sorted(self.ospf):
@@ -754,7 +758,6 @@ class Worker:
         destination classes this worker contributes — among the patch's
         prefixes when patching.
         """
-        self._inject("build_dataplane")
         if self.context is None:
             patch = None
         if patch is None:
@@ -923,7 +926,6 @@ class Worker:
         touched where a device forwards it out of a port with an outbound
         ACL, or onto a peer port with an inbound one.
         """
-        self._inject("class_actions")
         assert self.context is not None
         parents = parent_indexes(classes)
         rows: Dict[str, Tuple[Action, ...]] = {}
@@ -1032,7 +1034,6 @@ class Worker:
         Returns (finals produced, per-target outgoing batches, BDD ops,
         devices compiled on their first packet).
         """
-        self._inject("drain")
         assert self.context is not None and self.engine is not None
         ops_before = self.engine.ops
         compiled_before = self.devices_compiled

@@ -1,0 +1,170 @@
+"""One fault site per layer: the same plan fires alike on both runtimes.
+
+Call faults (``crash``, ``delay``, ``host_loss``) are consulted at
+``call_nowait`` on either runtime, batch faults at the sidecar, and wire
+faults (``error`` and the chaos kinds) in the socket channel, whose
+retry loop is the only one.  Each firing is counted once, where it
+fires, so a seeded plan must give the same firings, the same fault
+counts and the monolith's RIBs on ``sequential`` and ``socket``.
+
+The snapshot is the mixed OSPF + BGP network of
+``tests/test_distributed_ospf.py``, so every call site the worker
+phases offer is reached: the OSPF and BGP rounds, the shard flush, the
+data-plane build, the class closure and the forwarding superstep.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict
+
+import pytest
+
+from repro import FaultPlan, FaultSpec, RetryPolicy, S2Options, S2Verifier
+from repro.routing.engine import SimulationEngine
+
+from tests.conftest import normalize_ribs
+from tests.test_distributed_ospf import mixed_snapshot
+
+RUNTIMES = ["sequential", "socket"]
+
+#: Worker 0 is the sender whose OSPF batches are dropped and duplicated
+#: in the first round, and which is later lost for good; the crashes hit
+#: workers 1 and 2, one per fan-out, so no crash hides behind another.
+SENDER = 0
+
+CP_FAULT_COUNTS = (
+    "worker_failures",
+    "shard_replays",
+    "ospf_replays",
+    "forced_rounds",
+    "batches_dropped",
+    "batches_duplicated",
+    "duplicates_discarded",
+    "workers_lost",
+    "shards_reassigned",
+    "sequential_fallback",
+)
+DP_FAULT_COUNTS = ("worker_failures", "query_replays")
+
+
+def _plan() -> FaultPlan:
+    def crash(worker, command, **where):
+        return FaultSpec(kind="crash", worker=worker, command=command, **where)
+
+    return FaultPlan(
+        [
+            # The seven worker phases that used to inject in process.
+            crash(1, "pull_ospf_round"),
+            crash(2, "compute_exports"),
+            crash(1, "pull_round"),
+            crash(1, "flush_shard", shard=0),
+            crash(2, "build_dataplane"),
+            crash(1, "class_actions"),
+            crash(2, "drain"),
+            FaultSpec(
+                kind="delay", worker=1, command="compute_exports",
+                delay=0.001, probability=0.5, times=2,
+            ),
+            FaultSpec(kind="drop", worker=SENDER),
+            FaultSpec(kind="duplicate", worker=SENDER),
+            # Round 1 of the BGP batch: past the crashes in round 0, and
+            # long after the sender's OSPF batches were dropped and
+            # duplicated.
+            FaultSpec(
+                kind="host_loss", worker=SENDER, command="pull_round",
+                round=1, heal_after=100,
+            ),
+        ],
+        seed=7,
+    )
+
+
+def _options(runtime: str, plan: FaultPlan) -> S2Options:
+    return S2Options(
+        num_workers=3,
+        num_shards=2,
+        runtime=runtime,
+        fault_plan=plan,
+        retry_policy=RetryPolicy(backoff_base=0.001),
+    )
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    return mixed_snapshot()
+
+
+@pytest.fixture(scope="module")
+def monolith(snapshot):
+    return normalize_ribs(SimulationEngine(snapshot).run())
+
+
+def _faulted_run(snapshot, runtime):
+    plan = _plan()
+    with S2Verifier(snapshot, _options(runtime, plan)) as verifier:
+        result = verifier.verify(check_loops=True)
+        ribs = normalize_ribs(verifier.collected_ribs())
+    cp, dp = asdict(result.cp_stats), asdict(result.dp_stats)
+    counts = {name: cp[name] for name in CP_FAULT_COUNTS}
+    counts.update({f"dp.{name}": dp[name] for name in DP_FAULT_COUNTS})
+    return plan, result, counts, ribs
+
+
+@pytest.fixture(scope="module")
+def runs(snapshot):
+    return {runtime: _faulted_run(snapshot, runtime) for runtime in RUNTIMES}
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_every_site_fires_and_the_ribs_survive(runtime, runs, monolith):
+    plan, result, counts, ribs = runs[runtime]
+    fired = plan.fired_by_kind
+    assert fired["crash"] == 7, "a call site never fired"
+    assert fired["host_loss"] == 1
+    assert fired["drop"] == fired["duplicate"] == 1
+    assert result.status == "ok"
+    assert ribs == monolith
+    assert counts["workers_lost"] == 1
+    assert not counts["sequential_fallback"]
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_batch_faults_are_counted_after_the_sender_is_lost(runtime, runs):
+    plan, _result, counts, _ribs = runs[runtime]
+    assert counts["batches_dropped"] == plan.count("drop") == 1
+    assert counts["batches_duplicated"] == plan.count("duplicate") == 1
+    assert counts["duplicates_discarded"] == 1
+
+
+def test_one_plan_fires_identically_on_both_runtimes(runs):
+    sequential, socket = runs["sequential"], runs["socket"]
+    assert sequential[0].fired_by_kind == socket[0].fired_by_kind
+    assert sequential[2] == socket[2]
+    assert sequential[1].reachable_pairs == socket[1].reachable_pairs
+    assert sequential[3] == socket[3]
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_error_is_a_wire_fault_absorbed_by_the_channel(
+    runtime, snapshot, monolith
+):
+    """``error`` fails transmissions, so it cannot fire in process; on
+    socket each firing is one channel retry, and none reaches recovery."""
+    times = 2
+    plan = FaultPlan(
+        [FaultSpec(kind="error", worker=1, command="compute_exports",
+                   times=times)]
+    )
+    with S2Verifier(snapshot, _options(runtime, plan)) as verifier:
+        stats = verifier.run_control_plane()
+        ribs = normalize_ribs(verifier.collected_ribs())
+        transport = verifier.controller.metrics_snapshot().get("transport")
+    assert ribs == monolith
+    assert stats.worker_failures == 0
+    if runtime == "sequential":
+        assert plan.fired_by_kind == {}
+        assert transport is None
+    else:
+        assert plan.fired_by_kind == {"error": times}
+        assert transport["worker1"]["retries"] == times
+        assert transport["total"]["retries"] == times

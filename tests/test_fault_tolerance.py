@@ -21,7 +21,6 @@ from repro.config.loader import snapshot_from_texts
 from repro.dist.controller import S2Controller, options_fingerprint
 from repro.dist.faults import (
     InjectedWorkerCrash,
-    TransientRpcError,
     WorkerDiedError,
     WorkerFailure,
 )
@@ -136,8 +135,8 @@ def test_drop_in_final_round_forces_extra_round(fattree4, fattree4_sim):
 
 
 def test_transient_rpc_errors_are_retried(fattree4, baseline):
-    """Injected transient failures are absorbed by the backoff retry
-    loop without ever reaching shard-level recovery."""
+    """Injected transient failures are absorbed by the channel's backoff
+    retry loop without ever reaching shard-level recovery."""
     _, base_ribs = baseline
     plan = FaultPlan(
         [FaultSpec(kind="error", worker=1, command="compute_exports", times=2)]
@@ -149,9 +148,10 @@ def test_transient_rpc_errors_are_retried(fattree4, baseline):
     ) as c:
         stats = c.run_control_plane()
         ribs = normalize_ribs(c.collected_ribs())
-        report = c.report()
+        transport = c.metrics_snapshot()["transport"]
     assert ribs == base_ribs
-    assert report.total_retries == 2
+    assert transport["worker1"]["retries"] == 2
+    assert transport["total"]["retries"] == 2
     assert stats.worker_failures == 0
     assert stats.shard_replays == 0
 
@@ -704,12 +704,13 @@ def test_fault_plan_respects_times_and_context():
         [FaultSpec(kind="crash", worker=1, shard=1, command="pull_round")]
     )
     plan.set_context(shard=0, round_token=0)
-    assert plan.on_phase(1, "pull_round", 0) is None   # wrong shard
+    assert plan.on_call(1, "pull_round") is None   # wrong shard
     plan.set_context(shard=1)
-    assert plan.on_phase(0, "pull_round", 0) is None   # wrong worker
-    assert plan.on_phase(1, "compute_exports", 0) is None  # wrong site
-    assert plan.on_phase(1, "pull_round", 0) is not None
-    assert plan.on_phase(1, "pull_round", 1) is None   # times=1 exhausted
+    assert plan.on_call(0, "pull_round") is None   # wrong worker
+    assert plan.on_call(1, "compute_exports") is None  # wrong site
+    assert plan.on_call(1, "pull_round") is not None
+    plan.set_context(round_token=1)
+    assert plan.on_call(1, "pull_round") is None   # times=1 exhausted
     assert plan.count("crash") == 1
 
 
@@ -720,18 +721,18 @@ def test_fault_plan_matches_a_shard_inside_its_batch():
         [FaultSpec(kind="crash", shard=2, command="pull_round", times=0)]
     )
     plan.set_context(shard=[0, 1], round_token=0)
-    assert plan.on_phase(0, "pull_round", 0) is None   # not in this batch
+    assert plan.on_call(0, "pull_round") is None   # not in this batch
     plan.set_context(shard=[0, 1, 2, 3])
-    assert plan.on_phase(0, "pull_round", 0) is not None
-    plan.set_context(shard=[1])                        # shard 1 flushes
-    assert plan.on_phase(0, "pull_round", 0) is None
-    plan.set_context(shard=2)                          # a bare index
-    assert plan.on_phase(0, "pull_round", 0) is not None
+    assert plan.on_call(0, "pull_round") is not None
+    plan.set_context(shard=[1])                    # shard 1 flushes
+    assert plan.on_call(0, "pull_round") is None
+    plan.set_context(shard=2)                      # a bare index
+    assert plan.on_call(0, "pull_round") is not None
     assert plan.count("crash") == 2
 
 
 def test_retry_policy_backoff_grows_exponentially():
-    policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0)
+    policy = RetryPolicy(backoff_base=0.1)
     assert policy.backoff(1) == pytest.approx(0.1)
     assert policy.backoff(2) == pytest.approx(0.2)
     assert policy.backoff(3) == pytest.approx(0.4)
@@ -760,11 +761,11 @@ def test_in_process_crash_raises_worker_failure(fattree4):
 
     assignment = {name: 0 for name in fattree4.configs}
     worker = Worker(0, fattree4, assignment)
-    worker.fault_injector = FaultPlan(
+    worker.fault_plan = FaultPlan(
         [FaultSpec(kind="crash", command="compute_exports")]
     )
     with pytest.raises(InjectedWorkerCrash) as excinfo:
-        worker.compute_exports(0)
+        worker.call_nowait("compute_exports", 0).result()
     assert isinstance(excinfo.value, WorkerFailure)
     assert excinfo.value.worker_id == 0
     assert excinfo.value.command == "compute_exports"

@@ -304,7 +304,7 @@ def test_connect_mode_respawn_is_a_reconfigure(fattree4):
 
 @pytest.mark.parametrize(
     "command, args",
-    [("_inject", ("drain",)), ("reset", ()), ("no_such_command", ())],
+    [("_drop_engine_memos", ()), ("reset", ()), ("no_such_command", ())],
     ids=["private", "local-only", "unknown"],
 )
 def test_service_refuses_names_outside_the_command_table(
