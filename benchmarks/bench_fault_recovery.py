@@ -106,7 +106,6 @@ def _run_experiment():
         )
         controller = S2Controller(snapshot, options)
         controller.cpo.run_ospf()
-        controller.cpo._checkpoint_ospf()
         for shard in controller.shards[: SHARDS - 2]:
             controller.cpo.run_batch([shard])
         # Abandon the controller unclosed: the store keeps its state.

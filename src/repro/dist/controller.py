@@ -9,18 +9,18 @@ the high-level :class:`~repro.core.s2.S2Verifier` API.
 The controller owns the set of workers as one :class:`~repro.dist.fleet.
 Fleet` — active workers and sidecars, lost-worker records, the serving
 epoch — which the supervisor and both orchestrators read at every
-phase; every phase fans out through ``Fleet.call_all``.  Both runtimes
-sit behind one worker-pool surface (``respawn``, ``reconfigure``,
-``update_snapshot``; see :class:`~repro.dist.runtime.LocalWorkerPool`)
-and one call surface (``call_nowait``), so nothing past construction
-asks which one runs.
+phase.  Both runtimes sit behind one worker-pool surface (``respawn``,
+``reconfigure``, ``update_snapshot``; see :class:`~repro.dist.runtime.
+LocalWorkerPool`) and one call surface, ``call_nowait``: every worker
+call is a ``Fleet.call_all`` fan-out (or a sidecar delivery) inside a
+replayed unit, so nothing past construction asks which one runs.
 
 The controller is also where fault tolerance comes together:
 
-* every unit of worker work (shard, OSPF, build, query, fan-out) runs
-  in :meth:`WorkerSupervisor.replay`: the pool respawns or resets a
-  failed worker, the supervisor replays its OSPF checkpoint, and the
-  unit reruns;
+* every unit of worker work (shard, OSPF and its checkpoint, build,
+  query, fan-out) runs in :meth:`WorkerSupervisor.replay`: the pool
+  respawns or resets every worker that failed in a fan-out, they rejoin
+  with their OSPF checkpoint (and epoch), and the unit reruns once;
 * a worker whose respawn budget is spent is declared lost; after a loss
   or a rejoin (:meth:`S2Controller.rejoin_worker`) the assignment is
   always :meth:`S2Controller._plan_partition` around the lost set;
@@ -176,8 +176,10 @@ class WorkerSupervisor:
     an in-place :meth:`~repro.dist.worker.Worker.reset` in-process —
     keeping the proxy/worker *identity* so orchestrator and sidecar
     references stay valid; (2) replay the OSPF checkpoint taken after
-    the IGP fixed point; (3) :meth:`replay` reruns the interrupted unit
-    of work (shard, query, fan-out), which is idempotent.
+    the IGP fixed point, and the serving epoch, into it; (3)
+    :meth:`replay` reruns the interrupted unit of work (shard, query,
+    fan-out), which is idempotent.  Every worker that failed in one
+    fan-out is recovered before the one rerun.
 
     Respawn itself can fail (dead host, ``respawn_fail``/``host_loss``
     injection).  Each recovery retries up to ``RESPAWN_BUDGET``
@@ -217,38 +219,66 @@ class WorkerSupervisor:
     def replay(
         self,
         unit: Callable[[], Any],
-        on_recovered: Optional[Callable[[], None]] = None,
+        on_recovered: Optional[Callable[[int], None]] = None,
     ) -> Any:
-        """Run the idempotent ``unit``; on each :class:`WorkerFailure`,
-        :meth:`recover` the worker, call ``on_recovered`` and rerun it.
-
-        Re-raises once one worker would be recovered more than
-        ``policy.max_replays`` times within this unit.
+        """Run the idempotent ``unit``; on a :class:`WorkerFailure`,
+        :meth:`recover` every worker it names (one lost meanwhile needs
+        none) and :meth:`_restore` them (its failures are recovered
+        alike), call ``on_recovered`` with the number of failures, and
+        rerun it.  Re-raises once one worker would be recovered more
+        than ``policy.max_replays`` times within this unit.
         """
-        recovered: Dict[Optional[int], int] = {}
+        recovered: Counter = Counter()
+        respawned: Dict[int, Any] = {}
+        failed = 0
         while True:
             try:
+                if respawned:
+                    self._restore(list(respawned.values()))
+                    respawned.clear()
+                count, failed = failed, 0
+                if count and on_recovered is not None:
+                    on_recovered(count)
                 return unit()
             except WorkerFailure as failure:
-                count = recovered.get(failure.worker_id, 0) + 1
-                if count > self.policy.max_replays:
+                ids = [each.worker_id for each in failure.failures]
+                recovered.update(ids)
+                if max(recovered[i] for i in ids) > self.policy.max_replays:
                     raise
-                recovered[failure.worker_id] = count
-                self.recover(failure)
-            if on_recovered is not None:
-                on_recovered()
+                failed += len(ids)
+                for each in failure.failures:
+                    if each.worker_id not in self.fleet.lost:
+                        respawned[each.worker_id] = self.recover(each)
 
     # -- OSPF checkpoint --------------------------------------------------
 
-    def checkpoint_ospf(self) -> None:
-        """Capture every worker's installed IGP routes (once, post-IGP)."""
-        for worker in self.fleet.workers:
-            state = worker.export_ospf_state()
-            self._ospf_states[worker.worker_id] = state
-            if self.persistent:
-                self.store.write_ospf_state(worker.worker_id, state)
+    def _restore(self, workers: Optional[List[Any]] = None) -> None:
+        """Install each worker's checkpoint; given respawned ``workers``,
+        on those still active, with the serving epoch (fresh execution
+        contexts come up at epoch -1, which the fence refuses)."""
+        if workers is not None:
+            workers = [w for w in workers if self.fleet.get(w.worker_id) is w]
+        self.fleet.call_all(
+            "restore_ospf_state",
+            workers=workers,
+            each=lambda worker: (self._ospf_states.get(worker.worker_id),),
+        )
+        epoch = self.fleet.epoch
+        if workers is not None and epoch is not None:
+            self.fleet.call_all("begin_epoch", epoch, workers=workers)
 
-    def restore_ospf(self) -> bool:
+    def checkpoint_ospf(self) -> None:
+        """Capture every worker's installed IGP routes: one fan-out, the
+        last step of the IGP's replayed unit."""
+        states = self.fleet.call_all("export_ospf_state")
+        for worker_id, state in zip(self.fleet.active_ids, states):
+            self._ospf_states[worker_id] = state
+            if self.persistent:
+                self.store.write_ospf_state(worker_id, state)
+
+    def restore_ospf(
+        self, on_recovered: Optional[Callable[[int], None]] = None
+    ) -> bool:
         """Resume path: reload the IGP result from the store, skip rounds.
 
         Returns False when any worker's checkpoint is missing, in which
@@ -260,22 +290,23 @@ class WorkerSupervisor:
             if state is None:
                 return False
             states[worker.worker_id] = state
-        for worker in self.fleet.workers:
-            worker.restore_ospf_state(states[worker.worker_id])
         self._ospf_states = states
+        self.replay(self._restore, on_recovered)
         return True
 
     # -- recovery ---------------------------------------------------------
 
-    def recover(self, failure: WorkerFailure) -> None:
-        """Bring the failed worker back; raises RespawnError on failure.
+    def recover(self, failure: WorkerFailure) -> Any:
+        """Respawn the failed worker and return it; raises RespawnError
+        on failure.
 
         When the respawn budget is spent the worker is declared lost and
         :attr:`on_loss` migrates its shards instead — returning normally
-        so :meth:`replay` reruns the unit on the survivors.
+        so :meth:`replay` reruns the unit on the survivors only.
         """
         worker_id = failure.worker_id
-        if worker_id is None or self.fleet.get(worker_id) is None:
+        worker = self.fleet.get(worker_id) if worker_id is not None else None
+        if worker is None:
             raise failure
         self.recoveries += 1
         epoch = self.fleet.epoch
@@ -301,31 +332,23 @@ class WorkerSupervisor:
         budget = RESPAWN_BUDGET if self.pool.managed else 1
         for _attempt in range(budget):
             try:
-                worker = self.pool.respawn(worker_id)
-                break
+                return self.pool.respawn(worker_id)
             except RespawnError as exc:
                 cause = exc
-        else:
-            # Budget spent: the worker is lost.  Without a loss hook
-            # (standalone supervisor) the RespawnError propagates.
-            if self.journal is not None:
-                self.journal.record(
-                    "worker_lost",
-                    worker=worker_id,
-                    reason=str(cause),
-                    epoch=epoch,
-                    survivors=max(0, len(self.fleet.workers) - 1),
-                )
-            if self.on_loss is None:
-                raise cause
-            self.on_loss(worker_id, cause)
-            return
-        worker.restore_ospf_state(self._ospf_states.get(worker_id))
-        if epoch is not None:
-            # Fresh execution contexts come up at epoch -1 (stale by
-            # construction); re-seed before the shard replay so the
-            # fence admits the recovered worker.
-            worker.begin_epoch(epoch)
+        # Budget spent: the worker is lost.  Without a loss hook
+        # (standalone supervisor) the RespawnError propagates.
+        if self.journal is not None:
+            self.journal.record(
+                "worker_lost",
+                worker=worker_id,
+                reason=str(cause),
+                epoch=epoch,
+                survivors=max(0, len(self.fleet.workers) - 1),
+            )
+        if self.on_loss is None:
+            raise cause
+        self.on_loss(worker_id, cause)
+        return worker
 
     def merge_ospf_checkpoints(self) -> None:
         """Install the union of every checkpoint on every active worker.
@@ -344,11 +367,11 @@ class WorkerSupervisor:
         self._ospf_states = {}
         if not union:
             return
-        for worker in self.fleet.workers:
-            worker.restore_ospf_state(dict(union))
-            self._ospf_states[worker.worker_id] = dict(union)
+        for worker_id in self.fleet.active_ids:
+            self._ospf_states[worker_id] = union
             if self.persistent:
-                self.store.write_ospf_state(worker.worker_id, dict(union))
+                self.store.write_ospf_state(worker_id, union)
+        self.replay(self._restore)
 
     def forget_checkpoints(self) -> None:
         """Drop the in-memory OSPF checkpoints (full reconfigure: the
@@ -605,6 +628,9 @@ class S2Controller:
             self.store,
             self.supervisor,
             self._footprint,
+            ospf=any(
+                c.ospf is not None for c in self.snapshot.configs.values()
+            ),
             max_rounds=opts.max_rounds,
             fault_plan=opts.fault_plan,
             manifest=manifest,
@@ -698,7 +724,7 @@ class S2Controller:
         self._reconfigure_fleet()
         self.supervisor.merge_ospf_checkpoints()
         if self.fleet.epoch is not None:
-            self.fleet.call_all("begin_epoch", self.fleet.epoch)
+            self.begin_epoch(self.fleet.epoch)
         self.dpo.invalidate()
 
     def rebuild_data_plane(

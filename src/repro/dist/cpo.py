@@ -48,6 +48,7 @@ it the same prefixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
     Tuple,
@@ -105,6 +106,7 @@ class ControlPlaneOrchestrator:
         store: RouteStore,
         supervisor,
         footprint: Callable[[], Dict[int, Tuple[int, int]]],
+        ospf: bool = False,
         max_rounds: int = 200,
         fault_plan: Optional[FaultPlan] = None,
         manifest: Optional[RunManifest] = None,
@@ -120,6 +122,7 @@ class ControlPlaneOrchestrator:
         # worker id -> (nodes, route slots) of the current partition,
         # what the batch planner admits shards against.
         self.footprint = footprint
+        self.ospf = ospf  # some node of the snapshot runs OSPF
         self.manifest = manifest
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
@@ -129,10 +132,10 @@ class ControlPlaneOrchestrator:
 
     # -- helpers ------------------------------------------------------------
 
-    def _recovered(self, counter: str) -> None:
-        """``on_recovered`` of a replayed unit: count the recovered
-        failure, and the rerun in ``stats.<counter>``."""
-        self.stats.worker_failures += 1
+    def _recovered(self, counter: str, failed: int) -> None:
+        """``on_recovered`` of a replayed unit: count the ``failed``
+        workers, and the rerun in ``stats.<counter>``."""
+        self.stats.worker_failures += failed
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def _exchange(self, batch_maps) -> int:
@@ -157,23 +160,41 @@ class ControlPlaneOrchestrator:
         self.stats.pipelined_deliveries += len(handles)
         return sent
 
+    def _converged(self, changed: bool) -> bool:
+        """Whether a round that ``changed`` nothing ends the fixed point:
+        not if the plan dropped a batch, since the "no change" may rest on
+        a stale mailbox.  Exports are re-sent in full every round, so one
+        forced round heals it (the resent tuple is not the stale one the
+        puller merged, so its identity skip cannot hide the heal)."""
+        plan = self.fault_plan
+        dropped = plan.consume_drops() if plan is not None else 0
+        if not changed and dropped:
+            self.stats.forced_rounds += 1
+        return not (changed or dropped)
+
     # -- OSPF phase -----------------------------------------------------------
 
     def run_ospf(self) -> None:
-        """The IGP fixed point, with shard-style failure recovery.
+        """The IGP fixed point and its checkpoint as one replayed unit.
 
-        On a worker failure the recovered worker rejoins with an empty
-        IGP state and the whole loop reruns: distance-vector convergence
-        is monotone from any mixed state, so the fixed point (and hence
-        the installed routes) is identical to the fault-free run.
+        On a worker failure (the checkpoint's fan-out included) the
+        recovered worker rejoins with an empty IGP state and the whole
+        loop reruns: distance-vector convergence is monotone from any
+        mixed state, so the fixed point (and hence the installed routes)
+        is identical to the fault-free run.
         """
-        self.supervisor.replay(
-            self._run_ospf_once, lambda: self._recovered("ospf_replays")
-        )
+
+        def igp() -> None:
+            if self.ospf:
+                self._run_ospf_once()
+            self.supervisor.checkpoint_ospf()
+
+        self.supervisor.replay(igp, partial(self._recovered, "ospf_replays"))
+        if self.manifest is not None:
+            self.manifest.ospf_done = True
+            self.store.write_manifest(self.manifest)
 
     def _run_ospf_once(self) -> None:
-        if not any(worker.has_ospf() for worker in self.fleet.workers):
-            return
         if self.fault_plan is not None:
             self.fault_plan.set_context(round_token=-1)
         with self.tracer.span("cpo.ospf", category="cpo") as ospf_span:
@@ -188,15 +209,8 @@ class ControlPlaneOrchestrator:
                 self.stats.ospf_rounds += 1
                 if self.metrics is not None:
                     self.metrics.counter("cpo.ospf_rounds").inc()
-                dropped = (
-                    self.fault_plan.consume_drops()
-                    if self.fault_plan is not None
-                    else 0
-                )
-                if not any(changed_flags):
-                    if dropped == 0:
-                        break
-                    self.stats.forced_rounds += 1
+                if self._converged(any(changed_flags)):
+                    break
             else:
                 raise ConvergenceError(
                     f"OSPF did not converge within {self.max_rounds} rounds",
@@ -264,7 +278,7 @@ class ControlPlaneOrchestrator:
                 self._mark_shard_done(index, rounds)
 
         self.supervisor.replay(
-            converge_and_flush, lambda: self._recovered("shard_replays")
+            converge_and_flush, partial(self._recovered, "shard_replays")
         )
         self.stats.batches_run += 1
 
@@ -356,20 +370,8 @@ class ControlPlaneOrchestrator:
                     candidate_total
                 )
             self.stats.bgp_rounds += 1
-            dropped = (
-                self.fault_plan.consume_drops()
-                if self.fault_plan is not None
-                else 0
-            )
-            if not any(outcome.changed for outcome in outcomes):
-                if dropped == 0:
-                    return outcomes
-                # A batch was dropped this round: a "no change" verdict
-                # may rest on a stale mailbox.  Exports are re-sent in
-                # full every round, so one extra round heals the state
-                # (the resent tuple is not the stale one the puller
-                # merged, so its identity skip cannot hide the heal).
-                self.stats.forced_rounds += 1
+            if self._converged(any(outcome.changed for outcome in outcomes)):
+                return outcomes
         else:
             still_changing = {
                 worker.worker_id: list(outcome.changed_nodes)
@@ -412,13 +414,6 @@ class ControlPlaneOrchestrator:
 
     # -- checkpoint/resume ----------------------------------------------------
 
-    def _checkpoint_ospf(self) -> None:
-        """Record the IGP result for respawn replay (and resume)."""
-        self.supervisor.checkpoint_ospf()
-        if self.manifest is not None:
-            self.manifest.ospf_done = True
-            self.store.write_manifest(self.manifest)
-
     def _mark_shard_done(self, flush_index: int, rounds: int) -> None:
         if self.manifest is None:
             return
@@ -441,12 +436,13 @@ class ControlPlaneOrchestrator:
             if (
                 self.manifest is not None
                 and self.manifest.ospf_done
-                and self.supervisor.restore_ospf()
+                and self.supervisor.restore_ospf(
+                    partial(self._recovered, "ospf_replays")
+                )
             ):
                 self.stats.ospf_restored = True
             else:
                 self.run_ospf()
-                self._checkpoint_ospf()
             pending: List[Optional[PrefixShard]] = []
             for shard in shards or [None]:
                 if self.manifest is not None and self.manifest.converged(shard):

@@ -133,14 +133,15 @@ class DataPlaneOrchestrator:
 
     # -- fault handling --------------------------------------------------
 
-    def _rebuild(self) -> None:
-        """The ``on_recovered`` hook of a replayed query: rebuild the
-        data plane from the store and reinstall the waypoints first."""
-        self.stats.worker_failures += 1
+    def _rebuild(self, failed: int) -> None:
+        """The ``on_recovered`` hook of a replayed query: count the
+        ``failed`` workers, rebuild the data plane from the store and
+        reinstall the waypoints first."""
+        self.stats.worker_failures += failed
         self._built = False
         assert self._store is not None
         self.build(self._store)
-        self.install_waypoints(self._transits)
+        self._install_waypoints()
         self.stats.query_replays += 1
 
     # -- phase 1: FIBs ------------------------------------------------------
@@ -160,8 +161,8 @@ class DataPlaneOrchestrator:
         self._store = store
         pending = [patch]
 
-        def recovered() -> None:
-            self.stats.worker_failures += 1
+        def recovered(failed: int) -> None:
+            self.stats.worker_failures += failed
             pending[0] = None
 
         self.supervisor.replay(
@@ -242,8 +243,8 @@ class DataPlaneOrchestrator:
             self._build_once(self._store, None)
             return self.fleet.call_all("compile_devices")
 
-        def recovered() -> None:
-            self.stats.worker_failures += 1
+        def recovered(failed: int) -> None:
+            self.stats.worker_failures += failed
             self._built = False
 
         with stopwatch() as clock, self.tracer.span(
@@ -264,8 +265,11 @@ class DataPlaneOrchestrator:
         # Remembered so a mid-query recovery (which rebuilds the data
         # plane from scratch) can re-install them before the replay.
         self._transits = list(transits)
+        self.supervisor.replay(self._install_waypoints, self._rebuild)
+
+    def _install_waypoints(self) -> None:
         self.fleet.call_all("clear_waypoints")
-        for index, transit in enumerate(transits):
+        for index, transit in enumerate(self._transits):
             self.fleet.call_all("set_waypoint_bit", transit, index)
 
     # -- phase 2: forwarding -----------------------------------------------------

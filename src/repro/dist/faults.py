@@ -91,6 +91,9 @@ class WorkerFailure(RuntimeError):
         super().__init__(message)
         self.worker_id = worker_id
         self.command = command
+        # A fan-out raises one failure naming every worker that failed
+        # in it, this one first (:func:`~repro.dist.fleet.settle_all`).
+        self.failures: List["WorkerFailure"] = [self]
 
 
 class WorkerDiedError(WorkerFailure):
@@ -450,6 +453,15 @@ class FaultPlan:
         return self.fired_by_kind.get(kind, 0)
 
 
+#: Every control-plane command a verify issues, and ``None`` (the
+#: worker's next call): where :func:`sample_plan` crashes workers.
+CONTROL_PLANE_CALLS = (
+    "compute_ospf_exports", "pull_ospf_round", "install_ospf_routes",
+    "export_ospf_state", "begin_shard", "compute_exports",
+    "deliver_routes_many", "pull_round", "flush_shard", None,
+)
+
+
 def sample_plan(seed: int, num_workers: int) -> FaultPlan:
     """Draw a small recoverable fault plan for differential fuzzing.
 
@@ -457,7 +469,8 @@ def sample_plan(seed: int, num_workers: int) -> FaultPlan:
     respawn, dropped/duplicated batches, and —
     since the loss-migration layer — a permanent ``host_loss`` whose
     shards migrate to the survivors): the fuzz oracle asserts that a run
-    surviving them is bit-identical to a fault-free run.  Bare
+    surviving them is bit-identical to a fault-free run.  Crashes and
+    host losses hit any of :data:`CONTROL_PLANE_CALLS`.  Bare
     ``respawn_fail`` is excluded on purpose — with a budget of one
     failure it is indistinguishable from a slow respawn, and exhausting
     the budget on *every* worker degrades to the sequential fallback,
@@ -466,31 +479,23 @@ def sample_plan(seed: int, num_workers: int) -> FaultPlan:
     """
     rng = random.Random(seed)
     specs: List[FaultSpec] = []
-    kinds = ["crash", "drop", "duplicate", "host_loss"]
     for _ in range(rng.randint(1, 2)):
-        kind = rng.choice(kinds)
-        spec = FaultSpec(
-            kind=kind,
-            worker=rng.randrange(num_workers),
-            times=rng.randint(1, 2),
-        )
+        kind = rng.choice(["crash", "drop", "duplicate", "host_loss"])
+        worker, times = rng.randrange(num_workers), rng.randint(1, 2)
         if kind == "crash":
             spec = FaultSpec(
-                kind=kind,
-                worker=spec.worker,
-                times=spec.times,
-                command=rng.choice(["pull_round", "compute_exports"]),
+                kind, worker=worker, times=times,
+                command=rng.choice(CONTROL_PLANE_CALLS),
             )
         elif kind == "host_loss":
             # One permanent loss; heal_after large enough that every
             # respawn-budget attempt fails and the worker is migrated.
             spec = FaultSpec(
-                kind=kind,
-                worker=spec.worker,
-                times=1,
-                heal_after=8,
-                command=rng.choice(["pull_round", "compute_exports"]),
+                kind, worker=worker, times=1, heal_after=8,
+                command=rng.choice(CONTROL_PLANE_CALLS),
             )
+        else:
+            spec = FaultSpec(kind, worker=worker, times=times)
         specs.append(spec)
     return FaultPlan(specs, seed=seed)
 
@@ -528,23 +533,36 @@ def sample_network_plan(seed: int, num_workers: int) -> FaultPlan:
     actually fires.
     """
     rng = random.Random(seed ^ 0x5EED)
-    commands = ["pull_round", "compute_exports", "deliver_routes_many"]
-    specs: List[FaultSpec] = []
-    for _ in range(rng.randint(1, 2)):
-        kind = rng.choice(sorted(NETWORK_KINDS))
-        spec = FaultSpec(
-            kind=kind,
-            worker=rng.randrange(num_workers),
-            command=rng.choice(commands),
-            times=rng.randint(1, 2),
-        )
-        if kind == "partition":
-            spec.where = rng.choice(["request", "response"])
-            spec.heal_after = rng.randint(1, 2)
-        elif kind == "slow_link":
-            spec.delay = rng.choice([0.02, 0.05])
-        specs.append(spec)
+    kinds = sorted(NETWORK_KINDS)
+    specs = [
+        _wire_fault(rng, rng.choice(kinds), num_workers, (1, 2), (0.02, 0.05))
+        for _ in range(rng.randint(1, 2))
+    ]
     return FaultPlan(specs, seed=seed)
+
+
+#: Every round issues these RPCs, so a wire fault sampled on one fires.
+_HOT_CALLS = ("pull_round", "compute_exports", "deliver_routes_many")
+
+
+def _wire_fault(
+    rng: random.Random, kind: str, num_workers: int,
+    times: Sequence[int], delays: Sequence[float],
+) -> FaultSpec:
+    """One wire fault on one of :data:`_HOT_CALLS`, fired ``times``
+    (inclusive bounds) times; a slow link sleeps one of ``delays``."""
+    spec = FaultSpec(
+        kind=kind,
+        worker=rng.randrange(num_workers),
+        command=rng.choice(_HOT_CALLS),
+        times=rng.randint(*times),
+    )
+    if kind == "partition":
+        spec.where = rng.choice(["request", "response"])
+        spec.heal_after = rng.randint(1, 2)
+    elif kind == "slow_link":
+        spec.delay = rng.choice(delays)
+    return spec
 
 
 def sample_serve_plan(seed: int, num_workers: int) -> FaultPlan:
@@ -560,21 +578,10 @@ def sample_serve_plan(seed: int, num_workers: int) -> FaultPlan:
     to a cold start at the final config.
     """
     rng = random.Random(seed ^ 0xE60C)
-    commands = ["pull_round", "compute_exports", "deliver_routes_many"]
-    specs: List[FaultSpec] = []
-    for kind in rng.sample(sorted(NETWORK_KINDS), k=2):
-        spec = FaultSpec(
-            kind=kind,
-            worker=rng.randrange(num_workers),
-            command=rng.choice(commands),
-            times=rng.randint(2, 3),
-        )
-        if kind == "partition":
-            spec.where = rng.choice(["request", "response"])
-            spec.heal_after = rng.randint(1, 2)
-        elif kind == "slow_link":
-            spec.delay = rng.choice([0.01, 0.02])
-        specs.append(spec)
+    specs = [
+        _wire_fault(rng, kind, num_workers, (2, 3), (0.01, 0.02))
+        for kind in rng.sample(sorted(NETWORK_KINDS), k=2)
+    ]
     if rng.random() < 0.5:
         # Half the plans crash a worker; one in four of those turns the
         # crash into a permanent host loss (shards migrate, capacity

@@ -14,14 +14,16 @@ and respawning are transient: they live inside one call to
 Every worker phase is one fan-out, :meth:`Fleet.call_all`: issue the
 command to every active worker, then settle every call; a failure is
 raised only then, so recovery never starts while a sibling call is
-still changing a worker's state, and it names the worker to recover.
+still changing a worker's state, and it names every worker to recover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from .faults import WorkerFailure
 from .sidecar import Sidecar
@@ -30,21 +32,29 @@ from .sidecar import Sidecar
 def settle_all(
     handles: Iterable[Any], worker_ids: Optional[Sequence[int]] = None
 ) -> List[Any]:
-    """Every handle's ``result()``, in order; the first failure is
-    raised only after every handle has settled.  With ``worker_ids``
-    (one per handle), a :class:`WorkerFailure` that names no worker is
-    tagged with its handle's."""
+    """Every handle's ``result()``, in order; raises only after every
+    handle settled: any other error first, else one :class:`WorkerFailure`
+    whose ``failures`` hold each failed worker's first.  With
+    ``worker_ids`` (one per handle), an untagged failure gets its
+    handle's."""
     results: List[Any] = []
     errors: List[Exception] = []
+    failed: Dict[Optional[int], WorkerFailure] = {}
     for handle, worker_id in zip(handles, worker_ids or repeat(None)):
         try:
             results.append(handle.result())
+        except WorkerFailure as failure:
+            if failure.worker_id is None:
+                failure.worker_id = worker_id
+            failed.setdefault(failure.worker_id, failure)
         except Exception as exc:  # noqa: BLE001 — re-raised below
-            if isinstance(exc, WorkerFailure) and exc.worker_id is None:
-                exc.worker_id = worker_id
             errors.append(exc)
     if errors:
         raise errors[0]
+    failures = list(failed.values())
+    if failures:
+        failures[0].failures = failures
+        raise failures[0]
     return results
 
 
@@ -82,16 +92,19 @@ class Fleet:
     def active_ids(self) -> List[int]:
         return [worker.worker_id for worker in self.workers]
 
-    def call_all(self, command: str, *args) -> List[Any]:
-        """Run ``command(*args)`` on every active worker; the results
-        in worker-id order.  All calls are issued before any settles,
-        and a failure that names no worker is tagged with the id of the
-        worker whose call raised it."""
-        workers = self.workers
-        return settle_all(
-            [worker.call_nowait(command, *args) for worker in workers],
-            [worker.worker_id for worker in workers],
-        )
+    def call_all(
+        self, command: str, *args, workers: Optional[Sequence[Any]] = None,
+        each: Optional[Callable[[Any], tuple]] = None,
+    ) -> List[Any]:
+        """Run ``command`` on every active worker (or on ``workers``),
+        with ``args`` or with ``each(worker)``'s; the results in order.
+        All calls are issued before any settles (:func:`settle_all`)."""
+        workers = self.workers if workers is None else workers
+        issued = [
+            w.call_nowait(command, *(each(w) if each else args))
+            for w in workers
+        ]
+        return settle_all(issued, [w.worker_id for w in workers])
 
     def mark_lost(
         self, worker_id: int, reason: str, transport: Dict[str, int]

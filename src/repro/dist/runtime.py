@@ -4,10 +4,11 @@ A worker pool gives workers their execution contexts.
 :class:`LocalWorkerPool` holds the in-process ones behind the same
 supervision surface as :class:`~repro.dist.socket_runtime.
 SocketWorkerPool` (``respawn``, ``reconfigure``, ``update_snapshot``),
-so the controller never asks which runtime it drives.  Phases reach
-either pool's workers the same way, through ``Fleet.call_all``: an
-in-process :meth:`~repro.dist.worker.Worker.call_nowait` runs the
-command as it is issued, one worker after another in id order.
+so the controller never asks which runtime it drives.  Code reaches
+either pool's workers only through ``call_nowait``: an in-process
+:meth:`~repro.dist.worker.Worker.call_nowait` runs the command as it is
+issued, and every worker a fan-out's calls failed on is reset here, as
+a socket worker is respawned.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ Design notes:
 
 * :class:`SocketWorkerProxy` mirrors the :class:`~repro.dist.worker.
   Worker` surface the orchestrators and sidecars use, so the CPO/DPO
-  code is the same for in-process and remote clusters.  Its command
-  methods are generated from ``Worker.COMMANDS``, with the worker's own
-  signatures; the worker service executes exactly that table.
+  code is the same for in-process and remote clusters.  Its one command
+  surface is :meth:`SocketWorkerProxy.call_nowait`, as in process; the
+  worker service executes exactly ``Worker.COMMANDS``.
 * Resource accounting stays controller-side: the remote worker enforces
   its memory ceiling (raising :class:`SimulatedOOM` in situ, relayed back
   with the worker's own used bytes and re-raised by the proxy) and
@@ -54,7 +54,6 @@ by all hosts.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing as mp
 import os
 import time
@@ -82,7 +81,7 @@ from .transport import (
     TransportError,
     parse_hostport,
 )
-from .worker import Settled, Worker
+from .worker import Settled
 
 #: Seconds to wait for a freshly forked worker to report its port.
 _HANDSHAKE_TIMEOUT = 30.0
@@ -235,12 +234,11 @@ class _SocketCallFuture:
 class SocketWorkerProxy:
     """Controller-side handle for one socket worker.
 
-    Exposes the Worker methods the orchestrators and sidecars call; each
-    call is one idempotent request on the worker's :class:`RpcChannel`,
-    issued by :meth:`call_nowait`.  The proxy keeps the worker's latest
-    status and a local :class:`WorkerResources` mirror of its memory and
-    work counters.  A timed-out proxy stays usable: the channel's
-    idempotent request ids make stale responses self-identifying.
+    Every command is one idempotent request on the worker's
+    :class:`RpcChannel`, issued by :meth:`call_nowait`.  The proxy keeps
+    the worker's latest status and a local :class:`WorkerResources`
+    mirror of its memory and work counters.  A timed-out proxy stays
+    usable: idempotent request ids make stale responses self-identifying.
     """
 
     def __init__(
@@ -318,9 +316,6 @@ class SocketWorkerProxy:
             span.end()
             return Settled(error=self._worker_failure(command, exc))
         return _SocketCallFuture(self, command, future, span)
-
-    def _call(self, command: str, *args) -> Any:
-        return self.call_nowait(command, *args).result()
 
     def _fault_kill(self) -> None:
         """Kill the worker process to realize an injected crash."""
@@ -436,53 +431,19 @@ class SocketWorkerProxy:
     # -- lifecycle --------------------------------------------------------
 
     def stop(self, timeout: float = JOIN_TIMEOUT) -> None:
+        """Ask the worker to exit, then :meth:`reap` whatever is left:
+        terminate() can be absorbed (e.g. a wedged interpreter), so
+        close() escalates to SIGKILL and never leaves a child."""
         try:
             self._channel.call("__stop__", timeout=timeout, internal=True)
         except TransportError:
             pass
-        self._channel.close()
-        process = self._process
-        if process is None:
-            return
-        process.join(timeout)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout)
-        if process.is_alive():
-            # terminate() can be absorbed (e.g. a wedged interpreter):
-            # escalate to SIGKILL so close() can never leave a child.
-            process.kill()
-            process.join(timeout)
+        if self._process is not None:
+            self._process.join(timeout)
+        self.reap()
 
     def transport_counters(self) -> Dict[str, int]:
         return dict(self._channel.counters)
-
-
-def _forwarder(command: str):
-    """A proxy method sending ``command`` with the worker's signature.
-
-    Arguments are bound against :class:`Worker`'s own signature, defaults
-    filled in, so a bad call fails here and the wire always carries the
-    full positional tuple the worker method receives.
-    """
-    method = getattr(Worker, command)
-    signature = inspect.signature(method)
-    signature = signature.replace(
-        parameters=list(signature.parameters.values())[1:]  # drop self
-    )
-
-    def forward(self, *args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return self._call(command, *bound.args)
-
-    forward.__name__ = command
-    forward.__doc__ = method.__doc__
-    return forward
-
-
-for _command in Worker.COMMANDS:
-    setattr(SocketWorkerProxy, _command, _forwarder(_command))
 
 
 class SocketWorkerPool:
@@ -679,12 +640,7 @@ class SocketWorkerPool:
             channel.connect()
             proxy.revive(channel, process)
             self._configure(worker_id, channel)
-        except TransportError as exc:
-            raise RespawnError(
-                f"respawn of worker {worker_id} failed: {exc}",
-                worker_id=worker_id,
-            ) from exc
-        except OSError as exc:
+        except (TransportError, OSError) as exc:
             raise RespawnError(
                 f"respawn of worker {worker_id} failed: {exc!r}",
                 worker_id=worker_id,

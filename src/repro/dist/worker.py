@@ -164,10 +164,9 @@ def _acl_bound(config, iface: str, direction: str) -> bool:
 class Worker:
     """One S2 worker: a segment's switch models plus the DPV context."""
 
-    #: The remote surface: every method a controller may invoke over the
-    #: wire, with exactly these signatures.  :meth:`call_nowait` refuses
-    #: any other name, and the socket proxy's forwarders are generated
-    #: from this table, so a new command is one method plus one entry.
+    #: The remote surface: every method a controller may invoke, on
+    #: either runtime only through ``call_nowait``, which refuses any
+    #: other name; a new command is one method plus one entry.
     COMMANDS = frozenset((
         "ping",
         # serving
@@ -176,7 +175,7 @@ class Worker:
         "begin_shard", "compute_exports", "deliver_routes_many",
         "pull_round", "flush_shard",
         # OSPF
-        "has_ospf", "compute_ospf_exports", "pull_ospf_round",
+        "compute_ospf_exports", "pull_ospf_round",
         "install_ospf_routes", "export_ospf_state", "restore_ospf_state",
         # data plane
         "build_dataplane", "set_waypoint_bit", "clear_waypoints",
@@ -642,9 +641,6 @@ class Worker:
         })
 
     # -- control plane: OSPF rounds ----------------------------------------------
-
-    def has_ospf(self) -> bool:
-        return any(process.enabled for process in self.ospf.values())
 
     def compute_ospf_exports(self) -> Dict[int, RouteBatch]:
         boundary: Dict[int, OspfExports] = {}

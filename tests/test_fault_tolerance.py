@@ -778,17 +778,17 @@ def test_pool_detects_and_respawns_dead_worker(fattree4):
     with S2Controller(fattree4, _options(runtime="socket")) as controller:
         pool = controller._pool
         assert all(proxy.is_alive() for proxy in pool.proxies)
-        assert all(proxy.ping() == "pong" for proxy in pool.proxies)
+        assert all(proxy.call_nowait("ping").result() == "pong" for proxy in pool.proxies)
         victim = pool.proxies[1]
         victim._process.kill()
         victim._process.join(5.0)
         assert not victim.is_alive()
         assert pool.proxies[0].is_alive() and pool.proxies[2].is_alive()
         with pytest.raises(WorkerDiedError):
-            victim.ping()
+            victim.call_nowait("ping").result()
         pool.respawn(1)
         assert all(proxy.is_alive() for proxy in pool.proxies)
-        assert victim.ping()                      # same proxy object
+        assert victim.call_nowait("ping").result()                      # same proxy object
         assert victim.resources.respawns == 1
 
 

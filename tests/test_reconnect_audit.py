@@ -16,6 +16,7 @@ from repro.dist.fleet import Fleet
 from repro.dist.runtime import LocalWorkerPool
 from repro.dist.sidecar import Sidecar
 from repro.dist.storage import RouteStore
+from repro.dist.worker import Settled
 
 
 # -- the supervisor: respawn resets the worker and re-seeds its epoch -------
@@ -42,9 +43,15 @@ class _StubWorker:
     def begin_epoch(self, epoch: int) -> None:
         self.epoch_seeds.append(epoch)
 
+    def call_nowait(self, command: str, *args) -> Settled:
+        try:
+            return Settled(getattr(self, command)(*args))
+        except Exception as exc:  # noqa: BLE001 — raised at result()
+            return Settled(error=exc)
 
-def _supervised_pair(tmp_path):
-    workers = [_StubWorker(0), _StubWorker(1)]
+
+def _supervised_pair(tmp_path, workers=None):
+    workers = workers or [_StubWorker(0), _StubWorker(1)]
     sidecars = [Sidecar(worker) for worker in workers]
     for sidecar in sidecars:
         sidecar.register_peers(sidecars)
@@ -60,7 +67,7 @@ def _supervised_pair(tmp_path):
 def test_recover_reseeds_the_serving_epoch(tmp_path):
     workers, _sidecars, supervisor = _supervised_pair(tmp_path)
     supervisor.fleet.epoch = 7
-    supervisor.recover(StaleEpochError("stale", worker_id=1))
+    supervisor.replay(_failing_unit([StaleEpochError("stale", worker_id=1)]))
     assert workers[1].resets == 1
     assert workers[1].resources.respawns == 1
     assert workers[0].resets == 0
@@ -129,6 +136,28 @@ def test_call_all_keeps_a_failure_that_names_its_worker():
     assert raised.value.worker_id == 0
 
 
+def test_call_all_names_every_failed_worker():
+    workers = [
+        _CallingStub(0, error=WorkerDiedError("a")),
+        _CallingStub(1),
+        _CallingStub(2, error=WorkerDiedError("c")),
+    ]
+    with pytest.raises(WorkerDiedError) as raised:
+        _fleet(workers).call_all("ping")
+    assert raised.value.worker_id == 0
+    assert [f.worker_id for f in raised.value.failures] == [0, 2]
+
+
+def test_call_all_raises_a_result_error_before_worker_failures():
+    workers = [
+        _CallingStub(0, error=WorkerDiedError("a")),
+        _CallingStub(1, error=ValueError("not a worker failure")),
+    ]
+    with pytest.raises(ValueError):
+        _fleet(workers).call_all("ping")
+    assert [worker.settled for worker in workers] == [1, 1]
+
+
 # -- the replay loop: a budget per worker within one unit -------------------
 
 
@@ -153,7 +182,7 @@ def test_replay_recovers_failures_on_different_workers(tmp_path):
     unit = _failing_unit(
         [WorkerDiedError("a", worker_id=0), WorkerDiedError("b", worker_id=1)]
     )
-    assert supervisor.replay(unit, lambda: recovered.append(None)) == 3
+    assert supervisor.replay(unit, recovered.append) == 3
     assert [worker.resets for worker in workers] == [1, 1]
     assert len(recovered) == 2
     assert supervisor.recoveries == 2
@@ -182,7 +211,39 @@ def test_replay_with_no_budget_reraises_the_first_failure(tmp_path):
     recovered = []
     unit = _failing_unit([WorkerDiedError("once", worker_id=0)])
     with pytest.raises(WorkerDiedError):
-        supervisor.replay(unit, lambda: recovered.append(None))
+        supervisor.replay(unit, recovered.append)
     assert workers[0].resets == 0
     assert recovered == []
     assert supervisor.recoveries == 0
+
+
+def test_replay_recovers_every_failed_worker_before_one_rerun(tmp_path):
+    workers, _sidecars, supervisor = _supervised_pair(tmp_path)
+    failure = WorkerDiedError("a", worker_id=0)
+    failure.failures.append(WorkerDiedError("b", worker_id=1))
+    recovered = []
+    assert supervisor.replay(_failing_unit([failure]), recovered.append) == 2
+    assert [worker.resets for worker in workers] == [1, 1]
+    assert recovered == [2]  # two failures, one rerun
+
+
+class _FlakyRejoin(_StubWorker):
+    """A stub whose first ``begin_epoch`` fails as if it died again."""
+
+    def begin_epoch(self, epoch: int) -> None:
+        if self.resets == 1:
+            raise WorkerDiedError("died while rejoining", worker_id=1)
+        super().begin_epoch(epoch)
+
+
+def test_replay_recovers_a_failure_of_the_rejoin_calls(tmp_path):
+    workers, _sidecars, supervisor = _supervised_pair(
+        tmp_path, [_StubWorker(0), _FlakyRejoin(1)]
+    )
+    supervisor.fleet.epoch = 3
+    recovered = []
+    unit = _failing_unit([WorkerDiedError("a", worker_id=1)])
+    assert supervisor.replay(unit, recovered.append) == 2
+    assert workers[1].resets == 2
+    assert workers[1].epoch_seeds == [3]
+    assert recovered == [2]

@@ -142,16 +142,16 @@ def test_socket_pool_detects_and_respawns_dead_worker(fattree4):
     with S2Controller(fattree4, _options()) as controller:
         pool = controller._pool
         assert all(proxy.is_alive() for proxy in pool.proxies)
-        assert all(proxy.ping() == "pong" for proxy in pool.proxies)
+        assert all(proxy.call_nowait("ping").result() == "pong" for proxy in pool.proxies)
         victim = pool.proxies[1]
         victim._process.kill()
         victim._process.join(5.0)
         assert not victim.is_alive()
         with pytest.raises(WorkerFailure):
-            victim.ping()
+            victim.call_nowait("ping").result()
         pool.respawn(1)
         assert all(proxy.is_alive() for proxy in pool.proxies)
-        assert victim.ping()                      # same proxy object
+        assert victim.call_nowait("ping").result()                      # same proxy object
         assert victim.resources.respawns == 1
 
 
@@ -191,7 +191,7 @@ def test_oom_reports_the_workers_own_bytes(fattree4, runtime):
 def test_remote_error_surfaces(fattree4):
     with S2Controller(fattree4, _options(num_workers=1)) as controller:
         with pytest.raises(RemoteWorkerError):
-            controller.fleet.workers[0]._call("no_such_method")
+            controller.fleet.workers[0].call_nowait("no_such_method").result()
 
 
 def test_shard_flush_happens_in_worker_process(fattree4):
@@ -216,7 +216,7 @@ def test_pool_lifecycle(fattree4):
     pool = _direct_pool(fattree4, 2)
     try:
         for proxy in pool.proxies:
-            proxy.begin_shard(None)
+            proxy.call_nowait("begin_shard", None).result()
             status = proxy.status()  # what begin_shard's reply carried
             assert status["epoch"] == -1 and status["age_seconds"] >= 0
             assert not any(name.startswith("engine.") for name in status)
@@ -293,10 +293,10 @@ def test_connect_mode_respawn_is_a_reconfigure(fattree4):
         with S2Controller(fattree4, options) as controller:
             pool = controller._pool
             assert pool._incarnations[0] == 0
-            assert pool.proxies[0].ping()
+            assert pool.proxies[0].call_nowait("ping").result()
             pool.respawn(0)
             assert pool._incarnations[0] == 1
-            assert pool.proxies[0].ping()
+            assert pool.proxies[0].call_nowait("ping").result()
             assert listener.server.stats["connections"] >= 2
     finally:
         listener.close()
