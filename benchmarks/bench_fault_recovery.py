@@ -83,7 +83,8 @@ def _run_experiment():
     )
 
     plan = FaultPlan(
-        [FaultSpec(kind="crash", worker=1, shard=SHARDS // 2, command="pull_round")]
+        [FaultSpec(kind="crash", worker=1, shard=SHARDS // 2, command="step",
+                   round=1)]
     )
     crash_s, crash_stats, respawns, _ = _run(
         snapshot, fault_plan=plan, runs=1
@@ -129,7 +130,7 @@ def _run_experiment():
     plan = FaultPlan(
         [
             FaultSpec(
-                kind="host_loss", worker=1, command="pull_round",
+                kind="host_loss", worker=1, command="step", round=1,
                 shard=SHARDS // 2, heal_after=100,
             )
         ]
@@ -156,7 +157,7 @@ def _run_experiment():
     heal_plan = FaultPlan(
         [
             FaultSpec(
-                kind="host_loss", worker=1, command="pull_round",
+                kind="host_loss", worker=1, command="step", round=1,
                 heal_after=2,   # == respawn budget: healed right after loss
             )
         ]

@@ -7,7 +7,7 @@ Three layers, measured separately so a regression is attributable:
    the dominant cost; it must stay far above the rate the control plane
    actually generates bytes.
 2. **Round-trips** — echo latency through a real loopback
-   ``RpcChannel``/``RpcServer`` pair, i.e. the floor every ``pull_round``
+   ``RpcChannel``/``RpcServer`` pair, i.e. the floor every ``step``
    barrier pays per worker.
 3. **End to end** — a FatTree4 control-plane run on the ``socket``
    runtime: real TCP plus idempotency bookkeeping on the critical path.

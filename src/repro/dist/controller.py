@@ -663,22 +663,21 @@ class S2Controller:
     ) -> None:
         """Incremental rebind for announce-only deltas.
 
-        Topology, partition, and the IGP result are unchanged, so only
-        the changed hosts' router models are rebuilt (their installed
-        OSPF routes replayed from the worker's live checkpoint), and the
-        shards are repacked sticky to the current ones; the caller then
+        Topology, partition, and the IGP result are unchanged, so every
+        worker gets only the changed hosts' configs, and rebuilds the
+        router models of those it owns (their installed OSPF routes
+        replayed from the worker's live checkpoint); the shards are
+        repacked sticky to the current ones, and the caller then
         recomputes just the dirty shards.
         """
         self.snapshot = snapshot
         self.shards = self._build_shards(previous=self.shards)
-        changed = tuple(changed_hosts)
+        configs = {host: snapshot.configs[host] for host in changed_hosts}
         # A worker respawned mid-epoch is re-seeded from the pool's
         # spawn args; those must describe the *current* snapshot.
         self._pool.update_snapshot(snapshot, self.partition.assignment)
         self.supervisor.replay(
-            lambda: self.fleet.call_all(
-                "rebind_snapshot", snapshot, changed, epoch
-            )
+            lambda: self.fleet.call_all("rebind_snapshot", configs, epoch)
         )
         if epoch is not None:
             self.fleet.epoch = epoch
@@ -1025,6 +1024,7 @@ class S2Controller:
                 self.options.fault_plan.fired_by_kind
             )
         snapshot["recoveries"] = self.supervisor.recoveries
+        snapshot["worker_calls"] = self.worker_calls()
         snapshot["storage"] = self.storage_counts()
         snapshot["capacity"] = self.capacity()
         # Worker statuses the socket proxies received (none in-process).
@@ -1035,6 +1035,11 @@ class S2Controller:
         if transport is not None:
             snapshot["transport"] = transport
         return snapshot
+
+    def worker_calls(self) -> int:
+        """Commands issued to workers so far (``resources.calls``, charged
+        at ``call_nowait`` on both runtimes), lost workers included."""
+        return sum(worker.resources.calls for worker, _ in self.fleet.roster())
 
     def storage_counts(self) -> Dict[str, int]:
         """The route store's metadata operations so far: the controller
@@ -1060,7 +1065,7 @@ class S2Controller:
         opts = self.options
         if self.tracer.enabled:
             with self.tracer.span("controller.finalize") as span:
-                span.set(**{
+                span.set(worker_calls=self.worker_calls(), **{
                     f"storage_{name}": count
                     for name, count in self.storage_counts().items()
                 })

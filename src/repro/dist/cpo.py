@@ -1,11 +1,16 @@
 """The control plane orchestrator (CPO, §4.2).
 
 Schedules protocols in sequence (IGPs before BGP), and for BGP runs the
-distributed fixed point once per *batch* of prefix shards: each round
-every worker computes its nodes' exports (phase A), the sidecars ship
-the boundary advertisements (measured bytes), and every worker's nodes
-pull and merge (phase B).  The round repeats until *all* workers report
-no change — Algorithm 1 with the pull relays batched per worker pair.
+distributed fixed point once per *batch* of prefix shards.  A round is
+one superstep, one ``step`` fan-out: every worker applies the boundary
+advertisements relayed to it, its nodes pull and merge the previous
+round, and it computes this round's exports; the controller relays the
+outbound batches through the senders' sidecars (measured bytes) as the
+next step's inbound.  Only a boundary session whose export changed is
+shipped (round 0, and the step after a dropped batch, ship all), and
+the receiver's mailbox keeps the rest.  The rounds repeat until *all*
+workers report no change — Algorithm 1 with the pull relays batched
+per worker pair.
 
 A batch is every pending shard, in order, that the modeled worker
 ceiling admits at once (:func:`~repro.dist.sharding.plan_batches`): a
@@ -24,25 +29,24 @@ the batch's union, and a batch that converges with any joins every shard
 holding one (pending or already flushed) plus any watch no shard holds,
 then converges again.  With the complete DPDG growth never fires.
 
-When a batch converges, the workers flush it once per shard, each flush
-writing that shard's routes to its own file in the
-:class:`~repro.dist.storage.RouteStore` (the first one frees the RIBs):
-the shard stays the flush, carry-over and resume unit.  A flushed shard
+When a batch converges, the workers flush it in one fan-out that writes
+each shard's routes to its own file in the
+:class:`~repro.dist.storage.RouteStore` (and frees the RIBs): the shard
+stays the flush, carry-over and resume unit.  A flushed shard
 that a later batch absorbs is rewritten atomically at its own index.
 
 Fault tolerance rides on batch idempotency: ``begin_shard`` fully
 resets per-shard state, so when a :class:`~repro.dist.faults.
 WorkerFailure` surfaces anywhere in a batch, ``WorkerSupervisor.replay``
 recovers the worker and reruns the whole batch, as grown so far, from
-round 0 — bit-identical to the fault-free run; a shard whose flush
-already landed is not flushed again.  Dropped
-sidecar batches are healed by the rounds themselves (exports are resent
-in full every round); the only hazard is a drop in the would-be-final
-round, so the CPO refuses to declare convergence in any round where the
-fault plan dropped a batch.  A :class:`~repro.dist.storage.RunManifest`
-marks each shard as soon as its flush lands, letting :meth:`run` skip
-it on resume — an index only while the manifest's packing still gives
-it the same prefixes.
+round 0 — bit-identical to the fault-free run; the flush is the unit's
+last fan-out, so no replay follows a landed flush.  A dropped sidecar
+batch leaves a stale mailbox entry, so the step after it ships every
+export in full, and the CPO refuses to declare convergence in any round
+where the fault plan dropped a batch.  A
+:class:`~repro.dist.storage.RunManifest` marks each shard as soon as its
+flush lands, letting :meth:`run` skip it on resume — an index only while
+the manifest's packing still gives it the same prefixes.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from typing import (
-    AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+    AbstractSet, Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
     Tuple,
 )
 
@@ -59,7 +63,8 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from ..routing.engine import ConvergenceError
 from .faults import FaultPlan
-from .fleet import Fleet, settle_all
+from .fleet import Fleet
+from .message import RouteBatch
 from .resources import ROUTE_BYTES, memory_bytes
 from .sharding import PrefixShard, plan_batches
 from .storage import RouteStore, RunManifest
@@ -138,36 +143,42 @@ class ControlPlaneOrchestrator:
         self.stats.worker_failures += failed
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
-    def _exchange(self, batch_maps) -> int:
-        """Ship one round's boundary batches, pipelined.
+    def _step(
+        self, round_token: int, inbound: Dict[int, List[RouteBatch]],
+        full: bool, ospf: bool = False,
+    ) -> List[Tuple[int, Any, Tuple[RouteBatch, ...]]]:
+        """One superstep fan-out: each worker gets its ``inbound`` batches;
+        the duplicates the receivers discarded are counted here."""
+        results = self.fleet.call_all(
+            "step",
+            each=lambda w: (
+                round_token, inbound.get(w.worker_id, ()), full, ospf
+            ),
+        )
+        self.stats.duplicates_discarded += sum(r[0] for r in results)
+        return results
 
-        Every sender's batches are queued first, then all outboxes flush
-        before any delivery is awaited — remote deliveries for the whole
-        round are in flight together instead of call-and-wait one batch
-        at a time.  Settling every handle before returning is the
-        delivery barrier phase B's pulls depend on.  Each delivery
-        replies with the duplicates its receiver discarded.
-        """
-        sent = 0
-        for sidecar, batches in zip(self.fleet.sidecars, batch_maps):
-            for batch in batches.values():
-                sidecar.queue_routes(batch)
-                sent += 1
-        handles = []
-        for sidecar in self.fleet.sidecars:
-            handles.extend(sidecar.flush_routes())
-        self.stats.duplicates_discarded += sum(settle_all(handles))
-        self.stats.pipelined_deliveries += len(handles)
-        return sent
-
-    def _converged(self, changed: bool) -> bool:
-        """Whether a round that ``changed`` nothing ends the fixed point:
-        not if the plan dropped a batch, since the "no change" may rest on
-        a stale mailbox.  Exports are re-sent in full every round, so one
-        forced round heals it (the resent tuple is not the stale one the
-        puller merged, so its identity skip cannot hide the heal)."""
+    def _relay(self, results) -> Tuple[Dict[int, List[RouteBatch]], int]:
+        """Queue every step's outbound batches through its sender's
+        sidecar (where the plan may drop or duplicate them); returns each
+        receiver's next inbound and how many batches the plan dropped."""
+        inbound: Dict[int, List[RouteBatch]] = {}
+        for sidecar, (_, _, outbound) in zip(self.fleet.sidecars, results):
+            for batch in outbound:
+                copies = sidecar.queue_routes(batch)
+                if copies:
+                    inbound.setdefault(batch.target_worker, []).extend(copies)
+                    self.stats.pipelined_deliveries += 1
         plan = self.fault_plan
-        dropped = plan.consume_drops() if plan is not None else 0
+        return inbound, plan.consume_drops() if plan is not None else 0
+
+    def _converged(self, changed: bool, dropped: int) -> bool:
+        """Whether a round that ``changed`` nothing ends the fixed point:
+        not if the plan ``dropped`` one of its batches, since the "no
+        change" may rest on a stale mailbox.  The next step ships every
+        export in full, so one forced round heals it (the resent tuple is
+        not the stale one the puller merged, so its identity skip cannot
+        hide the heal)."""
         if not changed and dropped:
             self.stats.forced_rounds += 1
         return not (changed or dropped)
@@ -195,27 +206,31 @@ class ControlPlaneOrchestrator:
             self.store.write_manifest(self.manifest)
 
     def _run_ospf_once(self) -> None:
+        """IGP steps until no worker changes; the fault plan's round is
+        -1 throughout, and every step ships every export."""
         if self.fault_plan is not None:
             self.fault_plan.set_context(round_token=-1)
+        inbound: Dict[int, List[RouteBatch]] = {}
+        dropped = 0
         with self.tracer.span("cpo.ospf", category="cpo") as ospf_span:
-            for _round in range(self.max_rounds):
+            for token in range(self.max_rounds + 1):
                 with self.tracer.span(
-                    "cpo.ospf_round", category="cpo", round=_round
+                    "cpo.ospf_step", category="cpo", round=token
                 ):
-                    self._exchange(
-                        self.fleet.call_all("compute_ospf_exports")
+                    results = self._step(token, inbound, True, ospf=True)
+                if token:
+                    self.stats.ospf_rounds += 1
+                    if self.metrics is not None:
+                        self.metrics.counter("cpo.ospf_rounds").inc()
+                    if self._converged(any(r[1] for r in results), dropped):
+                        break
+                if token == self.max_rounds:
+                    raise ConvergenceError(
+                        f"OSPF did not converge within {self.max_rounds} "
+                        "rounds",
+                        rounds=self.max_rounds,
                     )
-                    changed_flags = self.fleet.call_all("pull_ospf_round")
-                self.stats.ospf_rounds += 1
-                if self.metrics is not None:
-                    self.metrics.counter("cpo.ospf_rounds").inc()
-                if self._converged(any(changed_flags)):
-                    break
-            else:
-                raise ConvergenceError(
-                    f"OSPF did not converge within {self.max_rounds} rounds",
-                    rounds=self.max_rounds,
-                )
+                inbound, dropped = self._relay(results)
             ospf_span.set(rounds=self.stats.ospf_rounds)
             self.fleet.call_all("install_ospf_routes")
 
@@ -235,9 +250,8 @@ class ControlPlaneOrchestrator:
         so a replay after respawning the failed worker reproduces the
         RIBs the fault-free run would have flushed.  Shards are unions
         of DPDG components, so the batch's union converges to the same
-        routes as its shards one by one.  A shard whose flush landed
-        is marked in the manifest at once and not flushed again by a
-        replay.
+        routes as its shards one by one.  The flush is one fan-out, the
+        unit's last, and marks every shard in the manifest once it lands.
 
         A batch that converges with watches outside its union (§7: the
         DPDG missed a dependency) grows by every shard of ``packing``
@@ -249,7 +263,6 @@ class ControlPlaneOrchestrator:
         batch = list(batch)
         extra: set = set()  # watches no shard of the packing holds
         grown: List[int] = []
-        flushed: set = set()
 
         def converge_and_flush() -> None:
             while True:
@@ -270,11 +283,12 @@ class ControlPlaneOrchestrator:
                     self.stats.shards_merged += 1
                     watches -= holder.prefixes
                 extra.update(watches)
-            for shard, index in zip(batch, _indices(batch)):
-                if index in flushed:
-                    continue
-                self._flush_shard(index, shard if union is not shard else None)
-                flushed.add(index)
+            indices = _indices(batch)
+            self._flush_shards([
+                (index, shard if union is not shard else None)
+                for shard, index in zip(batch, indices)
+            ])
+            for index in indices:
                 self._mark_shard_done(index, rounds)
 
         self.supervisor.replay(
@@ -332,85 +346,99 @@ class ControlPlaneOrchestrator:
         )
 
     def _converge_shard_rounds(self, shard_index: int) -> List[PullOutcome]:
-        """Run rounds until no worker changes; returns the last round's
-        outcomes."""
+        """Run steps until no worker changes in a round; returns that
+        round's outcomes.
+
+        Step ``t`` pulls round ``t - 1`` and computes round ``t``'s
+        exports, so the plan's round context during step ``t`` and the
+        relay of its batches is ``t``.  Round 0 ships every export, and
+        so does the step after a relay the plan dropped a batch from.
+        """
         outcomes: List[PullOutcome] = []
-        for round_token in range(self.max_rounds):
+        inbound: Dict[int, List[RouteBatch]] = {}
+        full, dropped = True, 0
+        for round_token in range(self.max_rounds + 1):
             if self.fault_plan is not None:
                 self.fault_plan.set_context(round_token=round_token)
             with self.tracer.span(
-                "cpo.round", category="cpo", shard=shard_index,
-                round=round_token,
-            ):
-                # Phase A: snapshot exports, batch the boundary ones.
-                with self.tracer.span("cpo.exports", category="cpo"):
-                    batch_maps = self.fleet.call_all(
-                        "compute_exports", round_token
-                    )
-                with self.tracer.span("cpo.exchange", category="cpo") as ex:
-                    sent = self._exchange(batch_maps)
-                    ex.set(batches=sent)
-                # Phase B: pull and merge.
-                with self.tracer.span("cpo.pull", category="cpo"):
-                    outcomes = self.fleet.call_all("pull_round", round_token)
-            candidate_total = 0
-            for worker, outcome in zip(self.fleet.workers, outcomes):
-                worker.resources.route_work += outcome.updates_processed
-                candidate_total += outcome.candidate_routes
-                self.stats.exports_reused += outcome.exports_reused
-                self.stats.imports_skipped += outcome.imports_skipped
-                self.stats.transforms_computed += outcome.transforms_computed
-                self.stats.transforms_reused += outcome.transforms_reused
-            self.stats.peak_candidate_routes = max(
-                self.stats.peak_candidate_routes, candidate_total
-            )
-            if self.metrics is not None:
-                self.metrics.counter("cpo.bgp_rounds").inc()
-                self.metrics.gauge("cpo.candidate_routes").set(
-                    candidate_total
-                )
-            self.stats.bgp_rounds += 1
-            if self._converged(any(outcome.changed for outcome in outcomes)):
-                return outcomes
-        else:
-            still_changing = {
-                worker.worker_id: list(outcome.changed_nodes)
-                for worker, outcome in zip(self.fleet.workers, outcomes)
-                if outcome.changed
-            }
-            raise ConvergenceError(
-                f"BGP did not converge within {self.max_rounds} rounds",
-                shard_index=shard_index,
-                rounds=self.max_rounds,
-                still_changing=still_changing,
-            )
+                "cpo.step", category="cpo", shard=shard_index,
+                round=round_token, full=full,
+            ) as span:
+                results = self._step(round_token, inbound, full)
+                if round_token:
+                    outcomes = [result[1] for result in results]
+                    self._account(outcomes)
+                    if self._converged(
+                        any(outcome.changed for outcome in outcomes), dropped
+                    ):
+                        return outcomes
+                if round_token == self.max_rounds:
+                    break
+                inbound, dropped = self._relay(results)
+                full = bool(dropped)
+                span.set(batches=sum(map(len, inbound.values())))
+        still_changing = {
+            worker.worker_id: list(outcome.changed_nodes)
+            for worker, outcome in zip(self.fleet.workers, outcomes)
+            if outcome.changed
+        }
+        raise ConvergenceError(
+            f"BGP did not converge within {self.max_rounds} rounds",
+            shard_index=shard_index,
+            rounds=self.max_rounds,
+            still_changing=still_changing,
+        )
 
-    def _flush_shard(
-        self, flush_index: int, shard: Optional[PrefixShard] = None
+    def _account(self, outcomes: Sequence[PullOutcome]) -> None:
+        """Fold one round's pull outcomes into the stats and metrics."""
+        candidate_total = 0
+        for worker, outcome in zip(self.fleet.workers, outcomes):
+            worker.resources.route_work += outcome.updates_processed
+            candidate_total += outcome.candidate_routes
+            self.stats.exports_reused += outcome.exports_reused
+            self.stats.imports_skipped += outcome.imports_skipped
+            self.stats.transforms_computed += outcome.transforms_computed
+            self.stats.transforms_reused += outcome.transforms_reused
+        self.stats.peak_candidate_routes = max(
+            self.stats.peak_candidate_routes, candidate_total
+        )
+        if self.metrics is not None:
+            self.metrics.counter("cpo.bgp_rounds").inc()
+            self.metrics.gauge("cpo.candidate_routes").set(candidate_total)
+        self.stats.bgp_rounds += 1
+
+    def _flush_shards(
+        self, parts: Sequence[Tuple[int, Optional[PrefixShard]]]
     ) -> None:
-        """Flush one converged shard to persistent storage (``shard``:
-        only its prefixes, one shard of a batch; None: every converged
-        route)."""
+        """Flush a converged batch to persistent storage in one fan-out,
+        one file per ``(flush index, shard)`` part on each worker
+        (``shard``: only its prefixes, one shard of a batch; None: every
+        converged route).  The plan's shard context is the parts'
+        indices."""
+        indices = [index for index, _shard in parts]
         if self.fault_plan is not None:
-            self.fault_plan.set_context(shard=[flush_index])
+            self.fault_plan.set_context(shard=indices)
         with self.tracer.span(
-            "cpo.flush", category="cpo", shard=flush_index
+            "cpo.flush", category="cpo", shard=indices[0], shards=indices
         ) as span:
-            results = self.fleet.call_all(
-                "flush_shard", self.store.directory, flush_index, shard
+            replies = self.fleet.call_all(
+                "flush_shard", self.store.directory, parts
             )
-            self.flushed.add(flush_index)
+            self.flushed.update(indices)
             flushed_bytes = 0
-            for written, selected in results:
-                self.stats.route_flush_bytes += written
-                flushed_bytes += written
-                self.stats.total_selected_routes += selected
+            for per_shard in replies:
+                for written, selected in per_shard:
+                    flushed_bytes += written
+                    self.stats.total_selected_routes += selected
+            self.stats.route_flush_bytes += flushed_bytes
             span.set(bytes=flushed_bytes)
         if self.metrics is not None:
             self.metrics.counter("cpo.flush_bytes").inc(flushed_bytes)
-            # One durable write per worker reply (each writes its file).
-            self.metrics.counter("storage.worker_writes").inc(len(results))
-        self.stats.shards_run += 1
+            # One durable write per worker and shard (each writes a file).
+            self.metrics.counter("storage.worker_writes").inc(
+                len(replies) * len(parts)
+            )
+        self.stats.shards_run += len(parts)
 
     # -- checkpoint/resume ----------------------------------------------------
 

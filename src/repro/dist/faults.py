@@ -222,7 +222,7 @@ class FaultSpec:
     def parse(cls, text: str) -> "FaultSpec":
         """Parse a CLI spec: ``kind[:key=value,...]``.
 
-        Example: ``crash:worker=1,shard=0,command=pull_round``.
+        Example: ``crash:worker=1,shard=0,round=2,command=step``.
         """
         kind, _, rest = text.partition(":")
         kind = kind.strip()
@@ -455,10 +455,10 @@ class FaultPlan:
 
 #: Every control-plane command a verify issues, and ``None`` (the
 #: worker's next call): where :func:`sample_plan` crashes workers.
+#: ``step`` runs every OSPF and BGP round.
 CONTROL_PLANE_CALLS = (
-    "compute_ospf_exports", "pull_ospf_round", "install_ospf_routes",
-    "export_ospf_state", "begin_shard", "compute_exports",
-    "deliver_routes_many", "pull_round", "flush_shard", None,
+    "step", "install_ospf_routes", "export_ospf_state", "begin_shard",
+    "flush_shard", None,
 )
 
 
@@ -514,7 +514,9 @@ def sample_host_loss_plan(seed: int, num_workers: int) -> FaultPlan:
     spec = FaultSpec(
         kind="host_loss",
         worker=rng.randrange(num_workers),
-        command=rng.choice(["pull_round", "compute_exports"]),
+        # Step 1 pulls round 0; step 0 computes round 0's exports.
+        command="step",
+        round=rng.choice([1, 0]),
         times=1,
         heal_after=100,
     )
@@ -541,8 +543,8 @@ def sample_network_plan(seed: int, num_workers: int) -> FaultPlan:
     return FaultPlan(specs, seed=seed)
 
 
-#: Every round issues these RPCs, so a wire fault sampled on one fires.
-_HOT_CALLS = ("pull_round", "compute_exports", "deliver_routes_many")
+#: Every round issues this RPC, so a wire fault sampled on it fires.
+_HOT_CALLS = ("step",)
 
 
 def _wire_fault(
@@ -590,7 +592,8 @@ def sample_serve_plan(seed: int, num_workers: int) -> FaultPlan:
         spec = FaultSpec(
             kind=kind,
             worker=rng.randrange(num_workers),
-            command=rng.choice(["pull_round", "compute_exports"]),
+            command="step",
+            round=rng.choice([1, 0]),
             times=1,
         )
         if kind == "host_loss":

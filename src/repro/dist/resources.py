@@ -91,7 +91,8 @@ class WorkerResources:
     route_work: int = 0           # Σ route updates processed
     bdd_ops: int = 0
     rpc_bytes_sent: int = 0
-    rpc_messages_sent: int = 0
+    rpc_messages_sent: int = 0    # route and packet batches sent
+    calls: int = 0                # commands issued to it (call_nowait)
     oom: bool = False
     respawns: int = 0             # times this worker was respawned/reset
 

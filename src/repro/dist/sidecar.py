@@ -7,19 +7,23 @@ the sender at its pickled size from :func:`~repro.dist.message.measured_size`
 (``rpc_bytes_sent``, ``rpc_messages_sent``), so the communication columns
 of the figures come from real payloads, not guesses.
 
-Route batches are stamped with a per-sender sequence number so receivers
-can discard duplicated deliveries, and an optional
-:class:`~repro.dist.faults.FaultPlan` can drop or duplicate batches at
-this layer — the injection point for lost-message experiments (the CPO
-detects drops and forces an extra round, which heals the mailboxes).
-The plan counts what it fires; the receivers' ``deliver_routes_many``
-replies count the duplicates they discarded.
+Route batches ride the BGP and OSPF supersteps: the CPO relays each
+worker's ``step`` outbound batches through the sender's
+:meth:`Sidecar.queue_routes` and hands the copies it returns to the
+receivers' next ``step``.  Each batch is stamped with a per-sender
+sequence number so receivers can discard duplicated deliveries, and an
+optional :class:`~repro.dist.faults.FaultPlan` can drop or duplicate
+batches at this layer — the injection point for lost-message experiments
+(the CPO detects drops, forces an extra round and has the next step ship
+every export, which heals the mailboxes).  The plan counts what it
+fires; the receivers' ``step`` replies count the duplicates they
+discarded.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from .faults import FaultPlan
@@ -41,10 +45,6 @@ class Sidecar:
         self.fault_plan = fault_plan
         self.metrics = metrics
         self._sequence = 0
-        # Per-round outbox for the pipelined exchange path: batches are
-        # queued (charged immediately) and shipped by flush_routes() as
-        # one coalesced delivery per target worker.
-        self._outbox: Dict[int, List[RouteBatch]] = {}
 
     @property
     def worker_id(self) -> int:
@@ -62,13 +62,13 @@ class Sidecar:
         self.metrics.counter("rpc.bytes_sent").inc(size)
         self.metrics.histogram("rpc.batch_bytes").observe(size)
 
-    def queue_routes(self, batch: RouteBatch) -> int:
-        """Queue one batch for the round's pipelined flush.
+    def queue_routes(self, batch: RouteBatch) -> Tuple[RouteBatch, ...]:
+        """Stamp one outbound batch for the receiver's next step; returns
+        the copies to deliver: none if the fault plan drops it, two (one
+        sequence number) if it duplicates it.
 
-        The batch is stamped with this sender's next sequence number and
-        its measured size is charged now, and the fault plan may drop or
-        duplicate it here; delivery is deferred to :meth:`flush_routes`,
-        which ships every target's batches in one coalesced call per peer.
+        The stamped batch's measured size is charged to this sender once
+        per copy put on the wire, a dropped one included.
         """
         self._sequence += 1
         batch = replace(batch, sequence=self._sequence)
@@ -79,39 +79,14 @@ class Sidecar:
         if self.fault_plan is not None:
             action = self.fault_plan.on_batch(batch.source_worker)
         if action == "drop":
-            return size
-        self._outbox.setdefault(batch.target_worker, []).append(batch)
+            return ()
         if action == "duplicate":
             # Redeliver the same sequence number: the receiver dedupes,
             # but the duplicate bytes are still charged to the sender.
             self.worker.resources.charge_rpc(size, messages=1)
             self._record("rpc.route_batches", size)
-            self._outbox[batch.target_worker].append(batch)
-        return size
-
-    def flush_routes(self) -> List:
-        """Ship the queued round, one ``deliver_routes_many`` per target.
-
-        Every delivery is issued without waiting (``call_nowait``) and
-        its handle returned: the caller **must** settle every handle
-        before Phase B pulls, since mailboxes must be filled before they
-        are read.
-        """
-        outbox, self._outbox = self._outbox, {}
-        handles: List = []
-        with self.worker.tracer.span(
-            "sidecar.flush_routes",
-            category="rpc",
-            targets=len(outbox),
-            batches=sum(len(b) for b in outbox.values()),
-        ):
-            for target_id in sorted(outbox):
-                handles.append(
-                    self.peers[target_id].worker.call_nowait(
-                        "deliver_routes_many", tuple(outbox[target_id])
-                    )
-                )
-        return handles
+            return (batch, batch)
+        return (batch,)
 
     def send_packets(self, batch: PacketBatch):
         """Issue one batch's delivery; the caller settles the returned

@@ -284,8 +284,10 @@ class SocketWorkerProxy:
         Injected call faults apply at issue: a delay sleeps, a crash
         kills the worker before the send or (``after_send``) right after
         it.  The span runs from issue to settle, so calls issued
-        together are siblings.
+        together are siblings.  Every call is counted in
+        ``resources.calls``.
         """
+        self.resources.calls += 1
         spec = post_send = None
         if self._fault_plan is not None:
             spec = self._fault_plan.on_call(self.worker_id, command)

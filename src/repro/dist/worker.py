@@ -4,14 +4,16 @@ A worker hosts the :class:`~repro.routing.node.RouterNode` models of its
 assigned switches ("real" nodes) and lightweight :class:`ShadowNode`
 stand-ins for every switch hosted elsewhere.  A real node pulling routes
 calls ``neighbor.advertise(...)`` without knowing which kind it got —
-shadows answer from the worker's mailbox, which the sidecars fill with the
-boundary advertisements of remote workers each round (the batched
+shadows answer from the worker's mailbox, which each ``step`` fills with
+the boundary advertisements remote workers changed (the batched
 equivalent of the paper's RPC relay, Figure 2).
 
 Rounds are two-phase (compute exports, then pull), i.e. Jacobi iteration:
 every node reads neighbor state as of the round start.  This is what makes
 the distributed fixed point independent of how nodes are spread across
-workers — S2's RIBs match the monolithic engine's exactly.
+workers — S2's RIBs match the monolithic engine's exactly.  One ``step``
+call is one superstep: it delivers the previous round's inbound batches,
+pulls that round, and computes the next round's exports.
 
 For the data plane the worker owns a private BDD engine (§4.3 option 2),
 builds FIBs for its real nodes from the route store (or patches them after
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Dict,
@@ -41,6 +43,7 @@ from typing import (
 from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
 from ..bdd.serialize import SerializedBdd, deserialize, serialize
+from ..config.ast import DeviceConfig
 from ..config.loader import Snapshot
 from ..dataplane.classes import (
     RECEIVE,
@@ -172,10 +175,8 @@ class Worker:
         # serving
         "begin_epoch", "rebind_snapshot",
         # control plane
-        "begin_shard", "compute_exports", "deliver_routes_many",
-        "pull_round", "flush_shard",
+        "begin_shard", "step", "flush_shard",
         # OSPF
-        "compute_ospf_exports", "pull_ospf_round",
         "install_ospf_routes", "export_ospf_state", "restore_ospf_state",
         # data plane
         "build_dataplane", "set_waypoint_bit", "clear_waypoints",
@@ -202,6 +203,9 @@ class Worker:
         self.ospf: Dict[str, OspfProcess] = {}
         self._shadows: Dict[str, ShadowNode] = {}
         self.mailbox: Dict[Tuple[str, int], Advertisement] = {}
+        # Boundary session -> the export tuple last shipped on it: a step
+        # ships only the sessions whose tuple is not this one.
+        self._shipped: Dict[Tuple[str, int], Advertisement] = {}
         self.ospf_mailbox: Dict[
             Tuple[str, int], Dict[Prefix, Tuple[int, frozenset]]
         ] = {}
@@ -277,8 +281,10 @@ class Worker:
 
         Injected call faults apply here, as at the proxy: a delay sleeps,
         and a crash fails the call with :class:`InjectedWorkerCrash`
-        before the command runs.
+        before the command runs.  Every call is counted in
+        ``resources.calls``.
         """
+        self.resources.calls += 1
         try:
             if command not in self.COMMANDS:
                 raise LookupError(f"{command!r} is not a worker command")
@@ -344,8 +350,7 @@ class Worker:
         self.nodes.clear()
         self.ospf.clear()
         self._shadows.clear()
-        self.mailbox.clear()
-        self.ospf_mailbox.clear()
+        self._clear_mailboxes()
         self._batch_sequences.clear()
         self._ospf_installed = {}
         self.epoch = -1
@@ -400,30 +405,32 @@ class Worker:
 
     def rebind_snapshot(
         self,
-        snapshot: Snapshot,
-        changed_hosts: Sequence[str] = (),
+        configs: Dict[str, DeviceConfig],
         epoch: Optional[int] = None,
     ) -> None:
-        """Swap in a delta'd snapshot without discarding resident state.
+        """Swap in the changed devices' configs without discarding
+        resident state.
 
         The incremental path for announce-only deltas: topology, the
         assignment, and the IGP result are unchanged by construction, so
-        only the changed devices' node models are rebuilt (their OSPF
-        routes reinstalled from the retained checkpoint); every other
-        node keeps its warm state.  ``epoch``, when given, seeds the
-        fence in the same call — one RPC instead of two per worker.
+        ``configs`` holds only the changed hosts.  Every worker patches
+        its snapshot's config map (``_egress`` reads peers' ACLs), and
+        rebuilds the node models of the hosts it owns (their OSPF routes
+        reinstalled from the retained checkpoint); every other node keeps
+        its warm state.  ``epoch``, when given, seeds the fence in the
+        same call — one RPC instead of two per worker.
         """
-        self.snapshot = snapshot
-        for hostname in changed_hosts:
+        snapshot = self.snapshot = replace(
+            self.snapshot, configs={**self.snapshot.configs, **configs}
+        )
+        for hostname, config in configs.items():
             if self.assignment.get(hostname) != self.worker_id:
                 continue
-            config = snapshot.configs[hostname]
             self.nodes[hostname] = RouterNode(config, snapshot.topology)
             self.ospf[hostname] = OspfProcess(config, snapshot.topology)
             for route in self._ospf_installed.get(hostname, ()):
                 self.nodes[hostname].main_rib.add(route)
-        self.mailbox.clear()
-        self.ospf_mailbox.clear()
+        self._clear_mailboxes()
         if epoch is not None:
             self.epoch = epoch
 
@@ -438,8 +445,15 @@ class Worker:
         prefixes = shard.prefixes if shard is not None else None
         for node in self.nodes.values():
             node.begin_shard(prefixes)
-        self.mailbox.clear()
+        self._clear_mailboxes()
         self._selected = None
+
+    def _clear_mailboxes(self) -> None:
+        """Forget every received advertisement and, with them, what was
+        shipped: the next step must ship every boundary session."""
+        self.mailbox.clear()
+        self.ospf_mailbox.clear()
+        self._shipped.clear()
 
     def finish_shard(self) -> ShardRoutes:
         """Collect the shard's selected routes and free the RIBs."""
@@ -449,43 +463,44 @@ class Worker:
             if selected:
                 result[hostname] = selected
             node.begin_shard(frozenset())  # free per-shard memory
-        self.mailbox.clear()
+        self._clear_mailboxes()
         self.update_memory(enforce=False)
         return result
 
     def flush_shard(
         self,
         store_dir: str,
-        shard_index: int,
-        shard: Optional[PrefixShard] = None,
-    ) -> Tuple[int, int]:
-        """Persist the converged routes of flush index ``shard_index``
-        (§3.1: write to disk).
+        parts: Sequence[Tuple[int, Optional[PrefixShard]]],
+    ) -> List[Tuple[int, int]]:
+        """Persist a converged batch's routes (§3.1: write to disk), one
+        file per ``(flush index, shard)`` part.
 
-        The first flush after ``begin_shard`` finishes the RIBs; a batch
-        of shards then flushes once per shard, each call taking only
-        ``shard``'s prefixes (None: every converged route).  Returns
-        ``(bytes written, selected routes)``.  In the socket runtime
-        this happens inside the worker process, so converged RIBs never
-        travel over the wire.
+        The first flush after ``begin_shard`` finishes the RIBs; each
+        part takes only ``shard``'s prefixes (None: every converged
+        route).  Returns ``(bytes written, selected routes)`` per part.
+        In the socket runtime this happens inside the worker process, so
+        converged RIBs never travel over the wire.
         """
-        with self.tracer.span(
-            "worker.flush", category="cpo", shard=shard_index
-        ) as span:
-            if self._selected is None:
-                self._selected = self.finish_shard()
-            shard_routes = self._take_selected(shard)
-            written = RouteStore(store_dir).write_shard(
-                self.worker_id, shard_index, shard_routes
-            )
-            selected = sum(
-                len(routes)
-                for node_routes in shard_routes.values()
-                for routes in node_routes.values()
-            )
-            span.set(bytes=written, selected=selected)
+        if self._selected is None:
+            self._selected = self.finish_shard()
+        results = []
+        for shard_index, shard in parts:
+            with self.tracer.span(
+                "worker.flush", category="cpo", shard=shard_index
+            ) as span:
+                shard_routes = self._take_selected(shard)
+                written = RouteStore(store_dir).write_shard(
+                    self.worker_id, shard_index, shard_routes
+                )
+                selected = sum(
+                    len(routes)
+                    for node_routes in shard_routes.values()
+                    for routes in node_routes.values()
+                )
+                span.set(bytes=written, selected=selected)
+            results.append((written, selected))
         self.last_phase = "flush_shard"
-        return written, selected
+        return results
 
     def _take_selected(self, shard: Optional[PrefixShard]) -> ShardRoutes:
         """Remove and return ``shard``'s part of the finished batch."""
@@ -504,16 +519,57 @@ class Worker:
                 taken[hostname] = part
         return taken
 
-    # -- control plane: one round (two phases) ---------------------------------
+    # -- control plane: one superstep per round ---------------------------
 
-    def compute_exports(self, round_token: int) -> Dict[int, RouteBatch]:
+    def step(
+        self,
+        round_token: int,
+        inbound: Sequence[RouteBatch] = (),
+        full: bool = False,
+        ospf: bool = False,
+    ) -> Tuple[int, Any, Tuple[RouteBatch, ...]]:
+        """One superstep: deliver ``inbound`` (round ``round_token - 1``'s
+        boundary batches, deduplicated per sender), pull that round
+        (not at round 0), then compute round ``round_token``'s exports.
+
+        Returns ``(duplicates discarded, the pull's outcome or None,
+        outbound batches)``; the outcome is a :class:`PullOutcome`, or
+        with ``ospf`` (an IGP round) the changed flag.  BGP ships only
+        the boundary sessions whose export changed since it last shipped
+        them, or every one when ``full``.
+        """
+        before = self.duplicate_batches
+        for batch in inbound:
+            self.deliver_routes(batch)
+        outcome = None
+        if round_token > 0:
+            outcome = (
+                self.pull_ospf_round() if ospf
+                else self.pull_round(round_token - 1)
+            )
+        outbound = (
+            self.compute_ospf_exports() if ospf
+            else self.compute_exports(round_token, full)
+        )
+        self.last_phase = "step"
+        return (
+            self.duplicate_batches - before, outcome, tuple(outbound.values())
+        )
+
+    def compute_exports(
+        self, round_token: int, full: bool = True
+    ) -> Dict[int, RouteBatch]:
         """Phase A: every real node computes this round's exports.
 
         Local sessions are warmed into the node's export cache; sessions
-        whose importer lives elsewhere are batched per target worker.
+        whose importer lives elsewhere are batched per target worker —
+        unless not ``full`` and the tuple is the one last shipped (a node
+        returns the same tuple while its state has not moved), which the
+        receiver's mailbox still holds.
         """
         self.last_round = round_token
         boundary: Dict[int, BoundaryExports] = {}
+        shipped = self._shipped
         before = self._node_totals()
         with self.tracer.span(
             "worker.exports", category="cpo", round=round_token
@@ -524,19 +580,21 @@ class Worker:
                     owner = self.assignment.get(session.neighbor)
                     if owner is None or owner == self.worker_id:
                         continue
-                    boundary.setdefault(owner, {})[
-                        (hostname, session.peer_ip)
-                    ] = exports
+                    key = (hostname, session.peer_ip)
+                    if not full and shipped.get(key) is exports:
+                        continue
+                    shipped[key] = exports
+                    boundary.setdefault(owner, {})[key] = exports
             delta = self._phase_a = self._node_totals()
             delta.subtract(before)
             span.set(
                 boundary_targets=len(boundary),
+                shipped=sum(map(len, boundary.values())),
                 computed=delta["exports_computed"],
                 reused=delta["exports_reused"],
                 transforms_computed=delta["transforms_computed"],
                 transforms_reused=delta["transforms_reused"],
             )
-        self.last_phase = "compute_exports"
         return {
             target: RouteBatch(
                 source_worker=self.worker_id,
@@ -548,7 +606,8 @@ class Worker:
         }
 
     def deliver_routes(self, batch: RouteBatch) -> None:
-        """Sidecar delivery: fill the mailbox the shadows answer from.
+        """One inbound batch of a step: fill the mailbox the shadows
+        answer from.
 
         Deliveries are deduplicated by the batch's per-sender sequence
         number: an RPC transport may redeliver on retry, and applying a
@@ -566,21 +625,6 @@ class Worker:
         if batch.ospf_exports:
             for key, vector in batch.ospf_exports.items():
                 self.ospf_mailbox[key] = vector
-
-    def deliver_routes_many(self, batches: Sequence[RouteBatch]) -> int:
-        """Deliver one round's worth of batches in a single call; returns
-        how many of them were duplicates and discarded.
-
-        The pipelined exchange path coalesces every batch bound for this
-        worker into one RPC per round, so a remote runtime pays one
-        round trip per (sender set, receiver) instead of one per batch.
-        Dedup semantics are per-batch, identical to repeated
-        :meth:`deliver_routes` calls.
-        """
-        before = self.duplicate_batches
-        for batch in batches:
-            self.deliver_routes(batch)
-        return self.duplicate_batches - before
 
     def pull_round(self, round_token: int) -> PullOutcome:
         """Phase B: every real node pulls from its (real or shadow) peers."""
@@ -611,7 +655,6 @@ class Worker:
         # The round's memory estimate, taken before anything else touches
         # this worker's state (the next round's deliveries).
         self.update_memory()
-        self.last_phase = "pull_round"
         phase_a, self._phase_a = self._phase_a, Counter()
         both = phase_a + delta
         return PullOutcome(

@@ -230,6 +230,7 @@ class VerifierSession:
         # compare against the symbolic verdicts (0 = off).
         self._ground_truth_every = max(0, ground_truth_every)
         self._commits = 0
+        self._calls = 0  # worker calls issued up to the last commit
         self.last_ground_truth: Optional[Dict[str, Any]] = None
         self._queue: "queue.Queue" = queue.Queue(maxsize=max(1, queue_limit))
         self._controller = self._boot(warm_boot)
@@ -341,9 +342,11 @@ class VerifierSession:
         with self._view_lock:
             self._committed = view
         self.last_commit_ts = time.time()
+        calls, self._calls = self._calls, controller.worker_calls()
         self.journal.record(
             "epoch_commit",
             epoch=self.epoch,
+            rpcs=self._calls - calls,
             endpoints=len(endpoints),
             reachable_pairs=len(view.pairs),
             recheck=recheck,

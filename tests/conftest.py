@@ -114,6 +114,41 @@ def commit_records(session):
     ]
 
 
+#: The BGP ``step`` runs two phases, by the worker method that runs each:
+#: round ``r``'s exports in step ``r``, and its pull in step ``r + 1``.
+STEP_PHASES = {"compute_exports": 0, "pull_round": 1}
+
+
+def call_site(site, round=None):
+    """The ``FaultSpec`` fields of a call fault at ``site``: a worker
+    command, or a phase of the BGP ``step`` of round ``round`` (0 when
+    None) named as in :data:`STEP_PHASES`."""
+    if site in STEP_PHASES:
+        return {"command": "step", "round": (round or 0) + STEP_PHASES[site]}
+    return {"command": site, "round": round}
+
+
+def converge_steps(workers, sidecars, max_rounds=50):
+    """Drive ``Worker.step`` by hand as the CPO does: each step's
+    outbound batches go through the sender's sidecar to the receivers'
+    next step, until a round changes no worker; returns the rounds."""
+    inbound = {}
+    for token in range(max_rounds + 1):
+        results = [
+            worker.step(token, inbound.get(worker.worker_id, ()), token == 0)
+            for worker in workers
+        ]
+        if token and not any(outcome.changed for _, outcome, _ in results):
+            return token
+        inbound = {}
+        for sidecar, (_, _, outbound) in zip(sidecars, results):
+            for batch in outbound:
+                inbound.setdefault(batch.target_worker, []).extend(
+                    sidecar.queue_routes(batch)
+                )
+    raise AssertionError(f"no fixed point within {max_rounds} rounds")
+
+
 def one_shard_per_batch(snapshot, options, shards=None):
     """The largest ``worker_capacity`` under which the CPO's planner puts
     no two consecutive shards of the run's packing (or of ``shards``, in

@@ -36,7 +36,7 @@ from repro.routing.engine import ConvergenceError, SimulationEngine
 from repro.routing.node import RouterNode
 from repro.routing.route import Origin
 
-from tests.conftest import normalize_ribs, one_shard_per_batch
+from tests.conftest import call_site, normalize_ribs, one_shard_per_batch
 from tests.test_bgp_node import P_A, chain_snapshot, cisco
 
 RUNTIMES = ["sequential", "socket"]
@@ -221,9 +221,9 @@ def _fault_plan(fault: str) -> FaultPlan:
         return FaultPlan(
             [FaultSpec(kind=fault, round=r, shard=0) for r in range(12)]
         )
-    _kind, command = fault.split(":")
+    _kind, phase = fault.split(":")
     return FaultPlan(
-        [FaultSpec(kind="crash", worker=1, command=command, round=2)]
+        [FaultSpec(kind="crash", worker=1, **call_site(phase, round=2))]
     )
 
 

@@ -21,6 +21,8 @@ from repro.dist.worker import ShadowNode, Worker
 from repro.net.ip import Prefix
 from repro.routing.route import BgpRoute
 
+from tests.conftest import converge_steps
+
 
 class TestCostModel:
     def test_memory_bytes_components(self):
@@ -183,17 +185,7 @@ class TestWorker:
         _, expected = fattree4_sim
         for w in workers:
             w.begin_shard(None)
-        for round_token in range(50):
-            for worker, sidecar in zip(workers, sidecars):
-                for batch in worker.compute_exports(round_token).values():
-                    sidecar.queue_routes(batch)
-            for sidecar in sidecars:
-                sidecar.flush_routes()
-            changed = False
-            for worker in workers:
-                changed |= worker.pull_round(round_token).changed
-            if not changed:
-                break
+        converge_steps(workers, sidecars)
         merged = {}
         for worker in workers:
             merged.update(worker.finish_shard())
@@ -204,14 +196,7 @@ class TestWorker:
         workers, sidecars = worker_pair
         for w in workers:
             w.begin_shard(None)
-        for round_token in range(50):
-            for worker, sidecar in zip(workers, sidecars):
-                for batch in worker.compute_exports(round_token).values():
-                    sidecar.queue_routes(batch)
-            for sidecar in sidecars:
-                sidecar.flush_routes()
-            if not any(w.pull_round(round_token).changed for w in workers):
-                break
+        converge_steps(workers, sidecars)
         before = workers[0].update_memory(enforce=False)
         workers[0].finish_shard()
         after = workers[0].update_memory(enforce=False)
@@ -222,8 +207,8 @@ class TestWorker:
         batch = RouteBatch(
             source_worker=0, target_worker=1, round_token=0, exports={}
         )
-        size = sidecars[0].queue_routes(batch)
-        sidecars[0].flush_routes()
+        (stamped,) = sidecars[0].queue_routes(batch)
+        size = measured_size(stamped)
         assert size == measured_size(batch)
         assert workers[0].resources.rpc_bytes_sent == size
         assert workers[1].resources.rpc_bytes_sent == 0
@@ -235,14 +220,7 @@ class TestWorker:
         shard = make_shards(fattree4, 4)[0]
         for w in workers:
             w.begin_shard(shard)
-        for round_token in range(50):
-            for worker, sidecar in zip(workers, sidecars):
-                for batch in worker.compute_exports(round_token).values():
-                    sidecar.queue_routes(batch)
-            for sidecar in sidecars:
-                sidecar.flush_routes()
-            if not any(w.pull_round(round_token).changed for w in workers):
-                break
+        converge_steps(workers, sidecars)
         merged = {}
         for worker in workers:
             merged.update(worker.finish_shard())

@@ -60,25 +60,25 @@ def _plan() -> FaultPlan:
     return FaultPlan(
         [
             # The seven worker phases that used to inject in process.
-            crash(1, "pull_ospf_round"),
-            crash(2, "compute_exports"),
-            crash(1, "pull_round"),
+            crash(1, "step", round=-1),  # an OSPF step
+            crash(2, "step", round=0),
+            crash(1, "step", round=1),
             crash(1, "flush_shard", shard=0),
             crash(2, "build_dataplane"),
             crash(1, "class_actions"),
             crash(2, "drain"),
             FaultSpec(
-                kind="delay", worker=1, command="compute_exports",
+                kind="delay", worker=1, command="step",
                 delay=0.001, probability=0.5, times=2,
             ),
             FaultSpec(kind="drop", worker=SENDER),
             FaultSpec(kind="duplicate", worker=SENDER),
-            # Round 1 of the BGP batch: past the crashes in round 0, and
-            # long after the sender's OSPF batches were dropped and
-            # duplicated.
+            # Round 1's pull, in step 2 of the BGP batch: past the
+            # crashes in its first steps, and long after the sender's
+            # OSPF batches were dropped and duplicated.
             FaultSpec(
-                kind="host_loss", worker=SENDER, command="pull_round",
-                round=1, heal_after=100,
+                kind="host_loss", worker=SENDER, command="step",
+                round=2, heal_after=100,
             ),
         ],
         seed=7,
@@ -158,8 +158,7 @@ def test_error_is_a_wire_fault_absorbed_by_the_channel(
     socket each firing is one channel retry, and none reaches recovery."""
     times = 2
     plan = FaultPlan(
-        [FaultSpec(kind="error", worker=1, command="compute_exports",
-                   times=times)]
+        [FaultSpec(kind="error", worker=1, command="step", times=times)]
     )
     with S2Verifier(snapshot, _options(runtime, plan)) as verifier:
         stats = verifier.run_control_plane()
@@ -214,8 +213,8 @@ def test_two_crashes_in_one_fan_out_are_recovered_together(
         fattree,
         runtime,
         [
-            FaultSpec(kind="crash", worker=0, command="pull_round"),
-            FaultSpec(kind="crash", worker=1, command="pull_round"),
+            FaultSpec(kind="crash", worker=0, command="step", round=1),
+            FaultSpec(kind="crash", worker=1, command="step", round=1),
         ],
     )
     assert fired == {"crash": 2}
@@ -271,7 +270,7 @@ def test_a_crash_while_rejoining_is_recovered_by_the_same_loop(
         snapshot,
         runtime,
         [
-            FaultSpec(kind="crash", worker=1, command="pull_round"),
+            FaultSpec(kind="crash", worker=1, command="step", round=1),
             FaultSpec(kind="crash", worker=1, command="restore_ospf_state"),
         ],
     )
@@ -308,4 +307,4 @@ def test_both_runtimes_issue_the_same_worker_calls(snapshot):
         calls[runtime] = plan.calls
     assert calls["sequential"] == calls["socket"]
     commands = {command for _worker, command in calls["sequential"]}
-    assert {"export_ospf_state", "pull_ospf_round", "pull_round"} <= commands
+    assert {"export_ospf_state", "step", "flush_shard"} <= commands

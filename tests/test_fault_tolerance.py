@@ -29,13 +29,14 @@ from repro.dist.storage import CorruptShardError, RouteStore, RunManifest
 from repro.net.fattree import FatTreeSpec, render_configs
 from repro.routing.engine import ConvergenceError, SimulationEngine
 
-from tests.conftest import normalize_ribs
+from tests.conftest import call_site, normalize_ribs, one_shard_per_batch
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 RUNTIMES = ["sequential", "socket"]
-# One crash per pipeline stage: BGP phase A, BGP phase B, the shard
-# flush, the data-plane build, and the forwarding superstep.
+# One crash per pipeline stage: BGP phase A (round 0's exports, in step
+# 0), BGP phase B (round 0's pull, in step 1), the shard flush, the
+# data-plane build, and the forwarding superstep.
 CRASH_SITES = [
     "compute_exports",
     "pull_round",
@@ -70,7 +71,7 @@ def test_crash_recovery_matrix(site, runtime, fattree4, baseline):
     """A worker crash at any stage, under any runtime, is invisible in
     the results: same reachability verdicts, same RIBs."""
     base_result, base_ribs = baseline
-    plan = FaultPlan([FaultSpec(kind="crash", worker=1, command=site)])
+    plan = FaultPlan([FaultSpec(kind="crash", worker=1, **call_site(site))])
     options = _options(runtime=runtime, fault_plan=plan)
     with S2Verifier(fattree4, options) as verifier:
         # All-pair reachability is answered by closure on this ACL-free
@@ -139,7 +140,7 @@ def test_transient_rpc_errors_are_retried(fattree4, baseline):
     retry loop without ever reaching shard-level recovery."""
     _, base_ribs = baseline
     plan = FaultPlan(
-        [FaultSpec(kind="error", worker=1, command="compute_exports", times=2)]
+        [FaultSpec(kind="error", worker=1, command="step", times=2)]
     )
     policy = RetryPolicy(backoff_base=0.001)
     with S2Controller(
@@ -165,7 +166,8 @@ def test_crash_after_send_is_recovered(fattree4, baseline):
             FaultSpec(
                 kind="crash",
                 worker=2,
-                command="pull_round",
+                command="step",
+                round=1,
                 where="after_send",
             )
         ]
@@ -186,7 +188,7 @@ def test_transient_respawn_failure_heals_within_budget(fattree4, baseline):
     _, base_ribs = baseline
     plan = FaultPlan(
         [
-            FaultSpec(kind="crash", worker=1, command="pull_round"),
+            FaultSpec(kind="crash", worker=1, command="step", round=1),
             FaultSpec(kind="respawn_fail", worker=1),
         ]
     )
@@ -213,7 +215,7 @@ def test_respawn_failure_degrades_to_sequential(runtime, fattree4, baseline):
     plan = FaultPlan(
         [
             FaultSpec(
-                kind="host_loss", worker=w, command="pull_round",
+                kind="host_loss", worker=w, command="step", round=1,
                 heal_after=100,
             )
             for w in range(3)
@@ -241,7 +243,8 @@ def test_permanent_loss_matrix(site, runtime, fattree4, baseline):
     plan = FaultPlan(
         [
             FaultSpec(
-                kind="host_loss", worker=1, command=site, heal_after=100
+                kind="host_loss", worker=1, heal_after=100,
+                **call_site(site),
             )
         ]
     )
@@ -281,7 +284,7 @@ def test_loss_mid_ospf_is_bit_identical():
     plan = FaultPlan(
         [
             FaultSpec(
-                kind="host_loss", worker=1, command="pull_ospf_round",
+                kind="host_loss", worker=1, command="step", round=-1,
                 heal_after=100,
             )
         ]
@@ -310,7 +313,7 @@ def test_lost_worker_rejoins_after_heal(runtime, fattree4, baseline):
     plan = FaultPlan(
         [
             FaultSpec(
-                kind="host_loss", worker=1, command="pull_round",
+                kind="host_loss", worker=1, command="step", round=1,
                 heal_after=2,
             )
         ]
@@ -345,7 +348,7 @@ def test_loss_freezes_worker_accounting(runtime, fattree4):
     plan = FaultPlan(
         [
             FaultSpec(
-                kind="host_loss", worker=1, command="pull_round",
+                kind="host_loss", worker=1, command="step", round=1,
                 heal_after=100,
             )
         ]
@@ -386,7 +389,8 @@ def test_two_losses_in_a_row_follow_the_one_assignment_rule(
     plan = FaultPlan(
         [
             FaultSpec(
-                kind="host_loss", worker=1, shard=0, command="pull_round",
+                kind="host_loss", worker=1, shard=0, command="step",
+                round=1,
                 heal_after=100,
             ),
             FaultSpec(
@@ -432,12 +436,14 @@ from repro.dist.faults import WorkerFailure
 from repro.net.fattree import build_fattree
 
 snapshot = build_fattree(4)
-# Crash worker 1 on every flush of shard 2, with no recovery budget: the
-# run dies after shards 0 and 1 were flushed and recorded.
+# One shard per batch (a batch flushes in one fan-out).  Crash worker 1
+# on every flush of shard 2, with no recovery budget: the run dies after
+# shards 0 and 1 were flushed and recorded.
 plan = FaultPlan([FaultSpec(
     kind="crash", worker=1, shard=2, command="flush_shard", times=0)])
 options = S2Options(
     num_workers=3, num_shards=4, store_dir={store!r},
+    worker_capacity={capacity!r},
     fault_plan=plan, retry_policy=RetryPolicy(max_replays=0))
 controller = S2Controller(snapshot, options)
 try:
@@ -454,13 +460,17 @@ def test_kill_and_resume_roundtrip(fattree4, fattree4_sim, tmp_path):
     RIBs match the monolithic oracle exactly."""
     _, oracle = fattree4_sim
     store = str(tmp_path / "spool")
-    script = _KILL_SCRIPT.format(src=SRC_DIR, store=store)
+    capacity = one_shard_per_batch(fattree4, _options(num_shards=4))
+    script = _KILL_SCRIPT.format(src=SRC_DIR, store=store, capacity=capacity)
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, timeout=240
     )
     assert proc.returncode == 9, proc.stderr.decode()[-2000:]
 
-    options = S2Options(num_workers=3, num_shards=4, store_dir=store)
+    options = S2Options(
+        num_workers=3, num_shards=4, store_dir=store,
+        worker_capacity=capacity,
+    )
     with S2Controller.resume(fattree4, options) as controller:
         manifest_before = controller.manifest.completed_shards()
         stats = controller.run_control_plane()
@@ -688,9 +698,9 @@ def test_manifest_roundtrip(tmp_path):
 
 
 def test_fault_spec_parse():
-    spec = FaultSpec.parse("crash:worker=1,round=3,command=pull_round")
+    spec = FaultSpec.parse("crash:worker=1,round=3,command=step")
     assert (spec.kind, spec.worker, spec.round) == ("crash", 1, 3)
-    assert spec.command == "pull_round"
+    assert spec.command == "step"
     spec = FaultSpec.parse("delay:delay=0.5,times=0,probability=0.25")
     assert (spec.delay, spec.times, spec.probability) == (0.5, 0, 0.25)
     with pytest.raises(ValueError, match="unknown fault kind"):
@@ -701,33 +711,33 @@ def test_fault_spec_parse():
 
 def test_fault_plan_respects_times_and_context():
     plan = FaultPlan(
-        [FaultSpec(kind="crash", worker=1, shard=1, command="pull_round")]
+        [FaultSpec(kind="crash", worker=1, shard=1, command="step")]
     )
     plan.set_context(shard=0, round_token=0)
-    assert plan.on_call(1, "pull_round") is None   # wrong shard
+    assert plan.on_call(1, "step") is None   # wrong shard
     plan.set_context(shard=1)
-    assert plan.on_call(0, "pull_round") is None   # wrong worker
-    assert plan.on_call(1, "compute_exports") is None  # wrong site
-    assert plan.on_call(1, "pull_round") is not None
+    assert plan.on_call(0, "step") is None   # wrong worker
+    assert plan.on_call(1, "begin_shard") is None  # wrong site
+    assert plan.on_call(1, "step") is not None
     plan.set_context(round_token=1)
-    assert plan.on_call(1, "pull_round") is None   # times=1 exhausted
+    assert plan.on_call(1, "step") is None   # times=1 exhausted
     assert plan.count("crash") == 1
 
 
 def test_fault_plan_matches_a_shard_inside_its_batch():
-    """While a batch converges, every flush index in it is in flight;
-    while one shard flushes, only its own index is."""
+    """While a batch converges or flushes, every flush index in it is
+    in flight."""
     plan = FaultPlan(
-        [FaultSpec(kind="crash", shard=2, command="pull_round", times=0)]
+        [FaultSpec(kind="crash", shard=2, command="step", times=0)]
     )
     plan.set_context(shard=[0, 1], round_token=0)
-    assert plan.on_call(0, "pull_round") is None   # not in this batch
+    assert plan.on_call(0, "step") is None   # not in this batch
     plan.set_context(shard=[0, 1, 2, 3])
-    assert plan.on_call(0, "pull_round") is not None
-    plan.set_context(shard=[1])                    # shard 1 flushes
-    assert plan.on_call(0, "pull_round") is None
-    plan.set_context(shard=2)                      # a bare index
-    assert plan.on_call(0, "pull_round") is not None
+    assert plan.on_call(0, "step") is not None
+    plan.set_context(shard=[1])              # another batch flushes
+    assert plan.on_call(0, "step") is None
+    plan.set_context(shard=2)                # a bare index
+    assert plan.on_call(0, "step") is not None
     assert plan.count("crash") == 2
 
 
@@ -762,13 +772,13 @@ def test_in_process_crash_raises_worker_failure(fattree4):
     assignment = {name: 0 for name in fattree4.configs}
     worker = Worker(0, fattree4, assignment)
     worker.fault_plan = FaultPlan(
-        [FaultSpec(kind="crash", command="compute_exports")]
+        [FaultSpec(kind="crash", command="step")]
     )
     with pytest.raises(InjectedWorkerCrash) as excinfo:
-        worker.call_nowait("compute_exports", 0).result()
+        worker.call_nowait("step", 0).result()
     assert isinstance(excinfo.value, WorkerFailure)
     assert excinfo.value.worker_id == 0
-    assert excinfo.value.command == "compute_exports"
+    assert excinfo.value.command == "step"
 
 
 # -- socket pool supervision -----------------------------------------------
@@ -839,7 +849,7 @@ def test_cli_inject_fault_and_store_dir(tmp_path, capsys):
             "--store-dir",
             store,
             "--inject-fault",
-            "crash:worker=1,command=pull_round",
+            "crash:worker=1,round=1,command=step",
         ]
     )
     out = capsys.readouterr().out

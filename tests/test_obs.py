@@ -336,12 +336,11 @@ class TestTracedPipeline:
         }
         assert tracks == {"controller", "worker0", "worker1"}
         names = {e["name"] for e in events if e["ph"] == "X"}
-        assert {"cpo.run", "cpo.round", "rpc.pull_round",
-                "handle.pull_round", "worker.pull",
-                "rpc.deliver_routes_many", "handle.deliver_routes_many",
+        assert {"cpo.run", "cpo.step", "rpc.step", "handle.step",
+                "worker.exports", "worker.pull",
                 "dpo.build", "bdd.compile"} <= names
         # every flow start has a matching finish (no faults injected),
-        # pipelined deliver_routes_many calls included
+        # the step calls included
         starts = {e["id"] for e in events if e["ph"] == "s"}
         finishes = {e["id"] for e in events if e["ph"] == "f"}
         assert starts and starts == finishes

@@ -2,10 +2,10 @@
 
 ``call_nowait`` must put the request on the wire immediately and hand
 back a future whose ``result()`` owns the whole retry/timeout machinery
-``call`` had; the sidecar outbox must coalesce a round's batches into
-one ``deliver_routes_many`` per target with accounting identical to the
-one-at-a-time path.  These are the semantics the CPO's overlapped
-exchange phase rests on.  ``Fleet.call_all`` fans every phase out over
+``call`` had; the batches a sidecar queues reach their receiver in its
+next ``step``, stamped, charged and deduplicated as one at a time.
+These are the semantics the CPO's one-call-per-round supersteps rest
+on.  ``Fleet.call_all`` fans every phase out over
 the same calls on both runtimes: issue all, settle all, then raise.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.dist.worker import Worker
 from repro.net.ip import Prefix
 from repro.routing.route import BgpRoute
 
+from tests.conftest import converge_steps
 from tests.test_transport import _fast_policy, harness  # noqa: F401
 
 
@@ -84,14 +86,14 @@ def test_window_backpressure_applies_at_issue(harness):  # noqa: F811
 
 def test_future_retries_through_faults(harness):  # noqa: F811
     plan = FaultPlan(
-        [FaultSpec(kind="torn_frame", worker=0, command="pull_round")]
+        [FaultSpec(kind="torn_frame", worker=0, command="step")]
     )
     h = harness(fault_plan=plan)
-    future = h.channel.call_nowait("pull_round", (7,))
-    assert future.result() == ("ok", ("echo", "pull_round", (7,)))
+    future = h.channel.call_nowait("step", (7,))
+    assert future.result() == ("ok", ("echo", "step", (7,)))
     assert h.channel.counters["retries"] >= 1
     # The torn copy never parsed: executed exactly once despite retry.
-    assert h.service.calls.count("pull_round") == 1
+    assert h.service.calls.count("step") == 1
 
 
 def test_pipelined_reorders_lose_no_frame(harness):  # noqa: F811
@@ -158,7 +160,10 @@ def _batch(source=0, target=1, round_token=0, exports=None):
     )
 
 
-def test_deliver_routes_many_equals_loop(fattree4):
+def test_step_dedups_inbound_like_deliver_routes(fattree4):
+    """A step applies its inbound batches with the per-sender dedup of
+    :meth:`Worker.deliver_routes`, and replies with the duplicates it
+    discarded."""
     result = partition(fattree4, 2, scheme="metis")
     a = Worker(1, fattree4, result.assignment)
     b = Worker(1, fattree4, result.assignment)
@@ -167,46 +172,50 @@ def test_deliver_routes_many_equals_loop(fattree4):
     )
     exporter = next(iter(a.nodes))
     batches = [
-        _batch(round_token=r, exports={(exporter, "x"): (route,)})
+        replace(
+            _batch(round_token=r, exports={(exporter, "x"): (route,)}),
+            sequence=r + 1,
+        )
         for r in range(3)
     ]
-    for batch in batches:
+    inbound = batches + [batches[-1]]  # the last one redelivered
+    for worker in (a, b):
+        worker.begin_shard(None)
+    for batch in inbound:
         a.deliver_routes(batch)
-    b.deliver_routes_many(batches)
+    duplicates, outcome, _outbound = b.step(0, inbound, True)
+    assert (duplicates, outcome) == (1, None)
     assert a.mailbox == b.mailbox
     assert a.status()["duplicate_batches"] == b.status()["duplicate_batches"]
 
 
 def test_queue_flush_matches_send(worker_pair):
+    """``queue_routes`` stamps the batch and charges the sender its
+    measured size; nothing reaches the receiver before its step."""
     workers, sidecars = worker_pair
     route = BgpRoute(
         prefix=Prefix.parse("10.9.0.0/24"), next_hop=1, from_node="x"
     )
     batch = _batch(exports={("x", "y"): (route,)})
-    size = sidecars[0].queue_routes(batch)
-    assert size == measured_size(
-        sidecars[0]._outbox[1][0]
-    )  # charged the stamped batch
+    (stamped,) = sidecars[0].queue_routes(batch)
+    assert stamped.sequence == 1
+    size = measured_size(stamped)
     assert workers[0].resources.rpc_bytes_sent == size
-    # Nothing delivered until the flush barrier.
     assert ("x", "y") not in workers[1].mailbox
-    handles = sidecars[0].flush_routes()
-    # One coalesced delivery for the one target, already settled: an
-    # in-process peer runs the call as it is issued.
-    assert len(handles) == 1
-    assert handles[0].result() == 0  # no duplicate discarded
+    assert workers[1].step(0, (stamped,), True)[0] == 0  # no duplicate
     assert workers[1].mailbox[("x", "y")] == (route,)
-    # A second flush is a no-op: the outbox was consumed.
-    assert sidecars[0].flush_routes() == []
 
 
 def test_queue_flush_coalesces_per_target(worker_pair):
     workers, sidecars = worker_pair
+    inbound = []
     for round_token in range(3):
-        sidecars[0].queue_routes(_batch(round_token=round_token))
-    sidecars[0].flush_routes()
+        batch = _batch(round_token=round_token)
+        inbound.extend(sidecars[0].queue_routes(batch))
+    workers[1].step(0, inbound, True)
     # Sequence numbers were stamped at queue time, in order; every
-    # batch landed (no dedup hits) via the one coalesced delivery.
+    # batch landed (no dedup hits) in the receiver's one step.
+    assert [batch.sequence for batch in inbound] == [1, 2, 3]
     assert workers[1]._batch_sequences[0] == 3
     assert workers[1].status()["duplicate_batches"] == 0
 
@@ -223,36 +232,29 @@ def test_queue_respects_fault_injection(fattree4):
     sidecars = [Sidecar(w, fault_plan=plan) for w in workers]
     for sidecar in sidecars:
         sidecar.register_peers(sidecars)
-    dropped = sidecars[0].queue_routes(_batch())      # eaten by the plan
-    duplicated = sidecars[0].queue_routes(_batch())   # delivered twice
-    assert dropped > 0 and duplicated > 0
+    assert sidecars[0].queue_routes(_batch()) == ()  # eaten by the plan
+    duplicated = sidecars[0].queue_routes(_batch())  # delivered twice
+    assert len(duplicated) == 2 and duplicated[0] is duplicated[1]
     assert plan.count("drop") == 1
     assert plan.count("duplicate") == 1
-    # The duplicate is charged to the sender like the send path does.
-    assert workers[0].resources.rpc_bytes_sent == dropped + 2 * duplicated
-    sidecars[0].flush_routes()
+    # The dropped batch is charged once, the duplicate twice.
+    size = measured_size(duplicated[0])
+    assert workers[0].resources.rpc_bytes_sent == 3 * size
     # The dropped batch (sequence 1) never arrived; the duplicated one
     # (sequence 2) arrived twice and the receiver deduped the replay.
+    assert workers[1].step(0, duplicated, True)[0] == 1
     assert workers[1]._batch_sequences[0] == 2
     assert workers[1].status()["duplicate_batches"] == 1
 
 
 def test_convergence_through_queue_flush(worker_pair, fattree4_sim):
-    """The pipelined exchange reaches the same fixed point as the
-    monolithic engine — queue+flush is a drop-in for send_routes."""
+    """Steps relayed through the sidecars reach the same fixed point as
+    the monolithic engine."""
     workers, sidecars = worker_pair
     _, expected = fattree4_sim
     for w in workers:
         w.begin_shard(None)
-    for round_token in range(50):
-        for worker, sidecar in zip(workers, sidecars):
-            for batch in worker.compute_exports(round_token).values():
-                sidecar.queue_routes(batch)
-        for sidecar in sidecars:
-            for handle in sidecar.flush_routes():
-                handle.result()
-        if not any(w.pull_round(round_token).changed for w in workers):
-            break
+    converge_steps(workers, sidecars)
     merged = {}
     for worker in workers:
         merged.update(worker.finish_shard())
@@ -267,10 +269,10 @@ RUNTIMES = ["sequential", "socket"]
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
 def test_failure_is_raised_after_every_call_settled(runtime, fattree4):
-    """Worker 0 crashes at its first ``compute_exports``; when recovery
-    starts, worker 1's call of the same phase has settled."""
+    """Worker 0 crashes at the batch's first ``step``; when recovery
+    starts, worker 1's call of the same step has settled."""
     plan = FaultPlan(
-        [FaultSpec(kind="crash", worker=0, command="compute_exports")]
+        [FaultSpec(kind="crash", worker=0, command="step", round=0)]
     )
     options = S2Options(
         num_workers=2,
@@ -299,7 +301,7 @@ def test_failure_is_raised_after_every_call_settled(runtime, fattree4):
     assert plan.count("crash") == 1
     # The peer ran the phase of the crashed round, and on socket its
     # channel has nothing left in flight.
-    assert seen == [(0, "compute_exports", 0, 0)]
+    assert seen == [(0, "step", 0, 0)]
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)

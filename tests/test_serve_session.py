@@ -679,7 +679,7 @@ def test_loss_during_reconfigure_commits_at_reduced_capacity(ft4):
         assert session.health()["capacity"]["lost_workers"] == 0
         plan.add(
             FaultSpec(
-                kind="host_loss", worker=1, command="pull_round",
+                kind="host_loss", worker=1, command="step", round=1,
                 heal_after=100,
             )
         )
@@ -737,7 +737,7 @@ def test_healed_host_is_rebalanced_back_at_an_epoch_boundary(
     plan = FaultPlan(
         [
             FaultSpec(
-                kind="host_loss", worker=1, command="pull_round",
+                kind="host_loss", worker=1, command="step", round=1,
                 heal_after=2,
             )
         ]
@@ -809,7 +809,7 @@ def test_heal_probe_that_raises_degrades_the_session(ft4):
     plan = FaultPlan(
         [
             FaultSpec(
-                kind="host_loss", worker=1, command="pull_round",
+                kind="host_loss", worker=1, command="step", round=1,
                 heal_after=100,
             )
         ]

@@ -225,8 +225,8 @@ def test_crash_mid_batch_replays_the_whole_batch(
     oracle = normalize_ribs(fattree4_sim[1])
     clean, _ = _run(fattree4, num_workers=WORKERS, num_shards=4)
     plan = FaultPlan(
-        [FaultSpec(kind="crash", worker=1, shard=2, command="pull_round",
-                   round=2)]
+        [FaultSpec(kind="crash", worker=1, shard=2, command="step",
+                   round=3)]
     )
     stats, ribs = _run(
         fattree4, num_workers=WORKERS, num_shards=4, runtime=runtime,
@@ -235,19 +235,19 @@ def test_crash_mid_batch_replays_the_whole_batch(
     assert plan.count("crash") == 1
     assert ribs == oracle
     assert stats.shard_replays == 1 and stats.batches_run == 1
-    # Rounds 0 and 1 completed before the crash; the replay reran the
-    # whole batch from begin_shard.
+    # Rounds 0 and 1 completed before the crash in round 2's pull (step
+    # 3); the replay reran the whole batch from begin_shard.
     assert stats.bgp_rounds == clean.bgp_rounds + 2
     assert stats.shards_run == 4
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
-def test_crash_in_a_flush_reflushes_only_the_rest(
+def test_crash_in_the_flush_replays_the_whole_batch(
     runtime, fattree4, fattree4_sim, tmp_path
 ):
-    """A crash while shard 2 flushes: shards 0 and 1 are already marked
-    in the manifest and keep their files; the replay converges the batch
-    again and flushes shards 2 and 3."""
+    """A crash in the batch's one flush fan-out (shard 2 is in it): no
+    shard landed, so the replay converges the batch again and flushes
+    all four shards, each once."""
     oracle = normalize_ribs(fattree4_sim[1])
     plan = FaultPlan(
         [FaultSpec(kind="crash", worker=1, shard=2, command="flush_shard")]
@@ -263,7 +263,7 @@ def test_crash_in_a_flush_reflushes_only_the_rest(
     assert plan.count("crash") == 1
     assert ribs == oracle
     assert stats.shard_replays == 1
-    assert stats.shards_run == 4  # 0, 1, then 2, 3 after the replay
+    assert stats.shards_run == 4  # all four, after the replay
     assert marked == [0, 1, 2, 3]
 
 
@@ -271,7 +271,7 @@ def test_fault_context_is_the_batch_during_rounds(fattree4):
     """A spec aimed at shard 3 fires in round 0 of the batch holding it:
     during the rounds every flush index of the batch is in flight."""
     plan = FaultPlan(
-        [FaultSpec(kind="crash", worker=0, shard=3, command="compute_exports")]
+        [FaultSpec(kind="crash", worker=0, shard=3, command="step", round=0)]
     )
     stats, _ = _run(fattree4, num_workers=WORKERS, num_shards=4,
                     fault_plan=plan)

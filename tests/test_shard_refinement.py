@@ -217,8 +217,8 @@ class TestBatchGrowth:
             clean = controller.cpo.run(shards)
         plan = FaultPlan([
             FaultSpec(
-                "crash", worker=1, shard=external, round=1,
-                command="pull_round",
+                "crash", worker=1, shard=external, round=2,
+                command="step",
             )
         ])
         options = split_options(dcn1, shards, 4, fault_plan=plan)

@@ -107,12 +107,13 @@ def test_socket_chaos_acceptance(fattree4, baseline):
             FaultSpec(
                 kind="partition",
                 worker=1,
-                command="pull_round",
+                command="step",
+                round=1,
                 where="response",
                 heal_after=2,
             ),
-            FaultSpec(kind="torn_frame", worker=0, command="compute_exports"),
-            FaultSpec(kind="crash", worker=2, command="pull_round"),
+            FaultSpec(kind="torn_frame", worker=0, command="step", round=0),
+            FaultSpec(kind="crash", worker=2, command="step", round=1),
         ]
     )
     options = _options(
@@ -404,11 +405,12 @@ def test_query_pool_issues_no_pending_packets_probe(sequential_pool,
 
 def test_memory_estimate_rides_on_pull_round(sequential_pool,
                                              traced_socket_pool):
-    """Each round's memory estimate comes back with ``pull_round``'s
-    response: no separate RPC, and the same peak as in-process."""
+    """Each round's memory estimate, taken by ``pull_round``, comes back
+    with its ``step``'s response: no separate RPC, and the same peak as
+    in-process."""
     _counts, _shards, peak, spans, _engine = traced_socket_pool
     names = {span["name"] for span in spans}
-    assert "rpc.pull_round" in names
+    assert "rpc.step" in names
     assert "rpc.update_memory" not in names
     assert "update_memory" not in Worker.COMMANDS
     assert peak == sequential_pool[2] > 0
@@ -416,16 +418,19 @@ def test_memory_estimate_rides_on_pull_round(sequential_pool,
 
 def test_socket_workers_trace_their_flushes(traced_socket_pool):
     """Socket workers run ``Worker.flush_shard`` itself: one
-    ``worker.flush`` span per (worker, flush) on the worker tracks."""
+    ``worker.flush`` span per (worker, shard) on the worker tracks, and
+    one ``cpo.flush`` fan-out for the batch."""
     _counts, shards, _peak, spans, _engine = traced_socket_pool
     flushes = sorted(
         (span["proc"], span["attrs"]["shard"])
         for span in spans
         if span["name"] == "worker.flush"
     )
-    flushed = sorted(
-        span["attrs"]["shard"] for span in spans if span["name"] == "cpo.flush"
-    )
+    (flushed,) = [
+        span["attrs"]["shards"]
+        for span in spans
+        if span["name"] == "cpo.flush"
+    ]
     assert len(flushed) == shards == 2
     assert flushes == sorted(
         (f"worker{worker}", shard)
@@ -526,7 +531,7 @@ def test_cli_socket_runtime_with_metrics_and_chaos(tmp_path, capsys):
             "--rpc-retries",
             "3",
             "--inject-fault",
-            "torn_frame:worker=0,command=compute_exports",
+            "torn_frame:worker=0,round=0,command=step",
             "--metrics-out",
             metrics_path,
         ]

@@ -257,13 +257,12 @@ def test_telemetry_survives_socket_chaos(fattree4):
 
     plan = FaultPlan(
         [
-            FaultSpec(
-                kind="torn_frame", worker=0, command="compute_exports"
-            ),
+            FaultSpec(kind="torn_frame", worker=0, command="step", round=0),
             FaultSpec(
                 kind="partition",
                 worker=1,
-                command="pull_round",
+                command="step",
+                round=1,
                 where="response",
                 heal_after=2,
             ),

@@ -194,7 +194,7 @@ def test_call_timeout_raises_and_counts(harness):
     h = harness(policy=policy)
     h.service.stall = threading.Event()  # never set: the handler hangs
     with pytest.raises(RpcTimeoutError, match="did not answer"):
-        h.channel.call("pull_round")
+        h.channel.call("step")
     assert h.channel.counters["timeouts"] >= 1
     h.service.stall.set()
 
@@ -218,7 +218,7 @@ def test_call_timeout_raises_and_counts(harness):
     try:
         started = time.monotonic()
         with pytest.raises(RpcTimeoutError, match="did not answer"):
-            channel.call("pull_round")
+            channel.call("step")
         assert time.monotonic() - started < 2.0
         assert channel.counters["timeouts"] == 1
     finally:
@@ -277,17 +277,17 @@ def test_window_backpressure(harness):
 
 def test_torn_frame_is_retried_and_never_executed_twice(harness):
     plan = FaultPlan(
-        [FaultSpec(kind="torn_frame", worker=0, command="pull_round")]
+        [FaultSpec(kind="torn_frame", worker=0, command="step")]
     )
     h = harness(fault_plan=plan)
-    status, payload = h.channel.call("pull_round", (7,))
-    assert status == "ok" and payload == ("echo", "pull_round", (7,))
+    status, payload = h.channel.call("step", (7,))
+    assert status == "ok" and payload == ("echo", "step", (7,))
     assert plan.count("torn_frame") == 1
     assert h.channel.counters["torn_frames"] >= 1
     assert h.channel.counters["retries"] >= 1
     assert h.server.stats["torn_frames"] >= 1
     # The torn copy never parsed, so the command executed exactly once.
-    assert h.service.calls.count("pull_round") == 1
+    assert h.service.calls.count("step") == 1
 
 
 def test_response_partition_exercises_idempotency_cache(harness):
@@ -320,18 +320,18 @@ def test_request_partition_heals_after_budget(harness):
             FaultSpec(
                 kind="partition",
                 worker=0,
-                command="pull_round",
+                command="step",
                 where="request",
                 heal_after=2,
             )
         ]
     )
     h = harness(fault_plan=plan)
-    status, _ = h.channel.call("pull_round")
+    status, _ = h.channel.call("step")
     assert status == "ok"
     # Two transmissions were blocked before the link healed.
     assert h.channel.counters["retries"] >= 2
-    assert h.service.calls.count("pull_round") == 1
+    assert h.service.calls.count("step") == 1
 
 
 def test_slow_link_delays_but_delivers(harness):
