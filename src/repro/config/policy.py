@@ -119,52 +119,56 @@ class PolicyEngine:
     # -- transformation ------------------------------------------------------
 
     def _apply_sets(self, clause, route: BgpRoute, own_asn: int) -> BgpRoute:
+        """The clause's set actions, composed in clause order into one
+        :meth:`~repro.routing.route.BgpRoute.evolve` (the route itself
+        when they change nothing)."""
         config = self._config
+        changes = {}
+        communities = route.communities
+        as_path = route.as_path
         for action in clause.sets:
             if isinstance(action, SetLocalPref):
-                route = route.evolve(local_pref=action.value)
+                changes["local_pref"] = action.value
             elif isinstance(action, SetMed):
-                route = route.evolve(med=action.value)
+                changes["med"] = action.value
             elif isinstance(action, SetWeight):
-                route = route.evolve(weight=action.value)
+                changes["weight"] = action.value
             elif isinstance(action, SetOrigin):
                 # type(route.origin) keeps policy decoupled from the
                 # routing package (both Origin enums share values).
-                route = route.evolve(
-                    origin=type(route.origin)(int(action.value))
-                )
+                changes["origin"] = type(route.origin)(int(action.value))
             elif isinstance(action, SetCommunities):
                 if action.additive:
-                    communities = route.communities | frozenset(
-                        action.communities
-                    )
+                    communities = communities | frozenset(action.communities)
                 else:
                     communities = frozenset(action.communities)
-                route = route.evolve(communities=communities)
+                changes["communities"] = communities
             elif isinstance(action, SetDeleteCommunities):
                 clist = config.community_lists.get(action.community_list)
                 if clist is None:
                     raise PolicyError(
                         f"missing community-list {action.community_list}"
                     )
-                kept = frozenset(
+                communities = frozenset(
                     value
-                    for value in route.communities
+                    for value in communities
                     if not clist.permits(frozenset([value]))
                 )
-                route = route.evolve(communities=kept)
+                changes["communities"] = communities
             elif isinstance(action, SetAsPathPrepend):
-                route = route.with_prepend(action.asns)
+                as_path = action.asns + as_path
+                changes["as_path"] = as_path
             elif isinstance(action, SetAsPathReplace):
                 asn = action.asn if action.asn is not None else own_asn
-                route = route.evolve(as_path=(asn,))
+                as_path = (asn,)
+                changes["as_path"] = as_path
             elif isinstance(action, SetNextHop):
-                route = route.evolve(next_hop=action.address)
+                changes["next_hop"] = action.address
             elif isinstance(action, SetTag):
                 pass  # tags do not affect BGP attributes in this model
             else:
                 raise PolicyError(f"unknown set clause {action!r}")
-        return route
+        return route.evolve(**changes) if changes else route
 
     # -- entry point ---------------------------------------------------------
 

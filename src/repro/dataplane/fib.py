@@ -1,11 +1,13 @@
 """FIB construction: merge per-protocol RIBs into forwarding entries.
 
 A :class:`Fib` maps prefixes to actions (forward out ports / receive
-locally / discard) with longest-prefix-match semantics, realized as one
-binary trie per address family: concrete lookups walk it top-down, and
-predicate compilation walks it bottom-up.  :meth:`Fib.entries` lists the
-entries most specific first, for consumers that scan them linearly (the
-ground-truth walker) and for tests.
+locally / discard) with longest-prefix-match semantics.  It is a
+``prefix -> entry`` dict, plus one binary trie per address family built
+on the first walk: concrete lookups walk it top-down, and predicate
+compilation walks it bottom-up.  Reachability by class closure reads the
+dict only, so a FIB no query compiles never builds its tries.
+:meth:`Fib.entries` lists the entries most specific first, for consumers
+that scan them linearly (the ground-truth walker) and for tests.
 
 A prefix's entry depends on that prefix's routes alone
 (:func:`fib_entry`), so a FIB can be patched one prefix at a time:
@@ -61,32 +63,54 @@ class _TrieNode:
 
 class Fib:
     """The forwarding table of one device (dual-stack: one trie per
-    address family)."""
+    address family, built on the first :meth:`lookup` or
+    :meth:`trie_root` and kept in step with :meth:`add` and
+    :meth:`remove` from then on)."""
 
     def __init__(self, node: str) -> None:
         self.node = node
-        self._roots: Dict[int, _TrieNode] = {32: _TrieNode(), 128: _TrieNode()}
         self._entries: Dict[Prefix, FibEntry] = {}
+        self._roots: Optional[Dict[int, _TrieNode]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    def _tries(self) -> Dict[int, _TrieNode]:
+        roots = self._roots
+        if roots is None:
+            roots = self._roots = {32: _TrieNode(), 128: _TrieNode()}
+            for entry in self._entries.values():
+                self._insert(entry)
+        return roots
+
+    def _insert(self, entry: FibEntry) -> None:
+        prefix = entry.prefix
+        node, network = self._roots[prefix.width], prefix.network
+        top = prefix.width - 1
+        for shift in range(top, top - prefix.length, -1):
+            bit = (network >> shift) & 1
+            child = node.children[bit]
+            if child is None:
+                child = node.children[bit] = _TrieNode()
+            node = child
+        node.entry = entry
+
     def add(self, entry: FibEntry) -> None:
         """Insert an entry, replacing any previous entry for its prefix."""
         self._entries[entry.prefix] = entry
-        node = self._roots[entry.prefix.width]
-        for bit in entry.prefix.bits():
-            if node.children[bit] is None:
-                node.children[bit] = _TrieNode()
-            node = node.children[bit]
-        node.entry = entry
+        if self._roots is not None:
+            self._insert(entry)
 
     def remove(self, prefix: Prefix) -> None:
         """Delete the entry for ``prefix`` (if any) and prune the trie
         branch that held only it."""
-        if self._entries.pop(prefix, None) is None:
+        if self._entries.pop(prefix, None) is None or self._roots is None:
             return
-        bits = list(prefix.bits())
+        top = prefix.width - 1
+        bits = [
+            (prefix.network >> shift) & 1
+            for shift in range(top, top - prefix.length, -1)
+        ]
         path = [self._roots[prefix.width]]
         for bit in bits:
             path.append(path[-1].children[bit])
@@ -99,12 +123,10 @@ class Fib:
 
     def lookup(self, address: int, width: int = 32) -> Optional[FibEntry]:
         """Longest-prefix-match lookup of a concrete address."""
-        node = self._roots[width]
+        node = self._tries()[width]
         best = node.entry
-        top = width - 1
-        for i in range(width):
-            bit = (address >> (top - i)) & 1
-            node = node.children[bit]
+        for shift in range(width - 1, -1, -1):
+            node = node.children[(address >> shift) & 1]
             if node is None:
                 break
             if node.entry is not None:
@@ -138,7 +160,7 @@ class Fib:
         walks the trie bottom-up and emits the exact LPM partition, one
         region per forwarding action, with hash-consing ``mk`` calls.
         """
-        return self._roots[width]
+        return self._tries()[width]
 
 
 # -- building ------------------------------------------------------------------

@@ -50,6 +50,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -204,6 +205,10 @@ class WorkerSupervisor:
         self.persistent = persistent
         self.policy = policy or RetryPolicy()
         self._ospf_states: Dict[int, Any] = {}
+        # The active workers whose installed IGP routes are the ones in
+        # ``_ospf_states`` (they computed or were restored to them); a
+        # respawn drops its worker until the replay restores it.
+        self._ospf_holders: Set[int] = set()
         self.recoveries = 0
         # Loss migration hook: ``on_loss(worker_id, cause)`` must either
         # remove the worker from the fleet (migrating its state) or
@@ -263,6 +268,10 @@ class WorkerSupervisor:
             workers=workers,
             each=lambda worker: (self._ospf_states.get(worker.worker_id),),
         )
+        self._ospf_holders.update(
+            w.worker_id
+            for w in (workers if workers is not None else self.fleet.workers)
+        )
         epoch = self.fleet.epoch
         if workers is not None and epoch is not None:
             self.fleet.call_all("begin_epoch", epoch, workers=workers)
@@ -275,15 +284,20 @@ class WorkerSupervisor:
             self._ospf_states[worker_id] = state
             if self.persistent:
                 self.store.write_ospf_state(worker_id, state)
+        self._ospf_holders = set(self.fleet.active_ids)
 
     def restore_ospf(
         self, on_recovered: Optional[Callable[[int], None]] = None
     ) -> bool:
         """Resume path: reload the IGP result from the store, skip rounds.
 
+        A fleet that already holds the checkpoint (an announce epoch on
+        resident workers) needs neither the read nor the fan-out.
         Returns False when any worker's checkpoint is missing, in which
         case the caller falls back to re-running the IGP fixed point.
         """
+        if self._ospf_holders.issuperset(self.fleet.active_ids):
+            return True
         states: Dict[int, Any] = {}
         for worker in self.fleet.workers:
             state = self.store.read_ospf_state(worker.worker_id)
@@ -309,6 +323,7 @@ class WorkerSupervisor:
         if worker is None:
             raise failure
         self.recoveries += 1
+        self._ospf_holders.discard(worker_id)
         epoch = self.fleet.epoch
         if isinstance(failure, StaleEpochError):
             self.stale_epoch_rejections += 1
@@ -365,6 +380,7 @@ class WorkerSupervisor:
             if state:
                 union.update(state)
         self._ospf_states = {}
+        self._ospf_holders.clear()
         if not union:
             return
         for worker_id in self.fleet.active_ids:
@@ -377,6 +393,7 @@ class WorkerSupervisor:
         """Drop the in-memory OSPF checkpoints (full reconfigure: the
         old IGP result no longer describes the snapshot)."""
         self._ospf_states.clear()
+        self._ospf_holders.clear()
 
 
 class S2Controller:

@@ -1,12 +1,16 @@
 """IP address and prefix primitives (IPv4 and IPv6).
 
 Everything in the verifier speaks addresses as plain integers wrapped in a
-small frozen :class:`Prefix` value type carrying its family width (32 or
-128 bits).  We avoid the standard-library ``ipaddress`` objects on the hot
-paths: route computation touches millions of prefixes, and a frozen
-dataclass over ints is faster and easier to reason about (hashable,
-totally ordered, picklable with a tiny footprint); ``ipaddress`` is used
-only to parse/format IPv6 text.
+small immutable :class:`Prefix` value carrying its family width (32 or 128
+bits).  We avoid the standard-library ``ipaddress`` objects on the hot
+paths; ``ipaddress`` is used only to parse/format IPv6 text.
+
+Prefixes key every RIB, shard, boundary batch and FIB, so a prefix is
+built to be cheap as a key: its hash is computed once, at construction,
+and a prefix that arrives by pickle (an RPC frame, a shard assignment, a
+store file) is the process's one canonical instance of its value, so
+equal prefixes from different sources are one object and dict and set
+lookups stop at the identity check.
 
 IPv6 is this reproduction's implementation of the paper's first-listed
 future-work item — the paper's S2 supports IPv4 only (§7).
@@ -15,8 +19,8 @@ future-work item — the paper's S2 supports IPv4 only (§7).
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
 MAX_IPV4 = (1 << 32) - 1
 MAX_IPV6 = (1 << 128) - 1
@@ -107,9 +111,20 @@ class Prefix:
 
     ``width`` is 32 (IPv4, the default) or 128 (IPv6).  The network
     address is always stored masked, so two textual spellings of the same
-    prefix compare equal.  Instances are immutable, hashable, and ordered
-    (by family, network, then length), which lets RIBs keep them in sorted
-    containers and lets tests compare route tables directly.
+    prefix compare equal.  Instances are immutable and totally ordered
+    (by network, length, then family), which lets RIBs keep them in
+    sorted containers and lets tests compare route tables directly.
+
+    The hash is ``hash((network, length, width))``, computed once by the
+    constructor.  It hashes ints only, so it is the same in every process
+    under any ``PYTHONHASHSEED``, and set and dict iteration orders over
+    prefixes repeat across runs and workers.
+
+    A prefix pickles as its three fields and unpickles through
+    :func:`_canonical`, which validates them with the constructor and
+    returns the process's one instance of that value.  The pickled bytes
+    therefore never depend on what was done to a prefix before (hashed,
+    compared, copied).
     """
 
     network: int
@@ -124,6 +139,26 @@ class Prefix:
         masked = self.network & mask_for(self.length, self.width)
         if masked != self.network:
             object.__setattr__(self, "network", masked)
+        object.__setattr__(
+            self, "_hash", hash((masked, self.length, self.width))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return _canonical, (self.network, self.length, self.width)
+
+    def __setstate__(self, state) -> None:
+        """Load a prefix pickled before :meth:`__reduce__` existed (its
+        state the field dict): validate it as the constructor does.  A
+        state that is not such a dict raises :class:`AddressError`."""
+        try:
+            for name in ("network", "length", "width"):
+                object.__setattr__(self, name, state[name])
+        except (KeyError, TypeError) as exc:
+            raise AddressError(f"not a prefix state: {state!r}") from exc
+        self.__post_init__()
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -233,6 +268,22 @@ class Prefix:
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"
+
+
+#: The canonical instance of every prefix value this process unpickled.
+#: It only grows, and holds the prefixes of the networks the process
+#: verified.
+_CANONICAL: Dict[Tuple[int, int, int], Prefix] = {}
+
+
+def _canonical(network: int, length: int, width: int) -> Prefix:
+    """The unpickling constructor of :class:`Prefix`: this process's one
+    instance of the value, built (and so validated) on first sight."""
+    key = (network, length, width)
+    prefix = _CANONICAL.get(key)
+    if prefix is None:
+        prefix = _CANONICAL.setdefault(key, Prefix(network, length, width))
+    return prefix
 
 
 def summarize(prefixes: List[Prefix]) -> List[Prefix]:

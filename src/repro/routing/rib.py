@@ -4,9 +4,12 @@ Two structures: :class:`BgpRib` holds the per-prefix candidate paths and the
 selected (multipath) best set; :class:`MainRib` merges all protocols by
 administrative distance into what the FIB builder consumes.
 
-Both are deliberately plain dict-based containers — the fixed-point engine
-compares RIB fingerprints across rounds to detect convergence, so cheap
-hashing matters more than clever indexing.
+Both are deliberately plain dict-based containers keyed by prefix, so
+cheap prefix hashing matters more than clever indexing.  Convergence is
+detected by change, not by comparing snapshots: a round's pull reports
+whether any adj-RIB-in changed (:meth:`BgpRib.replace_neighbor_routes`).
+:meth:`BgpRib.fingerprint` is a test aid that compares RIBs round by
+round; nothing on the run path calls it.
 """
 
 from __future__ import annotations
@@ -136,7 +139,8 @@ class BgpRib:
         self._by_source.clear()
 
     def fingerprint(self) -> int:
-        """Order-independent hash of the selected routes, for convergence."""
+        """Order-independent hash of the selected routes (tests compare
+        RIBs round by round with it)."""
         self.refresh()
         total = 0
         for prefix, routes in self._best.items():

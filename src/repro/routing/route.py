@@ -3,8 +3,8 @@
 Routes are immutable: the decision process and route maps never mutate a
 route in place but derive new ones, and every derived BGP route comes from
 :meth:`BgpRoute.evolve`.  Immutability is what makes it safe to hold the
-same route object in many RIBs across workers and to hash routes for
-convergence detection.
+same route object in many RIBs across workers and to hash routes as dict
+keys and set members.
 """
 
 from __future__ import annotations
@@ -106,20 +106,19 @@ class BgpRoute:
         """A copy with ``changes`` applied: ``dataclasses.replace`` without
         re-running ``__init__``.
 
-        The copy takes this instance's ``__dict__`` in its key order, so it
-        equals, hashes, prints and pickles exactly like the replaced route.
-        An unknown field name raises ``TypeError``, as ``replace`` does."""
-        if not changes.keys() <= _BGP_ROUTE_FIELDS:
-            unknown = sorted(changes.keys() - _BGP_ROUTE_FIELDS)
-            raise TypeError(f"BgpRoute has no field(s) {', '.join(unknown)}")
+        The copy's state is this instance's ``__dict__`` in its key order
+        with ``changes`` merged over it, so it equals, hashes, prints and
+        pickles exactly like the replaced route.  A name that is not a
+        field grows the merged state; that raises ``TypeError``, as
+        ``replace`` does."""
         route = object.__new__(type(self))
         state = route.__dict__
         state.update(self.__dict__)
         state.update(changes)
+        if len(state) != len(_BGP_ROUTE_FIELDS):
+            unknown = sorted(changes.keys() - _BGP_ROUTE_FIELDS)
+            raise TypeError(f"BgpRoute has no field(s) {', '.join(unknown)}")
         return route
-
-    def with_prepend(self, asns: Tuple[int, ...]) -> "BgpRoute":
-        return self.evolve(as_path=asns + self.as_path)
 
     def has_as(self, asn: int) -> bool:
         return asn in self.as_path

@@ -10,16 +10,20 @@ thing must equal the monolithic engine.
 import pytest
 
 from tests.conftest import normalize_ribs
+from tests.test_serve_session import _assert_monolithic
+from repro import FaultPlan, FaultSpec, RetryPolicy
 from repro.config.loader import make_snapshot, parse_device
 from repro.dist.controller import S2Controller, S2Options
 from repro.net.ip import Prefix
 from repro.routing.engine import SimulationEngine
 from repro.routing.route import Protocol
+from repro.serve import ConfigTextDelta, VerifierSession
 
 
-def mixed_snapshot():
-    """r1 -- r2 -- r3 run OSPF (r1 has a loopback); r3 also speaks eBGP
-    to an external router x and redistributes OSPF into BGP."""
+def mixed_texts():
+    """hostname -> (dialect, text): r1 -- r2 -- r3 run OSPF (r1 has a
+    loopback); r3 also speaks eBGP to an external router x and
+    redistributes OSPF into BGP."""
     r1 = (
         "hostname r1\n"
         "interface e0\n ip address 10.0.0.0 255.255.255.254\n"
@@ -55,9 +59,16 @@ def mixed_snapshot():
         "router bgp 65099\n"
         " neighbor 10.0.0.4 remote-as 65003\n"
     )
+    return {
+        host: ("ciscoish", text)
+        for host, text in (("r1", r1), ("r2", r2), ("r3", r3), ("x", x))
+    }
+
+
+def mixed_snapshot():
     configs = {}
-    for text in (r1, r2, r3, x):
-        config = parse_device(text, "ciscoish")
+    for dialect, text in mixed_texts().values():
+        config = parse_device(text, dialect)
         configs[config.hostname] = config
     return make_snapshot(configs)
 
@@ -126,3 +137,69 @@ class TestDistributedOrdering:
             controller.run_control_plane()
             got = controller.collected_ribs()
             assert normalize_ribs(got) == normalize_ribs(expected)
+
+
+# -- serving: an announce keeps the resident IGP result ---------------------
+
+
+class _CallLog(FaultPlan):
+    """A fault plan that also logs every ``(worker, command)`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def on_call(self, worker_id, command):
+        self.calls.append((worker_id, command))
+        return super().on_call(worker_id, command)
+
+
+def _announce_on_r3(session):
+    """r3 announces one more /24: an announce-only delta."""
+    dialect, text = mixed_texts()["r3"]
+    return session.apply_delta(
+        ConfigTextDelta(
+            hostname="r3",
+            text=text + " network 203.0.113.0 mask 255.255.255.0\n",
+            dialect=dialect,
+        ),
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
+@pytest.mark.parametrize(
+    "crash",
+    [None, FaultSpec(kind="crash", worker=1, command="rebind_snapshot")],
+    ids=["fault-free", "crash-at-rebind"],
+)
+def test_an_announce_restores_ospf_only_on_a_respawned_worker(
+    snapshot, runtime, crash
+):
+    """The workers keep their installed OSPF routes across an announce,
+    so the epoch reads no checkpoint and sends no ``restore_ospf_state``
+    — except to a worker respawned mid-epoch, whose replay restores it;
+    either way the committed view is the monolith's."""
+    plan = _CallLog()
+    options = S2Options(
+        num_workers=2,
+        num_shards=2,
+        runtime=runtime,
+        fault_plan=plan,
+        retry_policy=RetryPolicy(backoff_base=0.001),
+    )
+    with VerifierSession(snapshot, options) as session:
+        assert session._controller.cpo.stats.ospf_rounds > 0
+        if crash is not None:
+            plan.add(crash)  # armed after the boot, fires in the announce
+        del plan.calls[:]
+        result = _announce_on_r3(session)
+        assert result.kind == "announce"
+        assert not result.sequential_fallback
+        restores = [w for w, c in plan.calls if c == "restore_ospf_state"]
+        if crash is None:
+            assert restores == []
+        else:
+            assert plan.count("crash") == 1, "the fault never fired"
+            assert restores == [crash.worker]
+        _assert_monolithic(session)

@@ -115,6 +115,92 @@ class TestTrie:
             assert got.prefix == best
 
 
+def _shape(node):
+    """A trie as nested tuples: (entry, child 0, child 1)."""
+    if node is None:
+        return None
+    return (node.entry, _shape(node.children[0]), _shape(node.children[1]))
+
+
+#: A small prefix universe (a few top bits of each family), so adds
+#: replace, removes hit and branches get pruned.
+FIB_PREFIXES = [
+    Prefix(network << (32 - length), length)
+    for length in range(0, 4)
+    for network in range(1 << length)
+] + [Prefix.parse(text) for text in ("::/0", "2001:db8::/32", "8000::/1")]
+fib_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.sampled_from(FIB_PREFIXES),
+            st.sampled_from(list(FibAction)),
+        ),
+        st.tuples(st.just("remove"), st.sampled_from(FIB_PREFIXES)),
+        st.tuples(st.just("use"), st.sampled_from(["lookup", "trie_root"])),
+    ),
+    max_size=30,
+)
+
+
+def _probes():
+    probes = [(0, 32), ((1 << 32) - 1, 32), (0, 128), (1 << 127, 128)]
+    for prefix in FIB_PREFIXES:
+        probes.append((prefix.network, prefix.width))
+        probes.append((prefix.broadcast, prefix.width))
+    return probes
+
+
+class TestLazyTries:
+    @given(fib_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_tries_equal_an_eager_reference(self, ops):
+        """The tries are built on the first ``lookup`` or ``trie_root``
+        and kept in step from then on: after any interleaving of adds
+        and removes, before and after that first use, ``lookup``,
+        ``trie_root`` and ``entries()`` equal those of a FIB whose tries
+        existed from the start."""
+        lazy, eager = Fib("r"), Fib("r")
+        eager.trie_root()  # tries from the start: every add walks them
+        used = False
+        for op in ops:
+            if op[0] == "add":
+                _, prefix, action = op
+                for fib in (lazy, eager):
+                    fib.add(FibEntry(prefix=prefix, action=action))
+            elif op[0] == "remove":
+                for fib in (lazy, eager):
+                    fib.remove(op[1])
+            elif op[1] == "lookup":
+                for address, width in _probes():
+                    got = lazy.lookup(address, width)
+                    assert got == eager.lookup(address, width)
+                used = True
+            else:
+                for width in (32, 128):
+                    got = _shape(lazy.trie_root(width))
+                    assert got == _shape(eager.trie_root(width))
+                used = True
+            assert (lazy._roots is not None) == used
+            assert lazy.entries() == eager.entries()
+            assert len(lazy) == len(eager)
+        for width in (32, 128):
+            assert _shape(lazy.trie_root(width)) == _shape(
+                eager.trie_root(width)
+            )
+        for address, width in _probes():
+            assert lazy.lookup(address, width) == eager.lookup(address, width)
+
+    def test_a_closure_read_builds_no_trie(self):
+        fib = Fib("r")
+        fib.add(entry("10.0.0.0/8"))
+        fib.remove(Prefix.parse("10.0.0.0/8"))
+        fib.add(entry("10.1.0.0/16"))
+        assert fib.entry_for(Prefix.parse("10.1.0.0/16")) is not None
+        assert list(fib.prefixes()) == [Prefix.parse("10.1.0.0/16")]
+        assert fib._roots is None
+
+
 class TestBuildFib:
     @pytest.fixture(scope="class")
     def env(self, fattree4_sim, fattree4):

@@ -1,11 +1,18 @@
 """Unit and property tests for IPv4 primitives."""
 
+import os
+import pickle
+import struct
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.ip import (
     AddressError,
     Prefix,
+    _canonical,
     format_ip,
     mask_for,
     mask_to_length,
@@ -214,3 +221,116 @@ class TestSummarize:
             for j, b in enumerate(merged):
                 if i != j:
                     assert not a.contains(b)
+
+
+# -- a prefix as a value: one hash, one canonical instance -----------------
+
+
+def parent_prefix_ops(network: int, length: int, width: int = 32) -> bytes:
+    """The pickle opcodes of a prefix as a frozen dataclass with no
+    ``__reduce__`` pickles (how stores written before the canonical
+    reduce hold them): the class, ``NEWOBJ``, then ``BUILD`` with the
+    field dict, with no stored hash.  Spelled out opcode by opcode."""
+
+    def key(name: str) -> bytes:
+        return pickle.SHORT_BINUNICODE + bytes([len(name)]) + name.encode()
+
+    def integer(value: int) -> bytes:
+        return pickle.BININT + struct.pack("<i", value)
+
+    return b"".join([
+        pickle.GLOBAL, b"repro.net.ip\nPrefix\n",
+        pickle.EMPTY_TUPLE, pickle.NEWOBJ,
+        pickle.EMPTY_DICT, pickle.MARK,
+        key("network"), integer(network),
+        key("length"), integer(length),
+        key("width"), integer(width),
+        pickle.SETITEMS, pickle.BUILD,
+    ])
+
+
+def parent_format(network: int, length: int, width: int = 32) -> bytes:
+    return (
+        pickle.PROTO + b"\x04"
+        + parent_prefix_ops(network, length, width)
+        + pickle.STOP
+    )
+
+
+def raw_prefix(network: int, length: int, width: int = 32):
+    """An object that pickles as a current-format prefix with raw,
+    unchecked fields (what a damaged or hostile file can hold)."""
+
+    class Raw:
+        def __reduce__(self):
+            return _canonical, (network, length, width)
+
+    return Raw()
+
+
+SAMPLES = ["10.1.2.0/24", "0.0.0.0/0", "192.168.0.1/32", "2001:db8::/48"]
+
+
+class TestPickle:
+    @given(prefixes)
+    def test_hash_is_the_field_tuple_hash(self, p):
+        assert hash(p) == hash((p.network, p.length, p.width))
+
+    @given(prefixes)
+    def test_unpickled_prefixes_are_one_instance(self, p):
+        twin = Prefix(p.network, p.length, p.width)
+        assert twin is not p
+        first = pickle.loads(pickle.dumps(p))
+        assert first == p and hash(first) == hash(p)
+        assert pickle.loads(pickle.dumps(twin)) is first
+        assert pickle.loads(pickle.dumps(first)) is first
+
+    @given(prefixes)
+    def test_pickled_bytes_do_not_depend_on_use(self, p):
+        untouched = pickle.dumps(Prefix(p.network, p.length, p.width))
+        hash(p)
+        assert p == Prefix(p.network, p.length, p.width)
+        assert not p < p
+        assert pickle.dumps(p) == untouched
+
+    def test_another_hash_seed_unpickles_to_the_local_instance(self):
+        """Pickled in a process with another ``PYTHONHASHSEED``, a prefix
+        loads as this process's canonical instance, hashing the same."""
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        script = (
+            "import pickle, sys\n"
+            "from repro.net.ip import Prefix\n"
+            "ps = [Prefix.parse(t) for t in sys.argv[1:]]\n"
+            "sys.stdout.buffer.write("
+            "pickle.dumps((ps, [hash(p) for p in ps], hash('seed'))))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script, *SAMPLES],
+            env=env, capture_output=True, check=True, timeout=60,
+        ).stdout
+        remote, remote_hashes, remote_str_hash = pickle.loads(out)
+        assert remote_str_hash != hash("seed")  # really another seed
+        for text, got, remote_hash in zip(SAMPLES, remote, remote_hashes):
+            local = pickle.loads(pickle.dumps(Prefix.parse(text)))
+            assert got is local
+            assert hash(got) == remote_hash == hash(Prefix.parse(text))
+
+    def test_unpickling_validates(self):
+        assert pickle.loads(pickle.dumps(raw_prefix(0, 8))) == Prefix(0, 8)
+        with pytest.raises(AddressError):
+            pickle.loads(pickle.dumps(raw_prefix(0, 40)))
+
+    def test_parent_format_loads_and_hashes(self):
+        loaded = pickle.loads(parent_format((10 << 24) | (1 << 16), 16))
+        assert loaded == Prefix.parse("10.1.0.0/16")
+        assert hash(loaded) == hash(Prefix.parse("10.1.0.0/16"))
+        assert {loaded: 1}[Prefix.parse("10.1.0.0/16")] == 1
+        assert pickle.dumps(loaded) == pickle.dumps(Prefix.parse("10.1.0.0/16"))
+
+    def test_parent_format_is_validated(self):
+        with pytest.raises(AddressError):
+            pickle.loads(parent_format(0, 40))
+        unmasked = pickle.loads(parent_format((10 << 24) | 5, 8))
+        assert unmasked == Prefix.parse("10.0.0.0/8")

@@ -1,9 +1,31 @@
 """Tests for route-map evaluation and VSB transformations."""
 
+import pickle
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.config import parse_cisco
-from repro.config.ast import RemovePrivateAsMode
+from repro.config import ast
+from repro.config.ast import (
+    Action,
+    CommunityList,
+    CommunityListLine,
+    DeviceConfig,
+    RemovePrivateAsMode,
+    RouteMapClause,
+    SetAsPathPrepend,
+    SetAsPathReplace,
+    SetCommunities,
+    SetDeleteCommunities,
+    SetLocalPref,
+    SetMed,
+    SetNextHop,
+    SetOrigin,
+    SetTag,
+    SetWeight,
+)
 from repro.config.policy import (
     PolicyEngine,
     PolicyError,
@@ -228,3 +250,129 @@ class TestRemovePrivateAs:
         assert apply_remove_private_as(
             path, RemovePrivateAsMode.ALL
         ) != apply_remove_private_as(path, RemovePrivateAsMode.LEADING)
+
+
+# -- one copy per clause ------------------------------------------------------
+
+
+def _reference_apply_sets(engine, clause, route, own_asn):
+    """The one-``evolve``-per-action chain that ``_apply_sets`` replaced,
+    kept as the reference."""
+    config = engine._config
+    for action in clause.sets:
+        if isinstance(action, SetLocalPref):
+            route = route.evolve(local_pref=action.value)
+        elif isinstance(action, SetMed):
+            route = route.evolve(med=action.value)
+        elif isinstance(action, SetWeight):
+            route = route.evolve(weight=action.value)
+        elif isinstance(action, SetOrigin):
+            route = route.evolve(origin=type(route.origin)(int(action.value)))
+        elif isinstance(action, SetCommunities):
+            if action.additive:
+                communities = route.communities | frozenset(action.communities)
+            else:
+                communities = frozenset(action.communities)
+            route = route.evolve(communities=communities)
+        elif isinstance(action, SetDeleteCommunities):
+            clist = config.community_lists[action.community_list]
+            route = route.evolve(
+                communities=frozenset(
+                    value
+                    for value in route.communities
+                    if not clist.permits(frozenset([value]))
+                )
+            )
+        elif isinstance(action, SetAsPathPrepend):
+            route = route.evolve(as_path=action.asns + route.as_path)
+        elif isinstance(action, SetAsPathReplace):
+            asn = action.asn if action.asn is not None else own_asn
+            route = route.evolve(as_path=(asn,))
+        elif isinstance(action, SetNextHop):
+            route = route.evolve(next_hop=action.address)
+    return route
+
+
+#: Odd communities are deleted by ``set comm-list ODD delete``.
+ODD_CONFIG = DeviceConfig(
+    hostname="t",
+    community_lists={
+        "ODD": CommunityList(
+            "ODD",
+            [CommunityListLine(Action.PERMIT, (v,)) for v in (1, 3, 5, 7)],
+        )
+    },
+)
+communities = st.integers(0, 7)
+asns = st.integers(1, 70000)
+set_actions = st.one_of(
+    st.builds(SetLocalPref, st.integers(0, 500)),
+    st.builds(SetMed, st.integers(0, 500)),
+    st.builds(SetWeight, st.integers(0, 500)),
+    st.builds(SetOrigin, st.sampled_from(list(ast.Origin))),
+    st.builds(
+        SetCommunities,
+        st.lists(communities, max_size=3).map(tuple),
+        st.booleans(),
+    ),
+    st.just(SetDeleteCommunities("ODD")),
+    st.builds(
+        SetAsPathPrepend, st.lists(asns, min_size=1, max_size=3).map(tuple)
+    ),
+    st.builds(SetAsPathReplace, st.none() | asns),
+    st.builds(SetNextHop, st.integers(0, 2**32 - 1)),
+    st.builds(SetTag, st.integers(0, 10)),
+)
+
+
+@given(
+    st.lists(set_actions, max_size=6),
+    st.frozensets(communities, max_size=4),
+    st.lists(asns, max_size=3).map(tuple),
+)
+@example(
+    [SetCommunities((1, 2), additive=True), SetDeleteCommunities("ODD")],
+    frozenset([3, 4]),
+    (65002,),
+)
+@example(
+    [SetAsPathPrepend((65001, 65001)), SetAsPathReplace(None)],
+    frozenset(),
+    (65002, 65003),
+)
+@example(
+    [SetAsPathReplace(64999), SetAsPathPrepend((65001,))],
+    frozenset(),
+    (65002,),
+)
+def test_a_clause_is_one_copy_equal_to_the_action_chain(
+    actions, route_communities, as_path
+):
+    """A matched clause's set actions compose in clause order into one
+    ``evolve`` (none when nothing changes) that equals the chain of one
+    ``evolve`` per action, down to the pickled bytes."""
+    engine = PolicyEngine(ODD_CONFIG)
+    clause = RouteMapClause(seq=10, action=Action.PERMIT, sets=list(actions))
+    route = BgpRoute(
+        prefix=Prefix.parse("10.1.0.0/24"),
+        next_hop=1,
+        from_node="peer",
+        as_path=as_path,
+        communities=route_communities,
+    )
+    want = _reference_apply_sets(engine, clause, route, 65001)
+    copies = []
+    evolve = BgpRoute.evolve
+
+    def counting(self, **changes):
+        copies.append(changes)
+        return evolve(self, **changes)
+
+    with mock.patch.object(BgpRoute, "evolve", counting):
+        got = engine._apply_sets(clause, route, 65001)
+    assert got == want
+    assert pickle.dumps(got) == pickle.dumps(want)
+    effective = [a for a in actions if not isinstance(a, SetTag)]
+    assert len(copies) == (1 if effective else 0)
+    if not effective:
+        assert got is route

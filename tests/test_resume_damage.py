@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import shutil
 
 import pytest
@@ -25,9 +26,11 @@ from repro.dist.storage import (
     RouteStore,
 )
 from repro.net.fattree import FatTreeSpec, render_configs
+from repro.net.ip import Prefix
 from repro.serve import ConfigTextDelta, VerifierSession
 
 from tests.conftest import normalize_ribs
+from tests.test_ip import parent_prefix_ops, raw_prefix
 
 NUM_WORKERS = 2
 NUM_SHARDS = 4
@@ -133,6 +136,47 @@ def test_corrupt_epoch_tag_raises_typed_error(store_copy):
         handle.write(json.dumps({"epoch": "one"}))
     with pytest.raises(CorruptShardError):
         store.read_epoch_tag()
+
+
+def _write_shard_file(store: RouteStore, payload: bytes) -> None:
+    with open(store._path(0, 0), "wb") as handle:
+        handle.write(payload)
+
+
+def test_an_out_of_range_prefix_raises_typed_error(tmp_path):
+    """A prefix is validated as it is read, so a shard file holding an
+    impossible one fails at the read, typed."""
+    store = RouteStore(str(tmp_path))
+    _write_shard_file(store, pickle.dumps({"r1": {raw_prefix(0, 40): ()}}))
+    with pytest.raises(CorruptShardError, match="prefix length"):
+        store.read_shard(0, 0)
+    _write_shard_file(store, pickle.dumps({"r1": {raw_prefix(0, 8, 64): ()}}))
+    with pytest.raises(CorruptShardError, match="width"):
+        store.read_shard(0, 0)
+
+
+def _parent_shard_file(network: int, length: int) -> bytes:
+    """``{"r1": {prefix: ()}}`` with the prefix in the pre-``__reduce__``
+    format (its state a field dict with no stored hash)."""
+    return b"".join([
+        pickle.PROTO, b"\x04",
+        pickle.EMPTY_DICT, pickle.SHORT_BINUNICODE, b"\x02r1",
+        pickle.EMPTY_DICT, parent_prefix_ops(network, length),
+        pickle.EMPTY_TUPLE, pickle.SETITEM, pickle.SETITEM, pickle.STOP,
+    ])
+
+
+def test_a_parent_format_shard_file_loads_or_fails_typed(tmp_path):
+    """A store file written before prefixes pickled through their
+    canonical reduce still loads, and its prefixes hash at once (no
+    ``AttributeError`` at the first lookup); a bad one fails typed."""
+    store = RouteStore(str(tmp_path))
+    _write_shard_file(store, _parent_shard_file(10 << 24, 8))
+    routes = store.read_shard(0, 0)
+    assert routes["r1"][Prefix.parse("10.0.0.0/8")] == ()
+    _write_shard_file(store, _parent_shard_file(10 << 24, 33))
+    with pytest.raises(CorruptShardError, match="prefix length"):
+        store.read_shard(0, 0)
 
 
 # -- the session falls back to a cold start ---------------------------------

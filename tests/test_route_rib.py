@@ -114,9 +114,6 @@ class TestDecisionProcess:
 
 
 class TestRouteHelpers:
-    def test_with_prepend(self):
-        assert route(as_path=(2,)).with_prepend((1,)).as_path == (1, 2)
-
     def test_has_as(self):
         assert route(as_path=(5, 6)).has_as(5)
         assert not route(as_path=(5, 6)).has_as(7)
@@ -202,6 +199,17 @@ class TestEvolve:
         # The source is untouched, and the copy is as frozen as it.
         assert pickle.dumps(source) == before
         assert source == BgpRoute(**attrs)
+        # Hashing and comparing leave no trace in the pickled bytes of a
+        # route or its prefix: untouched equal copies pickle the same.
+        prefix = source.prefix
+        untouched = Prefix(prefix.network, prefix.length, prefix.width)
+        untouched_bytes = pickle.dumps(untouched)
+        hash(source), hash(prefix), hash(evolved)
+        assert prefix == untouched and not prefix < untouched
+        assert pickle.dumps(prefix) == untouched_bytes
+        assert pickle.dumps(source) == before == pickle.dumps(
+            BgpRoute(**{**attrs, "prefix": untouched})
+        )
         with pytest.raises(dataclasses.FrozenInstanceError):
             evolved.med = 1
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -204,6 +204,42 @@ def test_shard_flush_happens_in_worker_process(fattree4):
     assert len(files) == 6
 
 
+def test_received_shard_prefixes_are_the_workers_own(
+    fattree4, tmp_path, monkeypatch
+):
+    """Prefixes unpickle to one canonical instance per process: a shard
+    prefix a worker receives in ``begin_shard`` *is* the prefix object
+    its own (also received) configs hold, so ``_in_shard`` and the RIB
+    lookups stop at identity.  Checked inside the forked worker, which
+    inherits the patched method, and logged to a file."""
+    log = tmp_path / "identity.log"
+    begin_shard = Worker.begin_shard
+
+    def checking(self, shard, epoch=None):
+        if shard is not None:
+            received = {prefix: prefix for prefix in shard.prefixes}
+            same = other = 0
+            for node in self.nodes.values():
+                for prefix in node.local_prefixes & received.keys():
+                    if received[prefix] is prefix:
+                        same += 1
+                    else:
+                        other += 1
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {same} {other}\n")
+        return begin_shard(self, shard, epoch)
+
+    monkeypatch.setattr(Worker, "begin_shard", checking)
+    with S2Controller(fattree4, _options()) as controller:
+        controller.run_control_plane()
+    rows = [line.split() for line in log.read_text().splitlines()]
+    assert {pid for pid, _, _ in rows} - {str(os.getpid())}, (
+        "no begin_shard ran in a worker process"
+    )
+    assert sum(int(same) for _, same, _ in rows) > 0
+    assert all(other == "0" for _, _, other in rows)
+
+
 def _direct_pool(snapshot, num_workers: int) -> SocketWorkerPool:
     return SocketWorkerPool(
         snapshot=snapshot,

@@ -300,8 +300,9 @@ def test_calls_are_counted_where_they_are_issued(
         worker["calls"] for worker in snapshot["workers"]
     )
     # One rebind, begin_shard, flush, build and class-actions fan-out
-    # per worker, plus the rounds' steps, the OSPF restores and the
-    # recheck's calls: far fewer than three fan-outs per round.
+    # per worker, plus the rounds' steps and the recheck's calls (no
+    # OSPF restore: the fleet holds it): far fewer than three fan-outs
+    # per round.
     assert stats.batches_run == 1
     steps = 3 * (stats.bgp_rounds + 1)
     assert steps < calls < 3 * (3 * stats.bgp_rounds)
