@@ -137,7 +137,6 @@ def _run_experiment():
     )
     loss_s, loss_stats, _, _ = _run(snapshot, fault_plan=plan, runs=1)
     assert loss_stats.workers_lost == 1
-    assert not loss_stats.sequential_fallback
     reassign_cost = (loss_s - plain_s) / plain_s * 100.0
     rows.append(
         [

@@ -180,7 +180,6 @@ def cmd_verify(args) -> int:
                 f"{cp.shard_replays} batch replays, "
                 f"{cp.shards_skipped} shards skipped on resume, "
                 f"{cp.forced_rounds} rounds forced by dropped batches"
-                + (" [sequential fallback]" if cp.sequential_fallback else "")
             )
         if result.loop_violations:
             print(f"loops found: {len(result.loop_violations)}")

@@ -179,9 +179,9 @@ class S2Verifier:
                 result.status = "bdd-overflow"
                 result.error = str(exc)
             except WorkerFailure as exc:
-                # Supervision, shard replay, and the sequential fallback
-                # are all exhausted (or the data-plane phase lost a worker
-                # it could not get back): report it, don't traceback.
+                # Supervision and replay are exhausted, or the last
+                # worker is lost, in either phase: report it, don't
+                # traceback.
                 result.status = "worker-failure"
                 result.error = str(exc)
             span.set(status=result.status, routes=result.total_routes)

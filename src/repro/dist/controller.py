@@ -24,11 +24,8 @@ The controller is also where fault tolerance comes together:
 * a worker whose respawn budget is spent is declared lost; after a loss
   or a rejoin (:meth:`S2Controller.rejoin_worker`) the assignment is
   always :meth:`S2Controller._plan_partition` around the lost set;
-* if recovery itself fails (:class:`~repro.dist.faults.RespawnError`) or
-  the replay budget is exhausted, :meth:`S2Controller.run_control_plane`
-  degrades to the monolithic :class:`~repro.routing.engine.
-  SimulationEngine` and writes *bit-identical* per-shard results into
-  the route store (the engines are equivalence-tested);
+* losing the last worker (:class:`~repro.dist.faults.RespawnError`) or
+  spending the replay budget fails the run typed, as the data plane does;
 * with a persistent ``store_dir``, a :class:`~repro.dist.storage.
   RunManifest` records the shard packing, converged shards and the OSPF
   checkpoint, and
@@ -749,9 +746,9 @@ class S2Controller:
         """Rebuild the distributed data plane from the current store.
 
         ``dirty`` is an announce-only epoch's dirty prefix set, given
-        when the epoch's control plane ran with no recovery and no
-        sequential fallback: the workers then patch their data planes
-        within it and the recomputed shards (:meth:`_patch_for`).
+        when the epoch's control plane ran with no recovery: the workers
+        then patch their data planes within it and the recomputed shards
+        (:meth:`_patch_for`).
         Otherwise they build from empty.
         """
         self.dpo.invalidate()
@@ -789,12 +786,13 @@ class S2Controller:
         Installed as the supervisor's ``on_loss`` hook: the worker is
         marked lost and the membership tail runs, so the run stays
         *distributed* on the shrunken fleet.  Raises
-        :class:`RespawnError` when no survivors remain — the sequential
-        fallback's cue.
+        :class:`RespawnError`, naming every lost worker, when no
+        survivors remain: the run has nowhere left to go.
         """
         if self.fleet.active_ids == [worker_id]:
+            lost = ", ".join(map(str, sorted([*self.fleet.lost, worker_id])))
             raise RespawnError(
-                f"worker {worker_id} is lost and no survivors remain",
+                f"workers {lost} are lost and no survivors remain",
                 worker_id=worker_id,
             )
         orphans = list(self.partition.assignment.values()).count(worker_id)
@@ -887,69 +885,12 @@ class S2Controller:
     # -- pipeline ---------------------------------------------------------
 
     def run_control_plane(self) -> ControlPlaneStats:
-        """The sharded fixed point, with graceful degradation.
-
-        A :class:`WorkerFailure` escaping the CPO means supervision is
-        out of options (respawn failed, or the replay budget is
-        spent); rather than abandon the run, the controller recomputes
-        the remaining shards on the monolithic engine — slower, but
-        bit-identical (the engines are equivalence-tested) — and the
-        stats record the degradation.
-        """
-        try:
-            stats = self.cpo.run(self.shards if self.shards else None)
-        except WorkerFailure:
-            stats = self._sequential_fallback()
+        """The sharded fixed point on the fleet.  A :class:`WorkerFailure`
+        escaping the CPO (the last worker lost, or a spent replay budget)
+        propagates: :class:`~repro.core.s2.S2Verifier` reports status
+        ``worker-failure`` and a serving session degrades read-only."""
+        stats = self.cpo.run(self.shards if self.shards else None)
         self._cp_done = True
-        return stats
-
-    def _sequential_fallback(self) -> ControlPlaneStats:
-        """Recompute unfinished shards on the monolithic engine."""
-        from ..routing.engine import SimulationEngine
-
-        stats = self.cpo.stats
-        stats.sequential_fallback = True
-        engine = SimulationEngine(
-            self.snapshot, max_rounds=self.options.max_rounds
-        )
-        engine.run_ospf()
-        shard_list: List[Optional[PrefixShard]] = (
-            list(self.shards) if self.shards else [None]
-        )
-        for shard in shard_list:
-            flush_index = shard.index if shard is not None else 0
-            if self.manifest is not None and self.manifest.converged(shard):
-                continue
-            result = engine.run_bgp_shard(
-                shard.prefixes if shard is not None else None
-            )
-            # Keyed by the *current* assignment's owners: after a loss
-            # migration only the survivors exist, and collected_ribs()
-            # reads exactly their files.
-            per_worker: Dict[int, Dict] = {
-                worker_id: {}
-                for worker_id in sorted(set(self.partition.assignment.values()))
-            }
-            selected_total = 0
-            for hostname, selected in result.items():
-                if not selected:
-                    continue  # the workers' flush omits empty nodes too
-                owner = self.partition.assignment[hostname]
-                per_worker[owner][hostname] = selected
-                selected_total += sum(
-                    len(routes) for routes in selected.values()
-                )
-            for worker_id, routes in per_worker.items():
-                stats.route_flush_bytes += self.store.write_shard(
-                    worker_id, flush_index, routes
-                )
-            stats.total_selected_routes += selected_total
-            stats.shards_run += 1
-            if self.manifest is not None:
-                self.manifest.mark_shard(flush_index)
-                self.store.write_manifest(self.manifest)
-        stats.bgp_rounds += engine.stats.bgp_rounds
-        stats.ospf_rounds += engine.stats.ospf_rounds
         return stats
 
     def build_data_plane(self) -> DataPlaneStats:

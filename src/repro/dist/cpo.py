@@ -89,7 +89,6 @@ class ControlPlaneStats:
     forced_rounds: int = 0          # extra rounds forced by dropped batches
     shards_skipped: int = 0         # shards skipped on resume (manifest)
     ospf_restored: bool = False     # OSPF came from a checkpoint, not rounds
-    sequential_fallback: bool = False  # degraded to the monolithic engine
     batches_dropped: int = 0        # the plan's fired drops
     batches_duplicated: int = 0     # the plan's fired duplicates
     duplicates_discarded: int = 0   # receiver-side sequence dedup hits

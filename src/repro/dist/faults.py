@@ -23,8 +23,8 @@ kind        effect
 ``duplicate`` deliver a sidecar route batch twice (receivers dedupe by
             sequence number)
 ``respawn_fail`` make the next respawn of the matched worker fail, which
-            exercises the loss-migration (and, when every worker is gone,
-            the sequential-fallback) degradation path
+            exercises the loss-migration path (and, when every worker
+            is gone, the run's typed :class:`RespawnError`)
 ``host_loss`` kill the worker like ``crash`` **and** fail every respawn
             attempt for the next ``heal_after`` tries — a permanently
             dead host.  The supervisor exhausts its respawn budget,
@@ -109,7 +109,8 @@ class InjectedWorkerCrash(WorkerDiedError):
 
 
 class RespawnError(WorkerFailure):
-    """Respawning a dead worker failed; callers degrade gracefully."""
+    """Respawning a dead worker failed: the worker is lost, and once no
+    survivor remains the run fails with it."""
 
 
 class StaleEpochError(WorkerFailure):
@@ -470,32 +471,37 @@ def sample_plan(seed: int, num_workers: int) -> FaultPlan:
     since the loss-migration layer — a permanent ``host_loss`` whose
     shards migrate to the survivors): the fuzz oracle asserts that a run
     surviving them is bit-identical to a fault-free run.  Crashes and
-    host losses hit any of :data:`CONTROL_PLANE_CALLS`.  Bare
-    ``respawn_fail`` is excluded on purpose — with a budget of one
-    failure it is indistinguishable from a slow respawn, and exhausting
-    the budget on *every* worker degrades to the sequential fallback,
-    which is covered by the fault-tolerance suite instead, and so is
-    ``error``, a wire fault that cannot fire in process.
+    host losses hit any of :data:`CONTROL_PLANE_CALLS`.
+
+    Every plan is survivable: one worker's crash firings plus host
+    losses stay within ``RetryPolicy.max_replays`` (they can all land in
+    one replayed unit), and the last worker is never lost; a draw past
+    either bound is clamped or dropped.  Bare ``respawn_fail`` is
+    excluded — with a budget of one failure it is indistinguishable
+    from a slow respawn — and so is ``error``, a wire fault that cannot
+    fire in process.
     """
     rng = random.Random(seed)
     specs: List[FaultSpec] = []
     for _ in range(rng.randint(1, 2)):
         kind = rng.choice(["crash", "drop", "duplicate", "host_loss"])
         worker, times = rng.randrange(num_workers), rng.randint(1, 2)
-        if kind == "crash":
-            spec = FaultSpec(
-                kind, worker=worker, times=times,
-                command=rng.choice(CONTROL_PLANE_CALLS),
-            )
-        elif kind == "host_loss":
-            # One permanent loss; heal_after large enough that every
-            # respawn-budget attempt fails and the worker is migrated.
-            spec = FaultSpec(
-                kind, worker=worker, times=1, heal_after=8,
-                command=rng.choice(CONTROL_PLANE_CALLS),
-            )
-        else:
-            spec = FaultSpec(kind, worker=worker, times=times)
+        spec = FaultSpec(kind, worker=worker, times=times)
+        if kind in ("crash", "host_loss"):
+            spec.command = rng.choice(CONTROL_PLANE_CALLS)
+            failed = [s for s in specs if s.kind in ("crash", "host_loss")]
+            if kind == "host_loss":
+                # One loss, outlasting every respawn attempt so the
+                # worker migrates, and never of the last worker left.
+                lost = {s.worker for s in failed if s.kind == kind}
+                spec.heal_after = 8
+                spec.times = int(
+                    worker not in lost and len(lost) + 1 < num_workers
+                )
+            spent = sum(s.times for s in failed if s.worker == worker)
+            spec.times = min(spec.times, RetryPolicy().max_replays - spent)
+            if spec.times < 1:
+                continue
         specs.append(spec)
     return FaultPlan(specs, seed=seed)
 
@@ -507,8 +513,8 @@ def sample_host_loss_plan(seed: int, num_workers: int) -> FaultPlan:
     ``heal_after`` far exceeds the respawn budget, so the matched worker
     is declared *lost* and its shards migrate to the survivors mid-run;
     the check is that the degraded run is still bit-identical to the
-    fault-free baseline (and, when every worker is lost, that the
-    sequential fallback is).
+    fault-free baseline.  That needs a survivor: with one worker the
+    loss fails the run typed, as losing every worker does.
     """
     rng = random.Random(seed ^ 0x105E)
     spec = FaultSpec(

@@ -625,8 +625,8 @@ class SocketWorkerPool:
         In connect mode the listener is assumed to outlive its worker
         state: respawn redials and replays ``__configure__`` at the next
         incarnation, which rebuilds the worker server-side.  Raises
-        :class:`RespawnError` when the worker cannot be brought back —
-        the controller's cue to degrade to the sequential fallback.
+        :class:`RespawnError` when the worker cannot be brought back;
+        once the supervisor's budget is spent the worker is lost.
         """
         if self._fault_plan is not None:
             self._fault_plan.check_respawn(worker_id)

@@ -189,7 +189,6 @@ class SessionServer:
                     "shards_recomputed": result.shards_recomputed,
                     "shards_reused": result.shards_reused,
                     "dirty_prefixes": result.dirty_prefixes,
-                    "sequential_fallback": result.sequential_fallback,
                     "reachable_pairs": result.reachable_pairs,
                     "lost_pairs": [list(pair) for pair in result.lost_pairs],
                     "gained_pairs": [

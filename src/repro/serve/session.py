@@ -19,19 +19,19 @@ Self-healing rests on four mechanisms:
   torn state.
 * **Bounded admission** — deltas queue up to ``queue_limit``; beyond
   that :class:`SessionBusyError` sheds load explicitly.
-* **Graceful degradation** — a recompute that fails terminally (after
-  worker recovery, shard replay, and the sequential fallback have all
-  been exhausted) flips the session to *degraded*: the previous epoch
-  keeps serving read-only and further deltas are refused.
+* **Graceful degradation** — a recompute that fails terminally (worker
+  recovery and shard replay exhausted, or the last worker lost) flips
+  the session to *degraded*: the previous epoch keeps serving read-only
+  and further deltas are refused.
 
 A delta commits in steps: classify it; rebind the snapshot (announce:
 changed hosts only, clean shards carried over) or reconfigure (full);
 run the control plane over the shards left to recompute; rebuild the
 data plane — after an announce-only epoch whose control plane
-recovered nothing and did not fall back, each worker patches its FIBs
-within the dirty prefixes and the recomputed shards and drops the
-compiled predicates of the devices whose FIB changed; otherwise every
-worker builds from empty; persist the epoch; recheck reachability;
+recovered nothing, each worker patches its FIBs within the dirty
+prefixes and the recomputed shards and drops the compiled predicates
+of the devices whose FIB changed; otherwise every worker builds from
+empty; persist the epoch; recheck reachability;
 swap in the view, whose RIBs are the previous view's with the
 recomputed shards' prefixes read back (after a patch) or every shard
 reread (otherwise).
@@ -59,10 +59,9 @@ where ``forward_D`` is the distributed all-pair forward with the injected
 header restricted to ``D``.  The committed per-pair BDDs are kept for
 that (in the DPO's controller engine, which is never collected).  The
 full recheck is the same rule with ``D = TRUE``; it is taken on boot, for
-a full delta, on a rebalance, when the endpoint set changed, when the
-control plane took the sequential fallback, and when the supervisor
-recovered a worker during the epoch.  An empty ``D`` (the same config
-re-applied) forwards nothing.
+a full delta, on a rebalance, when the endpoint set changed, and when
+the supervisor recovered a worker during the epoch.  An empty ``D``
+(the same config re-applied) forwards nothing.
 """
 
 from __future__ import annotations
@@ -145,10 +144,12 @@ class DeltaResult:
     shards_recomputed: int
     shards_reused: int
     dirty_prefixes: int
-    sequential_fallback: bool
     reachable_pairs: int
     lost_pairs: Tuple[Tuple[str, str], ...] = ()
     gained_pairs: Tuple[Tuple[str, str], ...] = ()
+    # Always False: read only by the s2bench serve ledger, until that
+    # ledger drops it (ROADMAP item 7).
+    sequential_fallback: bool = False
 
 
 # Per (source, destination): the BDD of packets that arrive.
@@ -693,8 +694,6 @@ class VerifierSession:
         stats = controller.run_control_plane()
         if not classification.incremental:
             dirty, reason = None, "delta"
-        elif stats.sequential_fallback:
-            dirty, reason = None, "sequential-fallback"
         elif controller.supervisor.recoveries != recoveries:
             dirty, reason = None, "recovery"
         else:
@@ -709,7 +708,6 @@ class VerifierSession:
             shards_recomputed=stats.shards_run,
             shards_reused=stats.shards_skipped,
             dirty_prefixes=len(classification.dirty_prefixes),
-            sequential_fallback=stats.sequential_fallback,
             reachable_pairs=len(view.pairs),
             lost_pairs=(
                 tuple(sorted(previous.pairs - view.pairs))

@@ -77,12 +77,34 @@ def monolith(snapshot, options):
 def converge(controller):
     """The distributed control plane; a divergent corpus case (the
     synchronous rounds oscillate) lands in the monolithic sweep's fixed
-    point through the controller's own sequential path instead."""
+    point instead, stored as the workers' flushes would store it."""
     try:
         controller.run_control_plane()
     except ConvergenceError:
-        controller._sequential_fallback()
-        controller._cp_done = True
+        store_monolith(controller)
+
+
+def store_monolith(controller):
+    """Write ``SimulationEngine``'s RIBs into the controller's store, one
+    file per owning worker and flush index, so the data plane builds
+    from the monolith's fixed point."""
+    engine = SimulationEngine(
+        controller.snapshot, max_rounds=controller.options.max_rounds
+    )
+    engine.run_ospf()
+    owners = controller.partition.assignment
+    for shard in controller.shards or [None]:
+        unsharded = shard is None
+        result = engine.run_bgp_shard(None if unsharded else shard.prefixes)
+        per_worker = {worker_id: {} for worker_id in set(owners.values())}
+        for hostname, selected in result.items():
+            if selected:  # the workers' flush omits empty nodes too
+                per_worker[owners[hostname]][hostname] = selected
+        for worker_id, routes in per_worker.items():
+            controller.store.write_shard(
+                worker_id, 0 if unsharded else shard.index, routes
+            )
+    controller._cp_done = True
 
 
 def compare(

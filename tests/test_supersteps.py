@@ -267,7 +267,6 @@ def test_a_recovered_worker_is_built_from_the_current_configs(
         result = _announce(session, ft4_texts, announce_host)
         assert plan.count(spec.kind) == 1, "the fault never fired"
         assert result.kind == "announce"
-        assert not result.sequential_fallback
         _assert_monolithic(session)
         if runtime == "sequential" and spec.kind == "crash":
             respawned = session._controller.fleet.get(1)
