@@ -16,6 +16,9 @@ Three questions, answered on one FatTree control-plane run:
    reassignment once (the survivors adopt the orphans and the run still
    finishes distributed), and after the healed host is rebalanced back
    in, steady-state throughput is within 10% of the pre-loss fleet.
+   Neither membership change rewrites the store: shard files stay keyed
+   by their writer, so both rows report the shard bytes the controller
+   wrote (0).
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ FIXED_CHECKPOINT_WRITES = WORKERS + 2
 
 
 def _run(snapshot, tmp_dir=None, fault_plan=None, runs=3):
-    """Best-of-N control-plane wall time; stats, respawns and the
-    controller's durable writes from the last run."""
+    """Best-of-N control-plane wall time; stats, respawns, the
+    controller's durable writes and its shard bytes from the last
+    run."""
     best = float("inf")
     stats = None
     for _ in range(runs):
@@ -53,8 +57,9 @@ def _run(snapshot, tmp_dir=None, fault_plan=None, runs=3):
             stats = controller.run_control_plane()
             respawns = controller.report().total_respawns
             writes = controller.storage_counts()["controller_writes"]
+            shard_bytes = controller.store.bytes_written
         best = min(best, time.perf_counter() - started)
-    return best, stats, respawns, writes
+    return best, stats, respawns, writes, shard_bytes
 
 
 def _run_experiment():
@@ -63,13 +68,13 @@ def _run_experiment():
     snapshot = build_fattree(6)
     rows = []
 
-    plain_s, plain_stats, _, _ = _run(snapshot)
+    plain_s, plain_stats, _, _, _ = _run(snapshot)
     rows.append(
         ["fault-free (no checkpoint)", f"{plain_s:.3f}", plain_stats.bgp_rounds, 0, 0, "-"]
     )
 
     with tempfile.TemporaryDirectory(prefix="s2-bench-ckpt-") as tmp:
-        ckpt_s, ckpt_stats, _, ckpt_writes = _run(snapshot, tmp_dir=tmp)
+        ckpt_s, ckpt_stats, _, ckpt_writes, _ = _run(snapshot, tmp_dir=tmp)
     overhead = (ckpt_s - plain_s) / plain_s * 100.0
     rows.append(
         [
@@ -86,7 +91,7 @@ def _run_experiment():
         [FaultSpec(kind="crash", worker=1, shard=SHARDS // 2, command="step",
                    round=1)]
     )
-    crash_s, crash_stats, respawns, _ = _run(
+    crash_s, crash_stats, respawns, _, _ = _run(
         snapshot, fault_plan=plan, runs=1
     )
     rows.append(
@@ -135,7 +140,9 @@ def _run_experiment():
             )
         ]
     )
-    loss_s, loss_stats, _, _ = _run(snapshot, fault_plan=plan, runs=1)
+    loss_s, loss_stats, _, _, loss_bytes = _run(
+        snapshot, fault_plan=plan, runs=1
+    )
     assert loss_stats.workers_lost == 1
     reassign_cost = (loss_s - plain_s) / plain_s * 100.0
     rows.append(
@@ -146,7 +153,7 @@ def _run_experiment():
             loss_stats.worker_failures,
             loss_stats.shard_replays,
             f"{loss_stats.shards_reassigned} shards reassigned "
-            f"({reassign_cost:+.1f}%)",
+            f"({reassign_cost:+.1f}%), {loss_bytes} B store writes",
         ]
     )
 
@@ -168,7 +175,9 @@ def _run_experiment():
     with S2Controller(snapshot, options) as controller:
         controller.run_control_plane()
         assert controller.capacity()["lost_workers"] == 1
+        before = controller.store.bytes_written
         assert controller.rejoin_worker(1)
+        rebalance_bytes = controller.store.bytes_written - before
         assert controller.capacity()["lost_workers"] == 0
         for _ in range(3):
             controller.reconfigure(snapshot)
@@ -185,7 +194,8 @@ def _run_experiment():
             "-",
             0,
             0,
-            f"{rebalance_delta:+.1f}% vs pre-loss",
+            f"{rebalance_delta:+.1f}% vs pre-loss, rejoin "
+            f"{rebalance_bytes} B store writes",
         ]
     )
 

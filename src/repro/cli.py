@@ -179,7 +179,8 @@ def cmd_verify(args) -> int:
                 f"fault tolerance: {cp.worker_failures} worker failures, "
                 f"{cp.shard_replays} batch replays, "
                 f"{cp.shards_skipped} shards skipped on resume, "
-                f"{cp.forced_rounds} rounds forced by dropped batches"
+                f"{cp.forced_rounds} rounds forced by dropped batches, "
+                f"{cp.workers_lost} workers lost"
             )
         if result.loop_violations:
             print(f"loops found: {len(result.loop_violations)}")

@@ -180,10 +180,11 @@ class S2Verifier:
                 result.error = str(exc)
             except WorkerFailure as exc:
                 # Supervision and replay are exhausted, or the last
-                # worker is lost, in either phase: report it, don't
-                # traceback.
+                # worker is lost, in either phase: report it, with the
+                # control plane's stats so far, don't traceback.
                 result.status = "worker-failure"
                 result.error = str(exc)
+                result.cp_stats = self.controller.cpo.stats
             span.set(status=result.status, routes=result.total_routes)
         result.wall_seconds = clock.seconds
         result.report = self.controller.report()

@@ -47,7 +47,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -84,7 +83,7 @@ from .sharding import (
     validate_shards,
 )
 from .sidecar import Sidecar
-from .storage import RouteStore, RunManifest, ShardRoutes
+from .storage import RouteStore, RunManifest, Written
 
 #: Worker pools: in-process workers run each call as it is issued
 #: (``sequential``); ``socket`` puts every worker behind a TCP server —
@@ -93,7 +92,7 @@ from .storage import RouteStore, RunManifest, ShardRoutes
 RUNTIMES = ("sequential", "socket")
 
 #: Failed respawns of one worker, within one recovery, before it is
-#: declared lost and its shards migrate to the survivors.
+#: declared lost and its nodes move to the survivors.
 RESPAWN_BUDGET = 2
 
 
@@ -184,8 +183,8 @@ class WorkerSupervisor:
     times — except against an *unmanaged* pool (connect-mode socket
     hosts), where a refused re-dial means the host is gone and the
     budget is one.  A worker whose budget is spent is declared **lost**:
-    journaled, then handed to :attr:`on_loss` (the controller's shard
-    migration hook) so the run continues on the survivors.
+    journaled, then handed to :attr:`on_loss` (the controller's
+    membership hook) so the run continues on the survivors.
     """
 
     def __init__(
@@ -201,14 +200,14 @@ class WorkerSupervisor:
         self.pool = pool
         self.persistent = persistent
         self.policy = policy or RetryPolicy()
-        self._ospf_states: Dict[int, Any] = {}
-        # The active workers whose installed IGP routes are the ones in
-        # ``_ospf_states`` (they computed or were restored to them); a
-        # respawn drops its worker until the replay restores it.
-        self._ospf_holders: Set[int] = set()
+        # The IGP checkpoint as one union keyed by host (None until
+        # taken), of which a restore sends each worker the hosts it owns
+        # under the pool's assignment.  Every active worker holds it:
+        # each respawn and membership change restores it.
+        self._ospf: Optional[Dict[str, Tuple]] = None
         self.recoveries = 0
-        # Loss migration hook: ``on_loss(worker_id, cause)`` must either
-        # remove the worker from the fleet (migrating its state) or
+        # Loss hook: ``on_loss(worker_id, cause)`` must either remove
+        # the worker from the fleet (handing its nodes over) or
         # raise; installed by :class:`S2Controller`.
         self.on_loss: Optional[Any] = None
         self.stale_epoch_rejections = 0
@@ -255,53 +254,60 @@ class WorkerSupervisor:
     # -- OSPF checkpoint --------------------------------------------------
 
     def _restore(self, workers: Optional[List[Any]] = None) -> None:
-        """Install each worker's checkpoint; given respawned ``workers``,
-        on those still active, with the serving epoch (fresh execution
-        contexts come up at epoch -1, which the fence refuses)."""
+        """Install each worker's part of the checkpoint; given respawned
+        ``workers``, on those still active, with the serving epoch
+        (fresh execution contexts come up at epoch -1, which the fence
+        refuses)."""
         if workers is not None:
             workers = [w for w in workers if self.fleet.get(w.worker_id) is w]
+        checkpoint, owner = self._ospf, self.pool.assignment
         self.fleet.call_all(
             "restore_ospf_state",
             workers=workers,
-            each=lambda worker: (self._ospf_states.get(worker.worker_id),),
-        )
-        self._ospf_holders.update(
-            w.worker_id
-            for w in (workers if workers is not None else self.fleet.workers)
+            each=lambda worker: (None if checkpoint is None else {
+                host: routes
+                for host, routes in checkpoint.items()
+                if owner.get(host) == worker.worker_id
+            },),
         )
         epoch = self.fleet.epoch
         if workers is not None and epoch is not None:
             self.fleet.call_all("begin_epoch", epoch, workers=workers)
 
-    def checkpoint_ospf(self) -> None:
+    def checkpoint_ospf(self) -> List[int]:
         """Capture every worker's installed IGP routes: one fan-out, the
-        last step of the IGP's replayed unit."""
+        last step of the IGP's replayed unit.  Returns the writers: the
+        workers whose checkpoint files hold the result."""
         states = self.fleet.call_all("export_ospf_state")
-        for worker_id, state in zip(self.fleet.active_ids, states):
-            self._ospf_states[worker_id] = state
+        writers = self.fleet.active_ids
+        self._ospf = {}
+        for worker_id, state in zip(writers, states):
+            self._ospf.update(state)
             if self.persistent:
                 self.store.write_ospf_state(worker_id, state)
-        self._ospf_holders = set(self.fleet.active_ids)
+        return writers
 
     def restore_ospf(
-        self, on_recovered: Optional[Callable[[int], None]] = None
+        self,
+        writers: Sequence[int],
+        on_recovered: Optional[Callable[[int], None]] = None,
     ) -> bool:
-        """Resume path: reload the IGP result from the store, skip rounds.
-
-        A fleet that already holds the checkpoint (an announce epoch on
-        resident workers) needs neither the read nor the fan-out.
-        Returns False when any worker's checkpoint is missing, in which
-        case the caller falls back to re-running the IGP fixed point.
-        """
-        if self._ospf_holders.issuperset(self.fleet.active_ids):
+        """Resume path: restore the IGP result from the union of its
+        ``writers``' checkpoint files, skipping rounds; False when none
+        is recorded or a file is missing (the caller reruns the IGP).
+        A fleet already holding the checkpoint (an announce epoch on
+        resident workers) needs neither the read nor the fan-out."""
+        if self._ospf is not None:
             return True
-        states: Dict[int, Any] = {}
-        for worker in self.fleet.workers:
-            state = self.store.read_ospf_state(worker.worker_id)
+        if not writers:
+            return False
+        union: Dict[str, Tuple] = {}
+        for writer in writers:
+            state = self.store.read_ospf_state(writer)
             if state is None:
                 return False
-            states[worker.worker_id] = state
-        self._ospf_states = states
+            union.update(state)
+        self._ospf = union
         self.replay(self._restore, on_recovered)
         return True
 
@@ -312,7 +318,7 @@ class WorkerSupervisor:
         on failure.
 
         When the respawn budget is spent the worker is declared lost and
-        :attr:`on_loss` migrates its shards instead — returning normally
+        :attr:`on_loss` hands its nodes over instead — returning normally
         so :meth:`replay` reruns the unit on the survivors only.
         """
         worker_id = failure.worker_id
@@ -320,7 +326,6 @@ class WorkerSupervisor:
         if worker is None:
             raise failure
         self.recoveries += 1
-        self._ospf_holders.discard(worker_id)
         epoch = self.fleet.epoch
         if isinstance(failure, StaleEpochError):
             self.stale_epoch_rejections += 1
@@ -362,35 +367,10 @@ class WorkerSupervisor:
         self.on_loss(worker_id, cause)
         return worker
 
-    def merge_ospf_checkpoints(self) -> None:
-        """Install the union of every checkpoint on every active worker.
-
-        After a loss migration a survivor owns nodes whose IGP state was
-        checkpointed by the dead worker; ``restore_ospf_state`` ignores
-        hostnames the worker doesn't own, so the union is safe to replay
-        everywhere — and it keeps each per-worker checkpoint
-        self-sufficient for the *next* recovery.  Checkpoints of workers
-        that left the fleet are dropped.
-        """
-        union: Dict[str, Any] = {}
-        for state in self._ospf_states.values():
-            if state:
-                union.update(state)
-        self._ospf_states = {}
-        self._ospf_holders.clear()
-        if not union:
-            return
-        for worker_id in self.fleet.active_ids:
-            self._ospf_states[worker_id] = union
-            if self.persistent:
-                self.store.write_ospf_state(worker_id, union)
-        self.replay(self._restore)
-
     def forget_checkpoints(self) -> None:
         """Drop the in-memory OSPF checkpoints (full reconfigure: the
         old IGP result no longer describes the snapshot)."""
-        self._ospf_states.clear()
-        self._ospf_holders.clear()
+        self._ospf = None
 
 
 class S2Controller:
@@ -495,11 +475,13 @@ class S2Controller:
         self.dpo = DataPlaneOrchestrator(
             self.fleet,
             self.supervisor,
+            self.store,
             encoding=opts.encoding,
             node_limit=opts.node_limit,
             tracer=self.tracer,
             metrics=self.metrics,
             max_hops=opts.max_hops,
+            foreign=self.foreign_indices,
         )
         self.start_run(manifest)
 
@@ -556,6 +538,18 @@ class S2Controller:
             )
         return cached[2]
 
+    def foreign_indices(self) -> Dict[int, Tuple[int, ...]]:
+        """Each recorded flush index not written by the current fleet
+        under the current assignment, with its writers: a reader of one
+        reads every writer's file (none while the membership is
+        unchanged)."""
+        current = (tuple(self.fleet.active_ids), self.partition.digest)
+        return {
+            index: record[0]
+            for index, record in self.cpo.written.items()
+            if record != current
+        }
+
     def _build_shards(
         self, previous: Sequence[PrefixShard] = ()
     ) -> List[PrefixShard]:
@@ -609,8 +603,8 @@ class S2Controller:
     def start_run(
         self,
         manifest: Optional[RunManifest] = None,
-        carried: Sequence[int] = (),
-        ospf_done: bool = False,
+        carried: Optional[Written] = None,
+        ospf_writers: Sequence[int] = (),
     ) -> None:
         """Bind a fresh orchestrator for one control-plane run.
 
@@ -619,8 +613,9 @@ class S2Controller:
         the fleet and supervisor carry over.  On a persistent
         store the run records into ``manifest`` (a resumed one) or into
         a fresh manifest written here, where the ``carried`` flush
-        indices count as converged and ``ospf_done`` marks an IGP result
-        the delta left unchanged.
+        indices count as converged, with their writers, and
+        ``ospf_writers`` name the checkpoint files of an IGP result the
+        delta left unchanged.
         """
         opts = self.options
         if manifest is None and opts.store_dir is not None:
@@ -629,12 +624,13 @@ class S2Controller:
                 seed=opts.seed,
                 num_workers=opts.num_workers,
                 num_shards=max(1, len(self.shards)),
-                ospf_done=ospf_done,
+                ospf_done=bool(ospf_writers),
+                ospf_writers=list(ospf_writers),
                 epoch=self.fleet.epoch or 0,  # 0 outside serving
             )
             manifest.record_packing(self.shards)
-            for index in carried:
-                manifest.mark_shard(index)
+            for index, (writers, layout) in (carried or {}).items():
+                manifest.mark_shard(index, 0, writers, layout)
             self.store.write_manifest(manifest)
         self.manifest = manifest
         self.cpo = ControlPlaneOrchestrator(
@@ -642,6 +638,7 @@ class S2Controller:
             self.store,
             self.supervisor,
             self._footprint,
+            lambda: self.partition.digest,
             ospf=any(
                 c.ospf is not None for c in self.snapshot.configs.values()
             ),
@@ -732,10 +729,10 @@ class S2Controller:
 
     def _rebuild_fleet(self) -> None:
         """After a membership change: respawn the active workers on the
-        new assignment, replay the merged IGP checkpoint, and re-seed
-        the serving epoch so the fence admits them."""
+        new assignment, restore each one's hosts of the IGP checkpoint,
+        and re-seed the serving epoch so the fence admits them."""
         self._reconfigure_fleet()
-        self.supervisor.merge_ospf_checkpoints()
+        self.supervisor.replay(self.supervisor._restore)
         if self.fleet.epoch is not None:
             self.begin_epoch(self.fleet.epoch)
         self.dpo.invalidate()
@@ -752,7 +749,7 @@ class S2Controller:
         Otherwise they build from empty.
         """
         self.dpo.invalidate()
-        self.dpo.build(self.store, self._patch_for(dirty))
+        self.dpo.build(self._patch_for(dirty))
         return self.dpo.stats
 
     def _patch_for(
@@ -772,7 +769,7 @@ class S2Controller:
             ),
         )
 
-    # -- permanent loss: shard reassignment --------------------------------
+    # -- permanent loss and rejoin -----------------------------------------
 
     def capacity(self) -> Dict[str, Any]:
         """Degraded-capacity summary (serving surfaces re-export this)."""
@@ -781,20 +778,11 @@ class S2Controller:
     def _handle_worker_loss(
         self, worker_id: int, cause: WorkerFailure
     ) -> None:
-        """Migrate a dead worker's shards to the survivors.
-
-        Installed as the supervisor's ``on_loss`` hook: the worker is
-        marked lost and the membership tail runs, so the run stays
-        *distributed* on the shrunken fleet.  Raises
-        :class:`RespawnError`, naming every lost worker, when no
-        survivors remain: the run has nowhere left to go.
-        """
-        if self.fleet.active_ids == [worker_id]:
-            lost = ", ".join(map(str, sorted([*self.fleet.lost, worker_id])))
-            raise RespawnError(
-                f"workers {lost} are lost and no survivors remain",
-                worker_id=worker_id,
-            )
+        """The supervisor's ``on_loss`` hook: mark the worker lost and
+        run the membership tail, so the run stays *distributed* on the
+        survivors (which read the indices it wrote from its files).
+        Raises :class:`RespawnError`, naming every lost worker, when no
+        survivors remain: the run has nowhere left to go."""
         orphans = list(self.partition.assignment.values()).count(worker_id)
         # Quarantine the dead worker: the fleet freezes its identity,
         # stats, and transport counters; the pool keeps its slot, since
@@ -804,20 +792,28 @@ class S2Controller:
             f"{type(cause).__name__}: {cause}",
             self._pool.channel_counters(worker_id),
         )
-        migrated = len(self.store.worker_shard_indices(worker_id))
         self.cpo.stats.workers_lost += 1
-        self.cpo.stats.shards_reassigned += migrated
         self.metrics.counter("cluster.workers_lost").inc()
+        if not self.fleet.workers:
+            lost = ", ".join(map(str, sorted(self.fleet.lost)))
+            raise RespawnError(
+                f"workers {lost} are lost and no survivors remain",
+                worker_id=worker_id,
+            )
+        reassigned = sum(
+            worker_id in writers for writers, _ in self.cpo.written.values()
+        )
+        self.cpo.stats.shards_reassigned += reassigned
         self._membership_changed(
             "worker.lost", "shard_reassigned", worker=worker_id,
-            shards=migrated, nodes=orphans,
+            shards=reassigned, nodes=orphans,
             survivors=len(self.fleet.workers),
         )
 
     def rejoin_worker(
         self, worker_id: int, epoch: Optional[int] = None
     ) -> bool:
-        """Probe a lost worker's host and rebalance shards back onto it.
+        """Probe a lost worker's host and rebalance nodes back onto it.
 
         Returns False while the host is still down (the caller re-arms
         its backoff timer).  On success the worker returns to the fleet
@@ -842,11 +838,11 @@ class S2Controller:
         self, instant: str, record: str, **fields: Any
     ) -> None:
         """The tail of a loss or a rejoin: re-plan around the lost set
-        (whatever order it formed in), re-key the store, record the
-        change (before the rebuild, so a cascading loss cannot erase
-        it), and rebuild the active workers."""
+        (whatever order it formed in), record the change (before the
+        rebuild, so a cascading loss cannot erase it), and rebuild the
+        active workers.  The store is not touched: a file stays keyed
+        by its writer, and the readers follow the flush records."""
         self.partition = self._plan_partition(sorted(self.fleet.lost))
-        self._repartition_store()
         self.metrics.gauge("cluster.active_workers").set(
             len(self.fleet.workers)
         )
@@ -854,33 +850,6 @@ class S2Controller:
         if self.supervisor.journal is not None:
             self.supervisor.journal.record(record, **fields)
         self._rebuild_fleet()
-
-    def _repartition_store(self) -> None:
-        """Re-key every shard file, a just-lost worker's included, to
-        the current assignment's owners at the same flush index (the
-        merged RIBs stay bit-identical), then delete the lost workers'
-        files so a later re-key cannot resurrect them."""
-        assignment = self.partition.assignment
-        active = self.fleet.active_ids
-        readers = active + sorted(self.fleet.lost)
-        indices = set()
-        for wid in readers:
-            indices.update(self.store.worker_shard_indices(wid))
-        for shard_index in sorted(indices):
-            per_worker: Dict[int, ShardRoutes] = {wid: {} for wid in active}
-            for wid in readers:
-                try:
-                    routes = self.store.read_shard(wid, shard_index)
-                except FileNotFoundError:
-                    continue
-                for node, prefixes in routes.items():
-                    owner = assignment.get(node)
-                    if owner in per_worker:
-                        per_worker[owner][node] = prefixes
-            for wid, routes in per_worker.items():
-                self.store.write_shard(wid, shard_index, routes)
-        for wid in self.fleet.lost:
-            self.store.delete_worker_files(wid)
 
     # -- pipeline ---------------------------------------------------------
 
@@ -896,7 +865,7 @@ class S2Controller:
     def build_data_plane(self) -> DataPlaneStats:
         if not self._cp_done:
             self.run_control_plane()
-        self.dpo.build(self.store)
+        self.dpo.build()
         return self.dpo.stats
 
     def checker(self):
@@ -918,7 +887,8 @@ class S2Controller:
         base: Optional[BgpResult] = None,
         dirty: Optional[AbstractSet[Prefix]] = None,
     ) -> BgpResult:
-        """Merge every worker's stored shards: the network-wide RIBs.
+        """Merge the stored shards the active workers read (the reader
+        rule of :meth:`RouteStore.shard_files`): the network-wide RIBs.
 
         This is the oracle interface the equivalence tests compare against
         the monolithic engine.  Given the previous epoch's RIBs as
@@ -938,11 +908,11 @@ class S2Controller:
                     if prefix not in inside
                 }
         indices = patch.flush_indices if patch is not None else None
-        for worker in self.fleet.workers:
-            for node, routes in self.store.merged_routes(
-                worker.worker_id, indices
-            ).items():
-                merged.setdefault(node, {}).update(routes)
+        files = self.store.shard_files(
+            self.fleet.active_ids, indices, self.foreign_indices()
+        )
+        for node, routes in self.store.merged_routes(files).items():
+            merged.setdefault(node, {}).update(routes)
         for name in self.snapshot.configs:
             merged.setdefault(name, {})
         return merged

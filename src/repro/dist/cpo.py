@@ -34,6 +34,8 @@ each shard's routes to its own file in the
 :class:`~repro.dist.storage.RouteStore` (and frees the RIBs): the shard
 stays the flush, carry-over and resume unit.  A flushed shard
 that a later batch absorbs is rewritten atomically at its own index.
+Each landed flush records the index's writers and assignment digest
+(``written``): what a reader follows after a membership change.
 
 Fault tolerance rides on batch idempotency: ``begin_shard`` fully
 resets per-shard state, so when a :class:`~repro.dist.faults.
@@ -67,7 +69,7 @@ from .fleet import Fleet
 from .message import RouteBatch
 from .resources import ROUTE_BYTES, memory_bytes
 from .sharding import PrefixShard, plan_batches
-from .storage import RouteStore, RunManifest
+from .storage import RouteStore, RunManifest, Written
 from .worker import PullOutcome
 
 
@@ -100,7 +102,8 @@ class ControlPlaneStats:
     transforms_computed: int = 0    # per-prefix export/import transforms run
     transforms_reused: int = 0      # ... and carried over: same input route
     workers_lost: int = 0           # respawn budget spent; left the fleet
-    shards_reassigned: int = 0      # shard files migrated to survivors
+    shards_reassigned: int = 0      # indices a lost worker wrote, now
+                                    # read by the survivors
 
 
 class ControlPlaneOrchestrator:
@@ -110,6 +113,7 @@ class ControlPlaneOrchestrator:
         store: RouteStore,
         supervisor,
         footprint: Callable[[], Dict[int, Tuple[int, int]]],
+        layout: Callable[[], str] = str,
         ospf: bool = False,
         max_rounds: int = 200,
         fault_plan: Optional[FaultPlan] = None,
@@ -133,6 +137,12 @@ class ControlPlaneOrchestrator:
         self.stats = ControlPlaneStats()
         # Flush indices this run wrote: what a data-plane patch rereads.
         self.flushed: Set[int] = set()
+        # Per converged flush index, its writers and the digest of the
+        # assignment they flushed under (``layout()`` is the current one).
+        self.layout = layout
+        self.written: Written = (
+            manifest.written() if manifest is not None else {}
+        )
 
     # -- helpers ------------------------------------------------------------
 
@@ -194,14 +204,17 @@ class ControlPlaneOrchestrator:
         is identical to the fault-free run.
         """
 
-        def igp() -> None:
+        def igp() -> List[int]:
             if self.ospf:
                 self._run_ospf_once()
-            self.supervisor.checkpoint_ospf()
+            return self.supervisor.checkpoint_ospf()
 
-        self.supervisor.replay(igp, partial(self._recovered, "ospf_replays"))
+        writers = self.supervisor.replay(
+            igp, partial(self._recovered, "ospf_replays")
+        )
         if self.manifest is not None:
             self.manifest.ospf_done = True
+            self.manifest.ospf_writers = writers
             self.store.write_manifest(self.manifest)
 
     def _run_ospf_once(self) -> None:
@@ -287,8 +300,11 @@ class ControlPlaneOrchestrator:
                 (index, shard if union is not shard else None)
                 for shard, index in zip(batch, indices)
             ])
-            for index in indices:
-                self._mark_shard_done(index, rounds)
+            if self.manifest is not None:
+                for index in indices:
+                    record = self.written[index]
+                    self.manifest.mark_shard(index, rounds, *record)
+                    self.store.write_manifest(self.manifest)
 
         self.supervisor.replay(
             converge_and_flush, partial(self._recovered, "shard_replays")
@@ -424,6 +440,8 @@ class ControlPlaneOrchestrator:
                 "flush_shard", self.store.directory, parts
             )
             self.flushed.update(indices)
+            record = (tuple(self.fleet.active_ids), self.layout())
+            self.written.update(dict.fromkeys(indices, record))
             flushed_bytes = 0
             for per_shard in replies:
                 for written, selected in per_shard:
@@ -440,12 +458,6 @@ class ControlPlaneOrchestrator:
         self.stats.shards_run += len(parts)
 
     # -- checkpoint/resume ----------------------------------------------------
-
-    def _mark_shard_done(self, flush_index: int, rounds: int) -> None:
-        if self.manifest is None:
-            return
-        self.manifest.mark_shard(flush_index, rounds=rounds)
-        self.store.write_manifest(self.manifest)
 
     def run(
         self, shards: Optional[Sequence[PrefixShard]] = None
@@ -464,7 +476,8 @@ class ControlPlaneOrchestrator:
                 self.manifest is not None
                 and self.manifest.ospf_done
                 and self.supervisor.restore_ospf(
-                    partial(self._recovered, "ospf_replays")
+                    self.manifest.ospf_writers,
+                    partial(self._recovered, "ospf_replays"),
                 )
             ):
                 self.stats.ospf_restored = True

@@ -29,7 +29,9 @@ BDD operation caches' hits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..bdd.engine import FALSE, OP_OR, TRUE, BddEngine
 from ..bdd.headerspace import HeaderEncoding
@@ -98,15 +100,21 @@ class DataPlaneOrchestrator:
         self,
         fleet: Fleet,
         supervisor,
+        store: RouteStore,
         encoding: Optional[HeaderEncoding] = None,
         node_limit: int = 1 << 24,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         max_hops: int = DEFAULT_MAX_HOPS,
+        foreign: Callable[[], Dict[int, Tuple[int, ...]]] = dict,
     ) -> None:
         # Read at every query: a loss or rejoin takes effect at the next
         # build (the controller invalidates it).
         self.fleet = fleet
+        # The route store the FIBs are built from, and its flush indices
+        # a build reads from every writer's file (the reader rule).
+        self.store = store
+        self.foreign = foreign
         self.encoding = encoding or HeaderEncoding()
         self.node_limit = node_limit
         self.engine: BddEngine = self.encoding.make_engine(
@@ -117,7 +125,6 @@ class DataPlaneOrchestrator:
         self.metrics = metrics
         self.stats = DataPlaneStats()
         self._built = False
-        self._store: Optional[RouteStore] = None
         self._transits: List[str] = []
         # The workers' hop bound, which the closure applies as theirs.
         self.max_hops = max_hops
@@ -139,16 +146,13 @@ class DataPlaneOrchestrator:
         reinstall the waypoints first."""
         self.stats.worker_failures += failed
         self._built = False
-        assert self._store is not None
-        self.build(self._store)
+        self.build()
         self._install_waypoints()
         self.stats.query_replays += 1
 
     # -- phase 1: FIBs ------------------------------------------------------
 
-    def build(
-        self, store: RouteStore, patch: Optional[DataPlanePatch] = None
-    ) -> None:
+    def build(self, patch: Optional[DataPlanePatch] = None) -> None:
         """Build the FIBs on every worker, from empty or by ``patch``.
 
         Queries are the recovery unit of the DPV phase: a worker failure
@@ -158,7 +162,6 @@ class DataPlaneOrchestrator:
         (fresh engine per call), and a recovered worker's routes come
         back from the store plus its OSPF checkpoint.
         """
-        self._store = store
         pending = [patch]
 
         def recovered(failed: int) -> None:
@@ -166,7 +169,7 @@ class DataPlaneOrchestrator:
             pending[0] = None
 
         self.supervisor.replay(
-            lambda: self._build_once(store, pending[0]), recovered
+            lambda: self._build_once(pending[0]), recovered
         )
 
     def invalidate(self) -> None:
@@ -208,20 +211,21 @@ class DataPlaneOrchestrator:
         self._rows = {}
         self._touched = set()
 
-    def _build_once(
-        self, store: RouteStore, patch: Optional[DataPlanePatch]
-    ) -> None:
+    def _build_once(self, patch: Optional[DataPlanePatch]) -> None:
         if self._built:
             return
         with stopwatch() as clock, self.tracer.span(
             "dpo.build", category="dpo", patch=patch is not None
         ):
+            # No index is foreign while the membership is unchanged.
+            foreign = self.foreign()
             built = self.fleet.call_all(
                 "build_dataplane",
-                store.directory,
+                self.store.directory,
                 self.encoding,
                 self.node_limit,
                 patch,
+                *((foreign,) if foreign else ()),
             )
         self.stats.predicate_seconds += clock.seconds
         classes = frozenset().union(*built)
@@ -237,10 +241,9 @@ class DataPlaneOrchestrator:
         """Compile every device's predicates now, through the hook a
         first packet calls: Figure 10's phase 1, timed into
         ``predicate_seconds``, with the busiest worker's node count."""
-        assert self._store is not None, "call build() before compile_all()"
 
         def compile_once():
-            self._build_once(self._store, None)
+            self._build_once(None)
             return self.fleet.call_all("compile_devices")
 
         def recovered(failed: int) -> None:

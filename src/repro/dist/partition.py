@@ -22,8 +22,11 @@ Five schemes, matching the paper's Figure 7 study:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config.loader import Snapshot
@@ -39,6 +42,13 @@ class PartitionResult:
     assignment: Dict[str, int]
     num_workers: int
     scheme: str
+
+    @cached_property
+    def digest(self) -> str:
+        """A digest of the assignment: what a flush records it wrote
+        under (:meth:`~repro.dist.storage.RunManifest.mark_shard`)."""
+        text = json.dumps(sorted(self.assignment.items()))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def segments(self) -> List[List[str]]:
         result: List[List[str]] = [[] for _ in range(self.num_workers)]

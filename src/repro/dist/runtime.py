@@ -28,7 +28,8 @@ class LocalWorkerPool:
 
     Like the socket pool, it keeps each worker's identity across
     respawns and rebuilds it from the pool's *current* snapshot and
-    assignment.  Call faults fire at :meth:`Worker.call_nowait`, the
+    ``assignment`` (which the supervisor's OSPF restore slices by).
+    Call faults fire at :meth:`Worker.call_nowait`, the
     surface the socket proxy injects at too, and a
     ``host_loss``/``respawn_fail`` plan fails the respawn here.
     """
@@ -45,7 +46,7 @@ class LocalWorkerPool:
         fault_plan: Optional[FaultPlan] = None,
         trace_dir: Optional[str] = None,
     ) -> None:
-        self._snapshot, self._assignment = snapshot, assignment
+        self._snapshot, self.assignment = snapshot, assignment
         self._fault_plan = fault_plan
         # In-process workers write their own trace shards too, so the
         # merged timeline has one track per worker regardless of runtime.
@@ -76,11 +77,11 @@ class LocalWorkerPool:
         self, snapshot: Snapshot, assignment: Dict[str, int]
     ) -> None:
         """Point future respawns at the current snapshot/assignment."""
-        self._snapshot, self._assignment = snapshot, assignment
+        self._snapshot, self.assignment = snapshot, assignment
 
     def _rebuild(self, worker: Worker) -> None:
         worker.snapshot = self._snapshot
-        worker.assignment = self._assignment
+        worker.assignment = self.assignment
         worker.reset()
 
     def reconfigure(

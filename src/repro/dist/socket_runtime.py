@@ -477,7 +477,7 @@ class SocketWorkerPool:
             "fork" if os.name == "posix" else "spawn"
         )
         # What every __configure__ (first spawn or respawn) ships.
-        self._snapshot, self._assignment = snapshot, assignment
+        self._snapshot, self.assignment = snapshot, assignment
         self._capacity, self._max_hops = capacity, max_hops
         self._policy = retry_policy or RetryPolicy()
         self._fault_plan = fault_plan
@@ -566,7 +566,7 @@ class SocketWorkerPool:
             (
                 worker_id,
                 self._snapshot,
-                self._assignment,
+                self.assignment,
                 self._capacity,
                 self._max_hops,
                 self._trace_dir,
@@ -594,7 +594,7 @@ class SocketWorkerPool:
         config, not the boot-time one (it would then fail the epoch
         fence and recovery would loop).
         """
-        self._snapshot, self._assignment = snapshot, assignment
+        self._snapshot, self.assignment = snapshot, assignment
 
     def reconfigure(
         self,

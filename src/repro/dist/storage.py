@@ -3,11 +3,19 @@
 When a prefix shard finishes, each worker flushes the shard's selected
 routes to disk and frees the in-memory RIBs, which is what caps peak
 memory at one shard's footprint.  The store really writes pickle files
-(one per worker × shard) under a spool directory, so the flush cost and
-the reload path are genuine.  A full data-plane build reads every shard
-file back; after an announce-only epoch a worker reads only the files of
-the flush indices that epoch recomputed (:meth:`RouteStore.merged_routes`
-with ``indices``), and so does the serving session's RIB view.
+under a spool directory, so the flush cost and the reload path are
+genuine.  Durable state is keyed by what it describes: a file
+``worker{w}-shard{i}.rib`` holds the nodes its writer ``w`` owned when
+it flushed index ``i``, and is never re-keyed.  Each flush index records
+its writers and the digest of the assignment they flushed under
+(:meth:`RunManifest.mark_shard`); a reader of index ``i`` reads its own
+file when ``i`` was written by the current fleet under the current
+assignment, else every writer's file of ``i``, keeping the nodes it owns
+(:meth:`RouteStore.shard_files`).  So a worker loss or rejoin moves no
+bytes, and a store resumed under another membership is read right.  A
+full data-plane build reads every index; after an announce-only epoch a
+worker reads only the indices that epoch recomputed, and so does the
+serving session's RIB view.
 
 Each store counts its metadata operations: ``durable_writes`` (temp file,
 fsync, rename) and ``unlinks``.  A worker's flush writes through its own
@@ -16,9 +24,10 @@ store object, so the controller counts those files from the replies.
 The store doubles as the **checkpoint substrate** of the fault-tolerance
 layer: every file is written to a temp name and :func:`os.replace`-d into
 place (a worker killed mid-flush can never leave a torn shard pickle), a
-:class:`RunManifest` records which shards have converged (so a killed run
-can be resumed, skipping them), and per-worker OSPF state checkpoints let
-a respawned worker rejoin without re-running the IGP fixed point.
+:class:`RunManifest` records which shards have converged and who wrote
+them (so a killed run can be resumed, skipping them), and per-writer
+OSPF checkpoints let a respawned worker rejoin without re-running the
+IGP fixed point.
 """
 
 from __future__ import annotations
@@ -28,8 +37,8 @@ import os
 import pickle
 import shutil
 import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..net.ip import Prefix
 from ..routing.route import BgpRoute
@@ -37,6 +46,9 @@ from .sharding import PrefixShard
 
 # node -> prefix -> selected ECMP routes
 ShardRoutes = Dict[str, Dict[Prefix, Tuple[BgpRoute, ...]]]
+# flush index -> (its writers, the digest of the assignment they
+# flushed under)
+Written = Dict[int, Tuple[Tuple[int, ...], str]]
 
 MANIFEST_NAME = "manifest.json"
 EPOCH_TAG_NAME = "EPOCH"
@@ -83,7 +95,10 @@ class RunManifest:
     against resuming with incompatible options or a different snapshot;
     ``shard_prefixes`` is the packing the flush indices refer to, so a
     resumed run (or a warm-booted session) repacks nothing and trusts a
-    converged index only while it still holds the same prefixes.
+    converged index only while it still holds the same prefixes.  Each
+    converged index records its writers and assignment digest, and
+    ``ospf_writers`` the workers whose checkpoint files hold the IGP
+    result.
     """
 
     version: int = 1
@@ -92,17 +107,35 @@ class RunManifest:
     num_workers: int = 0
     num_shards: int = 0
     ospf_done: bool = False
-    # str(flush index) -> {"status": "converged", "rounds": int}
+    ospf_writers: List[int] = field(default_factory=list)
+    # str(flush index) -> {"status": "converged", "rounds": int,
+    #                      "writers": [worker id], "layout": digest}
     shards: Dict[str, Dict] = field(default_factory=dict)
     # Serving state: the committed epoch this manifest belongs to.
     epoch: int = 0
     # str(flush index) -> the shard's sorted prefix texts
     shard_prefixes: Dict[str, List[str]] = field(default_factory=dict)
 
-    def mark_shard(self, flush_index: int, rounds: int = 0) -> None:
+    def mark_shard(
+        self,
+        flush_index: int,
+        rounds: int = 0,
+        writers: Sequence[int] = (),
+        layout: str = "",
+    ) -> None:
         self.shards[str(flush_index)] = {
             "status": "converged",
             "rounds": rounds,
+            "writers": list(writers),
+            "layout": layout,
+        }
+
+    def written(self) -> Written:
+        """Each converged flush index whose writers were recorded."""
+        return {
+            int(index): (tuple(entry["writers"]), entry.get("layout", ""))
+            for index, entry in self.shards.items()
+            if entry.get("status") == "converged" and entry.get("writers")
         }
 
     def is_shard_done(self, flush_index: int) -> bool:
@@ -151,36 +184,13 @@ class RunManifest:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "options_hash": self.options_hash,
-                "seed": self.seed,
-                "num_workers": self.num_workers,
-                "num_shards": self.num_shards,
-                "ospf_done": self.ospf_done,
-                "shards": self.shards,
-                "epoch": self.epoch,
-                "shard_prefixes": self.shard_prefixes,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         data = json.loads(text)
-        return cls(
-            version=data.get("version", 1),
-            options_hash=data.get("options_hash", ""),
-            seed=data.get("seed", 0),
-            num_workers=data.get("num_workers", 0),
-            num_shards=data.get("num_shards", 0),
-            ospf_done=data.get("ospf_done", False),
-            shards=data.get("shards", {}),
-            epoch=data.get("epoch", 0),
-            shard_prefixes=data.get("shard_prefixes", {}),
-        )
+        names = [each.name for each in fields(cls)]
+        return cls(**{name: data[name] for name in names if name in data})
 
 
 class RouteStore:
@@ -250,10 +260,8 @@ class RouteStore:
         self, worker_id: int, shard_index: int, routes: ShardRoutes
     ) -> int:
         """Persist one worker's results for one shard; returns bytes."""
-        path = self._path(worker_id, shard_index)
         payload = pickle.dumps(routes, protocol=pickle.HIGHEST_PROTOCOL)
-        self._atomic_write(path, payload)
-        self.bytes_written += len(payload)
+        self.write_shard_payload(worker_id, shard_index, payload)
         return len(payload)
 
     def read_shard(self, worker_id: int, shard_index: int) -> ShardRoutes:
@@ -262,11 +270,8 @@ class RouteStore:
     def read_shard_payload(
         self, worker_id: int, shard_index: int
     ) -> Optional[bytes]:
-        """Raw bytes of one shard file, or None if it was never flushed.
-
-        (A worker with no routes in a shard still flushes an empty dict,
-        so post-convergence every (worker, shard) file exists; None only
-        shows up for indices outside the run.)
+        """Raw bytes of one shard file, or None if it was never flushed
+        (a writer with no routes in a shard still flushes an empty dict).
         """
         try:
             with open(self._path(worker_id, shard_index), "rb") as handle:
@@ -283,8 +288,7 @@ class RouteStore:
         its index in the next epoch without deserializing them — the
         bytes are byte-identical to what a recompute would flush.
         """
-        path = self._path(worker_id, shard_index)
-        self._atomic_write(path, payload)
+        self._atomic_write(self._path(worker_id, shard_index), payload)
         self.bytes_written += len(payload)
 
     def clear_shard_files(self, keep: Iterable[int] = ()) -> None:
@@ -302,23 +306,6 @@ class RouteStore:
             ):
                 self._unlink(name)
 
-    def iter_worker_shards(
-        self, worker_id: int, indices: Optional[Iterable[int]] = None
-    ) -> Iterator[ShardRoutes]:
-        """All shard files of one worker in shard order, or those of the
-        flush ``indices`` (a missing one reads as empty)."""
-        if indices is not None:
-            for index in sorted(indices):
-                try:
-                    yield self.read_shard(worker_id, index)
-                except FileNotFoundError:
-                    continue
-            return
-        prefix = f"worker{worker_id:03d}-"
-        for name in sorted(os.listdir(self.directory)):
-            if name.startswith(prefix) and name.endswith(".rib"):
-                yield self._load(os.path.join(self.directory, name))
-
     def worker_shard_indices(self, worker_id: int) -> List[int]:
         """Flush indices of one worker's persisted shard files, sorted."""
         prefix = f"worker{worker_id:03d}-shard"
@@ -329,25 +316,38 @@ class RouteStore:
                 indices.append(int(name[len(prefix):-len(suffix)]))
         return sorted(indices)
 
-    def delete_worker_files(self, worker_id: int) -> None:
-        """Drop every persisted file of one worker (it left the fleet).
+    def shard_files(
+        self,
+        workers: Iterable[int],
+        indices: Optional[Iterable[int]] = None,
+        foreign: Optional[Mapping[int, Sequence[int]]] = None,
+    ) -> List[Tuple[int, int]]:
+        """The ``(writer, flush index)`` files the ``workers`` read, each
+        once: of each index a worker persisted (and each ``foreign``
+        one) or of ``indices``, its own file, but every writer's file of
+        a ``foreign`` index — one written under another assignment, so
+        the nodes a worker owns now may sit in any of them."""
+        foreign = foreign or {}
+        files: Dict[Tuple[int, int], None] = {}
+        for worker_id in workers:
+            own = indices
+            if own is None:
+                own = set(self.worker_shard_indices(worker_id)).union(foreign)
+            for index in sorted(own):
+                for writer in foreign.get(index, (worker_id,)):
+                    files[writer, index] = None
+        return list(files)
 
-        Without this, ``merged_routes`` over the surviving fleet would
-        be fine, but a later rejoin's re-keying (and any full-directory
-        scan) would resurrect the dead worker's stale shards.
-        """
-        prefix = f"worker{worker_id:03d}"
-        for name in os.listdir(self.directory):
-            if name.startswith(f"{prefix}-shard") or name == f"{prefix}.ospf":
-                self._unlink(name)
-
-    def merged_routes(
-        self, worker_id: int, indices: Optional[Iterable[int]] = None
-    ) -> ShardRoutes:
-        """Union of every shard's routes for one worker's nodes, or of
-        the flush ``indices``' shards only."""
+    def merged_routes(self, files: Iterable[Tuple[int, int]]) -> ShardRoutes:
+        """Union of the routes of the ``(writer, flush index)`` files
+        (:meth:`shard_files`); a missing one is damage, raised typed."""
         merged: ShardRoutes = {}
-        for shard_routes in self.iter_worker_shards(worker_id, indices):
+        for writer, index in files:
+            path = self._path(writer, index)
+            try:
+                shard_routes = self._load(path)
+            except FileNotFoundError as exc:
+                raise CorruptShardError(path, exc) from exc
             for node, routes in shard_routes.items():
                 merged.setdefault(node, {}).update(routes)
         return merged
@@ -414,14 +414,10 @@ class RouteStore:
         return len(payload)
 
     def read_ospf_state(self, worker_id: int):
-        path = self._ospf_path(worker_id)
-        if not os.path.exists(path):
+        try:
+            return self._load(self._ospf_path(worker_id))
+        except FileNotFoundError:
             return None
-        with open(path, "rb") as handle:
-            try:
-                return pickle.load(handle)
-            except (pickle.UnpicklingError, EOFError, ValueError) as exc:
-                raise CorruptShardError(path, exc) from exc
 
     # -- run lifecycle ---------------------------------------------------
 
@@ -430,7 +426,7 @@ class RouteStore:
 
         Called when a *fresh* (non-resume) run reuses a persistent store
         directory, so stale shards from an earlier run can't pollute
-        ``merged_routes``.
+        its reads.
         """
         for name in os.listdir(self.directory):
             if (

@@ -778,13 +778,16 @@ class Worker:
         encoding: HeaderEncoding,
         node_limit: int = 1 << 24,
         patch: Optional[DataPlanePatch] = None,
+        foreign: Optional[Dict[int, Tuple[int, ...]]] = None,
     ) -> FrozenSet[Prefix]:
         """Build this worker's FIBs from the route store.  No predicate
         is compiled here: the forwarding context compiles a device on
         the first symbolic packet that reaches it.
 
+        It reads its own shard files, but every writer's of a ``foreign``
+        flush index (:meth:`RouteStore.shard_files`), keeping its nodes.
         Without ``patch`` the build starts from an empty data plane (a
-        fresh engine, no FIB) and reads every shard file: a cold build,
+        fresh engine, no FIB) and reads every flush index: a cold build,
         a full delta, a rebalance and every rebuild after a recovery.
         With one (an announce-only epoch) it keeps the data plane, reads
         only the patch's flush indices, recomputes the entry of every
@@ -807,8 +810,9 @@ class Worker:
         with self.tracer.span(
             "worker.build_dataplane", category="dpo", patch=patch is not None
         ) as span:
-            routes = RouteStore(store_dir).merged_routes(
-                self.worker_id, indices
+            store = RouteStore(store_dir)
+            routes = store.merged_routes(
+                store.shard_files([self.worker_id], indices, foreign)
             )
             changed = 0
             for hostname, node in sorted(self.nodes.items()):

@@ -752,6 +752,7 @@ class VerifierSession:
         controller = self._controller
         store = controller.store
         old_manifest = controller.manifest
+        written = controller.cpo.written
         converged: Dict[Tuple[str, ...], int] = {}
         if old_manifest is not None:
             for index_text, prefixes in old_manifest.shard_prefixes.items():
@@ -773,27 +774,44 @@ class VerifierSession:
             old_index = converged.get(tuple(shard.prefix_list()))
             if old_index is not None:
                 carry[shard.index] = old_index
-        # A shard with any worker's file missing is recomputed instead.
-        workers = [worker.worker_id for worker in controller.fleet.workers]
-        present = set.intersection(
-            *(set(store.worker_shard_indices(w)) for w in workers)
-        )
-        carry = {new: old for new, old in carry.items() if old in present}
+        # A shard is carried only with its writers recorded and every
+        # file its readers read on disk; otherwise it is recomputed.
+        workers = controller.fleet.active_ids
+        foreign = controller.foreign_indices()
+        files = {
+            old: store.shard_files(workers, [old], foreign)
+            for old in carry.values()
+            if old in written
+        }
+        on_disk = {
+            (writer, index)
+            for writer in {w for each in files.values() for w, _ in each}
+            for index in store.worker_shard_indices(writer)
+        }
+        carry = {
+            new: old
+            for new, old in carry.items()
+            if old in files and on_disk.issuperset(files[old])
+        }
         # A clean shard under its old index keeps its files in place; one
-        # the packer moved (a cold repack) is read out before the reset.
+        # the packer moved (a cold repack) is read out before the reset,
+        # and its writers travel with it.
         moved = {
-            new: {w: store.read_shard_payload(w, old) for w in workers}
+            new: {w: store.read_shard_payload(w, old) for w, _ in files[old]}
             for new, old in carry.items()
             if new != old
         }
         store.clear_shard_files(
             keep=[new for new, old in carry.items() if new == old]
         )
-        for new_index, per_worker in moved.items():
-            for worker_id, data in per_worker.items():
-                store.write_shard_payload(worker_id, new_index, data)
-        # Announce-only: the IGP result is unchanged.
-        controller.start_run(carried=carry, ospf_done=True)
+        for new_index, per_writer in moved.items():
+            for writer, data in per_writer.items():
+                store.write_shard_payload(writer, new_index, data)
+        # Announce-only: the IGP result (and its checkpoint) is unchanged.
+        controller.start_run(
+            carried={new: written[old] for new, old in carry.items()},
+            ospf_writers=old_manifest.ospf_writers if old_manifest else (),
+        )
 
     def _prepare_full(self, new_snapshot: Snapshot, epoch: int) -> None:
         """Topology/policy path: repartition, respawn, recompute all."""

@@ -71,9 +71,7 @@ def _fresh(controller):
             controller.partition.assignment,
             max_hops=options.max_hops,
         )
-        worker.restore_ospf_state(
-            controller.supervisor._ospf_states.get(proxy.worker_id)
-        )
+        worker.restore_ospf_state(controller.supervisor._ospf)
         replies.append(
             worker.build_dataplane(
                 controller.store.directory, options.encoding,

@@ -16,7 +16,7 @@ from repro.dist.resources import (
     memory_bytes,
 )
 from repro.dist.sidecar import Sidecar
-from repro.dist.storage import RouteStore
+from repro.dist.storage import CorruptShardError, RouteStore
 from repro.dist.worker import ShadowNode, Worker
 from repro.net.ip import Prefix
 from repro.routing.route import BgpRoute
@@ -97,9 +97,16 @@ class TestRouteStore:
         store.write_shard(0, 0, {"n": {p1: ()}})
         store.write_shard(0, 1, {"n": {p2: ()}})
         store.write_shard(1, 0, {"m": {p1: ()}})
-        merged = store.merged_routes(0)
+        merged = store.merged_routes(store.shard_files([0]))
         assert set(merged["n"]) == {p1, p2}
         assert "m" not in merged
+        # A foreign index (written under another assignment) reads every
+        # writer's file; a missing listed file is damage, raised typed.
+        files = store.shard_files([0], foreign={0: (0, 1)})
+        assert files == [(0, 0), (1, 0), (0, 1)]
+        assert set(store.merged_routes(files)) == {"n", "m"}
+        with pytest.raises(CorruptShardError):
+            store.merged_routes(store.shard_files([0], foreign={1: (0, 2)}))
 
     def test_owned_store_cleans_up(self):
         store = RouteStore()

@@ -239,7 +239,8 @@ def test_losing_every_worker_fails_typed(
             c.run_control_plane()
         assert "workers 0, 1, 2 are lost" in str(err.value)
         assert plan.count("host_loss") == 3
-        assert sorted(c.fleet.lost) == [0, 1]
+        assert sorted(c.fleet.lost) == [0, 1, 2]
+        assert c.capacity()["active_workers"] == 0
     with S2Verifier(
         fattree4, _options(runtime=runtime, fault_plan=_every_host_lost())
     ) as verifier:
@@ -433,6 +434,103 @@ def test_two_losses_in_a_row_follow_the_one_assignment_rule(
             sorted(controller.fleet.lost)
         ).assignment
     assert stats.workers_lost == 2
+    assert ribs == normalize_ribs(oracle)
+
+
+# -- durable state keyed by its writer --------------------------------------
+
+
+def _per_shard_options(snapshot, **overrides) -> S2Options:
+    """Three workers, four shards, one shard per batch."""
+    options = _options(num_shards=4, **overrides)
+    options.worker_capacity = one_shard_per_batch(snapshot, options)
+    return options
+
+
+def _host_loss_at_shard_2(heal_after: int = 100) -> FaultPlan:
+    """Worker 1's host dies while shard 2 converges: the full fleet
+    flushed shards 0 and 1, the survivors flush 2 and 3."""
+    return FaultPlan(
+        [
+            FaultSpec(
+                kind="host_loss", worker=1, shard=2, command="step",
+                round=1, heal_after=heal_after,
+            )
+        ]
+    )
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_resume_after_a_permanent_loss_gives_the_reference_verdicts(
+    runtime, fattree4, fattree4_sim, baseline, tmp_path
+):
+    """A store whose run lost a worker, resumed on the full fleet,
+    answers what the reference answers — its verdicts, not only its
+    RIBs: worker 1 owns nodes again whose routes of shards 2 and 3 only
+    the survivors' files hold, and it reads them there."""
+    base_result, _ = baseline
+    _, oracle = fattree4_sim
+    store = str(tmp_path / "spool")
+    plan = _host_loss_at_shard_2()
+    with S2Verifier(
+        fattree4,
+        _per_shard_options(
+            fattree4, runtime=runtime, store_dir=store, fault_plan=plan
+        ),
+    ) as verifier:
+        lossy = verifier.verify()
+    assert plan.count("host_loss") == 1, "the loss never fired"
+    assert lossy.cp_stats.workers_lost == 1
+    assert lossy.cp_stats.shards_reassigned == 2  # shards 0 and 1
+    with S2Verifier.resume(
+        fattree4, _per_shard_options(fattree4, runtime=runtime, store_dir=store)
+    ) as verifier:
+        resumed = verifier.verify()
+        ribs = normalize_ribs(verifier.collected_ribs())
+    assert resumed.status == "ok"
+    assert resumed.cp_stats.shards_skipped == 4
+    assert resumed.cp_stats.ospf_restored
+    assert resumed.reachable_pairs == base_result.reachable_pairs
+    assert resumed.checked_pairs == base_result.checked_pairs
+    assert ribs == normalize_ribs(oracle)
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_a_loss_and_a_rejoin_write_no_shard_bytes(
+    runtime, fattree4, fattree4_sim, tmp_path
+):
+    """A file stays keyed by the worker that wrote it: neither the loss
+    nor the rejoin writes a shard byte or unlinks a file through the
+    controller's store.  Its only writes are the manifest and the OSPF
+    checkpoint, as many as a fault-free run makes, and the RIBs survive
+    both membership changes."""
+    _, oracle = fattree4_sim
+    with S2Controller(
+        fattree4,
+        _per_shard_options(
+            fattree4, runtime=runtime, store_dir=str(tmp_path / "clean")
+        ),
+    ) as c:
+        c.run_control_plane()
+        clean = c.storage_counts()
+    plan = _host_loss_at_shard_2(heal_after=2)
+    with S2Controller(
+        fattree4,
+        _per_shard_options(
+            fattree4, runtime=runtime, store_dir=str(tmp_path / "lossy"),
+            fault_plan=plan,
+        ),
+    ) as c:
+        assert c.run_control_plane().workers_lost == 1
+        lost = c.storage_counts()
+        assert c.rejoin_worker(1)
+        rejoined = c.storage_counts()
+        ribs = normalize_ribs(c.collected_ribs())
+        bytes_written = c.store.bytes_written
+    assert bytes_written == 0
+    assert lost["unlinks"] == 0
+    assert lost["controller_writes"] == clean["controller_writes"]
+    assert rejoined == lost
     assert ribs == normalize_ribs(oracle)
 
 
@@ -918,3 +1016,8 @@ def test_cli_reports_losing_every_worker(capsys):
     assert code == 1
     assert "WORKER-FAILURE" in out
     assert "workers 0, 1, 2 are lost and no survivors remain" in out
+    fault_line = next(
+        line for line in out.splitlines()
+        if line.startswith("fault tolerance:")
+    )
+    assert fault_line.endswith(", 3 workers lost")

@@ -10,6 +10,7 @@ unparsable files, :class:`EpochMismatchError` for a torn commit — and
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -20,16 +21,17 @@ import pytest
 from repro.config.loader import snapshot_from_texts
 from repro.dataplane.queries import Query
 from repro.dist.controller import S2Controller, S2Options
+from repro.dist.faults import FaultPlan, FaultSpec
 from repro.dist.storage import (
     CorruptShardError,
     EpochMismatchError,
     RouteStore,
 )
-from repro.net.fattree import FatTreeSpec, render_configs
+from repro.net.fattree import FatTreeSpec, build_fattree, render_configs
 from repro.net.ip import Prefix
 from repro.serve import ConfigTextDelta, VerifierSession
 
-from tests.conftest import normalize_ribs
+from tests.conftest import normalize_ribs, one_shard_per_batch
 from tests.test_ip import parent_prefix_ops, raw_prefix
 
 NUM_WORKERS = 2
@@ -229,3 +231,47 @@ def test_empty_store_is_a_plain_cold_start(tmp_path, store_copy):
         assert not session.warm_booted
         assert session.boot_fallback is None  # nothing there ≠ damage
         _assert_serves_expected(session, expected)
+
+
+# -- listed files after a membership change ---------------------------------
+
+
+@pytest.mark.parametrize("damage", ["missing", "torn"])
+def test_a_missing_or_torn_listed_file_after_a_loss_fails_typed(
+    tmp_path, damage
+):
+    """After worker 1's host dies at shard 2 the manifest lists workers
+    0 and 2 as the writers of shards 2 and 3.  A resume on the full
+    fleet reads their files for worker 1's nodes too, so one of them
+    missing or torn is damage, raised typed — never read as empty."""
+    snapshot = build_fattree(4)
+    options = S2Options(
+        num_workers=3, num_shards=NUM_SHARDS, store_dir=str(tmp_path)
+    )
+    options.worker_capacity = one_shard_per_batch(snapshot, options)
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                kind="host_loss", worker=1, shard=2, command="step",
+                round=1, heal_after=100,
+            )
+        ]
+    )
+    lossy = dataclasses.replace(options, fault_plan=plan)
+    with S2Controller(snapshot, lossy) as controller:
+        controller.run_control_plane()
+        assert controller.manifest.written()[2] == (
+            (0, 2), controller.partition.digest
+        )
+    store = RouteStore(str(tmp_path))
+    if damage == "missing":
+        os.unlink(store._path(2, 2))
+    else:
+        with open(store._path(2, 2), "wb") as handle:
+            handle.write(b"\x80\x05 torn")
+    with S2Controller.resume(snapshot, options) as controller:
+        controller.run_control_plane()
+        with pytest.raises(CorruptShardError, match="shard0002"):
+            controller.collected_ribs()
+        with pytest.raises(CorruptShardError, match="shard0002"):
+            controller.build_data_plane()

@@ -45,7 +45,12 @@ from repro.serve import (
 )
 from repro.serve import session as session_module
 
-from tests.conftest import commit_records, full_recheck, normalize_ribs
+from tests.conftest import (
+    commit_records,
+    full_recheck,
+    normalize_ribs,
+    one_shard_per_batch,
+)
 
 NUM_WORKERS = 2
 NUM_SHARDS = 8
@@ -834,6 +839,42 @@ def test_heal_probe_that_raises_degrades_the_session(ft4):
 
 
 @pytest.mark.parametrize("runtime", ["sequential", "socket"])
+def test_warm_boot_after_a_worker_loss_serves_the_cold_start_view(
+    ft4, runtime, tmp_path
+):
+    """A session loses worker 1's host while shard 2 converges, so the
+    survivors write shards 2 and 3.  A warm boot of its store plans the
+    full fleet again; worker 1 reads those shards from the survivors'
+    files and the session serves a cold start's view, with no
+    fallback."""
+    from repro.dist.faults import FaultPlan, FaultSpec
+
+    options = _options(
+        num_workers=3, num_shards=4, runtime=runtime,
+        store_dir=str(tmp_path / "store"),
+    )
+    options.worker_capacity = one_shard_per_batch(ft4, options)
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                kind="host_loss", worker=1, shard=2, command="step",
+                round=1, heal_after=100,
+            )
+        ]
+    )
+    with VerifierSession(
+        ft4, dataclasses.replace(options, fault_plan=plan)
+    ) as session:
+        assert plan.count("host_loss") == 1, "the loss never fired"
+        assert session.health()["capacity"]["lost_workers"] == 1
+    with VerifierSession(ft4, options) as session:
+        assert session.warm_booted
+        assert session.boot_fallback is None
+        assert session.health()["capacity"]["lost_workers"] == 0
+        _assert_equivalent(session)
+
+
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
 def test_losing_every_worker_degrades_to_read_only(
     ft4, ft4_texts, announce_host, runtime
 ):
@@ -874,6 +915,7 @@ def test_losing_every_worker_degrades_to_read_only(
         assert health["status"] == "degraded"
         assert health["degraded_reason"].startswith("RespawnError: ")
         assert health["epoch"] == 0
+        assert health["capacity"]["active_workers"] == 0
         events = session.journal.tail(100)
         degraded = [event for event in events if event.kind == "degraded"]
         assert len(degraded) == 1
